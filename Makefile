@@ -49,11 +49,14 @@ dist-smoke:
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
-# the session frame/payload decoders (truncated frames, hostile lengths,
-# non-finite payloads must error, never panic).
+# the session frame/payload decoders and the HTTP binary matrix body
+# decoder (truncated frames, hostile lengths, non-finite payloads must
+# error, never panic or over-allocate).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
+	$(GO) test -run 'FuzzReadMatrix' ./server
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
+	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server
 
 # Serving smoke: boot the HTTP server on a random port, create a model,
 # stream the deterministic FromWorkload batches at it through the typed

@@ -1,6 +1,7 @@
-// parsvd-serve hosts streaming SVD models behind an HTTP JSON API: create
-// named models, push snapshot batches at them from anywhere, and query
-// spectra, modes, projections and reconstructions while ingest continues.
+// parsvd-serve hosts streaming SVD models behind an HTTP API (JSON or
+// binary bodies): create named models, push snapshot batches at them from
+// anywhere, and query spectra, modes, projections and reconstructions
+// while ingest continues.
 //
 //	parsvd-serve -addr :8080 -checkpoint-dir /var/lib/parsvd
 //

@@ -8,14 +8,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	parsvd "goparsvd"
 )
 
-// MatrixJSON is the wire form of a dense matrix: row-major data with
-// explicit dims, so a payload can be validated before it touches the
-// engine. Columns are snapshots, rows are degrees of freedom — the same
+// MatrixJSON is the JSON wire form of a dense matrix (body.go has the
+// binary one): row-major data with explicit dims, so a payload can be
+// validated before it touches the engine. Columns are snapshots, rows are degrees of freedom — the same
 // orientation as everywhere in parsvd.
 type MatrixJSON struct {
 	Rows int       `json:"rows"`
@@ -246,22 +245,6 @@ func enqueueOrReject(w http.ResponseWriter, m *model, req *pushReq) bool {
 	return true
 }
 
-// decodeJSON reads one JSON value, mapping an oversized body to 413.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("server: request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "server: invalid JSON: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // lookup resolves the {name} path segment; a miss writes the 404.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*model, bool) {
 	m, err := s.reg.get(r.PathValue("name"))
@@ -294,7 +277,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec ModelSpec
-	if !decodeJSON(w, r, &spec) {
+	if err := decodeJSON(r, &spec); err != nil {
+		writeError(w, err)
 		return
 	}
 	info, err := s.CreateModel(spec)
@@ -339,39 +323,40 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var mj MatrixJSON
-	if !decodeJSON(w, r, &mj) {
-		return
-	}
-	batch, err := mj.Matrix()
+	batch, err := s.readMatrix(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	req := &pushReq{batch: batch, errc: make(chan error, 1)}
+	req := newPushReq(batch)
 	if !enqueueOrReject(w, m, req) {
 		return
 	}
-	s.awaitPushAck(w, r, m, req)
+	writePushAck(w, r, req)
 }
 
-// awaitPushAck waits for the ingest loop's verdict on a queued push (raw
-// or sketched) and writes the ack or error. A client that goes away
-// while waiting gets the context error; its request may still apply.
-func (s *Server) awaitPushAck(w http.ResponseWriter, r *http.Request, m *model, req *pushReq) {
+// await waits for the ingest loop's verdict on a queued request; a
+// failure is written as the response. A client that goes away while
+// waiting gets the context error; its request may still apply.
+func await(w http.ResponseWriter, r *http.Request, req *pushReq) (ingestResult, bool) {
 	select {
-	case err := <-req.errc:
-		if err != nil {
-			writeError(w, err)
-			return
+	case res := <-req.done:
+		if res.err != nil {
+			writeError(w, res.err)
+			return res, false
 		}
-		ack := PushAck{}
-		if v := m.currentView(); v != nil {
-			ack = PushAck{Snapshots: v.Stats.Snapshots, Version: v.Version}
-		}
-		writeJSON(w, http.StatusOK, ack)
+		return res, true
 	case <-r.Context().Done():
 		writeError(w, r.Context().Err())
+		return ingestResult{}, false
+	}
+}
+
+// writePushAck acks a queued push (raw or sketched) with the state its
+// own update published.
+func writePushAck(w http.ResponseWriter, r *http.Request, req *pushReq) {
+	if res, ok := await(w, r, req); ok {
+		writeJSON(w, http.StatusOK, PushAck{Snapshots: res.view.Stats.Snapshots, Version: res.view.Version})
 	}
 }
 
@@ -385,25 +370,16 @@ func (s *Server) handlePushSketch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var sj SketchPushJSON
-	if !decodeJSON(w, r, &sj) {
-		return
-	}
-	q, err := sj.Q.Matrix()
+	q, sk, err := s.readSketch(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	sk, err := sj.S.Matrix()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	req := &pushReq{sketchQ: q, sketchS: sk, errc: make(chan error, 1)}
+	req := &pushReq{sketchQ: q, sketchS: sk, done: make(chan ingestResult, 1)}
 	if !enqueueOrReject(w, m, req) {
 		return
 	}
-	s.awaitPushAck(w, r, m, req)
+	writePushAck(w, r, req)
 }
 
 // handleMerge absorbs another decomposition into the target model: a
@@ -419,23 +395,18 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MergeRequest
-	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == "application/octet-stream" {
+	if binaryBody(r) {
 		// Raw checkpoint upload: the body IS the checkpoint, no base64
 		// envelope. This is the path the coordinator (and client.Merge)
 		// uses, streaming fetched shard checkpoints straight through.
 		raw, err := io.ReadAll(r.Body)
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorResponse{Error: fmt.Sprintf("server: request body exceeds %d bytes", tooBig.Limit)})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "server: reading checkpoint body: " + err.Error()})
+			writeError(w, bodyError("reading checkpoint body", err))
 			return
 		}
 		req.Checkpoint = raw
-	} else if !decodeJSON(w, r, &req) {
+	} else if err := decodeJSON(r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	var ckpt []byte
@@ -473,23 +444,16 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mreq := &pushReq{mergeCkpt: ckpt, errc: make(chan error, 1)}
+	mreq := &pushReq{mergeCkpt: ckpt, done: make(chan ingestResult, 1)}
 	if !enqueueOrReject(w, m, mreq) {
 		return
 	}
-	select {
-	case err := <-mreq.errc:
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		ack := MergeAck{MergeBound: m.svd.MergeBound()}
-		if v := m.currentView(); v != nil {
-			ack.Snapshots, ack.Version = v.Stats.Snapshots, v.Version
-		}
-		writeJSON(w, http.StatusOK, ack)
-	case <-r.Context().Done():
-		writeError(w, r.Context().Err())
+	if res, ok := await(w, r, mreq); ok {
+		writeJSON(w, http.StatusOK, MergeAck{
+			Snapshots:  res.view.Stats.Snapshots,
+			Version:    res.view.Version,
+			MergeBound: res.mergeBound,
+		})
 	}
 }
 
@@ -522,7 +486,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-	w.Header().Set("X-Parsvd-Version", fmt.Sprint(v.Version))
+	w.Header().Set(VersionHeader, fmt.Sprint(v.Version))
 	w.WriteHeader(http.StatusOK)
 	buf.WriteTo(w)
 }
@@ -557,10 +521,7 @@ func (s *Server) handleModes(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, ModesResponse{
-		Modes:   NewMatrixJSON(modes),
-		Version: v.Version,
-	})
+	writeMatrix(w, r, modes, v.Version, ModesResponse{Modes: NewMatrixJSON(modes), Version: v.Version})
 }
 
 // modesOf extracts the view's mode matrix, reporting ErrNoModes for
@@ -600,11 +561,7 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var mj MatrixJSON
-	if !decodeJSON(w, r, &mj) {
-		return
-	}
-	a, err := mj.Matrix()
+	a, err := s.readMatrix(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -614,7 +571,7 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	coeffs := parsvd.MulTransA(modes, a)
-	writeJSON(w, http.StatusOK, MatrixResponse{Matrix: NewMatrixJSON(coeffs), Version: v.Version})
+	writeMatrix(w, r, coeffs, v.Version, MatrixResponse{Matrix: NewMatrixJSON(coeffs), Version: v.Version})
 }
 
 // handleReconstruct maps K×B coefficients back to snapshot space (U·c).
@@ -631,11 +588,7 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var mj MatrixJSON
-	if !decodeJSON(w, r, &mj) {
-		return
-	}
-	c, err := mj.Matrix()
+	c, err := s.readMatrix(r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -645,5 +598,5 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snaps := parsvd.Mul(modes, c)
-	writeJSON(w, http.StatusOK, MatrixResponse{Matrix: NewMatrixJSON(snaps), Version: v.Version})
+	writeMatrix(w, r, snaps, v.Version, MatrixResponse{Matrix: NewMatrixJSON(snaps), Version: v.Version})
 }

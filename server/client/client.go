@@ -1,6 +1,8 @@
 // Package client is the typed Go client of the parsvd serving API
 // (goparsvd/server, cmd/parsvd-serve): model lifecycle, snapshot pushes
-// and snapshot-isolated queries over HTTP JSON.
+// and snapshot-isolated queries over the HTTP API (JSON or binary
+// bodies). Matrices travel as binary bodies (server.MatrixContentType)
+// both ways; everything else is JSON.
 package client
 
 import (
@@ -9,7 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -134,7 +138,8 @@ func (c *Client) retryLoop(ctx context.Context, method, path, contentType string
 }
 
 // once is a single HTTP attempt. out == nil discards the response body;
-// *[]byte receives it raw; anything else is JSON-decoded into.
+// *[]byte receives it raw; *matrixReply asks for and decodes a binary
+// matrix; anything else is JSON-decoded into.
 func (c *Client) once(ctx context.Context, method, path, contentType string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
@@ -142,6 +147,9 @@ func (c *Client) once(ctx context.Context, method, path, contentType string, bod
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if _, ok := out.(*matrixReply); ok {
+		req.Header.Set("Accept", server.MatrixContentType)
 	}
 	hc := c.HTTPClient
 	if hc == nil {
@@ -171,6 +179,8 @@ func (c *Client) once(ctx context.Context, method, path, contentType string, bod
 			return fmt.Errorf("client: reading response: %w", err)
 		}
 		*dst = raw
+	case *matrixReply:
+		return dst.read(resp)
 	default:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("client: decoding response: %w", err)
@@ -217,7 +227,7 @@ func (c *Client) DeleteModel(ctx context.Context, name string) error {
 // back off and retry.
 func (c *Client) Push(ctx context.Context, name string, batch *parsvd.Matrix) (server.PushAck, error) {
 	var ack server.PushAck
-	err := c.do(ctx, http.MethodPost, "/v1/models/"+name+"/push", server.NewMatrixJSON(batch), &ack)
+	err := c.postMatrices(ctx, "/v1/models/"+name+"/push", &ack, batch)
 	return ack, err
 }
 
@@ -229,8 +239,7 @@ func (c *Client) Push(ctx context.Context, name string, batch *parsvd.Matrix) (s
 // (and durable under a WAL), 429 means back off and retry.
 func (c *Client) PushSketched(ctx context.Context, name string, q, s *parsvd.Matrix) (server.PushAck, error) {
 	var ack server.PushAck
-	err := c.do(ctx, http.MethodPost, "/v1/models/"+name+"/push-sketch",
-		server.SketchPushJSON{Q: server.NewMatrixJSON(q), S: server.NewMatrixJSON(s)}, &ack)
+	err := c.postMatrices(ctx, "/v1/models/"+name+"/push-sketch", &ack, q, s)
 	return ack, err
 }
 
@@ -281,15 +290,11 @@ func (c *Client) Spectrum(ctx context.Context, name string) (server.SpectrumResp
 // Modes fetches the M×K mode matrix of the model's current view, plus
 // the view version it belongs to.
 func (c *Client) Modes(ctx context.Context, name string) (*parsvd.Matrix, uint64, error) {
-	var mr server.ModesResponse
+	var mr matrixReply
 	if err := c.do(ctx, http.MethodGet, "/v1/models/"+name+"/modes", nil, &mr); err != nil {
 		return nil, 0, err
 	}
-	m, err := mr.Modes.Matrix()
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, mr.Version, nil
+	return mr.m, mr.version, nil
 }
 
 // Project maps M×B snapshots to K×B modal coefficients (Uᵀ·a) against
@@ -304,9 +309,50 @@ func (c *Client) Reconstruct(ctx context.Context, name string, coeffs *parsvd.Ma
 }
 
 func (c *Client) matrixCall(ctx context.Context, name, op string, in *parsvd.Matrix) (*parsvd.Matrix, error) {
-	var mr server.MatrixResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/models/"+name+"/"+op, server.NewMatrixJSON(in), &mr); err != nil {
+	var mr matrixReply
+	if err := c.postMatrices(ctx, "/v1/models/"+name+"/"+op, &mr, in); err != nil {
 		return nil, err
 	}
-	return mr.Matrix.Matrix()
+	return mr.m, nil
+}
+
+// postMatrices posts ms as consecutive binary matrix bodies. The encoded
+// body is seekable, so the retry policy can resend it.
+func (c *Client) postMatrices(ctx context.Context, path string, out any, ms ...*parsvd.Matrix) error {
+	var size int
+	for _, m := range ms {
+		size += 32 + 8*len(m.RawData()) // 32-byte header, then the values
+	}
+	body := make([]byte, 0, size)
+	for _, m := range ms {
+		body = server.AppendMatrix(body, m)
+	}
+	return c.doStream(ctx, http.MethodPost, path, server.MatrixContentType, bytes.NewReader(body), out)
+}
+
+// matrixReply receives a binary matrix response and the view version its
+// header carries.
+type matrixReply struct {
+	m       *parsvd.Matrix
+	version uint64
+}
+
+func (r *matrixReply) read(resp *http.Response) error {
+	if ct := resp.Header.Get("Content-Type"); ct != server.MatrixContentType {
+		return fmt.Errorf("client: response is %q, want %s", ct, server.MatrixContentType)
+	}
+	version, err := strconv.ParseUint(resp.Header.Get(server.VersionHeader), 10, 64)
+	if err != nil {
+		return fmt.Errorf("client: response %s header: %w", server.VersionHeader, err)
+	}
+	limit := resp.ContentLength
+	if limit < 0 {
+		limit = math.MaxInt64
+	}
+	m, err := server.ReadMatrix(resp.Body, limit)
+	if err != nil {
+		return fmt.Errorf("client: decoding response: %w", err)
+	}
+	r.m, r.version = m, version
+	return nil
 }

@@ -40,6 +40,9 @@ var (
 	// same way until the operator repairs the disk — the model never
 	// silently diverges from its durable history.
 	ErrNotDurable = errors.New("server: push applied in memory but not durable (write-ahead log append failed)")
+	// ErrBodyTooLarge reports a request body beyond Config.MaxBodyBytes
+	// (HTTP 413).
+	ErrBodyTooLarge = errors.New("server: request body exceeds the size limit")
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (nginx
@@ -62,6 +65,8 @@ func httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrBacklogFull):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrModelClosed), errors.Is(err, ErrServerClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNoData), errors.Is(err, ErrNoModes):

@@ -51,7 +51,7 @@ func TestMicroBatchCoalescingBitIdentical(t *testing.T) {
 	m := newModel(ModelSpec{Name: "coalesce"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = &pushReq{batch: full.SliceCols(j, j+1), errc: make(chan error, 1)}
+		reqs[j] = newPushReq(full.SliceCols(j, j+1))
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -59,7 +59,7 @@ func TestMicroBatchCoalescingBitIdentical(t *testing.T) {
 	m.run()
 	defer m.shutdown(false)
 	for j, req := range reqs {
-		if err := <-req.errc; err != nil {
+		if err := (<-req.done).err; err != nil {
 			t.Fatalf("push %d: %v", j, err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestCoalesceRespectsMaxCoalesce(t *testing.T) {
 	m := newModel(ModelSpec{Name: "split"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = &pushReq{batch: detMatrix(rows, 1, float64(j)), errc: make(chan error, 1)}
+		reqs[j] = newPushReq(detMatrix(rows, 1, float64(j)))
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestCoalesceRespectsMaxCoalesce(t *testing.T) {
 	m.run()
 	defer m.shutdown(false)
 	for _, req := range reqs {
-		if err := <-req.errc; err != nil {
+		if err := (<-req.done).err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestRetryAfterDerivedFromQueueOccupancy(t *testing.T) {
 	// MaxCoalesce=2 drain in ~3 coalesced updates.
 	var reqs []*pushReq
 	for j := 0; j < 6; j++ {
-		req := &pushReq{batch: detMatrix(8, 1, float64(j)), errc: make(chan error, 1)}
+		req := newPushReq(detMatrix(8, 1, float64(j)))
 		if err := m.enqueue(req); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -286,7 +286,7 @@ func TestRetryAfterDerivedFromQueueOccupancy(t *testing.T) {
 	// Writer recovers; everything queued drains cleanly.
 	m.run()
 	for j, req := range reqs {
-		if err := <-req.errc; err != nil {
+		if err := (<-req.done).err; err != nil {
 			t.Fatalf("queued push %d: %v", j, err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestShutdownFlushesQueue(t *testing.T) {
 	}
 	var reqs []*pushReq
 	for j := 0; j < 5; j++ {
-		req := &pushReq{batch: detMatrix(8, 1, float64(j)), errc: make(chan error, 1)}
+		req := newPushReq(detMatrix(8, 1, float64(j)))
 		if err := m.enqueue(req); err != nil {
 			t.Fatal(err)
 		}
@@ -324,8 +324,8 @@ func TestShutdownFlushesQueue(t *testing.T) {
 	}
 	for j, req := range reqs {
 		select {
-		case err := <-req.errc:
-			if err != nil {
+		case res := <-req.done:
+			if err := res.err; err != nil {
 				t.Fatalf("flushed push %d: %v", j, err)
 			}
 		default:

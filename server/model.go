@@ -66,14 +66,29 @@ type model struct {
 // (Q, S) sketch factor pair — when sketchQ is set — or, when mergeCkpt is
 // set, a checkpoint to absorb through SVD.Merge. Sketched pushes and
 // merges ride the same single-writer queue as pushes, so the WAL ordering
-// and durability barrier apply to them unchanged. errc is buffered so the
+// and durability barrier apply to them unchanged. done is buffered so the
 // ingest loop can always deliver the outcome, even when the submitting
 // handler has already given up (context canceled → 499) and gone away.
 type pushReq struct {
 	batch            *parsvd.Matrix
 	sketchQ, sketchS *parsvd.Matrix
 	mergeCkpt        []byte
-	errc             chan error
+	done             chan ingestResult
+}
+
+// ingestResult is the ingest loop's answer to one request: the View that
+// the request's own publish stored, so its ack reports that state even
+// when a later micro-batch has published since; the accumulated merge
+// bound after a merge; or the error.
+type ingestResult struct {
+	view       *View
+	mergeBound float64
+	err        error
+}
+
+// newPushReq wraps a snapshot batch for the ingest queue.
+func newPushReq(batch *parsvd.Matrix) *pushReq {
+	return &pushReq{batch: batch, done: make(chan ingestResult, 1)}
 }
 
 // newModel wires a model around an SVD but does not start its ingest
@@ -241,28 +256,29 @@ func (m *model) apply(reqs []*pushReq) {
 			}
 			stacked = parsvd.HStack(batches...)
 		}
-		err := m.svd.Push(stacked)
-		if err == nil {
+		var res ingestResult
+		res.err = m.svd.Push(stacked)
+		if res.err == nil {
 			// Durability barrier: the applied micro-batch is logged (and,
 			// under FsyncAlways, fsynced) before any pusher sees its 200.
 			// The stacked batch is recorded exactly as the engine consumed
 			// it, so replay reproduces the same micro-batch boundaries —
 			// and with them the same forget-factor weighting — bit for bit.
-			err = m.logDurable(encodeBatchPayload(stacked))
+			res.err = m.logDurable(encodeBatchPayload(stacked))
 		}
-		if err == nil {
+		if res.err == nil {
 			// A publish failure (poisoned parallel world during the
 			// gather) counts against the pushers too: their data is in an
 			// engine that can no longer serve it.
-			err = m.publish()
+			res.view, res.err = m.publish()
 		} else {
 			// Record the fault so /stats and listings show a dead or
 			// misfed model, not just a stream of failed pushes.
-			msg := err.Error()
+			msg := res.err.Error()
 			m.ingestErr.Store(&msg)
 		}
 		for _, r := range run {
-			r.errc <- err
+			r.done <- res
 		}
 		start = end
 	}
@@ -278,20 +294,22 @@ func (m *model) apply(reqs []*pushReq) {
 // touching the engine, so a corrupt upload is a clean refusal that
 // leaves the model serving.
 func (m *model) applyMerge(req *pushReq) {
-	err := m.svd.Merge(bytes.NewReader(req.mergeCkpt))
-	if err == nil {
-		err = m.logDurable(encodeMergePayload(req.mergeCkpt))
+	var res ingestResult
+	res.err = m.svd.Merge(bytes.NewReader(req.mergeCkpt))
+	if res.err == nil {
+		res.err = m.logDurable(encodeMergePayload(req.mergeCkpt))
 	}
-	if err == nil {
-		err = m.publish()
-	} else if !isValidationError(err) {
+	if res.err == nil {
+		res.view, res.err = m.publish()
+		res.mergeBound = m.svd.MergeBound()
+	} else if !isValidationError(res.err) {
 		// Only record engine/durability faults in the model health: a
 		// refused (incompatible or corrupt) checkpoint leaves the model
 		// fully healthy.
-		msg := err.Error()
+		msg := res.err.Error()
 		m.ingestErr.Store(&msg)
 	}
-	req.errc <- err
+	req.done <- res
 }
 
 // applySketch ingests one compressed (Q, S) factor pair through
@@ -300,17 +318,18 @@ func (m *model) applyMerge(req *pushReq) {
 // deterministic, so replay is bit-exact) and is durable before the
 // sender sees its ack.
 func (m *model) applySketch(req *pushReq) {
-	err := m.svd.PushSketch(req.sketchQ, req.sketchS)
-	if err == nil {
-		err = m.logDurable(encodeSketchPayload(req.sketchQ, req.sketchS))
+	var res ingestResult
+	res.err = m.svd.PushSketch(req.sketchQ, req.sketchS)
+	if res.err == nil {
+		res.err = m.logDurable(encodeSketchPayload(req.sketchQ, req.sketchS))
 	}
-	if err == nil {
-		err = m.publish()
+	if res.err == nil {
+		res.view, res.err = m.publish()
 	} else {
-		msg := err.Error()
+		msg := res.err.Error()
 		m.ingestErr.Store(&msg)
 	}
-	req.errc <- err
+	req.done <- res
 }
 
 // isValidationError recognizes merge refusals that leave the model
@@ -346,24 +365,26 @@ func (m *model) logDurable(payload []byte) error {
 	return nil
 }
 
-// publish deep-copies the decomposition into a fresh View and swaps it in
-// (copy-on-publish). Readers holding the previous View keep it; new
-// readers see this one. A failed gather (poisoned parallel world) keeps
-// the last good View, records the fault for /stats and reports it.
-func (m *model) publish() error {
+// publish deep-copies the decomposition into a fresh View, swaps it in
+// (copy-on-publish) and returns it. Readers holding the previous View
+// keep it; new readers see this one. A failed gather (poisoned parallel
+// world) keeps the last good View, records the fault for /stats and
+// reports it.
+func (m *model) publish() (*View, error) {
 	res, err := m.svd.Result()
 	if err != nil {
 		msg := err.Error()
 		m.ingestErr.Store(&msg)
 		m.cfg.Logf("parsvd-serve: model %s: publishing view: %v", m.name, err)
-		return err
+		return nil, err
 	}
 	st := m.svd.Stats()
-	m.view.Store(&View{Version: uint64(st.Updates), Result: res, Stats: st})
+	v := &View{Version: uint64(st.Updates), Result: res, Stats: st}
+	m.view.Store(v)
 	m.dirty = true
 	m.dirtySince.CompareAndSwap(0, time.Now().UnixNano())
 	m.ingestErr.Store(nil) // healthy again: the last fault is history
-	return nil
+	return v, nil
 }
 
 // statsSnapshot serves Stats without touching the SVD: the last published
@@ -457,7 +478,7 @@ func (m *model) finish() {
 			m.apply(rest)
 		} else {
 			for _, r := range rest {
-				r.errc <- ErrModelClosed
+				r.done <- ingestResult{err: ErrModelClosed}
 			}
 		}
 	}

@@ -43,11 +43,11 @@ func TestRacePushersAndReaders(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				req := &pushReq{batch: detMatrix(rows, 1, float64(p*1000+i)), errc: make(chan error, 1)}
+				req := newPushReq(detMatrix(rows, 1, float64(p*1000+i)))
 				for m.enqueue(req) != nil {
 					runtime.Gosched()
 				}
-				if err := <-req.errc; err != nil {
+				if err := (<-req.done).err; err != nil {
 					t.Errorf("pusher %d push %d: %v", p, i, err)
 					return
 				}

@@ -1,7 +1,9 @@
 // Package server turns the parsvd facade into a long-running
 // SVD-as-a-service: a registry of named streaming decompositions behind
-// an HTTP JSON API, with micro-batched ingest, snapshot-isolated reads
-// and per-model checkpoint persistence.
+// an HTTP API (JSON or binary bodies), with micro-batched ingest,
+// snapshot-isolated reads and per-model checkpoint persistence. Matrix
+// operands and results can travel as binary IEEE-754 bodies (body.go)
+// instead of JSON.
 //
 // Architecture, per model:
 //

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -455,7 +457,8 @@ func TestCreateAfterClose(t *testing.T) {
 	}
 }
 
-// TestOversizedBody: a push beyond MaxBodyBytes is refused with 413.
+// TestOversizedBody: a push beyond MaxBodyBytes is refused with 413, as
+// a binary body and as JSON.
 func TestOversizedBody(t *testing.T) {
 	c := boot(t, server.Config{MaxBodyBytes: 1024})
 	ctx := context.Background()
@@ -464,4 +467,11 @@ func TestOversizedBody(t *testing.T) {
 	}
 	_, err := c.Push(ctx, "small", testMatrix(64, 64))
 	wantStatus(t, err, http.StatusRequestEntityTooLarge)
+	body, err := json.Marshal(server.NewMatrixJSON(testMatrix(64, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, msg := post(t, c.BaseURL+"/v1/models/small/push", "application/json", "", bytes.NewReader(body)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize JSON push: HTTP %d (%s), want 413", code, msg)
+	}
 }

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 
 	parsvd "goparsvd"
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/mpi/tcptransport"
 	"goparsvd/internal/wal"
 )
 
@@ -75,12 +73,11 @@ func openModelWAL(cfg Config, name string) (*wal.Log, error) {
 }
 
 // encodeBatchPayload frames one applied micro-batch as a WAL record
-// payload, reusing the tcptransport float64 body codec so the matrix
-// round-trips bit-for-bit (IEEE-754 bit patterns, little-endian) —
-// replaying the log reproduces the exact update stream.
+// payload: its binary matrix body (body.go), so the matrix round-trips
+// bit-for-bit (IEEE-754 bit patterns, little-endian) — replaying the log
+// reproduces the exact update stream.
 func encodeBatchPayload(b *parsvd.Matrix) []byte {
-	msg := mpi.Message{Rows: b.Rows(), Cols: b.Cols(), Data: b.RawData()}
-	return tcptransport.AppendMessageBody(make([]byte, 0, 32+8*len(msg.Data)), msg)
+	return AppendMatrix(make([]byte, 0, matrixBodyLen(b)), b)
 }
 
 // mergeMagic prefixes a WAL record that carries a merge instead of a
@@ -115,16 +112,13 @@ var sketchMagic = []byte("GPSVSKCH")
 
 // encodeSketchPayload frames an applied sketched push for the WAL:
 // magic, a u32le length of the Q body, then the Q and S matrices in the
-// same bit-exact tcptransport float64 framing batch records use.
+// same bit-exact binary matrix bodies batch records use.
 func encodeSketchPayload(q, s *parsvd.Matrix) []byte {
-	qm := mpi.Message{Rows: q.Rows(), Cols: q.Cols(), Data: q.RawData()}
-	sm := mpi.Message{Rows: s.Rows(), Cols: s.Cols(), Data: s.RawData()}
-	qBody := tcptransport.AppendMessageBody(make([]byte, 0, 32+8*len(qm.Data)), qm)
-	payload := make([]byte, 0, len(sketchMagic)+4+len(qBody)+32+8*len(sm.Data))
+	payload := make([]byte, 0, int64(len(sketchMagic)+4)+matrixBodyLen(q)+matrixBodyLen(s))
 	payload = append(payload, sketchMagic...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(qBody)))
-	payload = append(payload, qBody...)
-	return tcptransport.AppendMessageBody(payload, sm)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(matrixBodyLen(q)))
+	payload = AppendMatrix(payload, q)
+	return AppendMatrix(payload, s)
 }
 
 // isSketchPayload distinguishes sketched-push records from the others.
@@ -144,13 +138,9 @@ func decodeSketchPayload(payload []byte) (q, s *parsvd.Matrix, err error) {
 		return nil, nil, fmt.Errorf("server: wal sketch record claims %d-byte Q in a %d-byte body", qlen, len(body))
 	}
 	decode := func(part []byte, what string) (*parsvd.Matrix, error) {
-		msg, err := tcptransport.DecodeMessageBody(part)
+		m, err := decodeMatrixBytes(part)
 		if err != nil {
 			return nil, fmt.Errorf("server: wal sketch record %s: %w", what, err)
-		}
-		m, err := parsvd.NewMatrixFromData(msg.Rows, msg.Cols, msg.Data)
-		if err != nil {
-			return nil, fmt.Errorf("server: wal sketch record carries a malformed %dx%d %s factor: %w", msg.Rows, msg.Cols, what, err)
 		}
 		return m, nil
 	}
@@ -165,13 +155,9 @@ func decodeSketchPayload(payload []byte) (q, s *parsvd.Matrix, err error) {
 
 // decodeBatchPayload is the replay-side inverse.
 func decodeBatchPayload(payload []byte) (*parsvd.Matrix, error) {
-	msg, err := tcptransport.DecodeMessageBody(payload)
+	m, err := decodeMatrixBytes(payload)
 	if err != nil {
 		return nil, fmt.Errorf("server: wal record: %w", err)
-	}
-	m, err := parsvd.NewMatrixFromData(msg.Rows, msg.Cols, msg.Data)
-	if err != nil {
-		return nil, fmt.Errorf("server: wal record carries a malformed %dx%d batch: %w", msg.Rows, msg.Cols, err)
 	}
 	return m, nil
 }
