@@ -137,15 +137,17 @@ bench-stream:
 	$(GO) test -run '^$$' -bench Incorporate -benchmem ./internal/stream
 
 # Regression gate on the key benches: the blocked-GEMM kernel, the batched
-# skinny-GEMM path, the zero-allocation streaming hot path and the
-# zero-allocation pairwise merge. Fails if any zero-alloc benchmark
-# reports allocations per op.
+# skinny-GEMM path, the zero-allocation QR at the streaming update's
+# shapes, the zero-allocation streaming hot path and the zero-allocation
+# pairwise merge. Fails if any zero-alloc benchmark reports allocations
+# per op.
 bench-gate:
 	@fail=0; \
 	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$' -benchmem ./internal/mat) || fail=1; \
+	qr=$$($(GO) test -run '^$$' -bench 'BenchmarkQRStreamShape$$' -benchmem ./internal/linalg) || fail=1; \
 	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream) || fail=1; \
 	merge=$$($(GO) test -run '^$$' -bench 'BenchmarkMergePairSteadyState$$' -benchmem ./internal/merge) || fail=1; \
-	out=$$(printf '%s\n%s\n%s\n' "$$mat" "$$stream" "$$merge"); \
+	out=$$(printf '%s\n%s\n%s\n%s\n' "$$mat" "$$qr" "$$stream" "$$merge"); \
 	echo "$$out"; \
 	if [ $$fail -ne 0 ]; then echo "bench-gate: benchmarks failed"; exit 1; fi; \
 	echo "$$out" | awk ' \
@@ -158,21 +160,27 @@ bench-gate:
 		/^BenchmarkMergePairSteadyState/ { \
 			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenM = 1; allocsM = $$(i-1) } \
 		} \
+		/^BenchmarkQRStreamShape\// { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenQ++; if ($$(i-1) + 0 > allocsQ + 0) allocsQ = $$(i-1) } \
+		} \
 		END { \
 			if (!seenS) { print "bench-gate: BenchmarkIncorporateSteadyStateAllocs did not run"; exit 1 } \
 			if (!seenB) { print "bench-gate: BenchmarkBatchedSkinny did not run"; exit 1 } \
 			if (!seenM) { print "bench-gate: BenchmarkMergePairSteadyState did not run"; exit 1 } \
+			if (seenQ < 2) { print "bench-gate: BenchmarkQRStreamShape did not run both shapes"; exit 1 } \
 			if (allocsS + 0 > 0) { print "bench-gate: steady-state streaming path allocates (" allocsS " allocs/op, want 0)"; exit 1 } \
 			if (allocsB + 0 > 0) { print "bench-gate: batched skinny path allocates (" allocsB " allocs/op, want 0)"; exit 1 } \
 			if (allocsM + 0 > 0) { print "bench-gate: steady-state merge path allocates (" allocsM " allocs/op, want 0)"; exit 1 } \
-			print "bench-gate OK: streaming " allocsS " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op" \
+			if (allocsQ + 0 > 0) { print "bench-gate: warm-workspace QR allocates (" allocsQ " allocs/op, want 0)"; exit 1 } \
+			print "bench-gate OK: streaming " allocsS " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, QR " allocsQ + 0 " allocs/op" \
 		}'
 
 # The benchmark set the trajectory record tracks: kernel-level GEMM, the
-# batched path, the streaming hot loop, the pairwise merge and the
-# sketched-push wire traffic. Kept in one place so emitting a baseline
-# and emitting a CI run measure the same thing.
-TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
+# batched path, the QR at the streaming update's shapes, the streaming hot
+# loop, the pairwise merge and the sketched-push wire traffic. Kept in one
+# place so emitting a baseline and emitting a CI run measure the same
+# thing.
+TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
 TRAJ_COUNT ?= 5
 RUNID ?= local
 
@@ -181,7 +189,7 @@ RUNID ?= local
 # (same environment) or any alloc increase (any environment) fails.
 bench-trajectory:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid "$(RUNID)" -o BENCH_$(RUNID).json
 	$(GO) run ./cmd/parsvd-benchtraj compare -baseline BENCH_baseline.json -current BENCH_$(RUNID).json
 
@@ -189,7 +197,7 @@ bench-trajectory:
 # performance changes, then commit BENCH_baseline.json).
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid baseline -o BENCH_baseline.json
 
 # Re-measure the kernel selection thresholds on this machine and rewrite
@@ -198,8 +206,9 @@ benchtune:
 	$(GO) run ./cmd/parsvd-benchtune -o internal/mat/seltab_gen.go
 	gofmt -l internal/mat/seltab_gen.go
 
-# Fallback parity: the kernel and streaming suites with the assembly
+# Fallback parity: the kernel suite and every suite riding its GEMMs —
+# the QR, TSQR, merge and streaming update — with the assembly
 # micro-kernels disabled, so the pure-Go reference path stays correct.
 noasm-test:
-	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/stream
+	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream
 	PARSVD_NOASM=1 $(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream

@@ -96,7 +96,16 @@ func GenerateRightVectors(a *mat.Dense, r1 int, method Method) (v *mat.Dense, s 
 	case MethodGram:
 		// Method of snapshots: AᵀA = V·Σ²·Vᵀ. The Gram matrix is symmetric
 		// PSD, so its SVD coincides with its eigendecomposition and we can
-		// reuse the fast Golub–Reinsch path.
+		// reuse the fast Golub–Reinsch path. A block far outside the unit
+		// range is first scaled by an exact power of two, so its Gram
+		// neither overflows nor underflows; V is unchanged by the scaling.
+		if e := linalg.Equilibration(a); e != 0 {
+			v, s = GenerateRightVectors(mat.Scale(math.Ldexp(1, e), a), r1, method)
+			for i := range s {
+				s[i] = math.Ldexp(s[i], -e)
+			}
+			return v, s
+		}
 		gram := mat.MulTransA(a, a)
 		vg, s2, _ := linalg.SVD(gram)
 		s = make([]float64, r1)

@@ -155,9 +155,6 @@ type Parallel struct {
 	// ws recycles this rank's update temporaries across batches; matrices
 	// that cross rank boundaries are still allocated by the communicator.
 	ws mat.Workspace
-	// pb batches this rank's tall mode-update product into row panels that
-	// share one packed right-hand side.
-	pb mat.PanelBatch
 }
 
 var _ Decomposer = (*Parallel)(nil)
@@ -208,28 +205,35 @@ func (p *Parallel) IncorporateData(a *mat.Dense) Decomposer {
 	if a.Cols() == 0 {
 		return p
 	}
-	// The forget factor folds into the diagonal scaling pass and all local
-	// temporaries come from the per-rank workspace (mirroring the serial
-	// streaming engine's zero-allocation steady state).
+	// The forget factor folds into the transposing pass that stacks this
+	// rank's block column by column for the in-place local QR, and all
+	// local temporaries come from the per-rank workspace (mirroring the
+	// serial streaming engine's zero-allocation steady state).
 	k0 := p.ulocal.Cols()
-	scaled := p.ws.GetUninit(p.rows, k0)
-	mat.MulDiagScaledInto(scaled, p.opts.ForgetFactor, p.ulocal, p.singular)
-	ll := p.ws.GetUninit(p.rows, k0+a.Cols())
-	mat.HStackInto(ll, scaled, a)
-	p.ws.Put(scaled)
-	qlocal, unew, snew := p.parallelQR(ll)
-	p.ws.Put(ll)
+	at := p.ws.GetUninit(k0+a.Cols(), p.rows)
+	top := p.ws.ViewRows(at, 0, k0)
+	mat.MulDiagScaledTInto(top, p.opts.ForgetFactor, p.ulocal, p.singular)
+	p.ws.PutView(top)
+	bot := p.ws.ViewRows(at, k0, at.Rows())
+	a.TInto(bot)
+	p.ws.PutView(bot)
+	f, qc, unew, snew := p.parallelQR(at)
 	k := p.opts.K
 	if k > len(snew) {
 		k = len(snew)
 	}
+	// This rank's new modes are Q_i·qc·Ũ[:, :K]: the small product first,
+	// then the local Q applied to it.
 	usub := p.ws.GetUninit(unew.Rows(), k)
 	unew.SliceColsInto(usub, 0, k)
-	next := p.ws.GetUninit(qlocal.Rows(), k)
-	p.pb.MulInto(next, qlocal, usub)
-	p.ws.Put(usub)
-	p.ws.Put(unew)
-	p.ws.Put(qlocal)
+	x := p.ws.GetUninit(qc.Rows(), k)
+	mat.MulInto(x, qc, usub)
+	next := p.ws.GetUninit(p.rows, k)
+	f.MulQInto(&p.ws, next, x)
+	f.Release(&p.ws)
+	for _, m := range []*mat.Dense{at, qc, usub, unew, x} {
+		p.ws.Put(m)
+	}
 	p.ws.Put(p.ulocal) // recycle the previous local modes storage
 	p.ulocal = next
 	p.singular = append(p.singular[:0], snew[:k]...)
@@ -238,11 +242,12 @@ func (p *Parallel) IncorporateData(a *mat.Dense) Decomposer {
 	return p
 }
 
-// parallelQR is Listing 4: distributed TSQR of the row-distributed ll,
-// then the small SVD ("step b of Levy-Lindenbaum") of the global R at rank
-// 0, broadcast to everyone.
-func (p *Parallel) parallelQR(ll *mat.Dense) (qlocal, unew *mat.Dense, snew []float64) {
-	qlocal, rfinal := tsqr.GatherQRWith(&p.ws, p.comm, ll)
+// parallelQR is Listing 4: distributed TSQR of the row-distributed
+// stack, held column by column in at, then the small SVD ("step b of
+// Levy-Lindenbaum") of the global R at rank 0, broadcast to everyone. This
+// rank's block of Q stays implicit as f·[qc; 0].
+func (p *Parallel) parallelQR(at *mat.Dense) (f linalg.QRFactor, qc, unew *mat.Dense, snew []float64) {
+	f, qc, rfinal := tsqr.GatherQRFactor(&p.ws, p.comm, at)
 	if p.comm.Rank() == 0 {
 		if p.opts.LowRank {
 			k := p.opts.K
@@ -272,7 +277,7 @@ func (p *Parallel) parallelQR(ll *mat.Dense) (qlocal, unew *mat.Dense, snew []fl
 		p.ws.Put(uroot)
 		p.ws.PutFloats(sroot)
 	}
-	return qlocal, unew, snew
+	return f, qc, unew, snew
 }
 
 // Modes returns this rank's M_i×K slice of the truncated left singular

@@ -342,3 +342,32 @@ func TestParallelUnevenRowBlocks(t *testing.T) {
 		t.Fatalf("subspace error %g", err)
 	}
 }
+
+// TestParallelModesStayOrthonormalAcrossUpdates is the soak of
+// internal/stream's TestModesStayOrthonormalAcrossUpdates on an in-process
+// two-rank Parallel engine: the TSQR path must keep the gathered modes
+// orthonormal to 1e-10 after every one of 2000 hostile updates.
+func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
+	const m, k, b, updates = 512, 16, 8, 2000
+	bad, badAt := 0.0, -1
+	mpi.MustRun(2, func(c *mpi.Comm) {
+		// Every rank draws the same global batches and keeps its half.
+		rng := testutil.NewRand(5)
+		lo, hi := c.Rank()*m/2, (c.Rank()+1)*m/2
+		eng := NewParallel(c, Options{K: k, ForgetFactor: 0.95})
+		eng.Initialize(testutil.RandomDense(m, b, rng).SliceRows(lo, hi))
+		for i := 0; i < updates; i++ {
+			eng.IncorporateData(testutil.HostileBatch(m, b, i, rng).SliceRows(lo, hi))
+			u := eng.GatherModes() // nil off rank 0
+			if u == nil || badAt >= 0 {
+				continue
+			}
+			if loss := testutil.OrthonormalityLoss(u); !(loss <= 1e-10) {
+				bad, badAt = loss, i
+			}
+		}
+	})
+	if badAt >= 0 {
+		t.Fatalf("update %d: ‖UᵀU−I‖_max = %g", badAt, bad)
+	}
+}

@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"testing"
 
+	"goparsvd/internal/mat"
 	"goparsvd/internal/testutil"
 )
 
@@ -69,5 +71,27 @@ func BenchmarkEigSym96(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EigSym(a)
+	}
+}
+
+// BenchmarkQRStreamShape times the thin QR at the streaming update's real
+// shapes — M = 4096 rows, K+B = 16 and 32 columns — with a warm workspace,
+// so steady-state calls must report 0 allocs/op.
+func BenchmarkQRStreamShape(b *testing.B) {
+	for _, n := range []int{16, 32} {
+		b.Run(fmt.Sprintf("4096x%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			a := testutil.RandomDense(4096, n, testutil.NewRand(int64(n)))
+			var ws mat.Workspace
+			q, r := QRWith(&ws, a)
+			ws.Put(q)
+			ws.Put(r)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q, r := QRWith(&ws, a)
+				ws.Put(q)
+				ws.Put(r)
+			}
+		})
 	}
 }

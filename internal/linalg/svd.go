@@ -40,6 +40,20 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 	if m == 0 || n == 0 {
 		return mat.New(m, 0), nil, mat.New(n, 0)
 	}
+	if e := Equilibration(a); e != 0 {
+		// Factor 2^e·A, whose largest entry is near 1, and scale the
+		// singular values back. Scaling by a power of two is exact, so U
+		// and V are those of A; matrices already inside the range never
+		// take this branch, so their results are untouched.
+		scaled := ws.GetUninit(m, n)
+		mat.ScaleInto(scaled, math.Ldexp(1, e), a)
+		u, s, v = SVDWith(ws, scaled)
+		ws.Put(scaled)
+		for i := range s {
+			s[i] = math.Ldexp(s[i], -e)
+		}
+		return u, s, v
+	}
 	if m < n {
 		// SVD(Aᵀ) = V·S·Uᵀ: swap the roles of the factor matrices.
 		at := ws.GetUninit(n, m)
@@ -49,16 +63,33 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 		return ut, s, vt
 	}
 	if m >= 2*n {
-		q, r := QRWith(ws, a)
+		at := ws.GetUninit(n, m)
+		a.TInto(at)
+		f, r := FactorQR(ws, at)
 		ur, s, v := svdSquareish(ws, r)
 		u := ws.GetUninit(m, ur.Cols())
-		mat.MulInto(u, q, ur)
-		ws.Put(q)
+		f.MulQInto(ws, u, ur)
+		f.Release(ws)
+		ws.Put(at)
 		ws.Put(r)
 		ws.Put(ur)
 		return u, s, v
 	}
 	return svdSquareish(ws, a)
+}
+
+// Equilibration returns the exponent e of the power of two SVDWith scales
+// its input by: 0 while the largest |entry| lies in [2⁻⁴⁰⁰, 2⁴⁰⁰] (or the
+// matrix is zero or not finite), otherwise the e that brings it near 1.
+// Outside that range squares — the Golub–Reinsch iteration's, or a Gram
+// matrix's — overflow or lose their precision to underflow.
+func Equilibration(a *mat.Dense) int {
+	mx := a.MaxAbs()
+	if mx == 0 || (mx >= 0x1p-400 && mx <= 0x1p400) || math.IsInf(mx, 0) || math.IsNaN(mx) {
+		return 0
+	}
+	_, e := math.Frexp(mx)
+	return min(-e, 1023) // 2^1023 is the largest finite power of two
 }
 
 // SVDTruncated computes the thin SVD and keeps only the leading k triplets.

@@ -203,13 +203,25 @@ func (m *Dense) TInto(dst *Dense) {
 		panic(fmt.Sprintf("mat: TInto destination is %dx%d, want %dx%d",
 			dst.rows, dst.cols, m.cols, m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			dst.data[j*m.rows+i] = v
+	// Blocks of tBlock source rows: each destination row receives one
+	// contiguous run per block, so a power-of-two row count (every
+	// destination row mapping to the same cache set) cannot thrash.
+	r, c := m.rows, m.cols
+	for i0 := 0; i0 < r; i0 += tBlock {
+		i1 := min(i0+tBlock, r)
+		for j := 0; j < c; j++ {
+			out := dst.data[j*r+i0 : j*r+i1]
+			idx := i0*c + j
+			for i := range out {
+				out[i] = m.data[idx]
+				idx += c
+			}
 		}
 	}
 }
+
+// tBlock is the source row block of TInto and MulDiagScaledTInto.
+const tBlock = 64
 
 // Slice returns a copy of the submatrix with rows [r0,r1) and columns
 // [c0,c1).

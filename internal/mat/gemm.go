@@ -31,16 +31,19 @@ const (
 // gemm computes out = op(a)·op(b), overwriting out. op is the identity or
 // the transpose according to transA/transB. out must not alias a or b.
 func gemm(out, a, b *Dense, transA, transB bool) {
+	zeroFloats(out.data)
+	gemmAcc(out, a, b, transA, transB)
+}
+
+// gemmAcc computes out += op(a)·op(b): both routes below only ever add
+// into out, so gemm is this after a zeroing pass.
+func gemmAcc(out, a, b *Dense, transA, transB bool) {
 	m, n := out.rows, out.cols
 	k := a.cols
 	if transA {
 		k = a.rows
 	}
-	if m == 0 || n == 0 {
-		return
-	}
-	zeroFloats(out.data)
-	if k == 0 {
+	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	if m*n*k <= sel.SmallFlops {
@@ -151,15 +154,35 @@ func packA(ap []float64, mr int, a *Dense, ic, mc, pc, kc int, transA bool) {
 	for ir := 0; ir < mc; ir += mr {
 		dst := ap[(ir/mr)*kc*mr : (ir/mr+1)*kc*mr]
 		rows := min(mr, mc-ir)
-		for r := 0; r < rows; r++ {
-			if transA {
-				// op(a)[ic+ir+r, pc+k] = a[pc+k, ic+ir+r]: strided read.
-				idx := pc*lda + (ic + ir + r)
-				for kk := 0; kk < kc; kk++ {
-					dst[kk*mr+r] = a.data[idx]
-					idx += lda
-				}
-			} else {
+		if transA {
+			// op(a)[ic+ir+r, pc+k] = a[pc+k, ic+ir+r]: each k reads one
+			// contiguous run of the strip's rows. Walking r innermost keeps
+			// every source line touched once even when lda is a power of
+			// two, where walking k innermost would map the whole strip onto
+			// one cache set.
+			for kk := 0; kk < kc; kk++ {
+				src := a.data[(pc+kk)*lda+ic+ir : (pc+kk)*lda+ic+ir+rows]
+				copy(dst[kk*mr:kk*mr+rows], src)
+			}
+		} else if mr == 8 && rows == 8 {
+			// Full 8-row strip: interleave eight row streams so every
+			// store is part of one contiguous 8-wide run.
+			base := (ic+ir)*lda + pc
+			r0 := a.data[base : base+kc]
+			r1 := a.data[base+lda : base+lda+kc]
+			r2 := a.data[base+2*lda : base+2*lda+kc]
+			r3 := a.data[base+3*lda : base+3*lda+kc]
+			r4 := a.data[base+4*lda : base+4*lda+kc]
+			r5 := a.data[base+5*lda : base+5*lda+kc]
+			r6 := a.data[base+6*lda : base+6*lda+kc]
+			r7 := a.data[base+7*lda : base+7*lda+kc]
+			for kk := range r0 {
+				d := dst[kk*8 : kk*8+8 : kk*8+8]
+				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+				d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+			}
+		} else {
+			for r := 0; r < rows; r++ {
 				src := a.data[(ic+ir+r)*lda+pc : (ic+ir+r)*lda+pc+kc]
 				for kk, v := range src {
 					dst[kk*mr+r] = v

@@ -77,6 +77,16 @@ func MulInto(dst, a, b *Dense) {
 	gemm(dst, a, b, false, false)
 }
 
+// MulAddInto computes dst += a*b without allocating. dst must be a.Rows() ×
+// b.Cols() and must not alias a or b.
+func MulAddInto(dst, a, b *Dense) {
+	if a.cols != b.rows {
+		panic(dimPanic("MulAdd", a, b))
+	}
+	checkDims("MulAddInto", dst, a.rows, b.cols)
+	gemmAcc(dst, a, b, false, false)
+}
+
 // MulTransA returns aᵀ*b without materializing the transpose.
 func MulTransA(a, b *Dense) *Dense {
 	out := New(a.cols, b.cols)
@@ -169,6 +179,29 @@ func MulDiagScaledInto(dst *Dense, s float64, a *Dense, d []float64) {
 		orow := dst.data[i*a.cols : (i+1)*a.cols]
 		for j, v := range row {
 			orow[j] = s * v * d[j]
+		}
+	}
+}
+
+// MulDiagScaledTInto computes dst = (s*a*diag(d))ᵀ in one pass: the
+// transposed form of MulDiagScaledInto, which writes a block of the
+// column-by-column layout linalg.FactorQR works on. dst must be a.Cols() ×
+// a.Rows() and must not alias a.
+func MulDiagScaledTInto(dst *Dense, s float64, a *Dense, d []float64) {
+	if len(d) != a.cols {
+		panic(fmt.Sprintf("mat: MulDiagScaledTInto length %d, want %d", len(d), a.cols))
+	}
+	checkDims("MulDiagScaledTInto", dst, a.cols, a.rows)
+	r, c := a.rows, a.cols
+	for i0 := 0; i0 < r; i0 += tBlock {
+		i1 := min(i0+tBlock, r)
+		for j := 0; j < c; j++ {
+			out := dst.data[j*r+i0 : j*r+i1]
+			idx := i0*c + j
+			for i := range out {
+				out[i] = s * a.data[idx] * d[j]
+				idx += c
+			}
 		}
 	}
 }

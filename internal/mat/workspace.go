@@ -13,6 +13,7 @@ type Workspace struct {
 	free   []*Dense
 	floats [][]float64
 	ints   [][]int
+	views  []*Dense
 }
 
 // Get returns a zeroed r×c matrix, recycling pooled storage when a returned
@@ -30,20 +31,25 @@ func (w *Workspace) GetUninit(r, c int) *Dense {
 		return New(r, c)
 	}
 	need := r * c
-	// Prefer the most recently returned buffer (still cache-warm); scan a
-	// few entries for one with enough capacity.
+	// Best fit: the smallest pooled buffer with enough capacity, the most
+	// recently returned (still cache-warm) among equals. Handing a small
+	// request the first large buffer found would leave the next large
+	// request of the same iteration to allocate.
+	best := -1
 	for i := len(w.free) - 1; i >= 0; i-- {
-		d := w.free[i]
-		if cap(d.data) < need {
-			continue
+		if cp := cap(w.free[i].data); cp >= need && (best < 0 || cp < cap(w.free[best].data)) {
+			best = i
 		}
-		w.free[i] = w.free[len(w.free)-1]
-		w.free = w.free[:len(w.free)-1]
-		d.rows, d.cols = r, c
-		d.data = d.data[:need]
-		return d
 	}
-	return New(r, c)
+	if best < 0 {
+		return New(r, c)
+	}
+	d := w.free[best]
+	w.free[best] = w.free[len(w.free)-1]
+	w.free = w.free[:len(w.free)-1]
+	d.rows, d.cols = r, c
+	d.data = d.data[:need]
+	return d
 }
 
 // maxPoolEntries bounds each of the workspace free lists. Hot paths also
@@ -127,4 +133,41 @@ func (w *Workspace) PutInts(s []int) {
 		return
 	}
 	w.ints = append(w.ints, s)
+}
+
+// ViewRows returns a header viewing rows [r0,r1) of m, as Dense.ViewRows
+// does, drawn from a pool of recycled headers: a view passed to a product
+// escapes to the heap, so a hot path that slices its operands with stack
+// headers would allocate once per product. Return the view with PutView,
+// never Put — it does not own its storage.
+func (w *Workspace) ViewRows(m *Dense, r0, r1 int) *Dense {
+	if w == nil {
+		v := new(Dense)
+		m.ViewRows(r0, r1, v)
+		return v
+	}
+	if len(w.views) == 0 {
+		// Headers come in blocks, so a cold workspace pays one allocation
+		// for the few views a product sequence holds at once.
+		block := make([]Dense, viewBlock)
+		for i := range block {
+			w.views = append(w.views, &block[i])
+		}
+	}
+	v := w.views[len(w.views)-1]
+	w.views = w.views[:len(w.views)-1]
+	m.ViewRows(r0, r1, v)
+	return v
+}
+
+// viewBlock is how many view headers ViewRows allocates at a time.
+const viewBlock = 4
+
+// PutView returns a header obtained from ViewRows to the pool.
+func (w *Workspace) PutView(v *Dense) {
+	if w == nil || v == nil || len(w.views) >= maxPoolEntries {
+		return
+	}
+	*v = Dense{}
+	w.views = append(w.views, v)
 }

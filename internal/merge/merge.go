@@ -19,10 +19,11 @@
 // accumulated into the Bound field — an Iwen–Ong-style additive error
 // bound that survives composition up a merge tree.
 //
-// The hot path mirrors internal/stream's streaming update: every
-// temporary comes from a mat.Workspace and the tall product runs through
-// a mat.PanelBatch, so steady-state merging of same-shaped partials
-// performs no heap allocations.
+// The hot path mirrors internal/stream's streaming update: the stack is
+// built column by column for an in-place compact-WY QR, Q is applied to
+// Ũ[:, :K] rather than formed, and every temporary comes from a
+// mat.Workspace, so steady-state merging of same-shaped partials performs
+// no heap allocations.
 package merge
 
 import (
@@ -77,7 +78,6 @@ func (p *Partial) validate() error {
 // concurrently.
 type Merger struct {
 	ws mat.Workspace
-	pb mat.PanelBatch
 }
 
 // Pair merges a and b into dst, truncating to at most k modes.
@@ -108,20 +108,18 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 	}
 	ka, kb := a.U.Cols(), b.U.Cols()
 
-	// Stack [U₁·diag(Σ₁) | U₂·diag(Σ₂)]: the scaling folds into one
-	// diagonal pass per side, exactly like the streaming update's
-	// forget-factor pass.
-	scaledA := m.ws.GetUninit(rows, ka)
-	mat.MulDiagScaledInto(scaledA, 1, a.U, a.S)
-	scaledB := m.ws.GetUninit(rows, kb)
-	mat.MulDiagScaledInto(scaledB, 1, b.U, b.S)
-	concat := m.ws.GetUninit(rows, ka+kb)
-	mat.HStackInto(concat, scaledA, scaledB)
-	m.ws.Put(scaledA)
-	m.ws.Put(scaledB)
+	// Stack [U₁·diag(Σ₁) | U₂·diag(Σ₂)] column by column, ready for the
+	// in-place QR: the scaling folds into the transposing pass, exactly
+	// like the streaming update's forget-factor pass.
+	at := m.ws.GetUninit(ka+kb, rows)
+	top := m.ws.ViewRows(at, 0, ka)
+	mat.MulDiagScaledTInto(top, 1, a.U, a.S)
+	m.ws.PutView(top)
+	bot := m.ws.ViewRows(at, ka, ka+kb)
+	mat.MulDiagScaledTInto(bot, 1, b.U, b.S)
+	m.ws.PutView(bot)
 
-	q, r := linalg.QRWith(&m.ws, concat)
-	m.ws.Put(concat)
+	f, r := linalg.FactorQR(&m.ws, at)
 	u, s, v := linalg.SVDWith(&m.ws, r)
 	m.ws.Put(v)
 	m.ws.Put(r)
@@ -142,12 +140,13 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 		m.ws.Put(dst.U)
 	}
 	dst.U = m.ws.GetUninit(rows, kk)
-	m.pb.MulInto(dst.U, q, usub)
+	f.MulQInto(&m.ws, dst.U, usub)
+	f.Release(&m.ws)
+	m.ws.Put(at)
 	dst.S = append(dst.S[:0], s[:kk]...)
 	m.ws.Put(usub)
 	m.ws.Put(u)
 	m.ws.PutFloats(s)
-	m.ws.Put(q)
 
 	dst.Bound = a.Bound + b.Bound + math.Sqrt(tail)
 	dst.Iterations = a.Iterations + b.Iterations + 1

@@ -67,9 +67,6 @@ type SVD struct {
 	// ws recycles every temporary of the update across iterations; once
 	// batch shapes are steady the per-batch update allocates nothing.
 	ws mat.Workspace
-	// pb batches the tall mode-update products into row panels sharing one
-	// packed right-hand side; its headers are recycled alongside ws.
-	pb mat.PanelBatch
 }
 
 // New returns an empty streaming SVD with the given options.
@@ -162,18 +159,11 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 	if m == 0 || b == 0 {
 		panic("stream: empty initial batch")
 	}
-	q, r := linalg.QRWith(&s.ws, a)
-	ui, d := s.smallSVD(r)
-	s.ws.Put(r)
-	k := min(s.opts.K, len(d))
-	usub := s.ws.GetUninit(ui.Rows(), k)
-	ui.SliceColsInto(usub, 0, k)
-	s.modes = s.ws.GetUninit(m, k)
-	s.pb.MulInto(s.modes, q, usub)
-	s.ws.Put(usub)
-	s.ws.Put(ui)
-	s.ws.Put(q)
-	s.singular = append([]float64(nil), d[:k]...)
+	at := s.ws.GetUninit(b, m)
+	a.TInto(at)
+	var d []float64
+	s.modes, d = s.rotate(at)
+	s.singular = append([]float64(nil), d...)
 	s.ws.PutFloats(d)
 	s.rows = m
 	s.snapshots = b
@@ -196,37 +186,48 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	if b == 0 {
 		return s
 	}
-	// Scale the running factorization by the forget factor and append the
-	// new snapshots (Listing 1: m_ap = ff·U·diag(D); concat). The forget
-	// factor is folded into the diagonal scaling pass, and every temporary
-	// below comes from the iteration workspace, so the steady-state update
-	// performs no heap allocations.
+	// Stack ff·U·diag(D) and the new snapshots (Listing 1: m_ap =
+	// ff·U·diag(D); concat) straight into the column-by-column layout the
+	// QR factors in place. Every temporary below comes from the iteration
+	// workspace, so the steady-state update performs no heap allocations.
 	k0 := s.modes.Cols()
-	scaled := s.ws.GetUninit(m, k0)
-	mat.MulDiagScaledInto(scaled, s.opts.FF, s.modes, s.singular)
-	concat := s.ws.GetUninit(m, k0+b)
-	mat.HStackInto(concat, scaled, a)
-	s.ws.Put(scaled)
+	at := s.ws.GetUninit(k0+b, m)
+	top := s.ws.ViewRows(at, 0, k0)
+	mat.MulDiagScaledTInto(top, s.opts.FF, s.modes, s.singular)
+	s.ws.PutView(top)
+	bot := s.ws.ViewRows(at, k0, k0+b)
+	a.TInto(bot)
+	s.ws.PutView(bot)
 
-	udash, ddash := linalg.QRWith(&s.ws, concat)
-	s.ws.Put(concat)
-	utilde, dtilde := s.smallSVD(ddash)
-	s.ws.Put(ddash)
-	k := min(s.opts.K, len(dtilde))
-	usub := s.ws.GetUninit(utilde.Rows(), k)
-	utilde.SliceColsInto(usub, 0, k)
-	next := s.ws.GetUninit(m, k)
-	s.pb.MulInto(next, udash, usub)
-	s.ws.Put(usub)
-	s.ws.Put(utilde)
-	s.ws.Put(udash)
+	next, d := s.rotate(at)
 	s.ws.Put(s.modes) // recycle the previous modes storage
 	s.modes = next
-	s.singular = append(s.singular[:0], dtilde[:k]...)
-	s.ws.PutFloats(dtilde)
+	s.singular = append(s.singular[:0], d...)
+	s.ws.PutFloats(d)
 	s.iterations++
 	s.snapshots += b
 	return s
+}
+
+// rotate is the shared body of both steps: it factors the stacked matrix
+// held column by column in at (consuming it), takes the small SVD of R,
+// and returns the new modes U′·Ũ[:, :K] — Q applied to Ũ's leading
+// columns, never formed — with the retained singular values. Both results
+// are workspace-owned.
+func (s *SVD) rotate(at *mat.Dense) (modes *mat.Dense, d []float64) {
+	f, r := linalg.FactorQR(&s.ws, at)
+	u, d := s.smallSVD(r)
+	s.ws.Put(r)
+	k := min(s.opts.K, len(d))
+	usub := s.ws.GetUninit(u.Rows(), k)
+	u.SliceColsInto(usub, 0, k)
+	modes = s.ws.GetUninit(at.Cols(), k)
+	f.MulQInto(&s.ws, modes, usub)
+	f.Release(&s.ws)
+	s.ws.Put(usub)
+	s.ws.Put(u)
+	s.ws.Put(at)
+	return modes, d[:k]
 }
 
 // smallSVD factorizes the small (batch-sized) matrix produced by the QR

@@ -119,12 +119,25 @@ func TestForgetFactorConvergence(t *testing.T) {
 	}
 }
 
+// TestModesStayOrthonormalAcrossUpdates is the long-horizon soak: 2000
+// updates with forgetting, a sixth of them ordinary Gaussian batches and
+// the rest exactly rank-deficient, all-zero, at 1e-150, at 1e150, or
+// mixing such columns (testutil.HostileBatch). The modes must stay
+// orthonormal to 1e-10 after every update and the spectrum finite.
 func TestModesStayOrthonormalAcrossUpdates(t *testing.T) {
+	const m, k, b, updates = 512, 16, 8, 2000
 	rng := testutil.NewRand(5)
-	s := New(Options{K: 4, FF: 0.95}).Initialize(testutil.RandomDense(30, 6, rng))
-	for i := 0; i < 10; i++ {
-		s.IncorporateData(testutil.RandomDense(30, 6, rng))
-		testutil.CheckOrthonormalColumns(t, "modes", s.Modes(), 1e-10)
+	s := New(Options{K: k, FF: 0.95}).Initialize(testutil.RandomDense(m, b, rng))
+	for i := 0; i < updates; i++ {
+		s.IncorporateData(testutil.HostileBatch(m, b, i, rng))
+		if loss := testutil.OrthonormalityLoss(s.Modes()); !(loss <= 1e-10) {
+			t.Fatalf("update %d: ‖UᵀU−I‖_max = %g", i, loss)
+		}
+		for _, v := range s.SingularValues() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("update %d: singular values %v", i, s.SingularValues())
+			}
+		}
 	}
 }
 

@@ -93,19 +93,8 @@ func RandomSPD(n int, eigs []float64, rng *rand.Rand) *mat.Dense {
 // orthonormal within tol (‖MᵀM − I‖_max ≤ tol).
 func CheckOrthonormalColumns(t *testing.T, name string, m *mat.Dense, tol float64) {
 	t.Helper()
-	gram := mat.MulTransA(m, m)
-	n := gram.Rows()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1.0
-			}
-			if d := math.Abs(gram.At(i, j) - want); d > tol {
-				t.Fatalf("%s: columns not orthonormal: |GᵀG-I|[%d,%d] = %.3e > %.3e",
-					name, i, j, d, tol)
-			}
-		}
+	if loss := OrthonormalityLoss(m); !(loss <= tol) {
+		t.Fatalf("%s: columns not orthonormal: ‖MᵀM−I‖_max = %.3e > %.3e", name, loss, tol)
 	}
 }
 
@@ -217,4 +206,58 @@ func CloseSlices(a, b []float64, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// OrthonormalityLoss returns ‖MᵀM − I‖_max, the departure of m's columns
+// from orthonormality.
+func OrthonormalityLoss(m *mat.Dense) float64 {
+	gram := mat.MulTransA(m, m)
+	n := gram.Rows()
+	var loss float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want := 0.0
+			if i == j {
+				want = 1.0
+			}
+			if d := math.Abs(gram.At(i, j) - want); !(d <= loss) {
+				loss = d // also propagates NaN
+			}
+		}
+	}
+	return loss
+}
+
+// HostileBatch returns the i-th m×b batch of a long-horizon soak, cycling
+// through inputs that stress a streaming update: Gaussian, exactly
+// rank-deficient (two distinct columns, repeated), all-zero, every column
+// at 1e-150, every column at 1e150, and columns mixing 1e150, 1, 1e-150
+// and exact zeros.
+func HostileBatch(m, b, i int, rng *rand.Rand) *mat.Dense {
+	a := RandomDense(m, b, rng)
+	d := a.RawData()
+	scale := func(f func(j int) float64) {
+		for r := 0; r < m; r++ {
+			for j := 0; j < b; j++ {
+				d[r*b+j] *= f(j)
+			}
+		}
+	}
+	switch i % 6 {
+	case 1:
+		for r := 0; r < m; r++ {
+			for j := 2; j < b; j++ {
+				d[r*b+j] = d[r*b+j%2]
+			}
+		}
+	case 2:
+		a.Zero()
+	case 3:
+		scale(func(int) float64 { return 1e-150 })
+	case 4:
+		scale(func(int) float64 { return 1e150 })
+	case 5:
+		scale(func(j int) float64 { return [...]float64{1e150, 1, 1e-150, 0}[j%4] })
+	}
+	return a
 }

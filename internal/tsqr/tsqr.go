@@ -57,23 +57,41 @@ func GatherQR(c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
 	return GatherQRWith(nil, c, a)
 }
 
-// GatherQRWith is GatherQR with the local QR factors, the stacked-R
-// factorization and the Q-correction products drawn from ws, so each rank
+// GatherQRWith is GatherQR with the local factorization, the stacked-R
+// factorization and the Q-correction product drawn from ws, so each rank
 // of a streaming update reuses its buffers across batches. Matrices that
 // cross rank boundaries are still freshly allocated by the communicator.
+// The local Q is never formed: qlocal is GatherQRFactor's implicit factor
+// applied to this rank's correction block.
 func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
-	n := a.Cols()
-	q, rl := linalg.QRWith(ws, a) // local QR; rl is min(m_i,n)×n
+	m, n := a.Dims()
+	at := ws.GetUninit(n, m)
+	a.TInto(at)
+	f, qc, r := GatherQRFactor(ws, c, at)
+	qlocal = ws.GetUninit(m, n)
+	f.MulQInto(ws, qlocal, qc)
+	f.Release(ws)
+	ws.Put(qc)
+	ws.Put(at)
+	return qlocal, r
+}
+
+// GatherQRFactor is GatherQR leaving this rank's block of Q implicit, for
+// callers that only ever multiply it by a small matrix. at holds this
+// rank's block column by column (the n×m_i matrix A_iᵀ) and is factored in
+// place into f; qc is this rank's t_i×n block of the Q-correction
+// (t_i = min(m_i, n)), so the rank's block of Q is f·[qc; 0] — f.MulQInto
+// applies it to any product qc·X without forming either. r is the global R,
+// valid on rank 0 only. The caller releases f and returns at, qc and r to
+// ws.
+func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRFactor, qc, r *mat.Dense) {
+	n := at.Rows()
+	f, rl := linalg.FactorQR(ws, at) // rl is min(m_i,n)×n
 
 	if c.Rank() != 0 {
 		c.SendMatrix(0, tagQBlock, rl)
 		ws.Put(rl)
-		qg := c.RecvMatrix(0, tagQBlock+c.Rank())
-		qlocal = ws.GetUninit(q.Rows(), qg.Cols())
-		mat.MulInto(qlocal, q, qg)
-		ws.Put(q)
-		ws.Put(qg)
-		return qlocal, nil
+		return f, c.RecvMatrix(0, tagQBlock+c.Rank()), nil
 	}
 
 	// Rank 0: gather the R factors (its own plus one per peer, in rank
@@ -96,10 +114,8 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 		c.SendMatrix(dst, tagQBlock+dst, qGlobal.SliceRows(off, off+rows))
 		off += rows
 	}
-	qtop := qGlobal.SliceRows(0, blocks[0].Rows())
-	qlocal = ws.GetUninit(q.Rows(), qtop.Cols())
-	mat.MulInto(qlocal, q, qtop)
-	ws.Put(q)
+	qc = ws.GetUninit(blocks[0].Rows(), n)
+	copy(qc.RawData(), qGlobal.RawData()) // rank 0's rows lead qGlobal
 	ws.Put(rl)
 	ws.Put(qGlobal)
 	if rFinal.Rows() != n || rFinal.Cols() != n {
@@ -108,7 +124,7 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 		panic(fmt.Sprintf("tsqr: global matrix has fewer rows than columns (R is %dx%d)",
 			rFinal.Rows(), rFinal.Cols()))
 	}
-	return qlocal, rFinal
+	return f, qc, rFinal
 }
 
 // TreeQR computes the same distributed thin QR as GatherQR using a binary

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -467,4 +468,66 @@ func TestDistributedMatchesParallel(t *testing.T) {
 	if want := launch.HashModes(pres.Modes); dres.ModesSHA256 != want {
 		t.Fatalf("distributed modes hash %s differs from the parallel backend's %s", dres.ModesSHA256, want)
 	}
+}
+
+// TestExtremeScaleBatches: a finite batch far outside the unit range —
+// every entry scaled by c ∈ {1e±160, 1e±200} — is an ordinary batch. The
+// spectrum must be c·σ(A) to working precision on every in-process
+// backend, with finite modes matching the unscaled fit; squaring such
+// entries overflows to Inf or underflows to zero, so every norm and Gram
+// on the path has to stay clear of it.
+func TestExtremeScaleBatches(t *testing.T) {
+	rng := testutil.NewRand(41)
+	a := testutil.RandomDense(64, 20, rng)
+	fit := func(t *testing.T, b parsvd.Backend, c float64) *parsvd.Result {
+		t.Helper()
+		opts := []parsvd.Option{parsvd.WithModes(4), parsvd.WithForgetFactor(0.95), parsvd.WithBackend(b)}
+		if b == parsvd.Parallel {
+			opts = append(opts, parsvd.WithRanks(2))
+		}
+		svd, err := parsvd.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svd.Close()
+		for off := 0; off < a.Cols(); off += 4 {
+			batch := a.SliceCols(off, off+4)
+			mat.ScaleInPlace(c, batch)
+			if err := svd.Push(batch); err != nil {
+				t.Fatalf("Push at scale %g: %v", c, err)
+			}
+		}
+		res, err := svd.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, b := range []parsvd.Backend{parsvd.Serial, parsvd.Parallel} {
+		ref := fit(t, b, 1)
+		for _, c := range []float64{1e160, 1e200, 1e-160, 1e-200} {
+			t.Run(fmt.Sprintf("%v/%g", b, c), func(t *testing.T) {
+				res := fit(t, b, c)
+				for i, s := range res.Singular {
+					if d := math.Abs(s/c - ref.Singular[i]); !(d <= 1e-13*ref.Singular[0]) {
+						t.Fatalf("σ_%d(c·A)/c = %v, σ_%d(A) = %v (|diff| %g)", i, s/c, i, ref.Singular[i], d)
+					}
+				}
+				if d := maxAbsDiff(res.Modes, ref.Modes); !(d <= 1e-10) {
+					t.Fatalf("modes differ from the unscaled fit by %g", d)
+				}
+			})
+		}
+	}
+}
+
+func maxAbsDiff(x, y *mat.Dense) float64 {
+	var d float64
+	for i, v := range x.RawData() {
+		d = math.Max(d, math.Abs(v-y.RawData()[i]))
+		if math.IsNaN(v) {
+			return math.NaN()
+		}
+	}
+	return d
 }
