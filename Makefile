@@ -137,15 +137,16 @@ bench-stream:
 	$(GO) test -run '^$$' -bench Incorporate -benchmem ./internal/stream
 
 # Regression gate on the key benches: the blocked-GEMM kernel, the batched
-# skinny-GEMM path, the zero-allocation QR at the streaming update's
-# shapes, the zero-allocation streaming hot path and the zero-allocation
-# pairwise merge. Fails if any zero-alloc benchmark reports allocations
-# per op.
+# skinny-GEMM path, the packing-free dot-block and broadcast-axpy routes,
+# the zero-allocation QR at the streaming update's shapes, the
+# zero-allocation streaming hot path (at the steady-state bench's shape
+# and at fit-serial's) and the zero-allocation pairwise merge. Fails if
+# any zero-alloc benchmark reports allocations per op.
 bench-gate:
 	@fail=0; \
-	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$' -benchmem ./internal/mat) || fail=1; \
+	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$' -benchmem ./internal/mat) || fail=1; \
 	qr=$$($(GO) test -run '^$$' -bench 'BenchmarkQRStreamShape$$' -benchmem ./internal/linalg) || fail=1; \
-	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream) || fail=1; \
+	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$' -benchmem ./internal/stream) || fail=1; \
 	merge=$$($(GO) test -run '^$$' -bench 'BenchmarkMergePairSteadyState$$' -benchmem ./internal/merge) || fail=1; \
 	out=$$(printf '%s\n%s\n%s\n%s\n' "$$mat" "$$qr" "$$stream" "$$merge"); \
 	echo "$$out"; \
@@ -163,16 +164,31 @@ bench-gate:
 		/^BenchmarkQRStreamShape\// { \
 			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenQ++; if ($$(i-1) + 0 > allocsQ + 0) allocsQ = $$(i-1) } \
 		} \
+		/^BenchmarkIncorporateWorkloadShape/ { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenW = 1; allocsW = $$(i-1) } \
+		} \
+		/^BenchmarkStreamDot/ { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenD = 1; allocsD = $$(i-1) } \
+		} \
+		/^BenchmarkStreamAxpy\// { \
+			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenA++; if ($$(i-1) + 0 > allocsA + 0) allocsA = $$(i-1) } \
+		} \
 		END { \
 			if (!seenS) { print "bench-gate: BenchmarkIncorporateSteadyStateAllocs did not run"; exit 1 } \
 			if (!seenB) { print "bench-gate: BenchmarkBatchedSkinny did not run"; exit 1 } \
 			if (!seenM) { print "bench-gate: BenchmarkMergePairSteadyState did not run"; exit 1 } \
 			if (seenQ < 2) { print "bench-gate: BenchmarkQRStreamShape did not run both shapes"; exit 1 } \
+			if (!seenW) { print "bench-gate: BenchmarkIncorporateWorkloadShape did not run"; exit 1 } \
+			if (!seenD) { print "bench-gate: BenchmarkStreamDot did not run"; exit 1 } \
+			if (seenA < 2) { print "bench-gate: BenchmarkStreamAxpy did not run both shapes"; exit 1 } \
 			if (allocsS + 0 > 0) { print "bench-gate: steady-state streaming path allocates (" allocsS " allocs/op, want 0)"; exit 1 } \
 			if (allocsB + 0 > 0) { print "bench-gate: batched skinny path allocates (" allocsB " allocs/op, want 0)"; exit 1 } \
 			if (allocsM + 0 > 0) { print "bench-gate: steady-state merge path allocates (" allocsM " allocs/op, want 0)"; exit 1 } \
 			if (allocsQ + 0 > 0) { print "bench-gate: warm-workspace QR allocates (" allocsQ " allocs/op, want 0)"; exit 1 } \
-			print "bench-gate OK: streaming " allocsS " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, QR " allocsQ + 0 " allocs/op" \
+			if (allocsW + 0 > 0) { print "bench-gate: streaming update at the fit-serial shape allocates (" allocsW " allocs/op, want 0)"; exit 1 } \
+			if (allocsD + 0 > 0) { print "bench-gate: dot-block route allocates (" allocsD " allocs/op, want 0)"; exit 1 } \
+			if (allocsA + 0 > 0) { print "bench-gate: broadcast-axpy route allocates (" allocsA " allocs/op, want 0)"; exit 1 } \
+			print "bench-gate OK: streaming " allocsS "/" allocsW " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, QR " allocsQ + 0 " allocs/op, dot-block " allocsD " allocs/op, broadcast-axpy " allocsA + 0 " allocs/op" \
 		}'
 
 # The benchmark set the trajectory record tracks: kernel-level GEMM, the
@@ -180,7 +196,7 @@ bench-gate:
 # loop, the pairwise merge and the sketched-push wire traffic. Kept in one
 # place so emitting a baseline and emitting a CI run measure the same
 # thing.
-TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
+TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
 TRAJ_COUNT ?= 5
 RUNID ?= local
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
@@ -97,10 +96,8 @@ func checkBatch(b *mat.Dense, rows int) error {
 	if rows != 0 && b.Rows() != rows {
 		return fmt.Errorf("parsvd: batch has %d rows, want %d", b.Rows(), rows)
 	}
-	for _, v := range b.RawData() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", v)
-		}
+	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
+		return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
 	}
 	return nil
 }

@@ -9,7 +9,10 @@
 //     sibling only), by timing tall-skinny products with the fallback
 //     pinned off and pinned on;
 //   - PanelRows: the PanelBatch split granularity, by timing a tall
-//     mode-update product split at each candidate row count.
+//     mode-update product split at each candidate row count;
+//   - DotMaxMN: the largest a·bᵀ output the packing-free dot-block route
+//     takes, by timing long-k products of growing output size with the
+//     route pinned on and pinned off.
 //
 // ParallelFlops and BatchSpanFlops keep their conservative defaults: they
 // gate worker-pool fan-out, which a tuning run on a saturated or
@@ -48,6 +51,7 @@ type params struct {
 	ParallelFlops  int
 	PanelRows      int
 	BatchSpanFlops int
+	DotMaxMN       int
 }
 
 var defaults = params{
@@ -56,6 +60,7 @@ var defaults = params{
 	ParallelFlops:  1 << 20,
 	PanelRows:      256,
 	BatchSpanFlops: 1 << 20,
+	DotMaxMN:       1024,
 }
 
 func main() {
@@ -77,6 +82,7 @@ func main() {
 			p.SkinnyN = tuneSkinnyN(*minDur)
 		}
 		p.PanelRows = tunePanelRows(*minDur)
+		p.DotMaxMN = tuneDotMaxMN(*minDur, p.SmallFlops)
 		restore()
 		measured[name] = p
 		notes[name] = fmt.Sprintf("measured %s/%s, %s",
@@ -213,6 +219,42 @@ func tunePanelRows(minDur time.Duration) int {
 	return cands[0].rows
 }
 
+// tuneDotMaxMN times a·bᵀ products with a long inner dimension — the
+// shape of the QR's Gram and projection product — at growing output
+// sizes, with the dot-block route pinned on and pinned off, and returns
+// the largest output size (m·n) the dot-block route wins at; the sweep
+// stops after two losses in a row. Shapes at or below smallFlops take the
+// naive loop either way and are skipped.
+func tuneDotMaxMN(minDur time.Duration, smallFlops int) int {
+	rng := rand.New(rand.NewSource(4))
+	const k = 4096
+	best, losses := 0, 0
+	for _, sh := range [][2]int{{8, 8}, {16, 8}, {32, 8}, {40, 8}, {64, 8}, {32, 32}, {64, 32}, {64, 64}, {128, 64}, {128, 128}, {256, 128}} {
+		m, n := sh[0], sh[1]
+		if m*n*k <= smallFlops {
+			continue
+		}
+		a := randomDense(m, k, rng)
+		b := randomDense(n, k, rng)
+		out := mat.New(m, n)
+		restoreOn := mat.SetDotMaxMN(1 << 30)
+		dot := timeIt(minDur, func() { mat.MulTransBInto(out, a, b) })
+		restoreOn()
+		restoreOff := mat.SetDotMaxMN(0)
+		packed := timeIt(minDur, func() { mat.MulTransBInto(out, a, b) })
+		restoreOff()
+		fmt.Fprintf(os.Stderr, "  dot %3dx%3d·k%d: dot-block %9.0f ns  packed %9.0f ns\n", m, n, k, dot, packed)
+		if dot >= packed {
+			if losses++; losses == 2 {
+				break
+			}
+			continue
+		}
+		best, losses = m*n, 0
+	}
+	return best
+}
+
 func randomDense(r, c int, rng *rand.Rand) *mat.Dense {
 	m := mat.New(r, c)
 	for i := 0; i < r; i++ {
@@ -255,6 +297,10 @@ type selParams struct {
 	// BatchSpanFlops: batched calls whose total flops (summed across the
 	// batch) exceed this fan items out across the worker pool.
 	BatchSpanFlops int
+	// DotMaxMN: a·bᵀ products (inner dimension above the broadcast-axpy
+	// limit) with at most this many output elements take the
+	// packing-free dot-block kernel instead of the packed path.
+	DotMaxMN int
 }
 
 // defaultSelParams is used for kernels without a measured table entry.
@@ -264,6 +310,7 @@ var defaultSelParams = selParams{
 	ParallelFlops:  1 << 20,
 	PanelRows:      256,
 	BatchSpanFlops: 1 << 20,
+	DotMaxMN:       1024,
 }
 
 // selTables maps kernel name → measured thresholds.
@@ -272,8 +319,8 @@ var selTables = map[string]selParams{
 	for _, name := range knownKernels {
 		if p, ok := measured[name]; ok {
 			fmt.Fprintf(&b, "\t// %s\n", notes[name])
-			fmt.Fprintf(&b, "\t%q: {SmallFlops: %d, SkinnyN: %d, ParallelFlops: %d, PanelRows: %d, BatchSpanFlops: %d},\n",
-				name, p.SmallFlops, p.SkinnyN, p.ParallelFlops, p.PanelRows, p.BatchSpanFlops)
+			fmt.Fprintf(&b, "\t%q: {SmallFlops: %d, SkinnyN: %d, ParallelFlops: %d, PanelRows: %d, BatchSpanFlops: %d, DotMaxMN: %d},\n",
+				name, p.SmallFlops, p.SkinnyN, p.ParallelFlops, p.PanelRows, p.BatchSpanFlops, p.DotMaxMN)
 		} else {
 			fmt.Fprintf(&b, "\t// Not measurable on the tuning host; conservative defaults.\n")
 			fmt.Fprintf(&b, "\t%q: defaultSelParams,\n", name)

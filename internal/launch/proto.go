@@ -56,7 +56,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -206,7 +206,9 @@ func ReadSessionFrame(r io.Reader) (verb byte, body []byte, err error) {
 	for remaining > 0 {
 		chunk := minInt(remaining, frameChunk)
 		off := len(body)
-		body = append(body, make([]byte, chunk)...)
+		// Extend in place: the bytes are read straight into the body, not
+		// into a zero-filled temporary appended to it.
+		body = slices.Grow(body, chunk)[:off+chunk]
 		if _, err = io.ReadFull(r, body[off:]); err != nil {
 			return 0, nil, fmt.Errorf("launch: short session frame: %w", err)
 		}
@@ -218,8 +220,13 @@ func ReadSessionFrame(r io.Reader) (verb byte, body []byte, err error) {
 // EncodeBlock renders a matrix block as a data body (the PUSH payload),
 // bit-for-bit via the tcptransport float64 framing.
 func EncodeBlock(m *mat.Dense) []byte {
+	return appendBlock(nil, m)
+}
+
+// appendBlock appends m's data body to buf.
+func appendBlock(buf []byte, m *mat.Dense) []byte {
 	r, c := m.Dims()
-	return tcptransport.AppendMessageBody(nil, mpi.Message{Rows: r, Cols: c, Data: m.RawData()})
+	return tcptransport.AppendMessageBody(buf, mpi.Message{Rows: r, Cols: c, Data: m.RawData()})
 }
 
 // DecodeBlock parses a PUSH payload back into a matrix, enforcing the
@@ -244,10 +251,8 @@ func DecodeBlock(body []byte) (*mat.Dense, error) {
 		return nil, fmt.Errorf("launch: snapshot block carries %d values for a %dx%d matrix",
 			len(m.Data), m.Rows, m.Cols)
 	}
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("launch: snapshot block contains a non-finite value (%g)", v)
-		}
+	if i := mat.FirstNonFinite(m.Data); i >= 0 {
+		return nil, fmt.Errorf("launch: snapshot block contains a non-finite value (%g)", m.Data[i])
 	}
 	return mat.NewFromData(m.Rows, m.Cols, m.Data), nil
 }
@@ -257,12 +262,11 @@ func DecodeBlock(body []byte) (*mat.Dense, error) {
 // then Q's body, then S's body — both in the same bit-exact float64
 // framing as PUSH, so a replayed pair reconstructs identically.
 func EncodeFactorPair(q, s *mat.Dense) []byte {
-	qb := EncodeBlock(q)
-	sb := EncodeBlock(s)
-	out := make([]byte, 4, 4+len(qb)+len(sb))
-	binary.LittleEndian.PutUint32(out, uint32(len(qb)))
-	out = append(out, qb...)
-	return append(out, sb...)
+	qLen := tcptransport.MessageBodyLen(len(q.RawData()))
+	out := make([]byte, 4, 4+qLen+tcptransport.MessageBodyLen(len(s.RawData())))
+	binary.LittleEndian.PutUint32(out, uint32(qLen))
+	out = appendBlock(out, q)
+	return appendBlock(out, s)
 }
 
 // DecodeFactorPair parses a PUSH-SKETCH payload, enforcing the pair

@@ -424,17 +424,17 @@ func (s *Session) Push(b *mat.Dense) error {
 	} else if b.Rows() != s.rows {
 		return fmt.Errorf("launch: batch has %d rows, want %d", b.Rows(), s.rows)
 	}
-	for _, v := range b.RawData() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("launch: snapshot batch contains a non-finite value (%g)", v)
-		}
+	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
+		return fmt.Errorf("launch: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
 	}
 	parts := s.parts
 	if s.rows == 0 {
 		parts = grid.Partition(b.Rows(), s.cfg.Ranks)
 	}
 	if _, err := s.op(SessPush, func(r int) []byte {
-		return EncodeBlock(b.SliceRows(parts[r].Start, parts[r].End))
+		var rows mat.Dense // a no-copy view of this rank's rows
+		b.ViewRows(parts[r].Start, parts[r].End, &rows)
+		return EncodeBlock(&rows)
 	}); err != nil {
 		return err
 	}
@@ -473,10 +473,8 @@ func (s *Session) PushSketch(q, sk *mat.Dense) error {
 		return fmt.Errorf("launch: sketch factor Q has %d rows, want %d", q.Rows(), s.rows)
 	}
 	for _, m := range []*mat.Dense{q, sk} {
-		for _, v := range m.RawData() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("launch: sketch factor pair contains a non-finite value (%g)", v)
-			}
+		if i := mat.FirstNonFinite(m.RawData()); i >= 0 {
+			return fmt.Errorf("launch: sketch factor pair contains a non-finite value (%g)", m.RawData()[i])
 		}
 	}
 	parts := s.parts
@@ -484,7 +482,9 @@ func (s *Session) PushSketch(q, sk *mat.Dense) error {
 		parts = grid.Partition(q.Rows(), s.cfg.Ranks)
 	}
 	if _, err := s.op(SessPushSketch, func(r int) []byte {
-		return EncodeFactorPair(q.SliceRows(parts[r].Start, parts[r].End), sk)
+		var rows mat.Dense // a no-copy view of this rank's rows of q
+		q.ViewRows(parts[r].Start, parts[r].End, &rows)
+		return EncodeFactorPair(&rows, sk)
 	}); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os/exec"
 	"runtime"
@@ -11,8 +12,10 @@ import (
 	"time"
 
 	"goparsvd/internal/core"
+	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/scaling"
+	"goparsvd/internal/testutil"
 )
 
 // sessionWorkload is a sub-second streaming job that still exercises
@@ -294,4 +297,24 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 	buf := make([]byte, 1<<20)
 	t.Errorf("goroutines leaked: %d before, %d after\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
+}
+
+// TestSessionPushAndDecodeNonFinite drives both launch-side finiteness
+// checks — Session.Push before any frame is written and DecodeBlock on the
+// worker — with NaN, +Inf and −Inf at every position of batches of every
+// tail length. Push rejects before touching the fleet, so a session with
+// no workers suffices.
+func TestSessionPushAndDecodeNonFinite(t *testing.T) {
+	s := &Session{cfg: SessionConfig{Ranks: 1}}
+	testutil.ForEachNonFinite(func(x []float64, bad int) {
+		b := mat.NewFromData(len(x), 1, x)
+		want := fmt.Sprintf("launch: snapshot batch contains a non-finite value (%g)", x[bad])
+		if err := s.Push(b); err == nil || err.Error() != want {
+			t.Fatalf("Push len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
+		}
+		want = fmt.Sprintf("launch: snapshot block contains a non-finite value (%g)", x[bad])
+		if _, err := DecodeBlock(EncodeBlock(b)); err == nil || err.Error() != want {
+			t.Fatalf("DecodeBlock len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
+		}
+	})
 }

@@ -76,8 +76,9 @@ type QRFactor struct {
 // already zero gets the identity reflector (τ = 0).
 //
 // Columns are reduced qrPanel at a time. Within a panel each reflector
-// costs one norm, one scaling and a dot/axpy pair per remaining panel
-// column, all on contiguous rows of at. Then one GEMM of the whole buffer
+// costs one norm, one scaling, one dot-block against the remaining panel
+// columns and one broadcast-axpy back into them, all on contiguous rows
+// of at through mat's packing-free kernels. Then one GEMM of the whole buffer
 // against the panel's Householder vectors gives both the next block of the
 // Gram matrix YᵀY, from which T gains the panel's columns by the dlarft
 // recurrence, and the trailing columns' projections, and one accumulating
@@ -94,6 +95,7 @@ func FactorQR(ws *mat.Workspace, at *mat.Dense) (f QRFactor, r *mat.Dense) {
 	tm := ws.Get(t, t) // τ_j lands on T's diagonal as reflector j is built
 	td := tm.RawData()
 
+	s := ws.GetFloats(qrPanel) // one panel's reflector weights
 	for j0 := 0; j0 < t; j0 += qrPanel {
 		j1 := min(j0+qrPanel, t)
 		jb := j1 - j0
@@ -101,8 +103,8 @@ func FactorQR(ws *mat.Workspace, at *mat.Dense) (f QRFactor, r *mat.Dense) {
 			x := d[j*m+j : (j+1)*m]
 			tau := reflect(x)
 			td[j*t+j] = tau
-			for c := j + 1; c < j1; c++ {
-				applyReflector(x, tau, d[c*m+j:(c+1)*m])
+			if nc := j1 - j - 1; tau != 0 && nc > 0 {
+				applyReflector(x, tau, d[(j+1)*m+j:], m, s[:nc])
 			}
 			// Column j of A is final: move R[0..j, j] out and leave the
 			// row as Householder vector j, zero above its unit diagonal.
@@ -162,6 +164,7 @@ func FactorQR(ws *mat.Workspace, at *mat.Dense) (f QRFactor, r *mat.Dense) {
 		ws.Put(g)
 		ws.PutView(pan)
 	}
+	ws.PutFloats(s)
 	// Wide matrices (n > m): the columns past t hold their R entries.
 	for j := t; j < n; j++ {
 		for i, v := range d[j*m : j*m+t] {
@@ -194,34 +197,30 @@ func (f QRFactor) mulQ(ws *mat.Workspace, dst, x *mat.Dense) {
 	t, m := f.tm.Rows(), f.y.Cols()
 	p := dst.Cols()
 	yd, td := f.y.RawData(), f.tm.RawData()
-	// z = Y₁ᵀ·X; row j of Y₁ᵀ is zero before its unit diagonal.
-	z := ws.GetUninit(t, p)
+	// z = −Y₁ᵀ·X; row j of Y₁ᵀ is zero before its unit diagonal.
+	z := ws.Get(t, p)
 	zd := z.RawData()
-	for j := 0; j < t; j++ {
-		zr := zd[j*p : (j+1)*p]
-		if x == nil {
-			copy(zr, yd[j*m:j*m+t])
-			continue
-		}
-		xd := x.RawData()
-		copy(zr, xd[j*p:(j+1)*p])
-		for i := j + 1; i < t; i++ {
-			if c := yd[j*m+i]; c != 0 {
-				axpy(c, xd[i*p:(i+1)*p], zr)
+	if x == nil {
+		for j := 0; j < t; j++ {
+			for i := j; i < t; i++ {
+				zd[j*p+i] = -yd[j*m+i]
 			}
 		}
+	} else {
+		mat.AxpyBlock(zd, p, yd, m, 1, x.RawData(), p, t, p, t)
+		for i := range zd {
+			zd[i] = -zd[i]
+		}
 	}
-	// z ← −T·z in place: row j reads rows l ≥ j, so walk j upwards.
+	// z ← T·z in place: row j reads rows l ≥ j, so walk j upwards.
 	for j := 0; j < t; j++ {
 		zr := zd[j*p : (j+1)*p]
-		tjj := -td[j*t+j]
+		tjj := td[j*t+j]
 		for c := range zr {
 			zr[c] *= tjj
 		}
-		for l := j + 1; l < t; l++ {
-			if c := td[j*t+l]; c != 0 {
-				axpy(-c, zd[l*p:(l+1)*p], zr)
-			}
+		if j+1 < t {
+			mat.AxpyBlock(zr, p, td[j*t+j+1:], 0, 1, zd[(j+1)*p:], p, 1, p, t-j-1)
 		}
 	}
 	ytop := f.y // Y's t columns are the buffer's first t rows
@@ -262,8 +261,17 @@ func reflect(x []float64) float64 {
 	}
 	v0 := alpha - beta
 	if inv := 1 / v0; !math.IsInf(inv, 0) {
-		for i := 1; i < len(x); i++ {
-			x[i] *= inv
+		v := x[1:]
+		i := 0
+		for ; i+4 <= len(v); i += 4 {
+			w := v[i : i+4 : i+4]
+			w[0] *= inv
+			w[1] *= inv
+			w[2] *= inv
+			w[3] *= inv
+		}
+		for ; i < len(v); i++ {
+			v[i] *= inv
 		}
 	} else {
 		for i := 1; i < len(x); i++ {
@@ -274,68 +282,31 @@ func reflect(x []float64) float64 {
 	return (beta - alpha) / beta
 }
 
-// applyReflector applies H = I − τ·v·vᵀ, v = [1; v[1:]], to w in place.
-func applyReflector(v []float64, tau float64, w []float64) {
-	if tau == 0 {
-		return
+// applyReflector applies H = I − τ·v·vᵀ, v = [1; v[1:]], to the len(s)
+// vectors w[c*ldw:][:len(v)] in place: one dot-block gives every
+// v[1:]·w_c[1:], and one broadcast-axpy subtracts each s_c·v back out.
+// s is scratch for the weights s_c = τ·(v·w_c).
+func applyReflector(v []float64, tau float64, w []float64, ldw int, s []float64) {
+	nc, k := len(s), len(v)-1
+	mat.DotBlock(s, 1, v[1:], 0, w[1:], ldw, 1, nc, k)
+	for c := range s {
+		s[c] = -tau * (w[c*ldw] + s[c])
+		w[c*ldw] += s[c]
 	}
-	s := tau * (w[0] + dot(v[1:], w[1:]))
-	w[0] -= s
-	axpy(-s, v[1:], w[1:])
+	mat.AxpyBlock(w[1:], ldw, s, 1, 0, v[1:], 0, nc, k, 1)
 }
 
-// colNorm is ‖x‖₂ by a plain sum of squares, falling back to the scaled
-// mat.Nrm2 only when that sum overflowed or fell so low (below 2⁻⁹⁰⁰) that
-// squaring lost precision to underflow — batches far outside the unit
-// range then factor as exactly as any other.
+// colNorm is ‖x‖₂ by a plain sum of squares (one mat.DotBlock), falling
+// back to the scaled mat.Nrm2 only when that sum overflowed or fell so low
+// (below 2⁻⁹⁰⁰) that squaring lost precision to underflow — batches far
+// outside the unit range then factor as exactly as any other.
 func colNorm(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * x[i]
-		s1 += x[i+1] * x[i+1]
-		s2 += x[i+2] * x[i+2]
-		s3 += x[i+3] * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		s0 += x[i] * x[i]
-	}
-	if ss := (s0 + s1) + (s2 + s3); ss >= 0x1p-900 && ss <= math.MaxFloat64 {
-		return math.Sqrt(ss)
+	var ss [1]float64
+	mat.DotBlock(ss[:], 1, x, 0, x, 0, 1, 1, len(x))
+	if ss[0] >= 0x1p-900 && ss[0] <= math.MaxFloat64 {
+		return math.Sqrt(ss[0])
 	}
 	return mat.Nrm2(x)
-}
-
-// dot is Σ x[i]·y[i] over len(x) elements, four partial sums wide.
-func dot(x, y []float64) float64 {
-	y = y[:len(x)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	for ; i < len(x); i++ {
-		s0 += x[i] * y[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// axpy is y += α·x over len(x) elements.
-func axpy(alpha float64, x, y []float64) {
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
 }
 
 // SolveUpperTriangular solves R·x = b for upper-triangular R (n×n). It

@@ -96,3 +96,44 @@ func BenchmarkFroNorm(b *testing.B) {
 		x.FroNorm()
 	}
 }
+
+// BenchmarkStreamDot times the dot-block route at the streaming QR's Gram
+// product: one panel of 8 Householder vectors against the whole 32×4096
+// factored buffer (C = A·Bᵀ, 32×8 output, k = 4096).
+func BenchmarkStreamDot(b *testing.B) {
+	b.ReportAllocs()
+	a := benchMatrix(32, 4096, 20)
+	p := benchMatrix(8, 4096, 21)
+	out := New(32, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulTransBInto(out, a, p)
+	}
+}
+
+// BenchmarkStreamAxpy times the broadcast-axpy route at the streaming QR's
+// two small-k products: the rank-8 trailing update of 24 columns
+// (C += A·B, 24×4096 += 24×8 · 8×4096) and the apply Q·X at 4096×32
+// (C = Yᵀ·Z, Y 32×4096, Z 32×16).
+func BenchmarkStreamAxpy(b *testing.B) {
+	b.Run("trailing", func(b *testing.B) {
+		b.ReportAllocs()
+		a := benchMatrix(24, 8, 22)
+		p := benchMatrix(8, 4096, 23)
+		out := benchMatrix(24, 4096, 24)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulAddInto(out, a, p)
+		}
+	})
+	b.Run("applyQ", func(b *testing.B) {
+		b.ReportAllocs()
+		y := benchMatrix(32, 4096, 25)
+		z := benchMatrix(32, 16, 26)
+		out := New(4096, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulTransAInto(out, y, z)
+		}
+	})
+}

@@ -35,8 +35,12 @@ func gemm(out, a, b *Dense, transA, transB bool) {
 	gemmAcc(out, a, b, transA, transB)
 }
 
-// gemmAcc computes out += op(a)·op(b): both routes below only ever add
-// into out, so gemm is this after a zeroing pass.
+// gemmAcc computes out += op(a)·op(b): every route below only ever adds
+// into out, so gemm is this after a zeroing pass. Tiny products take the
+// naive loop; a small inner dimension with contiguous B rows takes the
+// packing-free broadcast-axpy kernel, as does a·bᵀ with a small output
+// and a long inner dimension the dot-block kernel (stream.go); the rest
+// go through the packed path.
 func gemmAcc(out, a, b *Dense, transA, transB bool) {
 	m, n := out.rows, out.cols
 	k := a.cols
@@ -50,7 +54,14 @@ func gemmAcc(out, a, b *Dense, transA, transB bool) {
 		gemmSmall(out, a, b, transA, transB)
 		return
 	}
-	gemmBlocked(out, a, b, transA, transB)
+	switch {
+	case !transB && k <= axpyMaxK:
+		streamAxpy(out, a, b, transA)
+	case transB && !transA && m*n <= sel.DotMaxMN:
+		streamDot(out, a, b)
+	default:
+		gemmBlocked(out, a, b, transA, transB)
+	}
 }
 
 // gemmBlocked is the packed path, taken unconditionally: BlockedMulInto

@@ -26,6 +26,63 @@ func microFMA8x4(kc int, ap, bp, dst *float64)
 //go:noescape
 func microAVX512F8x8(kc int, ap, bp, dst *float64)
 
+// dot4AVX512 and dot4FMA are the dot-block kernel bodies: s_j = a·b_j
+// over k elements, k a positive multiple of 16 (AVX-512) or 8 (AVX2)
+// (implemented in gemm_amd64.s).
+//
+//go:noescape
+func dot4AVX512(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
+
+//go:noescape
+func dot4FMA(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
+
+// axpy16AVX512 and axpy8FMA are the broadcast-axpy kernel bodies (see
+// axpyFunc) over n columns, any positive n (AVX-512) or a positive
+// multiple of 8 (AVX2) (implemented in gemm_amd64.s).
+//
+//go:noescape
+func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+
+//go:noescape
+func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+
+// dotAVX512 and dotAVX2 run the assembly body over the longest prefix of
+// whole loop steps and finish the k tail with fused multiply-adds.
+func dotAVX512(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	k := len(a)
+	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
+	kv := k &^ 15
+	if kv > 0 {
+		s0, s1, s2, s3 = dot4AVX512(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
+	}
+	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+}
+
+func dotAVX2(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	k := len(a)
+	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
+	kv := k &^ 7
+	if kv > 0 {
+		s0, s1, s2, s3 = dot4FMA(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
+	}
+	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+}
+
+// axpyAVX512 masks the last partial strip inside the assembly body.
+func axpyAVX512(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+	axpy16AVX512(rows, n, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc)
+}
+
+// axpyAVX2 runs the assembly body over the widest multiple of its strip
+// width and the remaining columns through the fused tail.
+func axpyAVX2(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+	nv := n &^ 7
+	if nv > 0 {
+		axpy8FMA(rows, nv, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc)
+	}
+	axpyTailFMA(rows, nv, n, k, a, rsA, csA, b, ldb, c, ldc)
+}
+
 func microAVX2(kc int, ap, bp []float64, tile *[maxMR * maxNR]float64) {
 	microFMA8x4(kc, &ap[0], &bp[0], &tile[0])
 }
@@ -43,10 +100,10 @@ func archKernels() []*kernelCfg {
 	var ks []*kernelCfg
 	var avx2 *kernelCfg
 	if hasAVX2FMA() {
-		avx2 = &kernelCfg{name: "avx2-8x4", mr: 8, nr: 4, micro: microAVX2}
+		avx2 = &kernelCfg{name: "avx2-8x4", mr: 8, nr: 4, micro: microAVX2, dot: dotAVX2, axpy: axpyAVX2}
 	}
 	if hasAVX512F() {
-		ks = append(ks, &kernelCfg{name: "avx512-8x8", mr: 8, nr: 8, micro: microAVX512, narrow: avx2})
+		ks = append(ks, &kernelCfg{name: "avx512-8x8", mr: 8, nr: 8, micro: microAVX512, narrow: avx2, dot: dotAVX512, axpy: axpyAVX512})
 	}
 	if avx2 != nil {
 		ks = append(ks, avx2)

@@ -186,3 +186,385 @@ store512:
 	VMOVUPD Z7, 448(DX)
 	VZEROUPPER
 	RET
+
+// func dot4AVX512(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
+//
+// The dot-block kernel body: s_j = a·b_j over k elements, k a positive
+// multiple of 16. Each k-step of 16 loads two 8-wide vectors of a and
+// folds eight loads of the b rows into the FMAs; the two accumulators of
+// each b row (Z0/Z1 for b0 … Z6/Z7 for b3) keep eight FMA chains in
+// flight. The lanes reduce by the fixed tree (acc0+acc1), then halves
+// 8→4→2→1, so an element's value never depends on the call it is in.
+TEXT ·dot4AVX512(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b0+16(FP), R8
+	MOVQ b1+24(FP), R9
+	MOVQ b2+32(FP), R10
+	MOVQ b3+40(FP), R11
+	SHRQ $4, CX
+	XORQ AX, AX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+dot512loop:
+	VMOVUPD     (SI)(AX*1), Z16
+	VMOVUPD     64(SI)(AX*1), Z17
+	VFMADD231PD (R8)(AX*1), Z16, Z0
+	VFMADD231PD 64(R8)(AX*1), Z17, Z1
+	VFMADD231PD (R9)(AX*1), Z16, Z2
+	VFMADD231PD 64(R9)(AX*1), Z17, Z3
+	VFMADD231PD (R10)(AX*1), Z16, Z4
+	VFMADD231PD 64(R10)(AX*1), Z17, Z5
+	VFMADD231PD (R11)(AX*1), Z16, Z6
+	VFMADD231PD 64(R11)(AX*1), Z17, Z7
+	ADDQ        $128, AX
+	DECQ        CX
+	JNZ         dot512loop
+
+	VADDPD Z1, Z0, Z0
+	VADDPD Z3, Z2, Z2
+	VADDPD Z5, Z4, Z4
+	VADDPD Z7, Z6, Z6
+
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD        Y1, Y0, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VADDPD        X1, X0, X0
+	VPERMILPD     $1, X0, X1
+	VADDSD        X1, X0, X0
+	MOVSD         X0, s0+48(FP)
+
+	VEXTRACTF64X4 $1, Z2, Y3
+	VADDPD        Y3, Y2, Y2
+	VEXTRACTF128  $1, Y2, X3
+	VADDPD        X3, X2, X2
+	VPERMILPD     $1, X2, X3
+	VADDSD        X3, X2, X2
+	MOVSD         X2, s1+56(FP)
+
+	VEXTRACTF64X4 $1, Z4, Y5
+	VADDPD        Y5, Y4, Y4
+	VEXTRACTF128  $1, Y4, X5
+	VADDPD        X5, X4, X4
+	VPERMILPD     $1, X4, X5
+	VADDSD        X5, X4, X4
+	MOVSD         X4, s2+64(FP)
+
+	VEXTRACTF64X4 $1, Z6, Y7
+	VADDPD        Y7, Y6, Y6
+	VEXTRACTF128  $1, Y6, X7
+	VADDPD        X7, X6, X6
+	VPERMILPD     $1, X6, X7
+	VADDSD        X7, X6, X6
+	MOVSD         X6, s3+72(FP)
+	VZEROUPPER
+	RET
+
+// func dot4FMA(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
+//
+// The AVX2/FMA dot-block kernel body: as dot4AVX512 with 4-wide vectors,
+// k a positive multiple of 8 (Y0/Y1 for b0 … Y6/Y7 for b3), lanes reduced
+// (acc0+acc1), then halves 4→2→1.
+TEXT ·dot4FMA(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b0+16(FP), R8
+	MOVQ b1+24(FP), R9
+	MOVQ b2+32(FP), R10
+	MOVQ b3+40(FP), R11
+	SHRQ $3, CX
+	XORQ AX, AX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+dot256loop:
+	VMOVUPD     (SI)(AX*1), Y8
+	VMOVUPD     32(SI)(AX*1), Y9
+	VFMADD231PD (R8)(AX*1), Y8, Y0
+	VFMADD231PD 32(R8)(AX*1), Y9, Y1
+	VFMADD231PD (R9)(AX*1), Y8, Y2
+	VFMADD231PD 32(R9)(AX*1), Y9, Y3
+	VFMADD231PD (R10)(AX*1), Y8, Y4
+	VFMADD231PD 32(R10)(AX*1), Y9, Y5
+	VFMADD231PD (R11)(AX*1), Y8, Y6
+	VFMADD231PD 32(R11)(AX*1), Y9, Y7
+	ADDQ        $64, AX
+	DECQ        CX
+	JNZ         dot256loop
+
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X0, X0
+	MOVSD        X0, s0+48(FP)
+
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VPERMILPD    $1, X2, X3
+	VADDSD       X3, X2, X2
+	MOVSD        X2, s1+56(FP)
+
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD       X5, X4, X4
+	VPERMILPD    $1, X4, X5
+	VADDSD       X5, X4, X4
+	MOVSD        X4, s2+64(FP)
+
+	VEXTRACTF128 $1, Y6, X7
+	VADDPD       X7, X6, X6
+	VPERMILPD    $1, X6, X7
+	VADDSD       X7, X6, X6
+	MOVSD        X6, s3+72(FP)
+	VZEROUPPER
+	RET
+
+// func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+//
+// The broadcast-axpy kernel body: C[i, 0:n] += Σ_kk A[i, kk]·B[kk, 0:n],
+// rows, n and k positive, strides in elements. The outer loop walks
+// 16-column strips of B and C (the k×16 strip of B stays in L1 while every
+// row of C streams through once); the last strip's columns past n are
+// masked off in K1 (columns 0–7) and K2 (8–15), and masked loads never
+// touch them. Within a strip rows go four at a time — C rows in Z0–Z7, two
+// B vectors and four broadcast A scalars per k-step, eight FMAs — and then
+// one at a time. Every element is the chain c ← fma(a_kk, b_kk, c) in k
+// order either way. The strip state lives in the argument slots b, c, n.
+TEXT ·axpy16AVX512(SB), NOSPLIT, $0-80
+	MOVQ rsA+32(FP), R8
+	MOVQ csA+40(FP), R9
+	MOVQ ldb+56(FP), R10
+	MOVQ ldc+72(FP), R11
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	LEAQ (R8)(R8*2), R12          // 3 A rows
+
+axpy512strip:
+	MOVQ  n+8(FP), CX
+	MOVL  $0xffff, DI
+	CMPQ  CX, $16
+	JGE   axpy512mask
+	MOVL  $1, DI
+	SHLL  CX, DI
+	DECL  DI                      // (1<<n)−1: the strip's n < 16 columns
+
+axpy512mask:
+	KMOVW DI, K1
+	SHRL  $8, DI
+	KMOVW DI, K2
+	MOVQ  rows+0(FP), DI
+	MOVQ  a+24(FP), SI
+	MOVQ  b+48(FP), DX
+	MOVQ  c+64(FP), BX
+	MOVQ  k+16(FP), CX
+	IMULQ R10, CX
+	ADDQ  DX, CX                  // end of this B strip
+
+axpy512rows4:
+	CMPQ DI, $4
+	JLT  axpy512rows1
+	LEAQ (BX)(R11*2), AX
+	VMOVUPD.Z (BX), K1, Z0
+	VMOVUPD.Z 64(BX), K2, Z1
+	VMOVUPD.Z (BX)(R11*1), K1, Z2
+	VMOVUPD.Z 64(BX)(R11*1), K2, Z3
+	VMOVUPD.Z (AX), K1, Z4
+	VMOVUPD.Z 64(AX), K2, Z5
+	VMOVUPD.Z (AX)(R11*1), K1, Z6
+	VMOVUPD.Z 64(AX)(R11*1), K2, Z7
+	MOVQ SI, AX
+	MOVQ DX, R13
+
+axpy512k4:
+	VMOVUPD.Z    (R13), K1, Z8
+	VMOVUPD.Z    64(R13), K2, Z9
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD (AX)(R8*1), Z11
+	VBROADCASTSD (AX)(R8*2), Z12
+	VBROADCASTSD (AX)(R12*1), Z13
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z1
+	VFMADD231PD  Z8, Z11, Z2
+	VFMADD231PD  Z9, Z11, Z3
+	VFMADD231PD  Z8, Z12, Z4
+	VFMADD231PD  Z9, Z12, Z5
+	VFMADD231PD  Z8, Z13, Z6
+	VFMADD231PD  Z9, Z13, Z7
+	ADDQ         R9, AX
+	ADDQ         R10, R13
+	CMPQ         R13, CX
+	JNE          axpy512k4
+
+	LEAQ (BX)(R11*2), AX
+	VMOVUPD Z0, K1, (BX)
+	VMOVUPD Z1, K2, 64(BX)
+	VMOVUPD Z2, K1, (BX)(R11*1)
+	VMOVUPD Z3, K2, 64(BX)(R11*1)
+	VMOVUPD Z4, K1, (AX)
+	VMOVUPD Z5, K2, 64(AX)
+	VMOVUPD Z6, K1, (AX)(R11*1)
+	VMOVUPD Z7, K2, 64(AX)(R11*1)
+	LEAQ (SI)(R8*4), SI
+	LEAQ (BX)(R11*4), BX
+	SUBQ $4, DI
+	JMP  axpy512rows4
+
+axpy512rows1:
+	TESTQ DI, DI
+	JZ    axpy512next
+	VMOVUPD.Z (BX), K1, Z0
+	VMOVUPD.Z 64(BX), K2, Z1
+	MOVQ SI, AX
+	MOVQ DX, R13
+
+axpy512k1:
+	VMOVUPD.Z    (R13), K1, Z8
+	VMOVUPD.Z    64(R13), K2, Z9
+	VBROADCASTSD (AX), Z10
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z1
+	ADDQ         R9, AX
+	ADDQ         R10, R13
+	CMPQ         R13, CX
+	JNE          axpy512k1
+
+	VMOVUPD Z0, K1, (BX)
+	VMOVUPD Z1, K2, 64(BX)
+	ADDQ R8, SI
+	ADDQ R11, BX
+	DECQ DI
+	JMP  axpy512rows1
+
+axpy512next:
+	ADDQ $128, b+48(FP)
+	ADDQ $128, c+64(FP)
+	SUBQ $16, n+8(FP)
+	JG   axpy512strip
+	VZEROUPPER
+	RET
+
+// func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+//
+// The AVX2/FMA broadcast-axpy kernel body: as axpy16AVX512 on 8-column
+// strips (two 4-wide vectors per row), n a positive multiple of 8.
+TEXT ·axpy8FMA(SB), NOSPLIT, $0-80
+	MOVQ rsA+32(FP), R8
+	MOVQ csA+40(FP), R9
+	MOVQ ldb+56(FP), R10
+	MOVQ ldc+72(FP), R11
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	LEAQ (R8)(R8*2), R12
+
+axpy256strip:
+	MOVQ rows+0(FP), DI
+	MOVQ a+24(FP), SI
+	MOVQ b+48(FP), DX
+	MOVQ c+64(FP), BX
+	MOVQ k+16(FP), CX
+	IMULQ R10, CX
+	ADDQ DX, CX
+
+axpy256rows4:
+	CMPQ DI, $4
+	JLT  axpy256rows1
+	LEAQ (BX)(R11*2), AX
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD (BX)(R11*1), Y2
+	VMOVUPD 32(BX)(R11*1), Y3
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	VMOVUPD (AX)(R11*1), Y6
+	VMOVUPD 32(AX)(R11*1), Y7
+	MOVQ SI, AX
+	MOVQ DX, R13
+
+axpy256k4:
+	VMOVUPD      (R13), Y8
+	VMOVUPD      32(R13), Y9
+	VBROADCASTSD (AX), Y10
+	VBROADCASTSD (AX)(R8*1), Y11
+	VBROADCASTSD (AX)(R8*2), Y12
+	VBROADCASTSD (AX)(R12*1), Y13
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
+	ADDQ         R9, AX
+	ADDQ         R10, R13
+	CMPQ         R13, CX
+	JNE          axpy256k4
+
+	LEAQ (BX)(R11*2), AX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, (BX)(R11*1)
+	VMOVUPD Y3, 32(BX)(R11*1)
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R11*1)
+	VMOVUPD Y7, 32(AX)(R11*1)
+	LEAQ (SI)(R8*4), SI
+	LEAQ (BX)(R11*4), BX
+	SUBQ $4, DI
+	JMP  axpy256rows4
+
+axpy256rows1:
+	TESTQ DI, DI
+	JZ    axpy256next
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	MOVQ SI, AX
+	MOVQ DX, R13
+
+axpy256k1:
+	VBROADCASTSD (AX), Y10
+	VFMADD231PD  (R13), Y10, Y0
+	VFMADD231PD  32(R13), Y10, Y1
+	ADDQ         R9, AX
+	ADDQ         R10, R13
+	CMPQ         R13, CX
+	JNE          axpy256k1
+
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	ADDQ R8, SI
+	ADDQ R11, BX
+	DECQ DI
+	JMP  axpy256rows1
+
+axpy256next:
+	ADDQ $64, b+48(FP)
+	ADDQ $64, c+64(FP)
+	SUBQ $8, n+8(FP)
+	JNZ  axpy256strip
+	VZEROUPPER
+	RET

@@ -46,12 +46,17 @@ type kernelCfg struct {
 	// fall back to: a wide tile (nr = 8) wastes up to nr−1 masked columns
 	// per edge strip, which dominates for skinny right-hand sides.
 	narrow *kernelCfg
+	// dot and axpy are the same ISA's packing-free streaming kernels
+	// (stream.go): they take the tall-skinny products the packed path
+	// would spend more time packing than multiplying.
+	dot  dotFunc
+	axpy axpyFunc
 }
 
 // kernGoRef is the portable reference kernel, available on every platform
 // and build: the pure-Go 8×4 strip kernel the parity suite pins every
 // assembly path against.
-var kernGoRef = &kernelCfg{name: "go-8x4", mr: 8, nr: 4, micro: microGo8x4}
+var kernGoRef = &kernelCfg{name: "go-8x4", mr: 8, nr: 4, micro: microGo8x4, dot: dotGo, axpy: axpyGo}
 
 var (
 	// availKernels is every kernel usable on this CPU, best-first, always
@@ -156,6 +161,17 @@ func SetSkinnyN(n int) (restore func()) {
 	prev := sel.SkinnyN
 	sel.SkinnyN = n
 	return func() { sel.SkinnyN = prev }
+}
+
+// SetDotMaxMN overrides the active selection entry's dot-block output
+// limit and returns a restore function. It is a tuning hook: benchtune
+// pins it to 0 (never take the dot-block route) or a huge value (always)
+// to time the route against the packed path on the same shapes. Not safe
+// to call concurrently with running products.
+func SetDotMaxMN(n int) (restore func()) {
+	prev := sel.DotMaxMN
+	sel.DotMaxMN = n
+	return func() { sel.DotMaxMN = prev }
 }
 
 // microGo8x4 is the portable micro-kernel: the 8×4 strip is covered as two

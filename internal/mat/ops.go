@@ -405,3 +405,38 @@ func Axpy(alpha float64, x, y []float64) {
 		y[i] += alpha * v
 	}
 }
+
+// FirstNonFinite returns the index of the first NaN or ±Inf in x, or −1
+// when every value is finite. It is the one finiteness check every
+// ingest path (facade batches, session pushes, wire and HTTP decoders)
+// runs. The bulk pass has no data-dependent branch: v·0 is 0 for every
+// finite v and NaN for NaN and ±Inf, and a NaN survives any sum, so a
+// 256-value block whose four partial sums of v·0 are all zero is clean.
+// Only a flagged block is walked value by value to find the culprit.
+func FirstNonFinite(x []float64) int {
+	const block = 256
+	for b := 0; b < len(x); b += block {
+		blk := x[b:min(b+block, len(x))]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= len(blk); i += 4 {
+			v := blk[i : i+4 : i+4]
+			s0 += v[0] * 0
+			s1 += v[1] * 0
+			s2 += v[2] * 0
+			s3 += v[3] * 0
+		}
+		for ; i < len(blk); i++ {
+			s0 += blk[i] * 0
+		}
+		if (s0+s1)+(s2+s3) == 0 {
+			continue
+		}
+		for i, v := range blk {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return b + i
+			}
+		}
+	}
+	return -1
+}

@@ -376,3 +376,37 @@ func TestDiagOnWideAndTall(t *testing.T) {
 		t.Fatalf("tall diag %v", d)
 	}
 }
+
+// TestFirstNonFinite places NaN, +Inf and −Inf at every index of slices
+// of every tail length around the 4-wide pass and its 256-value blocks,
+// and checks the index reported is the first offender's, while every
+// finite value — huge, subnormal, signed zero — passes.
+func TestFirstNonFinite(t *testing.T) {
+	finite := []float64{1, -2.5, math.MaxFloat64, -math.MaxFloat64, 0x1p-1074, math.Copysign(0, -1), 0, 1e-300}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 255, 256, 257, 4096}
+	for _, n := range lengths {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = finite[i%len(finite)]
+		}
+		if got := FirstNonFinite(x); got != -1 {
+			t.Fatalf("len %d all finite: got %d, want -1", n, got)
+		}
+		for bad := range x {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				x[bad] = v
+				if got := FirstNonFinite(x); got != bad {
+					t.Fatalf("len %d, %g at %d: got %d", n, v, bad, got)
+				}
+				if bad+1 < n { // a second offender later must not win
+					x[n-1] = math.NaN()
+					if got := FirstNonFinite(x); got != bad {
+						t.Fatalf("len %d, %g at %d and NaN at %d: got %d", n, v, bad, n-1, got)
+					}
+					x[n-1] = finite[(n-1)%len(finite)]
+				}
+				x[bad] = finite[bad%len(finite)]
+			}
+		}
+	}
+}

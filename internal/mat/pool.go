@@ -16,9 +16,12 @@ import (
 // carries the kernelCfg it was dispatched with: packing-buffer geometry is
 // derived from that kernel's tile constants (an AVX-512 8×8 task and an
 // AVX2 8×4 task size their panels differently), and a concurrent kernel
-// switch can never tear a product in flight.
+// switch can never tear a product in flight. A task of a packing-free
+// route (stream.go) covers output rows [ic, ic+mc) of its whole product
+// instead, reading b directly.
 type gemmTask struct {
-	out, a         *Dense
+	route          taskRoute
+	out, a, b      *Dense
 	kern           *kernelCfg
 	bp             []float64
 	ic, mc, pc, kc int
@@ -27,7 +30,20 @@ type gemmTask struct {
 	wg             *sync.WaitGroup
 }
 
+// taskRoute tells a pool task's product path.
+type taskRoute uint8
+
+const (
+	routePacked taskRoute = iota // packed A-panel block (gemm.go)
+	routeDot                     // dot-block row block (stream.go)
+	routeAxpy                    // broadcast-axpy row block (stream.go)
+)
+
 func (t *gemmTask) run(buf *packBuf) {
+	if t.route != routePacked {
+		t.runStream()
+		return
+	}
 	ap := buf.grow(roundUp(t.mc, t.kern.mr) * t.kc)
 	packA(ap, t.kern.mr, t.a, t.ic, t.mc, t.pc, t.kc, t.transA)
 	macroKernel(t.out, t.kern, ap, t.bp, t.ic, t.mc, t.jc, t.nc, t.kc, &buf.tile)

@@ -26,6 +26,10 @@ type selParams struct {
 	// BatchSpanFlops: batched calls whose total flops (summed across the
 	// batch) exceed this fan items out across the worker pool.
 	BatchSpanFlops int
+	// DotMaxMN: a·bᵀ products (inner dimension above the broadcast-axpy
+	// limit) with at most this many output elements take the
+	// packing-free dot-block kernel instead of the packed path.
+	DotMaxMN int
 }
 
 // defaultSelParams is used for kernels without a measured table entry.
@@ -35,18 +39,19 @@ var defaultSelParams = selParams{
 	ParallelFlops:  1 << 20,
 	PanelRows:      256,
 	BatchSpanFlops: 1 << 20,
+	DotMaxMN:       1024,
 }
 
 // selTables maps kernel name → measured thresholds.
 var selTables = map[string]selParams{
-	// measured linux/amd64, 2026-08-08
-	"avx512-8x8": {SmallFlops: 216, SkinnyN: 2, ParallelFlops: 1048576, PanelRows: 512, BatchSpanFlops: 1048576},
-	// measured linux/amd64, 2026-08-08
-	"avx2-8x4": {SmallFlops: 216, SkinnyN: 6, ParallelFlops: 1048576, PanelRows: 768, BatchSpanFlops: 1048576},
+	// measured linux/amd64, 2026-08-08; DotMaxMN 2026-10-17
+	"avx512-8x8": {SmallFlops: 216, SkinnyN: 2, ParallelFlops: 1048576, PanelRows: 512, BatchSpanFlops: 1048576, DotMaxMN: 4096},
+	// measured linux/amd64, 2026-08-08; DotMaxMN 2026-10-17
+	"avx2-8x4": {SmallFlops: 216, SkinnyN: 6, ParallelFlops: 1048576, PanelRows: 768, BatchSpanFlops: 1048576, DotMaxMN: 2048},
 	// Not measurable on the tuning host; conservative defaults.
 	"neon-8x4": defaultSelParams,
-	// measured linux/amd64, 2026-08-08
-	"go-8x4": {SmallFlops: 524288, SkinnyN: 6, ParallelFlops: 1048576, PanelRows: 512, BatchSpanFlops: 1048576},
+	// measured linux/amd64, 2026-08-08; DotMaxMN 2026-10-17
+	"go-8x4": {SmallFlops: 524288, SkinnyN: 6, ParallelFlops: 1048576, PanelRows: 512, BatchSpanFlops: 1048576, DotMaxMN: 32768},
 }
 
 // selFor returns the selection thresholds for the named kernel.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"goparsvd/internal/mpi"
 )
@@ -58,7 +59,7 @@ func appendFrameHeader(buf []byte, kind byte, bodyLen int) []byte {
 
 // appendData appends a complete data frame carrying m.
 func appendData(buf []byte, m mpi.Message) []byte {
-	buf = appendFrameHeader(buf, kindData, dataHeaderLen+8*len(m.Data))
+	buf = appendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
 	return AppendMessageBody(buf, m)
 }
 
@@ -68,16 +69,26 @@ func appendData(buf []byte, m mpi.Message) []byte {
 // protocol carrying snapshot blocks over worker stdin) share the exact
 // framing that makes matrices round-trip bit-for-bit, including NaNs,
 // infinities and signed zeros.
+//
+// The body is sized once: buf grows at most one time, and the header and
+// every value are written in place.
 func AppendMessageBody(buf []byte, m mpi.Message) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.Tag)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.Rows)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.Cols)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.Data)))
-	for _, v := range m.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	off := len(buf)
+	buf = slices.Grow(buf, MessageBodyLen(len(m.Data)))[:off+MessageBodyLen(len(m.Data))]
+	b := buf[off:]
+	binary.LittleEndian.PutUint64(b[0:], uint64(int64(m.Tag)))
+	binary.LittleEndian.PutUint64(b[8:], uint64(int64(m.Rows)))
+	binary.LittleEndian.PutUint64(b[16:], uint64(int64(m.Cols)))
+	binary.LittleEndian.PutUint64(b[24:], uint64(len(m.Data)))
+	b = b[dataHeaderLen:]
+	for i, v := range m.Data {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 	return buf
 }
+
+// MessageBodyLen is the length of a data-frame body carrying n values.
+func MessageBodyLen(n int) int { return dataHeaderLen + 8*n }
 
 // decodeData parses the body of a data frame.
 func decodeData(body []byte) (mpi.Message, error) { return DecodeMessageBody(body) }

@@ -2,6 +2,7 @@ package tcptransport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,5 +192,41 @@ func TestGracefulCloseDeliversPending(t *testing.T) {
 	}
 	if _, err := ts[0].Recv(0, 1); err != mpi.ErrAborted {
 		t.Fatalf("post-close Recv err = %v, want ErrAborted", err)
+	}
+}
+
+// TestAppendMessageBodyBytes pins the data-body bytes against a field-by-
+// field reference encoder, with and without a prefix already in the
+// buffer: sizing the body once must not change a single wire byte.
+func TestAppendMessageBodyBytes(t *testing.T) {
+	ref := func(buf []byte, m mpi.Message) []byte {
+		for _, v := range []uint64{uint64(int64(m.Tag)), uint64(int64(m.Rows)), uint64(int64(m.Cols)), uint64(len(m.Data))} {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		for _, v := range m.Data {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		return buf
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 7, 64, 4096} {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = rng.NormFloat64()
+		}
+		if n > 2 {
+			data[1], data[2] = math.NaN(), math.Copysign(0, -1)
+		}
+		m := mpi.Message{Tag: -3, Rows: n, Cols: 1, Data: data}
+		for _, prefix := range [][]byte{nil, []byte("hdr")} {
+			got := AppendMessageBody(append([]byte(nil), prefix...), m)
+			want := ref(append([]byte(nil), prefix...), m)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d prefix=%q: body bytes differ from the reference encoding", n, prefix)
+			}
+			if len(got)-len(prefix) != MessageBodyLen(n) {
+				t.Fatalf("n=%d: body is %d bytes, MessageBodyLen says %d", n, len(got)-len(prefix), MessageBodyLen(n))
+			}
+		}
 	}
 }

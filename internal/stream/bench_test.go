@@ -56,3 +56,20 @@ func BenchmarkIncorporateLowRank(b *testing.B) {
 		s.IncorporateData(next)
 	}
 }
+
+// BenchmarkIncorporateWorkloadShape times one warm IncorporateData at the
+// fit-serial workload's shape — M = 4096 rows, K = 16 modes, B = 16
+// snapshots per batch — where the QR stacks are 4096×32. Steady-state
+// calls must report 0 allocs/op.
+func BenchmarkIncorporateWorkloadShape(b *testing.B) {
+	b.ReportAllocs()
+	rng := testutil.NewRand(5)
+	first := testutil.RandomDense(4096, 16, rng)
+	next := testutil.RandomDense(4096, 16, rng)
+	s := New(Options{K: 16, FF: 0.95}).Initialize(first)
+	s.IncorporateData(next) // warm the workspace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.IncorporateData(next)
+	}
+}

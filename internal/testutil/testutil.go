@@ -261,3 +261,30 @@ func HostileBatch(m, b, i int, rng *rand.Rand) *mat.Dense {
 	}
 	return a
 }
+
+// NonFiniteLengths are the batch lengths the finiteness checks are
+// driven at: every tail of a 4-wide unrolled pass from 1 to 17 values,
+// and a full 4096-value snapshot column.
+var NonFiniteLengths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 4096}
+
+// ForEachNonFinite calls f with a slice of each NonFiniteLengths length
+// holding finite values (huge, tiny, subnormal and signed zeros among
+// them) except for one NaN, +Inf or −Inf at index bad — for every index
+// and every one of the three. f must not keep x.
+func ForEachNonFinite(f func(x []float64, bad int)) {
+	finite := []float64{1, -2.5, math.MaxFloat64, -math.MaxFloat64, 0x1p-1074, math.Copysign(0, -1), 0, 1e-300}
+	for _, n := range NonFiniteLengths {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = finite[i%len(finite)]
+		}
+		for bad := range x {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				keep := x[bad]
+				x[bad] = v
+				f(x, bad)
+				x[bad] = keep
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	parsvd "goparsvd"
+	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
 )
@@ -99,11 +100,10 @@ func ReadMatrix(r io.Reader, limit int64) (*parsvd.Matrix, error) {
 			return nil, fmt.Errorf("server: reading %dx%d matrix values: %w", rows, cols, err)
 		}
 		for i := range vals {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("server: matrix body contains a non-finite value (%g) at index %d", v, done+i)
-			}
-			vals[i] = v
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
+		}
+		if i := mat.FirstNonFinite(vals); i >= 0 {
+			return nil, fmt.Errorf("server: matrix body contains a non-finite value (%g) at index %d", vals[i], done+i)
 		}
 		done += len(vals)
 	}

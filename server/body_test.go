@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	parsvd "goparsvd"
+	"goparsvd/internal/testutil"
 )
 
 // HostileBodies returns the committed FuzzReadMatrix seed corpus by seed
@@ -79,6 +83,23 @@ func FuzzReadMatrix(f *testing.F) {
 			if !bytes.Equal(again, body) {
 				t.Fatalf("accepted %d bytes that re-encode to %d different bytes", len(body), len(again))
 			}
+		}
+	})
+}
+
+// TestReadMatrixNonFinite decodes bodies carrying NaN, +Inf or −Inf at
+// every position of every tail length and requires the rejection to name
+// the value and its index.
+func TestReadMatrixNonFinite(t *testing.T) {
+	testutil.ForEachNonFinite(func(x []float64, bad int) {
+		m, err := parsvd.NewMatrixFromData(len(x), 1, append([]float64(nil), x...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := AppendMatrix(nil, m)
+		want := fmt.Sprintf("server: matrix body contains a non-finite value (%g) at index %d", x[bad], bad)
+		if _, err := ReadMatrix(bytes.NewReader(body), int64(len(body))); err == nil || err.Error() != want {
+			t.Fatalf("len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
 	})
 }

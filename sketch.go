@@ -13,7 +13,6 @@ package parsvd
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
@@ -102,10 +101,8 @@ func checkFactorPair(q, s *Matrix, rows int) error {
 		return fmt.Errorf("parsvd: sketch factor Q has %d rows, want %d", q.Rows(), rows)
 	}
 	for _, m := range []*Matrix{q, s} {
-		for _, v := range m.RawData() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("parsvd: sketch factor pair contains a non-finite value (%g)", v)
-			}
+		if i := mat.FirstNonFinite(m.RawData()); i >= 0 {
+			return fmt.Errorf("parsvd: sketch factor pair contains a non-finite value (%g)", m.RawData()[i])
 		}
 	}
 	return nil
