@@ -44,11 +44,16 @@ func QRWith(ws *mat.Workspace, a *mat.Dense) (q, r *mat.Dense) {
 }
 
 // qrPanel is the panel width of the blocked factorization: FactorQR reduces
-// qrPanel columns at a time with contiguous level-1 loops, then updates
-// every column to the right with two GEMMs. It is the one tuning constant
-// of the QR. Measured with BenchmarkQRStreamShape at m = 4096, n = 16, 24,
-// 32 and 40 (Xeon with AVX-512, one pinned core), widths 4, 12, 16 and 24
-// were each slower than 8 at every n.
+// qrPanel columns at a time on mat's dot-block and broadcast-axpy kernels,
+// then updates every column to the right with one product of each. It is
+// the one tuning constant of the QR. QRWith at m = 4096 (Xeon with
+// AVX-512, one pinned core, medians of three) for n = 16/24/32/40 took
+// 0.34/0.66/1.03/1.89 ms at width 4, 0.36/0.68/1.05/2.02 at 8,
+// 0.43/0.80/1.37/2.74 at 12, 0.47/0.80/1.30/2.17 at 16, 0.45/1.11/1.36/2.18
+// at 24 and 0.45/0.98/1.63/3.33 at 32: the cheaper Gram product does not
+// favour wider panels, whose in-panel work grows with the square of the
+// width. Widths 4 and 8 tie within the host's noise on the streaming
+// update and the facade bring-up, and 8 is faster on the 4096×64 Initialize.
 const qrPanel = 8
 
 // QRFactor is a thin QR factorization A = Q·R of an m×n matrix held in
@@ -95,7 +100,10 @@ func FactorQR(ws *mat.Workspace, at *mat.Dense) (f QRFactor, r *mat.Dense) {
 	tm := ws.Get(t, t) // τ_j lands on T's diagonal as reflector j is built
 	td := tm.RawData()
 
-	s := ws.GetFloats(qrPanel) // one panel's reflector weights
+	// A reflector's weights for the rest of its panel (at most t−1 of
+	// them) live in the strictly lower part of T's last row, which the
+	// factorization never reads and which is zeroed again below.
+	s := td[(t-1)*t : (t-1)*t+t-1]
 	for j0 := 0; j0 < t; j0 += qrPanel {
 		j1 := min(j0+qrPanel, t)
 		jb := j1 - j0
@@ -164,7 +172,7 @@ func FactorQR(ws *mat.Workspace, at *mat.Dense) (f QRFactor, r *mat.Dense) {
 		ws.Put(g)
 		ws.PutView(pan)
 	}
-	ws.PutFloats(s)
+	clear(s)
 	// Wide matrices (n > m): the columns past t hold their R entries.
 	for j := t; j < n; j++ {
 		for i, v := range d[j*m : j*m+t] {

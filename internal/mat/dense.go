@@ -13,8 +13,11 @@
 // unrolled pure-Go kernel everywhere, overridable with PARSVD_NOASM and
 // PARSVD_KERNEL), and large products fan their A-panel blocks out to a
 // persistent worker pool (pool.go) instead of spawning goroutines per
-// call. Batches of products sharing a right-hand side go through
-// BatchedMulInto (batch.go), which packs each B panel once per batch. Hot
+// call. Products with one dimension of at most 32 and another in the
+// thousands — the QR's tall-skinny products — skip packing and run on two
+// streaming kernels per ISA (stream.go). Batches of products sharing a
+// right-hand side go through BatchedMulInto (batch.go), which packs each
+// B panel once per batch. Hot
 // paths use the allocation-free *Into entry points together with a
 // Workspace (workspace.go), a buffer pool that lets iterative algorithms
 // reuse every temporary across iterations.

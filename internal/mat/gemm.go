@@ -30,36 +30,43 @@ const (
 
 // gemm computes out = op(a)·op(b), overwriting out. op is the identity or
 // the transpose according to transA/transB. out must not alias a or b.
-func gemm(out, a, b *Dense, transA, transB bool) {
-	zeroFloats(out.data)
-	gemmAcc(out, a, b, transA, transB)
-}
+func gemm(out, a, b *Dense, transA, transB bool) { gemmRoute(out, a, b, transA, transB, false) }
 
-// gemmAcc computes out += op(a)·op(b): every route below only ever adds
-// into out, so gemm is this after a zeroing pass. Tiny products take the
-// naive loop; a small inner dimension with contiguous B rows takes the
-// packing-free broadcast-axpy kernel, as does a·bᵀ with a small output
-// and a long inner dimension the dot-block kernel (stream.go); the rest
-// go through the packed path.
-func gemmAcc(out, a, b *Dense, transA, transB bool) {
+// gemmAcc computes out += op(a)·op(b).
+func gemmAcc(out, a, b *Dense, transA, transB bool) { gemmRoute(out, a, b, transA, transB, true) }
+
+// gemmRoute computes out (+)= op(a)·op(b) by the path the shape calls for.
+// Tiny products take the naive loop; a small inner dimension with
+// contiguous B rows takes the packing-free broadcast-axpy kernel, as does
+// a·bᵀ with a small output and a long inner dimension the dot-block
+// kernel (stream.go); the rest go through the packed path. The naive and
+// packed paths only ever add into out, so an overwrite zeroes it first;
+// the streaming kernels start from zero themselves.
+func gemmRoute(out, a, b *Dense, transA, transB, acc bool) {
 	m, n := out.rows, out.cols
 	k := a.cols
 	if transA {
 		k = a.rows
 	}
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	if m*n*k <= sel.SmallFlops {
-		gemmSmall(out, a, b, transA, transB)
+	if m == 0 || n == 0 {
 		return
 	}
 	switch {
+	case k == 0 || m*n*k <= sel.SmallFlops:
+		if !acc {
+			zeroFloats(out.data)
+		}
+		if k > 0 {
+			gemmSmall(out, a, b, transA, transB)
+		}
 	case !transB && k <= axpyMaxK:
-		streamAxpy(out, a, b, transA)
+		streamAxpy(out, a, b, transA, acc)
 	case transB && !transA && m*n <= sel.DotMaxMN:
-		streamDot(out, a, b)
+		streamDot(out, a, b, acc)
 	default:
+		if !acc {
+			zeroFloats(out.data)
+		}
 		gemmBlocked(out, a, b, transA, transB)
 	}
 }

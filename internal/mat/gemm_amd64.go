@@ -41,46 +41,32 @@ func dot4FMA(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
 // multiple of 8 (AVX2) (implemented in gemm_amd64.s).
 //
 //go:noescape
-func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 
 //go:noescape
-func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 
-// dotAVX512 and dotAVX2 run the assembly body over the longest prefix of
-// whole loop steps and finish the k tail with fused multiply-adds.
 func dotAVX512(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	k := len(a)
-	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
-	kv := k &^ 15
-	if kv > 0 {
-		s0, s1, s2, s3 = dot4AVX512(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
-	}
-	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+	return dotAsm(dot4AVX512, 16, a, b0, b1, b2, b3)
 }
 
 func dotAVX2(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	k := len(a)
-	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
-	kv := k &^ 7
-	if kv > 0 {
-		s0, s1, s2, s3 = dot4FMA(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
-	}
-	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+	return dotAsm(dot4FMA, 8, a, b0, b1, b2, b3)
 }
 
 // axpyAVX512 masks the last partial strip inside the assembly body.
-func axpyAVX512(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
-	axpy16AVX512(rows, n, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc)
+func axpyAVX512(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool) {
+	axpy16AVX512(rows, n, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc, acc)
 }
 
 // axpyAVX2 runs the assembly body over the widest multiple of its strip
 // width and the remaining columns through the fused tail.
-func axpyAVX2(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+func axpyAVX2(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool) {
 	nv := n &^ 7
 	if nv > 0 {
-		axpy8FMA(rows, nv, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc)
+		axpy8FMA(rows, nv, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc, acc)
 	}
-	axpyTailFMA(rows, nv, n, k, a, rsA, csA, b, ldb, c, ldc)
+	axpyTailFMA(rows, nv, n, k, a, rsA, csA, b, ldb, c, ldc, acc)
 }
 
 func microAVX2(kc int, ap, bp []float64, tile *[maxMR * maxNR]float64) {

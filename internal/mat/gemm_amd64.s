@@ -338,18 +338,24 @@ dot256loop:
 	VZEROUPPER
 	RET
 
-// func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+// func axpy16AVX512(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 //
-// The broadcast-axpy kernel body: C[i, 0:n] += Σ_kk A[i, kk]·B[kk, 0:n],
-// rows, n and k positive, strides in elements. The outer loop walks
-// 16-column strips of B and C (the k×16 strip of B stays in L1 while every
-// row of C streams through once); the last strip's columns past n are
-// masked off in K1 (columns 0–7) and K2 (8–15), and masked loads never
-// touch them. Within a strip rows go four at a time — C rows in Z0–Z7, two
-// B vectors and four broadcast A scalars per k-step, eight FMAs — and then
-// one at a time. Every element is the chain c ← fma(a_kk, b_kk, c) in k
-// order either way. The strip state lives in the argument slots b, c, n.
-TEXT ·axpy16AVX512(SB), NOSPLIT, $0-80
+// The broadcast-axpy kernel body: C[i, 0:n] (+)= Σ_kk A[i, kk]·B[kk, 0:n],
+// rows, n and k positive, strides in elements; acc false starts every
+// element from +0 instead of loading C. Rows go four at a time, then one
+// at a time, each group sweeping its rows left to right in 16-column
+// strips: C rows in Z0–Z7, two B vectors and four broadcast A scalars per
+// k-step, eight FMAs. Sweeping a group's rows before moving down keeps a
+// strip's loads clear of the previous group's stores, which sit a
+// multiple of 4 KiB away when C's rows are (the QR's trailing update) and
+// would otherwise alias them. The last strip's columns past n are masked
+// off in K1 (columns 0–7) and K2 (8–15); masked loads never touch them.
+// Every element is the chain c ← fma(a_kk, b_kk, c) in k order whichever
+// group it is in.
+TEXT ·axpy16AVX512(SB), NOSPLIT, $0-81
+	MOVQ rows+0(FP), DI
+	MOVQ a+24(FP), SI
+	MOVQ c+64(FP), BX
 	MOVQ rsA+32(FP), R8
 	MOVQ csA+40(FP), R9
 	MOVQ ldb+56(FP), R10
@@ -360,41 +366,53 @@ TEXT ·axpy16AVX512(SB), NOSPLIT, $0-80
 	SHLQ $3, R11
 	LEAQ (R8)(R8*2), R12          // 3 A rows
 
-axpy512strip:
-	MOVQ  n+8(FP), CX
-	MOVL  $0xffff, DI
-	CMPQ  CX, $16
-	JGE   axpy512mask
-	MOVL  $1, DI
-	SHLL  CX, DI
-	DECL  DI                      // (1<<n)−1: the strip's n < 16 columns
-
-axpy512mask:
-	KMOVW DI, K1
-	SHRL  $8, DI
-	KMOVW DI, K2
-	MOVQ  rows+0(FP), DI
-	MOVQ  a+24(FP), SI
-	MOVQ  b+48(FP), DX
-	MOVQ  c+64(FP), BX
-	MOVQ  k+16(FP), CX
-	IMULQ R10, CX
-	ADDQ  DX, CX                  // end of this B strip
-
 axpy512rows4:
 	CMPQ DI, $4
 	JLT  axpy512rows1
-	LEAQ (BX)(R11*2), AX
-	VMOVUPD.Z (BX), K1, Z0
-	VMOVUPD.Z 64(BX), K2, Z1
-	VMOVUPD.Z (BX)(R11*1), K1, Z2
-	VMOVUPD.Z 64(BX)(R11*1), K2, Z3
+	MOVQ b+48(FP), DX             // B strip
+	MOVQ BX, R14                  // C strip of the group's first row
+	MOVQ n+8(FP), R15             // columns left
+
+axpy512strip4:
+	MOVL  $0xffff, AX
+	CMPQ  R15, $16
+	JGE   axpy512mask4
+	MOVQ  R15, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX                      // (1<<left)−1 for the last, partial strip
+
+axpy512mask4:
+	KMOVW AX, K1
+	SHRL  $8, AX
+	KMOVW AX, K2
+	LEAQ  (R14)(R11*2), AX
+	CMPB  acc+80(FP), $0
+	JEQ   axpy512zero4
+	VMOVUPD.Z (R14), K1, Z0
+	VMOVUPD.Z 64(R14), K2, Z1
+	VMOVUPD.Z (R14)(R11*1), K1, Z2
+	VMOVUPD.Z 64(R14)(R11*1), K2, Z3
 	VMOVUPD.Z (AX), K1, Z4
 	VMOVUPD.Z 64(AX), K2, Z5
 	VMOVUPD.Z (AX)(R11*1), K1, Z6
 	VMOVUPD.Z 64(AX)(R11*1), K2, Z7
+	JMP   axpy512run4
+
+axpy512zero4:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+axpy512run4:
 	MOVQ SI, AX
 	MOVQ DX, R13
+	MOVQ k+16(FP), CX
 
 axpy512k4:
 	VMOVUPD.Z    (R13), K1, Z8
@@ -413,18 +431,23 @@ axpy512k4:
 	VFMADD231PD  Z9, Z13, Z7
 	ADDQ         R9, AX
 	ADDQ         R10, R13
-	CMPQ         R13, CX
-	JNE          axpy512k4
+	DECQ         CX
+	JNZ          axpy512k4
 
-	LEAQ (BX)(R11*2), AX
-	VMOVUPD Z0, K1, (BX)
-	VMOVUPD Z1, K2, 64(BX)
-	VMOVUPD Z2, K1, (BX)(R11*1)
-	VMOVUPD Z3, K2, 64(BX)(R11*1)
+	LEAQ (R14)(R11*2), AX
+	VMOVUPD Z0, K1, (R14)
+	VMOVUPD Z1, K2, 64(R14)
+	VMOVUPD Z2, K1, (R14)(R11*1)
+	VMOVUPD Z3, K2, 64(R14)(R11*1)
 	VMOVUPD Z4, K1, (AX)
 	VMOVUPD Z5, K2, 64(AX)
 	VMOVUPD Z6, K1, (AX)(R11*1)
 	VMOVUPD Z7, K2, 64(AX)(R11*1)
+	ADDQ $128, DX
+	ADDQ $128, R14
+	SUBQ $16, R15
+	JG   axpy512strip4
+
 	LEAQ (SI)(R8*4), SI
 	LEAQ (BX)(R11*4), BX
 	SUBQ $4, DI
@@ -432,11 +455,35 @@ axpy512k4:
 
 axpy512rows1:
 	TESTQ DI, DI
-	JZ    axpy512next
-	VMOVUPD.Z (BX), K1, Z0
-	VMOVUPD.Z 64(BX), K2, Z1
+	JZ    axpy512done
+	MOVQ  b+48(FP), DX
+	MOVQ  BX, R14
+	MOVQ  n+8(FP), R15
+
+axpy512strip1:
+	MOVL  $0xffff, AX
+	CMPQ  R15, $16
+	JGE   axpy512mask1
+	MOVQ  R15, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+
+axpy512mask1:
+	KMOVW AX, K1
+	SHRL  $8, AX
+	KMOVW AX, K2
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	CMPB  acc+80(FP), $0
+	JEQ   axpy512run1
+	VMOVUPD.Z (R14), K1, Z0
+	VMOVUPD.Z 64(R14), K2, Z1
+
+axpy512run1:
 	MOVQ SI, AX
 	MOVQ DX, R13
+	MOVQ k+16(FP), CX
 
 axpy512k1:
 	VMOVUPD.Z    (R13), K1, Z8
@@ -446,29 +493,33 @@ axpy512k1:
 	VFMADD231PD  Z9, Z10, Z1
 	ADDQ         R9, AX
 	ADDQ         R10, R13
-	CMPQ         R13, CX
-	JNE          axpy512k1
+	DECQ         CX
+	JNZ          axpy512k1
 
-	VMOVUPD Z0, K1, (BX)
-	VMOVUPD Z1, K2, 64(BX)
+	VMOVUPD Z0, K1, (R14)
+	VMOVUPD Z1, K2, 64(R14)
+	ADDQ $128, DX
+	ADDQ $128, R14
+	SUBQ $16, R15
+	JG   axpy512strip1
+
 	ADDQ R8, SI
 	ADDQ R11, BX
 	DECQ DI
 	JMP  axpy512rows1
 
-axpy512next:
-	ADDQ $128, b+48(FP)
-	ADDQ $128, c+64(FP)
-	SUBQ $16, n+8(FP)
-	JG   axpy512strip
+axpy512done:
 	VZEROUPPER
 	RET
 
-// func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+// func axpy8FMA(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 //
 // The AVX2/FMA broadcast-axpy kernel body: as axpy16AVX512 on 8-column
 // strips (two 4-wide vectors per row), n a positive multiple of 8.
-TEXT ·axpy8FMA(SB), NOSPLIT, $0-80
+TEXT ·axpy8FMA(SB), NOSPLIT, $0-81
+	MOVQ rows+0(FP), DI
+	MOVQ a+24(FP), SI
+	MOVQ c+64(FP), BX
 	MOVQ rsA+32(FP), R8
 	MOVQ csA+40(FP), R9
 	MOVQ ldb+56(FP), R10
@@ -479,29 +530,41 @@ TEXT ·axpy8FMA(SB), NOSPLIT, $0-80
 	SHLQ $3, R11
 	LEAQ (R8)(R8*2), R12
 
-axpy256strip:
-	MOVQ rows+0(FP), DI
-	MOVQ a+24(FP), SI
-	MOVQ b+48(FP), DX
-	MOVQ c+64(FP), BX
-	MOVQ k+16(FP), CX
-	IMULQ R10, CX
-	ADDQ DX, CX
-
 axpy256rows4:
 	CMPQ DI, $4
 	JLT  axpy256rows1
-	LEAQ (BX)(R11*2), AX
-	VMOVUPD (BX), Y0
-	VMOVUPD 32(BX), Y1
-	VMOVUPD (BX)(R11*1), Y2
-	VMOVUPD 32(BX)(R11*1), Y3
+	MOVQ b+48(FP), DX
+	MOVQ BX, R14
+	MOVQ n+8(FP), R15
+
+axpy256strip4:
+	LEAQ (R14)(R11*2), AX
+	CMPB acc+80(FP), $0
+	JEQ  axpy256zero4
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VMOVUPD (R14)(R11*1), Y2
+	VMOVUPD 32(R14)(R11*1), Y3
 	VMOVUPD (AX), Y4
 	VMOVUPD 32(AX), Y5
 	VMOVUPD (AX)(R11*1), Y6
 	VMOVUPD 32(AX)(R11*1), Y7
+	JMP  axpy256run4
+
+axpy256zero4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+axpy256run4:
 	MOVQ SI, AX
 	MOVQ DX, R13
+	MOVQ k+16(FP), CX
 
 axpy256k4:
 	VMOVUPD      (R13), Y8
@@ -520,18 +583,23 @@ axpy256k4:
 	VFMADD231PD  Y9, Y13, Y7
 	ADDQ         R9, AX
 	ADDQ         R10, R13
-	CMPQ         R13, CX
-	JNE          axpy256k4
+	DECQ         CX
+	JNZ          axpy256k4
 
-	LEAQ (BX)(R11*2), AX
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, 32(BX)
-	VMOVUPD Y2, (BX)(R11*1)
-	VMOVUPD Y3, 32(BX)(R11*1)
+	LEAQ (R14)(R11*2), AX
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	VMOVUPD Y2, (R14)(R11*1)
+	VMOVUPD Y3, 32(R14)(R11*1)
 	VMOVUPD Y4, (AX)
 	VMOVUPD Y5, 32(AX)
 	VMOVUPD Y6, (AX)(R11*1)
 	VMOVUPD Y7, 32(AX)(R11*1)
+	ADDQ $64, DX
+	ADDQ $64, R14
+	SUBQ $8, R15
+	JNZ  axpy256strip4
+
 	LEAQ (SI)(R8*4), SI
 	LEAQ (BX)(R11*4), BX
 	SUBQ $4, DI
@@ -539,11 +607,23 @@ axpy256k4:
 
 axpy256rows1:
 	TESTQ DI, DI
-	JZ    axpy256next
-	VMOVUPD (BX), Y0
-	VMOVUPD 32(BX), Y1
+	JZ    axpy256done
+	MOVQ  b+48(FP), DX
+	MOVQ  BX, R14
+	MOVQ  n+8(FP), R15
+
+axpy256strip1:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CMPB acc+80(FP), $0
+	JEQ  axpy256run1
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+
+axpy256run1:
 	MOVQ SI, AX
 	MOVQ DX, R13
+	MOVQ k+16(FP), CX
 
 axpy256k1:
 	VBROADCASTSD (AX), Y10
@@ -551,20 +631,21 @@ axpy256k1:
 	VFMADD231PD  32(R13), Y10, Y1
 	ADDQ         R9, AX
 	ADDQ         R10, R13
-	CMPQ         R13, CX
-	JNE          axpy256k1
+	DECQ         CX
+	JNZ          axpy256k1
 
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	ADDQ $64, DX
+	ADDQ $64, R14
+	SUBQ $8, R15
+	JNZ  axpy256strip1
+
 	ADDQ R8, SI
 	ADDQ R11, BX
 	DECQ DI
 	JMP  axpy256rows1
 
-axpy256next:
-	ADDQ $64, b+48(FP)
-	ADDQ $64, c+64(FP)
-	SUBQ $8, n+8(FP)
-	JNZ  axpy256strip
+axpy256done:
 	VZEROUPPER
 	RET

@@ -20,28 +20,20 @@ func dot4NEON(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
 // columns, n a positive multiple of 4 (implemented in gemm_arm64.s).
 //
 //go:noescape
-func axpy4NEON(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+func axpy4NEON(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 
-// dotNEON runs the assembly body over the longest prefix of whole loop
-// steps and finishes the k tail with fused multiply-adds.
 func dotNEON(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	k := len(a)
-	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
-	kv := k &^ 3
-	if kv > 0 {
-		s0, s1, s2, s3 = dot4NEON(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
-	}
-	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+	return dotAsm(dot4NEON, 4, a, b0, b1, b2, b3)
 }
 
 // axpyNEON runs the assembly body over the widest multiple of its strip
 // width and the remaining columns through the fused tail.
-func axpyNEON(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+func axpyNEON(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool) {
 	nv := n &^ 3
 	if nv > 0 {
-		axpy4NEON(rows, nv, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc)
+		axpy4NEON(rows, nv, k, &a[0], rsA, csA, &b[0], ldb, &c[0], ldc, acc)
 	}
-	axpyTailFMA(rows, nv, n, k, a, rsA, csA, b, ldb, c, ldc)
+	axpyTailFMA(rows, nv, n, k, a, rsA, csA, b, ldb, c, ldc, acc)
 }
 
 func microNEON(kc int, ap, bp []float64, tile *[maxMR * maxNR]float64) {

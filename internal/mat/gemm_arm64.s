@@ -143,40 +143,48 @@ dotloop:
 	FMOVD F6, s3+72(FP)
 	RET
 
-// func axpy4NEON(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int)
+// func axpy4NEON(rows, n, k int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, acc bool)
 //
-// The broadcast-axpy kernel body on NEON: C[i, 0:n] += Σ_kk A[i, kk]·
+// The broadcast-axpy kernel body on NEON: C[i, 0:n] (+)= Σ_kk A[i, kk]·
 // B[kk, 0:n], n a positive multiple of 4, rows and k positive, strides in
-// elements. The outer loop walks 4-column strips of B and C; within a
-// strip rows go four at a time — C rows in V0–V7, one B row pair and four
-// load-replicated A scalars per k-step, eight FMLAs — and then one at a
-// time. Every element is the chain c ← fma(a_kk, b_kk, c) in k order
-// either way.
-TEXT ·axpy4NEON(SB), NOSPLIT, $0-80
-	MOVD n+8(FP), R8
-	MOVD rsA+32(FP), R4
-	MOVD csA+40(FP), R5
-	MOVD b+48(FP), R2
-	MOVD ldb+56(FP), R6
-	MOVD c+64(FP), R13
-	MOVD ldc+72(FP), R7
-	LSL  $3, R4, R4
-	LSL  $3, R5, R5
-	LSL  $3, R6, R6
-	LSL  $3, R7, R7
-	MOVD k+16(FP), R14
-	MUL  R6, R14, R14             // bytes of one B strip's k rows
-
-axpystrip:
-	MOVD rows+0(FP), R0
-	MOVD a+24(FP), R1
-	MOVD R13, R3
-	ADD  R2, R14, R9              // end of this B strip
+// elements; acc false starts every element from +0 instead of loading C.
+// Rows go four at a time, then one at a time, each group sweeping its rows
+// left to right in 4-column strips: C rows in V0–V7, one B row pair and
+// four load-replicated A scalars per k-step, eight FMLAs. Every element
+// is the chain c ← fma(a_kk, b_kk, c) in k order whichever group it is
+// in.
+TEXT ·axpy4NEON(SB), NOSPLIT, $0-81
+	MOVD  rows+0(FP), R0
+	MOVD  a+24(FP), R1
+	MOVD  c+64(FP), R3
+	MOVD  rsA+32(FP), R4
+	MOVD  csA+40(FP), R5
+	MOVD  ldb+56(FP), R6
+	MOVD  ldc+72(FP), R7
+	MOVBU acc+80(FP), R16
+	LSL   $3, R4, R4
+	LSL   $3, R5, R5
+	LSL   $3, R6, R6
+	LSL   $3, R7, R7
 
 axpyrows4:
 	CMP  $4, R0
 	BLT  axpyrows1
-	MOVD R3, R12
+	MOVD b+48(FP), R2             // B strip
+	MOVD R3, R13                  // C strip of the group's first row
+	MOVD n+8(FP), R8              // columns left
+
+axpystrip4:
+	VEOR V0.B16, V0.B16, V0.B16
+	VEOR V1.B16, V1.B16, V1.B16
+	VEOR V2.B16, V2.B16, V2.B16
+	VEOR V3.B16, V3.B16, V3.B16
+	VEOR V4.B16, V4.B16, V4.B16
+	VEOR V5.B16, V5.B16, V5.B16
+	VEOR V6.B16, V6.B16, V6.B16
+	VEOR V7.B16, V7.B16, V7.B16
+	CBZ  R16, axpyrun4
+	MOVD R13, R12
 	VLD1 (R12), [V0.D2, V1.D2]
 	ADD  R7, R12, R12
 	VLD1 (R12), [V2.D2, V3.D2]
@@ -184,8 +192,11 @@ axpyrows4:
 	VLD1 (R12), [V4.D2, V5.D2]
 	ADD  R7, R12, R12
 	VLD1 (R12), [V6.D2, V7.D2]
+
+axpyrun4:
 	MOVD R1, R10
 	MOVD R2, R11
+	MOVD k+16(FP), R9
 
 axpyk4:
 	VLD1  (R11), [V16.D2, V17.D2]
@@ -207,10 +218,10 @@ axpyk4:
 	VFMLA V22.D2, V17.D2, V5.D2
 	VFMLA V23.D2, V16.D2, V6.D2
 	VFMLA V23.D2, V17.D2, V7.D2
-	CMP   R9, R11
+	SUBS  $1, R9, R9
 	BNE   axpyk4
 
-	MOVD R3, R12
+	MOVD R13, R12
 	VST1 [V0.D2, V1.D2], (R12)
 	ADD  R7, R12, R12
 	VST1 [V2.D2, V3.D2], (R12)
@@ -218,16 +229,32 @@ axpyk4:
 	VST1 [V4.D2, V5.D2], (R12)
 	ADD  R7, R12, R12
 	VST1 [V6.D2, V7.D2], (R12)
-	ADD  R7, R12, R3
+	ADD  $32, R2, R2
+	ADD  $32, R13, R13
+	SUBS $4, R8, R8
+	BNE  axpystrip4
+
 	ADD  R4<<2, R1, R1
+	ADD  R7<<2, R3, R3
 	SUB  $4, R0, R0
 	B    axpyrows4
 
 axpyrows1:
-	CBZ  R0, axpynext
-	VLD1 (R3), [V0.D2, V1.D2]
+	CBZ  R0, axpydone
+	MOVD b+48(FP), R2
+	MOVD R3, R13
+	MOVD n+8(FP), R8
+
+axpystrip1:
+	VEOR V0.B16, V0.B16, V0.B16
+	VEOR V1.B16, V1.B16, V1.B16
+	CBZ  R16, axpyrun1
+	VLD1 (R13), [V0.D2, V1.D2]
+
+axpyrun1:
 	MOVD R1, R10
 	MOVD R2, R11
+	MOVD k+16(FP), R9
 
 axpyk1:
 	VLD1  (R11), [V16.D2, V17.D2]
@@ -236,18 +263,19 @@ axpyk1:
 	ADD   R5, R10, R10
 	VFMLA V20.D2, V16.D2, V0.D2
 	VFMLA V20.D2, V17.D2, V1.D2
-	CMP   R9, R11
+	SUBS  $1, R9, R9
 	BNE   axpyk1
 
-	VST1 [V0.D2, V1.D2], (R3)
-	ADD  R7, R3, R3
-	ADD  R4, R1, R1
-	SUB  $1, R0, R0
-	B    axpyrows1
-
-axpynext:
+	VST1 [V0.D2, V1.D2], (R13)
 	ADD  $32, R2, R2
 	ADD  $32, R13, R13
 	SUBS $4, R8, R8
-	BNE  axpystrip
+	BNE  axpystrip1
+
+	ADD  R4, R1, R1
+	ADD  R7, R3, R3
+	SUB  $1, R0, R0
+	B    axpyrows1
+
+axpydone:
 	RET

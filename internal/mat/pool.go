@@ -27,6 +27,7 @@ type gemmTask struct {
 	ic, mc, pc, kc int
 	jc, nc         int
 	transA         bool
+	acc            bool // streaming routes: add into out rather than overwrite
 	wg             *sync.WaitGroup
 }
 

@@ -49,11 +49,17 @@ const streamRowBlock = 256
 // len(a) elements; every b must hold at least len(a).
 type dotFunc func(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64)
 
+// dot4Body is an assembly dot body: s_j = a·b_j over k elements, k a
+// positive multiple of the body's step.
+type dot4Body func(k int, a, b0, b1, b2, b3 *float64) (s0, s1, s2, s3 float64)
+
 // axpyFunc computes C[i, 0:n] += Σ_kk A[i, kk]·B[kk, 0:n] for i < rows,
 // kk < k, with A[i, kk] = a[i*rsA+kk*csA], B[kk, j] = b[kk*ldb+j] and
-// C[i, j] = c[i*ldc+j]. Callers guarantee rows, n, k > 0 and in-bounds
-// operands (the assembly bodies do not check).
-type axpyFunc func(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int)
+// C[i, j] = c[i*ldc+j]; with acc false every element starts from +0
+// instead of its current value, so C is overwritten without a zeroing
+// pass. Callers guarantee rows, n, k > 0 and in-bounds operands (the
+// assembly bodies do not check).
+type axpyFunc func(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool)
 
 // dotGo is the portable dot kernel: one accumulator per B row.
 func dotGo(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
@@ -67,11 +73,27 @@ func dotGo(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
+// dotAsm is a dot kernel over an assembly body summing whole steps of
+// step elements: the body covers the longest whole-step prefix of k and
+// fused multiply-adds finish the tail.
+func dotAsm(body dot4Body, step int, a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	k := len(a)
+	b0, b1, b2, b3 = b0[:k], b1[:k], b2[:k], b3[:k]
+	kv := k - k%step
+	if kv > 0 {
+		s0, s1, s2, s3 = body(kv, &a[0], &b0[0], &b1[0], &b2[0], &b3[0])
+	}
+	return dotTailFMA(kv, a, b0, b1, b2, b3, s0, s1, s2, s3)
+}
+
 // axpyGo is the portable broadcast-axpy kernel: row by row, one scaled B
 // row added into the C row per k.
-func axpyGo(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+func axpyGo(rows, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool) {
 	for i := 0; i < rows; i++ {
 		crow := c[i*ldc : i*ldc+n]
+		if !acc {
+			zeroFloats(crow)
+		}
 		for kk := 0; kk < k; kk++ {
 			av := a[i*rsA+kk*csA]
 			brow := b[kk*ldb : kk*ldb+n]
@@ -98,12 +120,15 @@ func dotTailFMA(i0 int, a, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (fl
 // axpyTailFMA is the broadcast-axpy over columns [j0, n) with fused
 // multiply-adds in k order, the same per-element chain the assembly runs
 // on the columns before j0.
-func axpyTailFMA(rows, j0, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int) {
+func axpyTailFMA(rows, j0, n, k int, a []float64, rsA, csA int, b []float64, ldb int, c []float64, ldc int, acc bool) {
 	if j0 >= n {
 		return
 	}
 	for i := 0; i < rows; i++ {
 		crow := c[i*ldc+j0 : i*ldc+n]
+		if !acc {
+			zeroFloats(crow)
+		}
 		for kk := 0; kk < k; kk++ {
 			av := a[i*rsA+kk*csA]
 			brow := b[kk*ldb+j0 : kk*ldb+n]
@@ -175,7 +200,7 @@ func AxpyBlock(c []float64, ldc int, a []float64, rsA, csA int, b []float64, ldb
 	checkStrided("AxpyBlock", len(a), m, k, rsA, csA)
 	checkStrided("AxpyBlock", len(b), k, n, ldb, 1)
 	checkStrided("AxpyBlock", len(c), m, n, ldc, 1)
-	activeKern.axpy(m, n, k, a, rsA, csA, b, ldb, c, ldc)
+	activeKern.axpy(m, n, k, a, rsA, csA, b, ldb, c, ldc, true)
 }
 
 // checkStrided panics unless a buffer of length l holds every element
@@ -191,18 +216,18 @@ func checkStrided(op string, l, r, c, rs, cs int) {
 	}
 }
 
-// streamDot routes the product out += a·bᵀ (b long in k) through the dot
-// kernel, fanning row blocks out across the pool when large.
-func streamDot(out, a, b *Dense) {
-	t := gemmTask{route: routeDot, out: out, a: a, b: b, kern: activeKern}
+// streamDot routes the product out (+)= a·bᵀ (b long in k) through the
+// dot kernel, fanning row blocks out across the pool when large.
+func streamDot(out, a, b *Dense, acc bool) {
+	t := gemmTask{route: routeDot, out: out, a: a, b: b, kern: activeKern, acc: acc}
 	t.fanRows(out.rows * out.cols * a.cols)
 }
 
-// streamAxpy routes the product out += op(a)·b (k ≤ axpyMaxK) through the
-// broadcast-axpy kernel, fanning row blocks out across the pool when
+// streamAxpy routes the product out (+)= op(a)·b (k ≤ axpyMaxK) through
+// the broadcast-axpy kernel, fanning row blocks out across the pool when
 // large.
-func streamAxpy(out, a, b *Dense, transA bool) {
-	t := gemmTask{route: routeAxpy, out: out, a: a, b: b, kern: activeKern, transA: transA}
+func streamAxpy(out, a, b *Dense, transA, acc bool) {
+	t := gemmTask{route: routeAxpy, out: out, a: a, b: b, kern: activeKern, transA: transA, acc: acc}
 	t.fanRows(out.rows * out.cols * b.rows)
 }
 
@@ -212,7 +237,7 @@ func (t *gemmTask) runStream() {
 	n := out.cols
 	if t.route == routeDot {
 		k := a.cols
-		dotRows(t.kern.dot, t.ic, t.ic+t.mc, n, k, a.data, k, b.data, k, out.data, n, true)
+		dotRows(t.kern.dot, t.ic, t.ic+t.mc, n, k, a.data, k, b.data, k, out.data, n, t.acc)
 		return
 	}
 	k := b.rows
@@ -220,7 +245,7 @@ func (t *gemmTask) runStream() {
 	if t.transA {
 		rsA, csA = 1, a.cols
 	}
-	t.kern.axpy(t.mc, n, k, a.data[t.ic*rsA:], rsA, csA, b.data, n, out.data[t.ic*n:], n)
+	t.kern.axpy(t.mc, n, k, a.data[t.ic*rsA:], rsA, csA, b.data, n, out.data[t.ic*n:], n, t.acc)
 }
 
 // fanRows runs a streaming-route task over all output rows: inline for

@@ -281,3 +281,30 @@ func TestStreamBlockBounds(t *testing.T) {
 		}()
 	}
 }
+
+// TestAxpyBlockZeroStrides covers strides of 0, which repeat one B row
+// (ldb = 0) or one A scalar per row (csA = 0) across every k: the kernels
+// must count k steps, not walk B to an end address.
+func TestAxpyBlockZeroStrides(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		const m, k, n = 6, 5, 37
+		arow, brow := randomDense(m, 1, rng), randomDense(1, n, rng)
+		a, b := New(m, k), New(k, n)
+		for i := 0; i < m; i++ {
+			for kk := 0; kk < k; kk++ {
+				a.Set(i, kk, arow.At(i, 0))
+			}
+		}
+		for kk := 0; kk < k; kk++ {
+			copy(b.RawData()[kk*n:(kk+1)*n], brow.RawData())
+		}
+		want := New(m, n)
+		RefMulInto(want, a, b)
+		got := New(m, n)
+		AxpyBlock(got.data, n, arow.data, 1, 0, brow.data, 0, m, n, k)
+		if d := maxAbsDiff(got, want); d > relTol(k, a, b) {
+			t.Fatalf("zero-stride AxpyBlock diverges by %g", d)
+		}
+	})
+}
