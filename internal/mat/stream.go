@@ -185,6 +185,12 @@ func DotBlock(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, 
 	checkStrided("DotBlock", len(a), m, k, lda, 1)
 	checkStrided("DotBlock", len(b), n, k, ldb, 1)
 	checkStrided("DotBlock", len(c), m, n, ldc, 1)
+	if k == 0 { // empty sums: dotRows would leave C untouched
+		for i := 0; i < m; i++ {
+			clear(c[i*ldc : i*ldc+n])
+		}
+		return
+	}
 	dotRows(activeKern.dot, 0, m, n, k, a, lda, b, ldb, c, ldc, false)
 }
 

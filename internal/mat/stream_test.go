@@ -257,6 +257,18 @@ func requireSameBits(t *testing.T, what string, x, y *Dense) {
 	}
 }
 
+// TestDotBlockEmptyInner checks that k = 0 overwrites C with the empty
+// sums rather than leaving it as it was.
+func TestDotBlockEmptyInner(t *testing.T) {
+	c := []float64{1, 2, 3, 4}
+	DotBlock(c, 2, nil, 0, nil, 0, 2, 2, 0)
+	for i, v := range c {
+		if v != 0 {
+			t.Fatalf("c[%d] = %g after a k = 0 DotBlock, want 0", i, v)
+		}
+	}
+}
+
 // TestStreamBlockBounds checks the strided entry points reject operands
 // too short for the shape instead of letting an assembly body read past
 // them.
