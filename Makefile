@@ -191,12 +191,13 @@ bench-gate:
 			print "bench-gate OK: streaming " allocsS "/" allocsW " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, QR " allocsQ + 0 " allocs/op, dot-block " allocsD " allocs/op, broadcast-axpy " allocsA + 0 " allocs/op" \
 		}'
 
-# The benchmark set the trajectory record tracks: kernel-level GEMM, the
-# batched path, the QR at the streaming update's shapes, the streaming hot
-# loop, the pairwise merge and the sketched-push wire traffic. Kept in one
+# The benchmark set the trajectory record tracks: the facade's cold
+# bring-up footprint, kernel-level GEMM, the batched path, the QR at the
+# streaming update's shapes, the streaming hot loop, the pairwise merge
+# and the sketched-push wire traffic. Kept in one
 # place so emitting a baseline and emitting a CI run measure the same
 # thing.
-TRAJ_BENCH = BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
+TRAJ_BENCH = BenchmarkFacadeBringUp$$|BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
 TRAJ_COUNT ?= 5
 RUNID ?= local
 

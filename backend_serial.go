@@ -24,7 +24,7 @@ func newSerialEngine(opts core.Options) *serialEngine {
 
 // restoredSerialEngine wraps an engine rebuilt from a checkpoint.
 func restoredSerialEngine(eng *core.Serial) *serialEngine {
-	return &serialEngine{opts: eng.Options(), eng: eng, rows: eng.Modes().Rows()}
+	return &serialEngine{opts: eng.Options(), eng: eng, rows: eng.ModeRows().Cols()}
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
@@ -45,7 +45,7 @@ func (e *serialEngine) result() (*Result, error) {
 		return nil, errors.New("parsvd: no data ingested yet")
 	}
 	return &Result{
-		Modes:      e.eng.Modes().Clone(),
+		Modes:      e.eng.ModeRows().T(), // a fresh M×K copy of the mode-major rows
 		Singular:   append([]float64(nil), e.eng.SingularValues()...),
 		Iterations: e.eng.Iterations(),
 		Snapshots:  e.eng.SnapshotsSeen(),
@@ -78,8 +78,8 @@ func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
 	if e.rows == 0 {
 		return nil, errors.New("parsvd: no data ingested yet")
 	}
-	if coeffs == nil || coeffs.Rows() != e.eng.Modes().Cols() {
-		return nil, fmt.Errorf("parsvd: Reconstruct needs %d-row coefficients", e.eng.Modes().Cols())
+	if k := e.eng.ModeRows().Rows(); coeffs == nil || coeffs.Rows() != k {
+		return nil, fmt.Errorf("parsvd: Reconstruct needs %d-row coefficients", k)
 	}
 	return e.eng.Reconstruct(coeffs), nil
 }

@@ -45,7 +45,7 @@ func Load(r io.Reader) (*SVD, error) {
 	s := &SVD{cfg: cfg, eng: restoredSerialEngine(eng)}
 	// Rehydrate the ingest counters so Stats keeps reporting across a
 	// checkpoint/restore boundary.
-	s.rows = eng.Modes().Rows()
+	s.rows = eng.ModeRows().Cols()
 	s.snapshots = eng.SnapshotsSeen()
 	s.updates = int64(eng.Iterations()) + 1 // Initialize counted as an update
 	return s, nil

@@ -65,11 +65,16 @@ func (id ShardID) Validate() error {
 }
 
 // State is the complete serialized form of a streaming decomposition:
-// everything a checkpoint carries. Modes is adopted without copying by
-// both WriteState and the engines restored from a State.
+// everything a checkpoint carries. WriteState reads Modes without copying,
+// a restored Parallel adopts it, and a restored Serial transposes it once
+// into its mode-major buffer.
 type State struct {
-	Opts       Options
-	Modes      *mat.Dense
+	Opts  Options
+	Modes *mat.Dense
+	// ModeRows, when Modes is nil, holds the modes mode-major (K×M, row j
+	// being mode j), as the serial engine keeps them: WriteState emits the
+	// same bytes either way. ReadState always fills Modes.
+	ModeRows   *mat.Dense
 	Singular   []float64
 	Iterations int
 	Snapshots  int
@@ -78,13 +83,12 @@ type State struct {
 	Shard ShardID
 }
 
-// Save serializes the serial engine's full state. The engine must be
-// initialized.
+// Save serializes the serial engine's full state, reading its mode-major
+// rows directly. The engine must be initialized.
 func (s *Serial) Save(w io.Writer) error {
-	s.svd.Modes() // panics with a clear message if not initialized
 	return WriteState(w, State{
 		Opts:       s.opts,
-		Modes:      s.svd.Modes(),
+		ModeRows:   s.svd.ModeRows(), // panics with a clear message if not initialized
 		Singular:   s.svd.SingularValues(),
 		Iterations: s.svd.Iterations(),
 		Snapshots:  s.svd.SnapshotsSeen(),
@@ -105,7 +109,8 @@ func LoadSerial(r io.Reader) (*Serial, error) {
 }
 
 // RestoreSerial rebuilds a serial engine from externally-held state: the
-// current modes (adopted without copying), singular values and counters.
+// current modes (transposed once into the engine's mode-major buffer; the
+// caller keeps the matrix), singular values and counters.
 // It validates the options and every structural invariant, returning an
 // error instead of panicking, so facades can surface corrupted state to
 // their callers. The parsvd facade also uses it to re-wrap the gathered
@@ -199,7 +204,7 @@ func WriteState(w io.Writer, st State) error {
 	if _, err := w.Write([]byte{version}); err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
-	rows, cols := st.Modes.Dims()
+	rows, cols := st.modeDims()
 	if cols != len(st.Singular) {
 		return fmt.Errorf("core: checkpoint state inconsistent: %d modes, %d values",
 			cols, len(st.Singular))
@@ -238,8 +243,42 @@ func WriteState(w io.Writer, st State) error {
 	if err := binary.Write(w, binary.LittleEndian, st.Singular); err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, st.Modes.RawData()); err != nil {
+	if err := st.writeModes(w); err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
+	}
+	return nil
+}
+
+// modeDims is the M×K shape of the modes, whichever layout st holds.
+func (st State) modeDims() (rows, cols int) {
+	if st.Modes == nil {
+		cols, rows = st.ModeRows.Dims()
+		return rows, cols
+	}
+	return st.Modes.Dims()
+}
+
+// writeModes emits the modes row-major as M×K little-endian float64s. From
+// mode-major rows it transposes through one bounded chunk of bytes, so a
+// save never builds an M×K copy.
+func (st State) writeModes(w io.Writer) error {
+	if st.Modes != nil {
+		return binary.Write(w, binary.LittleEndian, st.Modes.RawData())
+	}
+	k, m := st.ModeRows.Dims()
+	d := st.ModeRows.RawData()
+	const chunk = 32 << 10
+	buf := make([]byte, 0, chunk+8*k)
+	for i := 0; i < m; i++ {
+		for j := 0; j < k; j++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d[j*m+i]))
+		}
+		if len(buf) >= chunk || i == m-1 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
 	return nil
 }

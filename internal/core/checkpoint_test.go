@@ -169,3 +169,50 @@ func TestLoadParallelNeedsComm(t *testing.T) {
 		t.Fatal("nil communicator accepted")
 	}
 }
+
+// TestSerialSaveLoadContinuesBitIdentical saves the mode-major engine,
+// loads it back and keeps streaming both: every later update — including
+// the first, which regrows the loaded K×M buffer, and batches of varying
+// width — must leave modes and spectrum bit-identical to the
+// uninterrupted stream's. The checkpoint bytes must also equal those of
+// the same state written from its M×K modes.
+func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
+	rng := testutil.NewRand(35)
+	for _, ff := range []float64{1, 0.95} {
+		eng := NewSerial(Options{K: 6, ForgetFactor: ff})
+		eng.Initialize(testutil.RandomDense(70, 4, rng))
+		for _, b := range []int{4, 9, 3} {
+			eng.IncorporateData(testutil.RandomDense(70, b, rng))
+		}
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var fromModes bytes.Buffer
+		if err := WriteState(&fromModes, State{
+			Opts:       eng.Options(),
+			Modes:      eng.Modes(),
+			Singular:   eng.SingularValues(),
+			Iterations: eng.Iterations(),
+			Snapshots:  eng.SnapshotsSeen(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), fromModes.Bytes()) {
+			t.Fatal("mode-major save differs from the M×K layout's bytes")
+		}
+		restored, err := LoadSerial(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range []int{5, 5, 12, 2, 7} {
+			a := testutil.RandomDense(70, b, rng)
+			eng.IncorporateData(a)
+			restored.IncorporateData(a)
+			if !mat.EqualApprox(eng.ModeRows(), restored.ModeRows(), 0) ||
+				!testutil.CloseSlices(eng.SingularValues(), restored.SingularValues(), 0) {
+				t.Fatalf("ff = %g, update %d after the load: stream diverged", ff, i+1)
+			}
+		}
+	}
+}

@@ -128,8 +128,16 @@ func (s *Serial) IncorporateData(a *mat.Dense) Decomposer {
 	return s
 }
 
-// Modes returns the current M×K truncated left singular vectors.
+// Modes returns the current M×K truncated left singular vectors, valid
+// until the next update. The engine holds them mode-major, so this builds
+// an M×K copy in its workspace on the first call after an update; readers
+// that can take Uᵀ use ModeRows instead.
 func (s *Serial) Modes() *mat.Dense { return s.svd.Modes() }
+
+// ModeRows returns the current modes mode-major: the K×M matrix Uᵀ, row j
+// being mode j, which is the engine's own storage. The caller must not
+// mutate it, and it is only valid until the next update.
+func (s *Serial) ModeRows() *mat.Dense { return s.svd.ModeRows() }
 
 // SingularValues returns the current truncated singular values.
 func (s *Serial) SingularValues() []float64 { return s.svd.SingularValues() }
@@ -262,9 +270,7 @@ func (p *Parallel) parallelQR(at *mat.Dense) (f linalg.QRFactor, qc, unew *mat.D
 				panic(fmt.Sprintf("core: low-rank parallel QR: %v", err))
 			}
 		} else {
-			var v *mat.Dense
-			unew, snew, v = linalg.SVDWith(&p.ws, rfinal)
-			p.ws.Put(v)
+			unew, snew = linalg.SVDLeftWith(&p.ws, rfinal)
 		}
 		p.ws.Put(rfinal)
 	}

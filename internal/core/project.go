@@ -17,12 +17,14 @@ import (
 // K×B matrix holds, per column, the modal coefficients Uᵀ·a of the
 // corresponding snapshot column. For POD/ROM users these are the "time
 // coefficients"; for compression they are the compressed representation.
+//
+// The serial engine reads its mode-major Uᵀ directly: no M×K copy.
 func (s *Serial) Coefficients(a *mat.Dense) *mat.Dense {
-	modes := s.Modes()
-	if a.Rows() != modes.Rows() {
-		panic(fmt.Sprintf("core: Coefficients rows %d, want %d", a.Rows(), modes.Rows()))
+	rows := s.ModeRows()
+	if a.Rows() != rows.Cols() {
+		panic(fmt.Sprintf("core: Coefficients rows %d, want %d", a.Rows(), rows.Cols()))
 	}
-	return mat.MulTransA(modes, a)
+	return mat.Mul(rows, a)
 }
 
 // Reconstruct maps K×B coefficients back to snapshot space: U·c. Together
@@ -30,12 +32,12 @@ func (s *Serial) Coefficients(a *mat.Dense) *mat.Dense {
 // reconstruction error is governed by the discarded σ_{K+1:} tail
 // (Eckart–Young).
 func (s *Serial) Reconstruct(coeffs *mat.Dense) *mat.Dense {
-	modes := s.Modes()
-	if coeffs.Rows() != modes.Cols() {
+	rows := s.ModeRows()
+	if coeffs.Rows() != rows.Rows() {
 		panic(fmt.Sprintf("core: Reconstruct coefficient rows %d, want %d",
-			coeffs.Rows(), modes.Cols()))
+			coeffs.Rows(), rows.Rows()))
 	}
-	return mat.Mul(modes, coeffs)
+	return mat.MulTransA(rows, coeffs)
 }
 
 // Coefficients projects this rank's snapshot block onto the distributed

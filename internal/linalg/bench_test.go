@@ -95,3 +95,66 @@ func BenchmarkQRStreamShape(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyQStreamShape times the two applies of the streaming
+// update's factorization — M = 4096 rows, K+B = 32 columns, the leading
+// p = 16 columns of Ũ — into a separate 4096×16 destination (MulQInto)
+// and over the factored buffer's first 16 rows (MulQInPlace). The in-place
+// apply spends the rows it overwrites, so every op of both restores them
+// first. Warm workspace: 0 allocs/op.
+func BenchmarkApplyQStreamShape(b *testing.B) {
+	const m, n, p = 4096, 32, 16
+	rng := testutil.NewRand(7)
+	at := testutil.RandomDense(n, m, rng)
+	x := testutil.RandomDense(n, p, rng)
+	var ws mat.Workspace
+	f, r := FactorQR(&ws, at)
+	ws.Put(r)
+	saved := append([]float64(nil), at.RawData()[:p*m]...)
+	dst := mat.New(m, p)
+	for _, inPlace := range []bool{false, true} {
+		name := "into"
+		if inPlace {
+			name = "in-place"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(at.RawData(), saved)
+				if inPlace {
+					f.MulQInPlace(&ws, x)
+				} else {
+					f.MulQInto(&ws, dst, x)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSmallSVDStreamShape times the streaming update's small SVD, the
+// 32×32 upper-triangular R of a 4096×32 stack, with and without V.
+func BenchmarkSmallSVDStreamShape(b *testing.B) {
+	_, r := QR(testutil.RandomDense(4096, 32, testutil.NewRand(8)))
+	for _, left := range []bool{false, true} {
+		name := "SVDWith"
+		if left {
+			name = "SVDLeftWith"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ws mat.Workspace
+			for i := 0; i < b.N; i++ {
+				if left {
+					u, s := SVDLeftWith(&ws, r)
+					ws.Put(u)
+					ws.PutFloats(s)
+				} else {
+					u, s, v := SVDWith(&ws, r)
+					ws.Put(u)
+					ws.Put(v)
+					ws.PutFloats(s)
+				}
+			}
+		})
+	}
+}

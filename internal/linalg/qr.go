@@ -200,10 +200,34 @@ func (f QRFactor) MulQInto(ws *mat.Workspace, dst, x *mat.Dense) {
 }
 
 // mulQ is MulQInto without the shape checks; a nil x stands for the t×t
-// identity, for which Y₁ᵀ·X is Y₁ᵀ itself.
+// identity.
 func (f QRFactor) mulQ(ws *mat.Workspace, dst, x *mat.Dense) {
+	t, p := f.tm.Rows(), dst.Cols()
+	z := f.coeffs(ws, x, p)
+	ytop := f.y // Y's t columns are the buffer's first t rows
+	if t < f.y.Rows() {
+		ytop = ws.ViewRows(f.y, 0, t)
+		defer ws.PutView(ytop)
+	}
+	mat.MulTransAInto(dst, ytop, z)
+	ws.Put(z)
+	dd := dst.RawData()
+	if x == nil {
+		for j := 0; j < t; j++ {
+			dd[j*p+j]++
+		}
+		return
+	}
+	for i, v := range x.RawData() {
+		dd[i] += v
+	}
+}
+
+// coeffs returns z = T·(−Y₁ᵀ·X) (t×p, from ws), the left factor both
+// applies share: Q·[X; 0] = [X; 0] + Y·z. A nil x stands for the t×t
+// identity, for which Y₁ᵀ·X is Y₁ᵀ itself.
+func (f QRFactor) coeffs(ws *mat.Workspace, x *mat.Dense, p int) *mat.Dense {
 	t, m := f.tm.Rows(), f.y.Cols()
-	p := dst.Cols()
 	yd, td := f.y.RawData(), f.tm.RawData()
 	// z = −Y₁ᵀ·X; row j of Y₁ᵀ is zero before its unit diagonal.
 	z := ws.Get(t, p)
@@ -231,24 +255,59 @@ func (f QRFactor) mulQ(ws *mat.Workspace, dst, x *mat.Dense) {
 			mat.AxpyBlock(zr, p, td[j*t+j+1:], 0, 1, zd[(j+1)*p:], p, 1, p, t-j-1)
 		}
 	}
-	ytop := f.y // Y's t columns are the buffer's first t rows
-	if t < f.y.Rows() {
-		ytop = ws.ViewRows(f.y, 0, t)
-		defer ws.PutView(ytop)
-	}
-	mat.MulTransAInto(dst, ytop, z)
-	ws.Put(z)
-	dd := dst.RawData()
-	if x == nil {
-		for j := 0; j < t; j++ {
-			dd[j*p+j]++
-		}
-		return
-	}
-	for i, v := range x.RawData() {
-		dd[i] += v
-	}
+	return z
 }
+
+// MulQInPlace overwrites the first p rows of the factored buffer with
+// (Q·[X; 0])ᵀ for a t×p matrix x, p ≤ t: row c becomes column c of
+// Q·[X; 0]. It is MulQInto for a caller that keeps its result one
+// contiguous row per column — the streaming engine's mode-major modes —
+// in storage the factorization already owns, so no fresh m×p destination
+// is touched. Rows c < p hold Householder vectors every column of the
+// product reads, so the buffer is rewritten qSlab columns at a time: one
+// broadcast-axpy of zᵀ against the slab of Y into a small staging block,
+// X added, then a copy back. Each element is the fused chain MulQInto
+// computes on its broadcast-axpy route (t ≤ 32), plus the same addition
+// of X, so there the two agree bit for bit.
+//
+// The factorization is spent afterwards: Q cannot be applied again.
+func (f QRFactor) MulQInPlace(ws *mat.Workspace, x *mat.Dense) {
+	t, m := f.tm.Rows(), f.y.Cols()
+	p := x.Cols()
+	if x.Rows() != t || p > t {
+		panic(fmt.Sprintf("linalg: MulQInPlace: Q is %dx%d, x is %dx%d; want %d rows and at most %d columns",
+			m, t, x.Rows(), p, t, t))
+	}
+	z := f.coeffs(ws, x, p)
+	zd, yd, xd := z.RawData(), f.y.RawData(), x.RawData()
+	stage := ws.GetFloats(p * min(qSlab, m))
+	for i0 := 0; i0 < m; i0 += qSlab {
+		w := min(qSlab, m-i0)
+		sd := stage[:p*w]
+		clear(sd)
+		// Staged row c: Σ_j z[j][c]·Y[i0:i0+w][j], the slab of column c of
+		// Y·z with every element the fused chain MulQInto computes.
+		mat.AxpyBlock(sd, w, zd, 1, p, yd[i0:], m, p, w, t)
+		for i := i0; i < min(i0+w, t); i++ {
+			for c := 0; c < p; c++ {
+				sd[c*w+i-i0] += xd[i*p+c]
+			}
+		}
+		for c := 0; c < p; c++ {
+			copy(yd[c*m+i0:c*m+i0+w], sd[c*w:(c+1)*w])
+		}
+	}
+	ws.PutFloats(stage)
+	ws.Put(z)
+}
+
+// qSlab is the column slab MulQInPlace rewrites at a time. At the
+// streaming update's 4096×32 stack with p = 16 (Xeon with AVX-512, one
+// pinned core) slabs of 64/128/256/512 columns took 214/203/213/227 µs
+// for the restore-and-apply of BenchmarkApplyQStreamShape; draining the
+// product through a transposing stage instead (Y·z's slab rows, as
+// MulQInto lays them out) took ~330 µs at every width.
+const qSlab = 128
 
 // Release returns T to ws. The factored buffer stays with the caller.
 func (f QRFactor) Release(ws *mat.Workspace) { ws.Put(f.tm) }

@@ -449,3 +449,49 @@ func maxAbsDiff(x, y *mat.Dense) float64 {
 	}
 	return d
 }
+
+// TestMulQInPlace checks the in-place apply against MulQInto over the
+// shapes of TestQRProperties: the first p rows of the factored buffer must
+// become (Q·[X; 0])ᵀ. At m = 4096 with t ≤ 32 MulQInto takes the
+// broadcast-axpy route, whose fused chains the in-place apply repeats, so
+// there the two agree bit for bit.
+func TestMulQInPlace(t *testing.T) {
+	rng := testutil.NewRand(12)
+	for _, n := range []int{1, 2, 7, 8, 9, 16, 24, 32, 40} {
+		for _, m := range []int{n, n + 1, 2 * n, 300, 4096} {
+			tt := min(m, n)
+			for _, p := range []int{1, min(5, tt), tt} {
+				checkMulQInPlace(t, qrInput(m, n, "random", rng), testutil.RandomDense(tt, p, rng))
+			}
+		}
+	}
+	checkMulQInPlace(t, qrInput(13, 30, "zero", rng), testutil.RandomDense(13, 13, rng))
+	checkMulQInPlace(t, qrInput(4096, 32, "duplicate", rng), testutil.RandomDense(32, 16, rng))
+}
+
+func checkMulQInPlace(t *testing.T, a, x *mat.Dense) {
+	t.Helper()
+	m, n := a.Dims()
+	tt, p := x.Dims()
+	var ws mat.Workspace
+	at := a.T()
+	f, r := FactorQR(&ws, at)
+	want := mat.New(m, p)
+	f.MulQInto(&ws, want, x)
+	f.MulQInPlace(&ws, x)
+	f.Release(&ws)
+	ws.Put(r)
+	got := mat.New(p, m)
+	copy(got.RawData(), at.RawData()[:p*m])
+	wantT := want.T()
+	if m == 4096 && tt <= 32 {
+		if !mat.EqualApprox(got, wantT, 0) {
+			t.Errorf("%dx%d, p = %d: in-place apply differs from MulQInto's broadcast-axpy route by %g",
+				m, n, p, maxAbsDiff(got, wantT))
+		}
+		return
+	}
+	if d := maxAbsDiff(got, wantT); !(d <= 1e-14*x.MaxAbs()) {
+		t.Errorf("%dx%d, p = %d: ‖(Q·X)ᵀ − in-place rows‖_max = %g", m, n, p, d)
+	}
+}

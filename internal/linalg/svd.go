@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"goparsvd/internal/mat"
 )
@@ -14,8 +13,9 @@ import (
 // unconditionally convergent) Jacobi SVD. The classical limit is 30, but
 // Gram matrices of snapshot ensembles — squared singular values spanning
 // the full double-precision range — can legitimately need a few more (the
-// 1024×128 Burgers Gram converges at ~33), so the cap is doubled.
-const maxSVDIterations = 60
+// 1024×128 Burgers Gram converges at ~33), so the cap is doubled. It is a
+// variable only so tests can force the Jacobi fallback.
+var maxSVDIterations = 60
 
 var errNoConvergence = errors.New("linalg: Golub-Reinsch SVD did not converge")
 
@@ -36,9 +36,27 @@ func SVD(a *mat.Dense) (u *mat.Dense, s []float64, v *mat.Dense) {
 // SVDWith is SVD drawing temporaries and the returned factors from ws. The
 // caller owns u, s and v and may return them to the workspace when done.
 func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat.Dense) {
+	return svdWith(ws, a, true)
+}
+
+// SVDLeftWith is SVDWith for callers that throw V away: the streaming
+// update, the parallel QR's small SVD and the pairwise merge. It neither
+// accumulates nor rotates the right singular vectors, and no step that
+// updates U or s reads them, so U and s are bit-identical to SVDWith's.
+// A wide input (m < n) still needs V of its transpose and saves nothing.
+func SVDLeftWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64) {
+	u, s, _ = svdWith(ws, a, false)
+	return u, s
+}
+
+// svdWith is SVDWith, returning a nil V unless wantV is set.
+func svdWith(ws *mat.Workspace, a *mat.Dense, wantV bool) (u *mat.Dense, s []float64, v *mat.Dense) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
-		return mat.New(m, 0), nil, mat.New(n, 0)
+		if wantV {
+			v = mat.New(n, 0)
+		}
+		return mat.New(m, 0), nil, v
 	}
 	if e := Equilibration(a); e != 0 {
 		// Factor 2^e·A, whose largest entry is near 1, and scale the
@@ -47,7 +65,7 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 		// take this branch, so their results are untouched.
 		scaled := ws.GetUninit(m, n)
 		mat.ScaleInto(scaled, math.Ldexp(1, e), a)
-		u, s, v = SVDWith(ws, scaled)
+		u, s, v = svdWith(ws, scaled, wantV)
 		ws.Put(scaled)
 		for i := range s {
 			s[i] = math.Ldexp(s[i], -e)
@@ -58,15 +76,19 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 		// SVD(Aᵀ) = V·S·Uᵀ: swap the roles of the factor matrices.
 		at := ws.GetUninit(n, m)
 		a.TInto(at)
-		vt, s, ut := SVDWith(ws, at)
+		vt, s, ut := svdWith(ws, at, true)
 		ws.Put(at)
+		if !wantV {
+			ws.Put(vt)
+			vt = nil
+		}
 		return ut, s, vt
 	}
 	if m >= 2*n {
 		at := ws.GetUninit(n, m)
 		a.TInto(at)
 		f, r := FactorQR(ws, at)
-		ur, s, v := svdSquareish(ws, r)
+		ur, s, v := svdSquareish(ws, r, wantV)
 		u := ws.GetUninit(m, ur.Cols())
 		f.MulQInto(ws, u, ur)
 		f.Release(ws)
@@ -75,7 +97,7 @@ func SVDWith(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat
 		ws.Put(ur)
 		return u, s, v
 	}
-	return svdSquareish(ws, a)
+	return svdSquareish(ws, a, wantV)
 }
 
 // Equilibration returns the exponent e of the power of two SVDWith scales
@@ -95,10 +117,10 @@ func Equilibration(a *mat.Dense) int {
 // SVDTruncated computes the thin SVD and keeps only the leading k triplets.
 // If k exceeds min(m, n) the full thin SVD is returned.
 func SVDTruncated(a *mat.Dense, k int) (u *mat.Dense, s []float64, v *mat.Dense) {
-	u, s, v = SVD(a)
 	if k < 0 {
 		panic(fmt.Sprintf("linalg: SVDTruncated negative k=%d", k))
 	}
+	u, s, v = SVD(a)
 	if k >= len(s) {
 		return u, s, v
 	}
@@ -106,18 +128,25 @@ func SVDTruncated(a *mat.Dense, k int) (u *mat.Dense, s []float64, v *mat.Dense)
 }
 
 // svdSquareish runs Golub–Reinsch on an m×n matrix with m ≥ n, falling back
-// to one-sided Jacobi if the iteration fails to converge.
-func svdSquareish(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v *mat.Dense) {
+// to one-sided Jacobi if the iteration fails to converge. V is nil unless
+// wantV is set.
+func svdSquareish(ws *mat.Workspace, a *mat.Dense, wantV bool) (u *mat.Dense, s []float64, v *mat.Dense) {
 	_, n := a.Dims()
 	uw := ws.GetUninit(a.Rows(), n)
 	uw.CopyFrom(a)
 	s = ws.GetFloats(n)
-	v = ws.Get(n, n)
-	if err := golubReinsch(uw, s, v); err != nil {
+	if wantV {
+		v = ws.Get(n, n)
+	}
+	if err := golubReinsch(ws, uw, s, v); err != nil {
 		ws.Put(uw)
 		ws.Put(v)
 		ws.PutFloats(s)
-		return JacobiSVD(a)
+		u, s, v = JacobiSVD(a)
+		if !wantV {
+			v = nil
+		}
+		return u, s, v
 	}
 	sortSVDDescending(ws, uw, s, v)
 	// Zero out numerically negative values introduced by sign flips.
@@ -130,7 +159,8 @@ func svdSquareish(ws *mat.Workspace, a *mat.Dense) (u *mat.Dense, s []float64, v
 }
 
 // sortSVDDescending reorders the SVD triplets in place so the singular
-// values are non-increasing; U and V columns are permuted consistently.
+// values are non-increasing; U and V columns are permuted consistently. A
+// nil V is skipped.
 func sortSVDDescending(ws *mat.Workspace, u *mat.Dense, s []float64, v *mat.Dense) {
 	n := len(s)
 	idx := ws.GetInts(n)
@@ -150,7 +180,9 @@ func sortSVDDescending(ws *mat.Workspace, u *mat.Dense, s []float64, v *mat.Dens
 		idx[j+1] = k
 	}
 	permuteColumns(ws, u, idx)
-	permuteColumns(ws, v, idx)
+	if v != nil {
+		permuteColumns(ws, v, idx)
+	}
 	ss := ws.GetFloats(n)
 	for i, j := range idx {
 		ss[i] = s[j]
@@ -201,50 +233,27 @@ func signOf(a, b float64) float64 {
 	return -math.Abs(a)
 }
 
-// grScratch holds the per-call views and workspace of golubReinsch, pooled
-// so steady-state streaming updates don't reallocate them every iteration.
-type grScratch struct {
-	u, v [][]float64
-	rv1  []float64
-}
-
-func (g *grScratch) ensure(m, n int) {
-	if cap(g.u) < m {
-		g.u = make([][]float64, m)
-	}
-	g.u = g.u[:m]
-	if cap(g.v) < n {
-		g.v = make([][]float64, n)
-	}
-	g.v = g.v[:n]
-	if cap(g.rv1) < n {
-		g.rv1 = make([]float64, n)
-	}
-	g.rv1 = g.rv1[:n]
-}
-
-var grPool = sync.Pool{New: func() any { return new(grScratch) }}
-
 // golubReinsch performs the classical Golub–Reinsch SVD of the m×n matrix
 // stored in u (m ≥ n): Householder bidiagonalization followed by implicit
 // shifted QR on the bidiagonal form. On return u holds the left singular
-// vectors (m×n), w the singular values and v the right singular vectors
-// (n×n). Values are not yet sorted and may require sign cleanup.
+// vectors (m×n), w the singular values and v, unless nil, the right
+// singular vectors (n×n); a nil v skips every step that only builds V.
+// Values are not yet sorted and may require sign cleanup. The row views
+// and the superdiagonal scratch come from ws.
 //
 // The routine is a 0-based port of the classical ALGOL procedure of Golub &
 // Reinsch as popularized by the svdcmp formulation.
-func golubReinsch(uD *mat.Dense, w []float64, vD *mat.Dense) error {
+func golubReinsch(ws *mat.Workspace, uD *mat.Dense, w []float64, vD *mat.Dense) error {
 	m, n := uD.Dims()
-	sc := grPool.Get().(*grScratch)
-	defer grPool.Put(sc)
-	sc.ensure(m, n)
-	u, v, rv1 := sc.u, sc.v, sc.rv1
-	for i := range u {
-		u[i] = uD.RowView(i)
+	u := ws.RowViews(uD)
+	defer ws.PutRowViews(u)
+	var v [][]float64
+	if vD != nil {
+		v = ws.RowViews(vD)
+		defer ws.PutRowViews(v)
 	}
-	for i := range v {
-		v[i] = vD.RowView(i)
-	}
+	rv1 := ws.GetFloats(n)
+	defer ws.PutFloats(rv1)
 	var g, scale, anorm float64
 	var l int
 
@@ -319,8 +328,9 @@ func golubReinsch(uD *mat.Dense, w []float64, vD *mat.Dense) error {
 		}
 	}
 
-	// Accumulation of right-hand transformations.
-	for i := n - 1; i >= 0; i-- {
+	// Accumulation of right-hand transformations. It reads the reflectors
+	// stored in u's rows but writes only v.
+	for i := n - 1; v != nil && i >= 0; i-- {
 		if i < n-1 {
 			if g != 0 {
 				for j := l; j < n; j++ {
@@ -422,7 +432,7 @@ func golubReinsch(uD *mat.Dense, w []float64, vD *mat.Dense) error {
 				// Convergence; force the singular value non-negative.
 				if z < 0 {
 					w[k] = -z
-					for j := 0; j < n; j++ {
+					for j := 0; j < len(v); j++ {
 						v[j][k] = -v[j][k]
 					}
 				}
@@ -456,7 +466,7 @@ func golubReinsch(uD *mat.Dense, w []float64, vD *mat.Dense) error {
 				g = g*c - x*s
 				h = y * s
 				y *= c
-				for jj := 0; jj < n; jj++ {
+				for jj := 0; jj < len(v); jj++ {
 					xx := v[jj][j]
 					zz := v[jj][i]
 					v[jj][j] = xx*c + zz*s

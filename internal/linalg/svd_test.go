@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -415,11 +417,96 @@ func TestGolubReinschConvergesOnSnapshotGram(t *testing.T) {
 	uw := gram.Clone()
 	s := make([]float64, n)
 	vv := mat.New(n, n)
-	if err := golubReinsch(uw, s, vv); err != nil {
+	if err := golubReinsch(nil, uw, s, vv); err != nil {
 		t.Fatalf("Golub-Reinsch fell back on a snapshot-Gram spectrum: %v", err)
 	}
 	sortSVDDescending(nil, uw, s, vv)
 	if math.Abs(s[0]-spectrum[0]) > 1e-8*spectrum[0] {
 		t.Fatalf("sigma_1 = %g, want %g", s[0], spectrum[0])
 	}
+}
+
+func TestSVDTruncatedChecksKFirst(t *testing.T) {
+	// A nil matrix would fail inside the SVD; the rank check must come
+	// first, so the panic is the negative-k one.
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "negative k") {
+			t.Fatalf("want the negative-k panic before any work, got %v", msg)
+		}
+	}()
+	SVDTruncated(nil, -1)
+}
+
+// sameBits reports whether x and y hold bit-identical values.
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSVDLeftMatchesSVDWith checks that skipping V leaves U and s
+// bit-identical to the full decomposition on every path SVDWith takes:
+// square and between-square Golub–Reinsch, the tall QR reduction, the wide
+// transpose, equilibrated extreme scales, rank-deficient and zero-column
+// R factors, and the Jacobi fallback.
+func TestSVDLeftMatchesSVDWith(t *testing.T) {
+	rng := testutil.NewRand(41)
+	rFactor := func(a *mat.Dense) *mat.Dense {
+		_, r := QR(a)
+		return r
+	}
+	zeroCol := testutil.RandomDense(64, 16, rng)
+	for i := 0; i < 64; i++ {
+		zeroCol.Set(i, 5, 0)
+	}
+	rankDef, _ := testutil.RandomLowRank(40, 32, 6, 0, rng)
+	cases := map[string]*mat.Dense{
+		"random square":       testutil.RandomDense(32, 32, rng),
+		"random between":      testutil.RandomDense(45, 32, rng),
+		"random tall":         testutil.RandomDense(300, 16, rng),
+		"random wide":         testutil.RandomDense(12, 32, rng),
+		"random R":            rFactor(testutil.RandomDense(4096, 32, rng)),
+		"rank-deficient R":    rFactor(rankDef),
+		"zero-column R":       rFactor(zeroCol),
+		"zero":                mat.New(16, 16),
+		"single column":       testutil.RandomDense(9, 1, rng),
+		"rank-deficient wide": rankDef.T(),
+	}
+	for i := 0; i < 6; i++ {
+		cases[fmt.Sprintf("hostile %d", i)] = testutil.HostileBatch(64, 16, i, rng)
+		cases[fmt.Sprintf("hostile R %d", i)] = rFactor(testutil.HostileBatch(256, 32, i, rng))
+	}
+	check := func(name string, a *mat.Dense) {
+		var ws mat.Workspace
+		u, s, _ := SVDWith(&ws, a)
+		ul, sl := SVDLeftWith(&ws, a)
+		if !sameBits(u.RawData(), ul.RawData()) || u.Rows() != ul.Rows() || u.Cols() != ul.Cols() {
+			t.Errorf("%s: U differs between SVDWith and SVDLeftWith", name)
+		}
+		if !sameBits(s, sl) {
+			t.Errorf("%s: singular values differ: %v vs %v", name, s, sl)
+		}
+	}
+	for name, a := range cases {
+		check(name, a)
+	}
+
+	// Forced Jacobi fallback: with one sweep allowed the Golub–Reinsch
+	// iteration gives up, and both paths must return Jacobi's U and s.
+	defer func(n int) { maxSVDIterations = n }(maxSVDIterations)
+	maxSVDIterations = 1
+	a := testutil.RandomDense(24, 16, rng)
+	uj, sj, _ := JacobiSVD(a)
+	ul, sl := SVDLeftWith(nil, a)
+	if !sameBits(uj.RawData(), ul.RawData()) || !sameBits(sj, sl) {
+		t.Fatal("SVDLeftWith did not take the Jacobi fallback")
+	}
+	check("jacobi fallback", a)
 }

@@ -14,6 +14,7 @@ type Workspace struct {
 	floats [][]float64
 	ints   [][]int
 	views  []*Dense
+	rowSet [][][]float64
 }
 
 // Get returns a zeroed r×c matrix, recycling pooled storage when a returned
@@ -170,4 +171,43 @@ func (w *Workspace) PutView(v *Dense) {
 	}
 	*v = Dense{}
 	w.views = append(w.views, v)
+}
+
+// RowViews returns the rows of m as slices aliasing its storage, in a
+// slice drawn from the pool — for row-indexed routines (the Golub–Reinsch
+// SVD) that would otherwise allocate the slice of rows on every call.
+// Return it with PutRowViews.
+func (w *Workspace) RowViews(m *Dense) [][]float64 {
+	var v [][]float64
+	if w != nil {
+		// Best fit, as in GetUninit, so U's rows never take the set V's
+		// rows need.
+		best := -1
+		for i, s := range w.rowSet {
+			if cap(s) >= m.rows && (best < 0 || cap(s) < cap(w.rowSet[best])) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			v = w.rowSet[best][:m.rows]
+			w.rowSet[best] = w.rowSet[len(w.rowSet)-1]
+			w.rowSet = w.rowSet[:len(w.rowSet)-1]
+		}
+	}
+	if v == nil {
+		v = make([][]float64, m.rows)
+	}
+	for i := range v {
+		v[i] = m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+	}
+	return v
+}
+
+// PutRowViews returns a slice obtained from RowViews to the pool.
+func (w *Workspace) PutRowViews(v [][]float64) {
+	if w == nil || cap(v) == 0 || len(w.rowSet) >= maxPoolEntries {
+		return
+	}
+	clear(v)
+	w.rowSet = append(w.rowSet, v)
 }

@@ -120,8 +120,7 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 	m.ws.PutView(bot)
 
 	f, r := linalg.FactorQR(&m.ws, at)
-	u, s, v := linalg.SVDWith(&m.ws, r)
-	m.ws.Put(v)
+	u, s := linalg.SVDLeftWith(&m.ws, r)
 	m.ws.Put(r)
 
 	kk := k

@@ -152,7 +152,7 @@ func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
 	}
 	return StreamResult{
 		Singular:   append([]float64(nil), eng.SingularValues()...),
-		Modes:      eng.Modes().Clone(),
+		Modes:      eng.ModeRows().T(),
 		Iterations: eng.Iterations(),
 	}
 }

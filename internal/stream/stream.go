@@ -55,14 +55,26 @@ func (o Options) validated() Options {
 
 // SVD is the streaming decomposition state. Create one with New, seed it
 // with Initialize, then feed batches with IncorporateData.
+//
+// The modes are held mode-major: the first k rows of buf, row j being mode
+// j (column j of U), k = min(K, columns seen). Algorithm 1 only ever reads
+// the modes back as the rows ff·d_j·u_jᵀ stacked on top of the next batch's
+// Aᵀ, so they stay in the buffer the update factors in place: the next
+// update scales them where they lie, stacks the batch under them, and the
+// QR's apply writes the new modes back over them.
 type SVD struct {
 	opts        Options
-	modes       *mat.Dense // M×k, k = min(K, columns seen)
+	buf         *mat.Dense // the update's factored buffer, one row of M values per stacked column
+	top         mat.Dense  // view of buf's first k rows: the modes, mode-major
 	singular    []float64
 	rows        int
 	iterations  int
 	snapshots   int
 	initialized bool
+
+	// modes is the M×k copy Modes builds on demand; nil until asked for
+	// after the latest update.
+	modes *mat.Dense
 
 	// ws recycles every temporary of the update across iterations; once
 	// batch shapes are steady the per-batch update allocates nothing.
@@ -75,8 +87,9 @@ func New(opts Options) *SVD {
 }
 
 // Restore rebuilds a streaming SVD from previously captured state (the
-// checkpoint/restart path): the current modes, singular values and
-// counters. The modes matrix is adopted without copying.
+// checkpoint/restart path): the current modes (M×k), singular values and
+// counters. The modes are transposed once into the engine's mode-major
+// buffer; the caller keeps the matrix it passed.
 //
 // Every structural invariant the streaming update relies on is checked
 // here, so a corrupted checkpoint fails loudly at load time rather than
@@ -106,15 +119,17 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 		return nil, fmt.Errorf("stream: Restore counters invalid: iterations=%d snapshots=%d (modes %dx%d)",
 			iterations, snapshots, modes.Rows(), modes.Cols())
 	}
-	return &SVD{
+	s := &SVD{
 		opts:        opts.validated(),
-		modes:       modes,
+		buf:         modes.T(),
 		singular:    append([]float64(nil), singular...),
 		rows:        modes.Rows(),
 		iterations:  iterations,
 		snapshots:   snapshots,
 		initialized: true,
-	}, nil
+	}
+	s.buf.ViewRows(0, len(singular), &s.top)
+	return s, nil
 }
 
 // Initialized reports whether Initialize has been called.
@@ -130,9 +145,26 @@ func (s *SVD) SnapshotsSeen() int { return s.snapshots }
 // caller must not mutate the result, and the matrix is only valid until the
 // next IncorporateData call — its storage is recycled into the update's
 // workspace. Clone it to retain a snapshot across updates.
+//
+// The engine holds its modes mode-major (ModeRows), so the first call after
+// an update transposes them into a workspace buffer; later calls before the
+// next update return the same matrix.
 func (s *SVD) Modes() *mat.Dense {
 	s.mustBeInitialized()
+	if s.modes == nil {
+		s.modes = s.ws.GetUninit(s.rows, len(s.singular))
+		s.top.TInto(s.modes)
+	}
 	return s.modes
+}
+
+// ModeRows returns the current modes mode-major, as the k×M matrix Uᵀ whose
+// row j is mode j: the engine's own storage, no copy. The caller must not
+// mutate the result, and it is only valid until the next IncorporateData
+// call.
+func (s *SVD) ModeRows() *mat.Dense {
+	s.mustBeInitialized()
+	return &s.top
 }
 
 // SingularValues returns the current truncated singular values. The caller
@@ -159,12 +191,9 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 	if m == 0 || b == 0 {
 		panic("stream: empty initial batch")
 	}
-	at := s.ws.GetUninit(b, m)
-	a.TInto(at)
-	var d []float64
-	s.modes, d = s.rotate(at)
-	s.singular = append([]float64(nil), d...)
-	s.ws.PutFloats(d)
+	s.buf = s.ws.GetUninit(b, m)
+	a.TInto(s.buf)
+	s.rotate(s.buf)
 	s.rows = m
 	s.snapshots = b
 	s.initialized = true
@@ -186,48 +215,59 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	if b == 0 {
 		return s
 	}
-	// Stack ff·U·diag(D) and the new snapshots (Listing 1: m_ap =
-	// ff·U·diag(D); concat) straight into the column-by-column layout the
-	// QR factors in place. Every temporary below comes from the iteration
-	// workspace, so the steady-state update performs no heap allocations.
-	k0 := s.modes.Cols()
-	at := s.ws.GetUninit(k0+b, m)
-	top := s.ws.ViewRows(at, 0, k0)
-	mat.MulDiagScaledTInto(top, s.opts.FF, s.modes, s.singular)
-	s.ws.PutView(top)
+	// The stack [ff·U·diag(D) | A_i] is held column by column, the layout
+	// the QR factors in place: its first k0 rows are the modes already in
+	// the buffer, scaled where they lie (Listing 1: m_ap = ff·U·diag(D)),
+	// and the batch is transposed in under them. The buffer grows to
+	// (K+B)×M once; every temporary comes from the iteration workspace, so
+	// the steady-state update performs no heap allocations.
+	k0 := len(s.singular)
+	if s.buf.Rows() < k0+b {
+		// Not pooled: the old buffer goes to the GC, so the engine holds
+		// one buffer of M-long rows, not two.
+		grown := s.ws.GetUninit(s.opts.K+b, m)
+		copy(grown.RawData(), s.top.RawData())
+		s.buf = grown
+	}
+	at := s.ws.ViewRows(s.buf, 0, k0+b)
+	d := at.RawData()
+	for j, dj := range s.singular {
+		row := d[j*m : (j+1)*m]
+		for i, v := range row {
+			row[i] = s.opts.FF * v * dj
+		}
+	}
 	bot := s.ws.ViewRows(at, k0, k0+b)
 	a.TInto(bot)
 	s.ws.PutView(bot)
-
-	next, d := s.rotate(at)
-	s.ws.Put(s.modes) // recycle the previous modes storage
-	s.modes = next
-	s.singular = append(s.singular[:0], d...)
-	s.ws.PutFloats(d)
+	s.rotate(at)
+	s.ws.PutView(at)
 	s.iterations++
 	s.snapshots += b
 	return s
 }
 
 // rotate is the shared body of both steps: it factors the stacked matrix
-// held column by column in at (consuming it), takes the small SVD of R,
-// and returns the new modes U′·Ũ[:, :K] — Q applied to Ũ's leading
-// columns, never formed — with the retained singular values. Both results
-// are workspace-owned.
-func (s *SVD) rotate(at *mat.Dense) (modes *mat.Dense, d []float64) {
+// held column by column in at (the leading rows of buf), takes the small
+// SVD of R, and writes the new modes U′·Ũ[:, :K] — Q applied to Ũ's
+// leading columns, never formed — mode-major over at's first rows, with
+// the retained singular values alongside.
+func (s *SVD) rotate(at *mat.Dense) {
 	f, r := linalg.FactorQR(&s.ws, at)
 	u, d := s.smallSVD(r)
 	s.ws.Put(r)
 	k := min(s.opts.K, len(d))
 	usub := s.ws.GetUninit(u.Rows(), k)
 	u.SliceColsInto(usub, 0, k)
-	modes = s.ws.GetUninit(at.Cols(), k)
-	f.MulQInto(&s.ws, modes, usub)
+	f.MulQInPlace(&s.ws, usub)
 	f.Release(&s.ws)
 	s.ws.Put(usub)
 	s.ws.Put(u)
-	s.ws.Put(at)
-	return modes, d[:k]
+	s.singular = append(s.singular[:0], d[:k]...)
+	s.ws.PutFloats(d)
+	s.buf.ViewRows(0, k, &s.top)
+	s.ws.Put(s.modes) // the previous Modes copy is stale
+	s.modes = nil
 }
 
 // smallSVD factorizes the small (batch-sized) matrix produced by the QR
@@ -246,9 +286,7 @@ func (s *SVD) smallSVD(r *mat.Dense) (*mat.Dense, []float64) {
 		}
 		return u, d
 	}
-	u, d, v := linalg.SVDWith(&s.ws, r)
-	s.ws.Put(v)
-	return u, d
+	return linalg.SVDLeftWith(&s.ws, r)
 }
 
 func min(a, b int) int {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -326,4 +327,106 @@ func TestRestoreValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refStream is the update as it stood before the modes went mode-major, kept
+// as the reference for the in-place engine: M×k modes, the stack built by
+// MulDiagScaledTInto into a fresh transposed buffer, the full small SVD,
+// and the new modes written by MulQInto into a separate M×k matrix.
+type refStream struct {
+	k     int
+	ff    float64
+	modes *mat.Dense
+	s     []float64
+}
+
+func (r *refStream) rotate(at *mat.Dense) {
+	f, rr := linalg.FactorQR(nil, at)
+	u, d, _ := linalg.SVDWith(nil, rr)
+	k := min(r.k, len(d))
+	r.modes = mat.New(at.Cols(), k)
+	f.MulQInto(nil, r.modes, u.SliceCols(0, k))
+	f.Release(nil)
+	r.s = d[:k]
+}
+
+func (r *refStream) initialize(a *mat.Dense) { r.rotate(a.T()) }
+
+func (r *refStream) incorporate(a *mat.Dense) {
+	m, b := a.Dims()
+	k0 := r.modes.Cols()
+	at := mat.New(k0+b, m)
+	var top, bot mat.Dense
+	at.ViewRows(0, k0, &top)
+	mat.MulDiagScaledTInto(&top, r.ff, r.modes, r.s)
+	at.ViewRows(k0, k0+b, &bot)
+	a.TInto(&bot)
+	r.rotate(at)
+}
+
+// TestModeMajorMatchesReference streams Initialize plus 200 updates through
+// the engine and through refStream, for both forget factors and for
+// batches narrower than, equal to and wider than K, a first batch wider
+// than K, and fewer rows than K+B. The modes must agree to 1e-13 relative
+// and the spectra to roundoff after every update.
+func TestModeMajorMatchesReference(t *testing.T) {
+	cases := []struct {
+		name        string
+		m, k, b0, b int
+	}{
+		{"B<K", 80, 8, 3, 3},
+		{"B=K", 80, 8, 8, 8},
+		{"B>K", 80, 4, 9, 9},
+		{"first batch wider than K", 80, 5, 12, 4},
+		{"M<K+B", 12, 8, 8, 8},
+		{"fit-serial shape", 4096, 16, 16, 16},
+	}
+	for _, tc := range cases {
+		for _, ff := range []float64{1, 0.95} {
+			t.Run(fmt.Sprintf("%s/ff=%g", tc.name, ff), func(t *testing.T) {
+				rng := testutil.NewRand(int64(tc.m*100 + tc.k*10 + tc.b))
+				updates := 200
+				if tc.m > 1000 {
+					updates = 20
+				}
+				batch := func(b int) *mat.Dense { return testutil.RandomDense(tc.m, b, rng) }
+				first := batch(tc.b0)
+				s := New(Options{K: tc.k, FF: ff}).Initialize(first)
+				ref := &refStream{k: tc.k, ff: ff}
+				ref.initialize(first)
+				for i := 0; i <= updates; i++ {
+					if i > 0 {
+						a := batch(tc.b)
+						s.IncorporateData(a)
+						ref.incorporate(a)
+					}
+					if d := maxAbsDiff(s.Modes(), ref.modes); !(d <= 1e-13) {
+						t.Fatalf("update %d: modes differ by %g", i, d)
+					}
+					got, want := s.SingularValues(), ref.s
+					if len(got) != len(want) {
+						t.Fatalf("update %d: %d singular values, reference %d", i, len(got), len(want))
+					}
+					for j := range got {
+						if math.Abs(got[j]-want[j]) > 1e-14*want[0] {
+							t.Fatalf("update %d: σ_%d = %.17g, reference %.17g", i, j, got[j], want[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func maxAbsDiff(x, y *mat.Dense) float64 {
+	if x.Rows() != y.Rows() || x.Cols() != y.Cols() {
+		return math.Inf(1)
+	}
+	var d float64
+	for i, v := range x.RawData() {
+		if e := math.Abs(v - y.RawData()[i]); !(e <= d) {
+			d = e
+		}
+	}
+	return d
 }
