@@ -5,7 +5,7 @@ GO ?= go
 # benchstat wants repeated samples; `make bench BENCH_COUNT=10` feeds it.
 BENCH_COUNT ?= 1
 
-.PHONY: check build test vet fmt race smoke dist-smoke serve-smoke crash-smoke merge-smoke coord-smoke sketch-smoke examples examples-gate bench bench-gate bench-stream bench-trajectory bench-baseline benchtune noasm-test worker fuzz-smoke
+.PHONY: check build test vet fmt race smoke dist-smoke serve-smoke crash-smoke merge-smoke coord-smoke sketch-smoke examples examples-gate bench bench-stream bench-trajectory bench-baseline benchtune noasm-test worker fuzz-smoke
 
 check: build test vet fmt
 
@@ -106,12 +106,10 @@ coord-smoke:
 # TestSketchSmoke — a 4-rank TCP worker fleet fed compressed (Q, S)
 # factor pairs must match the serial unsketched reference within 1e-4
 # with >= 4x wire reduction — plus the server-side sketched ingest, WAL
-# replay and computed-Retry-After tests. bench-gate rides along so the
-# sketch path cannot regress the zero-allocs/op streaming hot path.
+# replay and computed-Retry-After tests.
 sketch-smoke:
 	CI=1 $(GO) test -count 1 -v -run 'TestSketch' .
 	$(GO) test -count 1 -run 'TestPushSketchEndToEnd|TestSketchWALReplay|TestRetryAfterDerivedFromQueueOccupancy|TestRetryAfterValueReachesBackoff' ./server/...
-	$(MAKE) bench-gate
 
 # Public-API consumer gate: every example must build against the public
 # packages only, quickstart must run end-to-end, and neither examples/
@@ -135,61 +133,6 @@ bench:
 
 bench-stream:
 	$(GO) test -run '^$$' -bench Incorporate -benchmem ./internal/stream
-
-# Regression gate on the key benches: the blocked-GEMM kernel, the batched
-# skinny-GEMM path, the packing-free dot-block and broadcast-axpy routes,
-# the zero-allocation QR at the streaming update's shapes, the
-# zero-allocation streaming hot path (at the steady-state bench's shape
-# and at fit-serial's) and the zero-allocation pairwise merge. Fails if
-# any zero-alloc benchmark reports allocations per op.
-bench-gate:
-	@fail=0; \
-	mat=$$($(GO) test -run '^$$' -bench 'BenchmarkMulSquare512$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$' -benchmem ./internal/mat) || fail=1; \
-	qr=$$($(GO) test -run '^$$' -bench 'BenchmarkQRStreamShape$$' -benchmem ./internal/linalg) || fail=1; \
-	stream=$$($(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$' -benchmem ./internal/stream) || fail=1; \
-	merge=$$($(GO) test -run '^$$' -bench 'BenchmarkMergePairSteadyState$$' -benchmem ./internal/merge) || fail=1; \
-	out=$$(printf '%s\n%s\n%s\n%s\n' "$$mat" "$$qr" "$$stream" "$$merge"); \
-	echo "$$out"; \
-	if [ $$fail -ne 0 ]; then echo "bench-gate: benchmarks failed"; exit 1; fi; \
-	echo "$$out" | awk ' \
-		/^BenchmarkIncorporateSteadyStateAllocs/ { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenS = 1; allocsS = $$(i-1) } \
-		} \
-		/^BenchmarkBatchedSkinny/ { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenB = 1; allocsB = $$(i-1) } \
-		} \
-		/^BenchmarkMergePairSteadyState/ { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenM = 1; allocsM = $$(i-1) } \
-		} \
-		/^BenchmarkQRStreamShape\// { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenQ++; if ($$(i-1) + 0 > allocsQ + 0) allocsQ = $$(i-1) } \
-		} \
-		/^BenchmarkIncorporateWorkloadShape/ { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenW = 1; allocsW = $$(i-1) } \
-		} \
-		/^BenchmarkStreamDot/ { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenD = 1; allocsD = $$(i-1) } \
-		} \
-		/^BenchmarkStreamAxpy\// { \
-			for (i = 1; i <= NF; i++) if ($$i == "allocs/op") { seenA++; if ($$(i-1) + 0 > allocsA + 0) allocsA = $$(i-1) } \
-		} \
-		END { \
-			if (!seenS) { print "bench-gate: BenchmarkIncorporateSteadyStateAllocs did not run"; exit 1 } \
-			if (!seenB) { print "bench-gate: BenchmarkBatchedSkinny did not run"; exit 1 } \
-			if (!seenM) { print "bench-gate: BenchmarkMergePairSteadyState did not run"; exit 1 } \
-			if (seenQ < 2) { print "bench-gate: BenchmarkQRStreamShape did not run both shapes"; exit 1 } \
-			if (!seenW) { print "bench-gate: BenchmarkIncorporateWorkloadShape did not run"; exit 1 } \
-			if (!seenD) { print "bench-gate: BenchmarkStreamDot did not run"; exit 1 } \
-			if (seenA < 2) { print "bench-gate: BenchmarkStreamAxpy did not run both shapes"; exit 1 } \
-			if (allocsS + 0 > 0) { print "bench-gate: steady-state streaming path allocates (" allocsS " allocs/op, want 0)"; exit 1 } \
-			if (allocsB + 0 > 0) { print "bench-gate: batched skinny path allocates (" allocsB " allocs/op, want 0)"; exit 1 } \
-			if (allocsM + 0 > 0) { print "bench-gate: steady-state merge path allocates (" allocsM " allocs/op, want 0)"; exit 1 } \
-			if (allocsQ + 0 > 0) { print "bench-gate: warm-workspace QR allocates (" allocsQ " allocs/op, want 0)"; exit 1 } \
-			if (allocsW + 0 > 0) { print "bench-gate: streaming update at the fit-serial shape allocates (" allocsW " allocs/op, want 0)"; exit 1 } \
-			if (allocsD + 0 > 0) { print "bench-gate: dot-block route allocates (" allocsD " allocs/op, want 0)"; exit 1 } \
-			if (allocsA + 0 > 0) { print "bench-gate: broadcast-axpy route allocates (" allocsA " allocs/op, want 0)"; exit 1 } \
-			print "bench-gate OK: streaming " allocsS "/" allocsW " allocs/op, batched " allocsB " allocs/op, merge " allocsM " allocs/op, QR " allocsQ + 0 " allocs/op, dot-block " allocsD " allocs/op, broadcast-axpy " allocsA + 0 " allocs/op" \
-		}'
 
 # The benchmark set the trajectory record tracks: the facade's cold
 # bring-up footprint, kernel-level GEMM, the batched path, the QR at the

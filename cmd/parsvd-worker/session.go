@@ -195,13 +195,14 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			if rank != 0 {
 				return false, okStatus("")
 			}
-			singular := append([]float64(nil), eng.SingularValues()...)
-			ser, err := core.RestoreSerial(copts, modes, singular, eng.Iterations(), eng.SnapshotsSeen())
-			if err != nil {
-				return false, fmt.Errorf("assembling checkpoint state: %w", err)
-			}
 			var buf bytes.Buffer
-			if err := ser.Save(&buf); err != nil {
+			if err := core.WriteState(&buf, core.State{
+				Opts:       eng.Options(),
+				Modes:      modes,
+				Singular:   eng.SingularValues(),
+				Iterations: eng.Iterations(),
+				Snapshots:  eng.SnapshotsSeen(),
+			}); err != nil {
 				return false, fmt.Errorf("writing checkpoint: %w", err)
 			}
 			return false, reply(launch.SessBlob, buf.Bytes())

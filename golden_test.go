@@ -2,6 +2,8 @@ package parsvd_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -132,5 +134,17 @@ func TestLoadRejectsCorruptedCheckpoints(t *testing.T) {
 	}
 	if _, err := parsvd.Load(bytes.NewReader(bad)); err == nil {
 		t.Fatal("checkpoint with K < len(singular) loaded")
+	}
+	// Name an APMOS method that does not exist: the int64 after magic,
+	// version, K, iterations, snapshots, ff, lowRank, oversample, power
+	// iterations, seed and R1.
+	const methodAt = 4 + 1 + 3*8 + 8 + 1 + 4*8
+	bad = append([]byte(nil), raw...)
+	if got := binary.LittleEndian.Uint64(bad[methodAt:]); got != 0 {
+		t.Fatalf("method field reads %d, want the fixture's MethodGram", got)
+	}
+	binary.LittleEndian.PutUint64(bad[methodAt:], 7)
+	if _, err := parsvd.Load(bytes.NewReader(bad)); !errors.Is(err, parsvd.ErrBadCheckpoint) {
+		t.Fatalf("method 7: err = %v, want ErrBadCheckpoint", err)
 	}
 }

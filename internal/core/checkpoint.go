@@ -9,20 +9,18 @@ import (
 
 	"goparsvd/internal/apmos"
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
 	"goparsvd/internal/stream"
 )
 
 // Checkpoint/restart for the streaming engines. Long-running in-situ
 // analyses (the paper's target deployment: SVD updates riding along a
-// simulation) must survive restarts of the host application, so both
-// engines can serialize their complete state — options, modes, singular
-// values, counters — to an io.Writer and be reconstructed from an
-// io.Reader. The format is a little-endian binary stream with a magic
-// header and version byte; Parallel checkpoints are per-rank (each rank
-// saves and reloads its own row slice, matching how restart works in
-// MPI codes).
+// simulation) must survive restarts of the host application, so the
+// complete state — options, modes, singular values, counters — serializes
+// to an io.Writer and reconstructs from an io.Reader. The format is a
+// little-endian binary stream with a magic header and version byte. A
+// parallel run checkpoints its gathered global state in the same format,
+// so it resumes as a serial engine.
 
 var checkpointMagic = [4]byte{'G', 'P', 'S', 'V'}
 
@@ -66,8 +64,7 @@ func (id ShardID) Validate() error {
 
 // State is the complete serialized form of a streaming decomposition:
 // everything a checkpoint carries. WriteState reads Modes without copying,
-// a restored Parallel adopts it, and a restored Serial transposes it once
-// into its mode-major buffer.
+// and a restored Serial transposes it once into its mode-major buffer.
 type State struct {
 	Opts  Options
 	Modes *mat.Dense
@@ -88,10 +85,10 @@ type State struct {
 func (s *Serial) Save(w io.Writer) error {
 	return WriteState(w, State{
 		Opts:       s.opts,
-		ModeRows:   s.svd.ModeRows(), // panics with a clear message if not initialized
-		Singular:   s.svd.SingularValues(),
-		Iterations: s.svd.Iterations(),
-		Snapshots:  s.svd.SnapshotsSeen(),
+		ModeRows:   s.ModeRows(), // panics with a clear message if not initialized
+		Singular:   s.SingularValues(),
+		Iterations: s.Iterations(),
+		Snapshots:  s.SnapshotsSeen(),
 	})
 }
 
@@ -120,59 +117,12 @@ func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	svd, err := stream.Restore(stream.Options{
-		K:       opts.K,
-		FF:      opts.ForgetFactor,
-		LowRank: opts.LowRank,
-		RLA:     opts.RLA,
-	}, modes, singular, iterations, snapshots)
+	opts = opts.validated()
+	svd, err := stream.Restore(opts.streamOptions(), modes, singular, iterations, snapshots)
 	if err != nil {
 		return nil, err
 	}
-	return &Serial{opts: opts.validated(), svd: svd}, nil
-}
-
-// Save serializes this rank's slice of the parallel engine's state. Every
-// rank must save (and later reload) its own checkpoint.
-func (p *Parallel) Save(w io.Writer) error {
-	p.mustBeInitialized()
-	return WriteState(w, State{
-		Opts:       p.opts,
-		Modes:      p.ulocal,
-		Singular:   p.singular,
-		Iterations: p.iteration,
-		Snapshots:  p.snapshots,
-	})
-}
-
-// LoadParallel reconstructs one rank of a parallel engine from that rank's
-// checkpoint, rebinding it to a (new) communicator.
-func LoadParallel(c *mpi.Comm, r io.Reader) (*Parallel, error) {
-	if c == nil {
-		return nil, errors.New("core: LoadParallel needs a communicator")
-	}
-	st, err := ReadState(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if st.Opts.K < len(st.Singular) {
-		return nil, fmt.Errorf("%w: %d singular values exceed K = %d",
-			ErrBadCheckpoint, len(st.Singular), st.Opts.K)
-	}
-	if st.Modes.Rows() < 1 || st.Modes.Cols() < 1 {
-		return nil, fmt.Errorf("%w: empty %dx%d modes", ErrBadCheckpoint,
-			st.Modes.Rows(), st.Modes.Cols())
-	}
-	eng := NewParallel(c, st.Opts)
-	eng.ulocal = st.Modes
-	eng.singular = st.Singular
-	eng.rows = st.Modes.Rows()
-	eng.iteration = st.Iterations
-	eng.snapshots = st.Snapshots
-	return eng, nil
+	return &Serial{SVD: svd, opts: opts}, nil
 }
 
 // WriteState emits the binary layout:

@@ -3,11 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/testutil"
 )
 
@@ -62,59 +60,6 @@ func TestSerialCheckpointPreservesOptions(t *testing.T) {
 	}
 }
 
-func TestParallelCheckpointRoundTrip(t *testing.T) {
-	rng := testutil.NewRand(33)
-	a, _ := testutil.RandomLowRank(60, 16, 4, 1e-7, rng)
-	const p = 2
-	blocks := splitRows(a, p)
-	opts := Options{K: 3, ForgetFactor: 1, R1: 16}
-
-	// Phase 1: run halfway and checkpoint each rank.
-	checkpoints := make([]*bytes.Buffer, p)
-	var mu sync.Mutex
-	mpi.MustRun(p, func(c *mpi.Comm) {
-		eng := NewParallel(c, opts)
-		eng.Initialize(blocks[c.Rank()].SliceCols(0, 8))
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
-			panic(err)
-		}
-		mu.Lock()
-		checkpoints[c.Rank()] = &buf
-		mu.Unlock()
-	})
-
-	// Phase 2: restore into a fresh world and continue; compare with an
-	// uninterrupted run.
-	restoredVals := make([][]float64, p)
-	mpi.MustRun(p, func(c *mpi.Comm) {
-		eng, err := LoadParallel(c, checkpoints[c.Rank()])
-		if err != nil {
-			panic(err)
-		}
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(8, 16))
-		mu.Lock()
-		restoredVals[c.Rank()] = append([]float64(nil), eng.SingularValues()...)
-		mu.Unlock()
-	})
-
-	uninterrupted := make([][]float64, p)
-	mpi.MustRun(p, func(c *mpi.Comm) {
-		eng := NewParallel(c, opts)
-		eng.Initialize(blocks[c.Rank()].SliceCols(0, 8))
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(8, 16))
-		mu.Lock()
-		uninterrupted[c.Rank()] = append([]float64(nil), eng.SingularValues()...)
-		mu.Unlock()
-	})
-
-	for r := 0; r < p; r++ {
-		if !testutil.CloseSlices(restoredVals[r], uninterrupted[r], 1e-12) {
-			t.Fatalf("rank %d diverged: %v vs %v", r, restoredVals[r], uninterrupted[r])
-		}
-	}
-}
-
 func TestLoadSerialRejectsGarbage(t *testing.T) {
 	_, err := LoadSerial(bytes.NewReader([]byte("not a checkpoint at all")))
 	if !errors.Is(err, ErrBadCheckpoint) {
@@ -162,12 +107,6 @@ func TestSaveBeforeInitializePanics(t *testing.T) {
 	}()
 	var buf bytes.Buffer
 	_ = eng.Save(&buf)
-}
-
-func TestLoadParallelNeedsComm(t *testing.T) {
-	if _, err := LoadParallel(nil, bytes.NewReader(nil)); err == nil {
-		t.Fatal("nil communicator accepted")
-	}
 }
 
 // TestSerialSaveLoadContinuesBitIdentical saves the mode-major engine,

@@ -168,20 +168,13 @@ func TestParallelSingularValuesIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
-func TestSerialImplementsDecomposer(t *testing.T) {
-	var d Decomposer = NewSerial(Options{K: 2, ForgetFactor: 1})
-	rng := testutil.NewRand(7)
-	d = d.Initialize(testutil.RandomDense(10, 4, rng))
-	d = d.IncorporateData(testutil.RandomDense(10, 4, rng))
-	if d.Iterations() != 1 || d.Modes().Cols() != 2 || len(d.SingularValues()) != 2 {
-		t.Fatal("Decomposer contract violated by Serial")
-	}
-}
-
 func TestUsageErrorsSerial(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad K":  func() { NewSerial(Options{K: 0, ForgetFactor: 1}) },
 		"bad ff": func() { NewSerial(Options{K: 1, ForgetFactor: 0}) },
+		"bad method": func() {
+			NewSerial(Options{K: 1, ForgetFactor: 1, Method: apmos.MethodSVD + 1})
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -286,20 +279,6 @@ func TestPropertySerialParallelAgreement(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestParallelImplementsDecomposer(t *testing.T) {
-	rng := testutil.NewRand(11)
-	a := testutil.RandomDense(24, 8, rng)
-	blocks := splitRows(a, 2)
-	mpi.MustRun(2, func(c *mpi.Comm) {
-		var d Decomposer = NewParallel(c, Options{K: 2, ForgetFactor: 1, R1: 8})
-		d = d.Initialize(blocks[c.Rank()].SliceCols(0, 4))
-		d = d.IncorporateData(blocks[c.Rank()].SliceCols(4, 8))
-		if d.Iterations() != 1 || d.Modes().Cols() != 2 || len(d.SingularValues()) != 2 {
-			t.Error("Decomposer contract violated by Parallel")
-		}
-	})
 }
 
 func TestGatherModesAfterStreaming(t *testing.T) {

@@ -9,9 +9,7 @@ import (
 // This file implements the projection utilities the paper's §2 motivates:
 // once the truncated modes are available, snapshots can be compressed to
 // K coefficients each (data compression, reduced-order modeling) and
-// reconstructed from them. Both engines expose the same pair of methods;
-// the parallel versions operate on row blocks and need one Allreduce per
-// projection.
+// reconstructed from them.
 
 // Coefficients projects snapshots onto the current modes: the returned
 // K×B matrix holds, per column, the modal coefficients Uᵀ·a of the
@@ -38,33 +36,6 @@ func (s *Serial) Reconstruct(coeffs *mat.Dense) *mat.Dense {
 			coeffs.Rows(), rows.Rows()))
 	}
 	return mat.MulTransA(rows, coeffs)
-}
-
-// Coefficients projects this rank's snapshot block onto the distributed
-// modes. Each rank contributes U_iᵀ·a_i and the contributions are summed
-// across ranks, so every rank returns the same global K×B coefficient
-// matrix — no rank ever needs the full snapshot.
-func (p *Parallel) Coefficients(a *mat.Dense) *mat.Dense {
-	modes := p.Modes()
-	if a.Rows() != modes.Rows() {
-		panic(fmt.Sprintf("core: Coefficients rows %d, want %d", a.Rows(), modes.Rows()))
-	}
-	local := mat.MulTransA(modes, a) // K×B partial sum
-	k, b := local.Dims()
-	global := p.comm.AllreduceSum(local.RawData())
-	return mat.NewFromData(k, b, global)
-}
-
-// Reconstruct maps global coefficients back to this rank's rows of
-// snapshot space: U_i·c. Stacking the per-rank results reproduces the
-// serial reconstruction.
-func (p *Parallel) Reconstruct(coeffs *mat.Dense) *mat.Dense {
-	modes := p.Modes()
-	if coeffs.Rows() != modes.Cols() {
-		panic(fmt.Sprintf("core: Reconstruct coefficient rows %d, want %d",
-			coeffs.Rows(), modes.Cols()))
-	}
-	return mat.Mul(modes, coeffs)
 }
 
 // CompressionRatio reports the storage ratio of rank-K compression for an

@@ -2,12 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/testutil"
 )
 
@@ -52,47 +50,6 @@ func TestSerialReconstructionErrorMatchesEckartYoung(t *testing.T) {
 	}
 	if got > 1.01*opt {
 		t.Fatalf("round-trip error %g far from optimal %g", got, opt)
-	}
-}
-
-func TestParallelCoefficientsMatchSerial(t *testing.T) {
-	rng := testutil.NewRand(23)
-	a, _ := testutil.RandomLowRank(72, 18, 5, 1e-8, rng)
-	opts := Options{K: 4, ForgetFactor: 1, R1: 18}
-
-	serial := NewSerial(opts)
-	serial.Initialize(a)
-	serialCoeffs := serial.Coefficients(a)
-
-	const p = 3
-	blocks := splitRows(a, p)
-	coeffsByRank := make([]*mat.Dense, p)
-	reconBlocks := make([]*mat.Dense, p)
-	var mu sync.Mutex
-	mpi.MustRun(p, func(c *mpi.Comm) {
-		eng := NewParallel(c, opts)
-		eng.Initialize(blocks[c.Rank()])
-		coeffs := eng.Coefficients(blocks[c.Rank()])
-		recon := eng.Reconstruct(coeffs)
-		mu.Lock()
-		coeffsByRank[c.Rank()] = coeffs
-		reconBlocks[c.Rank()] = recon
-		mu.Unlock()
-	})
-
-	// Every rank computes identical global coefficients.
-	for r := 1; r < p; r++ {
-		if !mat.EqualApprox(coeffsByRank[0], coeffsByRank[r], 1e-12) {
-			t.Fatalf("rank %d coefficients differ from rank 0", r)
-		}
-	}
-	// They agree with the serial projection up to per-mode sign flips, so
-	// compare the reconstructions, which are sign-invariant.
-	serialRecon := serial.Reconstruct(serialCoeffs)
-	parallelRecon := mat.VStack(reconBlocks...)
-	if !mat.EqualApprox(serialRecon, parallelRecon, 1e-6) {
-		t.Fatalf("parallel reconstruction differs from serial by %g",
-			mat.Sub(serialRecon, parallelRecon).MaxAbs())
 	}
 }
 

@@ -112,10 +112,24 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	}
 
 	// The gathered checkpoint is a facade-compatible serial checkpoint of
-	// exactly this state.
+	// exactly this state: rank 0 writes it straight from the gathered
+	// state, byte for byte what a serial engine restored from that state
+	// would save.
 	blob, err := s.Save()
 	if err != nil {
 		t.Fatalf("save: %v", err)
+	}
+	restored, err := core.RestoreSerial(core.Options{K: w.K, ForgetFactor: w.FF, R1: w.R1},
+		ref.Modes, ref.Singular, ref.Iterations, w.Snapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := restored.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, want.Bytes()) {
+		t.Errorf("SAVE blob (%d bytes) differs from RestoreSerial+Save (%d bytes)", len(blob), want.Len())
 	}
 	eng, err := core.LoadSerial(bytes.NewReader(blob))
 	if err != nil {

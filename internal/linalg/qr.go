@@ -259,24 +259,29 @@ func (f QRFactor) coeffs(ws *mat.Workspace, x *mat.Dense, p int) *mat.Dense {
 }
 
 // MulQInPlace overwrites the first p rows of the factored buffer with
-// (Q·[X; 0])ᵀ for a t×p matrix x, p ≤ t: row c becomes column c of
+// (Q·[X; 0])ᵀ for a t×p matrix x, p ≤ n: row c becomes column c of
 // Q·[X; 0]. It is MulQInto for a caller that keeps its result one
 // contiguous row per column — the streaming engine's mode-major modes —
 // in storage the factorization already owns, so no fresh m×p destination
-// is touched. Rows c < p hold Householder vectors every column of the
-// product reads, so the buffer is rewritten qSlab columns at a time: one
-// broadcast-axpy of zᵀ against the slab of Y into a small staging block,
-// X added, then a copy back. Each element is the fused chain MulQInto
-// computes on its broadcast-axpy route (t ≤ 32), plus the same addition
-// of X, so there the two agree bit for bit.
+// is touched. Rows c < min(p, t) hold Householder vectors every column of
+// the product reads, so the buffer is rewritten qSlab columns at a time:
+// one broadcast-axpy of zᵀ against the slab of Y into a small staging
+// block, X added, then a copy back. Each element is the fused chain
+// MulQInto computes on its broadcast-axpy route (t ≤ 32), plus the same
+// addition of X, so there the two agree bit for bit.
+//
+// p may exceed t when the buffer is wider than it is long (m < n): the
+// rows c ≥ t are spent and only written. A rank of the distributed update
+// whose row block is shorter than the retained modes applies its block of
+// Q this way.
 //
 // The factorization is spent afterwards: Q cannot be applied again.
 func (f QRFactor) MulQInPlace(ws *mat.Workspace, x *mat.Dense) {
-	t, m := f.tm.Rows(), f.y.Cols()
+	t, m, n := f.tm.Rows(), f.y.Cols(), f.y.Rows()
 	p := x.Cols()
-	if x.Rows() != t || p > t {
+	if x.Rows() != t || p > n {
 		panic(fmt.Sprintf("linalg: MulQInPlace: Q is %dx%d, x is %dx%d; want %d rows and at most %d columns",
-			m, t, x.Rows(), p, t, t))
+			m, t, x.Rows(), p, t, n))
 	}
 	z := f.coeffs(ws, x, p)
 	zd, yd, xd := z.RawData(), f.y.RawData(), x.RawData()

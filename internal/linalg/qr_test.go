@@ -454,7 +454,9 @@ func maxAbsDiff(x, y *mat.Dense) float64 {
 // shapes of TestQRProperties: the first p rows of the factored buffer must
 // become (Q·[X; 0])ᵀ. At m = 4096 with t ≤ 32 MulQInto takes the
 // broadcast-axpy route, whose fused chains the in-place apply repeats, so
-// there the two agree bit for bit.
+// there the two agree bit for bit. A buffer with fewer columns m than rows
+// n takes up to n result rows, more than t = m (a rank of the distributed
+// update whose row block is shorter than its retained modes).
 func TestMulQInPlace(t *testing.T) {
 	rng := testutil.NewRand(12)
 	for _, n := range []int{1, 2, 7, 8, 9, 16, 24, 32, 40} {
@@ -467,6 +469,9 @@ func TestMulQInPlace(t *testing.T) {
 	}
 	checkMulQInPlace(t, qrInput(13, 30, "zero", rng), testutil.RandomDense(13, 13, rng))
 	checkMulQInPlace(t, qrInput(4096, 32, "duplicate", rng), testutil.RandomDense(32, 16, rng))
+	for _, s := range []struct{ m, n, p int }{{1, 4, 3}, {2, 6, 5}, {3, 8, 8}, {5, 40, 17}} {
+		checkMulQInPlace(t, qrInput(s.m, s.n, "random", rng), testutil.RandomDense(s.m, s.p, rng))
+	}
 }
 
 func checkMulQInPlace(t *testing.T, a, x *mat.Dense) {

@@ -216,7 +216,7 @@ func TestPanelBatchMatchesMulInto(t *testing.T) {
 // the first call, repeated same-shape PanelBatch products allocate nothing.
 func TestPanelBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts; bench-gate enforces this in a normal build")
+		t.Skip("race detector makes sync.Pool drop Puts; bench-trajectory enforces this in a normal build")
 	}
 	rng := rand.New(rand.NewSource(3))
 	var pb PanelBatch
@@ -235,9 +235,10 @@ func TestPanelBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedSkinny is the bench-gate entry for the batched path: a
-// steady-state panel batch over a tall-skinny mode update (the streaming
-// engine's dominant shape). The gate requires 0 allocs/op.
+// BenchmarkBatchedSkinny is the bench-trajectory entry for the batched
+// path: a steady-state panel batch over a tall-skinny mode update (the
+// streaming engine's dominant shape). Its baseline is 0 allocs/op, and the
+// trajectory compare fails on any increase.
 func BenchmarkBatchedSkinny(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	var pb PanelBatch

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkMergePairSteadyState exercises the allocation-free merge hot
-// path: one Merger, one reused destination, same-shaped operands. Gated
-// at 0 allocs/op by `make bench-gate`.
+// path: one Merger, one reused destination, same-shaped operands. Its
+// baseline is 0 allocs/op, which `make bench-trajectory` lets no run exceed.
 func BenchmarkMergePairSteadyState(b *testing.B) {
 	const (
 		rows = 512

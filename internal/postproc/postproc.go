@@ -3,9 +3,9 @@
 // quick-look plots without any plotting dependency (ASCII line plots for
 // 1-D modes, PGM heatmaps for lat-lon fields).
 //
-// Like the Python module, it binds to the engines only through the
-// core.Decomposer-shaped data (modes + singular values), so the same
-// routines serve the serial and parallel paths.
+// Like the Python module, it binds to the engines only through their
+// output data (modes + singular values), so the same routines serve the
+// serial and parallel paths.
 package postproc
 
 import (

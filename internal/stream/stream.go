@@ -6,6 +6,11 @@
 // The streaming state after ingesting batches A_0 … A_i approximates the
 // truncated SVD of [ff^i·A_0 | … | ff·A_{i−1} | A_i]; with ff = 1 and K at
 // least the matrix rank it reproduces the one-shot SVD exactly.
+//
+// The same engine runs one rank of the distributed update (paper Listing 2
+// `incorporate_data`): there the rows of the snapshot matrix are split
+// across ranks, and only the factor step differs — the distributed QR of
+// Listing 4 in place of the local one.
 package stream
 
 import (
@@ -13,7 +18,9 @@ import (
 
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
+	"goparsvd/internal/tsqr"
 )
 
 // Options configures a streaming SVD.
@@ -64,6 +71,7 @@ func (o Options) validated() Options {
 // QR's apply writes the new modes back over them.
 type SVD struct {
 	opts        Options
+	step        step
 	buf         *mat.Dense // the update's factored buffer, one row of M values per stacked column
 	top         mat.Dense  // view of buf's first k rows: the modes, mode-major
 	singular    []float64
@@ -81,9 +89,50 @@ type SVD struct {
 	ws mat.Workspace
 }
 
+// step is the one part of the update the serial and distributed engines do
+// differently. It factors the stack held column by column in at and returns
+// the factor f of (this rank's block of) its Q, the truncated basis change x
+// whose image Q·[x; 0] is the new modes, and their singular values d. x and
+// d come from the workspace; the caller puts them back.
+type step func(s *SVD, at *mat.Dense) (f linalg.QRFactor, x *mat.Dense, d []float64)
+
+// localStep factors the whole stack in this process (Listing 1).
+func localStep(s *SVD, at *mat.Dense) (linalg.QRFactor, *mat.Dense, []float64) {
+	f, r := linalg.FactorQR(&s.ws, at)
+	x, d := s.smallSVD(r)
+	s.ws.Put(r)
+	return f, x, d
+}
+
+// gatherStep factors a stack whose rows are split across c's ranks: the
+// distributed QR of Listing 4, then the small SVD of the global R at rank
+// 0, broadcast to every rank. This rank's block of Q stays implicit as
+// f·[qc; 0], so its basis change is qc·Ũ_k.
+func gatherStep(c *mpi.Comm) step {
+	return func(s *SVD, at *mat.Dense) (linalg.QRFactor, *mat.Dense, []float64) {
+		f, qc, r := tsqr.GatherQRFactor(&s.ws, c, at)
+		var u *mat.Dense
+		var d []float64
+		if r != nil { // rank 0
+			u, d = s.smallSVD(r)
+			s.ws.Put(r)
+		}
+		// Broadcast returns a fresh copy on every rank, the root included;
+		// the root's own factors go back to the workspace.
+		uk, dk := c.BcastMatrix(0, u), c.BcastFloats(0, d)
+		s.ws.Put(u)
+		s.ws.PutFloats(d)
+		x := s.ws.GetUninit(qc.Rows(), uk.Cols())
+		mat.MulInto(x, qc, uk)
+		s.ws.Put(qc)
+		s.ws.Put(uk)
+		return f, x, dk
+	}
+}
+
 // New returns an empty streaming SVD with the given options.
 func New(opts Options) *SVD {
-	return &SVD{opts: opts.validated()}
+	return &SVD{opts: opts.validated(), step: localStep}
 }
 
 // Restore rebuilds a streaming SVD from previously captured state (the
@@ -95,6 +144,23 @@ func New(opts Options) *SVD {
 // here, so a corrupted checkpoint fails loudly at load time rather than
 // deep inside the next IncorporateData call.
 func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
+	return restore(opts, localStep, modes, singular, iterations, snapshots)
+}
+
+// RestoreDistributed is Restore for one rank of an engine whose snapshot
+// rows are split across c's ranks: modes is this rank's M_i×k block of the
+// global modes, and every later update runs Listing 4's distributed QR
+// over c. Every rank restores with the same singular values and counters,
+// and every rank must then make the same sequence of calls.
+func RestoreDistributed(c *mpi.Comm, opts Options, modes *mat.Dense, singular []float64,
+	iterations, snapshots int) (*SVD, error) {
+	if c == nil {
+		return nil, fmt.Errorf("stream: RestoreDistributed needs a communicator")
+	}
+	return restore(opts, gatherStep(c), modes, singular, iterations, snapshots)
+}
+
+func restore(opts Options, st step, modes *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: Restore: %w", err)
 	}
@@ -121,6 +187,7 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 	}
 	s := &SVD{
 		opts:        opts.validated(),
+		step:        st,
 		buf:         modes.T(),
 		singular:    append([]float64(nil), singular...),
 		rows:        modes.Rows(),
@@ -132,8 +199,10 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 	return s, nil
 }
 
-// Initialized reports whether Initialize has been called.
-func (s *SVD) Initialized() bool { return s.initialized }
+// Initialized reports whether Initialize has been called. A nil engine is
+// not initialized, so a caller that embeds one before seeding it gets the
+// usage panic rather than a nil dereference.
+func (s *SVD) Initialized() bool { return s != nil && s.initialized }
 
 // Iterations returns the number of IncorporateData calls so far.
 func (s *SVD) Iterations() int { return s.iterations }
@@ -175,7 +244,7 @@ func (s *SVD) SingularValues() []float64 {
 }
 
 func (s *SVD) mustBeInitialized() {
-	if !s.initialized {
+	if !s.Initialized() {
 		panic("stream: SVD not initialized; call Initialize with the first batch")
 	}
 }
@@ -247,51 +316,46 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	return s
 }
 
-// rotate is the shared body of both steps: it factors the stacked matrix
-// held column by column in at (the leading rows of buf), takes the small
-// SVD of R, and writes the new modes U′·Ũ[:, :K] — Q applied to Ũ's
-// leading columns, never formed — mode-major over at's first rows, with
+// rotate is the shared body of both steps: the engine's factor step turns
+// the stacked matrix held column by column in at (the leading rows of buf)
+// into Q's factor and the truncated basis change, and Q applied to it —
+// never formed — writes the new modes mode-major over at's first rows, with
 // the retained singular values alongside.
 func (s *SVD) rotate(at *mat.Dense) {
-	f, r := linalg.FactorQR(&s.ws, at)
-	u, d := s.smallSVD(r)
-	s.ws.Put(r)
-	k := min(s.opts.K, len(d))
-	usub := s.ws.GetUninit(u.Rows(), k)
-	u.SliceColsInto(usub, 0, k)
-	f.MulQInPlace(&s.ws, usub)
+	f, x, d := s.step(s, at)
+	f.MulQInPlace(&s.ws, x)
 	f.Release(&s.ws)
-	s.ws.Put(usub)
-	s.ws.Put(u)
-	s.singular = append(s.singular[:0], d[:k]...)
+	s.ws.Put(x)
+	s.singular = append(s.singular[:0], d...)
 	s.ws.PutFloats(d)
-	s.buf.ViewRows(0, k, &s.top)
+	s.buf.ViewRows(0, len(d), &s.top)
 	s.ws.Put(s.modes) // the previous Modes copy is stale
 	s.modes = nil
 }
 
 // smallSVD factorizes the small (batch-sized) matrix produced by the QR
-// step, optionally with the randomized algorithm. Singular values are
-// returned in descending order, which subsumes Listing 1's argsort. The
-// returned factors are workspace-owned; the caller puts them back.
+// step, optionally with the randomized algorithm, and truncates it to the
+// K leading singular triplets: it returns Ũ[:, :k] and the k largest
+// singular values in descending order, which subsumes Listing 1's argsort.
+// The returned factors are workspace-owned; the caller puts them back.
 func (s *SVD) smallSVD(r *mat.Dense) (*mat.Dense, []float64) {
+	var u *mat.Dense
+	var d []float64
 	if s.opts.LowRank {
-		t := min(r.Rows(), r.Cols())
-		u, d, err := rla.LowRankSVDWith(&s.ws, r, min(s.opts.K, t), s.opts.RLA)
+		var err error
+		u, d, err = rla.LowRankSVDWith(&s.ws, r, min(s.opts.K, r.Rows(), r.Cols()), s.opts.RLA)
 		if err != nil {
 			// Options are validated before ingest and r is never empty
 			// here, so rla cannot reject the rank; a failure is a broken
 			// internal invariant, not a caller mistake.
 			panic(fmt.Sprintf("stream: low-rank small SVD: %v", err))
 		}
-		return u, d
+	} else {
+		u, d = linalg.SVDLeftWith(&s.ws, r)
 	}
-	return linalg.SVDLeftWith(&s.ws, r)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	k := min(s.opts.K, len(d))
+	uk := s.ws.GetUninit(u.Rows(), k)
+	u.SliceColsInto(uk, 0, k)
+	s.ws.Put(u)
+	return uk, d[:k]
 }
