@@ -49,14 +49,19 @@ dist-smoke:
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
-# the session frame/payload decoders and the HTTP binary matrix body
-# decoder (truncated frames, hostile lengths, non-finite payloads must
-# error, never panic or over-allocate).
+# every decoder that parses another process's bytes: the worker's PUSH
+# block reader, the PUSH-SKETCH factor-pair decoder, the HTTP binary
+# matrix body decoder and checkpoint loading (truncated frames, hostile
+# lengths and shapes, non-finite payloads must error, never panic or
+# over-allocate).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
 	$(GO) test -run 'FuzzReadMatrix' ./server
+	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
+	$(GO) test -fuzz FuzzDecodeFactorPair -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server
+	$(GO) test -fuzz FuzzLoad -fuzztime 10s -run '^$$' .
 
 # Serving smoke: boot the HTTP server on a random port, create a model,
 # stream the deterministic FromWorkload batches at it through the typed
@@ -136,11 +141,12 @@ bench-stream:
 
 # The benchmark set the trajectory record tracks: the facade's cold
 # bring-up footprint, kernel-level GEMM, the batched path, the QR at the
-# streaming update's shapes, the streaming hot loop, the pairwise merge
-# and the sketched-push wire traffic. Kept in one
+# streaming update's shapes, the streaming hot loop, the pairwise merge,
+# the sketched-push wire traffic, the two-rank APMOS seeding footprint and
+# the worker's steady PUSH decode. Kept in one
 # place so emitting a baseline and emitting a CI run measure the same
 # thing.
-TRAJ_BENCH = BenchmarkFacadeBringUp$$|BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$
+TRAJ_BENCH = BenchmarkFacadeBringUp$$|BenchmarkMulIntoSquare256$$|BenchmarkMulSquare512$$|BenchmarkMulTallSkinny$$|BenchmarkBatchedSkinny$$|BenchmarkStreamDot$$|BenchmarkStreamAxpy$$|BenchmarkQRStreamShape$$|BenchmarkIncorporateSteadyStateAllocs$$|BenchmarkIncorporateWorkloadShape$$|BenchmarkMergePairSteadyState$$|BenchmarkMergeTree8$$|BenchmarkSketchedPushWire$$|BenchmarkParallelInitialize$$|BenchmarkSessionPushDecode$$
 TRAJ_COUNT ?= 5
 RUNID ?= local
 
@@ -149,7 +155,7 @@ RUNID ?= local
 # (same environment) or any alloc increase (any environment) fails.
 bench-trajectory:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge ./internal/core ./internal/launch \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid "$(RUNID)" -o BENCH_$(RUNID).json
 	$(GO) run ./cmd/parsvd-benchtraj compare -baseline BENCH_baseline.json -current BENCH_$(RUNID).json
 
@@ -157,7 +163,7 @@ bench-trajectory:
 # performance changes, then commit BENCH_baseline.json).
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(TRAJ_BENCH)' -benchmem -count $(TRAJ_COUNT) \
-		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge \
+		. ./internal/mat ./internal/linalg ./internal/stream ./internal/merge ./internal/core ./internal/launch \
 		| $(GO) run ./cmd/parsvd-benchtraj emit -runid baseline -o BENCH_baseline.json
 
 # Re-measure the kernel selection thresholds on this machine and rewrite

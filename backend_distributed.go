@@ -100,7 +100,15 @@ func (d *distEngine) push(b *mat.Dense) error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if err := checkBatch(b, d.rows); err != nil {
+	// The session scans every batch for non-finite values before it
+	// writes a frame, so a live fleet's batches are scanned there alone.
+	// A first batch is scanned here as well: a bad one must not cost a
+	// fleet spawn.
+	check := checkShape
+	if d.sess == nil {
+		check = checkBatch
+	}
+	if err := check(b, d.rows); err != nil {
 		return err
 	}
 	if d.sess == nil {

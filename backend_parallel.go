@@ -101,9 +101,11 @@ func (pe *parallelEngine) rankLoop(rank int) {
 					eng.IncorporateData(op.block)
 				}
 			case parGather:
-				modes := eng.GatherModes()
+				rows := eng.GatherModeRows()
 				if rank == 0 {
-					reply.modes = modes
+					// The one transpose of a read: the gathered K×M rows
+					// become the caller's M×K matrix.
+					reply.modes = rows.T()
 					reply.singular = append([]float64(nil), eng.SingularValues()...)
 					reply.iterations = eng.Iterations()
 					reply.snapshots = eng.SnapshotsSeen()

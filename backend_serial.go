@@ -90,14 +90,22 @@ func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
 // running factorization — so code written against one backend behaves
 // identically on the others.
 func checkBatch(b *mat.Dense, rows int) error {
+	if err := checkShape(b, rows); err != nil {
+		return err
+	}
+	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
+		return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
+	}
+	return nil
+}
+
+// checkShape is checkBatch without the scan for non-finite values.
+func checkShape(b *mat.Dense, rows int) error {
 	if b == nil || b.IsEmpty() {
 		return errors.New("parsvd: empty snapshot batch")
 	}
 	if rows != 0 && b.Rows() != rows {
 		return fmt.Errorf("parsvd: batch has %d rows, want %d", b.Rows(), rows)
-	}
-	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
-		return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
 	}
 	return nil
 }

@@ -79,10 +79,10 @@ func runParallelBurgers(cfg burgers.Config, ranks, k, batch int, ff float64, low
 				eng.IncorporateData(b)
 			}
 		}
-		gathered := eng.GatherModes()
+		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered
+			modes = gathered.T()
 			mu.Unlock()
 		}
 	})
@@ -188,10 +188,10 @@ func BenchmarkFig2ERA5Modes(b *testing.B) {
 					eng.IncorporateData(blk)
 				}
 			}
-			gathered := eng.GatherModes()
+			gathered := eng.GatherModeRows()
 			if c.Rank() == 0 {
 				mu.Lock()
-				modes = gathered
+				modes = gathered.T()
 				mu.Unlock()
 			}
 		})

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,10 +96,23 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 		return reply(launch.SessOK, b)
 	}
 
+	// ingest seeds the engine with this rank's block of the first batch and
+	// streams every later one.
+	ingest := func(block *mat.Dense) {
+		if eng == nil {
+			eng = core.NewParallel(comm, copts)
+			eng.Initialize(block)
+			localRows = block.Rows()
+		} else {
+			eng.IncorporateData(block)
+		}
+	}
+
 	// handle executes one command, converting engine panics (dimension
 	// bugs, abort echoes from failed peers) into errors. done reports a
-	// clean SHUTDOWN.
-	handle := func(verb byte, body []byte) (done bool, err error) {
+	// clean SHUTDOWN. A PUSH arrives already decoded into block; every
+	// other verb's payload is body.
+	handle := func(verb byte, body []byte, block *mat.Dense) (done bool, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				done = false
@@ -138,17 +150,7 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			if !inited {
 				return false, errors.New("PUSH before INIT")
 			}
-			block, err := launch.DecodeBlock(body)
-			if err != nil {
-				return false, err
-			}
-			if eng == nil {
-				eng = core.NewParallel(comm, copts)
-				eng.Initialize(block)
-				localRows = block.Rows()
-			} else {
-				eng.IncorporateData(block)
-			}
+			ingest(block)
 			return false, okStatus("")
 		case launch.SessPushSketch:
 			if !inited {
@@ -160,15 +162,14 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			}
 			// Reconstruct this rank's row block of the batch: the launcher
 			// scattered Q's rows, so Q_r·S is exactly the block PUSH would
-			// have carried, and the same collective update runs on it.
+			// have carried, and the same collective update runs on it. The
+			// launcher refuses a pair whose product overflows; this check
+			// keeps a block it could not vet from entering the update.
 			block := mat.Mul(qblock, sfull)
-			if eng == nil {
-				eng = core.NewParallel(comm, copts)
-				eng.Initialize(block)
-				localRows = block.Rows()
-			} else {
-				eng.IncorporateData(block)
+			if i := mat.FirstNonFinite(block.RawData()); i >= 0 {
+				return false, fmt.Errorf("PUSH-SKETCH: reconstructed block contains a non-finite value (%g)", block.RawData()[i])
 			}
+			ingest(block)
 			return false, okStatus("")
 		case launch.SessSpectrum:
 			if eng == nil {
@@ -179,10 +180,10 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			if eng == nil {
 				return false, errors.New("MODES-SHA before any PUSH")
 			}
-			modes := eng.GatherModes() // collective: every rank participates
+			rows := eng.GatherModeRows() // collective: every rank participates
 			sha := ""
 			if rank == 0 {
-				sha = launch.HashModes(modes)
+				sha = launch.HashModeRows(rows)
 			}
 			return false, okStatus(sha)
 		case launch.SessStats:
@@ -191,21 +192,25 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			if eng == nil {
 				return false, errors.New("SAVE before any PUSH")
 			}
-			modes := eng.GatherModes() // collective
+			rows := eng.GatherModeRows() // collective
 			if rank != 0 {
 				return false, okStatus("")
 			}
-			var buf bytes.Buffer
-			if err := core.WriteState(&buf, core.State{
+			// The checkpoint is encoded straight into the reply frame, so
+			// rank 0 never holds a second copy of the modes as bytes.
+			st := core.State{
 				Opts:       eng.Options(),
-				Modes:      modes,
+				ModeRows:   rows,
 				Singular:   eng.SingularValues(),
 				Iterations: eng.Iterations(),
 				Snapshots:  eng.SnapshotsSeen(),
+			}
+			if err := launch.WriteSizedFrame(out, launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
+				return core.WriteState(w, st)
 			}); err != nil {
 				return false, fmt.Errorf("writing checkpoint: %w", err)
 			}
-			return false, reply(launch.SessBlob, buf.Bytes())
+			return false, out.Flush()
 		case launch.SessShutdown:
 			// No rank starts tearing its sockets down while a peer is
 			// still mid-collective.
@@ -218,8 +223,17 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 	}
 
 	in := bufio.NewReaderSize(os.Stdin, 1<<16)
+	// blocks holds the one float block every PUSH is decoded into.
+	var blocks launch.BlockReader
 	for {
-		verb, body, err := launch.ReadSessionFrame(in)
+		var (
+			body  []byte
+			block *mat.Dense
+		)
+		verb, n, err := launch.ReadFrameHeader(in)
+		if err == nil && verb != launch.SessPush {
+			body, err = launch.ReadFrameBody(in, n)
+		}
 		if err != nil {
 			// The launcher is gone (EOF) or sent garbage: unwind the whole
 			// world so peers blocked in collectives do not hang until the
@@ -230,7 +244,15 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 			}
 			return err
 		}
-		done, err := handle(verb, body)
+		// A PUSH payload the block reader refuses is reported like any
+		// failed command.
+		if verb == launch.SessPush {
+			block, err = blocks.Read(in, n)
+		}
+		var done bool
+		if err == nil {
+			done, err = handle(verb, body, block)
+		}
 		if err != nil {
 			t.Abort()
 			reply(launch.SessErr, []byte(err.Error()))

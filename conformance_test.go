@@ -17,11 +17,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	parsvd "goparsvd"
 
 	"goparsvd/internal/launch"
+	"goparsvd/internal/mat"
 	"goparsvd/internal/testutil"
 )
 
@@ -349,6 +351,52 @@ func TestConformanceRejectsNonFinite(t *testing.T) {
 			// Still healthy: the stream continues.
 			if err := svd.Push(a.SliceCols(8, 16)); err != nil {
 				t.Fatalf("push after non-finite rejections: %v", err)
+			}
+		})
+	}
+}
+
+// TestConformanceRejectsOverflowingSketchPair: a sketch pair of finite
+// factors whose product overflows is refused on every backend with the
+// same "non-finite value (+Inf)" rejection, as a plain validation error
+// that leaves the SVD healthy — the Distributed backend before any frame
+// reaches a worker.
+func TestConformanceRejectsOverflowingSketchPair(t *testing.T) {
+	skipWithoutFleet(t)
+	a := confMatrix()
+	q := parsvd.NewMatrix(a.Rows(), 2)
+	sk := parsvd.NewMatrix(2, 2)
+	for i := 0; i < q.Rows(); i++ {
+		q.Set(i, 0, 1e200)
+		q.Set(i, 1, 1e200)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			sk.Set(i, j, 1e200)
+		}
+	}
+	for _, b := range confBackends {
+		t.Run(b.name, func(t *testing.T) {
+			svd := newConfSVD(t, b.backend, b.ranks)
+			if err := svd.Push(a.SliceCols(0, 8)); err != nil {
+				t.Fatal(err)
+			}
+			err := svd.PushSketch(q, sk)
+			if err == nil || !strings.Contains(err.Error(), "non-finite value (+Inf)") {
+				t.Fatalf("overflowing pair: err = %v, want a non-finite (+Inf) rejection", err)
+			}
+			if errors.Is(err, parsvd.ErrEngineFailed) {
+				t.Fatalf("overflowing pair poisoned the engine: %v", err)
+			}
+			if err := svd.Push(a.SliceCols(8, 16)); err != nil {
+				t.Fatalf("push after the rejected pair: %v", err)
+			}
+			res, err := svd.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := mat.FirstNonFinite(res.Singular); i >= 0 {
+				t.Fatalf("spectrum holds %g after the rejected pair", res.Singular[i])
 			}
 		})
 	}

@@ -146,10 +146,10 @@ func TestIntegrationERA5Pipeline(t *testing.T) {
 				eng.IncorporateData(block)
 			}
 		}
-		gathered := eng.GatherModes()
+		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered
+			modes = gathered.T()
 			mu.Unlock()
 		}
 	})

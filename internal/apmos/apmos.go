@@ -135,9 +135,10 @@ func GenerateRightVectors(a *mat.Dense, r1 int, method Method) (v *mat.Dense, s 
 
 // Decompose runs Algorithm 2 over the communicator: a is this rank's row
 // block A_i of the global snapshot matrix. It returns this rank's slice of
-// the K global modes (M_i×K) and the K global singular values; both are
-// valid on every rank.
-func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (modes *mat.Dense, s []float64) {
+// the K global modes mode-major — the K×M_i matrix whose row j is mode j's
+// M_i entries, the layout the streaming engine keeps its modes in — and
+// the K global singular values; both are valid on every rank.
+func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (rows *mat.Dense, s []float64) {
 	_, n := a.Dims()
 	opts = opts.withDefaults(n)
 
@@ -175,26 +176,53 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (modes *mat.Dense, s []f
 	x = c.BcastMatrix(0, x)
 	lam = c.BcastFloats(0, lam)
 
-	// Step 7: local slice of each global mode, Ũʲᵢ = (1/Λ_j)·A_i·X_j. The
-	// 1/Λ scaling runs in place on the product, sparing an intermediate.
-	k := opts.K
-	if k > len(lam) {
-		k = len(lam)
-	}
+	// Step 7: local slice of each global mode, Ũʲᵢ = (1/Λ_j)·A_i·X_j,
+	// formed mode-major as Ũᵀ = diag(1/Λ)·X_kᵀ·A_iᵀ.
+	k := min(opts.K, len(lam))
 	inv := make([]float64, k)
-	for j := 0; j < k; j++ {
+	for j := range inv {
 		if lam[j] > 0 {
 			inv[j] = 1 / lam[j]
 		}
 	}
-	modes = mat.Mul(a, x.SliceCols(0, k))
-	mat.MulDiagInto(modes, modes, inv)
-	return modes, lam[:k]
+	return modeRows(a, x.SliceCols(0, k), inv), lam[:k]
+}
+
+// modePanel is the row-panel height of step 7's product: a panel of
+// A_i·X_k stays in L1 while it is scaled and written out transposed.
+const modePanel = 128
+
+// modeRows forms diag(inv)·X_kᵀ·A_iᵀ, the K×M_i mode-major slice of the
+// modes. A_i·X_k runs one row panel at a time through the broadcast-axpy
+// kernel, and each cache-resident panel is scaled and written transposed
+// into its columns of the result, so neither the M_i×K product nor a
+// transpose of it is ever built.
+func modeRows(a, xk *mat.Dense, inv []float64) *mat.Dense {
+	mi, k := a.Rows(), xk.Cols()
+	out := mat.New(k, mi)
+	panel := mat.New(min(modePanel, mi), k)
+	var rows, p mat.Dense
+	d := out.RawData()
+	for i0 := 0; i0 < mi; i0 += modePanel {
+		i1 := min(i0+modePanel, mi)
+		a.ViewRows(i0, i1, &rows)
+		panel.ViewRows(0, i1-i0, &p)
+		mat.MulInto(&p, &rows, xk)
+		pd := p.RawData()
+		for j, s := range inv {
+			col := d[j*mi+i0 : j*mi+i1]
+			for i := range col {
+				col[i] = pd[i*k+j] * s
+			}
+		}
+	}
+	return out
 }
 
 // DecomposeSerial is the single-process reference: the exact truncated SVD
 // of the full matrix, returning the leading K modes and singular values. It
-// is what Decompose converges to as r1 → N.
+// is what Decompose converges to as r1 → N. Unlike Decompose it returns
+// the modes as the M×K matrix U.
 func DecomposeSerial(a *mat.Dense, k int) (modes *mat.Dense, s []float64) {
 	u, sv, _ := linalg.SVDTruncated(a, k)
 	return u, sv

@@ -47,7 +47,7 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 		}
 		mu.Unlock()
 	})
-	return mat.VStack(modeBlocks...), sOut
+	return mat.HStack(modeBlocks...).T(), sOut
 }
 
 func TestGenerateRightVectorsGramMatchesSVD(t *testing.T) {

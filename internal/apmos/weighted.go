@@ -22,8 +22,8 @@ import (
 // WeightedDecompose runs Algorithm 2 under the weighted inner product
 // defined by the per-row weights w (one entry per local grid point, all
 // strictly positive — e.g. cell volumes or quadrature weights). Shapes and
-// semantics otherwise match Decompose.
-func WeightedDecompose(c *mpi.Comm, a *mat.Dense, w []float64, opts Options) (modes *mat.Dense, s []float64) {
+// semantics otherwise match Decompose: the modes come back mode-major.
+func WeightedDecompose(c *mpi.Comm, a *mat.Dense, w []float64, opts Options) (rows *mat.Dense, s []float64) {
 	if len(w) != a.Rows() {
 		panic(fmt.Sprintf("apmos: %d weights for %d local rows", len(w), a.Rows()))
 	}
@@ -37,8 +37,10 @@ func WeightedDecompose(c *mpi.Comm, a *mat.Dense, w []float64, opts Options) (mo
 		invSqrtW[i] = 1 / sqrtW[i]
 	}
 	scaled := mat.DiagMul(sqrtW, a)
-	weightedModes, s := Decompose(c, scaled, opts)
-	return mat.DiagMul(invSqrtW, weightedModes), s
+	weightedRows, s := Decompose(c, scaled, opts)
+	// Mode-major, the row scaling diag(1/√w)·U scales columns of Uᵀ.
+	mat.MulDiagInto(weightedRows, weightedRows, invSqrtW)
+	return weightedRows, s
 }
 
 // WeightedGram computes Uᵀ·diag(w)·U, the Gram matrix of the columns of U

@@ -33,7 +33,7 @@ func runWeighted(t *testing.T, a *mat.Dense, w []float64, p int, opts Options) (
 		}
 		mu.Unlock()
 	})
-	return mat.VStack(modeBlocks...), s
+	return mat.HStack(modeBlocks...).T(), s
 }
 
 func TestWeightedUniformReducesToStandard(t *testing.T) {

@@ -190,13 +190,30 @@ func WriteState(w io.Writer, st State) error {
 			return fmt.Errorf("core: checkpoint write: %w", err)
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, st.Singular); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
+	buf, err := mat.WriteFloats(w, make([]byte, 0, scratchLen), st.Singular)
+	if err == nil {
+		err = st.writeModes(w, buf)
 	}
-	if err := st.writeModes(w); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
 	return nil
+}
+
+// scratchLen is the fixed buffer a checkpoint's values are encoded and
+// decoded through, whatever the shape.
+const scratchLen = 32 << 10
+
+// EncodedLen is the number of bytes WriteState writes for st, so a
+// checkpoint can be framed before it is encoded (the worker's SAVE reply
+// streams it straight out).
+func (st State) EncodedLen() int {
+	meta := 7 // rla (3), r1, method, rows, cols
+	if !st.Shard.IsZero() {
+		meta += 2
+	}
+	rows, cols := st.modeDims()
+	return len(checkpointMagic) + 1 + 3*8 + 8 + 1 + 8*meta + 8*(cols+rows*cols)
 }
 
 // modeDims is the M×K shape of the modes, whichever layout st holds.
@@ -208,29 +225,31 @@ func (st State) modeDims() (rows, cols int) {
 	return st.Modes.Dims()
 }
 
-// writeModes emits the modes row-major as M×K little-endian float64s. From
-// mode-major rows it transposes through one bounded chunk of bytes, so a
-// save never builds an M×K copy.
-func (st State) writeModes(w io.Writer) error {
+// writeModes emits the modes row-major as M×K little-endian float64s after
+// the pending bytes in buf, through buf's fixed capacity; from mode-major
+// rows it transposes as it encodes, so a save never builds an M×K copy.
+func (st State) writeModes(w io.Writer, buf []byte) error {
+	var err error
 	if st.Modes != nil {
-		return binary.Write(w, binary.LittleEndian, st.Modes.RawData())
-	}
-	k, m := st.ModeRows.Dims()
-	d := st.ModeRows.RawData()
-	const chunk = 32 << 10
-	buf := make([]byte, 0, chunk+8*k)
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d[j*m+i]))
-		}
-		if len(buf) >= chunk || i == m-1 {
-			if _, err := w.Write(buf); err != nil {
-				return err
+		buf, err = mat.WriteFloats(w, buf, st.Modes.RawData())
+	} else {
+		k, m := st.ModeRows.Dims()
+		d := st.ModeRows.RawData()
+		for i := 0; i < m && err == nil; i++ {
+			if cap(buf)-len(buf) < 8*k {
+				_, err = w.Write(buf)
+				buf = buf[:0]
 			}
-			buf = buf[:0]
+			for j := 0; j < k; j++ {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d[j*m+i]))
+			}
 		}
 	}
-	return nil
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // ReadState parses either checkpoint version, validating shape and
@@ -280,20 +299,27 @@ func ReadState(r io.Reader) (State, error) {
 		}
 	}
 	rows, cols := meta[nmeta-2], meta[nmeta-1]
-	const maxCheckpointElems = int64(1) << 34 // 128 GiB of float64s: sanity bound
-	if rows < 0 || cols < 0 || rows*cols > maxCheckpointElems {
+	// 128 GiB of float64s: a sanity bound on each dimension and, divided
+	// rather than multiplied so it cannot wrap, on their product.
+	const maxCheckpointElems = int64(1) << 34
+	if rows < 0 || cols < 0 || rows > maxCheckpointElems || cols > maxCheckpointElems ||
+		(cols > 0 && rows > maxCheckpointElems/cols) {
 		return st, fmt.Errorf("%w: implausible shape %dx%d", ErrBadCheckpoint, rows, cols)
 	}
 	if ff <= 0 || ff > 1 || math.IsNaN(ff) {
 		return st, fmt.Errorf("%w: forget factor %g out of range", ErrBadCheckpoint, ff)
 	}
-	st.Singular = make([]float64, cols)
-	if err := binary.Read(r, binary.LittleEndian, st.Singular); err != nil {
-		return st, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	// The values are decoded through a fixed scratch buffer and stored as
+	// they arrive: a header declaring more than the stream holds fails
+	// with an allocation bounded by the bytes actually sent.
+	scratch := make([]byte, scratchLen)
+	var err error
+	if st.Singular, err = mat.ReadFloats(r, nil, int(cols), scratch); err != nil {
+		return st, fmt.Errorf("%w: reading singular values: %v", ErrBadCheckpoint, err)
 	}
-	data := make([]float64, rows*cols)
-	if err := binary.Read(r, binary.LittleEndian, data); err != nil {
-		return st, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	data, err := mat.ReadFloats(r, nil, int(rows*cols), scratch)
+	if err != nil {
+		return st, fmt.Errorf("%w: reading modes: %v", ErrBadCheckpoint, err)
 	}
 	st.Opts = Options{
 		K:            int(ints[0]),

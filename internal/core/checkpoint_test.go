@@ -155,3 +155,23 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestStateEncodedLen: EncodedLen predicts WriteState's output exactly,
+// for both versions and both mode layouts.
+func TestStateEncodedLen(t *testing.T) {
+	modes := testutil.RandomDense(7, 3, testutil.NewRand(4))
+	for _, st := range []State{
+		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3},
+		{Opts: Options{K: 3, ForgetFactor: 1}, ModeRows: modes.T(), Singular: []float64{3, 2, 1}, Snapshots: 3},
+		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3,
+			Shard: ShardID{Index: 1, Count: 2}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteState(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.EncodedLen(); got != buf.Len() {
+			t.Fatalf("EncodedLen = %d, WriteState wrote %d bytes (shard %v)", got, buf.Len(), st.Shard)
+		}
+	}
+}

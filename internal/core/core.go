@@ -135,7 +135,7 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 	if p.SVD != nil {
 		panic("core: Initialize called twice")
 	}
-	modes, s := apmos.Decompose(p.comm, a, apmos.Options{
+	modeRows, s := apmos.Decompose(p.comm, a, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
@@ -143,7 +143,9 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	})
-	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), modes, s, 0, a.Cols())
+	// The APMOS modes are already mode-major: the engine adopts them as
+	// its buffer.
+	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), modeRows, s, 0, a.Cols())
 	if err != nil {
 		// APMOS returns at most K modes of the batch's rows, one per
 		// singular value, so a rejection is a broken internal invariant.
@@ -153,12 +155,19 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 	return p
 }
 
-// GatherModes assembles the full M×K mode matrix at rank 0 (the paper's
-// `_gather_modes`). Other ranks receive nil.
-func (p *Parallel) GatherModes() *mat.Dense {
-	blocks := p.comm.GatherMatrix(0, p.Modes())
+// GatherModeRows assembles the full mode matrix at rank 0 (the paper's
+// `_gather_modes`) mode-major, as the K×M matrix Uᵀ: each rank sends its
+// K×M_i ModeRows as they lie, and rank 0 places them side by side. Other
+// ranks receive nil. Callers that want the M×K matrix transpose once.
+func (p *Parallel) GatherModeRows() *mat.Dense {
+	rows := p.ModeRows()
 	if p.comm.Rank() != 0 {
+		p.comm.GatherMatrix(0, rows)
 		return nil
 	}
-	return mat.VStack(blocks...)
+	// Rank 0 reads its own block in place rather than have the gather
+	// clone it.
+	blocks := p.comm.GatherMatrix(0, &mat.Dense{})
+	blocks[0] = rows
+	return mat.HStack(blocks...)
 }

@@ -52,10 +52,10 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 			}
 			eng.IncorporateData(local.SliceCols(off, end))
 		}
-		gathered := eng.GatherModes()
+		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered
+			modes = gathered.T()
 			s = append([]float64(nil), eng.SingularValues()...)
 			mu.Unlock()
 		}
@@ -282,7 +282,7 @@ func TestPropertySerialParallelAgreement(t *testing.T) {
 }
 
 func TestGatherModesAfterStreaming(t *testing.T) {
-	// GatherModes must reflect the *current* state, not the initial one.
+	// GatherModeRows must reflect the *current* state, not the initial one.
 	rng := testutil.NewRand(12)
 	a, _ := testutil.RandomLowRank(40, 12, 3, 1e-8, rng)
 	blocks := splitRows(a, 2)
@@ -291,12 +291,12 @@ func TestGatherModesAfterStreaming(t *testing.T) {
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
 		eng.Initialize(blocks[c.Rank()].SliceCols(0, 6))
-		g1 := eng.GatherModes()
+		g1 := eng.GatherModeRows()
 		eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12))
-		g2 := eng.GatherModes()
+		g2 := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			first, second = g1, g2
+			first, second = g1.T(), g2.T()
 			mu.Unlock()
 		}
 	})
@@ -337,11 +337,11 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 		eng.Initialize(testutil.RandomDense(m, b, rng).SliceRows(lo, hi))
 		for i := 0; i < updates; i++ {
 			eng.IncorporateData(testutil.HostileBatch(m, b, i, rng).SliceRows(lo, hi))
-			u := eng.GatherModes() // nil off rank 0
+			u := eng.GatherModeRows() // nil off rank 0
 			if u == nil || badAt >= 0 {
 				continue
 			}
-			if loss := testutil.OrthonormalityLoss(u); !(loss <= 1e-10) {
+			if loss := testutil.OrthonormalityLoss(u.T()); !(loss <= 1e-10) {
 				bad, badAt = loss, i
 			}
 		}

@@ -47,9 +47,9 @@ func ExampleParallel() {
 		pr := parts[c.Rank()]
 		eng := core.NewParallel(c, core.Options{K: 2, ForgetFactor: 1.0, R1: 6})
 		eng.Initialize(full.SliceRows(pr.Start, pr.End))
-		modes := eng.GatherModes()
+		rows := eng.GatherModeRows() // K×M, mode-major
 		if c.Rank() == 0 {
-			r, k := modes.Dims()
+			k, r := rows.Dims()
 			fmt.Printf("gathered modes: %dx%d\n", r, k)
 			fmt.Printf("significant values: %d\n", countSignificant(eng.SingularValues()))
 		}

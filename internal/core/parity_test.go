@@ -29,7 +29,8 @@ type refParallel struct {
 }
 
 func (p *refParallel) initialize(a *mat.Dense) {
-	p.ulocal, p.singular = apmos.Decompose(p.comm, a, apmos.Options{
+	var rows *mat.Dense
+	rows, p.singular = apmos.Decompose(p.comm, a, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
@@ -37,6 +38,7 @@ func (p *refParallel) initialize(a *mat.Dense) {
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	})
+	p.ulocal = rows.T()
 }
 
 func (p *refParallel) incorporate(a *mat.Dense) {
@@ -137,11 +139,12 @@ func checkParallelMatchesReference(t *testing.T, m, p, k, b0, b int, opts Option
 				eng.IncorporateData(a)
 				ref.incorporate(a)
 			}
-			got := eng.GatherModes()
+			got := eng.GatherModeRows()
 			want := mat.VStack(c.GatherMatrix(0, ref.ulocal)...)
 			if c.Rank() != 0 {
 				continue
 			}
+			got = got.T()
 			if msg := compareState(got, eng.SingularValues(), want, ref.singular); msg != "" {
 				mu.Lock()
 				if fail == "" {

@@ -11,11 +11,41 @@ package launch
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi"
+	"goparsvd/internal/mpi/tcptransport"
 )
+
+// blockBody renders m's data body through the launcher's frame encoder,
+// with a scratch buffer small enough that every block spans several
+// flushes.
+func blockBody(m *mat.Dense) []byte {
+	var buf bytes.Buffer
+	if err := writeBlockFrame(&buf, make([]byte, 48), SessPush, nil, m); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()[5:]
+}
+
+// factorPairBody renders the PUSH-SKETCH payload for (q, s).
+func factorPairBody(q, s *mat.Dense) []byte {
+	var buf bytes.Buffer
+	if err := writeFactorPairFrame(&buf, make([]byte, 48), q, s); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()[5:]
+}
+
+// readBlock decodes body with a fresh BlockReader.
+func readBlock(body []byte) (*mat.Dense, error) {
+	var br BlockReader
+	return br.Read(bytes.NewReader(body), len(body))
+}
 
 // frameSeed renders one well-formed frame.
 func frameSeed(verb byte, body []byte) []byte {
@@ -27,7 +57,7 @@ func frameSeed(verb byte, body []byte) []byte {
 }
 
 func FuzzReadSessionFrame(f *testing.F) {
-	valid := frameSeed(SessPush, EncodeBlock(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})))
+	valid := frameSeed(SessPush, blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})))
 	f.Add(valid)
 	f.Add(valid[:3])                                    // truncated header
 	f.Add(valid[:7])                                    // truncated body
@@ -55,11 +85,11 @@ func FuzzReadSessionFrame(f *testing.F) {
 }
 
 func FuzzDecodeBlock(f *testing.F) {
-	f.Add(EncodeBlock(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})))
-	f.Add(EncodeBlock(mat.NewFromData(1, 1, []float64{-0.0})))
-	f.Add(EncodeBlock(mat.NewFromData(1, 2, []float64{math.NaN(), 1})))         // must be rejected
-	f.Add(EncodeBlock(mat.NewFromData(1, 2, []float64{math.Inf(1), 1})))        // must be rejected
-	f.Add(EncodeBlock(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))[:20]) // truncated
+	f.Add(blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})))
+	f.Add(blockBody(mat.NewFromData(1, 1, []float64{-0.0})))
+	f.Add(blockBody(mat.NewFromData(1, 2, []float64{math.NaN(), 1})))         // must be rejected
+	f.Add(blockBody(mat.NewFromData(1, 2, []float64{math.Inf(1), 1})))        // must be rejected
+	f.Add(blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))[:20]) // truncated
 	// A header that declares a huge float count with no payload behind it.
 	huge := make([]byte, 32)
 	binary.LittleEndian.PutUint64(huge[8:], 4)      // rows
@@ -67,21 +97,37 @@ func FuzzDecodeBlock(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge[24:], 1<<40) // count lie
 	f.Add(huge)
 	// Dims that disagree with the count.
-	bad := EncodeBlock(mat.NewFromData(2, 2, []float64{1, 2, 3, 4}))
+	bad := blockBody(mat.NewFromData(2, 2, []float64{1, 2, 3, 4}))
 	binary.LittleEndian.PutUint64(bad[8:], 3) // rows 2 -> 3
 	f.Add(bad)
 	// Dims whose int64 product wraps back to the payload length:
 	// (2^61+1)·8 ≡ 8 mod 2^64, so a multiplying check would accept it.
-	wrap := EncodeBlock(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
+	wrap := blockBody(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
 	binary.LittleEndian.PutUint64(wrap[8:], 1<<61|1) // rows 1 -> 2^61+1
 	f.Add(wrap)
 
+	var reused BlockReader
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeBlock(data)
+		// A stream that ends before the declared body always fails.
+		if len(data) > 0 {
+			var br BlockReader
+			if _, err := br.Read(bytes.NewReader(data[:len(data)-1]), len(data)); err == nil {
+				t.Fatal("accepted a block body cut short of its declared length")
+			}
+		}
+		m, err := readBlock(data)
+		// A reader that has decoded other blocks behaves like a fresh one.
+		again, errAgain := reused.Read(bytes.NewReader(data), len(data))
+		if (err == nil) != (errAgain == nil) {
+			t.Fatalf("fresh reader err = %v, reused reader err = %v", err, errAgain)
+		}
 		if err != nil {
 			return
 		}
-		// Everything DecodeBlock lets through must satisfy the snapshot
+		if !mat.EqualApprox(m, again, 0) {
+			t.Fatal("reused reader decoded different values")
+		}
+		// Everything the reader lets through must satisfy the snapshot
 		// invariants: positive dims, matching payload, finite values.
 		r, c := m.Dims()
 		if r < 1 || c < 1 {
@@ -95,6 +141,57 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("accepted a non-finite snapshot value %g", v)
 			}
 		}
+		// The encoder writes the accepted block back bit for bit (the tag
+		// is not read).
+		if !bytes.Equal(blockBody(m)[8:], data[8:]) {
+			t.Fatal("accepted block did not round-trip")
+		}
+	})
+}
+
+func FuzzDecodeFactorPair(f *testing.F) {
+	q := mat.NewFromData(3, 2, []float64{1, 0, 0, 1, 0.5, 0.5})
+	s := mat.NewFromData(2, 4, []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	good := factorPairBody(q, s)
+	f.Add(good)
+	f.Add(good[:len(good)-8])                                                 // S truncated
+	f.Add(good[:20])                                                          // Q truncated
+	f.Add(factorPairBody(q, mat.NewFromData(1, 2, []float64{1, 2})))          // inner mismatch
+	f.Add(factorPairBody(q, mat.NewFromData(2, 1, []float64{math.NaN(), 1}))) // non-finite S
+	lie := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(lie, 1<<31) // Q length past the payload
+	f.Add(lie)
+	f.Add([]byte{1, 2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, s, err := DecodeFactorPair(data)
+		if err != nil {
+			return
+		}
+		if q.Cols() != s.Rows() {
+			t.Fatalf("accepted mismatched factors %dx%d and %dx%d", q.Rows(), q.Cols(), s.Rows(), s.Cols())
+		}
+		for _, m := range []*mat.Dense{q, s} {
+			if r, c := m.Dims(); r < 1 || c < 1 || len(m.RawData()) != r*c {
+				t.Fatalf("accepted a malformed %dx%d factor with %d values", r, c, len(m.RawData()))
+			}
+			if i := mat.FirstNonFinite(m.RawData()); i >= 0 {
+				t.Fatalf("accepted a non-finite factor value %g", m.RawData()[i])
+			}
+		}
+		// Both factors stay valid side by side, and re-encode to the
+		// payload's bytes apart from the two unread tags.
+		rt := factorPairBody(q, s)
+		if len(rt) != len(data) {
+			t.Fatalf("pair re-encodes to %d bytes, read %d", len(rt), len(data))
+		}
+		qEnd := 4 + int(binary.LittleEndian.Uint32(data))
+		for _, tag := range [][2]int{{4, 12}, {qEnd, qEnd + 8}} {
+			copy(rt[tag[0]:tag[1]], data[tag[0]:tag[1]])
+		}
+		if !bytes.Equal(rt, data) {
+			t.Fatal("accepted factor pair did not round-trip")
+		}
 	})
 }
 
@@ -102,7 +199,7 @@ func FuzzDecodeFloats(f *testing.F) {
 	f.Add(EncodeFloats([]float64{1, 2, 3}))
 	f.Add(EncodeFloats(nil))
 	f.Add(EncodeFloats([]float64{math.NaN(), math.Inf(-1), -0.0})) // legal for spectra
-	f.Add(EncodeBlock(mat.NewFromData(1, 1, []float64{1})))        // matrix body: must be rejected
+	f.Add(blockBody(mat.NewFromData(1, 1, []float64{1})))          // matrix body: must be rejected
 	f.Add([]byte{1, 2, 3})                                         // truncated header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -126,12 +223,12 @@ func mustDecodeFloats(t *testing.T, body []byte) []float64 {
 	return v
 }
 
-// TestDecodeBlockRejectsHostileInputs pins the decoder's hard rejections
+// TestDecodeBlockRejectsHostileInputs pins the block reader's hard rejections
 // outside the fuzzer (so `go test` alone proves them): truncation,
 // oversize declared counts, dimension lies and non-finite payloads all
 // error — never panic, never allocate the declared size.
 func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
-	good := EncodeBlock(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))
+	good := blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))
 	cases := map[string][]byte{
 		"empty":     nil,
 		"short":     good[:16],
@@ -143,20 +240,76 @@ func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
 	zero := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(zero[8:], 0) // rows = 0
 	cases["zero rows"] = zero
-	wrap := EncodeBlock(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
+	wrap := blockBody(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
 	binary.LittleEndian.PutUint64(wrap[8:], 1<<61|1) // (2^61+1)·8 wraps to 8
 	cases["dims product overflow"] = wrap
-	nan := EncodeBlock(mat.NewFromData(1, 2, []float64{math.NaN(), 1}))
+	nan := blockBody(mat.NewFromData(1, 2, []float64{math.NaN(), 1}))
 	cases["nan payload"] = nan
-	inf := EncodeBlock(mat.NewFromData(1, 2, []float64{1, math.Inf(1)}))
+	inf := blockBody(mat.NewFromData(1, 2, []float64{1, math.Inf(1)}))
 	cases["inf payload"] = inf
 	for name, data := range cases {
-		if _, err := DecodeBlock(data); err == nil {
-			t.Errorf("%s: DecodeBlock accepted hostile input", name)
+		if _, err := readBlock(data); err == nil {
+			t.Errorf("%s: BlockReader accepted hostile input", name)
 		}
 	}
-	if _, err := DecodeBlock(good); err != nil {
+	if _, err := readBlock(good); err != nil {
 		t.Errorf("well-formed block rejected: %v", err)
+	}
+	// A length prefix promising more than the stream holds fails without
+	// allocating the declared size.
+	huge := append([]byte(nil), good[:blockHeaderLen]...)
+	binary.LittleEndian.PutUint64(huge[8:], 1<<27) // rows
+	binary.LittleEndian.PutUint64(huge[16:], 1)    // cols
+	binary.LittleEndian.PutUint64(huge[24:], 1<<27)
+	huge = append(huge, make([]byte, 1<<16)...)
+	var br BlockReader
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := br.Read(bytes.NewReader(huge), blockHeaderLen+8<<27); err == nil {
+		t.Error("truncated oversize block did not error")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("a 1 GiB block cut off after 64 KiB allocated %d bytes", got)
+	}
+}
+
+// TestWriteBlockFrameMatchesWireLayout: the streaming frame encoder writes
+// exactly the bytes of WriteSessionFrame over the tcptransport data body,
+// for every scratch size, including one that splits the headers.
+func TestWriteBlockFrameMatchesWireLayout(t *testing.T) {
+	big := mat.New(37, 5)
+	for i := range big.RawData() {
+		big.RawData()[i] = float64(i) - 0.5
+	}
+	var rows mat.Dense
+	big.ViewRows(3, 20, &rows)
+	want := frameSeed(SessPush, tcptransport.AppendMessageBody(nil, mpi.Message{Rows: 17, Cols: 5, Data: rows.RawData()}))
+	for _, n := range []int{8, 40, 48, 1 << 10, blockScratch} {
+		var got bytes.Buffer
+		if err := writeBlockFrame(&got, make([]byte, n), SessPush, nil, &rows); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("scratch %d: frame differs from the wire layout", n)
+		}
+	}
+}
+
+// TestBlockReaderSteadyStateAllocs: once the block shape is steady, a
+// worker's PUSH decode allocates nothing.
+func TestBlockReaderSteadyStateAllocs(t *testing.T) {
+	body := blockBody(mat.New(64, 16))
+	var br BlockReader
+	r := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		if _, err := br.Read(r, len(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state block decode: %v allocs, want 0", allocs)
 	}
 }
 
@@ -174,5 +327,31 @@ func TestReadSessionFrameBoundsAllocation(t *testing.T) {
 	over := binary.LittleEndian.AppendUint32(nil, uint32(maxSessionFrame+1))
 	if _, _, err := ReadSessionFrame(bytes.NewReader(over)); err == nil {
 		t.Fatal("over-bound frame length did not error")
+	}
+}
+
+// TestWriteSizedFrame: a streamed body frames exactly like
+// WriteSessionFrame of the same bytes, and a body that writes other than
+// its declared length is an error.
+func TestWriteSizedFrame(t *testing.T) {
+	body := []byte("a checkpoint's worth of bytes")
+	var got bytes.Buffer
+	if err := WriteSizedFrame(&got, SessBlob, len(body), func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), frameSeed(SessBlob, body)) {
+		t.Fatal("streamed frame differs from WriteSessionFrame")
+	}
+	for _, n := range []int{len(body) - 1, len(body) + 1} {
+		err := WriteSizedFrame(io.Discard, SessBlob, n, func(w io.Writer) error {
+			_, err := w.Write(body)
+			return err
+		})
+		if err == nil {
+			t.Fatalf("declared %d bytes, wrote %d: no error", n, len(body))
+		}
 	}
 }

@@ -15,9 +15,12 @@ package launch
 //
 //	INIT      body = JSON EngineSpec (engine options for every rank)
 //	PUSH      body = data body (this rank's row block of one snapshot batch,
-//	          encoded with tcptransport.AppendMessageBody — the same
-//	          bit-exact float64 framing the rank mesh itself uses)
-//	PUSH-SKETCH body = factor-pair body (EncodeFactorPair): this rank's row
+//	          in the tcptransport data-body layout — the same bit-exact
+//	          float64 framing the rank mesh itself uses). The launcher
+//	          writes it straight from a row view of the caller's batch and
+//	          the worker decodes it straight into its reusable block, each
+//	          through a fixed scratch buffer (BlockReader)
+//	PUSH-SKETCH body = factor-pair body (DecodeFactorPair): this rank's row
 //	          block of the orthonormal sketch basis Q plus the full L×B
 //	          projection S = QᵀA; the worker reconstructs its row block of
 //	          the batch as Q_r·S and feeds the same update path as PUSH,
@@ -52,6 +55,7 @@ package launch
 // kills the fleet.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -183,108 +187,212 @@ func WriteSessionFrame(w io.Writer, verb byte, body []byte) error {
 	return nil
 }
 
-// ReadSessionFrame reads one framed message. The declared length is
-// validated against maxSessionFrame before any allocation, and the body is
-// read in bounded chunks, so a truncated or hostile stream errors out
-// after at most frameChunk bytes of allocation instead of panicking or
-// committing gigabytes up front.
+// WriteSizedFrame writes one framed message whose n-byte body is produced
+// by body writing to w directly, so a large body (a SAVE checkpoint) is
+// never assembled in memory. It errors if body writes other than n bytes;
+// the stream is then corrupt and the session must end.
+func WriteSizedFrame(w io.Writer, verb byte, n int, body func(io.Writer) error) error {
+	if n+1 > maxSessionFrame {
+		return fmt.Errorf("launch: session frame body of %d bytes exceeds the %d-byte bound", n, maxSessionFrame)
+	}
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(n+1))
+	hdr[4] = verb
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	cw := &countingWriter{w: w}
+	if err := body(cw); err != nil {
+		return err
+	}
+	if cw.n != n {
+		return fmt.Errorf("launch: %s frame declared %d body bytes, wrote %d", verbName(verb), n, cw.n)
+	}
+	return nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += n
+	return n, err
+}
+
+// ReadSessionFrame reads one framed message: ReadFrameHeader, then
+// ReadFrameBody.
 func ReadSessionFrame(r io.Reader) (verb byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	verb, n, err := ReadFrameHeader(r)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 1 || n > maxSessionFrame {
-		return 0, nil, fmt.Errorf("launch: invalid session frame length %d", n)
+	body, err = ReadFrameBody(r, n)
+	return verb, body, err
+}
+
+// ReadFrameHeader reads a frame's length prefix and verb and returns the
+// length of the body still to be read. The declared length is validated
+// against maxSessionFrame, so a hostile prefix is refused before any
+// allocation. A stream that ends cleanly before the frame returns io.EOF.
+func ReadFrameHeader(r io.Reader) (verb byte, n int, err error) {
+	var hdr [5]byte
+	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, err
 	}
-	var vb [1]byte
-	if _, err = io.ReadFull(r, vb[:]); err != nil {
-		return 0, nil, fmt.Errorf("launch: short session frame: %w", err)
+	size := binary.LittleEndian.Uint32(hdr[:4])
+	if size < 1 || size > maxSessionFrame {
+		return 0, 0, fmt.Errorf("launch: invalid session frame length %d", size)
 	}
-	remaining := int(n) - 1
-	body = make([]byte, 0, minInt(remaining, frameChunk))
-	for remaining > 0 {
+	if _, err = io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, 0, fmt.Errorf("launch: short session frame: %w", err)
+	}
+	return hdr[4], int(size) - 1, nil
+}
+
+// ReadFrameBody reads an n-byte frame body in bounded chunks, so a
+// truncated stream errors out after at most frameChunk bytes of
+// allocation beyond what it carried instead of committing gigabytes up
+// front.
+func ReadFrameBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, minInt(n, frameChunk))
+	for remaining := n; remaining > 0; {
 		chunk := minInt(remaining, frameChunk)
 		off := len(body)
 		// Extend in place: the bytes are read straight into the body, not
 		// into a zero-filled temporary appended to it.
 		body = slices.Grow(body, chunk)[:off+chunk]
-		if _, err = io.ReadFull(r, body[off:]); err != nil {
-			return 0, nil, fmt.Errorf("launch: short session frame: %w", err)
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			return nil, fmt.Errorf("launch: short session frame: %w", err)
 		}
 		remaining -= chunk
 	}
-	return vb[0], body, nil
+	return body, nil
 }
 
-// EncodeBlock renders a matrix block as a data body (the PUSH payload),
-// bit-for-bit via the tcptransport float64 framing.
-func EncodeBlock(m *mat.Dense) []byte {
-	return appendBlock(nil, m)
+// blockHeaderLen is a data body's header: tag, rows, cols and value
+// count, each eight bytes (tcptransport.MessageBodyLen(0)).
+const blockHeaderLen = 32
+
+// blockScratch is the fixed buffer a block crosses a process boundary
+// through, in either direction.
+const blockScratch = 32 << 10
+
+// writeBlockFrame writes one session frame whose body is prefix followed
+// by the data body of each block: the bytes WriteSessionFrame writes for
+// that body, encoded straight from the blocks' storage through scratch, so
+// no frame body is ever built. The blocks may be row views of a caller's
+// matrix.
+func writeBlockFrame(w io.Writer, scratch []byte, verb byte, prefix []byte, blocks ...*mat.Dense) error {
+	size := 1 + len(prefix)
+	for _, b := range blocks {
+		size += tcptransport.MessageBodyLen(len(b.RawData()))
+	}
+	if size > maxSessionFrame {
+		return fmt.Errorf("launch: session frame body of %d bytes exceeds the %d-byte bound", size-1, maxSessionFrame)
+	}
+	buf := binary.LittleEndian.AppendUint32(scratch[:0], uint32(size))
+	buf = append(buf, verb)
+	buf = append(buf, prefix...)
+	var err error
+	for _, b := range blocks {
+		if cap(buf)-len(buf) < blockHeaderLen {
+			if _, err = w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		r, c := b.Dims()
+		buf = binary.LittleEndian.AppendUint64(buf, 0) // tag
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.RawData())))
+		if buf, err = mat.WriteFloats(w, buf, b.RawData()); err != nil {
+			return err
+		}
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
-// appendBlock appends m's data body to buf.
-func appendBlock(buf []byte, m *mat.Dense) []byte {
-	r, c := m.Dims()
-	return tcptransport.AppendMessageBody(buf, mpi.Message{Rows: r, Cols: c, Data: m.RawData()})
-}
-
-// DecodeBlock parses a PUSH payload back into a matrix, enforcing the
-// invariants a snapshot block must satisfy before it may enter a
-// collective update: positive dims, a payload length matching them, and
-// finite values only. NaN or Inf snapshot data is rejected here — at the
-// protocol boundary — because a non-finite batch would otherwise poison
-// the decomposition silently (or desynchronize ranks that validate
+// BlockReader decodes data bodies — a PUSH payload, and each factor of a
+// PUSH-SKETCH payload — straight from a stream into one reusable block,
+// through a fixed scratch buffer. It enforces the invariants a snapshot
+// block must satisfy before it may enter a collective update: positive
+// dims, a value count matching them and the body length, and finite values
+// only. NaN or Inf snapshot data is rejected here — at the protocol
+// boundary — because a non-finite batch would otherwise poison the
+// decomposition silently (or desynchronize ranks that validate
 // differently).
-func DecodeBlock(body []byte) (*mat.Dense, error) {
-	m, err := tcptransport.DecodeMessageBody(body)
+//
+// The zero value is ready to use. Once block shapes are steady, Read
+// allocates nothing.
+type BlockReader struct {
+	scratch [blockScratch]byte
+	data    []float64
+	block   *mat.Dense
+}
+
+// Read decodes one n-byte data body from r. The block it returns is the
+// reader's own storage, valid until the next Read. The header is checked
+// before any value is read, and storage grows only as values arrive.
+func (br *BlockReader) Read(r io.Reader, n int) (*mat.Dense, error) {
+	if n < blockHeaderLen {
+		return nil, fmt.Errorf("launch: snapshot block of %d bytes is shorter than its %d-byte header", n, blockHeaderLen)
+	}
+	hdr := br.scratch[:blockHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("launch: short snapshot block: %w", err)
+	}
+	rows := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	cols := int64(binary.LittleEndian.Uint64(hdr[16:]))
+	count := binary.LittleEndian.Uint64(hdr[24:])
+	payload := n - blockHeaderLen
+	// Divide rather than multiply: rows·cols or 8·count wraps for hostile
+	// values (rows = 2^61+1, cols = 8 multiplies to 8).
+	switch {
+	case rows < 1 || cols < 1:
+		return nil, fmt.Errorf("launch: snapshot block with non-positive dims %dx%d", rows, cols)
+	case payload%8 != 0 || count != uint64(payload/8):
+		return nil, fmt.Errorf("launch: snapshot block declares %d values but carries %d bytes", count, payload)
+	case count%uint64(cols) != 0 || count/uint64(cols) != uint64(rows):
+		return nil, fmt.Errorf("launch: snapshot block carries %d values for a %dx%d matrix", count, rows, cols)
+	}
+	data, err := mat.ReadFloats(r, br.data[:0], int(count), br.scratch[:])
+	br.data = data
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("launch: short snapshot block: %w", err)
 	}
-	if m.Rows < 1 || m.Cols < 1 {
-		return nil, fmt.Errorf("launch: snapshot block with non-positive dims %dx%d", m.Rows, m.Cols)
+	if i := mat.FirstNonFinite(data); i >= 0 {
+		return nil, fmt.Errorf("launch: snapshot block contains a non-finite value (%g)", data[i])
 	}
-	// Overflow-safe dims check: rows·cols wraps int64 for hostile dims
-	// (e.g. rows = 2^61+1, cols = 8 multiplies to 8), so divide the
-	// payload length instead of multiplying the declared dims.
-	if len(m.Data)%m.Cols != 0 || m.Rows != len(m.Data)/m.Cols {
-		return nil, fmt.Errorf("launch: snapshot block carries %d values for a %dx%d matrix",
-			len(m.Data), m.Rows, m.Cols)
+	if b := br.block; b == nil || b.Rows() != int(rows) || b.Cols() != int(cols) || &b.RawData()[0] != &data[0] {
+		br.block = mat.NewFromData(int(rows), int(cols), data)
 	}
-	if i := mat.FirstNonFinite(m.Data); i >= 0 {
-		return nil, fmt.Errorf("launch: snapshot block contains a non-finite value (%g)", m.Data[i])
-	}
-	return mat.NewFromData(m.Rows, m.Cols, m.Data), nil
+	return br.block, nil
 }
 
-// EncodeFactorPair renders a sketched factor pair (Q row block + full S)
-// as the PUSH-SKETCH payload: a u32le length prefix over Q's data body,
-// then Q's body, then S's body — both in the same bit-exact float64
-// framing as PUSH, so a replayed pair reconstructs identically.
-func EncodeFactorPair(q, s *mat.Dense) []byte {
-	qLen := tcptransport.MessageBodyLen(len(q.RawData()))
-	out := make([]byte, 4, 4+qLen+tcptransport.MessageBodyLen(len(s.RawData())))
-	binary.LittleEndian.PutUint32(out, uint32(qLen))
-	out = appendBlock(out, q)
-	return appendBlock(out, s)
-}
-
-// DecodeFactorPair parses a PUSH-SKETCH payload, enforcing the pair
-// invariants at the protocol boundary: both factors pass DecodeBlock's
+// DecodeFactorPair parses a PUSH-SKETCH payload — a u32le length prefix
+// over Q's data body, then Q's body, then S's — enforcing the pair
+// invariants at the protocol boundary: both factors pass BlockReader's
 // dimension and finiteness checks, and Q's column count matches S's row
 // count so the reconstruction Q·S is well-formed.
 func DecodeFactorPair(body []byte) (q, s *mat.Dense, err error) {
 	if len(body) < 4 {
 		return nil, nil, fmt.Errorf("launch: factor-pair payload of %d bytes is too short", len(body))
 	}
-	qlen := binary.LittleEndian.Uint32(body)
-	if int(qlen) > len(body)-4 {
+	qlen := int(binary.LittleEndian.Uint32(body))
+	if qlen > len(body)-4 {
 		return nil, nil, fmt.Errorf("launch: factor-pair payload declares a %d-byte Q body but carries %d bytes", qlen, len(body)-4)
 	}
-	if q, err = DecodeBlock(body[4 : 4+qlen]); err != nil {
+	var qr, sr BlockReader
+	if q, err = qr.Read(bytes.NewReader(body[4:4+qlen]), qlen); err != nil {
 		return nil, nil, fmt.Errorf("launch: factor-pair Q: %w", err)
 	}
-	if s, err = DecodeBlock(body[4+qlen:]); err != nil {
+	if s, err = sr.Read(bytes.NewReader(body[4+qlen:]), len(body)-4-qlen); err != nil {
 		return nil, nil, fmt.Errorf("launch: factor-pair S: %w", err)
 	}
 	if q.Cols() != s.Rows() {
@@ -294,12 +402,20 @@ func DecodeFactorPair(body []byte) (q, s *mat.Dense, err error) {
 	return q, s, nil
 }
 
+// writeFactorPairFrame writes a PUSH-SKETCH frame for the factor pair
+// (q, s) through scratch, in the layout DecodeFactorPair reads.
+func writeFactorPairFrame(w io.Writer, scratch []byte, q, s *mat.Dense) error {
+	var prefix [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], uint32(tcptransport.MessageBodyLen(len(q.RawData()))))
+	return writeBlockFrame(w, scratch, SessPushSketch, prefix[:], q, s)
+}
+
 // EncodeFloats renders a vector as a data body (the FLOATS payload).
 func EncodeFloats(v []float64) []byte {
 	return tcptransport.AppendMessageBody(nil, mpi.Message{Rows: -1, Data: v})
 }
 
-// DecodeFloats parses a FLOATS payload. Unlike DecodeBlock it allows
+// DecodeFloats parses a FLOATS payload. Unlike BlockReader it allows
 // non-finite values: a spectrum readback must report whatever the engine
 // holds, faithfully.
 func DecodeFloats(body []byte) ([]float64, error) {

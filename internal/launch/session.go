@@ -92,12 +92,15 @@ type sessFrame struct {
 
 // sessWorker supervises one persistent rank process.
 type sessWorker struct {
-	rank   int
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	frames chan sessFrame
-	done   chan struct{} // closed once the process is reaped
-	once   sync.Once
+	rank  int
+	cmd   *exec.Cmd
+	stdin io.WriteCloser
+	// scratch is the fixed buffer every block frame to this rank is
+	// encoded through (writeBlockFrame).
+	scratch []byte
+	frames  chan sessFrame
+	done    chan struct{} // closed once the process is reaped
+	once    sync.Once
 }
 
 // StartSession spawns the fleet, wires the rendezvous, and sends INIT to
@@ -161,7 +164,9 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		s.reap()
 		return nil, fmt.Errorf("launch: encoding engine spec: %w", err)
 	}
-	if _, err := s.op(SessInit, func(int) []byte { return spec }); err != nil {
+	if _, err := s.op(SessInit, func(w *sessWorker) error {
+		return WriteSessionFrame(w.stdin, SessInit, spec)
+	}); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -193,11 +198,12 @@ func (s *Session) startSessionWorker(bin string, rank int, rendezvous string) (*
 		return nil, err
 	}
 	w := &sessWorker{
-		rank:   rank,
-		cmd:    cmd,
-		stdin:  stdin,
-		frames: make(chan sessFrame, 4),
-		done:   make(chan struct{}),
+		rank:    rank,
+		cmd:     cmd,
+		stdin:   stdin,
+		scratch: make([]byte, blockScratch),
+		frames:  make(chan sessFrame, 4),
+		done:    make(chan struct{}),
 	}
 	go w.readLoop(stdout)
 	return w, nil
@@ -247,10 +253,10 @@ func (w *sessWorker) kill() {
 // op runs one lockstep exchange: the command frame is written to every
 // rank concurrently (collective commands must reach all ranks before any
 // reply is awaited, or the fleet would deadlock inside its collectives),
-// then exactly one reply per rank is collected. body builds the per-rank
-// payload; nil payloads are allowed. Any failure permanently fails the
-// session and kills the fleet.
-func (s *Session) op(verb byte, body func(rank int) []byte) ([]sessFrame, error) {
+// then exactly one reply per rank is collected. write writes the command
+// frame to one rank; nil writes an empty body. Any failure permanently
+// fails the session and kills the fleet.
+func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, error) {
 	if s.failed != nil {
 		return nil, s.failed
 	}
@@ -275,11 +281,11 @@ func (s *Session) op(verb byte, body func(rank int) []byte) ([]sessFrame, error)
 		wg.Add(1)
 		go func(r int, w *sessWorker) {
 			defer wg.Done()
-			var b []byte
-			if body != nil {
-				b = body(r)
+			if write == nil {
+				writeErrs[r] = WriteSessionFrame(w.stdin, verb, nil)
+			} else {
+				writeErrs[r] = write(w)
 			}
-			writeErrs[r] = WriteSessionFrame(w.stdin, verb, b)
 		}(r, w)
 	}
 	wg.Wait()
@@ -400,8 +406,10 @@ func (w *sessWorker) drain() {
 // Push scatters one global snapshot batch across the fleet: rows are
 // partitioned contiguously (the same grid.Partition split the in-process
 // parallel backend uses, so the two backends are bit-compatible) and each
-// rank receives exactly its block. The first Push pins the global row
-// count and seeds the decomposition; later pushes stream.
+// rank receives exactly its block, written straight from a row view of b
+// through the rank's fixed scratch buffer — no per-rank body is built.
+// The first Push pins the global row count and seeds the decomposition;
+// later pushes stream.
 //
 // Validation happens here, before any frame is written: a batch that
 // would be rejected (dimension mismatch, non-finite values) is reported
@@ -431,10 +439,10 @@ func (s *Session) Push(b *mat.Dense) error {
 	if s.rows == 0 {
 		parts = grid.Partition(b.Rows(), s.cfg.Ranks)
 	}
-	if _, err := s.op(SessPush, func(r int) []byte {
+	if _, err := s.op(SessPush, func(w *sessWorker) error {
 		var rows mat.Dense // a no-copy view of this rank's rows
-		b.ViewRows(parts[r].Start, parts[r].End, &rows)
-		return EncodeBlock(&rows)
+		b.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
+		return writeBlockFrame(w.stdin, w.scratch, SessPush, nil, &rows)
 	}); err != nil {
 		return err
 	}
@@ -450,7 +458,10 @@ func (s *Session) Push(b *mat.Dense) error {
 // reconstructs its row block of the batch as Q_r·S before entering the
 // same collective update PUSH drives. Only L·(M_r+B) floats cross the
 // wire per rank instead of the raw M_r×B block. Validation happens here,
-// before any frame is written, so a bad pair does not fail the session.
+// before any frame is written, so a bad pair does not fail the session:
+// besides the pair's own shape and values, every rank's block Q_r·S is
+// formed here exactly as that rank will form it, and a pair whose product
+// overflows is refused, as the in-process backends refuse the batch.
 func (s *Session) PushSketch(q, sk *mat.Dense) error {
 	if s.failed != nil {
 		return s.failed
@@ -481,15 +492,40 @@ func (s *Session) PushSketch(q, sk *mat.Dense) error {
 	if s.rows == 0 {
 		parts = grid.Partition(q.Rows(), s.cfg.Ranks)
 	}
-	if _, err := s.op(SessPushSketch, func(r int) []byte {
+	if err := checkProducts(q, sk, parts); err != nil {
+		return err
+	}
+	if _, err := s.op(SessPushSketch, func(w *sessWorker) error {
 		var rows mat.Dense // a no-copy view of this rank's rows of q
-		q.ViewRows(parts[r].Start, parts[r].End, &rows)
-		return EncodeFactorPair(&rows, sk)
+		q.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
+		return writeFactorPairFrame(w.stdin, w.scratch, &rows, sk)
 	}); err != nil {
 		return err
 	}
 	if s.rows == 0 {
 		s.rows, s.parts = q.Rows(), parts
+	}
+	return nil
+}
+
+// checkProducts forms each rank's reconstructed block Q_r·S the way the
+// worker does (mat.MulInto of the same operands, so the same bits) and
+// reports the first non-finite value: a pair of finite factors can still
+// overflow in their product.
+func checkProducts(q, sk *mat.Dense, parts []grid.Range) error {
+	tallest := 0
+	for _, p := range parts {
+		tallest = max(tallest, p.End-p.Start)
+	}
+	buf := mat.New(tallest, sk.Cols())
+	var rows, prod mat.Dense
+	for _, p := range parts {
+		q.ViewRows(p.Start, p.End, &rows)
+		buf.ViewRows(0, p.End-p.Start, &prod)
+		mat.MulInto(&prod, &rows, sk)
+		if i := mat.FirstNonFinite(prod.RawData()); i >= 0 {
+			return fmt.Errorf("launch: sketch factor pair's product contains a non-finite value (%g)", prod.RawData()[i])
+		}
 	}
 	return nil
 }

@@ -314,7 +314,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestSessionPushAndDecodeNonFinite drives both launch-side finiteness
-// checks — Session.Push before any frame is written and DecodeBlock on the
+// checks — Session.Push before any frame is written and BlockReader on the
 // worker — with NaN, +Inf and −Inf at every position of batches of every
 // tail length. Push rejects before touching the fleet, so a session with
 // no workers suffices.
@@ -327,8 +327,41 @@ func TestSessionPushAndDecodeNonFinite(t *testing.T) {
 			t.Fatalf("Push len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
 		want = fmt.Sprintf("launch: snapshot block contains a non-finite value (%g)", x[bad])
-		if _, err := DecodeBlock(EncodeBlock(b)); err == nil || err.Error() != want {
-			t.Fatalf("DecodeBlock len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
+		if _, err := readBlock(blockBody(b)); err == nil || err.Error() != want {
+			t.Fatalf("BlockReader len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
 	})
+}
+
+// TestSessionPushAllocatesNoBody: Push writes each rank's PUSH frame from a
+// row view of the batch through the rank's fixed scratch buffer, so the
+// launcher allocates far less per push than one rank's 256 KiB block at
+// the fit-distributed shape (M = 4096, B = 16, two ranks).
+func TestSessionPushAllocatesNoBody(t *testing.T) {
+	const m, b, pushes = 4096, 16, 8
+	s := startTestSession(t, 2, scaling.StreamWorkload{K: 16, FF: 1})
+	defer s.Close()
+	rng := testutil.NewRand(3)
+	batches := make([]*mat.Dense, pushes+2)
+	for i := range batches {
+		batches[i] = testutil.RandomDense(m, b, rng)
+	}
+	for _, batch := range batches[:2] { // seed, then one warm update
+		if err := s.Push(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, batch := range batches[2:] {
+		if err := s.Push(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPush := (after.TotalAlloc - before.TotalAlloc) / pushes
+	t.Logf("%d bytes allocated per push", perPush)
+	if perPush > 32<<10 {
+		t.Fatalf("Session.Push allocated %d bytes per push, want no per-rank body (< 32 KiB)", perPush)
+	}
 }

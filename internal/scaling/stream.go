@@ -125,7 +125,11 @@ func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
 		}
 		eng.IncorporateData(bc.Block(r0, r1, col, hi))
 	}
-	modes := eng.GatherModes()
+	rows := eng.GatherModeRows()
+	var modes *mat.Dense
+	if rows != nil {
+		modes = rows.T()
+	}
 	return StreamResult{
 		Singular:   append([]float64(nil), eng.SingularValues()...),
 		Modes:      modes,

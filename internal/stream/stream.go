@@ -144,36 +144,44 @@ func New(opts Options) *SVD {
 // here, so a corrupted checkpoint fails loudly at load time rather than
 // deep inside the next IncorporateData call.
 func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
-	return restore(opts, localStep, modes, singular, iterations, snapshots)
+	if modes == nil {
+		return nil, fmt.Errorf("stream: Restore state inconsistent: nil modes")
+	}
+	return adopt(opts, localStep, modes.T(), singular, iterations, snapshots)
 }
 
 // RestoreDistributed is Restore for one rank of an engine whose snapshot
-// rows are split across c's ranks: modes is this rank's M_i×k block of the
-// global modes, and every later update runs Listing 4's distributed QR
-// over c. Every rank restores with the same singular values and counters,
-// and every rank must then make the same sequence of calls.
-func RestoreDistributed(c *mpi.Comm, opts Options, modes *mat.Dense, singular []float64,
+// rows are split across c's ranks: modeRows is this rank's block of the
+// global modes held mode-major (k×M_i, row j being mode j's M_i entries,
+// as apmos.Decompose forms them), and every later update runs Listing 4's
+// distributed QR over c. The engine adopts modeRows as its buffer — no
+// copy — so the caller must not touch it afterwards. Every rank restores
+// with the same singular values and counters, and every rank must then
+// make the same sequence of calls.
+func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular []float64,
 	iterations, snapshots int) (*SVD, error) {
 	if c == nil {
 		return nil, fmt.Errorf("stream: RestoreDistributed needs a communicator")
 	}
-	return restore(opts, gatherStep(c), modes, singular, iterations, snapshots)
+	return adopt(opts, gatherStep(c), modeRows, singular, iterations, snapshots)
 }
 
-func restore(opts Options, st step, modes *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
+// adopt validates the state and builds an engine that holds modeRows (k×M)
+// as its buffer.
+func adopt(opts Options, st step, modeRows *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: Restore: %w", err)
 	}
-	if modes == nil {
+	if modeRows == nil {
 		return nil, fmt.Errorf("stream: Restore state inconsistent: nil modes")
 	}
-	if modes.Rows() < 1 || modes.Cols() < 1 {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: empty %dx%d modes",
-			modes.Rows(), modes.Cols())
+	k, m := modeRows.Dims()
+	if m < 1 || k < 1 {
+		return nil, fmt.Errorf("stream: Restore state inconsistent: empty %dx%d modes", m, k)
 	}
-	if modes.Cols() != len(singular) {
+	if k != len(singular) {
 		return nil, fmt.Errorf("stream: Restore state inconsistent: %d mode columns, %d singular values",
-			modes.Cols(), len(singular))
+			k, len(singular))
 	}
 	// The engine never retains more than K modes, so a state claiming
 	// len(singular) > K cannot have been produced by these options.
@@ -181,21 +189,21 @@ func restore(opts Options, st step, modes *mat.Dense, singular []float64, iterat
 		return nil, fmt.Errorf("stream: Restore state inconsistent: %d singular values exceed K = %d",
 			len(singular), opts.K)
 	}
-	if iterations < 0 || snapshots < modes.Cols() {
+	if iterations < 0 || snapshots < k {
 		return nil, fmt.Errorf("stream: Restore counters invalid: iterations=%d snapshots=%d (modes %dx%d)",
-			iterations, snapshots, modes.Rows(), modes.Cols())
+			iterations, snapshots, m, k)
 	}
 	s := &SVD{
 		opts:        opts.validated(),
 		step:        st,
-		buf:         modes.T(),
+		buf:         modeRows,
 		singular:    append([]float64(nil), singular...),
-		rows:        modes.Rows(),
+		rows:        m,
 		iterations:  iterations,
 		snapshots:   snapshots,
 		initialized: true,
 	}
-	s.buf.ViewRows(0, len(singular), &s.top)
+	s.buf.ViewRows(0, k, &s.top)
 	return s, nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi"
 	"goparsvd/internal/testutil"
 )
 
@@ -327,6 +328,41 @@ func TestRestoreValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreDistributedAdoptsModeRows: the distributed restore takes the
+// rank's K×M_i mode-major block as the engine's own storage — no copy —
+// and refuses the same inconsistent states Restore refuses.
+func TestRestoreDistributedAdoptsModeRows(t *testing.T) {
+	mpi.MustRun(1, func(c *mpi.Comm) {
+		rows := mat.New(2, 5) // two modes over five local rows
+		rows.Set(0, 0, 1)
+		rows.Set(1, 1, 1)
+		s, err := RestoreDistributed(c, Options{K: 3, FF: 1}, rows, []float64{2, 1}, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ModeRows(); &got.RawData()[0] != &rows.RawData()[0] || got.Rows() != 2 || got.Cols() != 5 {
+			t.Fatal("RestoreDistributed copied the mode rows instead of adopting them")
+		}
+		if m := s.Modes(); m.Rows() != 5 || m.Cols() != 2 || m.At(1, 1) != 1 {
+			t.Fatalf("Modes() of the adopted rows is %dx%d", m.Rows(), m.Cols())
+		}
+		for name, fn := range map[string]func() (*SVD, error){
+			"nil comm": func() (*SVD, error) {
+				return RestoreDistributed(nil, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 2)
+			},
+			"nil rows":      func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, nil, nil, 0, 0) },
+			"empty rows":    func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, mat.New(0, 5), nil, 0, 0) },
+			"size mismatch": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, rows, []float64{1}, 0, 2) },
+			"K below count": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 1, FF: 1}, rows, []float64{2, 1}, 0, 2) },
+			"bad snapshots": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 1) },
+		} {
+			if _, err := fn(); err == nil {
+				t.Errorf("%s did not error", name)
+			}
+		}
+	})
 }
 
 // refStream is the update as it stood before the modes went mode-major, kept

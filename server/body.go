@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -90,22 +89,14 @@ func ReadMatrix(r io.Reader, limit int64) (*parsvd.Matrix, error) {
 	case n > uint64(limit-matrixHeaderLen)/8:
 		return nil, fmt.Errorf("server: %dx%d matrix body: %w (%d bytes left)", rows, cols, errOverLimit, limit-matrixHeaderLen)
 	}
-	data := make([]float64, n)
 	buf := chunkPool.Get().(*[chunkBytes]byte)
 	defer chunkPool.Put(buf)
-	for done := 0; done < len(data); {
-		vals := data[done:min(len(data), done+chunkBytes/8)]
-		chunk := buf[:8*len(vals)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, fmt.Errorf("server: reading %dx%d matrix values: %w", rows, cols, err)
-		}
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
-		}
-		if i := mat.FirstNonFinite(vals); i >= 0 {
-			return nil, fmt.Errorf("server: matrix body contains a non-finite value (%g) at index %d", vals[i], done+i)
-		}
-		done += len(vals)
+	data, err := mat.ReadFloats(r, make([]float64, 0, n), int(n), buf[:])
+	if err != nil {
+		return nil, fmt.Errorf("server: reading %dx%d matrix values: %w", rows, cols, err)
+	}
+	if i := mat.FirstNonFinite(data); i >= 0 {
+		return nil, fmt.Errorf("server: matrix body contains a non-finite value (%g) at index %d", data[i], i)
 	}
 	return parsvd.NewMatrixFromData(int(rows), int(cols), data)
 }

@@ -11,6 +11,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math"
 	"net/http"
@@ -259,6 +260,10 @@ func TestMergeCorruptUploadDoesNotPoison(t *testing.T) {
 		{"garbage", []byte("these are not the bytes you are looking for")},
 		{"truncated", good[:40]},
 		{"wrong-k", shardCheckpoint(t, a, 8, 16, k+2, 1, 2)},
+		// Headers declaring shapes the body cannot back: 0×2^62 in 95
+		// bytes, and 2^17×2^17 (within the element bound) in 1 MiB.
+		{"hostile-shape", hostileCheckpointHeader(0, 1<<62, 1)},
+		{"huge-declared", hostileCheckpointHeader(1<<17, 1<<17, 1<<20-94)},
 	} {
 		_, err := c.Merge(ctx, "m", bytes.NewReader(tc.ckpt))
 		wantStatus(t, err, http.StatusBadRequest)
@@ -288,6 +293,21 @@ func TestMergeCorruptUploadDoesNotPoison(t *testing.T) {
 	if ack.Snapshots != 20 {
 		t.Fatalf("post-recovery push snapshots = %d, want 20", ack.Snapshots)
 	}
+}
+
+// hostileCheckpointHeader is a version-1 checkpoint header (K = 6,
+// ff = 0.95) declaring a rows×cols state, followed by tail zero bytes.
+func hostileCheckpointHeader(rows, cols int64, tail int) []byte {
+	b := []byte("GPSV\x01")
+	for _, v := range []int64{6, 0, 8} { // K, iterations, snapshots
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.95))
+	b = append(b, 0)                                       // lowRank
+	for _, v := range []int64{0, 0, 0, 0, 0, rows, cols} { // rla, r1, method, shape
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return append(b, make([]byte, tail)...)
 }
 
 // TestMergeIntoEmptyModel: merging into a model that has seen no data
