@@ -29,11 +29,12 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# Multi-process smoke: 4 parsvd-worker OS processes over loopback TCP,
-# verified bit-for-bit against the in-process transport and against the
-# serial reference. Fast enough for every CI run.
+# Multi-process smoke: a persistent 4-rank parsvd-worker fleet over
+# loopback TCP, fed the deterministic workload batch by batch over the
+# wire, must match the serial reference within 1e-12. CI=1 keeps it
+# running under -short. Fast enough for every CI run.
 smoke:
-	$(GO) test -short -run 'TestTCPFourRankSmoke' -v ./internal/launch
+	CI=1 $(GO) test -short -count 1 -run 'TestDistributedWireSmoke' -v .
 
 worker:
 	$(GO) build -o bin/parsvd-worker ./cmd/parsvd-worker
@@ -49,19 +50,22 @@ dist-smoke:
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
-# every decoder that parses another process's bytes: the worker's PUSH
-# block reader, the PUSH-SKETCH factor-pair decoder, the HTTP binary
-# matrix body decoder and checkpoint loading (truncated frames, hostile
-# lengths and shapes, non-finite payloads must error, never panic or
-# over-allocate).
+# every decoder that parses another process's bytes or a crashed
+# process's files: the worker's PUSH block reader, the PUSH-SKETCH
+# factor-pair decoder, the HTTP binary matrix body decoder, checkpoint
+# loading and the WAL reader behind Open/Replay (truncated frames,
+# hostile lengths and shapes, non-finite payloads must error, never panic
+# or over-allocate).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
 	$(GO) test -run 'FuzzReadMatrix' ./server
 	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
+	$(GO) test -run 'FuzzWALOpen|TestTornTail' ./internal/wal
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzDecodeFactorPair -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s -run '^$$' .
+	$(GO) test -fuzz FuzzWALOpen -fuzztime 10s -run '^$$' ./internal/wal
 
 # Serving smoke: boot the HTTP server on a random port, create a model,
 # stream the deterministic FromWorkload batches at it through the typed

@@ -10,19 +10,27 @@
 //     model extends the series to 16384 ranks. Honest wall clock, but
 //     ranks beyond the local core count time-share the CPU.
 //
-//   - tcp: a launcher mode. For every rank count, N parsvd-worker OS
-//     processes are spawned, connect over loopback TCP (the
-//     internal/mpi/tcptransport fabric), and run the full distributed
-//     *streaming* SVD end to end over real sockets. Each point is
-//     verified bit-for-bit against the in-process run of the identical
-//     deterministic workload before it is reported, and the per-rank
-//     byte counts from the worker processes feed the same scaling
-//     tables. The command exits nonzero on any mismatch.
+//   - tcp: the facade's Distributed backend. For every rank count p, a
+//     WithRanks(p) Distributed SVD fits the deterministic streaming
+//     workload (parsvd.FromWorkload): p parsvd-worker OS processes
+//     connect over loopback TCP (the internal/mpi/tcptransport fabric)
+//     and run the full distributed *streaming* SVD over real sockets,
+//     fed their row blocks by this process. A point's seconds is the
+//     wall clock of that Fit, so it includes spawning the worker fleet
+//     and scattering every batch from this process to the workers;
+//     comm_bytes is the inter-rank traffic the workers report
+//     (Stats().Bytes). With -verify (the default) each point is checked
+//     before it is reported: the Parallel backend fits the same source
+//     with the same options, and the spectra and the gathered modes'
+//     SHA-256 must match bit for bit. The command exits nonzero on any
+//     mismatch.
 //
 // Outputs: a CSV per series in -outdir, tables on stdout.
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -32,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	parsvd "goparsvd"
 	"goparsvd/internal/launch"
 	"goparsvd/internal/scaling"
 )
@@ -58,7 +67,7 @@ func main() {
 		lowRank   = flag.Bool("lowrank", false, "tcp mode: use the randomized SVD pipeline")
 		seed      = flag.Int64("seed", 7, "tcp mode: randomized-SVD sketch seed")
 		workerBin = flag.String("worker", "", "tcp mode: parsvd-worker binary (default: $PARSVD_WORKER, sibling, PATH, then go build)")
-		verify    = flag.Bool("verify", true, "tcp mode: check each point bit-for-bit against the in-process run")
+		verify    = flag.Bool("verify", true, "tcp mode: check each point bit-for-bit against the Parallel backend")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "tcp mode: per-point job timeout")
 	)
 	flag.Parse()
@@ -78,7 +87,7 @@ func main() {
 			ranks: ranks, trials: *trials, modelMax: *modelMax, outdir: *outdir,
 		})
 	case "tcp":
-		w := scaling.StreamWorkload{
+		w := parsvd.Workload{
 			RowsPerRank: *rowsPerRank,
 			Snapshots:   *snapshots,
 			InitBatch:   *initBatch,
@@ -140,7 +149,7 @@ func runChanMode(cfg chanConfig) {
 }
 
 type tcpConfig struct {
-	workload  scaling.StreamWorkload
+	workload  parsvd.Workload
 	ranks     []int
 	workerBin string
 	verify    bool
@@ -148,9 +157,9 @@ type tcpConfig struct {
 	outdir    string
 }
 
-// runTCPMode launches one multi-process TCP job per rank count, verifies
-// each against the in-process reference, and reports the socket-measured
-// scaling series.
+// runTCPMode fits the workload on the Distributed backend once per rank
+// count, verifies each fit against the Parallel backend, and reports the
+// socket-measured scaling series.
 func runTCPMode(cfg tcpConfig) {
 	if err := cfg.workload.Validate(); err != nil {
 		log.Fatal(err)
@@ -159,28 +168,38 @@ func runTCPMode(cfg tcpConfig) {
 		cfg.workload.RowsPerRank, cfg.workload.Snapshots, cfg.workload.InitBatch,
 		cfg.workload.Batch, cfg.ranks)
 
+	if cfg.workerBin == "" {
+		// Resolve (in a checkout: build) the worker once, outside the
+		// timed fits.
+		bin, err := launch.ResolveWorker()
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.workerBin = bin
+	}
 	points := make([]scaling.Point, 0, len(cfg.ranks))
 	for _, p := range cfg.ranks {
-		log.Printf("launching %d worker process(es)…", p)
-		res, err := launch.Run(launch.Config{
-			Ranks:     p,
-			WorkerBin: cfg.workerBin,
-			Workload:  cfg.workload,
-			Timeout:   cfg.timeout,
-		})
+		log.Printf("fitting on %d worker process(es)…", p)
+		res, st, seconds, err := fit(cfg, parsvd.Distributed, p)
 		if err != nil {
-			log.Fatalf("%d-rank TCP job failed: %v", p, err)
+			log.Fatalf("%d-rank TCP fit failed: %v", p, err)
 		}
 		if cfg.verify {
-			if err := launch.VerifyAgainstInProcess(p, cfg.workload, res); err != nil {
-				log.Fatalf("%d ranks: VERIFICATION FAILED: %v", p, err)
+			par, _, _, err := fit(cfg, parsvd.Parallel, p)
+			if err != nil {
+				log.Fatalf("%d ranks: Parallel reference fit failed: %v", p, err)
 			}
-			log.Printf("%d ranks: verified — singular values and modes match the in-process run bit-for-bit", p)
+			// The wire encoding is the spectrum's IEEE-754 bits.
+			if !bytes.Equal(launch.EncodeFloats(res.Singular), launch.EncodeFloats(par.Singular)) {
+				log.Fatalf("%d ranks: VERIFICATION FAILED: spectra differ:\n tcp      %v\n parallel %v", p, res.Singular, par.Singular)
+			}
+			if want := launch.HashModes(par.Modes); res.ModesSHA256 != want {
+				log.Fatalf("%d ranks: VERIFICATION FAILED: modes sha %s, parallel %s", p, res.ModesSHA256, want)
+			}
+			log.Printf("%d ranks: verified — singular values and modes match the Parallel backend bit-for-bit", p)
 		}
-		agg := res.MPIStats()
-		log.Printf("%d ranks: %d msgs, %d payload bytes, root incast %d bytes",
-			p, agg.Messages, agg.Bytes, agg.RecvBytes[0])
-		points = append(points, scaling.MultiProcessPoint(p, res.RankStats()))
+		log.Printf("%d ranks: %.3f s, %d msgs, %d payload bytes", p, seconds, st.Messages, st.Bytes)
+		points = append(points, scaling.Point{Ranks: p, Seconds: seconds, CommBytes: st.Bytes})
 	}
 	scaling.FillEfficiency(points)
 
@@ -190,6 +209,37 @@ func runTCPMode(cfg tcpConfig) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nartifacts written to %s\n", cfg.outdir)
+}
+
+// fit runs the workload through a p-rank SVD on backend b, bounded by
+// cfg.timeout, and returns its result, traffic counters and the wall
+// clock of the Fit call alone (fleet shutdown excluded).
+func fit(cfg tcpConfig, b parsvd.Backend, p int) (*parsvd.Result, parsvd.Stats, float64, error) {
+	w := cfg.workload
+	opts := []parsvd.Option{
+		parsvd.WithBackend(b), parsvd.WithRanks(p),
+		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1),
+	}
+	if w.LowRank {
+		opts = append(opts, parsvd.WithLowRank(parsvd.RLA{Oversample: 10, PowerIters: 1, Seed: w.Seed}))
+	}
+	if b == parsvd.Distributed {
+		opts = append(opts, parsvd.WithTransport(parsvd.TransportConfig{WorkerBin: cfg.workerBin}))
+	}
+	svd, err := parsvd.New(opts...)
+	if err != nil {
+		return nil, parsvd.Stats{}, 0, err
+	}
+	defer svd.Close()
+	src, err := parsvd.FromWorkload(w, p)
+	if err != nil {
+		return nil, parsvd.Stats{}, 0, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+	defer cancel()
+	start := time.Now()
+	res, err := svd.Fit(ctx, src)
+	return res, svd.Stats(), time.Since(start).Seconds(), err
 }
 
 func parseRanks(s string) ([]int, error) {

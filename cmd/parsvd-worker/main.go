@@ -1,42 +1,32 @@
-// Command parsvd-worker is one rank of a multi-process distributed
-// streaming SVD: each worker process owns one MPI rank, connects to its
-// peers over TCP (internal/mpi/tcptransport), generates its own row block
-// of the deterministic Burgers workload, and runs the full core.Parallel
-// pipeline — APMOS initialization, streaming incorporate updates, and the
-// final mode gather at rank 0.
-//
-// Workers are normally spawned by a launcher (cmd/parsvd-scaling
-// -transport tcp, or internal/launch programmatically), but they are plain
-// processes: starting rank 0 by hand and pointing the other ranks at its
-// address with -rendezvous runs the same job across terminals or machines.
-//
-// Stdout carries the launcher protocol (see internal/launch): rank 0
-// prints "PARSVD-RENDEZVOUS <addr>" once its listener is bound, and every
-// rank prints one "PARSVD-RESULT {json}" line on success. Logs go to
-// stderr. Exit status is nonzero if this rank — or, via the abort
-// protocol, any peer — fails.
-//
-// With -session the worker instead becomes one rank of a persistent,
-// sessionful world: stdin carries framed commands (INIT, PUSH with this
-// rank's row block of real snapshot data, SPECTRUM, MODES-SHA, STATS,
-// SAVE, SHUTDOWN) and stdout carries one framed reply per command — the
+// Command parsvd-worker is one rank of a persistent multi-process
+// distributed streaming SVD: each worker process owns one MPI rank,
+// connects to its peers over TCP (internal/mpi/tcptransport), and holds a
+// live core.Parallel engine for the whole session. Stdin carries framed
+// commands (INIT with the engine configuration, PUSH with this rank's row
+// block of real snapshot data, PUSH-SKETCH, SPECTRUM, MODES-SHA, STATS,
+// SAVE, SHUTDOWN) and stdout carries one framed reply per command; rank 0
+// first prints a RENDEZVOUS frame with its bound address. This is the
 // protocol behind the parsvd facade's Distributed backend and
-// internal/launch.Session. The workload flags are ignored in session
-// mode; the engine configuration arrives in the INIT frame.
+// internal/launch.Session (see internal/launch/proto.go). Logs go to
+// stderr.
+//
+// Workers are normally spawned by a launcher (the facade, or
+// internal/launch.StartSession), but they are plain processes: starting
+// rank 0 by hand and pointing the other ranks at its address with
+// -rendezvous builds the same world across terminals or machines, with
+// each process's stdin and stdout carrying its session frames. Exit
+// status is nonzero if this rank — or, via the abort protocol, any peer —
+// fails; the last stdout frame is then an ERR frame naming the cause.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"time"
 
-	"goparsvd/internal/launch"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
-	"goparsvd/internal/scaling"
 )
 
 func main() {
@@ -44,7 +34,6 @@ func main() {
 	log.SetOutput(os.Stderr)
 
 	var (
-		session     = flag.Bool("session", false, "persistent session mode: framed commands on stdin, framed replies on stdout")
 		rank        = flag.Int("rank", 0, "this process's rank in [0, np)")
 		np          = flag.Int("np", 1, "world size (number of worker processes)")
 		rendezvous  = flag.String("rendezvous", "", "rank 0's address (required for rank > 0)")
@@ -52,52 +41,11 @@ func main() {
 		advertise   = flag.String("advertise", "", "override the address advertised to peers (for NAT/multi-host setups)")
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "failure-detection window: abort if a peer is silent this long")
 		dialTimeout = flag.Duration("dial-timeout", 30*time.Second, "rendezvous/handshake deadline")
-
-		rowsPerRank = flag.Int("rows-per-rank", 256, "grid points owned by each rank")
-		snapshots   = flag.Int("snapshots", 96, "total snapshot (column) count")
-		initBatch   = flag.Int("init-batch", 24, "columns consumed by Initialize")
-		batch       = flag.Int("batch", 12, "columns per streaming IncorporateData update")
-		k           = flag.Int("k", 8, "retained mode count")
-		r1          = flag.Int("r1", 24, "APMOS gather truncation")
-		ff          = flag.Float64("ff", 0.95, "streaming forget factor")
-		lowRank     = flag.Bool("lowrank", false, "use the randomized SVD pipeline")
-		seed        = flag.Int64("seed", 7, "randomized-SVD sketch seed")
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("parsvd-worker[%d]: ", *rank))
 
-	if *session {
-		if err := runSession(*rank, *np, *listen, tcptransport.Options{
-			Rank:        *rank,
-			Size:        *np,
-			Rendezvous:  *rendezvous,
-			ListenAddr:  *listen,
-			Advertise:   *advertise,
-			DialTimeout: *dialTimeout,
-			IdleTimeout: *idleTimeout,
-		}); err != nil {
-			log.Fatalf("session failed: %v", err)
-		}
-		log.Printf("session done")
-		return
-	}
-
-	w := scaling.StreamWorkload{
-		RowsPerRank: *rowsPerRank,
-		Snapshots:   *snapshots,
-		InitBatch:   *initBatch,
-		Batch:       *batch,
-		K:           *k,
-		R1:          *r1,
-		FF:          *ff,
-		LowRank:     *lowRank,
-		Seed:        *seed,
-	}
-	if err := w.Validate(); err != nil {
-		log.Fatal(err)
-	}
-
-	opts := tcptransport.Options{
+	if err := runSession(tcptransport.Options{
 		Rank:        *rank,
 		Size:        *np,
 		Rendezvous:  *rendezvous,
@@ -105,51 +53,8 @@ func main() {
 		Advertise:   *advertise,
 		DialTimeout: *dialTimeout,
 		IdleTimeout: *idleTimeout,
+	}); err != nil {
+		log.Fatalf("session failed: %v", err)
 	}
-	// Rank 0 binds the rendezvous listener before establishing the fabric
-	// so the chosen (possibly ephemeral) address can be published first.
-	if *rank == 0 && *np > 1 {
-		l, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatalf("rendezvous listen: %v", err)
-		}
-		opts.Listener = l
-		fmt.Printf("%s %s\n", launch.RendezvousPrefix, l.Addr())
-	}
-
-	t, err := tcptransport.New(opts)
-	if err != nil {
-		log.Fatalf("establishing transport: %v", err)
-	}
-	log.Printf("connected: %d ranks, %d rows/rank, %d snapshots", *np, w.RowsPerRank, w.Snapshots)
-
-	var res scaling.StreamResult
-	start := time.Now()
-	stats, err := mpi.RunRank(t, *rank, func(c *mpi.Comm) {
-		res = scaling.RunStream(c, w)
-		// Synchronize shutdown: no rank starts tearing its sockets down
-		// while a peer is still mid-collective.
-		c.Barrier()
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Abort()
-		log.Fatalf("run failed after %s: %v", elapsed.Round(time.Millisecond), err)
-	}
-	t.Close()
-
-	rs := scaling.RankStats{
-		Rank:      *rank,
-		Messages:  stats.Messages,
-		BytesSent: stats.Bytes,
-		BytesRecv: stats.RecvBytes[*rank],
-		Seconds:   elapsed.Seconds(),
-	}
-	line, err := launch.FormatResult(*rank, res.Singular, res.Modes, rs)
-	if err != nil {
-		log.Fatalf("encoding result: %v", err)
-	}
-	fmt.Println(line)
-	log.Printf("done in %s: %d updates, %d msgs sent, %d bytes sent, %d bytes received",
-		elapsed.Round(time.Millisecond), res.Iterations, rs.Messages, rs.BytesSent, rs.BytesRecv)
+	log.Printf("session done")
 }

@@ -19,13 +19,11 @@ import (
 	"goparsvd/internal/rla"
 )
 
-// runSession is the worker's `-session` mode: instead of replaying a
-// workload and exiting, the process stays alive as one rank of a
+// runSession runs the worker: the process stays alive as one rank of a
 // persistent world, reading framed commands from stdin and answering on
 // stdout (see internal/launch/proto.go). Snapshot data arrives over the
 // wire — the launcher scatters row blocks — and the rank's core engine
-// incorporates it through the same collective pipeline the one-shot mode
-// runs.
+// incorporates it through the collective streaming pipeline.
 //
 // Every command is answered by exactly one reply frame. Any failure —
 // a malformed frame, an engine panic, an abort echo from a dying peer —
@@ -33,7 +31,8 @@ import (
 // frame is emitted best-effort, and the process exits nonzero. There is
 // no partial recovery; a session world is either fully consistent or
 // dead, which is exactly the contract the launcher enforces fleet-wide.
-func runSession(rank, np int, listenAddr string, opts tcptransport.Options) error {
+func runSession(opts tcptransport.Options) error {
+	rank, np := opts.Rank, opts.Size
 	out := bufio.NewWriter(os.Stdout)
 	reply := func(verb byte, body []byte) error {
 		if err := launch.WriteSessionFrame(out, verb, body); err != nil {
@@ -46,7 +45,7 @@ func runSession(rank, np int, listenAddr string, opts tcptransport.Options) erro
 	// ephemeral) address reaches the launcher before tcptransport.New
 	// blocks waiting for the other ranks to dial in.
 	if rank == 0 && np > 1 {
-		l, err := net.Listen("tcp", listenAddr)
+		l, err := net.Listen("tcp", opts.ListenAddr)
 		if err != nil {
 			reply(launch.SessErr, []byte(fmt.Sprintf("rendezvous listen: %v", err)))
 			return err

@@ -1,370 +1,27 @@
 // Package launch spawns and supervises multi-process TCP runs of the
-// distributed streaming SVD: N copies of cmd/parsvd-worker, one OS process
-// per rank, wired together by the tcptransport rendezvous.
+// distributed streaming SVD: a persistent fleet of cmd/parsvd-worker
+// processes, one OS process per rank, wired together by the tcptransport
+// rendezvous and driven over the framed session protocol (proto.go).
 //
-// The stdout protocol between launcher and workers is line-oriented:
-//
-//   - rank 0 prints "PARSVD-RENDEZVOUS <addr>" as soon as its listener is
-//     bound, which the launcher reads before spawning ranks 1..N-1;
-//   - every rank prints one "PARSVD-RESULT {json}" line when done,
-//     carrying the final singular values (as IEEE-754 bit patterns, so
-//     comparisons are exact), a SHA-256 of the gathered modes on rank 0,
-//     and the rank's traffic counters.
-//
-// Everything else a worker writes (logs) goes to stderr and is passed
-// through.
+// StartSession spawns the fleet and sends every rank its engine
+// configuration; the returned Session scatters snapshot row blocks to the
+// workers over their stdin and reads spectra, mode fingerprints and
+// checkpoints back over their stdout. Everything else a worker writes
+// (logs) goes to stderr and is passed through.
 package launch
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/scaling"
-)
-
-// Stdout markers of the worker protocol.
-const (
-	RendezvousPrefix = "PARSVD-RENDEZVOUS"
-	ResultPrefix     = "PARSVD-RESULT"
 )
 
 // WorkerEnv names the environment variable that overrides worker binary
 // resolution.
 const WorkerEnv = "PARSVD_WORKER"
-
-// RankResult is one worker's report, decoded from its PARSVD-RESULT line.
-type RankResult struct {
-	Rank int `json:"rank"`
-	// SingularBits are the final singular values as math.Float64bits
-	// patterns: the launcher compares runs for exact, bit-level equality,
-	// which a decimal rendering would destroy.
-	SingularBits []uint64 `json:"singular_bits"`
-	// ModesSHA256 is the hash of the gathered M×K mode matrix (row-major
-	// float64 little-endian bytes, prefixed by the dims); rank 0 only.
-	ModesSHA256 string            `json:"modes_sha256,omitempty"`
-	Stats       scaling.RankStats `json:"stats"`
-}
-
-// Singular decodes the bit patterns back into float64s.
-func (r RankResult) Singular() []float64 {
-	out := make([]float64, len(r.SingularBits))
-	for i, b := range r.SingularBits {
-		out[i] = math.Float64frombits(b)
-	}
-	return out
-}
-
-// Config describes one multi-process run.
-type Config struct {
-	// Ranks is the number of worker processes to spawn.
-	Ranks int
-	// WorkerBin is the parsvd-worker binary. Empty means resolve: the
-	// PARSVD_WORKER env var, a sibling of the running executable, PATH,
-	// and finally `go build` into a temp dir (module checkouts only).
-	WorkerBin string
-	// Workload is the deterministic streaming workload every rank runs.
-	Workload scaling.StreamWorkload
-	// Timeout bounds the whole run, rendezvous included. Default 5m.
-	Timeout time.Duration
-	// IdleTimeout is forwarded to the workers' transports (failure
-	// detection window). Zero keeps the worker default.
-	IdleTimeout time.Duration
-	// Stderr receives the workers' stderr streams; default os.Stderr.
-	Stderr io.Writer
-}
-
-// Result is the collected outcome of a run.
-type Result struct {
-	// PerRank holds each rank's report, indexed by rank.
-	PerRank []RankResult
-	// Elapsed is the launcher-observed wall-clock of the whole job,
-	// process spawn to last exit.
-	Elapsed time.Duration
-}
-
-// Root returns rank 0's report (the one carrying the modes hash).
-func (r *Result) Root() RankResult { return r.PerRank[0] }
-
-// RankStats returns the per-rank traffic reports in rank order.
-func (r *Result) RankStats() []scaling.RankStats {
-	out := make([]scaling.RankStats, len(r.PerRank))
-	for i, p := range r.PerRank {
-		out[i] = p.Stats
-	}
-	return out
-}
-
-// MPIStats aggregates the per-process reports into a world-level
-// mpi.Stats, exactly as the in-process transport would have counted them
-// (summed sends, per-rank receive bytes).
-func (r *Result) MPIStats() mpi.Stats {
-	return scaling.AggregateStats(len(r.PerRank), r.RankStats())
-}
-
-// Run spawns cfg.Ranks worker processes, waits for all of them, and
-// returns their reports. Any worker failure (nonzero exit, malformed
-// protocol, timeout) kills the remaining workers and returns an error.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: when ctx is canceled, every
-// spawned worker process is killed immediately (their scan loops observe
-// EOF and the wait loop unwinds), and ctx.Err() is returned. The
-// cfg.Timeout deadline still applies independently.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Ranks < 1 {
-		return nil, fmt.Errorf("launch: ranks = %d < 1", cfg.Ranks)
-	}
-	if err := cfg.Workload.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
-	if cfg.Stderr == nil {
-		cfg.Stderr = os.Stderr
-	}
-	bin := cfg.WorkerBin
-	if bin == "" {
-		var err error
-		if bin, err = ResolveWorker(); err != nil {
-			return nil, err
-		}
-	}
-
-	start := time.Now()
-	deadline := time.Now().Add(cfg.Timeout)
-	var (
-		mu    sync.Mutex
-		procs = make([]*worker, cfg.Ranks)
-	)
-	killAll := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, w := range procs {
-			if w != nil {
-				w.kill()
-			}
-		}
-	}
-	defer killAll()
-	// The watchdog turns a context cancellation into an immediate fleet
-	// kill; the per-worker awaits below then return promptly.
-	watchdogDone := make(chan struct{})
-	defer close(watchdogDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			killAll()
-		case <-watchdogDone:
-		}
-	}()
-	setProc := func(r int, w *worker) {
-		mu.Lock()
-		procs[r] = w
-		// A kill that raced the spawn must still reap the new process.
-		if ctx.Err() != nil {
-			w.kill()
-		}
-		mu.Unlock()
-	}
-
-	// Rank 0 binds an ephemeral rendezvous port and publishes it on
-	// stdout; only then can the other ranks be pointed at it.
-	w0, err := startWorker(bin, cfg, 0, "")
-	if err != nil {
-		return nil, err
-	}
-	setProc(0, w0)
-	// A single-rank world has no peers to rendezvous with; the worker
-	// skips the address line entirely.
-	var rendezvous string
-	if cfg.Ranks > 1 {
-		rendezvous, err = w0.awaitRendezvous(deadline)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, fmt.Errorf("launch: rank 0 never published a rendezvous address: %w", err)
-		}
-	}
-	for r := 1; r < cfg.Ranks; r++ {
-		w, err := startWorker(bin, cfg, r, rendezvous)
-		if err != nil {
-			return nil, fmt.Errorf("launch: spawning rank %d: %w", r, err)
-		}
-		setProc(r, w)
-	}
-
-	res := &Result{PerRank: make([]RankResult, cfg.Ranks)}
-	var firstErr error
-	for r, w := range procs {
-		rr, err := w.await(deadline)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("launch: rank %d: %w", r, err)
-		}
-		if err == nil {
-			if rr.Rank != r {
-				return nil, fmt.Errorf("launch: process for rank %d reported rank %d", r, rr.Rank)
-			}
-			res.PerRank[r] = rr
-		}
-	}
-	if firstErr != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, firstErr
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// worker supervises one spawned rank.
-type worker struct {
-	cmd        *exec.Cmd
-	rendezvous chan string
-	result     chan RankResult
-	scanErr    chan error
-	once       sync.Once
-}
-
-func startWorker(bin string, cfg Config, rank int, rendezvous string) (*worker, error) {
-	args := []string{
-		"-rank", strconv.Itoa(rank),
-		"-np", strconv.Itoa(cfg.Ranks),
-		"-rows-per-rank", strconv.Itoa(cfg.Workload.RowsPerRank),
-		"-snapshots", strconv.Itoa(cfg.Workload.Snapshots),
-		"-init-batch", strconv.Itoa(cfg.Workload.InitBatch),
-		"-batch", strconv.Itoa(cfg.Workload.Batch),
-		"-k", strconv.Itoa(cfg.Workload.K),
-		"-r1", strconv.Itoa(cfg.Workload.R1),
-		"-ff", strconv.FormatFloat(cfg.Workload.FF, 'g', -1, 64),
-		"-seed", strconv.FormatInt(cfg.Workload.Seed, 10),
-	}
-	if cfg.Workload.LowRank {
-		args = append(args, "-lowrank")
-	}
-	if cfg.IdleTimeout > 0 {
-		args = append(args, "-idle-timeout", cfg.IdleTimeout.String())
-	}
-	if rank != 0 {
-		args = append(args, "-rendezvous", rendezvous)
-	}
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = cfg.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	w := &worker{
-		cmd:        cmd,
-		rendezvous: make(chan string, 1),
-		result:     make(chan RankResult, 1),
-		scanErr:    make(chan error, 1),
-	}
-	go w.scan(stdout)
-	return w, nil
-}
-
-// scan consumes the worker's stdout protocol lines until EOF, then reaps
-// the process.
-func (w *worker) scan(stdout io.Reader) {
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, RendezvousPrefix+" "):
-			select {
-			case w.rendezvous <- strings.TrimSpace(strings.TrimPrefix(line, RendezvousPrefix)):
-			default:
-			}
-		case strings.HasPrefix(line, ResultPrefix+" "):
-			var rr RankResult
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, ResultPrefix)), &rr); err != nil {
-				w.scanErr <- fmt.Errorf("malformed result line: %w", err)
-				w.cmd.Wait()
-				return
-			}
-			select {
-			case w.result <- rr:
-			default:
-			}
-		}
-	}
-	err := w.cmd.Wait()
-	if err == nil {
-		err = io.EOF // distinguishes "exited cleanly but sent no result"
-	}
-	w.scanErr <- err
-}
-
-func (w *worker) awaitRendezvous(deadline time.Time) (string, error) {
-	select {
-	case addr := <-w.rendezvous:
-		return addr, nil
-	case err := <-w.scanErr:
-		return "", fmt.Errorf("worker exited during rendezvous: %v", err)
-	case <-time.After(time.Until(deadline)):
-		w.kill()
-		return "", fmt.Errorf("timeout")
-	}
-}
-
-func (w *worker) await(deadline time.Time) (RankResult, error) {
-	select {
-	case rr := <-w.result:
-		// The result line is printed last; reap the process (bounded — a
-		// worker that lingers after reporting gets killed).
-		select {
-		case <-w.scanErr:
-		case <-time.After(time.Until(deadline)):
-			w.kill()
-			<-w.scanErr
-		}
-		return rr, nil
-	case err := <-w.scanErr:
-		// The process may have exited right after printing its result, in
-		// which case both channels were ready and select picked this one.
-		select {
-		case rr := <-w.result:
-			return rr, nil
-		default:
-		}
-		if err == io.EOF {
-			err = fmt.Errorf("worker exited without reporting a result")
-		}
-		return RankResult{}, err
-	case <-time.After(time.Until(deadline)):
-		w.kill()
-		return RankResult{}, fmt.Errorf("timeout waiting for worker")
-	}
-}
-
-func (w *worker) kill() {
-	w.once.Do(func() {
-		if w.cmd.Process != nil {
-			w.cmd.Process.Kill()
-		}
-	})
-}
 
 // buildOnce caches the go-build fallback so a test suite spawning many
 // worlds compiles the worker a single time per process.

@@ -1,160 +1,45 @@
 package launch
 
 import (
-	"context"
-	"errors"
-	"math"
+	"bytes"
+	"io"
 	"os/exec"
 	"testing"
-	"time"
-
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/postproc"
-	"goparsvd/internal/scaling"
 )
 
-func smokeWorkload() scaling.StreamWorkload {
-	return scaling.StreamWorkload{
-		RowsPerRank: 64,
-		Snapshots:   48,
-		InitBatch:   12,
-		Batch:       12,
-		K:           6,
-		R1:          16,
-		FF:          0.95,
-		Seed:        7,
-	}
-}
-
-// TestTCPFourRankSmoke is the multi-process gate: it launches four real
-// parsvd-worker OS processes talking over loopback TCP, and checks the
-// distributed streaming SVD they produce (a) bit-for-bit against the
-// in-process channel-transport run of the identical workload, and (b)
-// within tolerance against the serial streaming reference. It stays fast
-// (sub-second workload) and deliberately runs in -short mode — it IS the
-// short-mode smoke test CI relies on.
-func TestTCPFourRankSmoke(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("no Go toolchain to build parsvd-worker: %v", err)
-	}
-	const p = 4
-	w := smokeWorkload()
-
-	res, err := Run(Config{
-		Ranks:    p,
-		Workload: w,
-		Timeout:  3 * time.Minute,
-	})
-	if err != nil {
-		t.Fatalf("multi-process run: %v", err)
-	}
-
-	// Every rank must agree on the singular values, exactly: they all
-	// received the same closing broadcast.
-	for r := 1; r < p; r++ {
-		if !equalUint64(res.PerRank[r].SingularBits, res.PerRank[0].SingularBits) {
-			t.Errorf("rank %d singular values differ from rank 0", r)
-		}
-	}
-
-	// (a) The TCP run must reproduce the in-process run bit for bit —
-	// the same comparator the parsvd-scaling launcher applies per point.
-	if err := VerifyAgainstInProcess(p, w, res); err != nil {
-		t.Errorf("TCP vs in-process: %v", err)
-	}
-	// Re-derive the in-process modes for the serial comparison below.
-	var ref scaling.StreamResult
-	if _, err := mpi.Run(p, func(c *mpi.Comm) {
-		r := scaling.RunStream(c, w)
-		if c.Rank() == 0 {
-			ref = r
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// (b) The distributed result must match the serial streaming engine
-	// within tolerance (different arithmetic path, same decomposition).
-	ser := scaling.RunStreamSerial(p, w)
-	tcpSingular := res.Root().Singular()
-	if len(tcpSingular) != len(ser.Singular) {
-		t.Fatalf("mode count: tcp %d, serial %d", len(tcpSingular), len(ser.Singular))
-	}
-	for i := range tcpSingular {
-		if d := math.Abs(tcpSingular[i] - ser.Singular[i]); d > 1e-6*math.Max(1, ser.Singular[i]) {
-			t.Errorf("sigma[%d]: tcp %g vs serial %g", i, tcpSingular[i], ser.Singular[i])
-		}
-	}
-	// The in-process modes hash equals the TCP one (checked above), so
-	// comparing the in-process modes against serial covers the TCP modes.
-	for _, e := range postproc.CompareModes(ser.Modes, ref.Modes)[:2] {
-		if e.MaxAbs > 1e-4 {
-			t.Errorf("mode %d: max|serial-distributed| = %.3e, want < 1e-4", e.Mode+1, e.MaxAbs)
-		}
-	}
-
-	// Traffic counters made it across the process boundary: the aggregate
-	// has traffic, and rank 0 (the gather/broadcast root) received bytes.
-	agg := res.MPIStats()
-	if agg.Messages == 0 || agg.Bytes == 0 || agg.RecvBytes[0] == 0 {
-		t.Errorf("aggregated traffic counters empty: %+v", agg)
-	}
-	t.Logf("4-rank TCP run: %.0f ms wall, %d msgs, %d bytes sent, root incast %d bytes",
-		res.Elapsed.Seconds()*1000, agg.Messages, agg.Bytes, agg.RecvBytes[0])
-}
-
-// TestRunContextCancellationKillsFleet: a canceled context must reap the
-// worker processes promptly instead of letting them run until the
-// launcher timeout.
-func TestRunContextCancellationKillsFleet(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go toolchain to build parsvd-worker")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, err := RunContext(ctx, Config{
-		Ranks:    2,
-		Workload: smokeWorkload(),
-		Timeout:  time.Minute,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("cancellation took %v; fleet was not reaped promptly", elapsed)
-	}
-}
-
-// TestWorkerFailurePropagates kills the job by configuring an impossible
-// workload on one hand-spawned bogus rank: the launcher must report the
-// failure instead of hanging.
+// TestWorkerFailurePropagates starts a lone rank 0 of a two-rank world:
+// no peer ever dials in, so the worker must give up after its dial
+// timeout, exit nonzero and leave an ERR frame as the last thing on its
+// stdout, which is how a launcher learns why a rank died.
 func TestWorkerFailurePropagates(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("no Go toolchain to build parsvd-worker: %v", err)
 	}
-	// Ranks=2 but the rendezvous worker is told np=2 while only one
-	// process ever starts: rank 0 must give up after its dial timeout and
-	// the launcher must surface that as an error.
 	bin, err := ResolveWorker()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, "-rank", "0", "-np", "2", "-dial-timeout", "2s")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("lone rank 0 of a 2-rank world exited cleanly:\n%s", out)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("lone rank 0 of a 2-rank world exited cleanly:\n%s", stderr.Bytes())
 	}
-}
-
-func equalUint64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var verbs []byte
+	var last []byte
+	for {
+		verb, body, err := ReadSessionFrame(&stdout)
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			t.Fatalf("worker stdout after frames %v is not a frame stream: %v", verbs, err)
+		}
+		verbs = append(verbs, verb)
+		last = body
 	}
-	return true
+	if len(verbs) == 0 || verbs[len(verbs)-1] != SessErr {
+		t.Fatalf("worker stdout frames %v do not end with ERR", verbs)
+	}
+	t.Logf("ERR frame: %s", last)
 }

@@ -1,12 +1,10 @@
 package launch
 
 // The session protocol: the framed stdin/stdout command stream between a
-// launcher and a persistent parsvd-worker fleet (worker `-session` mode).
-//
-// Where the original one-shot protocol was line-oriented ("replay a
-// workload, print one result line"), a session keeps every worker process
-// alive and feeds it real data over the wire. Frames share the shape of
-// the tcptransport wire format:
+// launcher and a persistent parsvd-worker fleet, the only protocol a
+// worker speaks. Every worker process stays alive across operations and is
+// fed real data over the wire. Frames share the shape of the tcptransport
+// wire format:
 //
 //	frame := length:u32le  verb:u8  body
 //
@@ -38,8 +36,7 @@ package launch
 //
 //	RENDEZVOUS body = rank 0's mesh rendezvous address (printed before the
 //	           TCP fabric is established, so the launcher can spawn the
-//	           other ranks); session-mode replacement of the
-//	           "PARSVD-RENDEZVOUS <addr>" stdout line
+//	           other ranks)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
 //	           counters, optional modes hash)
 //	FLOATS     body = data body carrying a vector

@@ -3,19 +3,18 @@ package launch
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"goparsvd/internal/mat"
-	"goparsvd/internal/scaling"
 )
 
 // HashModes fingerprints an M×K mode matrix for exact cross-process
 // comparison: SHA-256 over the dims plus the row-major float64 payload
-// rendered as IEEE-754 little-endian bits. Both the worker (reporting) and
-// the launcher (verifying against the in-process reference) use this, so a
-// single flipped mantissa bit anywhere in the mode matrix fails the match.
+// rendered as IEEE-754 little-endian bits. A session worker reports it for
+// the gathered modes (MODES-SHA) and callers compare it against HashModes
+// of an in-process run, so a single flipped mantissa bit anywhere in the
+// mode matrix fails the match.
 func HashModes(m *mat.Dense) string {
 	r, c := m.Dims()
 	return hashModes(r, c, m.RawData(), c, 1)
@@ -48,32 +47,4 @@ func hashModes(r, c int, d []float64, rs, cs int) string {
 	}
 	h.Write(buf)
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// SingularBits converts singular values to their exact bit patterns for
-// the result line.
-func SingularBits(s []float64) []uint64 {
-	out := make([]uint64, len(s))
-	for i, v := range s {
-		out[i] = math.Float64bits(v)
-	}
-	return out
-}
-
-// FormatResult renders one rank's PARSVD-RESULT stdout line. modes may be
-// nil (non-root ranks).
-func FormatResult(rank int, singular []float64, modes *mat.Dense, stats scaling.RankStats) (string, error) {
-	rr := RankResult{
-		Rank:         rank,
-		SingularBits: SingularBits(singular),
-		Stats:        stats,
-	}
-	if modes != nil {
-		rr.ModesSHA256 = HashModes(modes)
-	}
-	b, err := json.Marshal(rr)
-	if err != nil {
-		return "", err
-	}
-	return ResultPrefix + " " + string(b), nil
 }

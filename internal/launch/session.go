@@ -20,8 +20,8 @@ import (
 type SessionConfig struct {
 	// Ranks is the number of worker processes.
 	Ranks int
-	// WorkerBin is the parsvd-worker binary; empty resolves like Run
-	// (PARSVD_WORKER, sibling, PATH, go-build fallback).
+	// WorkerBin is the parsvd-worker binary; empty resolves through
+	// ResolveWorker (PARSVD_WORKER, sibling, PATH, go-build fallback).
 	WorkerBin string
 	// Spec is the engine configuration sent to every rank by INIT.
 	Spec EngineSpec
@@ -174,7 +174,6 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 
 func (s *Session) startSessionWorker(bin string, rank int, rendezvous string) (*sessWorker, error) {
 	args := []string{
-		"-session",
 		"-rank", strconv.Itoa(rank),
 		"-np", strconv.Itoa(s.cfg.Ranks),
 	}
@@ -561,7 +560,7 @@ func (s *Session) Spectrum() ([]float64, error) {
 
 // ModesSHA gathers the global mode matrix at rank 0 (a collective) and
 // returns its SHA-256 fingerprint — dims plus row-major IEEE-754 bits,
-// the same HashModes digest the one-shot protocol reports.
+// the HashModes digest of the assembled M×K matrix.
 func (s *Session) ModesSHA() (string, error) {
 	frames, err := s.op(SessModesSHA, nil)
 	if err != nil {

@@ -629,8 +629,8 @@ func (t *Transport) Abort() {
 }
 
 // Stats returns this endpoint's traffic counters. Only the owning rank's
-// RecvBytes entry is populated; a launcher aggregates the per-process
-// reports (scaling.AggregateStats).
+// RecvBytes entry is populated; a launcher sums the per-process reports
+// (launch.Session.Stats).
 func (t *Transport) Stats() mpi.Stats {
 	rb := make([]int64, t.size)
 	rb[t.rank] = t.recvOwn.Load()

@@ -62,8 +62,8 @@ type Transport interface {
 	Abort()
 	// Stats returns the traffic counters accumulated so far. For
 	// single-rank transports only the owning rank's entries are
-	// meaningful; multi-process launchers aggregate per-rank reports
-	// (see internal/scaling.AggregateStats).
+	// meaningful; a multi-process launcher sums the per-rank reports
+	// (see internal/launch.Session.Stats).
 	Stats() Stats
 	// Close releases the fabric's resources after a successful run. It is
 	// idempotent. Unlike Abort it does not mark the run as failed, but

@@ -12,10 +12,11 @@ import (
 
 // StreamWorkload is the deterministic distributed streaming-SVD workload
 // shared by every execution mode: the in-process goroutine world, the
-// multi-process TCP world (cmd/parsvd-worker), and the serial reference.
-// The snapshot matrix is the analytic Burgers solution, so any two runs
-// with the same parameters see bit-identical inputs — which is what lets
-// the launcher demand bit-identical outputs across transports.
+// facade backends fed through parsvd.FromWorkload (the Distributed one
+// scatters it to parsvd-worker processes), and the serial reference. The
+// snapshot matrix is the analytic Burgers solution, so any two runs with
+// the same parameters see bit-identical inputs — which is what lets
+// callers demand bit-identical outputs across transports.
 type StreamWorkload struct {
 	// RowsPerRank is the grid-point count each rank owns (global rows =
 	// RowsPerRank × ranks).
@@ -77,7 +78,8 @@ func (w StreamWorkload) Validate() error {
 
 // BurgersConfig is the shared snapshot generator for the given world size:
 // any consumer that replays it (the parsvd facade's workload Source, the
-// serial reference, the TCP workers) sees bit-identical inputs.
+// serial reference, the Distributed backend's scatter) sees bit-identical
+// inputs.
 func (w StreamWorkload) BurgersConfig(ranks int) burgers.Config {
 	return burgers.Config{L: 1, Re: 1000, Nx: w.RowsPerRank * ranks, Nt: w.Snapshots, TFinal: 2}
 }
@@ -106,8 +108,8 @@ type StreamResult struct {
 // RunStream executes the full distributed streaming pipeline as one rank
 // of c's world: APMOS initialization on the first InitBatch columns, then
 // streaming IncorporateData updates over the remainder, and a final mode
-// gather at rank 0. It is transport-agnostic — the same function body runs
-// over goroutine ranks and over TCP worker processes.
+// gather at rank 0. It is transport-agnostic: the same function body runs
+// over goroutine ranks and over tcptransport endpoints.
 func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
 	if err := w.Validate(); err != nil {
 		panic(err)
@@ -159,47 +161,4 @@ func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
 		Modes:      eng.ModeRows().T(),
 		Iterations: eng.Iterations(),
 	}
-}
-
-// RankStats is one worker process's traffic and timing report — the
-// multi-process analogue of one rank's slice of mpi.Stats. The launcher
-// collects one per worker and aggregates them, so the per-rank byte counts
-// of a real socket run feed the same scaling tables as the in-process
-// counters.
-type RankStats struct {
-	Rank      int     `json:"rank"`
-	Messages  int64   `json:"messages"`
-	BytesSent int64   `json:"bytes_sent"`
-	BytesRecv int64   `json:"bytes_recv"`
-	Seconds   float64 `json:"seconds"`
-}
-
-// AggregateStats merges per-process reports into a world-level mpi.Stats:
-// totals are summed and each report contributes its own rank's receive
-// count.
-func AggregateStats(ranks int, rs []RankStats) mpi.Stats {
-	agg := mpi.Stats{Ranks: ranks, RecvBytes: make([]int64, ranks)}
-	for _, s := range rs {
-		agg.Messages += s.Messages
-		agg.Bytes += s.BytesSent
-		if s.Rank >= 0 && s.Rank < ranks {
-			agg.RecvBytes[s.Rank] = s.BytesRecv
-		}
-	}
-	return agg
-}
-
-// MultiProcessPoint folds per-worker reports into one weak-scaling row:
-// the slowest rank sets the time (the job is done when the last rank is)
-// and the summed payload traffic sets the communication volume.
-func MultiProcessPoint(ranks int, rs []RankStats) Point {
-	var p Point
-	p.Ranks = ranks
-	for _, s := range rs {
-		if s.Seconds > p.Seconds {
-			p.Seconds = s.Seconds
-		}
-		p.CommBytes += s.BytesSent
-	}
-	return p
 }

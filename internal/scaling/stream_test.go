@@ -113,24 +113,6 @@ func TestStreamMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAggregateStats(t *testing.T) {
-	rs := []RankStats{
-		{Rank: 0, Messages: 3, BytesSent: 100, BytesRecv: 700, Seconds: 0.5},
-		{Rank: 1, Messages: 5, BytesSent: 400, BytesRecv: 40, Seconds: 0.9},
-	}
-	agg := AggregateStats(2, rs)
-	if agg.Messages != 8 || agg.Bytes != 500 {
-		t.Fatalf("aggregate = %+v", agg)
-	}
-	if agg.RecvBytes[0] != 700 || agg.RecvBytes[1] != 40 {
-		t.Fatalf("RecvBytes = %v", agg.RecvBytes)
-	}
-	pt := MultiProcessPoint(2, rs)
-	if pt.Seconds != 0.9 || pt.CommBytes != 500 || pt.Ranks != 2 {
-		t.Fatalf("point = %+v", pt)
-	}
-}
-
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

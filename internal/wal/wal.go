@@ -21,7 +21,8 @@
 //
 // Failure model. A crashed append leaves a prefix of a frame at the tail
 // of the newest segment: Open detects it (partial header, or fewer body
-// bytes than the header declares) and truncates the file back to the last
+// bytes left in the file than the header declares, decided from the file
+// size before any body is read) and truncates the file back to the last
 // complete frame — a torn tail never fails recovery, it only sheds the
 // un-acked record it belongs to. A complete frame whose CRC does not match
 // was not torn, it was corrupted after the fact (bit rot, a lying disk):
@@ -284,6 +285,10 @@ func scanSegment(path string, prevSeq uint64) (segment, int64, error) {
 		return segment{}, -1, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return segment{}, -1, err
+	}
 	seg := segment{path: path, first: segFirst(path)}
 	var (
 		off    int64
@@ -305,6 +310,9 @@ func scanSegment(path string, prevSeq uint64) (segment, int64, error) {
 		crc := binary.LittleEndian.Uint32(header[4:])
 		if length < minBodyLen || length > maxBodyLen {
 			return segment{}, -1, fmt.Errorf("frame at offset %d declares impossible body length %d", off, length)
+		}
+		if off+frameHeaderLen+int64(length) > info.Size() {
+			return seg, off, nil // torn: the body runs past the end of the file
 		}
 		if cap(body) < int(length) {
 			body = make([]byte, length)
@@ -367,7 +375,14 @@ func replaySegment(path string, from uint64, fn func(uint64, []byte) error, repl
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	var header [frameHeaderLen]byte
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	var (
+		off    int64
+		header [frameHeaderLen]byte
+	)
 	for {
 		if _, err := io.ReadFull(f, header[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil
@@ -378,6 +393,10 @@ func replaySegment(path string, from uint64, fn func(uint64, []byte) error, repl
 		crc := binary.LittleEndian.Uint32(header[4:])
 		if length < minBodyLen || length > maxBodyLen {
 			return fmt.Errorf("%w: %s: impossible body length %d", ErrCorrupt, filepath.Base(path), length)
+		}
+		off += frameHeaderLen + int64(length)
+		if off > info.Size() {
+			return nil // the torn tail Open already truncated on disk
 		}
 		body := make([]byte, length)
 		if _, err := io.ReadFull(f, body); err == io.ErrUnexpectedEOF {

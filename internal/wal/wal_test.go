@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -173,6 +174,57 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestTornTailHugeLengthAllocatesNothing: a torn tail whose header
+// declares a body far larger than the bytes left in the file is shed like
+// any torn tail, and Open decides that from the file size instead of
+// allocating the declared length first.
+func TestTornTailHugeLengthAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 3)
+	l.Close()
+	path := onlySegment(t, dir)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 12-byte tail: a header declaring a maxBodyLen body, then 4 bytes.
+	tail := make([]byte, frameHeaderLen+4)
+	binary.LittleEndian.PutUint32(tail[0:], maxBodyLen)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l2, err := Open(dir, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("torn tail must not fail open: %v", err)
+	}
+	defer l2.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes for a %d-byte tail, want < 1 MiB", alloc, len(tail))
+	}
+	if got := l2.LastSeq(); got != 3 {
+		t.Fatalf("LastSeq = %d, want 3", got)
+	}
+	if got, err := os.Stat(path); err != nil || got.Size() != info.Size() {
+		t.Fatalf("segment not truncated back to its three frames: %v, %v", got, err)
+	}
+	if seqs, _ := collect(t, l2, 0); len(seqs) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(seqs))
+	}
+}
+
 // TestMidLogCorruption: a bit flip in a record that is not the torn tail
 // must refuse the whole log with ErrCorrupt, not silently skip.
 func TestMidLogCorruption(t *testing.T) {
@@ -246,15 +298,19 @@ func TestSequenceGapIsCorrupt(t *testing.T) {
 	}
 }
 
-func appendGapFrame(t *testing.T, path string, seq uint64) {
-	t.Helper()
-	body := make([]byte, 8+4)
-	binary.LittleEndian.PutUint64(body, seq)
-	copy(body[8:], "gapX")
-	frame := make([]byte, frameHeaderLen+len(body))
+// encodeFrame renders one well-formed (seq, payload) frame.
+func encodeFrame(seq uint64, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, seq)
+	body = append(body, payload...)
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(body))
 	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[4:], crcOf(body))
-	copy(frame[frameHeaderLen:], body)
+	return append(frame, body...)
+}
+
+func appendGapFrame(t *testing.T, path string, seq uint64) {
+	t.Helper()
+	frame := encodeFrame(seq, []byte("gapX"))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
