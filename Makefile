@@ -5,12 +5,19 @@ GO ?= go
 # benchstat wants repeated samples; `make bench BENCH_COUNT=10` feeds it.
 BENCH_COUNT ?= 1
 
-.PHONY: check build test vet fmt race smoke dist-smoke serve-smoke crash-smoke merge-smoke coord-smoke sketch-smoke examples examples-gate bench bench-stream bench-trajectory bench-baseline benchtune noasm-test worker fuzz-smoke
+.PHONY: check build cross test vet fmt race smoke dist-smoke serve-smoke crash-smoke merge-smoke coord-smoke sketch-smoke examples examples-gate bench bench-stream bench-trajectory bench-baseline benchtune noasm-test worker fuzz-smoke
 
-check: build test vet fmt
+check: build cross test vet fmt
 
 build:
 	$(GO) build ./...
+
+# internal/launch wires worker meshes only on unix and sizes pipes only on
+# Linux; the other side of each build-tag split is a stub that must keep
+# compiling. (go build skips _test files.)
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -29,8 +36,8 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# Multi-process smoke: a persistent 4-rank parsvd-worker fleet over
-# loopback TCP, fed the deterministic workload batch by batch over the
+# Multi-process smoke: a persistent 4-rank parsvd-worker fleet over its
+# launcher-wired socket mesh, fed the deterministic workload batch by batch over the
 # wire, must match the serial reference within 1e-12. CI=1 keeps it
 # running under -short. Fast enough for every CI run.
 smoke:
@@ -41,7 +48,7 @@ worker:
 
 # Persistent-fleet smoke: a 4-rank worker fleet held open across the
 # whole deterministic workload, fed real snapshot batches over the wire
-# (stdin frames -> row scatter -> TCP collectives), must match the serial
+# (stdin frames -> row scatter -> mesh collectives), must match the serial
 # reference within 1e-12. The launcher side runs under the race detector;
 # the cross-backend conformance + fault-injection suites ride along.
 dist-smoke:
@@ -112,7 +119,7 @@ coord-smoke:
 # Sketched-push gate: the sketch property suite (sketched vs unsketched
 # fits across every Source kind and all three backends, exactness when
 # MaxRank covers the data rank, never-panic option handling) including
-# TestSketchSmoke — a 4-rank TCP worker fleet fed compressed (Q, S)
+# TestSketchSmoke — a 4-rank worker fleet fed compressed (Q, S)
 # factor pairs must match the serial unsketched reference within 1e-4
 # with >= 4x wire reduction — plus the server-side sketched ingest, WAL
 # replay and computed-Retry-After tests.

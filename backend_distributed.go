@@ -11,7 +11,7 @@ import (
 )
 
 // distEngine is ParSVD over a persistent multi-process worker world: one
-// parsvd-worker OS process per rank on loopback TCP, held open across
+// parsvd-worker OS process per rank on local sockets, held open across
 // operations exactly like the in-process parallel engine holds its rank
 // goroutines. The facade feeds global batches; the engine's session
 // scatters row blocks over the workers' stdin (the framed protocol in

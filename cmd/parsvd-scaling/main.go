@@ -13,7 +13,7 @@
 //   - tcp: the facade's Distributed backend. For every rank count p, a
 //     WithRanks(p) Distributed SVD fits the deterministic streaming
 //     workload (parsvd.FromWorkload): p parsvd-worker OS processes
-//     connect over loopback TCP (the internal/mpi/tcptransport fabric)
+//     connect over local sockets (the internal/mpi/tcptransport fabric)
 //     and run the full distributed *streaming* SVD over real sockets,
 //     fed their row blocks by this process. A point's seconds is the
 //     wall clock of that Fit, so it includes spawning the worker fleet
@@ -182,7 +182,7 @@ func runTCPMode(cfg tcpConfig) {
 		log.Printf("fitting on %d worker process(es)…", p)
 		res, st, seconds, err := fit(cfg, parsvd.Distributed, p)
 		if err != nil {
-			log.Fatalf("%d-rank TCP fit failed: %v", p, err)
+			log.Fatalf("%d-rank distributed fit failed: %v", p, err)
 		}
 		if cfg.verify {
 			par, _, _, err := fit(cfg, parsvd.Parallel, p)
@@ -204,7 +204,7 @@ func runTCPMode(cfg tcpConfig) {
 	scaling.FillEfficiency(points)
 
 	fmt.Println()
-	fmt.Print(scaling.FormatSeries("measured weak scaling (TCP worker processes, streaming SVD)", points))
+	fmt.Print(scaling.FormatSeries("measured weak scaling (worker processes, streaming SVD)", points))
 	if err := writeCSV(filepath.Join(cfg.outdir, "fig1c_tcp_measured.csv"), points); err != nil {
 		log.Fatal(err)
 	}

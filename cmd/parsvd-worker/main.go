@@ -1,22 +1,25 @@
 // Command parsvd-worker is one rank of a persistent multi-process
 // distributed streaming SVD: each worker process owns one MPI rank,
-// connects to its peers over TCP (internal/mpi/tcptransport), and holds a
-// live core.Parallel engine for the whole session. Stdin carries framed
-// commands (INIT with the engine configuration, PUSH with this rank's row
-// block of real snapshot data, PUSH-SKETCH, SPECTRUM, MODES-SHA, STATS,
-// SAVE, SHUTDOWN) and stdout carries one framed reply per command; rank 0
-// first prints a RENDEZVOUS frame with its bound address. This is the
-// protocol behind the parsvd facade's Distributed backend and
-// internal/launch.Session (see internal/launch/proto.go). Logs go to
-// stderr.
+// exchanges collectives with its peers over a full mesh of stream links
+// (internal/mpi/tcptransport), and holds a live core.Parallel engine for
+// the whole session. Stdin carries framed commands (INIT with the engine
+// configuration, PUSH with this rank's row block of real snapshot data,
+// PUSH-SKETCH, SPECTRUM, MODES-SHA, STATS, SAVE, SHUTDOWN) and stdout
+// carries one framed reply per command. This is the protocol behind the
+// parsvd facade's Distributed backend and internal/launch.Session (see
+// internal/launch/proto.go). Logs go to stderr.
 //
-// Workers are normally spawned by a launcher (the facade, or
-// internal/launch.StartSession), but they are plain processes: starting
-// rank 0 by hand and pointing the other ranks at its address with
-// -rendezvous builds the same world across terminals or machines, with
-// each process's stdin and stdout carrying its session frames. Exit
-// status is nonzero if this rank — or, via the abort protocol, any peer —
-// fails; the last stdout frame is then an ERR frame naming the cause.
+// A launcher (the facade, or internal/launch.StartSession) wires the mesh
+// before it starts any rank: with -inherited-mesh, fd 3+i is this rank's
+// end of a connected AF_UNIX socketpair to the i-th other rank in rank
+// order, so a launched worker never listens, dials or sends a RENDEZVOUS
+// frame. Workers are also plain processes that can be started by hand:
+// rank 0 binds -listen and first prints a RENDEZVOUS frame with its bound
+// address, and pointing the other ranks at it with -rendezvous builds the
+// same world over TCP across terminals or machines, with each process's
+// stdin and stdout carrying its session frames. Exit status is nonzero if
+// this rank — or, via the abort protocol, any peer — fails; the last
+// stdout frame is then an ERR frame naming the cause.
 package main
 
 import (
@@ -41,6 +44,7 @@ func main() {
 		advertise   = flag.String("advertise", "", "override the address advertised to peers (for NAT/multi-host setups)")
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "failure-detection window: abort if a peer is silent this long")
 		dialTimeout = flag.Duration("dial-timeout", 30*time.Second, "rendezvous/handshake deadline")
+		inherited   = flag.Bool("inherited-mesh", false, "peer links are inherited from the launcher: fd 3+i is a connected socket to the i-th other rank in rank order (no rendezvous)")
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("parsvd-worker[%d]: ", *rank))
@@ -53,7 +57,7 @@ func main() {
 		Advertise:   *advertise,
 		DialTimeout: *dialTimeout,
 		IdleTimeout: *idleTimeout,
-	}); err != nil {
+	}, *inherited); err != nil {
 		log.Fatalf("session failed: %v", err)
 	}
 	log.Printf("session done")

@@ -31,7 +31,11 @@ import (
 // frame is emitted best-effort, and the process exits nonzero. There is
 // no partial recovery; a session world is either fully consistent or
 // dead, which is exactly the contract the launcher enforces fleet-wide.
-func runSession(opts tcptransport.Options) error {
+//
+// With inheritedMesh the peer links are descriptors the launcher wired
+// before exec (inheritedPeers); otherwise the ranks meet at rank 0's
+// rendezvous address.
+func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 	rank, np := opts.Rank, opts.Size
 	out := bufio.NewWriter(os.Stdout)
 	reply := func(verb byte, body []byte) error {
@@ -41,10 +45,23 @@ func runSession(opts tcptransport.Options) error {
 		return out.Flush()
 	}
 
-	// Rank 0 binds the rendezvous listener first so the (possibly
-	// ephemeral) address reaches the launcher before tcptransport.New
-	// blocks waiting for the other ranks to dial in.
-	if rank == 0 && np > 1 {
+	switch {
+	case inheritedMesh:
+		if opts.Rendezvous != "" {
+			err := errors.New("-inherited-mesh and -rendezvous are exclusive")
+			reply(launch.SessErr, []byte(err.Error()))
+			return err
+		}
+		peers, err := inheritedPeers(rank, np)
+		if err != nil {
+			reply(launch.SessErr, []byte(err.Error()))
+			return err
+		}
+		opts.Peers = peers
+	case rank == 0 && np > 1:
+		// A hand-started rank 0 binds the rendezvous listener first so
+		// the (possibly ephemeral) address is printed before
+		// tcptransport.New blocks waiting for the other ranks to dial in.
 		l, err := net.Listen("tcp", opts.ListenAddr)
 		if err != nil {
 			reply(launch.SessErr, []byte(fmt.Sprintf("rendezvous listen: %v", err)))
@@ -261,4 +278,28 @@ func runSession(opts tcptransport.Options) error {
 			return nil
 		}
 	}
+}
+
+// inheritedPeers adopts the mesh a launcher wired before exec: fd 3+i is
+// this rank's end of a connected stream to the i-th other rank in rank
+// order. Each descriptor is handed to the net poller as a duplicate and
+// the original closed. On failure the process exits, which closes the
+// links already adopted.
+func inheritedPeers(rank, np int) ([]net.Conn, error) {
+	peers := make([]net.Conn, np)
+	fd := 3
+	for p := range peers {
+		if p == rank {
+			continue
+		}
+		f := os.NewFile(uintptr(fd), fmt.Sprintf("mesh-%d", p))
+		c, err := net.FileConn(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("adopting the inherited link to rank %d (fd %d): %w", p, fd, err)
+		}
+		peers[p] = c
+		fd++
+	}
+	return peers, nil
 }

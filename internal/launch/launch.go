@@ -1,7 +1,9 @@
-// Package launch spawns and supervises multi-process TCP runs of the
+// Package launch spawns and supervises multi-process runs of the
 // distributed streaming SVD: a persistent fleet of cmd/parsvd-worker
-// processes, one OS process per rank, wired together by the tcptransport
-// rendezvous and driven over the framed session protocol (proto.go).
+// processes, one OS process per rank, driven over the framed session
+// protocol (proto.go). The launcher wires the rank mesh itself — one
+// socketpair per rank pair, inherited by the workers — and starts every
+// rank at once, so it needs a unix host.
 //
 // StartSession spawns the fleet and sends every rank its engine
 // configuration; the returned Session scatters snapshot row blocks to the

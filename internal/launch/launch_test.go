@@ -1,17 +1,22 @@
 package launch
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"os/exec"
 	"testing"
+
+	"goparsvd/internal/grid"
+	"goparsvd/internal/mat"
+	"goparsvd/internal/testutil"
 )
 
-// TestWorkerFailurePropagates starts a lone rank 0 of a two-rank world:
-// no peer ever dials in, so the worker must give up after its dial
-// timeout, exit nonzero and leave an ERR frame as the last thing on its
-// stdout, which is how a launcher learns why a rank died.
-func TestWorkerFailurePropagates(t *testing.T) {
+// testWorker resolves the parsvd-worker binary, skipping without a Go
+// toolchain to build it.
+func testWorker(t *testing.T) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("no Go toolchain to build parsvd-worker: %v", err)
 	}
@@ -19,6 +24,15 @@ func TestWorkerFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bin
+}
+
+// TestWorkerFailurePropagates starts a lone rank 0 of a two-rank world:
+// no peer ever dials in, so the worker must give up after its dial
+// timeout, exit nonzero and leave an ERR frame as the last thing on its
+// stdout, which is how a launcher learns why a rank died.
+func TestWorkerFailurePropagates(t *testing.T) {
+	bin := testWorker(t)
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, "-rank", "0", "-np", "2", "-dial-timeout", "2s")
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -42,4 +56,132 @@ func TestWorkerFailurePropagates(t *testing.T) {
 		t.Fatalf("worker stdout frames %v do not end with ERR", verbs)
 	}
 	t.Logf("ERR frame: %s", last)
+}
+
+// TestHandStartedWorldMatchesSession keeps the hand-started path tested,
+// the README's cross-machine recipe that launched fleets no longer take on
+// unix: rank 0 started with -listen prints a RENDEZVOUS frame, rank 1
+// dials that address with -rendezvous, and the pair driven frame by frame
+// must reach the spectrum bits and modes hash a StartSession fleet reaches
+// on the same batches.
+func TestHandStartedWorldMatchesSession(t *testing.T) {
+	const ranks, rows, cols = 2, 40, 6
+	bin := testWorker(t)
+	spec := EngineSpec{K: 4, FF: 0.9}
+	rng := testutil.NewRand(21)
+	batches := make([]*mat.Dense, 3)
+	for i := range batches {
+		batches[i] = testutil.RandomDense(rows, cols, rng)
+	}
+
+	s, err := StartSession(SessionConfig{Ranks: ranks, WorkerBin: bin, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, b := range batches {
+		if err := s.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSpectrum, err := s.Spectrum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSHA, err := s.ModesSHA()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type proc struct {
+		cmd *exec.Cmd
+		in  io.WriteCloser
+		out *bufio.Reader
+	}
+	start := func(args ...string) *proc {
+		cmd := exec.Command(bin, args...)
+		in, err := cmd.StdinPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		})
+		return &proc{cmd, in, bufio.NewReader(out)}
+	}
+	p0 := start("-rank", "0", "-np", "2", "-listen", "127.0.0.1:0")
+	verb, addr, err := ReadSessionFrame(p0.out)
+	if err != nil || verb != SessRendezvous {
+		t.Fatalf("rank 0's first frame: %s %q, err %v; want RENDEZVOUS", verbName(verb), addr, err)
+	}
+	procs := []*proc{p0, start("-rank", "1", "-np", "2", "-rendezvous", string(addr))}
+
+	// roundTrip writes one command to every rank, then reads one reply
+	// from each. The frames are small enough to sit whole in the pipes,
+	// so writing rank by rank cannot stall a collective.
+	roundTrip := func(verb byte, write func(r int, in io.Writer) error) [][]byte {
+		t.Helper()
+		for r, p := range procs {
+			if err := write(r, p.in); err != nil {
+				t.Fatalf("%s to rank %d: %v", verbName(verb), r, err)
+			}
+		}
+		bodies := make([][]byte, len(procs))
+		for r, p := range procs {
+			rv, body, err := ReadSessionFrame(p.out)
+			if err != nil || rv == SessErr {
+				t.Fatalf("rank %d reply to %s: %s %q, err %v", r, verbName(verb), verbName(rv), body, err)
+			}
+			bodies[r] = body
+		}
+		return bodies
+	}
+	empty := func(verb byte) func(int, io.Writer) error {
+		return func(_ int, in io.Writer) error { return WriteSessionFrame(in, verb, nil) }
+	}
+
+	specBody, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(SessInit, func(_ int, in io.Writer) error { return WriteSessionFrame(in, SessInit, specBody) })
+	parts := grid.Partition(rows, ranks)
+	scratch := make([]byte, blockScratch)
+	for _, b := range batches {
+		roundTrip(SessPush, func(r int, in io.Writer) error {
+			var block mat.Dense
+			b.ViewRows(parts[r].Start, parts[r].End, &block)
+			return writeBlockFrame(in, scratch, SessPush, nil, &block)
+		})
+	}
+	for r, body := range roundTrip(SessSpectrum, empty(SessSpectrum)) {
+		got, err := DecodeFloats(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalFloatsBits(got, wantSpectrum) {
+			t.Errorf("rank %d spectrum %v, launched fleet %v", r, got, wantSpectrum)
+		}
+	}
+	st, err := DecodeStatus(roundTrip(SessModesSHA, empty(SessModesSHA))[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ModesSHA != wantSHA {
+		t.Errorf("modes hash %s, launched fleet %s", st.ModesSHA, wantSHA)
+	}
+	roundTrip(SessShutdown, empty(SessShutdown))
+	for r, p := range procs {
+		if err := p.cmd.Wait(); err != nil {
+			t.Errorf("rank %d after SHUTDOWN: %v", r, err)
+		}
+	}
 }

@@ -34,9 +34,11 @@ package launch
 //
 // Worker→launcher verbs (on worker stdout):
 //
-//	RENDEZVOUS body = rank 0's mesh rendezvous address (printed before the
-//	           TCP fabric is established, so the launcher can spawn the
-//	           other ranks)
+//	RENDEZVOUS body = rank 0's mesh rendezvous address. Only a rank 0
+//	           started by hand (without -inherited-mesh) sends it, before
+//	           the TCP fabric is established, so whoever drives it can
+//	           point the other ranks there; a launched rank inherits its
+//	           mesh and never sends it (StartSession wants OK to INIT)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
 //	           counters, optional modes hash)
 //	FLOATS     body = data body carrying a vector
@@ -284,10 +286,7 @@ const blockScratch = 32 << 10
 // no frame body is ever built. The blocks may be row views of a caller's
 // matrix.
 func writeBlockFrame(w io.Writer, scratch []byte, verb byte, prefix []byte, blocks ...*mat.Dense) error {
-	size := 1 + len(prefix)
-	for _, b := range blocks {
-		size += tcptransport.MessageBodyLen(len(b.RawData()))
-	}
+	size := blockFrameLen(prefix, blocks...) - 4
 	if size > maxSessionFrame {
 		return fmt.Errorf("launch: session frame body of %d bytes exceeds the %d-byte bound", size-1, maxSessionFrame)
 	}
@@ -313,6 +312,16 @@ func writeBlockFrame(w io.Writer, scratch []byte, verb byte, prefix []byte, bloc
 	}
 	_, err = w.Write(buf)
 	return err
+}
+
+// blockFrameLen is the length on the wire, length prefix included, of the
+// frame writeBlockFrame writes for prefix and blocks.
+func blockFrameLen(prefix []byte, blocks ...*mat.Dense) int {
+	n := 4 + 1 + len(prefix)
+	for _, b := range blocks {
+		n += tcptransport.MessageBodyLen(len(b.RawData()))
+	}
+	return n
 }
 
 // BlockReader decodes data bodies — a PUSH payload, and each factor of a

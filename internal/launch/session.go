@@ -25,9 +25,9 @@ type SessionConfig struct {
 	WorkerBin string
 	// Spec is the engine configuration sent to every rank by INIT.
 	Spec EngineSpec
-	// OpTimeout bounds each session operation round trip — INIT
-	// (rendezvous and fabric establishment included), one PUSH scatter,
-	// one gather, the SHUTDOWN drain. Default 2m.
+	// OpTimeout bounds each session operation round trip — fleet spawn
+	// and INIT, one PUSH scatter, one gather, the SHUTDOWN drain.
+	// Default 2m.
 	OpTimeout time.Duration
 	// Deadline, when nonzero, additionally caps startup and every
 	// operation at an absolute time (see SetDeadline).
@@ -36,6 +36,7 @@ type SessionConfig struct {
 	// detection window). Zero keeps the worker default.
 	IdleTimeout time.Duration
 	// Stderr receives the workers' stderr streams; default os.Stderr.
+	// io.Discard sends them to /dev/null.
 	Stderr io.Writer
 }
 
@@ -94,7 +95,7 @@ type sessFrame struct {
 type sessWorker struct {
 	rank  int
 	cmd   *exec.Cmd
-	stdin io.WriteCloser
+	stdin *os.File
 	// scratch is the fixed buffer every block frame to this rank is
 	// encoded through (writeBlockFrame).
 	scratch []byte
@@ -103,7 +104,7 @@ type sessWorker struct {
 	once    sync.Once
 }
 
-// StartSession spawns the fleet, wires the rendezvous, and sends INIT to
+// StartSession spawns the fleet, wires the rank mesh, and sends INIT to
 // every rank. On any failure the partial fleet is killed and reaped before
 // the error returns.
 func StartSession(cfg SessionConfig) (*Session, error) {
@@ -124,39 +125,11 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		}
 	}
 	s := &Session{cfg: cfg, workers: make([]*sessWorker, cfg.Ranks), hardDeadline: cfg.Deadline}
-	deadline := time.Now().Add(cfg.OpTimeout)
-	if !cfg.Deadline.IsZero() && cfg.Deadline.Before(deadline) {
-		if !cfg.Deadline.After(time.Now()) {
-			return nil, fmt.Errorf("launch: session deadline exceeded before startup")
-		}
-		deadline = cfg.Deadline
+	if !cfg.Deadline.IsZero() && !cfg.Deadline.After(time.Now()) {
+		return nil, fmt.Errorf("launch: session deadline exceeded before startup")
 	}
-
-	w0, err := s.startSessionWorker(bin, 0, "")
-	if err != nil {
+	if err := s.spawnFleet(bin); err != nil {
 		return nil, err
-	}
-	s.workers[0] = w0
-	var rendezvous string
-	if cfg.Ranks > 1 {
-		fr := w0.await(deadline)
-		if fr.err != nil {
-			s.reap()
-			return nil, fmt.Errorf("launch: rank 0 never published a rendezvous address: %w", fr.err)
-		}
-		if fr.verb != SessRendezvous {
-			s.reap()
-			return nil, fmt.Errorf("launch: rank 0 sent %s before the rendezvous address", verbName(fr.verb))
-		}
-		rendezvous = string(fr.body)
-	}
-	for r := 1; r < cfg.Ranks; r++ {
-		w, err := s.startSessionWorker(bin, r, rendezvous)
-		if err != nil {
-			s.reap()
-			return nil, fmt.Errorf("launch: spawning session rank %d: %w", r, err)
-		}
-		s.workers[r] = w
 	}
 
 	spec, err := json.Marshal(cfg.Spec)
@@ -164,38 +137,44 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		s.reap()
 		return nil, fmt.Errorf("launch: encoding engine spec: %w", err)
 	}
-	if _, err := s.op(SessInit, func(w *sessWorker) error {
+	frames, err := s.op(SessInit, func(w *sessWorker) error {
 		return WriteSessionFrame(w.stdin, SessInit, spec)
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
+	}
+	for r, fr := range frames {
+		if fr.verb != SessOK {
+			return nil, s.fail(fmt.Errorf("launch: rank %d replied %s to INIT", r, verbName(fr.verb)))
+		}
 	}
 	return s, nil
 }
 
-func (s *Session) startSessionWorker(bin string, rank int, rendezvous string) (*sessWorker, error) {
+// command prepares one rank's worker process, told to adopt the mesh the
+// launcher wires (spawnFleet). A discarded stderr stays nil, so the child
+// writes to /dev/null; any other writer that is not a file costs os/exec a
+// pipe and a copying goroutine per worker.
+func (s *Session) command(bin string, rank int) *exec.Cmd {
 	args := []string{
 		"-rank", strconv.Itoa(rank),
 		"-np", strconv.Itoa(s.cfg.Ranks),
+		"-inherited-mesh",
 	}
 	if s.cfg.IdleTimeout > 0 {
 		args = append(args, "-idle-timeout", s.cfg.IdleTimeout.String())
 	}
-	if rank != 0 {
-		args = append(args, "-rendezvous", rendezvous)
-	}
 	cmd := exec.Command(bin, args...)
-	cmd.Stderr = s.cfg.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
+	if s.cfg.Stderr != io.Discard {
+		cmd.Stderr = s.cfg.Stderr
 	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
+	return cmd
+}
+
+// newSessWorker supervises a started rank process whose session frames
+// are written to stdin and read from stdout; both are closed once the
+// process is reaped.
+func newSessWorker(rank int, cmd *exec.Cmd, stdin *os.File, stdout io.ReadCloser) *sessWorker {
 	w := &sessWorker{
 		rank:    rank,
 		cmd:     cmd,
@@ -205,20 +184,22 @@ func (s *Session) startSessionWorker(bin string, rank int, rendezvous string) (*
 		done:    make(chan struct{}),
 	}
 	go w.readLoop(stdout)
-	return w, nil
+	return w
 }
 
 // readLoop parses the worker's stdout frames until the stream ends, then
 // reaps the process. Lockstep means at most one reply is ever in flight,
 // so the buffered channel never blocks a healthy worker; a misbehaving
 // one is throttled here and killed by the launcher's next deadline.
-func (w *sessWorker) readLoop(stdout io.Reader) {
+func (w *sessWorker) readLoop(stdout io.ReadCloser) {
 	defer close(w.done)
 	br := bufio.NewReaderSize(stdout, 1<<16)
 	for {
 		verb, body, err := ReadSessionFrame(br)
 		if err != nil {
 			waitErr := w.cmd.Wait()
+			w.stdin.Close()
+			stdout.Close()
 			if err == io.EOF && waitErr != nil {
 				err = fmt.Errorf("worker exited: %w", waitErr)
 			} else if err == io.EOF {
@@ -441,6 +422,11 @@ func (s *Session) Push(b *mat.Dense) error {
 	if _, err := s.op(SessPush, func(w *sessWorker) error {
 		var rows mat.Dense // a no-copy view of this rank's rows
 		b.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
+		if s.rows == 0 {
+			// Every later batch has this shape: a pipe that holds the
+			// whole frame takes it in one write.
+			growPipe(w.stdin, blockFrameLen(nil, &rows))
+		}
 		return writeBlockFrame(w.stdin, w.scratch, SessPush, nil, &rows)
 	}); err != nil {
 		return err

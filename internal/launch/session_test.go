@@ -3,6 +3,7 @@ package launch
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os/exec"
 	"runtime"
@@ -364,4 +365,35 @@ func TestSessionPushAllocatesNoBody(t *testing.T) {
 	if perPush > 32<<10 {
 		t.Fatalf("Session.Push allocated %d bytes per push, want no per-rank body (< 32 KiB)", perPush)
 	}
+}
+
+// TestDiscardedStderrAddsOnlyReaders: a fleet whose stderr is io.Discard
+// sends it to /dev/null instead of through a pipe and a copying goroutine,
+// so a two-rank session adds exactly its two frame readers.
+func TestDiscardedStderrAddsOnlyReaders(t *testing.T) {
+	bin := testWorker(t)
+	before := settledGoroutines()
+	s, err := StartSession(SessionConfig{Ranks: 2, WorkerBin: bin, Spec: EngineSpec{K: 2, FF: 1}, Stderr: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := settledGoroutines(); got != before+2 {
+		t.Fatalf("a 2-rank fleet added %d goroutines, want 2 (the frame readers)", got-before)
+	}
+}
+
+// settledGoroutines waits briefly for goroutines that are on their way
+// out (a finished write fan-out) and returns the count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
 }

@@ -10,8 +10,9 @@
 //   - ChanTransport (the default behind NewWorld/Run): ranks are goroutines
 //     in one process and messages travel over per-pair FIFO channels;
 //   - tcptransport.Transport (internal/mpi/tcptransport): each OS process
-//     owns one rank and messages travel over a full mesh of TCP
-//     connections with a length-prefixed wire format, so the same
+//     owns one rank and messages travel over a full mesh of stream
+//     connections (TCP, or socketpairs wired by a launcher) with a
+//     length-prefixed wire format, so the same
 //     algorithms run across real process and machine boundaries
 //     (cmd/parsvd-worker is the per-rank entry point).
 //

@@ -74,6 +74,13 @@ func Run(size int, base Options, fn func(c *mpi.Comm)) (mpi.Stats, error) {
 	if err != nil {
 		return mpi.Stats{}, err
 	}
+	return runWorld(ts, fn)
+}
+
+// runWorld runs fn on every endpoint of an established world and closes
+// each endpoint once its rank returns (Run's contract).
+func runWorld(ts []*Transport, fn func(c *mpi.Comm)) (mpi.Stats, error) {
+	size := len(ts)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

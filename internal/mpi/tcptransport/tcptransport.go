@@ -1,7 +1,8 @@
 // Package tcptransport is the multi-process TCP backend for the mpi
 // runtime: an implementation of mpi.Transport in which every OS process
-// owns exactly one rank and messages travel over a full mesh of TCP
-// connections using the length-prefixed wire format documented in wire.go.
+// owns exactly one rank and messages travel over a full mesh of stream
+// connections — TCP from the rendezvous below, or pre-connected links —
+// using the length-prefixed wire format documented in wire.go.
 //
 // # Rendezvous and mesh establishment
 //
@@ -27,6 +28,17 @@
 // same abort path the in-process fabric uses. Graceful shutdown (Close)
 // announces a bye frame on every connection before closing it, so peers
 // distinguish a finished rank from a crashed one.
+//
+// # Pre-connected links
+//
+// A launcher that already holds one connected stream per rank pair can
+// skip the rendezvous: Options.Peers hands New the links directly, indexed
+// by peer rank, and New starts the same readers, heartbeat, barrier and
+// abort machinery over them without listening, dialing or exchanging
+// hello, table or ident frames. Peers may carry any net.Conn: a launched
+// worker adopts the AF_UNIX socketpair ends it inherited from its launcher
+// (internal/launch), and the tests build whole socketpair worlds the same
+// way.
 //
 // Barriers are centralized: workers send barrier-enter to rank 0 and block
 // until rank 0, having counted every rank, replies barrier-release.
@@ -73,6 +85,12 @@ type Options struct {
 	// peer, a partition, or a single message that cannot be transferred
 	// within the window trips it. Default 2m.
 	IdleTimeout time.Duration
+	// Peers, when set, are pre-connected links to every other rank,
+	// indexed by rank, nil at Rank; the peer at index p must hold the
+	// other end of this rank's link to rank p. New then adopts them and
+	// skips the rendezvous, so Rendezvous, Listener, ListenAddr, Advertise
+	// and DialTimeout are unused.
+	Peers []net.Conn
 }
 
 func (o *Options) setDefaults() error {
@@ -90,6 +108,20 @@ func (o *Options) setDefaults() error {
 	}
 	if o.ListenAddr == "" {
 		o.ListenAddr = "127.0.0.1:0"
+	}
+	if o.Peers != nil {
+		if len(o.Peers) != o.Size {
+			return fmt.Errorf("tcptransport: %d peer links for a world of %d", len(o.Peers), o.Size)
+		}
+		for p, c := range o.Peers {
+			if p == o.Rank && c != nil {
+				return fmt.Errorf("tcptransport: rank %d given a link to itself", o.Rank)
+			}
+			if p != o.Rank && c == nil {
+				return fmt.Errorf("tcptransport: rank %d has no link to rank %d", o.Rank, p)
+			}
+		}
+		return nil
 	}
 	if o.Size > 1 && o.Rank > 0 && o.Rendezvous == "" {
 		return fmt.Errorf("tcptransport: rank %d needs a rendezvous address", o.Rank)
@@ -194,7 +226,8 @@ var _ mpi.Transport = (*Transport)(nil)
 // rendezvous, completes the connection mesh, and starts the reader and
 // heartbeat goroutines. It blocks until every rank is connected (bounded
 // by Options.DialTimeout) — when New returns on every rank, the world is
-// fully wired.
+// fully wired. With Options.Peers set the mesh already exists: New adopts
+// the links and returns at once.
 func New(opts Options) (*Transport, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
@@ -218,16 +251,24 @@ func New(opts Options) (*Transport, error) {
 	if t.size == 1 {
 		return t, nil
 	}
-	deadline := time.Now().Add(opts.DialTimeout)
-	var err error
-	if t.rank == 0 {
-		err = t.rendezvousRoot(opts, deadline)
+	if opts.Peers != nil {
+		for p, c := range opts.Peers {
+			if c != nil {
+				t.links[p] = newLink(p, c)
+			}
+		}
 	} else {
-		err = t.rendezvousWorker(opts, deadline)
-	}
-	if err != nil {
-		t.Abort()
-		return nil, err
+		deadline := time.Now().Add(opts.DialTimeout)
+		var err error
+		if t.rank == 0 {
+			err = t.rendezvousRoot(opts, deadline)
+		} else {
+			err = t.rendezvousWorker(opts, deadline)
+		}
+		if err != nil {
+			t.Abort()
+			return nil, err
+		}
 	}
 	for _, l := range t.links {
 		if l != nil {

@@ -21,6 +21,23 @@ func runTCP(size int, fn func(c *mpi.Comm)) error {
 	return err
 }
 
+// namedRunner is one way of wiring a world, as a conformance Runner.
+type namedRunner struct {
+	name string
+	run  transporttest.Runner
+}
+
+// runners are the ways of wiring a world every forEachWorld test runs
+// over; peers_unix_test.go adds the socketpair world.
+var runners = []namedRunner{{"rendezvous", runTCP}}
+
+// forEachWorld runs body once per way of wiring a world.
+func forEachWorld(t *testing.T, body func(t *testing.T, run transporttest.Runner)) {
+	for _, w := range runners {
+		t.Run(w.name, func(t *testing.T) { body(t, w.run) })
+	}
+}
+
 func testOptions() tcptransport.Options {
 	return tcptransport.Options{
 		DialTimeout: 10 * time.Second,
@@ -39,8 +56,12 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 // the exact calls core.Parallel makes, so passing here means the SVD
 // pipeline is transport-clean.
 func TestTCPCollectives(t *testing.T) {
+	forEachWorld(t, testCollectives)
+}
+
+func testCollectives(t *testing.T, run transporttest.Runner) {
 	const p = 4
-	err := runTCP(p, func(c *mpi.Comm) {
+	err := run(p, func(c *mpi.Comm) {
 		// Bcast from a non-zero root.
 		got := c.BcastFloats(2, pick(c.Rank() == 2, []float64{3, 1, 4}, nil))
 		if len(got) != 3 || got[0] != 3 || got[2] != 4 {
@@ -109,30 +130,31 @@ func TestTCPBarrierOrdering(t *testing.T) {
 }
 
 // TestTCPPanicAbortsPeers injects a rank failure mid-collective and
-// requires the whole TCP world to unwind: the panic is attributed to the
+// requires the whole world to unwind: the panic is attributed to the
 // failing rank and the peers blocked in Recv/Barrier return instead of
 // hanging.
 func TestTCPPanicAbortsPeers(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		_, err := tcptransport.Run(4, testOptions(), func(c *mpi.Comm) {
-			if c.Rank() == 2 {
-				panic("rank 2 failed before contributing")
+	forEachWorld(t, func(t *testing.T, run transporttest.Runner) {
+		done := make(chan error, 1)
+		go func() {
+			done <- run(4, func(c *mpi.Comm) {
+				if c.Rank() == 2 {
+					panic("rank 2 failed before contributing")
+				}
+				c.GatherFloats(0, []float64{1}) // root blocks on rank 2 forever
+				c.Barrier()
+			})
+		}()
+		select {
+		case err := <-done:
+			re := new(mpi.RankError)
+			if !errors.As(err, &re) || re.Rank != 2 {
+				t.Fatalf("err = %v, want RankError from rank 2", err)
 			}
-			c.GatherFloats(0, []float64{1}) // root blocks on rank 2 forever
-			c.Barrier()
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		re := new(mpi.RankError)
-		if !errors.As(err, &re) || re.Rank != 2 {
-			t.Fatalf("err = %v, want RankError from rank 2", err)
+		case <-time.After(30 * time.Second):
+			t.Fatal("abort propagation deadlocked")
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("TCP abort propagation deadlocked")
-	}
+	})
 }
 
 // TestTCPTrafficCounters checks the aggregated counters match the payload
@@ -191,15 +213,17 @@ func TestTCPGatherQRMatchesChan(t *testing.T) {
 		_, err := mpi.Run(size, fn)
 		return err
 	})
-	viaTCP := collect(runTCP)
-	for r := 0; r < p; r++ {
-		if !bitsEqual(viaChan.q[r].RawData(), viaTCP.q[r].RawData()) {
-			t.Errorf("rank %d: Q differs between chan and tcp transports", r)
+	forEachWorld(t, func(t *testing.T, run transporttest.Runner) {
+		viaTCP := collect(run)
+		for r := 0; r < p; r++ {
+			if !bitsEqual(viaChan.q[r].RawData(), viaTCP.q[r].RawData()) {
+				t.Errorf("rank %d: Q differs between chan and tcp transports", r)
+			}
 		}
-	}
-	if !bitsEqual(viaChan.r.RawData(), viaTCP.r.RawData()) {
-		t.Error("global R differs between chan and tcp transports")
-	}
+		if !bitsEqual(viaChan.r.RawData(), viaTCP.r.RawData()) {
+			t.Error("global R differs between chan and tcp transports")
+		}
+	})
 }
 
 func bitsEqual(a, b []float64) bool {

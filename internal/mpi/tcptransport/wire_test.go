@@ -120,56 +120,66 @@ func TestWireRejectsCorruption(t *testing.T) {
 // TestIdleTimeoutAborts verifies deadline-based failure detection: a peer
 // that goes silent (heartbeats stopped, nothing sent) is declared dead
 // after IdleTimeout and the survivor's blocked Recv unwinds via the abort
-// path instead of hanging.
+// path instead of hanging — over dialed and over adopted links alike.
 func TestIdleTimeoutAborts(t *testing.T) {
-	ts, err := LocalWorld(2, Options{IdleTimeout: 400 * time.Millisecond, DialTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts[0].Close()
-	defer ts[1].Close()
-	// Silence rank 1: stop its heartbeat without any shutdown protocol, as
-	// if the process were wedged (not crashed — the socket stays open).
-	ts[1].pingOnce.Do(func() { close(ts[1].stopPing) })
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			ts, err := w.build(2, Options{IdleTimeout: 400 * time.Millisecond, DialTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts[0].Close()
+			defer ts[1].Close()
+			// Silence rank 1: stop its heartbeat without any shutdown
+			// protocol, as if the process were wedged (not crashed — the
+			// socket stays open).
+			ts[1].pingOnce.Do(func() { close(ts[1].stopPing) })
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := ts[0].Recv(0, 1) // nothing will ever arrive
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != mpi.ErrAborted {
-			t.Fatalf("Recv after peer went silent: err = %v, want ErrAborted", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("idle-timeout failure detection never fired")
+			done := make(chan error, 1)
+			go func() {
+				_, err := ts[0].Recv(0, 1) // nothing will ever arrive
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != mpi.ErrAborted {
+					t.Fatalf("Recv after peer went silent: err = %v, want ErrAborted", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("idle-timeout failure detection never fired")
+			}
+		})
 	}
 }
 
 // TestAbruptDisconnectAborts verifies the crash path: a peer that vanishes
 // without the bye handshake (connection reset/EOF) aborts the survivor.
 func TestAbruptDisconnectAborts(t *testing.T) {
-	ts, err := LocalWorld(2, Options{IdleTimeout: 30 * time.Second, DialTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts[0].Close()
-	// Simulate a crash: rank 1's socket dies with no shutdown protocol.
-	ts[1].links[0].conn.Close()
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			ts, err := w.build(2, Options{IdleTimeout: 30 * time.Second, DialTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts[0].Close()
+			// Simulate a crash: rank 1's socket dies with no shutdown
+			// protocol.
+			ts[1].links[0].conn.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := ts[0].Recv(0, 1)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != mpi.ErrAborted {
-			t.Fatalf("Recv after peer crash: err = %v, want ErrAborted", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("crash detection never fired")
+			done := make(chan error, 1)
+			go func() {
+				_, err := ts[0].Recv(0, 1)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != mpi.ErrAborted {
+					t.Fatalf("Recv after peer crash: err = %v, want ErrAborted", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("crash detection never fired")
+			}
+		})
 	}
 }
 

@@ -21,7 +21,7 @@ const (
 	// through channel-backed MPI-style collectives.
 	Parallel
 	// Distributed runs the same parallel algorithm with one OS process
-	// per rank over loopback TCP (cmd/parsvd-worker), supervised by this
+	// per rank over local sockets (cmd/parsvd-worker), supervised by this
 	// process as a persistent, sessionful worker fleet: every Push (or
 	// Fit batch) is row-scattered to the workers over the wire, and
 	// spectrum, modes fingerprint and checkpoints come back the same way.
@@ -93,8 +93,8 @@ type TransportConfig struct {
 	// executable, PATH, and finally `go build` inside a module checkout.
 	WorkerBin string
 	// Timeout bounds each session operation round trip — fleet startup
-	// (rendezvous and fabric establishment), one batch scatter, one
-	// gather, the shutdown drain. Zero means 2 minutes. It is what reaps
+	// (spawn and engine initialization), one batch scatter, one gather,
+	// the shutdown drain. Zero means 2 minutes. It is what reaps
 	// a wedged fleet: an operation that exceeds it kills the workers and
 	// permanently fails the SVD with ErrEngineFailed.
 	Timeout time.Duration

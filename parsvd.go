@@ -29,7 +29,7 @@
 //   - WithBackend selects the execution mode: Serial is ParSVD_Serial,
 //     Parallel is ParSVD_Parallel over in-process goroutine ranks, and
 //     Distributed runs ParSVD_Parallel with one OS process per rank over
-//     loopback TCP — a persistent worker fleet fed real snapshot data
+//     local sockets — a persistent worker fleet fed real snapshot data
 //     over the wire, interchangeable with the other two backends.
 //   - WithRanks(n) is the MPI world size for the non-serial backends.
 //
