@@ -95,13 +95,17 @@ crash-smoke:
 # Merge conformance gate: a fit sharded across 2/4/8 independent engines
 # and reduced through the pairwise merge tree must match the monolithic
 # serial fit within 1e-10 on every Source kind, and the tree shape
-# (balanced vs left-deep) must change results only within the accumulated
-# error bound. The internal/merge unit + property suite and the
+# (balanced MergeCheckpoints vs a left-deep chain of SVD.Merge) must
+# change results only within the accumulated error bound. The merge is
+# the streaming engine's update at forget factor 1 (stream.SVD.Absorb), so
+# the engine's reference replay, with absorb steps interleaved, runs here
+# too, beside the internal/merge unit + property suite and the
 # server-side merge tests (corrupt uploads, WAL merge-record replay,
-# SIGKILL around /merge) ride along.
+# SIGKILL around /merge).
 merge-smoke:
 	$(GO) test -run 'TestMergeConformance' -v -count 1 .
 	$(GO) test -count 1 ./internal/merge
+	$(GO) test -count 1 -run 'ModeMajor|Absorb' ./internal/stream
 	$(GO) test -run 'TestMerge|TestCrashRecoveryMergeSIGKILL' -count 1 ./server
 
 # Cross-node coordinator gate: three REAL parsvd-serve processes on

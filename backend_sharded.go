@@ -1,7 +1,6 @@
 package parsvd
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -86,16 +85,8 @@ func (e *shardedEngine) partials() ([]*merge.Partial, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
 		}
-		if res.Modes == nil {
-			var buf bytes.Buffer
-			if err := sub.save(&buf, res); err != nil {
-				return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
-			}
-			st, err := core.ReadState(&buf)
-			if err != nil {
-				return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
-			}
-			res.Modes, res.Singular = st.Modes, st.Singular
+		if err := withModes(sub, res); err != nil {
+			return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
 		}
 		parts = append(parts, &merge.Partial{
 			U:          res.Modes,

@@ -253,8 +253,9 @@ func (st State) writeModes(w io.Writer, buf []byte) error {
 }
 
 // ReadState parses either checkpoint version, validating shape and
-// option sanity but not the engine-level restore invariants (those run
-// in RestoreSerial / stream.Restore).
+// option sanity — including that it holds 1 to K modes — but not the
+// engine-level restore invariants (those run in RestoreSerial /
+// stream.Restore).
 func ReadState(r io.Reader) (State, error) {
 	var st State
 	var head [5]byte
@@ -305,6 +306,11 @@ func ReadState(r io.Reader) (State, error) {
 	if rows < 0 || cols < 0 || rows > maxCheckpointElems || cols > maxCheckpointElems ||
 		(cols > 0 && rows > maxCheckpointElems/cols) {
 		return st, fmt.Errorf("%w: implausible shape %dx%d", ErrBadCheckpoint, rows, cols)
+	}
+	// The engine never holds more than K modes, nor none at all, so every
+	// reader (Load, merges, the server) can rely on 1 <= cols <= K.
+	if cols < 1 || cols > ints[0] {
+		return st, fmt.Errorf("%w: %d modes, want 1 to K = %d", ErrBadCheckpoint, cols, ints[0])
 	}
 	if ff <= 0 || ff > 1 || math.IsNaN(ff) {
 		return st, fmt.Errorf("%w: forget factor %g out of range", ErrBadCheckpoint, ff)

@@ -14,16 +14,15 @@
 //	[U₁·diag(Σ₁) | U₂·diag(Σ₂)] = Q·R,  R = Ũ·Σ̃·Ṽᵀ
 //	U = Q·Ũ[:, :K],  Σ = Σ̃[:K]
 //
+// That is the streaming engine's update at forget factor 1, with the
+// second partial's scaled modes in place of a batch: a Merger seeds one
+// stream.SVD from the first partial and absorbs the second
+// (stream.SVD.Absorb). Every operand holds at most K modes.
+//
 // The merge is exact when the effective rank of the union is at most K;
 // otherwise each truncation discards a Frobenius tail whose norm is
 // accumulated into the Bound field — an Iwen–Ong-style additive error
 // bound that survives composition up a merge tree.
-//
-// The hot path mirrors internal/stream's streaming update: the stack is
-// built column by column for an in-place compact-WY QR, Q is applied to
-// Ũ[:, :K] rather than formed, and every temporary comes from a
-// mat.Workspace, so steady-state merging of same-shaped partials performs
-// no heap allocations.
 package merge
 
 import (
@@ -31,10 +30,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
-	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/stream"
 )
 
 // Partial is one partial factorization in a merge set: the truncated
@@ -58,8 +58,9 @@ type Partial struct {
 	Bound float64
 }
 
-// validate checks the structural invariants of one merge operand.
-func (p *Partial) validate() error {
+// validate checks the structural invariants of one merge operand
+// truncated to k modes.
+func (p *Partial) validate(k int) error {
 	if p == nil || p.U == nil {
 		return errors.New("merge: nil partial")
 	}
@@ -70,17 +71,23 @@ func (p *Partial) validate() error {
 		return fmt.Errorf("merge: partial has %d mode columns but %d singular values",
 			p.U.Cols(), len(p.S))
 	}
+	if len(p.S) > k {
+		return fmt.Errorf("merge: partial holds %d modes, more than k = %d", len(p.S), k)
+	}
 	return nil
 }
 
-// Merger owns the workspace of the merge hot path. The zero value is
-// ready to use; a Merger must not be used from multiple goroutines
-// concurrently.
+// Merger owns the engine and the workspace of the merge hot path. The
+// zero value is ready to use; a Merger must not be used from multiple
+// goroutines concurrently.
 type Merger struct {
-	ws mat.Workspace
+	eng *stream.SVD
+	k   int
+	ws  mat.Workspace
 }
 
-// Pair merges a and b into dst, truncating to at most k modes.
+// Pair merges a and b into dst, truncating to k modes; each operand must
+// hold at most k.
 //
 // Ownership: dst must not alias a or b. dst's previous U (if any) is
 // recycled into the merger's workspace and replaced by a fresh
@@ -95,10 +102,10 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 	if dst == a || dst == b {
 		return errors.New("merge: dst must not alias an input partial")
 	}
-	if err := a.validate(); err != nil {
+	if err := a.validate(k); err != nil {
 		return err
 	}
-	if err := b.validate(); err != nil {
+	if err := b.validate(k); err != nil {
 		return err
 	}
 	rows := a.U.Rows()
@@ -106,47 +113,22 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 		return fmt.Errorf("merge: partials have %d and %d rows; shards must share the snapshot row dimension",
 			rows, b.U.Rows())
 	}
-	ka, kb := a.U.Cols(), b.U.Cols()
-
-	// Stack [U₁·diag(Σ₁) | U₂·diag(Σ₂)] column by column, ready for the
-	// in-place QR: the scaling folds into the transposing pass, exactly
-	// like the streaming update's forget-factor pass.
-	at := m.ws.GetUninit(ka+kb, rows)
-	top := m.ws.ViewRows(at, 0, ka)
-	mat.MulDiagScaledTInto(top, 1, a.U, a.S)
-	m.ws.PutView(top)
-	bot := m.ws.ViewRows(at, ka, ka+kb)
-	mat.MulDiagScaledTInto(bot, 1, b.U, b.S)
-	m.ws.PutView(bot)
-
-	f, r := linalg.FactorQR(&m.ws, at)
-	u, s := linalg.SVDLeftWith(&m.ws, r)
-	m.ws.Put(r)
-
-	kk := k
-	if kk > len(s) {
-		kk = len(s)
+	if m.eng == nil || m.k != k {
+		m.eng, m.k = stream.New(stream.Options{K: k, FF: 1}), k
 	}
-	// The Frobenius norm of the discarded tail, accumulated additively
-	// with the operands' own bounds (Iwen–Ong).
-	var tail float64
-	for _, sv := range s[kk:] {
-		tail += sv * sv
+	if err := m.eng.Seed(a.U, a.S, a.Iterations, a.Snapshots); err != nil {
+		return fmt.Errorf("merge: %w", err)
 	}
-	usub := m.ws.GetUninit(u.Rows(), kk)
-	u.SliceColsInto(usub, 0, kk)
+	// The discarded tail accumulates additively with the operands' own
+	// bounds (Iwen–Ong).
+	tail := m.eng.Absorb(b.U, b.S)
+	s := m.eng.SingularValues()
 	if dst.U != nil {
 		m.ws.Put(dst.U)
 	}
-	dst.U = m.ws.GetUninit(rows, kk)
-	f.MulQInto(&m.ws, dst.U, usub)
-	f.Release(&m.ws)
-	m.ws.Put(at)
-	dst.S = append(dst.S[:0], s[:kk]...)
-	m.ws.Put(usub)
-	m.ws.Put(u)
-	m.ws.PutFloats(s)
-
+	dst.U = m.ws.GetUninit(rows, len(s))
+	m.eng.ModeRows().TInto(dst.U)
+	dst.S = append(dst.S[:0], s...)
 	dst.Bound = a.Bound + b.Bound + math.Sqrt(tail)
 	dst.Iterations = a.Iterations + b.Iterations + 1
 	dst.Snapshots = a.Snapshots + b.Snapshots
@@ -166,21 +148,17 @@ func (m *Merger) Release(p *Partial) {
 type TreeOptions struct {
 	// K is the truncation rank applied at every merge level.
 	K int
-	// LeftDeep folds the partials sequentially (((p0⊕p1)⊕p2)⊕…) instead
-	// of the default balanced pairwise levels. Results differ only
-	// within the accumulated bound; the balanced tree keeps the bound
-	// (and the critical path) logarithmic in the shard count.
-	LeftDeep bool
-	// Workers caps the goroutines merging one balanced level
-	// concurrently; <= 1 runs sequentially, 0 means GOMAXPROCS. Ignored
-	// for left-deep trees, whose merges form a chain.
+	// Workers caps the goroutines merging one level concurrently; <= 1
+	// runs sequentially, 0 means GOMAXPROCS.
 	Workers int
 }
 
-// Tree reduces the partials up a binary merge tree into one Partial.
-// The inputs are never mutated or adopted; the result is freshly
-// allocated and caller-owned. A single input is returned as a K-truncated
-// copy (the single-shard identity).
+// Tree reduces the partials up a balanced binary merge tree into one
+// Partial, keeping the bound (and the critical path) logarithmic in the
+// shard count. Each partial must hold at most K modes. The inputs are
+// never mutated or adopted; the result is freshly allocated and
+// caller-owned. A single input is returned as a copy (the single-shard
+// identity).
 func Tree(parts []*Partial, opt TreeOptions) (*Partial, error) {
 	if opt.K < 1 {
 		return nil, fmt.Errorf("merge: k = %d < 1", opt.K)
@@ -189,77 +167,43 @@ func Tree(parts []*Partial, opt TreeOptions) (*Partial, error) {
 		return nil, errors.New("merge: no partials to merge")
 	}
 	for _, p := range parts {
-		if err := p.validate(); err != nil {
+		if err := p.validate(opt.K); err != nil {
 			return nil, err
 		}
 	}
 	if len(parts) == 1 {
-		return truncated(parts[0], opt.K), nil
-	}
-	if opt.LeftDeep {
-		return leftDeep(parts, opt.K)
+		p := *parts[0]
+		p.U = p.U.Clone()
+		p.S = append([]float64(nil), p.S...)
+		return &p, nil
 	}
 	return balanced(parts, opt)
 }
 
-// truncated deep-copies p keeping at most k leading modes.
-func truncated(p *Partial, k int) *Partial {
-	kk := k
-	if kk > p.U.Cols() {
-		kk = p.U.Cols()
-	}
-	out := &Partial{
-		U:          p.U.SliceCols(0, kk),
-		S:          append([]float64(nil), p.S[:kk]...),
-		Iterations: p.Iterations,
-		Snapshots:  p.Snapshots,
-		Bound:      p.Bound,
-	}
-	var tail float64
-	for _, sv := range p.S[kk:] {
-		tail += sv * sv
-	}
-	out.Bound += math.Sqrt(tail)
-	return out
-}
-
-// leftDeep is the sequential fold. Two ping-pong destinations recycle
-// through one merger, so the chain allocates O(1) beyond the result.
-func leftDeep(parts []*Partial, k int) (*Partial, error) {
-	var m Merger
-	acc, tmp := &Partial{}, &Partial{}
-	if err := m.Pair(acc, parts[0], parts[1], k); err != nil {
-		return nil, err
-	}
-	for _, p := range parts[2:] {
-		if err := m.Pair(tmp, acc, p, k); err != nil {
-			return nil, err
-		}
-		acc, tmp = tmp, acc
-	}
-	return detach(&m, acc, tmp), nil
-}
-
 // balanced merges level by level: adjacent pairs combine, an odd
 // leftover carries up unchanged. With Workers > 1 the pairs of one
-// level run concurrently, each goroutine on its own Merger.
+// level run concurrently, each goroutine on its own Merger. The root's
+// storage comes from a merger that dies with this call, so it is handed
+// to the caller as it is.
 func balanced(parts []*Partial, opt TreeOptions) (*Partial, error) {
 	workers := opt.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var m Merger // sequential path and final cleanup
+	var m Merger // sequential path and recycling
+	// One destination per merge, allocated at once; the last is the root.
+	nodes := make([]Partial, len(parts)-1)
 	cur := parts
-	leaves := true // level-0 partials are caller-owned, never recycled
 	for len(cur) > 1 {
 		pairs := len(cur) / 2
-		next := make([]*Partial, 0, pairs+1)
-		for i := 0; i < pairs; i++ {
-			next = append(next, &Partial{})
+		next := make([]*Partial, pairs, pairs+1)
+		for i := range next {
+			next[i] = &nodes[i]
 		}
+		nodes = nodes[pairs:]
 		var err error
 		if workers > 1 && pairs > 1 {
-			err = mergeLevelParallel(cur, next[:pairs], opt.K, workers)
+			err = mergeLevelParallel(cur, next, opt.K, workers)
 		} else {
 			for i := 0; i < pairs; i++ {
 				if err = m.Pair(next[i], cur[2*i], cur[2*i+1], opt.K); err != nil {
@@ -273,21 +217,17 @@ func balanced(parts []*Partial, opt TreeOptions) (*Partial, error) {
 		if len(cur)%2 == 1 {
 			next = append(next, cur[len(cur)-1])
 		}
-		if !leaves {
-			// The consumed intermediates of the previous level go back to
-			// the pool (the odd carry, still in next, is skipped).
-			for _, p := range cur[:2*pairs] {
+		// The consumed intermediates go back to the pool. The caller's
+		// partials, an odd one among them carried up a level, are never
+		// recycled.
+		for _, p := range cur[:2*pairs] {
+			if !slices.Contains(parts, p) {
 				m.Release(p)
 			}
 		}
 		cur = next
-		leaves = false
 	}
-	root := cur[0]
-	if leaves {
-		return truncated(root, opt.K), nil
-	}
-	return detach(&m, root, nil), nil
+	return cur[0], nil
 }
 
 // mergeLevelParallel fans one balanced level's pairs across workers,
@@ -315,21 +255,4 @@ func mergeLevelParallel(cur, dst []*Partial, k, workers int) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// detach copies the workspace-owned root into a caller-owned Partial and
-// recycles the scratch destinations.
-func detach(m *Merger, root, spare *Partial) *Partial {
-	out := &Partial{
-		U:          root.U.Clone(),
-		S:          append([]float64(nil), root.S...),
-		Iterations: root.Iterations,
-		Snapshots:  root.Snapshots,
-		Bound:      root.Bound,
-	}
-	m.Release(root)
-	if spare != nil {
-		m.Release(spare)
-	}
-	return out
 }

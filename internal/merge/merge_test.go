@@ -95,31 +95,31 @@ func TestPairMatchesDirectSVD(t *testing.T) {
 	testutil.CheckOrthonormalColumns(t, "merged modes", dst.U, 1e-12)
 }
 
-// TestSingleShardIdentity: a one-element tree is the K-truncated
-// identity.
+// TestSingleShardIdentity: a one-element tree copies an operand of at
+// most K modes bit for bit, and refuses one holding more than K.
 func TestSingleShardIdentity(t *testing.T) {
 	a, _ := testutil.RandomLowRank(32, 12, 8, 0, testutil.NewRand(2))
 	p := svdPartial(a, 8)
-	got, err := merge.Tree([]*merge.Partial{p}, merge.TreeOptions{K: 5})
+	p.Iterations = 3
+	got, err := merge.Tree([]*merge.Partial{p}, merge.TreeOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.U.Cols() != 5 || len(got.S) != 5 {
-		t.Fatalf("truncation kept %d modes, want 5", got.U.Cols())
+	if d := maxAbsDiff(p.S, got.S); d != 0 || len(got.S) != 8 {
+		t.Fatalf("identity changed the spectrum by %g (%d values)", d, len(got.S))
 	}
-	if d := maxAbsDiff(p.S[:5], got.S); d != 0 {
-		t.Fatalf("identity changed the spectrum by %g", d)
-	}
-	if !mat.EqualApprox(p.U.SliceCols(0, 5), got.U, 0) {
+	if !mat.EqualApprox(p.U, got.U, 0) {
 		t.Fatal("identity changed the modes")
 	}
-	// The discarded σ₆..σ₈ must appear in the bound.
-	var tail float64
-	for _, sv := range p.S[5:] {
-		tail += sv * sv
+	if got.Bound != p.Bound || got.Iterations != 3 || got.Snapshots != p.Snapshots {
+		t.Fatalf("identity changed bound or counters: %+v", *got)
 	}
-	if math.Abs(got.Bound-math.Sqrt(tail)) > 1e-12 {
-		t.Fatalf("truncation bound %g, want %g", got.Bound, math.Sqrt(tail))
+	if &got.U.RawData()[0] == &p.U.RawData()[0] || &got.S[0] == &p.S[0] {
+		t.Fatal("identity shares storage with its input")
+	}
+	if _, err := merge.Tree([]*merge.Partial{p}, merge.TreeOptions{K: 5}); err == nil ||
+		!strings.Contains(err.Error(), "more than k") {
+		t.Fatalf("8-mode operand in a K = 5 tree: %v", err)
 	}
 }
 
@@ -167,10 +167,9 @@ func TestShardsNarrowerThanK(t *testing.T) {
 	}
 }
 
-// TestTreeShapesAgree: the same 8 shards through a balanced tree, a
-// left-deep chain and a parallel balanced tree give the same result —
-// exactly equal for balanced vs parallel (identical pairings, identical
-// arithmetic), within the accumulated bound for balanced vs left-deep.
+// TestTreeShapesAgree: the same 8 shards through a sequential and a
+// parallel balanced tree give bit-equal results (identical pairings,
+// identical arithmetic), matching the direct SVD.
 func TestTreeShapesAgree(t *testing.T) {
 	const k = 6
 	a, _ := testutil.RandomLowRank(64, 24, k, 0, testutil.NewRand(7))
@@ -186,29 +185,45 @@ func TestTreeShapesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := merge.Tree(parts, merge.TreeOptions{K: k, LeftDeep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if d := maxAbsDiff(bal.S, par.S); d != 0 {
 		t.Fatalf("parallel balanced tree deviates from sequential by %g (want bit-equal)", d)
 	}
 	if !mat.EqualApprox(bal.U, par.U, 0) {
 		t.Fatal("parallel balanced tree modes differ from sequential")
 	}
-	tol := bal.Bound + deep.Bound + 1e-10
-	if d := maxAbsDiff(bal.S, deep.S); d > tol {
-		t.Fatalf("left-deep deviates from balanced by %g, beyond combined bound %g", d, tol)
-	}
 	want := fullSpectrum(a)[:k]
 	if d := maxAbsDiff(want, bal.S); d > 1e-10 {
 		t.Fatalf("8-shard balanced merge deviates from direct SVD by %g", d)
 	}
-	if bal.Iterations != 7 || deep.Iterations != 7 {
-		t.Fatalf("8 shards must count 7 merges: balanced=%d leftdeep=%d", bal.Iterations, deep.Iterations)
+	if bal.Iterations != 7 {
+		t.Fatalf("8 shards must count 7 merges, got %d", bal.Iterations)
 	}
 	if bal.Snapshots != 24 {
 		t.Fatalf("snapshots %d, want 24", bal.Snapshots)
+	}
+}
+
+// TestTreeDoesNotMutateInputs: every shard count, odd ones carrying a
+// caller's partial up a level, leaves the operands bit-identical.
+func TestTreeDoesNotMutateInputs(t *testing.T) {
+	for n := 2; n <= 9; n++ {
+		for _, workers := range []int{1, 4} {
+			parts := make([]*merge.Partial, n)
+			saved := make([]*mat.Dense, n)
+			for i := range parts {
+				a, _ := testutil.RandomLowRank(40, 6, 4, 0, testutil.NewRand(int64(20+i)))
+				parts[i] = svdPartial(a, 4)
+				saved[i] = parts[i].U.Clone()
+			}
+			if _, err := merge.Tree(parts, merge.TreeOptions{K: 4, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range parts {
+				if p.U == nil || !mat.EqualApprox(saved[i], p.U, 0) {
+					t.Fatalf("%d shards, %d workers: Tree changed operand %d", n, workers, i)
+				}
+			}
+		}
 	}
 }
 
@@ -263,6 +278,9 @@ func TestPairValidation(t *testing.T) {
 	bad := &merge.Partial{U: pa.U, S: pa.S[:1]}
 	if err := m.Pair(&dst, bad, bad, 3); err == nil {
 		t.Fatal("modes/values length mismatch accepted")
+	}
+	if err := m.Pair(&dst, pa, pa, 2); err == nil || !strings.Contains(err.Error(), "more than k") {
+		t.Fatalf("operand with more than k modes: %v", err)
 	}
 	if _, err := merge.Tree(nil, merge.TreeOptions{K: 3}); err == nil {
 		t.Fatal("empty tree accepted")

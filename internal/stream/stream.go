@@ -11,6 +11,13 @@
 // `incorporate_data`): there the rows of the snapshot matrix are split
 // across ranks, and only the factor step differs — the distributed QR of
 // Listing 4 in place of the local one.
+//
+// The update is also the pairwise merge of Iwen & Ong (arXiv 1601.07010):
+// Absorb stacks another factorization's scaled modes under the engine's own,
+// weighting both by 1 rather than ff, and runs the same QR, small SVD and
+// truncation. Its small SVD is always the dense one, so the energy the
+// truncation discards is measured exactly, and an absorbed factorization
+// holds at most K modes, as the engine's own state does.
 package stream
 
 import (
@@ -84,6 +91,10 @@ type SVD struct {
 	// after the latest update.
 	modes *mat.Dense
 
+	// discarded is the energy Σ_{j≥k} d_j² of the singular values the
+	// latest small SVD dropped (on a distributed engine, rank 0's only).
+	discarded float64
+
 	// ws recycles every temporary of the update across iterations; once
 	// batch shapes are steady the per-batch update allocates nothing.
 	ws mat.Workspace
@@ -93,13 +104,14 @@ type SVD struct {
 // differently. It factors the stack held column by column in at and returns
 // the factor f of (this rank's block of) its Q, the truncated basis change x
 // whose image Q·[x; 0] is the new modes, and their singular values d. x and
-// d come from the workspace; the caller puts them back.
-type step func(s *SVD, at *mat.Dense) (f linalg.QRFactor, x *mat.Dense, d []float64)
+// d come from the workspace; the caller puts them back. lowRank selects the
+// small SVD.
+type step func(s *SVD, at *mat.Dense, lowRank bool) (f linalg.QRFactor, x *mat.Dense, d []float64)
 
 // localStep factors the whole stack in this process (Listing 1).
-func localStep(s *SVD, at *mat.Dense) (linalg.QRFactor, *mat.Dense, []float64) {
+func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64) {
 	f, r := linalg.FactorQR(&s.ws, at)
-	x, d := s.smallSVD(r)
+	x, d := s.smallSVD(r, lowRank)
 	s.ws.Put(r)
 	return f, x, d
 }
@@ -109,12 +121,12 @@ func localStep(s *SVD, at *mat.Dense) (linalg.QRFactor, *mat.Dense, []float64) {
 // 0, broadcast to every rank. This rank's block of Q stays implicit as
 // f·[qc; 0], so its basis change is qc·Ũ_k.
 func gatherStep(c *mpi.Comm) step {
-	return func(s *SVD, at *mat.Dense) (linalg.QRFactor, *mat.Dense, []float64) {
+	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64) {
 		f, qc, r := tsqr.GatherQRFactor(&s.ws, c, at)
 		var u *mat.Dense
 		var d []float64
 		if r != nil { // rank 0
-			u, d = s.smallSVD(r)
+			u, d = s.smallSVD(r, lowRank)
 			s.ws.Put(r)
 		}
 		// Broadcast returns a fresh copy on every rank, the root included;
@@ -136,18 +148,17 @@ func New(opts Options) *SVD {
 }
 
 // Restore rebuilds a streaming SVD from previously captured state (the
-// checkpoint/restart path): the current modes (M×k), singular values and
-// counters. The modes are transposed once into the engine's mode-major
-// buffer; the caller keeps the matrix it passed.
-//
-// Every structural invariant the streaming update relies on is checked
-// here, so a corrupted checkpoint fails loudly at load time rather than
-// deep inside the next IncorporateData call.
+// checkpoint/restart path): a new engine seeded with the current modes
+// (M×k), singular values and counters. See Seed.
 func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
-	if modes == nil {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: nil modes")
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("stream: Restore: %w", err)
 	}
-	return adopt(opts, localStep, modes.T(), singular, iterations, snapshots)
+	s := New(opts)
+	if err := s.Seed(modes, singular, iterations, snapshots); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // RestoreDistributed is Restore for one rank of an engine whose snapshot
@@ -163,48 +174,84 @@ func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular
 	if c == nil {
 		return nil, fmt.Errorf("stream: RestoreDistributed needs a communicator")
 	}
-	return adopt(opts, gatherStep(c), modeRows, singular, iterations, snapshots)
-}
-
-// adopt validates the state and builds an engine that holds modeRows (k×M)
-// as its buffer.
-func adopt(opts Options, st step, modeRows *mat.Dense, singular []float64, iterations, snapshots int) (*SVD, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: Restore: %w", err)
 	}
 	if modeRows == nil {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: nil modes")
+		return nil, fmt.Errorf("stream: state inconsistent: nil modes")
 	}
+	s := &SVD{opts: opts.validated(), step: gatherStep(c)}
 	k, m := modeRows.Dims()
+	if err := s.checkState(m, k, singular, iterations, snapshots); err != nil {
+		return nil, err
+	}
+	s.buf = modeRows
+	s.install(m, singular, iterations, snapshots)
+	return s, nil
+}
+
+// Seed replaces the engine's whole state with previously captured modes
+// (M×k), their singular values and the counters. The modes are transposed
+// into the engine's mode-major buffer, which is reused when it already
+// holds k rows of length M and otherwise sized to exactly k rows, as a
+// restored engine that is only read needs; the caller keeps the matrix it
+// passed.
+//
+// Every structural invariant the streaming update relies on is checked
+// here, so a corrupted checkpoint fails loudly at load time rather than
+// deep inside the next IncorporateData call. A failed Seed leaves the
+// engine as it was.
+func (s *SVD) Seed(modes *mat.Dense, singular []float64, iterations, snapshots int) error {
+	if modes == nil {
+		return fmt.Errorf("stream: state inconsistent: nil modes")
+	}
+	m, k := modes.Dims()
+	if err := s.checkState(m, k, singular, iterations, snapshots); err != nil {
+		return err
+	}
+	if s.buf == nil || s.buf.Cols() != m || s.buf.Rows() < k {
+		s.buf = s.ws.GetUninit(k, m)
+	}
+	s.buf.ViewRows(0, k, &s.top)
+	modes.TInto(&s.top)
+	s.install(m, singular, iterations, snapshots)
+	return nil
+}
+
+// checkState validates a captured state of k modes over m rows against the
+// engine's options.
+func (s *SVD) checkState(m, k int, singular []float64, iterations, snapshots int) error {
 	if m < 1 || k < 1 {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: empty %dx%d modes", m, k)
+		return fmt.Errorf("stream: state inconsistent: empty %dx%d modes", m, k)
 	}
 	if k != len(singular) {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: %d mode columns, %d singular values",
+		return fmt.Errorf("stream: state inconsistent: %d mode columns, %d singular values",
 			k, len(singular))
 	}
 	// The engine never retains more than K modes, so a state claiming
 	// len(singular) > K cannot have been produced by these options.
-	if opts.K < len(singular) {
-		return nil, fmt.Errorf("stream: Restore state inconsistent: %d singular values exceed K = %d",
-			len(singular), opts.K)
+	if s.opts.K < len(singular) {
+		return fmt.Errorf("stream: state inconsistent: %d singular values exceed K = %d",
+			len(singular), s.opts.K)
 	}
 	if iterations < 0 || snapshots < k {
-		return nil, fmt.Errorf("stream: Restore counters invalid: iterations=%d snapshots=%d (modes %dx%d)",
+		return fmt.Errorf("stream: counters invalid: iterations=%d snapshots=%d (modes %dx%d)",
 			iterations, snapshots, m, k)
 	}
-	s := &SVD{
-		opts:        opts.validated(),
-		step:        st,
-		buf:         modeRows,
-		singular:    append([]float64(nil), singular...),
-		rows:        m,
-		iterations:  iterations,
-		snapshots:   snapshots,
-		initialized: true,
-	}
-	s.buf.ViewRows(0, k, &s.top)
-	return s, nil
+	return nil
+}
+
+// install adopts a checked state whose modes already sit in buf's first
+// len(singular) rows.
+func (s *SVD) install(m int, singular []float64, iterations, snapshots int) {
+	s.singular = append(s.singular[:0], singular...)
+	s.buf.ViewRows(0, len(singular), &s.top)
+	s.rows = m
+	s.iterations = iterations
+	s.snapshots = snapshots
+	s.initialized = true
+	s.ws.Put(s.modes)
+	s.modes = nil
 }
 
 // Initialized reports whether Initialize has been called. A nil engine is
@@ -270,7 +317,7 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 	}
 	s.buf = s.ws.GetUninit(b, m)
 	a.TInto(s.buf)
-	s.rotate(s.buf)
+	s.rotate(s.buf, s.opts.LowRank)
 	s.rows = m
 	s.snapshots = b
 	s.initialized = true
@@ -292,13 +339,49 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	if b == 0 {
 		return s
 	}
-	// The stack [ff·U·diag(D) | A_i] is held column by column, the layout
-	// the QR factors in place: its first k0 rows are the modes already in
-	// the buffer, scaled where they lie (Listing 1: m_ap = ff·U·diag(D)),
-	// and the batch is transposed in under them. The buffer grows to
-	// (K+B)×M once; every temporary comes from the iteration workspace, so
-	// the steady-state update performs no heap allocations.
-	k0 := len(s.singular)
+	s.update(s.opts.FF, b, s.opts.LowRank, a.TInto)
+	s.iterations++
+	s.snapshots += b
+	return s
+}
+
+// Absorb merges into the engine the truncated factorization (modes M×k,
+// singular values) of snapshots disjoint from those it has seen, and
+// returns the energy Σ_{j≥K} d_j² the truncation back to K modes
+// discarded. This is the pairwise merge of Iwen & Ong (arXiv 1601.07010):
+// the update with both sides weighted by 1 instead of ff,
+//
+//	[U·D | U_b·D_b] = U′·D′,  D′ = Ũ·D̃·Ṽᵀ,  U = U′·Ũ[:, :K],  D = D̃[:K]
+//
+// always on the dense small SVD, so the discarded energy is exact. The
+// absorbed factorization must hold 1 to K modes. The counters are the
+// caller's: Absorb leaves them as they are. The caller keeps modes and
+// singular, which are read, never adopted.
+func (s *SVD) Absorb(modes *mat.Dense, singular []float64) float64 {
+	s.mustBeInitialized()
+	m, k := modes.Dims()
+	if m != s.rows {
+		panic(fmt.Sprintf("stream: absorbed modes have %d rows, want %d", m, s.rows))
+	}
+	if k < 1 || k != len(singular) || k > s.opts.K {
+		panic(fmt.Sprintf("stream: absorbing %d modes with %d singular values, K = %d",
+			k, len(singular), s.opts.K))
+	}
+	s.update(1, k, false, func(bot *mat.Dense) {
+		mat.MulDiagScaledTInto(bot, 1, modes, singular)
+	})
+	return s.discarded
+}
+
+// update is the one body of IncorporateData and Absorb. The stack
+// [w·U·diag(D) | X] is held column by column, the layout the QR factors in
+// place: its first k0 rows are the modes already in the buffer, scaled
+// where they lie (Listing 1: m_ap = ff·U·diag(D)), and fill writes the b
+// columns of X transposed into the rows under them. The buffer grows to
+// (K+b)×M once; every temporary comes from the iteration workspace, so
+// the steady-state update performs no heap allocations.
+func (s *SVD) update(w float64, b int, lowRank bool, fill func(bot *mat.Dense)) {
+	k0, m := len(s.singular), s.rows
 	if s.buf.Rows() < k0+b {
 		// Not pooled: the old buffer goes to the GC, so the engine holds
 		// one buffer of M-long rows, not two.
@@ -311,17 +394,14 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	for j, dj := range s.singular {
 		row := d[j*m : (j+1)*m]
 		for i, v := range row {
-			row[i] = s.opts.FF * v * dj
+			row[i] = w * v * dj
 		}
 	}
 	bot := s.ws.ViewRows(at, k0, k0+b)
-	a.TInto(bot)
+	fill(bot)
 	s.ws.PutView(bot)
-	s.rotate(at)
+	s.rotate(at, lowRank)
 	s.ws.PutView(at)
-	s.iterations++
-	s.snapshots += b
-	return s
 }
 
 // rotate is the shared body of both steps: the engine's factor step turns
@@ -329,8 +409,8 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 // into Q's factor and the truncated basis change, and Q applied to it —
 // never formed — writes the new modes mode-major over at's first rows, with
 // the retained singular values alongside.
-func (s *SVD) rotate(at *mat.Dense) {
-	f, x, d := s.step(s, at)
+func (s *SVD) rotate(at *mat.Dense, lowRank bool) {
+	f, x, d := s.step(s, at, lowRank)
 	f.MulQInPlace(&s.ws, x)
 	f.Release(&s.ws)
 	s.ws.Put(x)
@@ -342,14 +422,17 @@ func (s *SVD) rotate(at *mat.Dense) {
 }
 
 // smallSVD factorizes the small (batch-sized) matrix produced by the QR
-// step, optionally with the randomized algorithm, and truncates it to the
-// K leading singular triplets: it returns Ũ[:, :k] and the k largest
+// step, with the randomized algorithm when lowRank is set, and truncates it
+// to the K leading singular triplets: it returns Ũ[:, :k] and the k largest
 // singular values in descending order, which subsumes Listing 1's argsort.
-// The returned factors are workspace-owned; the caller puts them back.
-func (s *SVD) smallSVD(r *mat.Dense) (*mat.Dense, []float64) {
+// It is the one place the library discards singular values, and records
+// their energy in s.discarded (zero from the randomized SVD, which never
+// computes them). The returned factors are workspace-owned; the caller
+// puts them back.
+func (s *SVD) smallSVD(r *mat.Dense, lowRank bool) (*mat.Dense, []float64) {
 	var u *mat.Dense
 	var d []float64
-	if s.opts.LowRank {
+	if lowRank {
 		var err error
 		u, d, err = rla.LowRankSVDWith(&s.ws, r, min(s.opts.K, r.Rows(), r.Cols()), s.opts.RLA)
 		if err != nil {
@@ -362,6 +445,10 @@ func (s *SVD) smallSVD(r *mat.Dense) (*mat.Dense, []float64) {
 		u, d = linalg.SVDLeftWith(&s.ws, r)
 	}
 	k := min(s.opts.K, len(d))
+	s.discarded = 0
+	for _, v := range d[k:] {
+		s.discarded += v * v
+	}
 	uk := s.ws.GetUninit(u.Rows(), k)
 	u.SliceColsInto(uk, 0, k)
 	s.ws.Put(u)

@@ -222,6 +222,14 @@ func TestUsageErrors(t *testing.T) {
 			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
 			s.IncorporateData(mat.New(4, 2))
 		}},
+		{"absorb row mismatch", func() {
+			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s.Absorb(mat.New(4, 1), []float64{1})
+		}},
+		{"absorb more than K", func() {
+			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s.Absorb(mat.Eye(3), []float64{1, 1, 1})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -368,12 +376,14 @@ func TestRestoreDistributedAdoptsModeRows(t *testing.T) {
 // refStream is the update as it stood before the modes went mode-major, kept
 // as the reference for the in-place engine: M×k modes, the stack built by
 // MulDiagScaledTInto into a fresh transposed buffer, the full small SVD,
-// and the new modes written by MulQInto into a separate M×k matrix.
+// and the new modes written by MulQInto into a separate M×k matrix. Its
+// absorb is the pairwise merge as it stood before it ran on the engine.
 type refStream struct {
 	k     int
 	ff    float64
 	modes *mat.Dense
 	s     []float64
+	tail  float64 // Σ of the squared singular values the last rotate dropped
 }
 
 func (r *refStream) rotate(at *mat.Dense) {
@@ -384,6 +394,10 @@ func (r *refStream) rotate(at *mat.Dense) {
 	f.MulQInto(nil, r.modes, u.SliceCols(0, k))
 	f.Release(nil)
 	r.s = d[:k]
+	r.tail = 0
+	for _, v := range d[k:] {
+		r.tail += v * v
+	}
 }
 
 func (r *refStream) initialize(a *mat.Dense) { r.rotate(a.T()) }
@@ -400,11 +414,34 @@ func (r *refStream) incorporate(a *mat.Dense) {
 	r.rotate(at)
 }
 
+// absorb stacks [U·diag(s) | U_b·diag(s_b)] with weight 1 on both sides.
+func (r *refStream) absorb(u *mat.Dense, s []float64) {
+	m, kb := u.Dims()
+	k0 := r.modes.Cols()
+	at := mat.New(k0+kb, m)
+	var top, bot mat.Dense
+	at.ViewRows(0, k0, &top)
+	mat.MulDiagScaledTInto(&top, 1, r.modes, r.s)
+	at.ViewRows(k0, k0+kb, &bot)
+	mat.MulDiagScaledTInto(&bot, 1, u, s)
+	r.rotate(at)
+}
+
+// truncatedSVD is the exact SVD of a cut to at most k modes: an operand
+// for Absorb.
+func truncatedSVD(a *mat.Dense, k int) (*mat.Dense, []float64) {
+	u, s, _ := linalg.SVDWith(nil, a)
+	k = min(k, len(s))
+	return u.SliceCols(0, k), s[:k]
+}
+
 // TestModeMajorMatchesReference streams Initialize plus 200 updates through
 // the engine and through refStream, for both forget factors and for
 // batches narrower than, equal to and wider than K, a first batch wider
-// than K, and fewer rows than K+B. The modes must agree to 1e-13 relative
-// and the spectra to roundoff after every update.
+// than K, and fewer rows than K+B. Every fifth update absorbs the truncated
+// SVD of a batch instead, which must weight the engine's own modes by 1,
+// not ff. The modes must agree to 1e-13 relative and the spectra and
+// Absorb's discarded energy to roundoff after every update.
 func TestModeMajorMatchesReference(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -431,7 +468,15 @@ func TestModeMajorMatchesReference(t *testing.T) {
 				ref := &refStream{k: tc.k, ff: ff}
 				ref.initialize(first)
 				for i := 0; i <= updates; i++ {
-					if i > 0 {
+					switch {
+					case i > 0 && i%5 == 0:
+						u, sv := truncatedSVD(batch(tc.b), tc.k)
+						tail := s.Absorb(u, sv)
+						ref.absorb(u, sv)
+						if math.Abs(tail-ref.tail) > 1e-13*ref.s[0]*ref.s[0] {
+							t.Fatalf("update %d: Absorb discarded %.17g, reference %.17g", i, tail, ref.tail)
+						}
+					case i > 0:
 						a := batch(tc.b)
 						s.IncorporateData(a)
 						ref.incorporate(a)

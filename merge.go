@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 
@@ -63,44 +64,36 @@ func (s *SVD) Merge(r io.Reader) error {
 	if err := s.checkProvenance(st.Shard); err != nil {
 		return err
 	}
-	if s.rows == 0 {
-		return s.adoptLocked(st)
-	}
-	if st.Modes.Rows() != s.rows {
+	if s.rows != 0 && st.Modes.Rows() != s.rows {
 		return fmt.Errorf("%w: checkpoint has %d snapshot rows, model has %d",
 			ErrMergeIncompatible, st.Modes.Rows(), s.rows)
 	}
 
-	// Snapshot the current factorization. A backend that keeps its modes
-	// remote (Distributed) is read through its checkpoint form.
-	res, err := s.eng.result()
-	if err != nil {
-		return err
-	}
-	if res.Modes == nil {
-		var err error
-		if res.Modes, res.Singular, err = s.gatherModesLocked(res); err != nil {
+	// A model that has seen no data adopts the checkpoint. Otherwise the
+	// merge is the engine's update at forget factor 1 with the
+	// checkpoint's scaled modes as the batch: restore the current
+	// factorization, then absorb the checkpoint. Either way the restored
+	// engine's iteration counter continues the facade's update count, so
+	// the updates == iterations+1 invariant that keeps WAL sequence
+	// numbers contiguous across checkpoint/restore survives the merge.
+	modes, singular, snapshots := st.Modes, st.Singular, st.Snapshots
+	if s.rows != 0 {
+		res, err := s.eng.result()
+		if err != nil {
 			return err
 		}
+		if err := withModes(s.eng, res); err != nil {
+			return err
+		}
+		modes, singular, snapshots = res.Modes, res.Singular, res.Snapshots+st.Snapshots
 	}
-
-	var m merge.Merger
-	var root merge.Partial
-	err = m.Pair(&root,
-		&merge.Partial{U: res.Modes, S: res.Singular, Bound: s.mergeBound},
-		&merge.Partial{U: st.Modes, S: st.Singular},
-		s.cfg.k)
-	if err != nil {
-		return fmt.Errorf("parsvd: %w", err)
-	}
-	// The restored engine's iteration counter continues the facade's
-	// update count, so the updates == iterations+1 invariant that keeps
-	// WAL sequence numbers contiguous across checkpoint/restore survives
-	// the merge.
-	eng, err := core.RestoreSerial(s.cfg.coreOptions(), root.U, root.S,
-		int(s.updates), res.Snapshots+st.Snapshots)
+	eng, err := core.RestoreSerial(s.cfg.coreOptions(), modes, singular, int(s.updates), snapshots)
 	if err != nil {
 		return fmt.Errorf("parsvd: restoring merged state: %w", err)
+	}
+	bound := s.mergeBound
+	if s.rows != 0 {
+		bound += math.Sqrt(eng.Absorb(st.Modes, st.Singular))
 	}
 
 	// Point of no return: everything validated, swap the engine.
@@ -110,34 +103,10 @@ func (s *SVD) Merge(r io.Reader) error {
 	s.eng = restoredSerialEngine(eng)
 	s.cfg.backend = Serial
 	s.cfg.ranks = 1
-	s.snapshots += st.Snapshots
-	s.updates++
-	s.mergeBound = root.Bound
-	s.recordProvenance(st.Shard)
-	return nil
-}
-
-// adoptLocked installs a checkpoint as the whole state of a model that
-// has seen no data: the degenerate single-operand merge. Called with
-// s.mu held, after the compatibility checks.
-func (s *SVD) adoptLocked(st core.State) error {
-	// The adopted engine restarts its iteration count at the facade's
-	// current update count (0 for a fresh model) — see Merge on the
-	// updates/iterations invariant.
-	eng, err := core.RestoreSerial(s.cfg.coreOptions(), st.Modes, st.Singular,
-		int(s.updates), st.Snapshots)
-	if err != nil {
-		return fmt.Errorf("parsvd: restoring merged state: %w", err)
-	}
-	if err := s.eng.close(); err != nil {
-		return fmt.Errorf("%w: closing pre-merge engine: %w", ErrEngineFailed, err)
-	}
-	s.eng = restoredSerialEngine(eng)
-	s.cfg.backend = Serial
-	s.cfg.ranks = 1
 	s.rows = st.Modes.Rows()
 	s.snapshots += st.Snapshots
 	s.updates++
+	s.mergeBound = bound
 	s.recordProvenance(st.Shard)
 	return nil
 }
@@ -179,18 +148,23 @@ func (s *SVD) checkProvenance(id core.ShardID) error {
 	return nil
 }
 
-// gatherModesLocked materializes the global modes of an engine whose
-// Result carries none, via its checkpoint form. Called with s.mu held.
-func (s *SVD) gatherModesLocked(res *Result) (*Matrix, []float64, error) {
+// withModes fills in the global modes of a Result that carries none
+// (Distributed keeps them row-scattered in the fleet) through e's
+// checkpoint form: one gather.
+func withModes(e engine, res *Result) error {
+	if res.Modes != nil {
+		return nil
+	}
 	var buf bytes.Buffer
-	if err := s.eng.save(&buf, res); err != nil {
-		return nil, nil, err
+	if err := e.save(&buf, res); err != nil {
+		return err
 	}
 	st, err := core.ReadState(&buf)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return st.Modes, st.Singular, nil
+	res.Modes, res.Singular = st.Modes, st.Singular
+	return nil
 }
 
 // MergeBound reports the accumulated Frobenius-norm truncation bound of

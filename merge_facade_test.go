@@ -3,6 +3,7 @@ package parsvd_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -58,6 +59,7 @@ func TestMergeValidationTypedErrors(t *testing.T) {
 		}(), parsvd.ErrMergeIncompatible},
 		{"garbage", []byte("not a checkpoint at all........."), parsvd.ErrBadCheckpoint},
 		{"truncated", fitAndSave(t, a, 12, 24, parsvd.WithModes(6))[:40], parsvd.ErrBadCheckpoint},
+		{"more modes than K", overfullCheckpoint(t, a), parsvd.ErrBadCheckpoint},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +81,25 @@ func TestMergeValidationTypedErrors(t *testing.T) {
 			}
 		})
 	}
+
+	// Every reader refuses a checkpoint holding more modes than its K.
+	over := overfullCheckpoint(t, a)
+	if _, err := parsvd.Load(bytes.NewReader(over)); !errors.Is(err, parsvd.ErrBadCheckpoint) {
+		t.Fatalf("Load of 3 modes at K = 2: got %v, want ErrBadCheckpoint", err)
+	}
+	ok := fitAndSave(t, a, 12, 24, parsvd.WithModes(2))
+	if _, err := parsvd.MergeReaders(bytes.NewReader(ok), bytes.NewReader(over)); !errors.Is(err, parsvd.ErrBadCheckpoint) {
+		t.Fatalf("MergeReaders of 3 modes at K = 2: got %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// overfullCheckpoint is a checkpoint of 3 modes whose header declares
+// K = 2: the int64 after the magic and the version byte.
+func overfullCheckpoint(t *testing.T, a *parsvd.Matrix) []byte {
+	t.Helper()
+	b := fitAndSave(t, a, 12, 24, parsvd.WithModes(3))
+	binary.LittleEndian.PutUint64(b[5:], 2)
+	return b
 }
 
 // TestMergeShardProvenance: shard marks survive Save/Load, and the same
@@ -261,7 +282,9 @@ func TestWithShardsOptionValidation(t *testing.T) {
 
 // TestMergeBoundAccumulates: lossy merges (full-rank shards truncated to
 // K) report a positive, growing bound that dominates the deviation from
-// the exact spectrum.
+// the exact spectrum. A LowRank twin holding the same state merges the
+// same checkpoints bit for bit alike: merges always run the dense small
+// SVD.
 func TestMergeBoundAccumulates(t *testing.T) {
 	rng := testutil.NewRand(9)
 	a := testutil.RandomDense(40, 24, rng)
@@ -276,6 +299,17 @@ func TestMergeBoundAccumulates(t *testing.T) {
 	if b := target.MergeBound(); b != 0 {
 		t.Fatalf("unmerged model reports bound %g", b)
 	}
+	twin, err := parsvd.New(parsvd.WithModes(k), parsvd.WithLowRank())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := target.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Merge(&state); err != nil {
+		t.Fatal(err)
+	}
 	var prev float64
 	for _, span := range [][2]int{{8, 16}, {16, 24}} {
 		ckpt := fitAndSave(t, a, span[0], span[1], parsvd.WithModes(k))
@@ -287,5 +321,21 @@ func TestMergeBoundAccumulates(t *testing.T) {
 			t.Fatalf("bound did not grow across lossy merges: %g -> %g", prev, b)
 		}
 		prev = b
+
+		if err := twin.Merge(bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := target.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := twin.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !testutil.CloseSlices(want.Singular, got.Singular, 0) || twin.MergeBound() != b {
+			t.Fatalf("LowRank merge: spectrum %v bound %g, dense %v bound %g",
+				got.Singular, twin.MergeBound(), want.Singular, b)
+		}
 	}
 }
