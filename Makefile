@@ -9,8 +9,12 @@ BENCH_COUNT ?= 1
 
 check: build cross test vet fmt
 
+# bench/ is its own module (it replaces goparsvd with this tree), so
+# ./... skips it; building and vetting it here makes a change that breaks
+# what the benchmark compiles against fail the gate.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 # internal/launch wires worker meshes only on unix and sizes pipes only on
 # Linux; the other side of each build-tag split is a stub that must keep

@@ -50,7 +50,6 @@ func (d *distEngine) start() error {
 			K:          d.cfg.k,
 			FF:         d.cfg.ff,
 			R1:         d.cfg.r1,
-			Method:     int(d.cfg.method),
 			LowRank:    d.cfg.lowRank,
 			Oversample: d.cfg.rlaOpts.Oversample,
 			PowerIters: d.cfg.rlaOpts.PowerIters,

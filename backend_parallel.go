@@ -138,17 +138,11 @@ func (pe *parallelEngine) dispatch(mk func(rank int) parOp) (parReply, error) {
 		}
 		// Prefer the originating panic over the abort echoes of the ranks
 		// that were merely blocked on a collective when a peer failed.
-		if firstErr == nil || (isAbortEcho(firstErr) && !isAbortEcho(rep.err)) {
+		if firstErr == nil || (errors.Is(firstErr, mpi.ErrAborted) && !errors.Is(rep.err, mpi.ErrAborted)) {
 			firstErr = rep.err
 		}
 	}
 	return root, firstErr
-}
-
-// isAbortEcho recognizes the secondary failure raised in ranks that were
-// blocked on communication when another rank panicked.
-func isAbortEcho(err error) bool {
-	return errors.Is(err, mpi.ErrAborted) || err.Error() == "mpi: aborted because a peer rank panicked"
 }
 
 func (pe *parallelEngine) push(b *mat.Dense) error {
@@ -222,12 +216,12 @@ func (pe *parallelEngine) save(w io.Writer, res *Result) error {
 			Snapshots:  root.snapshots,
 		}
 	}
-	eng, err := core.RestoreSerial(pe.opts, res.Modes, res.Singular,
+	eng, err := restoreSerialEngine(pe.opts, res.Modes, res.Singular,
 		res.Iterations, res.Snapshots)
 	if err != nil {
 		return fmt.Errorf("parsvd: assembling checkpoint state: %w", err)
 	}
-	return eng.Save(w)
+	return eng.save(w, nil)
 }
 
 func (pe *parallelEngine) stats() Stats {

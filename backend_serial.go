@@ -7,24 +7,43 @@ import (
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/stream"
 )
 
-// serialEngine adapts core.Serial (ParSVD_Serial) to the facade engine
-// contract: dimension checks happen here, before the panicking engine
-// layer, so the public path stays error-based.
+// serialEngine is ParSVD_Serial behind the facade: internal/stream's
+// engine and the validated options its checkpoints record. Dimension
+// checks happen here, before the panicking engine layer, so the public
+// path stays error-based.
 type serialEngine struct {
 	opts core.Options
-	eng  *core.Serial
+	svd  *stream.SVD
 	rows int // 0 until the first batch seeds the decomposition
 }
 
+// newSerialEngine builds an engine for options the facade has already
+// validated.
 func newSerialEngine(opts core.Options) *serialEngine {
-	return &serialEngine{opts: opts, eng: core.NewSerial(opts)}
+	opts, err := opts.Validated()
+	if err != nil {
+		panic(err)
+	}
+	return &serialEngine{opts: opts, svd: core.NewSerial(opts)}
 }
 
-// restoredSerialEngine wraps an engine rebuilt from a checkpoint.
-func restoredSerialEngine(eng *core.Serial) *serialEngine {
-	return &serialEngine{opts: eng.Options(), eng: eng, rows: eng.ModeRows().Cols()}
+// restoreSerialEngine rebuilds an engine from held state (a checkpoint, a
+// merge or a gathered global result), refusing invalid options or state
+// with an error.
+func restoreSerialEngine(opts core.Options, modes *mat.Dense, singular []float64,
+	iterations, snapshots int) (*serialEngine, error) {
+	opts, err := opts.Validated()
+	if err != nil {
+		return nil, err
+	}
+	svd, err := core.RestoreSerial(opts, modes, singular, iterations, snapshots)
+	if err != nil {
+		return nil, err
+	}
+	return &serialEngine{opts: opts, svd: svd, rows: modes.Rows()}, nil
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
@@ -32,11 +51,11 @@ func (e *serialEngine) push(b *mat.Dense) error {
 		return err
 	}
 	if e.rows == 0 {
-		e.eng.Initialize(b)
+		e.svd.Initialize(b)
 		e.rows = b.Rows()
 		return nil
 	}
-	e.eng.IncorporateData(b)
+	e.svd.IncorporateData(b)
 	return nil
 }
 
@@ -45,10 +64,10 @@ func (e *serialEngine) result() (*Result, error) {
 		return nil, errors.New("parsvd: no data ingested yet")
 	}
 	return &Result{
-		Modes:      e.eng.ModeRows().T(), // a fresh M×K copy of the mode-major rows
-		Singular:   append([]float64(nil), e.eng.SingularValues()...),
-		Iterations: e.eng.Iterations(),
-		Snapshots:  e.eng.SnapshotsSeen(),
+		Modes:      e.svd.ModeRows().T(), // a fresh M×K copy of the mode-major rows
+		Singular:   append([]float64(nil), e.svd.SingularValues()...),
+		Iterations: e.svd.Iterations(),
+		Snapshots:  e.svd.SnapshotsSeen(),
 	}, nil
 }
 
@@ -56,7 +75,19 @@ func (e *serialEngine) save(w io.Writer, _ *Result) error {
 	if e.rows == 0 {
 		return errors.New("parsvd: no data ingested yet")
 	}
-	return e.eng.Save(w)
+	return core.WriteState(w, e.state())
+}
+
+// state is the engine's checkpoint content, read in place: the modes stay
+// mode-major and the caller must not hold it across an update.
+func (e *serialEngine) state() core.State {
+	return core.State{
+		Opts:       e.opts,
+		ModeRows:   e.svd.ModeRows(),
+		Singular:   e.svd.SingularValues(),
+		Iterations: e.svd.Iterations(),
+		Snapshots:  e.svd.SnapshotsSeen(),
+	}
 }
 
 func (e *serialEngine) stats() Stats { return Stats{} }
@@ -71,17 +102,17 @@ func (e *serialEngine) coefficients(a *mat.Dense) (*mat.Dense, error) {
 	if a == nil || a.Rows() != e.rows {
 		return nil, fmt.Errorf("parsvd: Coefficients needs %d-row snapshots", e.rows)
 	}
-	return e.eng.Coefficients(a), nil
+	return core.Coefficients(e.svd, a), nil
 }
 
 func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
 	if e.rows == 0 {
 		return nil, errors.New("parsvd: no data ingested yet")
 	}
-	if k := e.eng.ModeRows().Rows(); coeffs == nil || coeffs.Rows() != k {
+	if k := e.svd.ModeRows().Rows(); coeffs == nil || coeffs.Rows() != k {
 		return nil, fmt.Errorf("parsvd: Reconstruct needs %d-row coefficients", k)
 	}
-	return e.eng.Reconstruct(coeffs), nil
+	return core.Reconstruct(e.svd, coeffs), nil
 }
 
 // checkBatch validates a snapshot batch against the rows seen so far

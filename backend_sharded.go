@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/merge"
 )
@@ -142,12 +141,12 @@ func (e *shardedEngine) save(w io.Writer, res *Result) error {
 			return err
 		}
 	}
-	eng, err := core.RestoreSerial(e.cfg.coreOptions(), res.Modes, res.Singular,
+	eng, err := restoreSerialEngine(e.cfg.coreOptions(), res.Modes, res.Singular,
 		res.Iterations, res.Snapshots)
 	if err != nil {
 		return fmt.Errorf("parsvd: assembling checkpoint state: %w", err)
 	}
-	return eng.Save(w)
+	return eng.save(w, nil)
 }
 
 func (e *shardedEngine) stats() Stats {

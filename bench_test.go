@@ -1,6 +1,6 @@
 // Package goparsvd_test holds the repository-level benchmark harness: one
 // benchmark per paper artifact (Figures 1a, 1b, 1c and 2) plus the
-// ablation benches A1–A5 listed in DESIGN.md. Each benchmark runs a
+// ablation benches A1–A5. Each benchmark runs a
 // reduced-scale version of the corresponding experiment — the full-scale
 // regeneration paths are the cmd/ binaries — and reports the experiment's
 // quality metric (mode error, efficiency, cosine) alongside time via
@@ -39,7 +39,7 @@ const (
 
 // runSerialBurgers streams the benchmark workload through the serial
 // engine.
-func runSerialBurgers(cfg burgers.Config, k, batch int, ff float64) *core.Serial {
+func runSerialBurgers(cfg burgers.Config, k, batch int, ff float64) *stream.SVD {
 	eng := core.NewSerial(core.Options{K: k, ForgetFactor: ff})
 	for off := 0; off < cfg.Nt; off += batch {
 		end := off + batch
@@ -271,13 +271,13 @@ func BenchmarkAblationRandomized(b *testing.B) {
 	b.Run("randomized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rla.RandomizedSVD(a, benchK, rla.DefaultOptions())
+			rla.RandomizedSVDWith(nil, a, benchK, rla.DefaultOptions())
 		}
 	})
 }
 
-// BenchmarkAblationTSQR (A4) compares the paper's gather-at-root
-// distributed QR with the tree-reduction variant of its reference [32].
+// BenchmarkAblationTSQR (A4) times the paper's gather-at-root distributed
+// QR over eight ranks.
 func BenchmarkAblationTSQR(b *testing.B) {
 	b.ReportAllocs()
 	cfg := burgers.Config{L: 1, Re: 1000, Nx: 4096, Nt: 48, TFinal: 2}
@@ -290,15 +290,7 @@ func BenchmarkAblationTSQR(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mpi.MustRun(8, func(c *mpi.Comm) {
-				tsqr.GatherQR(c, blocks[c.Rank()])
-			})
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mpi.MustRun(8, func(c *mpi.Comm) {
-				tsqr.TreeQR(c, blocks[c.Rank()])
+				tsqr.GatherQRWith(nil, c, blocks[c.Rank()])
 			})
 		}
 	})

@@ -26,27 +26,32 @@ func Load(r io.Reader) (*SVD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w", err)
 	}
-	eng, err := core.RestoreSerial(st.Opts, st.Modes, st.Singular,
+	eng, err := restoreSerialEngine(st.Opts, st.Modes, st.Singular,
 		st.Iterations, st.Snapshots)
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w: %v", ErrBadCheckpoint, err)
 	}
-	opts := eng.Options()
+	cfg := restoredConfig(eng.opts)
+	// A shard-stamped checkpoint resumes as the same shard: its saves
+	// keep the mark and merges keep refusing its siblings' duplicates.
+	cfg.shard = st.Shard
+	s := &SVD{cfg: cfg, eng: eng}
+	// Rehydrate the ingest counters so Stats keeps reporting across a
+	// checkpoint/restore boundary.
+	s.rows = eng.rows
+	s.snapshots = st.Snapshots
+	s.updates = int64(st.Iterations) + 1 // Initialize counted as an update
+	return s, nil
+}
+
+// restoredConfig is the configuration of a model restored from state
+// held under opts: the serial backend running with opts' knobs.
+func restoredConfig(opts core.Options) config {
 	cfg := defaultConfig()
 	cfg.k = opts.K
 	cfg.ff = opts.ForgetFactor
 	cfg.lowRank = opts.LowRank
 	cfg.rlaOpts = opts.RLA
 	cfg.r1 = opts.R1
-	cfg.method = opts.Method
-	// A shard-stamped checkpoint resumes as the same shard: its saves
-	// keep the mark and merges keep refusing its siblings' duplicates.
-	cfg.shard = st.Shard
-	s := &SVD{cfg: cfg, eng: restoredSerialEngine(eng)}
-	// Rehydrate the ingest counters so Stats keeps reporting across a
-	// checkpoint/restore boundary.
-	s.rows = eng.ModeRows().Cols()
-	s.snapshots = eng.SnapshotsSeen()
-	s.updates = int64(eng.Iterations()) + 1 // Initialize counted as an update
-	return s, nil
+	return cfg
 }

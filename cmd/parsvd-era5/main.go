@@ -6,7 +6,7 @@
 //
 // The real ERA5 reanalysis is a gated download, so the data set is the
 // synthetic equivalent from goparsvd/datasets, whose leading coherent
-// structures are known by construction (see DESIGN.md). That turns
+// structures are known by construction (see internal/climate). That turns
 // Figure 2 from a visual result into a checkable one: the extracted mode 1
 // must match the climatological mean structure and mode 2 the annual-cycle
 // pattern, and the command reports both cosine similarities.

@@ -10,7 +10,6 @@ import (
 	"net"
 	"os"
 
-	"goparsvd/internal/apmos"
 	"goparsvd/internal/core"
 	"goparsvd/internal/launch"
 	"goparsvd/internal/mat"
@@ -149,7 +148,6 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 				K:            spec.K,
 				ForgetFactor: spec.FF,
 				R1:           spec.R1,
-				Method:       apmos.Method(spec.Method),
 				LowRank:      spec.LowRank,
 				RLA: rla.Options{
 					Oversample: spec.Oversample,

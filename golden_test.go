@@ -43,30 +43,45 @@ func goldenState() (core.Options, *mat.Dense, []float64, int, int) {
 	return opts, modes, singular, 4, 9
 }
 
+// goldenBytes is goldenState as a serial engine restored from it saves
+// it: the validated state through internal/core's writer.
+func goldenBytes(t *testing.T) []byte {
+	t.Helper()
+	opts, modes, singular, iters, snaps := goldenState()
+	eng, err := core.RestoreSerial(opts, modes, singular, iters, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.WriteState(&buf, core.State{
+		Opts:       opts,
+		ModeRows:   eng.ModeRows(),
+		Singular:   eng.SingularValues(),
+		Iterations: eng.Iterations(),
+		Snapshots:  eng.SnapshotsSeen(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestGoldenCheckpointBackwardCompat proves parsvd.Load reads checkpoint
 // files written by the internal/core writer, byte-for-byte as committed:
 // a facade release must keep loading engine-written checkpoints from
 // before the facade existed.
 func TestGoldenCheckpointBackwardCompat(t *testing.T) {
 	path := filepath.Join("testdata", "checkpoint_v1_serial.golden")
-	opts, modes, singular, iters, snaps := goldenState()
+	_, modes, singular, iters, snaps := goldenState()
 
 	if *updateGolden {
-		eng, err := core.RestoreSerial(opts, modes.Clone(), singular, iters, snaps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf := goldenBytes(t)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", path, buf.Len())
+		t.Logf("wrote %s (%d bytes)", path, len(buf))
 	}
 
 	raw, err := os.ReadFile(path)
@@ -76,15 +91,7 @@ func TestGoldenCheckpointBackwardCompat(t *testing.T) {
 
 	// The fixture must be bit-identical to what the current writer emits:
 	// any format change (intended or not) trips this first.
-	eng, err := core.RestoreSerial(opts, modes.Clone(), singular, iters, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now bytes.Buffer
-	if err := eng.Save(&now); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, now.Bytes()) {
+	if !bytes.Equal(raw, goldenBytes(t)) {
 		t.Fatal("internal/core checkpoint writer output changed; if intentional, bump the format version and regenerate with -update-golden")
 	}
 
@@ -135,16 +142,62 @@ func TestLoadRejectsCorruptedCheckpoints(t *testing.T) {
 	if _, err := parsvd.Load(bytes.NewReader(bad)); err == nil {
 		t.Fatal("checkpoint with K < len(singular) loaded")
 	}
-	// Name an APMOS method that does not exist: the int64 after magic,
-	// version, K, iterations, snapshots, ff, lowRank, oversample, power
-	// iterations, seed and R1.
-	const methodAt = 4 + 1 + 3*8 + 8 + 1 + 4*8
-	bad = append([]byte(nil), raw...)
-	if got := binary.LittleEndian.Uint64(bad[methodAt:]); got != 0 {
-		t.Fatalf("method field reads %d, want the fixture's MethodGram", got)
+	// Name an APMOS method that does not exist (0 and 1 are the two that
+	// did): every checkpoint reader refuses it.
+	if got := binary.LittleEndian.Uint64(raw[methodAt:]); got != 0 {
+		t.Fatalf("method field reads %d, want the fixture's 0", got)
 	}
-	binary.LittleEndian.PutUint64(bad[methodAt:], 7)
-	if _, err := parsvd.Load(bytes.NewReader(bad)); !errors.Is(err, parsvd.ErrBadCheckpoint) {
-		t.Fatalf("method 7: err = %v, want ErrBadCheckpoint", err)
+	for _, m := range []uint64{2, 7, 1 << 63} {
+		bad = withMethod(raw, m)
+		if _, err := parsvd.Load(bytes.NewReader(bad)); !errors.Is(err, parsvd.ErrBadCheckpoint) {
+			t.Fatalf("method %d: err = %v, want ErrBadCheckpoint", int64(m), err)
+		}
+		if _, err := core.ReadState(bytes.NewReader(bad)); !errors.Is(err, core.ErrBadCheckpoint) {
+			t.Fatalf("method %d: ReadState err = %v, want ErrBadCheckpoint", int64(m), err)
+		}
+	}
+}
+
+// methodAt is the offset of the checkpoint's APMOS method slot: the int64
+// after magic, version, K, iterations, snapshots, ff, lowRank, oversample,
+// power iterations, seed and R1.
+const methodAt = 4 + 1 + 3*8 + 8 + 1 + 4*8
+
+// withMethod returns a copy of the checkpoint raw with method m in its
+// method slot.
+func withMethod(raw []byte, m uint64) []byte {
+	b := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(b[methodAt:], m)
+	return b
+}
+
+// TestCheckpointMethodSlotCompat: writers put 0 in the APMOS method
+// slot, and a checkpoint carrying 1 (a direct-SVD seeding older writers
+// could record) still loads as the same model and saves back as the
+// fixture's bytes.
+func TestCheckpointMethodSlotCompat(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_serial.golden"))
+	if err != nil {
+		t.Fatalf("missing golden fixture: %v", err)
+	}
+	_, modes, singular, iters, snaps := goldenState()
+	svd, err := parsvd.Load(bytes.NewReader(withMethod(raw, 1)))
+	if err != nil {
+		t.Fatalf("method 1: %v", err)
+	}
+	res, err := svd.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !testutil.CloseSlices(res.Singular, singular, 0) || !mat.EqualApprox(res.Modes, modes, 0) ||
+		res.Iterations != iters || res.Snapshots != snaps {
+		t.Fatal("method 1: loaded state differs from the golden state")
+	}
+	var again bytes.Buffer
+	if err := svd.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatal("method 1: re-saved checkpoint differs from the fixture")
 	}
 }

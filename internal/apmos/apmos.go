@@ -24,20 +24,6 @@ import (
 	"goparsvd/internal/rla"
 )
 
-// Method selects how each rank computes its local right singular vectors.
-type Method int
-
-const (
-	// MethodGram uses the method of snapshots: the eigen/SVD decomposition
-	// of the N×N Gram matrix AᵢᵀAᵢ. This is the paper's choice ("one may
-	// also perform a method of snapshots approach ... provided Mᵢ ≫ N")
-	// and the cheaper path when local blocks are tall.
-	MethodGram Method = iota
-	// MethodSVD computes a thin SVD of the local block directly. More
-	// accurate for small singular values, costlier for tall blocks.
-	MethodSVD
-)
-
 // Options configures a distributed APMOS decomposition.
 type Options struct {
 	// K is the number of global modes (left singular vectors) to assemble.
@@ -48,8 +34,6 @@ type Options struct {
 	// R2 is the number of columns of X broadcast back to the ranks (paper
 	// default: 5). Zero means max(K, 5). K is clamped to R2.
 	R2 int
-	// Method selects the local right-vector computation.
-	Method Method
 	// LowRank switches the root SVD of W to the randomized algorithm.
 	LowRank bool
 	// RLA configures the randomized SVD when LowRank is set.
@@ -83,8 +67,12 @@ func (o Options) withDefaults(n int) Options {
 
 // GenerateRightVectors computes the leading r1 right singular vectors and
 // singular values of the local block a (the paper's
-// `generate_right_vectors`). The returned V is N×r1 and s has length r1.
-func GenerateRightVectors(a *mat.Dense, r1 int, method Method) (v *mat.Dense, s []float64) {
+// `generate_right_vectors`) by the method of snapshots: the SVD of the N×N
+// Gram matrix AᵢᵀAᵢ = V·Σ²·Vᵀ, the paper's choice ("one may also perform a
+// method of snapshots approach ... provided Mᵢ ≫ N"). The returned V is
+// N×r1 and s has length r1; a block of fewer than r1 rows yields trailing
+// singular values at roundoff level.
+func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 	_, n := a.Dims()
 	if r1 > n {
 		r1 = n
@@ -92,45 +80,27 @@ func GenerateRightVectors(a *mat.Dense, r1 int, method Method) (v *mat.Dense, s 
 	if r1 < 1 {
 		panic(fmt.Sprintf("apmos: r1 = %d < 1", r1))
 	}
-	switch method {
-	case MethodGram:
-		// Method of snapshots: AᵀA = V·Σ²·Vᵀ. The Gram matrix is symmetric
-		// PSD, so its SVD coincides with its eigendecomposition and we can
-		// reuse the fast Golub–Reinsch path. A block far outside the unit
-		// range is first scaled by an exact power of two, so its Gram
-		// neither overflows nor underflows; V is unchanged by the scaling.
-		if e := linalg.Equilibration(a); e != 0 {
-			v, s = GenerateRightVectors(mat.Scale(math.Ldexp(1, e), a), r1, method)
-			for i := range s {
-				s[i] = math.Ldexp(s[i], -e)
-			}
-			return v, s
+	// The Gram matrix is symmetric PSD, so its SVD coincides with its
+	// eigendecomposition and we can reuse the fast Golub–Reinsch path. A
+	// block far outside the unit range is first scaled by an exact power
+	// of two, so its Gram neither overflows nor underflows; V is unchanged
+	// by the scaling.
+	if e := linalg.Equilibration(a); e != 0 {
+		v, s = GenerateRightVectors(mat.Scale(math.Ldexp(1, e), a), r1)
+		for i := range s {
+			s[i] = math.Ldexp(s[i], -e)
 		}
-		gram := mat.MulTransA(a, a)
-		vg, s2, _ := linalg.SVD(gram)
-		s = make([]float64, r1)
-		for i := 0; i < r1; i++ {
-			if s2[i] > 0 {
-				s[i] = math.Sqrt(s2[i])
-			}
-		}
-		return vg.SliceCols(0, r1), s
-	case MethodSVD:
-		_, sf, vf := linalg.SVD(a)
-		if len(sf) < r1 {
-			// Pad with zero columns/values so the caller always sees r1.
-			padV := mat.New(n, r1)
-			for j := 0; j < vf.Cols(); j++ {
-				padV.SetCol(j, vf.Col(j))
-			}
-			padS := make([]float64, r1)
-			copy(padS, sf)
-			return padV, padS
-		}
-		return vf.SliceCols(0, r1), sf[:r1]
-	default:
-		panic(fmt.Sprintf("apmos: unknown method %d", method))
+		return v, s
 	}
+	gram := mat.MulTransA(a, a)
+	vg, s2, _ := linalg.SVD(gram)
+	s = make([]float64, r1)
+	for i := 0; i < r1; i++ {
+		if s2[i] > 0 {
+			s[i] = math.Sqrt(s2[i])
+		}
+	}
+	return vg.SliceCols(0, r1), s
 }
 
 // Decompose runs Algorithm 2 over the communicator: a is this rank's row
@@ -143,7 +113,7 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (rows *mat.Dense, s []fl
 	opts = opts.withDefaults(n)
 
 	// Step 1–2: local right vectors, truncated to r1 columns.
-	vlocal, slocal := GenerateRightVectors(a, opts.R1, opts.Method)
+	vlocal, slocal := GenerateRightVectors(a, opts.R1)
 
 	// Step 3: W_i = Ṽᵢ·diag(Σ̃ᵢ), gathered at rank 0 (paper Listing 3:
 	// wlocal = vlocal · diag(slocal)ᵀ; comm.gather(wlocal, root=0)).

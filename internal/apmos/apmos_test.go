@@ -53,8 +53,9 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 func TestGenerateRightVectorsGramMatchesSVD(t *testing.T) {
 	rng := testutil.NewRand(1)
 	a := testutil.RandomDense(50, 12, rng)
-	vg, sg := GenerateRightVectors(a, 6, MethodGram)
-	vs, ss := GenerateRightVectors(a, 6, MethodSVD)
+	vg, sg := GenerateRightVectors(a, 6)
+	_, ss, vs := linalg.SVD(a)
+	vs, ss = vs.SliceCols(0, 6), ss[:6]
 	if !testutil.CloseSlices(sg, ss, 1e-9) {
 		t.Fatalf("gram s %v vs svd s %v", sg, ss)
 	}
@@ -67,7 +68,7 @@ func TestGenerateRightVectorsMatchesGlobalSVD(t *testing.T) {
 	rng := testutil.NewRand(2)
 	a := testutil.RandomDense(60, 10, rng)
 	_, s, v := linalg.SVD(a)
-	vg, sg := GenerateRightVectors(a, 5, MethodGram)
+	vg, sg := GenerateRightVectors(a, 5)
 	if !testutil.CloseSlices(sg, s[:5], 1e-9) {
 		t.Fatalf("singular values: %v vs %v", sg, s[:5])
 	}
@@ -79,25 +80,31 @@ func TestGenerateRightVectorsMatchesGlobalSVD(t *testing.T) {
 func TestGenerateRightVectorsClampsR1(t *testing.T) {
 	rng := testutil.NewRand(3)
 	a := testutil.RandomDense(20, 4, rng)
-	v, s := GenerateRightVectors(a, 99, MethodGram)
+	v, s := GenerateRightVectors(a, 99)
 	if v.Cols() != 4 || len(s) != 4 {
 		t.Fatalf("r1 not clamped: V cols %d, s %d", v.Cols(), len(s))
 	}
 }
 
 func TestGenerateRightVectorsSVDPadsShortBlocks(t *testing.T) {
-	// A 3×8 block has only 3 singular values; asking for r1 = 6 must pad.
+	// A 3×8 block has only 3 nonzero singular values; asking for r1 = 6
+	// must still return 6 columns, the extra ones at roundoff level.
 	rng := testutil.NewRand(4)
 	a := testutil.RandomDense(3, 8, rng)
-	v, s := GenerateRightVectors(a, 6, MethodSVD)
+	v, s := GenerateRightVectors(a, 6)
 	if v.Cols() != 6 || len(s) != 6 {
 		t.Fatalf("padding failed: V cols %d, s %d", v.Cols(), len(s))
 	}
+	_, exact, _ := linalg.SVD(a)
+	if !testutil.CloseSlices(s[:3], exact[:3], 1e-9) {
+		t.Fatalf("leading values %v, want %v", s[:3], exact[:3])
+	}
 	for _, sv := range s[3:] {
-		if sv != 0 {
-			t.Fatalf("padded values must be zero: %v", s)
+		if sv > 1e-6*s[0] {
+			t.Fatalf("padded values must vanish: %v", s)
 		}
 	}
+	testutil.CheckOrthonormalColumns(t, "V", v, 1e-10)
 }
 
 func TestDecomposeExactWhenUntruncated(t *testing.T) {

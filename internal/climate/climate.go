@@ -17,8 +17,8 @@
 //     spatial patterns, so snapshots are reproducible for a given seed
 //     regardless of evaluation order.
 //
-// Fields are in hPa. Snapshots are indexed at a fixed cadence (default
-// 6-hourly, as in the paper's 2013–2020 extraction).
+// Fields are in hPa. Snapshots are indexed at a fixed cadence (6-hourly in
+// the paper's 2013–2020 extraction).
 package climate
 
 import (
@@ -44,16 +44,6 @@ type Config struct {
 	// SubtractClimatology removes the time-mean component from every
 	// snapshot, the standard preprocessing for EOF/POD analysis.
 	SubtractClimatology bool
-}
-
-// DefaultConfig mirrors the paper's Figure-2 extraction at 2.5° resolution:
-// 6-hourly snapshots over 2013–2020 (8 years ≈ 11688 samples).
-func DefaultConfig() Config {
-	return Config{
-		NLat: 73, NLon: 144,
-		Snapshots: 11688, StepHours: 6,
-		Seed: 2013, NoiseAmp: 1.5,
-	}
 }
 
 func (c Config) validate() {

@@ -259,12 +259,3 @@ func TestInvalidAccessPanics(t *testing.T) {
 		})
 	}
 }
-
-func TestDefaultConfigMatchesPaperPeriod(t *testing.T) {
-	cfg := DefaultConfig()
-	// 2013-01-01 .. 2020-12-31 at 6-hourly cadence: 8 years × ~1461
-	// samples/year ≈ 11688.
-	if cfg.Snapshots != 11688 || cfg.StepHours != 6 {
-		t.Fatalf("default config %+v does not match the paper's period", cfg)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 
-	"goparsvd/internal/apmos"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
 	"goparsvd/internal/stream"
@@ -64,7 +63,7 @@ func (id ShardID) Validate() error {
 
 // State is the complete serialized form of a streaming decomposition:
 // everything a checkpoint carries. WriteState reads Modes without copying,
-// and a restored Serial transposes it once into its mode-major buffer.
+// and RestoreSerial transposes it once into the engine's mode-major buffer.
 type State struct {
 	Opts  Options
 	Modes *mat.Dense
@@ -80,31 +79,6 @@ type State struct {
 	Shard ShardID
 }
 
-// Save serializes the serial engine's full state, reading its mode-major
-// rows directly. The engine must be initialized.
-func (s *Serial) Save(w io.Writer) error {
-	return WriteState(w, State{
-		Opts:       s.opts,
-		ModeRows:   s.ModeRows(), // panics with a clear message if not initialized
-		Singular:   s.SingularValues(),
-		Iterations: s.Iterations(),
-		Snapshots:  s.SnapshotsSeen(),
-	})
-}
-
-// LoadSerial reconstructs a serial engine from a checkpoint.
-func LoadSerial(r io.Reader) (*Serial, error) {
-	st, err := ReadState(r)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := RestoreSerial(st.Opts, st.Modes, st.Singular, st.Iterations, st.Snapshots)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return eng, nil
-}
-
 // RestoreSerial rebuilds a serial engine from externally-held state: the
 // current modes (transposed once into the engine's mode-major buffer; the
 // caller keeps the matrix), singular values and counters.
@@ -113,16 +87,12 @@ func LoadSerial(r io.Reader) (*Serial, error) {
 // their callers. The parsvd facade also uses it to re-wrap the gathered
 // global state of a parallel run as a serial engine for checkpointing.
 func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
-	iterations, snapshots int) (*Serial, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.validated()
-	svd, err := stream.Restore(opts.streamOptions(), modes, singular, iterations, snapshots)
+	iterations, snapshots int) (*stream.SVD, error) {
+	opts, err := opts.Validated()
 	if err != nil {
 		return nil, err
 	}
-	return &Serial{SVD: svd, opts: opts}, nil
+	return stream.Restore(opts.streamOptions(), modes, singular, iterations, snapshots)
 }
 
 // WriteState emits the binary layout:
@@ -132,7 +102,7 @@ func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
 //	forgetFactor                        float64
 //	lowRank                             uint8
 //	rla: oversample, powerIters, seed   int64
-//	r1, method                          int64
+//	r1, method                          int64  (method: always 0)
 //	shardIndex, shardCount              int64  (version 2 only)
 //	rows, cols                          int64
 //	singular values                     cols × float64
@@ -179,7 +149,7 @@ func WriteState(w io.Writer, st State) error {
 	}
 	meta := []int64{
 		int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed,
-		int64(st.Opts.R1), int64(st.Opts.Method),
+		int64(st.Opts.R1), 0,
 	}
 	if version == checkpointVersionV2 {
 		meta = append(meta, int64(st.Shard.Index), int64(st.Shard.Count))
@@ -299,6 +269,13 @@ func ReadState(r io.Reader) (State, error) {
 			return st, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
+	// The method slot once selected how APMOS seeded a parallel run: 0 the
+	// method of snapshots, 1 a direct SVD of each rank's block. A restored
+	// model never seeds again, so either loads; nothing else is a
+	// checkpoint.
+	if meta[4] != 0 && meta[4] != 1 {
+		return st, fmt.Errorf("%w: unknown APMOS method %d", ErrBadCheckpoint, meta[4])
+	}
 	rows, cols := meta[nmeta-2], meta[nmeta-1]
 	// 128 GiB of float64s: a sanity bound on each dimension and, divided
 	// rather than multiplied so it cannot wrap, on their product.
@@ -336,8 +313,7 @@ func ReadState(r io.Reader) (State, error) {
 			PowerIters: int(meta[1]),
 			Seed:       meta[2],
 		},
-		R1:     int(meta[3]),
-		Method: apmos.Method(meta[4]),
+		R1: int(meta[3]),
 	}
 	st.Iterations = int(ints[1])
 	st.Snapshots = int(ints[2])

@@ -3,24 +3,53 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"testing"
 
 	"goparsvd/internal/mat"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 )
+
+// save writes eng's checkpoint under opts, as the facade's serial backend
+// does.
+func save(w io.Writer, opts Options, eng *stream.SVD) error {
+	return WriteState(w, State{
+		Opts:       opts.validated(),
+		ModeRows:   eng.ModeRows(), // panics if eng is not initialized
+		Singular:   eng.SingularValues(),
+		Iterations: eng.Iterations(),
+		Snapshots:  eng.SnapshotsSeen(),
+	})
+}
+
+// load reads a checkpoint back into a serial engine, as parsvd.Load does.
+func load(r io.Reader) (*stream.SVD, error) {
+	st, err := ReadState(r)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := RestoreSerial(st.Opts, st.Modes, st.Singular, st.Iterations, st.Snapshots)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	return eng, nil
+}
 
 func TestSerialCheckpointRoundTrip(t *testing.T) {
 	rng := testutil.NewRand(31)
 	a, _ := testutil.RandomLowRank(50, 20, 4, 1e-7, rng)
-	eng := NewSerial(Options{K: 4, ForgetFactor: 0.95})
+	opts := Options{K: 4, ForgetFactor: 0.95}
+	eng := NewSerial(opts)
 	eng.Initialize(a.SliceCols(0, 10))
 	eng.IncorporateData(a.SliceCols(10, 15))
 
 	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSerial(&buf)
+	restored, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,23 +74,24 @@ func TestSerialCheckpointRoundTrip(t *testing.T) {
 
 func TestSerialCheckpointPreservesOptions(t *testing.T) {
 	rng := testutil.NewRand(32)
-	eng := NewSerial(Options{K: 3, ForgetFactor: 0.9, LowRank: true})
+	opts := Options{K: 3, ForgetFactor: 0.9, LowRank: true}
+	eng := NewSerial(opts)
 	eng.Initialize(testutil.RandomDense(20, 6, rng))
 	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSerial(&buf)
+	st, err := ReadState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.opts.K != 3 || restored.opts.ForgetFactor != 0.9 || !restored.opts.LowRank {
-		t.Fatalf("options not preserved: %+v", restored.opts)
+	if st.Opts.K != 3 || st.Opts.ForgetFactor != 0.9 || !st.Opts.LowRank {
+		t.Fatalf("options not preserved: %+v", st.Opts)
 	}
 }
 
 func TestLoadSerialRejectsGarbage(t *testing.T) {
-	_, err := LoadSerial(bytes.NewReader([]byte("not a checkpoint at all")))
+	_, err := load(bytes.NewReader([]byte("not a checkpoint at all")))
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
 	}
@@ -69,15 +99,16 @@ func TestLoadSerialRejectsGarbage(t *testing.T) {
 
 func TestLoadSerialRejectsTruncation(t *testing.T) {
 	rng := testutil.NewRand(34)
-	eng := NewSerial(Options{K: 2, ForgetFactor: 1})
+	opts := Options{K: 2, ForgetFactor: 1}
+	eng := NewSerial(opts)
 	eng.Initialize(testutil.RandomDense(10, 4, rng))
 	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 3, 5, 20, len(full) - 8} {
-		if _, err := LoadSerial(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := load(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
@@ -85,28 +116,30 @@ func TestLoadSerialRejectsTruncation(t *testing.T) {
 
 func TestLoadSerialRejectsBadVersion(t *testing.T) {
 	rng := testutil.NewRand(35)
-	eng := NewSerial(Options{K: 2, ForgetFactor: 1})
+	opts := Options{K: 2, ForgetFactor: 1}
+	eng := NewSerial(opts)
 	eng.Initialize(testutil.RandomDense(10, 4, rng))
 	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[4] = 99 // corrupt the version byte
-	if _, err := LoadSerial(bytes.NewReader(raw)); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := load(bytes.NewReader(raw)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("bad version: err = %v", err)
 	}
 }
 
 func TestSaveBeforeInitializePanics(t *testing.T) {
-	eng := NewSerial(Options{K: 2, ForgetFactor: 1})
+	opts := Options{K: 2, ForgetFactor: 1}
+	eng := NewSerial(opts)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Save before Initialize did not panic")
 		}
 	}()
 	var buf bytes.Buffer
-	_ = eng.Save(&buf)
+	_ = save(&buf, opts, eng)
 }
 
 // TestSerialSaveLoadContinuesBitIdentical saves the mode-major engine,
@@ -118,18 +151,19 @@ func TestSaveBeforeInitializePanics(t *testing.T) {
 func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 	rng := testutil.NewRand(35)
 	for _, ff := range []float64{1, 0.95} {
-		eng := NewSerial(Options{K: 6, ForgetFactor: ff})
+		opts := Options{K: 6, ForgetFactor: ff}
+		eng := NewSerial(opts)
 		eng.Initialize(testutil.RandomDense(70, 4, rng))
 		for _, b := range []int{4, 9, 3} {
 			eng.IncorporateData(testutil.RandomDense(70, b, rng))
 		}
 		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
+		if err := save(&buf, opts, eng); err != nil {
 			t.Fatal(err)
 		}
 		var fromModes bytes.Buffer
 		if err := WriteState(&fromModes, State{
-			Opts:       eng.Options(),
+			Opts:       opts.validated(),
 			Modes:      eng.Modes(),
 			Singular:   eng.SingularValues(),
 			Iterations: eng.Iterations(),
@@ -140,7 +174,7 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), fromModes.Bytes()) {
 			t.Fatal("mode-major save differs from the M×K layout's bytes")
 		}
-		restored, err := LoadSerial(&buf)
+		restored, err := load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

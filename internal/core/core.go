@@ -6,7 +6,8 @@
 // randomized linear algebra (internal/rla) — behind the same two-class
 // factory the Python package exposes:
 //
-//   - Serial is ParSVD_Serial: single-process streaming truncated SVD.
+//   - NewSerial builds ParSVD_Serial: single-process streaming truncated
+//     SVD.
 //   - Parallel is ParSVD_Parallel: every rank holds a row block of the
 //     snapshot matrix; initialization runs APMOS and each streaming update
 //     runs a distributed QR plus a small root SVD.
@@ -41,9 +42,6 @@ type Options struct {
 	// R1 is the APMOS gather truncation used by Parallel's initialization
 	// (paper default 50). Zero means the apmos default.
 	R1 int
-	// Method selects how Parallel computes local right vectors during
-	// initialization (Gram-matrix method of snapshots by default).
-	Method apmos.Method
 }
 
 // Validate reports whether the options describe a usable configuration.
@@ -59,18 +57,26 @@ func (o Options) Validate() error {
 	if o.R1 < 0 {
 		return fmt.Errorf("core: R1 = %d < 0", o.R1)
 	}
-	if o.Method != apmos.MethodGram && o.Method != apmos.MethodSVD {
-		return fmt.Errorf("core: unknown APMOS method %d", o.Method)
-	}
 	return o.RLA.Validate()
 }
 
-func (o Options) validated() Options {
+// Validated is Validate returning the options with their defaults filled
+// in (a zero RLA becomes rla.DefaultOptions()): the options an engine
+// built from o runs with, and the ones its checkpoints record.
+func (o Options) Validated() (Options, error) {
 	if err := o.Validate(); err != nil {
-		panic(err)
+		return o, err
 	}
 	if o.RLA.IsZero() {
 		o.RLA = rla.DefaultOptions()
+	}
+	return o, nil
+}
+
+func (o Options) validated() Options {
+	o, err := o.Validated()
+	if err != nil {
+		panic(err)
 	}
 	return o
 }
@@ -80,23 +86,12 @@ func (o Options) streamOptions() stream.Options {
 	return stream.Options{K: o.K, FF: o.ForgetFactor, LowRank: o.LowRank, RLA: o.RLA}
 }
 
-// Serial is the single-process streaming SVD engine (ParSVD_Serial): the
-// streaming engine itself, with its accessors — Modes, ModeRows,
-// SingularValues, Iterations, SnapshotsSeen — and its Initialize and
-// IncorporateData (Listing 1).
-type Serial struct {
-	*stream.SVD
-	opts Options
+// NewSerial constructs the single-process streaming engine
+// (ParSVD_Serial): internal/stream's engine, with its accessors and its
+// Initialize and IncorporateData (Listing 1).
+func NewSerial(opts Options) *stream.SVD {
+	return stream.New(opts.validated().streamOptions())
 }
-
-// NewSerial constructs a serial engine.
-func NewSerial(opts Options) *Serial {
-	opts = opts.validated()
-	return &Serial{SVD: stream.New(opts.streamOptions()), opts: opts}
-}
-
-// Options returns the validated options the engine was built with.
-func (s *Serial) Options() Options { return s.opts }
 
 // Parallel is the distributed streaming SVD engine (ParSVD_Parallel). Each
 // rank constructs its own Parallel around the communicator and its row
@@ -123,9 +118,6 @@ func NewParallel(c *mpi.Comm, opts Options) *Parallel {
 // Options returns the validated options the engine was built with.
 func (p *Parallel) Options() Options { return p.opts }
 
-// Rank returns this engine's rank in the communicator.
-func (p *Parallel) Rank() int { return p.comm.Rank() }
-
 // Initialize seeds the decomposition with this rank's block of the first
 // batch using the distributed (optionally randomized) APMOS SVD — the
 // paper's Listing 2/3 `initialize` → `parallel_svd`. Every later batch goes
@@ -139,7 +131,6 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
-		Method:  p.opts.Method,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	})

@@ -11,6 +11,7 @@ import (
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 )
 
@@ -63,8 +64,8 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 	return modes, s
 }
 
-// runSerialStream streams the columns of a through a Serial engine.
-func runSerialStream(a *mat.Dense, batch int, opts Options) *Serial {
+// runSerialStream streams the columns of a through a serial engine.
+func runSerialStream(a *mat.Dense, batch int, opts Options) *stream.SVD {
 	eng := NewSerial(opts)
 	n := a.Cols()
 	eng.Initialize(a.SliceCols(0, batch))
@@ -172,9 +173,6 @@ func TestUsageErrorsSerial(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad K":  func() { NewSerial(Options{K: 0, ForgetFactor: 1}) },
 		"bad ff": func() { NewSerial(Options{K: 1, ForgetFactor: 0}) },
-		"bad method": func() {
-			NewSerial(Options{K: 1, ForgetFactor: 1, Method: apmos.MethodSVD + 1})
-		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -221,26 +219,7 @@ func TestParallelCounters(t *testing.T) {
 		if eng.Iterations() != 2 || eng.SnapshotsSeen() != 9 {
 			t.Errorf("rank %d: iters=%d snaps=%d", c.Rank(), eng.Iterations(), eng.SnapshotsSeen())
 		}
-		if eng.Rank() != c.Rank() {
-			t.Errorf("Rank() = %d, want %d", eng.Rank(), c.Rank())
-		}
 	})
-}
-
-func TestParallelMethodSVDVariant(t *testing.T) {
-	// MethodSVD local right vectors must give the same decomposition as
-	// the default Gram path.
-	rng := testutil.NewRand(9)
-	a, _ := testutil.RandomLowRank(48, 12, 4, 1e-7, rng)
-	gram, sGram := runParallelStream(t, a, 2, 6, Options{K: 3, ForgetFactor: 1, R1: 12})
-	svd, sSVD := runParallelStream(t, a, 2, 6,
-		Options{K: 3, ForgetFactor: 1, R1: 12, Method: apmos.MethodSVD})
-	if !testutil.CloseSlices(sGram, sSVD, 1e-6) {
-		t.Fatalf("values %v vs %v", sGram, sSVD)
-	}
-	if err := testutil.SubspaceError(gram, svd); err > 1e-5 {
-		t.Fatalf("modes differ: %g", err)
-	}
 }
 
 // Property: serial and parallel engines agree for random low-rank streams,

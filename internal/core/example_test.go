@@ -22,9 +22,9 @@ func rankOneBatch(m, b int, scale float64) *mat.Dense {
 	return out
 }
 
-// ExampleSerial demonstrates the serial streaming workflow: initialize
+// ExampleNewSerial demonstrates the serial streaming workflow: initialize
 // with the first batch, stream the rest, read off the spectrum.
-func ExampleSerial() {
+func ExampleNewSerial() {
 	svd := core.NewSerial(core.Options{K: 2, ForgetFactor: 1.0})
 	svd.Initialize(rankOneBatch(100, 4, 1.0))
 	svd.IncorporateData(rankOneBatch(100, 4, 1.0))

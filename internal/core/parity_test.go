@@ -34,7 +34,6 @@ func (p *refParallel) initialize(a *mat.Dense) {
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
-		Method:  p.opts.Method,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	})

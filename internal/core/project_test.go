@@ -18,11 +18,11 @@ func TestSerialCoefficientsRoundTrip(t *testing.T) {
 	eng.Initialize(a.SliceCols(0, 10))
 	eng.IncorporateData(a.SliceCols(10, 20))
 
-	coeffs := eng.Coefficients(a)
+	coeffs := Coefficients(eng, a)
 	if coeffs.Rows() != 5 || coeffs.Cols() != 20 {
 		t.Fatalf("coefficients shape %dx%d", coeffs.Rows(), coeffs.Cols())
 	}
-	recon := eng.Reconstruct(coeffs)
+	recon := Reconstruct(eng, coeffs)
 	if rel := mat.Sub(a, recon).FroNorm() / a.FroNorm(); rel > 1e-8 {
 		t.Fatalf("lossless round trip failed: rel error %g", rel)
 	}
@@ -37,7 +37,7 @@ func TestSerialReconstructionErrorMatchesEckartYoung(t *testing.T) {
 	eng := NewSerial(Options{K: k, ForgetFactor: 1})
 	eng.Initialize(a)
 
-	recon := eng.Reconstruct(eng.Coefficients(a))
+	recon := Reconstruct(eng, Coefficients(eng, a))
 	got := mat.Sub(a, recon).FroNorm()
 	_, s, _ := linalg.SVD(a)
 	opt := 0.0
@@ -58,8 +58,8 @@ func TestCoefficientsShapeErrors(t *testing.T) {
 	eng := NewSerial(Options{K: 2, ForgetFactor: 1})
 	eng.Initialize(testutil.RandomDense(10, 4, rng))
 	for name, fn := range map[string]func(){
-		"coeff rows":  func() { eng.Coefficients(mat.New(9, 4)) },
-		"recon shape": func() { eng.Reconstruct(mat.New(3, 4)) },
+		"coeff rows":  func() { Coefficients(eng, mat.New(9, 4)) },
+		"recon shape": func() { Reconstruct(eng, mat.New(3, 4)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -70,22 +70,4 @@ func TestCoefficientsShapeErrors(t *testing.T) {
 			fn()
 		})
 	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	// 1000×100 at K=5: 100000 / (5000 + 5 + 500) ≈ 18.2.
-	got := CompressionRatio(1000, 100, 5)
-	want := 100000.0 / 5505.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ratio %g, want %g", got, want)
-	}
-}
-
-func TestCompressionRatioInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid args did not panic")
-		}
-	}()
-	CompressionRatio(0, 10, 2)
 }

@@ -41,16 +41,6 @@ func IFFT(x []complex128) []complex128 {
 	return out
 }
 
-// FFTReal transforms a real signal, returning the full complex spectrum.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	transform(c, false)
-	return c
-}
-
 // transform runs the iterative radix-2 Cooley–Tukey algorithm in place.
 func transform(x []complex128, inverse bool) {
 	n := len(x)

@@ -102,26 +102,13 @@ func TestFFTDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestFFTRealMatchesComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xr := make([]float64, 64)
-	xc := make([]complex128, 64)
-	for i := range xr {
-		xr[i] = rng.NormFloat64()
-		xc[i] = complex(xr[i], 0)
-	}
-	if !closeComplex(FFTReal(xr), FFT(xc), 1e-12) {
-		t.Fatal("FFTReal disagrees with FFT")
-	}
-}
-
 func TestFFTRealConjugateSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	xr := make([]float64, 32)
+	xr := make([]complex128, 32)
 	for i := range xr {
-		xr[i] = rng.NormFloat64()
+		xr[i] = complex(rng.NormFloat64(), 0)
 	}
-	spec := FFTReal(xr)
+	spec := FFT(xr)
 	for k := 1; k < 16; k++ {
 		if cmplx.Abs(spec[k]-cmplx.Conj(spec[32-k])) > 1e-12 {
 			t.Fatalf("conjugate symmetry violated at bin %d", k)

@@ -7,8 +7,6 @@ package grid
 import (
 	"fmt"
 	"math"
-
-	"goparsvd/internal/mat"
 )
 
 // Range is a half-open interval [Start, End) of row indices.
@@ -35,17 +33,6 @@ func Partition(n, p int) []Range {
 		}
 		out[r] = Range{Start: off, End: off + size}
 		off += size
-	}
-	return out
-}
-
-// SplitRows partitions the rows of m into p contiguous blocks matching
-// Partition(m.Rows(), p). Blocks are copies.
-func SplitRows(m *mat.Dense, p int) []*mat.Dense {
-	parts := Partition(m.Rows(), p)
-	out := make([]*mat.Dense, p)
-	for r, pr := range parts {
-		out[r] = m.SliceRows(pr.Start, pr.End)
 	}
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"goparsvd/internal/mat"
 )
 
 func TestPartitionExact(t *testing.T) {
@@ -76,22 +74,6 @@ func TestPropertyPartitionTiles(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitRowsReassembles(t *testing.T) {
-	m := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}, {5}})
-	blocks := SplitRows(m, 2)
-	if blocks[0].Rows() != 3 || blocks[1].Rows() != 2 {
-		t.Fatalf("block sizes %d, %d", blocks[0].Rows(), blocks[1].Rows())
-	}
-	if !mat.EqualApprox(mat.VStack(blocks...), m, 0) {
-		t.Fatal("blocks do not reassemble the matrix")
-	}
-	// Blocks must be copies.
-	blocks[0].Set(0, 0, -9)
-	if m.At(0, 0) != 1 {
-		t.Fatal("SplitRows aliased the source")
 	}
 }
 

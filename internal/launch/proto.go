@@ -144,7 +144,6 @@ type EngineSpec struct {
 	K          int     `json:"k"`
 	FF         float64 `json:"ff"`
 	R1         int     `json:"r1"`
-	Method     int     `json:"method,omitempty"`
 	LowRank    bool    `json:"low_rank,omitempty"`
 	Oversample int     `json:"oversample,omitempty"`
 	PowerIters int     `json:"power_iters,omitempty"`
@@ -435,9 +434,7 @@ func DecodeFloats(body []byte) ([]float64, error) {
 	return m.Data, nil
 }
 
-// EncodeStatus / DecodeStatus render the OK-reply JSON.
-func EncodeStatus(st SessionStatus) ([]byte, error) { return json.Marshal(st) }
-
+// DecodeStatus parses the OK-reply JSON.
 func DecodeStatus(body []byte) (SessionStatus, error) {
 	var st SessionStatus
 	if err := json.Unmarshal(body, &st); err != nil {

@@ -570,17 +570,9 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// RefreshStats runs one STATS round trip and returns the updated counters.
-func (s *Session) RefreshStats() (SessionStats, error) {
-	if _, err := s.op(SessStats, nil); err != nil {
-		return SessionStats{}, err
-	}
-	return s.Stats(), nil
-}
-
 // Save gathers the global state at rank 0 (a collective) and returns a
 // facade-compatible checkpoint: the exact serial-format bytes parsvd.Load
-// (and core.LoadSerial) read, holding the gathered M×K modes, the
+// (and core.ReadState) read, holding the gathered M×K modes, the
 // spectrum and the counters. The decomposition keeps streaming afterwards.
 func (s *Session) Save() ([]byte, error) {
 	frames, err := s.op(SessSave, nil)

@@ -120,21 +120,34 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	restored, err := core.RestoreSerial(core.Options{K: w.K, ForgetFactor: w.FF, R1: w.R1},
-		ref.Modes, ref.Singular, ref.Iterations, w.Snapshots)
+	opts, err := core.Options{K: w.K, ForgetFactor: w.FF, R1: w.R1}.Validated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := core.RestoreSerial(opts, ref.Modes, ref.Singular, ref.Iterations, w.Snapshots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := restored.Save(&want); err != nil {
+	if err := core.WriteState(&want, core.State{
+		Opts:       opts,
+		ModeRows:   restored.ModeRows(),
+		Singular:   restored.SingularValues(),
+		Iterations: restored.Iterations(),
+		Snapshots:  restored.SnapshotsSeen(),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(blob, want.Bytes()) {
-		t.Errorf("SAVE blob (%d bytes) differs from RestoreSerial+Save (%d bytes)", len(blob), want.Len())
+		t.Errorf("SAVE blob (%d bytes) differs from the restored state's checkpoint (%d bytes)", len(blob), want.Len())
 	}
-	eng, err := core.LoadSerial(bytes.NewReader(blob))
+	saved, err := core.ReadState(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("loading gathered checkpoint: %v", err)
+	}
+	eng, err := core.RestoreSerial(saved.Opts, saved.Modes, saved.Singular, saved.Iterations, saved.Snapshots)
+	if err != nil {
+		t.Fatalf("restoring gathered checkpoint: %v", err)
 	}
 	if got := eng.SingularValues(); !equalFloatsBits(got, singular) {
 		t.Errorf("checkpoint spectrum differs from the live session's")

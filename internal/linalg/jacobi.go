@@ -189,23 +189,3 @@ func applySymJacobi(w *mat.Dense, p, q int, c, s float64) {
 func rotateColumnsEig(m *mat.Dense, p, q int, c, s float64) {
 	rotateColumns(m, p, q, c, s)
 }
-
-// Pinv computes the Moore–Penrose pseudoinverse A⁺ = V·Σ⁺·Uᵀ via the SVD,
-// dropping singular values below rcond·s[0] (paper §2: "the pseudoinverse
-// and its calculation via the SVD").
-func Pinv(a *mat.Dense, rcond float64) *mat.Dense {
-	u, s, v := SVD(a)
-	if len(s) == 0 {
-		r, c := a.Dims()
-		return mat.New(c, r)
-	}
-	cutoff := rcond * s[0]
-	inv := make([]float64, len(s))
-	for i, sv := range s {
-		if sv > cutoff {
-			inv[i] = 1 / sv
-		}
-	}
-	// A⁺ = V·diag(inv)·Uᵀ.
-	return mat.MulTransB(mat.MulDiag(v, inv), u)
-}

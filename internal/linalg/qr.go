@@ -381,46 +381,6 @@ func colNorm(x []float64) float64 {
 	return mat.Nrm2(x)
 }
 
-// SolveUpperTriangular solves R·x = b for upper-triangular R (n×n). It
-// panics if R is singular to working precision or the dimensions mismatch.
-func SolveUpperTriangular(r *mat.Dense, b []float64) []float64 {
-	n, c := r.Dims()
-	if n != c {
-		panic(fmt.Sprintf("linalg: SolveUpperTriangular needs a square matrix, got %dx%d", n, c))
-	}
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: SolveUpperTriangular rhs length %d, want %d", len(b), n))
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		d := r.At(i, i)
-		if d == 0 {
-			panic("linalg: SolveUpperTriangular: singular matrix")
-		}
-		x[i] = s / d
-	}
-	return x
-}
-
-// LeastSquares solves min‖A·x − b‖₂ via QR for an m×n matrix with m ≥ n of
-// full column rank.
-func LeastSquares(a *mat.Dense, b []float64) []float64 {
-	m, n := a.Dims()
-	if m < n {
-		panic(fmt.Sprintf("linalg: LeastSquares needs m >= n, got %dx%d", m, n))
-	}
-	if len(b) != m {
-		panic(fmt.Sprintf("linalg: LeastSquares rhs length %d, want %d", len(b), m))
-	}
-	q, r := QR(a)
-	qtb := mat.MulVecTrans(q, b)
-	return SolveUpperTriangular(r, qtb)
-}
-
 // NormalizeQRSigns flips the signs of Q's columns and R's rows in place so
 // that every diagonal entry of R is non-negative. For a full-column-rank
 // matrix this makes the thin QR factorization unique, which lets the

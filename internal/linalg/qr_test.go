@@ -131,67 +131,6 @@ func TestPropertyQRInvariants(t *testing.T) {
 	}
 }
 
-func TestSolveUpperTriangular(t *testing.T) {
-	r := mat.NewFromRows([][]float64{{2, 1}, {0, 3}})
-	x := SolveUpperTriangular(r, []float64{5, 6})
-	// 3x₂ = 6 → x₂ = 2; 2x₁ + 2 = 5 → x₁ = 1.5.
-	if math.Abs(x[0]-1.5) > 1e-14 || math.Abs(x[1]-2) > 1e-14 {
-		t.Fatalf("solve = %v", x)
-	}
-}
-
-func TestSolveUpperTriangularSingularPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("singular solve did not panic")
-		}
-	}()
-	SolveUpperTriangular(mat.NewFromRows([][]float64{{1, 2}, {0, 0}}), []float64{1, 1})
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined consistent system: the residual must be ~0.
-	a := mat.NewFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	xTrue := []float64{2, -3}
-	b := mat.MulVec(a, xTrue)
-	x := LeastSquares(a, b)
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]+3) > 1e-12 {
-		t.Fatalf("LeastSquares = %v, want %v", x, xTrue)
-	}
-}
-
-func TestLeastSquaresMinimizesResidual(t *testing.T) {
-	rng := testutil.NewRand(7)
-	a := testutil.RandomDense(30, 4, rng)
-	b := make([]float64, 30)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := LeastSquares(a, b)
-	res := residualNorm(a, x, b)
-	// Perturbing the solution in any coordinate direction must not shrink
-	// the residual (first-order optimality check).
-	for j := 0; j < 4; j++ {
-		for _, eps := range []float64{1e-4, -1e-4} {
-			xp := append([]float64(nil), x...)
-			xp[j] += eps
-			if residualNorm(a, xp, b) < res-1e-12 {
-				t.Fatalf("residual decreased when perturbing x[%d]", j)
-			}
-		}
-	}
-}
-
-func residualNorm(a *mat.Dense, x, b []float64) float64 {
-	ax := mat.MulVec(a, x)
-	s := 0.0
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // refQR is the row-wise, level-2 Householder QR the blocked compact-WY
 // kernel replaced, kept as the reference for the sign rule and for R: it
 // reduces one column at a time on the row-major matrix and accumulates Q

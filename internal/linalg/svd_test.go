@@ -49,7 +49,7 @@ func TestSVDWide(t *testing.T) {
 
 func TestSVDKnownValues(t *testing.T) {
 	// diag(3, 2, 1) has singular values 3, 2, 1.
-	a := mat.NewDiag([]float64{1, 3, 2})
+	a := diag([]float64{1, 3, 2})
 	_, s, _ := SVD(a)
 	want := []float64{3, 2, 1}
 	if !testutil.CloseSlices(s, want, 1e-13) {
@@ -509,4 +509,13 @@ func TestSVDLeftMatchesSVDWith(t *testing.T) {
 		t.Fatal("SVDLeftWith did not take the Jacobi fallback")
 	}
 	check("jacobi fallback", a)
+}
+
+// diag returns the square diagonal matrix with d on its diagonal.
+func diag(d []float64) *mat.Dense {
+	m := mat.New(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
 }

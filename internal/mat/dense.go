@@ -84,16 +84,6 @@ func Eye(n int) *Dense {
 	return m
 }
 
-// NewDiag returns the len(d)×len(d) diagonal matrix with d on the diagonal.
-func NewDiag(d []float64) *Dense {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Dims returns the number of rows and columns.
 func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 

@@ -93,14 +93,6 @@ func TestEye(t *testing.T) {
 	}
 }
 
-func TestNewDiag(t *testing.T) {
-	m := NewDiag([]float64{2, 3})
-	want := NewFromRows([][]float64{{2, 0}, {0, 3}})
-	if !EqualApprox(m, want, 0) {
-		t.Fatalf("NewDiag = %v, want %v", m, want)
-	}
-}
-
 func TestSetAt(t *testing.T) {
 	m := New(2, 2)
 	m.Set(1, 0, 7.5)

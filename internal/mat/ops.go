@@ -5,16 +5,6 @@ import (
 	"math"
 )
 
-// Add returns a + b. It panics on dimension mismatch.
-func Add(a, b *Dense) *Dense {
-	checkSameDims("Add", a, b)
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out
-}
-
 // Sub returns a - b. It panics on dimension mismatch.
 func Sub(a, b *Dense) *Dense {
 	checkSameDims("Sub", a, b)
@@ -30,23 +20,6 @@ func Scale(s float64, a *Dense) *Dense {
 	out := New(a.rows, a.cols)
 	for i, v := range a.data {
 		out.data[i] = s * v
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every element of a by s.
-func ScaleInPlace(s float64, a *Dense) {
-	for i := range a.data {
-		a.data[i] *= s
-	}
-}
-
-// AddScaled returns a + s*b. It panics on dimension mismatch.
-func AddScaled(a *Dense, s float64, b *Dense) *Dense {
-	checkSameDims("AddScaled", a, b)
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v + s*b.data[i]
 	}
 	return out
 }
@@ -204,60 +177,6 @@ func MulDiagScaledTInto(dst *Dense, s float64, a *Dense, d []float64) {
 			}
 		}
 	}
-}
-
-// DiagMul returns diag(d)*a, scaling row i of a by d[i]. It panics unless
-// len(d) == a.Rows().
-func DiagMul(d []float64, a *Dense) *Dense {
-	if len(d) != a.rows {
-		panic(fmt.Sprintf("mat: DiagMul length %d, want %d", len(d), a.rows))
-	}
-	out := New(a.rows, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range row {
-			orow[j] = d[i] * v
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product a*x. It panics unless
-// len(x) == a.Cols().
-func MulVec(a *Dense, x []float64) []float64 {
-	if len(x) != a.cols {
-		panic(fmt.Sprintf("mat: MulVec length %d, want %d", len(x), a.cols))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecTrans returns aᵀ*x. It panics unless len(x) == a.Rows().
-func MulVecTrans(a *Dense, x []float64) []float64 {
-	if len(x) != a.rows {
-		panic(fmt.Sprintf("mat: MulVecTrans length %d, want %d", len(x), a.rows))
-	}
-	out := make([]float64, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
 }
 
 // HStack returns the column-wise concatenation [a | b | ...]. All operands

@@ -123,7 +123,7 @@ func checkAxpyParity(t *testing.T, rng *rand.Rand, m, k, n int) {
 	a, b, c0 := randomDense(m, k, rng), randomDense(k, n, rng), randomDense(m, n, rng)
 	prod := New(m, n)
 	RefMulInto(prod, a, b)
-	want := Add(c0, prod)
+	want := add(c0, prod)
 	tol := relTol(k, a, b) + 1e-13*c0.MaxAbs()
 	what := fmt.Sprintf("AxpyBlock %dx%d·%dx%d", m, k, k, n)
 

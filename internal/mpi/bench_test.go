@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"testing"
+
+	"goparsvd/internal/mat"
 )
 
 func BenchmarkPingPong(b *testing.B) {
@@ -35,21 +37,11 @@ func BenchmarkBcast8Ranks(b *testing.B) {
 }
 
 func BenchmarkGather8Ranks(b *testing.B) {
-	payload := make([]float64, 4096)
+	payload := mat.New(64, 64)
 	b.ResetTimer()
 	MustRun(8, func(c *Comm) {
 		for i := 0; i < b.N; i++ {
-			c.GatherFloats(0, payload)
-		}
-	})
-}
-
-func BenchmarkAllreduce8Ranks(b *testing.B) {
-	payload := make([]float64, 1024)
-	b.ResetTimer()
-	MustRun(8, func(c *Comm) {
-		for i := 0; i < b.N; i++ {
-			c.AllreduceSum(payload)
+			c.GatherMatrix(0, payload)
 		}
 	})
 }

@@ -11,9 +11,6 @@ import (
 const (
 	tagBcast = -(iota + 1)
 	tagGather
-	tagScatter
-	tagReduce
-	tagAllgather
 )
 
 // BcastFloats broadcasts a slice from root to every rank along a binomial
@@ -71,27 +68,6 @@ func (c *Comm) bcastMsg(root int, m Message) Message {
 	return m
 }
 
-// GatherFloats collects one slice per rank at root. At root the returned
-// slice has Size() entries indexed by rank (root's own contribution
-// included); at other ranks it is nil. This is the linear (root-bottleneck)
-// gather, matching the cost profile of MPI_Gather for large payloads.
-func (c *Comm) GatherFloats(root int, data []float64) [][]float64 {
-	if c.rank != root {
-		c.sendMsg(root, Message{Tag: tagGather, Data: append([]float64(nil), data...), Rows: vectorRows})
-		return nil
-	}
-	out := make([][]float64, c.t.Size())
-	out[root] = append([]float64(nil), data...)
-	for src := 0; src < c.t.Size(); src++ {
-		if src == root {
-			continue
-		}
-		m := c.recvMsg(src, tagGather)
-		out[src] = m.Data
-	}
-	return out
-}
-
 // GatherMatrix collects one matrix per rank at root; the paper's
 // `comm.gather(wlocal, root=0)`. At root the slice is indexed by rank; at
 // other ranks it is nil.
@@ -110,116 +86,4 @@ func (c *Comm) GatherMatrix(root int, m *mat.Dense) []*mat.Dense {
 		out[src] = mat.NewFromData(msg.Rows, msg.Cols, msg.Data)
 	}
 	return out
-}
-
-// AllgatherFloats gives every rank the slice contributed by every other
-// rank, implemented as gather-to-0 plus broadcast of the concatenation.
-func (c *Comm) AllgatherFloats(data []float64) [][]float64 {
-	size := c.t.Size()
-	gathered := c.GatherFloats(0, data)
-	// Flatten with a length prefix so a single broadcast suffices.
-	var flat []float64
-	if c.rank == 0 {
-		flat = append(flat, float64(size))
-		for _, g := range gathered {
-			flat = append(flat, float64(len(g)))
-		}
-		for _, g := range gathered {
-			flat = append(flat, g...)
-		}
-	}
-	flat = c.BcastFloats(0, flat)
-	n := int(flat[0])
-	lens := make([]int, n)
-	for i := 0; i < n; i++ {
-		lens[i] = int(flat[1+i])
-	}
-	out := make([][]float64, n)
-	off := 1 + n
-	for i := 0; i < n; i++ {
-		out[i] = append([]float64(nil), flat[off:off+lens[i]]...)
-		off += lens[i]
-	}
-	return out
-}
-
-// ScatterMatrixRows splits m at root into contiguous row blocks of the given
-// sizes and delivers block i to rank i. counts must sum to m's row count and
-// have one entry per rank. Non-root ranks pass nil for m.
-func (c *Comm) ScatterMatrixRows(root int, m *mat.Dense, counts []int) *mat.Dense {
-	size := c.t.Size()
-	if len(counts) != size {
-		panic(fmt.Sprintf("mpi: scatter counts length %d, want %d", len(counts), size))
-	}
-	if c.rank == root {
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		if total != m.Rows() {
-			panic(fmt.Sprintf("mpi: scatter counts sum %d, want %d rows", total, m.Rows()))
-		}
-		off := 0
-		var local *mat.Dense
-		for dst := 0; dst < size; dst++ {
-			block := m.SliceRows(off, off+counts[dst])
-			off += counts[dst]
-			if dst == root {
-				local = block
-				continue
-			}
-			c.SendMatrix(dst, tagScatter, block)
-		}
-		return local
-	}
-	return c.RecvMatrix(root, tagScatter)
-}
-
-// ReduceSum element-wise sums the contributions of all ranks at root. At
-// root the result is returned; other ranks get nil. All contributions must
-// have equal length.
-func (c *Comm) ReduceSum(root int, data []float64) []float64 {
-	if c.rank != root {
-		c.sendMsg(root, Message{Tag: tagReduce, Data: append([]float64(nil), data...), Rows: vectorRows})
-		return nil
-	}
-	acc := append([]float64(nil), data...)
-	for src := 0; src < c.t.Size(); src++ {
-		if src == root {
-			continue
-		}
-		m := c.recvMsg(src, tagReduce)
-		if len(m.Data) != len(acc) {
-			panic(fmt.Sprintf("mpi: ReduceSum length mismatch: rank %d sent %d, want %d",
-				src, len(m.Data), len(acc)))
-		}
-		for i, v := range m.Data {
-			acc[i] += v
-		}
-	}
-	return acc
-}
-
-// AllreduceSum is ReduceSum followed by a broadcast: every rank returns the
-// element-wise sum.
-func (c *Comm) AllreduceSum(data []float64) []float64 {
-	return c.BcastFloats(0, c.ReduceSum(0, data))
-}
-
-// AllreduceMax returns the element-wise maximum across ranks at every rank.
-func (c *Comm) AllreduceMax(data []float64) []float64 {
-	if c.rank != 0 {
-		c.sendMsg(0, Message{Tag: tagReduce, Data: append([]float64(nil), data...), Rows: vectorRows})
-		return c.BcastFloats(0, nil)
-	}
-	acc := append([]float64(nil), data...)
-	for src := 1; src < c.t.Size(); src++ {
-		m := c.recvMsg(src, tagReduce)
-		for i, v := range m.Data {
-			if v > acc[i] {
-				acc[i] = v
-			}
-		}
-	}
-	return c.BcastFloats(0, acc)
 }

@@ -22,7 +22,7 @@ func TestPanicDuringGatherAborts(t *testing.T) {
 			if c.Rank() == 2 {
 				panic("rank 2 failed before contributing")
 			}
-			c.GatherFloats(0, []float64{1}) // root blocks on rank 2 forever
+			c.GatherMatrix(0, mat.Eye(1)) // root blocks on rank 2 forever
 		})
 		re, ok := err.(*RankError)
 		if !ok || re.Rank != 2 {
@@ -158,8 +158,7 @@ func TestConcurrentWorldsAreIsolated(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			MustRun(3, func(c *Comm) {
-				sum := c.AllreduceSum([]float64{float64(c.Rank() + 10*w)})
-				total.Add(int64(sum[0]))
+				total.Add(int64(allreduceSum(c, float64(c.Rank()+10*w))))
 			})
 		}(w)
 	}

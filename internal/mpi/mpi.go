@@ -2,10 +2,9 @@
 // transports.
 //
 // It is the substitution for mpi4py in this reproduction of PyParSVD. The
-// algorithm-facing surface is *Comm: point-to-point Send/Recv plus the
-// collectives the paper uses (Gather, Bcast, Send/Recv, and
-// Reduce/Allreduce/Scatter for completeness). Beneath *Comm sits the
-// Transport interface, with two implementations:
+// algorithm-facing surface is *Comm: point-to-point Send/Recv, the two
+// collectives the paper's listings use (Gather and Bcast) and a Barrier.
+// Beneath *Comm sits the Transport interface, with two implementations:
 //
 //   - ChanTransport (the default behind NewWorld/Run): ranks are goroutines
 //     in one process and messages travel over per-pair FIFO channels;
@@ -95,6 +94,10 @@ func NewComm(t Transport, rank int) *Comm {
 type abortError struct{}
 
 func (abortError) Error() string { return "mpi: aborted because a peer rank panicked" }
+
+// Is makes the abort echo match ErrAborted, so a caller that recovers it
+// tells it from a rank's own panic with errors.Is.
+func (abortError) Is(target error) bool { return target == ErrAborted }
 
 // RankError reports a panic that occurred inside a rank function during Run
 // or RunRank.
@@ -186,9 +189,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.t.Size() }
-
-// Stats returns the transport's traffic counters as seen by this rank.
-func (c *Comm) Stats() Stats { return c.t.Stats() }
 
 // Send transmits a float64 slice to rank dst with the given tag. The data is
 // copied, so the caller may reuse the slice immediately.

@@ -178,23 +178,6 @@ func TestBcastSingleRank(t *testing.T) {
 	})
 }
 
-func TestGatherFloats(t *testing.T) {
-	MustRun(4, func(c *Comm) {
-		out := c.GatherFloats(0, []float64{float64(c.Rank()), 2 * float64(c.Rank())})
-		if c.Rank() != 0 {
-			if out != nil {
-				t.Errorf("rank %d: non-root gather result must be nil", c.Rank())
-			}
-			return
-		}
-		for r := 0; r < 4; r++ {
-			if len(out[r]) != 2 || out[r][0] != float64(r) || out[r][1] != 2*float64(r) {
-				t.Errorf("gather[%d] = %v", r, out[r])
-			}
-		}
-	})
-}
-
 func TestGatherMatrix(t *testing.T) {
 	MustRun(3, func(c *Comm) {
 		local := mat.NewFromRows([][]float64{{float64(c.Rank())}})
@@ -218,91 +201,6 @@ func TestGatherMatrixRootCopyIndependent(t *testing.T) {
 			if local.At(0, 0) != 0 {
 				t.Error("root's gathered copy aliases its input")
 			}
-		}
-	})
-}
-
-func TestAllgatherFloats(t *testing.T) {
-	MustRun(4, func(c *Comm) {
-		// Ragged contributions exercise the length-prefix encoding.
-		contrib := make([]float64, c.Rank()+1)
-		for i := range contrib {
-			contrib[i] = float64(10*c.Rank() + i)
-		}
-		out := c.AllgatherFloats(contrib)
-		if len(out) != 4 {
-			t.Errorf("rank %d: allgather size %d", c.Rank(), len(out))
-			return
-		}
-		for r := 0; r < 4; r++ {
-			if len(out[r]) != r+1 {
-				t.Errorf("rank %d: out[%d] len %d, want %d", c.Rank(), r, len(out[r]), r+1)
-			}
-			for i := range out[r] {
-				if out[r][i] != float64(10*r+i) {
-					t.Errorf("rank %d: out[%d][%d] = %v", c.Rank(), r, i, out[r][i])
-				}
-			}
-		}
-	})
-}
-
-func TestScatterMatrixRows(t *testing.T) {
-	full := mat.NewFromRows([][]float64{{0}, {1}, {2}, {3}, {4}, {5}})
-	MustRun(3, func(c *Comm) {
-		var m *mat.Dense
-		if c.Rank() == 0 {
-			m = full
-		}
-		local := c.ScatterMatrixRows(0, m, []int{1, 2, 3})
-		wantRows := []int{1, 2, 3}[c.Rank()]
-		wantFirst := []float64{0, 1, 3}[c.Rank()]
-		if local.Rows() != wantRows || local.At(0, 0) != wantFirst {
-			t.Errorf("rank %d: scatter block %v", c.Rank(), local)
-		}
-	})
-}
-
-func TestScatterBadCountsPanics(t *testing.T) {
-	_, err := Run(2, func(c *Comm) {
-		var m *mat.Dense
-		if c.Rank() == 0 {
-			m = mat.New(3, 1)
-		}
-		c.ScatterMatrixRows(0, m, []int{1, 1}) // sums to 2, not 3
-	})
-	if err == nil {
-		t.Fatal("bad scatter counts should error")
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	MustRun(4, func(c *Comm) {
-		out := c.ReduceSum(0, []float64{1, float64(c.Rank())})
-		if c.Rank() == 0 {
-			if out[0] != 4 || out[1] != 0+1+2+3 {
-				t.Errorf("ReduceSum = %v", out)
-			}
-		} else if out != nil {
-			t.Errorf("non-root ReduceSum must be nil")
-		}
-	})
-}
-
-func TestAllreduceSum(t *testing.T) {
-	MustRun(5, func(c *Comm) {
-		out := c.AllreduceSum([]float64{float64(c.Rank())})
-		if out[0] != 10 {
-			t.Errorf("rank %d: AllreduceSum = %v, want 10", c.Rank(), out)
-		}
-	})
-}
-
-func TestAllreduceMax(t *testing.T) {
-	MustRun(4, func(c *Comm) {
-		out := c.AllreduceMax([]float64{float64(c.Rank()), -float64(c.Rank())})
-		if out[0] != 3 || out[1] != 0 {
-			t.Errorf("rank %d: AllreduceMax = %v", c.Rank(), out)
 		}
 	})
 }
@@ -356,40 +254,6 @@ func TestManyRanksPipeline(t *testing.T) {
 	})
 }
 
-// Property: Allreduce over random vectors equals the serial sum for any
-// rank count.
-func TestPropertyAllreduceMatchesSerial(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := 1 + rng.Intn(8)
-		n := 1 + rng.Intn(20)
-		contribs := make([][]float64, p)
-		want := make([]float64, n)
-		for r := range contribs {
-			contribs[r] = make([]float64, n)
-			for i := range contribs[r] {
-				contribs[r][i] = rng.NormFloat64()
-				want[i] += contribs[r][i]
-			}
-		}
-		ok := atomic.Bool{}
-		ok.Store(true)
-		MustRun(p, func(c *Comm) {
-			got := c.AllreduceSum(contribs[c.Rank()])
-			for i := range got {
-				if d := got[i] - want[i]; d > 1e-12 || d < -1e-12 {
-					ok.Store(false)
-				}
-			}
-		})
-		return ok.Load()
-	}
-	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(99))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: broadcast delivers identical content for every root and rank
 // count.
 func TestPropertyBcastAllRoots(t *testing.T) {
@@ -430,13 +294,31 @@ func TestPropertyBcastAllRoots(t *testing.T) {
 
 func ExampleRun() {
 	stats := MustRun(4, func(c *Comm) {
-		sum := c.AllreduceSum([]float64{float64(c.Rank() + 1)})
+		parts := c.GatherMatrix(0, mat.NewFromData(1, 1, []float64{float64(c.Rank() + 1)}))
 		if c.Rank() == 0 {
-			fmt.Println("sum of ranks+1:", sum[0])
+			sum := 0.0
+			for _, p := range parts {
+				sum += p.At(0, 0)
+			}
+			fmt.Println("sum of ranks+1:", sum)
 		}
 	})
 	fmt.Println("ranks:", stats.Ranks)
 	// Output:
 	// sum of ranks+1: 10
 	// ranks: 4
+}
+
+// allreduceSum hands every rank the sum of one value per rank, built from
+// the runtime's gather and broadcast.
+func allreduceSum(c *Comm, x float64) float64 {
+	parts := c.GatherMatrix(0, mat.NewFromData(1, 1, []float64{x}))
+	var sum []float64
+	if c.Rank() == 0 {
+		sum = []float64{0}
+		for _, p := range parts {
+			sum[0] += p.At(0, 0)
+		}
+	}
+	return c.BcastFloats(0, sum)[0]
 }

@@ -539,9 +539,6 @@ func (t *Transport) down() bool { return t.aborted.Load() || t.closing.Load() }
 // Size returns the world size.
 func (t *Transport) Size() int { return t.size }
 
-// Rank returns this endpoint's rank.
-func (t *Transport) Rank() int { return t.rank }
-
 // Send serializes m onto the connection to dst. src must be this
 // endpoint's own rank.
 func (t *Transport) Send(src, dst int, m mpi.Message) error {

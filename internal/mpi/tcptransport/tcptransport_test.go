@@ -67,38 +67,25 @@ func testCollectives(t *testing.T, run transporttest.Runner) {
 		if len(got) != 3 || got[0] != 3 || got[2] != 4 {
 			t.Errorf("rank %d: BcastFloats = %v", c.Rank(), got)
 		}
-		// Gather at root.
-		g := c.GatherFloats(0, []float64{float64(c.Rank())})
+		// Gather ragged contributions at root: rank r sends r+1 rows of r.
+		mine := mat.New(c.Rank()+1, 1)
+		mine.Fill(float64(c.Rank()))
+		g := c.GatherMatrix(0, mine)
+		// Allreduce as gather plus broadcast: every rank gets the sum.
+		var sum []float64
 		if c.Rank() == 0 {
+			sum = []float64{0}
 			for r := 0; r < p; r++ {
-				if len(g[r]) != 1 || g[r][0] != float64(r) {
+				if g[r].Rows() != r+1 || g[r].At(r, 0) != float64(r) {
 					t.Errorf("gather[%d] = %v", r, g[r])
 				}
+				sum[0] += g[r].At(0, 0)
 			}
 		} else if g != nil {
 			t.Errorf("rank %d: non-root gather not nil", c.Rank())
 		}
-		// Allreduce.
-		sum := c.AllreduceSum([]float64{1})
-		if sum[0] != p {
-			t.Errorf("rank %d: AllreduceSum = %v", c.Rank(), sum)
-		}
-		// Scatter matrix rows.
-		var m *mat.Dense
-		if c.Rank() == 0 {
-			m = mat.NewFromRows([][]float64{{0}, {1}, {2}, {3}, {4}, {5}})
-		}
-		local := c.ScatterMatrixRows(0, m, []int{1, 2, 2, 1})
-		wantRows := []int{1, 2, 2, 1}[c.Rank()]
-		if local.Rows() != wantRows {
-			t.Errorf("rank %d: scatter rows = %d, want %d", c.Rank(), local.Rows(), wantRows)
-		}
-		// Allgather with ragged contributions.
-		all := c.AllgatherFloats(make([]float64, c.Rank()+1))
-		for r := 0; r < p; r++ {
-			if len(all[r]) != r+1 {
-				t.Errorf("rank %d: allgather[%d] len %d", c.Rank(), r, len(all[r]))
-			}
+		if sum = c.BcastFloats(0, sum); len(sum) != 1 || sum[0] != 0+1+2+3 {
+			t.Errorf("rank %d: gathered sum = %v", c.Rank(), sum)
 		}
 	})
 	if err != nil {
@@ -141,7 +128,7 @@ func TestTCPPanicAbortsPeers(t *testing.T) {
 				if c.Rank() == 2 {
 					panic("rank 2 failed before contributing")
 				}
-				c.GatherFloats(0, []float64{1}) // root blocks on rank 2 forever
+				c.GatherMatrix(0, mat.Eye(1)) // root blocks on rank 2 forever
 				c.Barrier()
 			})
 		}()
@@ -199,7 +186,7 @@ func TestTCPGatherQRMatchesChan(t *testing.T) {
 	collect := func(run transporttest.Runner) result {
 		res := result{q: make([]*mat.Dense, p)}
 		if err := run(p, func(c *mpi.Comm) {
-			q, rf := tsqr.GatherQR(c, blocks[c.Rank()].Clone())
+			q, rf := tsqr.GatherQRWith(nil, c, blocks[c.Rank()].Clone())
 			res.q[c.Rank()] = q
 			if c.Rank() == 0 {
 				res.r = rf

@@ -107,20 +107,3 @@ func estimateResidual(a, q *mat.Dense, rng *rand.Rand) float64 {
 	}
 	return 10 * math.Sqrt(2/math.Pi) * worst
 }
-
-// AdaptiveSVD computes an approximate SVD whose rank is chosen by the
-// adaptive range finder for the given residual tolerance: the returned
-// factors satisfy ‖A − U·diag(s)·Vᵀ‖₂ ≲ tol with high probability.
-func AdaptiveSVD(a *mat.Dense, tol float64, block int, opts Options) (u *mat.Dense, s []float64, v *mat.Dense, err error) {
-	q, err := AdaptiveRangeFinder(a, tol, block, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if q.Cols() == 0 {
-		m, n := a.Dims()
-		return mat.New(m, 0), nil, mat.New(n, 0), nil
-	}
-	b := mat.MulTransA(q, a)
-	ub, s, v := linalg.SVD(b)
-	return mat.Mul(q, ub), s, v, nil
-}

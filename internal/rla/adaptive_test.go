@@ -4,13 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/testutil"
 )
 
-// mustAdaptiveRangeFinder / mustAdaptiveSVD unwrap the error returns for
-// the tests that feed known-valid arguments.
+// mustAdaptiveRangeFinder unwraps the error return for the tests that feed
+// known-valid arguments.
 func mustAdaptiveRangeFinder(t *testing.T, a *mat.Dense, tol float64, block int, opts Options) *mat.Dense {
 	t.Helper()
 	q, err := AdaptiveRangeFinder(a, tol, block, opts)
@@ -18,15 +17,6 @@ func mustAdaptiveRangeFinder(t *testing.T, a *mat.Dense, tol float64, block int,
 		t.Fatal(err)
 	}
 	return q
-}
-
-func mustAdaptiveSVD(t *testing.T, a *mat.Dense, tol float64, block int, opts Options) (*mat.Dense, []float64, *mat.Dense) {
-	t.Helper()
-	u, s, v, err := AdaptiveSVD(a, tol, block, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u, s, v
 }
 
 func TestAdaptiveRangeFinderStopsEarlyOnLowRank(t *testing.T) {
@@ -132,28 +122,5 @@ func TestAdaptiveRangeFinderInvalidArgsError(t *testing.T) {
 				t.Fatalf("%s did not error", name)
 			}
 		})
-	}
-}
-
-func TestAdaptiveSVDMatchesDeterministicSpectrum(t *testing.T) {
-	rng := testutil.NewRand(46)
-	a, _ := testutil.RandomLowRank(60, 30, 6, 0, rng)
-	u, s, v := mustAdaptiveSVD(t, a, 1e-9, 4, DefaultOptions())
-	_, sDet, _ := linalg.SVD(a)
-	for i := 0; i < 6; i++ {
-		if math.Abs(s[i]-sDet[i]) > 1e-9*(1+sDet[0]) {
-			t.Fatalf("s[%d] = %g, want %g", i, s[i], sDet[i])
-		}
-	}
-	recon := mat.MulTransB(mat.MulDiag(u, s), v)
-	if rel := mat.Sub(a, recon).FroNorm() / a.FroNorm(); rel > 1e-9 {
-		t.Fatalf("reconstruction error %g", rel)
-	}
-}
-
-func TestAdaptiveSVDZeroMatrix(t *testing.T) {
-	u, s, v := mustAdaptiveSVD(t, mat.New(6, 3), 1e-6, 2, DefaultOptions())
-	if len(s) != 0 || u.Cols() != 0 || v.Cols() != 0 {
-		t.Fatal("zero matrix should produce empty factors")
 	}
 }

@@ -14,7 +14,7 @@ func BenchmarkRandomizedSVDvsDeterministic(b *testing.B) {
 	b.Run("randomized-k10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			RandomizedSVD(a, 10, DefaultOptions())
+			RandomizedSVDWith(nil, a, 10, DefaultOptions())
 		}
 	})
 	b.Run("deterministic-full", func(b *testing.B) {
@@ -34,7 +34,7 @@ func BenchmarkRangeFinderPowerIters(b *testing.B) {
 		b.Run(map[int]string{0: "q0", 1: "q1", 2: "q2"}[q], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RangeFinder(a, 10, opts)
+				RangeFinderWith(nil, a, 10, opts)
 			}
 		})
 	}

@@ -81,20 +81,16 @@ func fillGaussian(m *mat.Dense, rng *rand.Rand) {
 	}
 }
 
-// RangeFinder computes an orthonormal basis Q (m×l, l = k+oversample,
+// RangeFinderWith computes an orthonormal basis Q (m×l, l = k+oversample,
 // clamped to min(m, n)) whose span approximates the range of A, via
 // Y = A·Ω with a Gaussian Ω followed by QR, optionally sharpened by
 // power iterations with re-orthogonalization at every half-step
 // (the numerically stable subspace-iteration form). A target rank below
 // one is reported as an error, never a panic: the rank reaches this
-// package straight from public facade options.
-func RangeFinder(a *mat.Dense, k int, opts Options) (*mat.Dense, error) {
-	return RangeFinderWith(nil, a, k, opts)
-}
-
-// RangeFinderWith is RangeFinder drawing the sketch, the power-iteration
-// intermediates and the returned basis from ws, so repeated calls with
-// steady shapes (the streaming low-rank path) reuse their buffers.
+// package straight from public facade options. The sketch, the
+// power-iteration intermediates and the returned basis come from ws (nil
+// allocates), so repeated calls with steady shapes (the streaming low-rank
+// path) reuse their buffers.
 func RangeFinderWith(ws *mat.Workspace, a *mat.Dense, k int, opts Options) (*mat.Dense, error) {
 	opts = opts.withDefaults()
 	m, n := a.Dims()
@@ -140,16 +136,12 @@ func rangeBasis(ws *mat.Workspace, a *mat.Dense, l int, opts Options) *mat.Dense
 	return q
 }
 
-// RandomizedSVD computes an approximate rank-k SVD A ≈ U·diag(s)·Vᵀ using
+// RandomizedSVDWith computes an approximate rank-k SVD A ≈ U·diag(s)·Vᵀ using
 // the Halko–Martinsson–Tropp scheme: project onto the sketched range,
 // solve the small problem exactly, and lift back (paper Eqs. 7–11).
-// U is m×k, s has length k, V is n×k (k clamped to min(m, n)).
-func RandomizedSVD(a *mat.Dense, k int, opts Options) (u *mat.Dense, s []float64, v *mat.Dense, err error) {
-	return RandomizedSVDWith(nil, a, k, opts)
-}
-
-// RandomizedSVDWith is RandomizedSVD with every temporary and the returned
-// factors drawn from ws; the caller owns u, s and v.
+// U is m×k, s has length k, V is n×k (k clamped to min(m, n)). Every
+// temporary and the returned factors come from ws (nil allocates); the
+// caller owns u, s and v.
 func RandomizedSVDWith(ws *mat.Workspace, a *mat.Dense, k int, opts Options) (u *mat.Dense, s []float64, v *mat.Dense, err error) {
 	m, n := a.Dims()
 	t := min(m, n)

@@ -15,7 +15,7 @@ import (
 // returns for the tests that feed known-valid arguments.
 func mustRangeFinder(t *testing.T, a *mat.Dense, k int, opts Options) *mat.Dense {
 	t.Helper()
-	q, err := RangeFinder(a, k, opts)
+	q, err := RangeFinderWith(nil, a, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func mustRangeFinder(t *testing.T, a *mat.Dense, k int, opts Options) *mat.Dense
 
 func mustRandomizedSVD(t *testing.T, a *mat.Dense, k int, opts Options) (*mat.Dense, []float64, *mat.Dense) {
 	t.Helper()
-	u, s, v, err := RandomizedSVD(a, k, opts)
+	u, s, v, err := RandomizedSVDWith(nil, a, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPropertyRandomizedErrorNearOptimal(t *testing.T) {
 		a := testutil.RandomDense(m, n, rng)
 		k := 3 + rng.Intn(4)
 		_, sDet, _ := linalg.SVD(a)
-		u, s, v, err := RandomizedSVD(a, k, Options{Oversample: 8, PowerIters: 2, Seed: seed})
+		u, s, v, err := RandomizedSVDWith(nil, a, k, Options{Oversample: 8, PowerIters: 2, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -66,20 +66,6 @@ type MeasuredConfig struct {
 	Trials int
 }
 
-// DefaultMeasuredConfig is a laptop-scale version of the paper's setup:
-// the same 1024 rows per rank with a reduced snapshot count so the full
-// series runs in seconds.
-func DefaultMeasuredConfig() MeasuredConfig {
-	return MeasuredConfig{
-		RowsPerRank: 1024,
-		Snapshots:   128,
-		K:           10,
-		R1:          32,
-		Ranks:       []int{1, 2, 4, 8, 16},
-		Trials:      3,
-	}
-}
-
 func (c MeasuredConfig) validate() {
 	if c.RowsPerRank < 1 || c.Snapshots < 1 || c.K < 1 || len(c.Ranks) == 0 || c.Trials < 1 {
 		panic(fmt.Sprintf("scaling: invalid config %+v", c))

@@ -147,63 +147,3 @@ func TestModelInvalidRanksPanics(t *testing.T) {
 	}()
 	DefaultThetaModel().Time(0)
 }
-
-func TestRunStrongScalingSmall(t *testing.T) {
-	cfg := StrongConfig{
-		Rows:      256,
-		Snapshots: 24,
-		K:         4,
-		R1:        8,
-		Ranks:     []int{1, 2, 4},
-		Trials:    1,
-	}
-	pts := RunStrongScaling(cfg)
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].Speedup != 1 {
-		t.Fatalf("base speedup %g, want 1", pts[0].Speedup)
-	}
-	for i, p := range pts {
-		if p.Seconds <= 0 {
-			t.Fatalf("point %d: non-positive time", i)
-		}
-		if p.Speedup <= 0 {
-			t.Fatalf("point %d: non-positive speedup", i)
-		}
-	}
-}
-
-func TestRunStrongScalingValidation(t *testing.T) {
-	for name, cfg := range map[string]StrongConfig{
-		"empty":          {},
-		"ranks-too-high": {Rows: 4, Snapshots: 4, K: 1, Ranks: []int{8}, Trials: 1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			RunStrongScaling(cfg)
-		})
-	}
-}
-
-func TestFormatStrongSeries(t *testing.T) {
-	out := FormatStrongSeries("strong", []StrongPoint{
-		{Ranks: 1, Seconds: 1, Speedup: 1},
-		{Ranks: 4, Seconds: 0.3, Speedup: 3.33},
-	})
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "ideal") {
-		t.Fatalf("missing headers:\n%s", out)
-	}
-	if !strings.Contains(out, "4.000") { // ideal speedup at 4 ranks
-		t.Fatalf("missing ideal column:\n%s", out)
-	}
-}
-
-func TestDefaultStrongConfigValid(t *testing.T) {
-	cfg := DefaultStrongConfig()
-	cfg.validate() // must not panic
-}

@@ -28,18 +28,17 @@ func splitRows(a *mat.Dense, p int) []*mat.Dense {
 	return blocks
 }
 
-// runDistributedQR executes a distributed QR across p ranks and reassembles
-// the global Q from the per-rank blocks. Returns the stacked Q and the R
+// runDistributedQR executes GatherQRWith across p ranks and reassembles the
+// global Q from the per-rank blocks. Returns the stacked Q and the R
 // broadcast from rank 0.
-func runDistributedQR(t *testing.T, a *mat.Dense, p int,
-	method func(c *mpi.Comm, a *mat.Dense) (*mat.Dense, *mat.Dense)) (q, r *mat.Dense) {
+func runDistributedQR(t *testing.T, a *mat.Dense, p int) (q, r *mat.Dense) {
 	t.Helper()
 	blocks := splitRows(a, p)
 	qBlocks := make([]*mat.Dense, p)
 	var rOut *mat.Dense
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		ql, rf := method(c, blocks[c.Rank()])
+		ql, rf := GatherQRWith(nil, c, blocks[c.Rank()])
 		rb := c.BcastMatrix(0, rf)
 		mu.Lock()
 		qBlocks[c.Rank()] = ql
@@ -75,7 +74,7 @@ func TestGatherQRMatchesSerial(t *testing.T) {
 	rng := testutil.NewRand(1)
 	a := testutil.RandomDense(64, 6, rng)
 	for _, p := range []int{1, 2, 4} {
-		q, r := runDistributedQR(t, a, p, GatherQR)
+		q, r := runDistributedQR(t, a, p)
 		checkAgainstSerial(t, "gather", a, q, r, 1e-11)
 	}
 }
@@ -83,7 +82,7 @@ func TestGatherQRMatchesSerial(t *testing.T) {
 func TestGatherQRUnevenBlocks(t *testing.T) {
 	rng := testutil.NewRand(2)
 	a := testutil.RandomDense(61, 5, rng) // 61 rows across 4 ranks: 16,15,15,15
-	q, r := runDistributedQR(t, a, 4, GatherQR)
+	q, r := runDistributedQR(t, a, 4)
 	checkAgainstSerial(t, "gather-uneven", a, q, r, 1e-11)
 }
 
@@ -92,49 +91,8 @@ func TestGatherQRShortBlocks(t *testing.T) {
 	// variable-height R stacking path.
 	rng := testutil.NewRand(3)
 	a := testutil.RandomDense(14, 6, rng) // 4 ranks → blocks of 4,4,3,3 rows < 6 cols
-	q, r := runDistributedQR(t, a, 4, GatherQR)
+	q, r := runDistributedQR(t, a, 4)
 	checkAgainstSerial(t, "gather-short", a, q, r, 1e-11)
-}
-
-func TestTreeQRMatchesSerial(t *testing.T) {
-	rng := testutil.NewRand(4)
-	a := testutil.RandomDense(64, 6, rng)
-	for _, p := range []int{1, 2, 4, 8} {
-		q, r := runDistributedQR(t, a, p, TreeQR)
-		checkAgainstSerial(t, "tree", a, q, r, 1e-11)
-	}
-}
-
-func TestTreeQRNonPowerOfTwoRanks(t *testing.T) {
-	rng := testutil.NewRand(5)
-	a := testutil.RandomDense(60, 4, rng)
-	for _, p := range []int{3, 5, 6, 7} {
-		q, r := runDistributedQR(t, a, p, TreeQR)
-		checkAgainstSerial(t, "tree-np2", a, q, r, 1e-11)
-	}
-}
-
-func TestTreeQRRejectsShortBlocks(t *testing.T) {
-	blocks := []*mat.Dense{mat.New(2, 5), mat.New(10, 5)}
-	_, err := mpi.Run(2, func(c *mpi.Comm) {
-		TreeQR(c, blocks[c.Rank()])
-	})
-	if err == nil {
-		t.Fatal("TreeQR must reject blocks with fewer rows than columns")
-	}
-}
-
-func TestGatherAndTreeAgree(t *testing.T) {
-	rng := testutil.NewRand(6)
-	a := testutil.RandomDense(48, 5, rng)
-	qg, rg := runDistributedQR(t, a, 4, GatherQR)
-	qt, rt := runDistributedQR(t, a, 4, TreeQR)
-	if !mat.EqualApprox(rg, rt, 1e-11) {
-		t.Fatal("gather and tree R factors disagree")
-	}
-	if !mat.EqualApprox(qg, qt, 1e-11) {
-		t.Fatal("gather and tree Q factors disagree")
-	}
 }
 
 func TestSerialQRSignConvention(t *testing.T) {
@@ -148,37 +106,8 @@ func TestSerialQRSignConvention(t *testing.T) {
 	}
 }
 
-func TestTreeQRRootIncastScalesBetter(t *testing.T) {
-	// The defining property of tree TSQR: the root receives O(n²·log P)
-	// bytes instead of O(n²·P). Total traffic is the same for both
-	// variants; the incast at rank 0 is the bottleneck that differs.
-	rng := testutil.NewRand(8)
-	a := testutil.RandomDense(256, 8, rng)
-	blocks := splitRows(a, 8)
-	rootRecv := func(method func(c *mpi.Comm, a *mat.Dense) (*mat.Dense, *mat.Dense)) int64 {
-		stats := mpi.MustRun(8, func(c *mpi.Comm) {
-			method(c, blocks[c.Rank()])
-		})
-		return stats.RecvBytes[0]
-	}
-	gather := rootRecv(GatherQR) // 7 R factors: 7·n² doubles
-	tree := rootRecv(TreeQR)     // log₂(8) = 3 R factors
-	if tree >= gather {
-		t.Fatalf("root received %d bytes with tree, %d with gather; expected tree < gather",
-			tree, gather)
-	}
-	wantGather := int64(7 * 8 * 8 * 8) // 7 messages × 64 doubles × 8 bytes
-	if gather != wantGather {
-		t.Fatalf("gather root incast = %d bytes, want %d", gather, wantGather)
-	}
-	wantTree := int64(3 * 8 * 8 * 8)
-	if tree != wantTree {
-		t.Fatalf("tree root incast = %d bytes, want %d", tree, wantTree)
-	}
-}
-
-// Property: both variants reproduce the serial factorization for random
-// shapes and rank counts.
+// Property: the distributed QR reproduces the serial factorization for
+// random shapes and rank counts.
 func TestPropertyDistributedQRMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,7 +120,7 @@ func TestPropertyDistributedQRMatchesSerial(t *testing.T) {
 		var rOut *mat.Dense
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
-			ql, rf := TreeQR(c, blocks[c.Rank()])
+			ql, rf := GatherQRWith(nil, c, blocks[c.Rank()])
 			mu.Lock()
 			qBlocks[c.Rank()] = ql
 			if c.Rank() == 0 {

@@ -87,20 +87,20 @@ func (s *SVD) Merge(r io.Reader) error {
 		}
 		modes, singular, snapshots = res.Modes, res.Singular, res.Snapshots+st.Snapshots
 	}
-	eng, err := core.RestoreSerial(s.cfg.coreOptions(), modes, singular, int(s.updates), snapshots)
+	eng, err := restoreSerialEngine(s.cfg.coreOptions(), modes, singular, int(s.updates), snapshots)
 	if err != nil {
 		return fmt.Errorf("parsvd: restoring merged state: %w", err)
 	}
 	bound := s.mergeBound
 	if s.rows != 0 {
-		bound += math.Sqrt(eng.Absorb(st.Modes, st.Singular))
+		bound += math.Sqrt(eng.svd.Absorb(st.Modes, st.Singular))
 	}
 
 	// Point of no return: everything validated, swap the engine.
 	if err := s.eng.close(); err != nil {
 		return fmt.Errorf("%w: closing pre-merge engine: %w", ErrEngineFailed, err)
 	}
-	s.eng = restoredSerialEngine(eng)
+	s.eng = eng
 	s.cfg.backend = Serial
 	s.cfg.ranks = 1
 	s.rows = st.Modes.Rows()
@@ -289,20 +289,12 @@ func mergeStates(states []core.State, labels []string) (*SVD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w", err)
 	}
-	eng, err := core.RestoreSerial(ref.Opts, root.U, root.S,
+	eng, err := restoreSerialEngine(ref.Opts, root.U, root.S,
 		root.Iterations, root.Snapshots)
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: restoring merged state: %w", err)
 	}
-
-	cfg := defaultConfig()
-	cfg.k = ref.Opts.K
-	cfg.ff = ref.Opts.ForgetFactor
-	cfg.lowRank = ref.Opts.LowRank
-	cfg.rlaOpts = ref.Opts.RLA
-	cfg.r1 = ref.Opts.R1
-	cfg.method = ref.Opts.Method
-	s := &SVD{cfg: cfg, eng: restoredSerialEngine(eng)}
+	s := &SVD{cfg: restoredConfig(eng.opts), eng: eng}
 	s.rows = root.U.Rows()
 	s.snapshots = root.Snapshots
 	s.updates = int64(root.Iterations) + 1 // Initialize counted as an update
@@ -345,25 +337,12 @@ func WriteCheckpoint(w io.Writer, cfg Configuration, res *Result) error {
 	}
 	// Round-trip through the restore validator so a malformed Result is
 	// an error here, not a corrupt checkpoint downstream.
-	eng, err := core.RestoreSerial(opts, res.Modes, res.Singular,
+	eng, err := restoreSerialEngine(opts, res.Modes, res.Singular,
 		res.Iterations, res.Snapshots)
 	if err != nil {
 		return fmt.Errorf("parsvd: %w", err)
 	}
-	if shard.IsZero() {
-		return eng.Save(w)
-	}
-	// Stamp the provenance by re-encoding through the State form, like
-	// SVD.Save does for WithShard models (checkpoints are small relative
-	// to a fit; the copy is cheap).
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		return err
-	}
-	st, err := core.ReadState(&buf)
-	if err != nil {
-		return fmt.Errorf("parsvd: stamping shard provenance: %w", err)
-	}
+	st := eng.state()
 	st.Shard = shard
 	return core.WriteState(w, st)
 }

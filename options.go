@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"goparsvd/internal/apmos"
 	"goparsvd/internal/core"
 	"goparsvd/internal/rla"
 )
@@ -119,7 +118,6 @@ type config struct {
 	ranks    int
 	ranksSet bool
 	r1       int
-	method   apmos.Method
 
 	transport    TransportConfig
 	transportSet bool
@@ -360,6 +358,5 @@ func (c *config) coreOptions() core.Options {
 		LowRank:      c.lowRank,
 		RLA:          c.rlaOpts,
 		R1:           c.r1,
-		Method:       c.method,
 	}
 }

@@ -491,8 +491,7 @@ func TestExtremeScaleBatches(t *testing.T) {
 		}
 		defer svd.Close()
 		for off := 0; off < a.Cols(); off += 4 {
-			batch := a.SliceCols(off, off+4)
-			mat.ScaleInPlace(c, batch)
+			batch := mat.Scale(c, a.SliceCols(off, off+4))
 			if err := svd.Push(batch); err != nil {
 				t.Fatalf("Push at scale %g: %v", c, err)
 			}
@@ -530,4 +529,18 @@ func maxAbsDiff(x, y *mat.Dense) float64 {
 		}
 	}
 	return d
+}
+
+func TestCompressionRatio(t *testing.T) {
+	// 1000×100 at K=5: 100000 / (5000 + 5 + 500) ≈ 18.2.
+	got := parsvd.CompressionRatio(1000, 100, 5)
+	want := 100000.0 / 5505.0
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ratio %g, want %g", got, want)
+	}
+	for _, dims := range [][3]int{{0, 10, 2}, {10, 0, 2}, {10, 10, 0}} {
+		if got := parsvd.CompressionRatio(dims[0], dims[1], dims[2]); got != 0 {
+			t.Fatalf("CompressionRatio%v = %g, want 0", dims, got)
+		}
+	}
 }
