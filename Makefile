@@ -62,16 +62,19 @@ dist-smoke:
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
 # every decoder that parses another process's bytes or a crashed
-# process's files: the worker's PUSH block reader, the PUSH-SKETCH
-# factor-pair decoder, the HTTP binary matrix body decoder, checkpoint
-# loading and the WAL reader behind Open/Replay (truncated frames,
-# hostile lengths and shapes, non-finite payloads must error, never panic
-# or over-allocate).
+# process's files: the mesh frame reader with its hello, table, ident and
+# data-body decoders (including the rendezvous handshake), the worker's
+# PUSH block reader, the PUSH-SKETCH factor-pair decoder, the HTTP binary
+# matrix body decoder, checkpoint loading and the WAL reader behind
+# Open/Replay (truncated frames, hostile lengths and shapes, non-finite
+# payloads must error, never panic or over-allocate).
 fuzz-smoke:
+	$(GO) test -run 'FuzzReadFrame|TestRendezvousRefusesHostileFrameLength' ./internal/mpi/tcptransport
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame' ./internal/launch
 	$(GO) test -run 'FuzzReadMatrix' ./server
 	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
 	$(GO) test -run 'FuzzWALOpen|TestTornTail' ./internal/wal
+	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/mpi/tcptransport
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzDecodeFactorPair -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server

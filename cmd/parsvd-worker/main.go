@@ -4,7 +4,7 @@
 // (internal/mpi/tcptransport), and holds a live core.Parallel engine for
 // the whole session. Stdin carries framed commands (INIT with the engine
 // configuration, PUSH with this rank's row block of real snapshot data,
-// PUSH-SKETCH, SPECTRUM, MODES-SHA, STATS, SAVE, SHUTDOWN) and stdout
+// PUSH-SKETCH, SPECTRUM, MODES-SHA, SAVE, SHUTDOWN) and stdout
 // carries one framed reply per command. This is the protocol behind the
 // parsvd facade's Distributed backend and internal/launch.Session (see
 // internal/launch/proto.go). Logs go to stderr.

@@ -38,7 +38,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 	rank, np := opts.Rank, opts.Size
 	out := bufio.NewWriter(os.Stdout)
 	reply := func(verb byte, body []byte) error {
-		if err := launch.WriteSessionFrame(out, verb, body); err != nil {
+		if err := tcptransport.WriteFrame(out, verb, body); err != nil {
 			return err
 		}
 		return out.Flush()
@@ -170,7 +170,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 			if !inited {
 				return false, errors.New("PUSH-SKETCH before INIT")
 			}
-			qblock, sfull, err := launch.DecodeFactorPair(body)
+			qblock, sfull, err := mat.DecodeFactorPair(body)
 			if err != nil {
 				return false, err
 			}
@@ -200,8 +200,6 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 				sha = launch.HashModeRows(rows)
 			}
 			return false, okStatus(sha)
-		case launch.SessStats:
-			return false, okStatus("")
 		case launch.SessSave:
 			if eng == nil {
 				return false, errors.New("SAVE before any PUSH")
@@ -219,7 +217,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 				Iterations: eng.Iterations(),
 				Snapshots:  eng.SnapshotsSeen(),
 			}
-			if err := launch.WriteSizedFrame(out, launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
+			if err := tcptransport.WriteSizedFrame(out, launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
 				return core.WriteState(w, st)
 			}); err != nil {
 				return false, fmt.Errorf("writing checkpoint: %w", err)
@@ -237,16 +235,15 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 	}
 
 	in := bufio.NewReaderSize(os.Stdin, 1<<16)
-	// blocks holds the one float block every PUSH is decoded into.
-	var blocks launch.BlockReader
+	// Every PUSH is decoded into block through scratch, so a steady stream
+	// of same-shaped pushes allocates nothing.
+	var block mat.Dense
+	scratch := make([]byte, 32<<10)
 	for {
-		var (
-			body  []byte
-			block *mat.Dense
-		)
-		verb, n, err := launch.ReadFrameHeader(in)
+		var body []byte
+		verb, n, err := tcptransport.ReadFrameHeader(in)
 		if err == nil && verb != launch.SessPush {
-			body, err = launch.ReadFrameBody(in, n)
+			body, err = tcptransport.ReadFrameBody(in, n)
 		}
 		if err != nil {
 			// The launcher is gone (EOF) or sent garbage: unwind the whole
@@ -258,14 +255,14 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 			}
 			return err
 		}
-		// A PUSH payload the block reader refuses is reported like any
-		// failed command.
+		// A PUSH body is exactly one snapshot block; one the block reader
+		// refuses is reported like any failed command.
 		if verb == launch.SessPush {
-			block, err = blocks.Read(in, n)
+			err = mat.ReadBlockExact(in, n, &block, scratch)
 		}
 		var done bool
 		if err == nil {
-			done, err = handle(verb, body, block)
+			done, err = handle(verb, body, &block)
 		}
 		if err != nil {
 			t.Abort()

@@ -1,10 +1,11 @@
-// Package core is the public API of goparsvd: a Go reproduction of the
-// PyParSVD library (Maulik & Mengaldo, SC 2021). It composes the three
-// building blocks of the paper — the streaming SVD of Levy & Lindenbaum
-// (internal/stream), the approximate partitioned method of snapshots
-// (internal/apmos) with a distributed tall-skinny QR (internal/tsqr), and
-// randomized linear algebra (internal/rla) — behind the same two-class
-// factory the Python package exposes:
+// Package core holds the engines behind goparsvd's public API (package
+// parsvd, the module root), a Go reproduction of the PyParSVD library
+// (Maulik & Mengaldo, SC 2021). It composes the three building blocks of
+// the paper — the streaming SVD of Levy & Lindenbaum (internal/stream),
+// the approximate partitioned method of snapshots (internal/apmos) with a
+// distributed tall-skinny QR (internal/tsqr), and randomized linear
+// algebra (internal/rla) — behind the same two-class factory the Python
+// package exposes:
 //
 //   - NewSerial builds ParSVD_Serial: single-process streaming truncated
 //     SVD.

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkSessionPushDecode is a worker's steady-state PUSH decode at the
 // fit-distributed shape: one rank's 2048×16 block of a 4096-row batch,
-// read from the stream straight into the reader's reusable block. It
-// allocates nothing.
+// read from the stream straight into one reused block. It allocates
+// nothing.
 func BenchmarkSessionPushDecode(b *testing.B) {
 	block := mat.New(2048, 16)
 	for i := range block.RawData() {
@@ -18,13 +18,14 @@ func BenchmarkSessionPushDecode(b *testing.B) {
 	}
 	body := blockBody(block)
 	r := bytes.NewReader(body)
-	var br BlockReader
+	var dst mat.Dense
+	scratch := make([]byte, blockScratch)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
-		if _, err := br.Read(r, len(body)); err != nil {
+		if err := mat.ReadBlockExact(r, len(body), &dst, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,9 @@ package launch
 // the payload decoders parse bytes written by another process, so they
 // must never panic, never over-allocate against a lying length prefix,
 // and never let non-finite snapshot data through into a collective
-// update. Run the seeds with `go test`, or explore with
+// update. The codecs themselves live in tcptransport (frames) and mat
+// (blocks, factor pairs); these targets drive them as a worker does. Run
+// the seeds with `go test`, or explore with
 // `go test -fuzz FuzzReadSessionFrame ./internal/launch` (and the other
 // targets likewise).
 
@@ -17,7 +19,6 @@ import (
 	"testing"
 
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
 )
 
@@ -26,7 +27,7 @@ import (
 // flushes.
 func blockBody(m *mat.Dense) []byte {
 	var buf bytes.Buffer
-	if err := writeBlockFrame(&buf, make([]byte, 48), SessPush, nil, m); err != nil {
+	if err := writeBlockFrame(&buf, make([]byte, 48), m); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()[5:]
@@ -41,16 +42,23 @@ func factorPairBody(q, s *mat.Dense) []byte {
 	return buf.Bytes()[5:]
 }
 
-// readBlock decodes body with a fresh BlockReader.
+// readBlock decodes a PUSH body as the worker does, into a fresh block.
 func readBlock(body []byte) (*mat.Dense, error) {
-	var br BlockReader
-	return br.Read(bytes.NewReader(body), len(body))
+	return readBlockInto(body, new(mat.Dense))
+}
+
+// readBlockInto decodes a PUSH body as the worker does, into dst.
+func readBlockInto(body []byte, dst *mat.Dense) (*mat.Dense, error) {
+	if err := mat.ReadBlockExact(bytes.NewReader(body), len(body), dst, make([]byte, blockScratch)); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // frameSeed renders one well-formed frame.
 func frameSeed(verb byte, body []byte) []byte {
 	var buf bytes.Buffer
-	if err := WriteSessionFrame(&buf, verb, body); err != nil {
+	if err := tcptransport.WriteFrame(&buf, verb, body); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -68,14 +76,14 @@ func FuzzReadSessionFrame(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<28)) // huge declared, no data
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		verb, body, err := ReadSessionFrame(bytes.NewReader(data))
+		verb, body, err := tcptransport.ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// A successful parse must be internally consistent: the frame
 		// re-encodes to the exact bytes consumed.
 		var rt bytes.Buffer
-		if err := WriteSessionFrame(&rt, verb, body); err != nil {
+		if err := tcptransport.WriteFrame(&rt, verb, body); err != nil {
 			t.Fatalf("re-encoding a parsed frame failed: %v", err)
 		}
 		if !bytes.Equal(rt.Bytes(), data[:rt.Len()]) {
@@ -106,18 +114,18 @@ func FuzzDecodeBlock(f *testing.F) {
 	binary.LittleEndian.PutUint64(wrap[8:], 1<<61|1) // rows 1 -> 2^61+1
 	f.Add(wrap)
 
-	var reused BlockReader
+	var reused mat.Dense
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A stream that ends before the declared body always fails.
 		if len(data) > 0 {
-			var br BlockReader
-			if _, err := br.Read(bytes.NewReader(data[:len(data)-1]), len(data)); err == nil {
+			var m mat.Dense
+			if err := mat.ReadBlockExact(bytes.NewReader(data[:len(data)-1]), len(data), &m, make([]byte, 64)); err == nil {
 				t.Fatal("accepted a block body cut short of its declared length")
 			}
 		}
 		m, err := readBlock(data)
-		// A reader that has decoded other blocks behaves like a fresh one.
-		again, errAgain := reused.Read(bytes.NewReader(data), len(data))
+		// A block that has held other blocks decodes like a fresh one.
+		again, errAgain := readBlockInto(data, &reused)
 		if (err == nil) != (errAgain == nil) {
 			t.Fatalf("fresh reader err = %v, reused reader err = %v", err, errAgain)
 		}
@@ -141,9 +149,8 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("accepted a non-finite snapshot value %g", v)
 			}
 		}
-		// The encoder writes the accepted block back bit for bit (the tag
-		// is not read).
-		if !bytes.Equal(blockBody(m)[8:], data[8:]) {
+		// The encoder writes the accepted block back bit for bit.
+		if !bytes.Equal(blockBody(m), data) {
 			t.Fatal("accepted block did not round-trip")
 		}
 	})
@@ -164,7 +171,7 @@ func FuzzDecodeFactorPair(f *testing.F) {
 	f.Add([]byte{1, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, s, err := DecodeFactorPair(data)
+		q, s, err := mat.DecodeFactorPair(data)
 		if err != nil {
 			return
 		}
@@ -180,16 +187,8 @@ func FuzzDecodeFactorPair(f *testing.F) {
 			}
 		}
 		// Both factors stay valid side by side, and re-encode to the
-		// payload's bytes apart from the two unread tags.
-		rt := factorPairBody(q, s)
-		if len(rt) != len(data) {
-			t.Fatalf("pair re-encodes to %d bytes, read %d", len(rt), len(data))
-		}
-		qEnd := 4 + int(binary.LittleEndian.Uint32(data))
-		for _, tag := range [][2]int{{4, 12}, {qEnd, qEnd + 8}} {
-			copy(rt[tag[0]:tag[1]], data[tag[0]:tag[1]])
-		}
-		if !bytes.Equal(rt, data) {
+		// payload's bytes.
+		if !bytes.Equal(factorPairBody(q, s), data) {
 			t.Fatal("accepted factor pair did not round-trip")
 		}
 	})
@@ -233,7 +232,11 @@ func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
 		"empty":     nil,
 		"short":     good[:16],
 		"truncated": good[:len(good)-8],
+		"trailing":  append(append([]byte(nil), good...), 0),
 	}
+	tagged := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(tagged[0:], 7) // tag 0 -> 7
+	cases["nonzero tag"] = tagged
 	lie := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(lie[24:], 1<<40) // count ≫ payload
 	cases["count lie"] = lie
@@ -249,7 +252,7 @@ func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
 	cases["inf payload"] = inf
 	for name, data := range cases {
 		if _, err := readBlock(data); err == nil {
-			t.Errorf("%s: BlockReader accepted hostile input", name)
+			t.Errorf("%s: block reader accepted hostile input", name)
 		}
 	}
 	if _, err := readBlock(good); err != nil {
@@ -257,15 +260,16 @@ func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
 	}
 	// A length prefix promising more than the stream holds fails without
 	// allocating the declared size.
-	huge := append([]byte(nil), good[:blockHeaderLen]...)
+	huge := append([]byte(nil), good[:mat.BlockHeaderLen]...)
 	binary.LittleEndian.PutUint64(huge[8:], 1<<27) // rows
 	binary.LittleEndian.PutUint64(huge[16:], 1)    // cols
 	binary.LittleEndian.PutUint64(huge[24:], 1<<27)
 	huge = append(huge, make([]byte, 1<<16)...)
-	var br BlockReader
+	var m mat.Dense
+	scratch := make([]byte, blockScratch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := br.Read(bytes.NewReader(huge), blockHeaderLen+8<<27); err == nil {
+	if err := mat.ReadBlockExact(bytes.NewReader(huge), mat.BlockHeaderLen+8<<27, &m, scratch); err == nil {
 		t.Error("truncated oversize block did not error")
 	}
 	runtime.ReadMemStats(&after)
@@ -275,8 +279,8 @@ func TestDecodeBlockRejectsHostileInputs(t *testing.T) {
 }
 
 // TestWriteBlockFrameMatchesWireLayout: the streaming frame encoder writes
-// exactly the bytes of WriteSessionFrame over the tcptransport data body,
-// for every scratch size, including one that splits the headers.
+// the frame and block layouts field by field, for every scratch size,
+// including one that splits the headers.
 func TestWriteBlockFrameMatchesWireLayout(t *testing.T) {
 	big := mat.New(37, 5)
 	for i := range big.RawData() {
@@ -284,10 +288,17 @@ func TestWriteBlockFrameMatchesWireLayout(t *testing.T) {
 	}
 	var rows mat.Dense
 	big.ViewRows(3, 20, &rows)
-	want := frameSeed(SessPush, tcptransport.AppendMessageBody(nil, mpi.Message{Rows: 17, Cols: 5, Data: rows.RawData()}))
+	want := binary.LittleEndian.AppendUint32(nil, 1+32+8*17*5)
+	want = append(want, SessPush)
+	for _, field := range []uint64{0, 17, 5, 17 * 5} { // tag, rows, cols, n
+		want = binary.LittleEndian.AppendUint64(want, field)
+	}
+	for _, v := range rows.RawData() {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+	}
 	for _, n := range []int{8, 40, 48, 1 << 10, blockScratch} {
 		var got bytes.Buffer
-		if err := writeBlockFrame(&got, make([]byte, n), SessPush, nil, &rows); err != nil {
+		if err := writeBlockFrame(&got, make([]byte, n), &rows); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -300,11 +311,12 @@ func TestWriteBlockFrameMatchesWireLayout(t *testing.T) {
 // worker's PUSH decode allocates nothing.
 func TestBlockReaderSteadyStateAllocs(t *testing.T) {
 	body := blockBody(mat.New(64, 16))
-	var br BlockReader
+	var dst mat.Dense
+	scratch := make([]byte, blockScratch)
 	r := bytes.NewReader(body)
 	allocs := testing.AllocsPerRun(20, func() {
 		r.Reset(body)
-		if _, err := br.Read(r, len(body)); err != nil {
+		if err := mat.ReadBlockExact(r, len(body), &dst, scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -320,38 +332,53 @@ func TestReadSessionFrameBoundsAllocation(t *testing.T) {
 	// Declares ~256 MiB, delivers 16 bytes.
 	data := binary.LittleEndian.AppendUint32(nil, 1<<28)
 	data = append(data, make([]byte, 16)...)
-	if _, _, err := ReadSessionFrame(bytes.NewReader(data)); err == nil {
+	if _, _, err := tcptransport.ReadFrame(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated oversize frame did not error")
 	}
 	// Over the absolute bound: rejected before reading any body.
-	over := binary.LittleEndian.AppendUint32(nil, uint32(maxSessionFrame+1))
-	if _, _, err := ReadSessionFrame(bytes.NewReader(over)); err == nil {
+	over := binary.LittleEndian.AppendUint32(nil, uint32(tcptransport.MaxFrame+1))
+	if _, _, err := tcptransport.ReadFrame(bytes.NewReader(over)); err == nil {
 		t.Fatal("over-bound frame length did not error")
 	}
 }
 
-// TestWriteSizedFrame: a streamed body frames exactly like
-// WriteSessionFrame of the same bytes, and a body that writes other than
-// its declared length is an error.
+// TestWriteSizedFrame: a streamed body frames exactly like WriteFrame of
+// the same bytes, and a body that writes other than its declared length
+// is an error.
 func TestWriteSizedFrame(t *testing.T) {
 	body := []byte("a checkpoint's worth of bytes")
 	var got bytes.Buffer
-	if err := WriteSizedFrame(&got, SessBlob, len(body), func(w io.Writer) error {
+	if err := tcptransport.WriteSizedFrame(&got, SessBlob, len(body), func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), frameSeed(SessBlob, body)) {
-		t.Fatal("streamed frame differs from WriteSessionFrame")
+		t.Fatal("streamed frame differs from WriteFrame")
 	}
 	for _, n := range []int{len(body) - 1, len(body) + 1} {
-		err := WriteSizedFrame(io.Discard, SessBlob, n, func(w io.Writer) error {
+		err := tcptransport.WriteSizedFrame(io.Discard, SessBlob, n, func(w io.Writer) error {
 			_, err := w.Write(body)
 			return err
 		})
 		if err == nil {
 			t.Fatalf("declared %d bytes, wrote %d: no error", n, len(body))
+		}
+	}
+}
+
+// TestSessionVerbValues pins every verb's byte on the wire: retiring a
+// verb leaves its value unassigned rather than shifting the ones after it.
+func TestSessionVerbValues(t *testing.T) {
+	for verb, want := range map[string][2]byte{
+		"INIT": {SessInit, 0x10}, "PUSH": {SessPush, 0x11}, "SPECTRUM": {SessSpectrum, 0x12},
+		"MODES-SHA": {SessModesSHA, 0x13}, "SAVE": {SessSave, 0x15}, "SHUTDOWN": {SessShutdown, 0x16},
+		"PUSH-SKETCH": {SessPushSketch, 0x17}, "RENDEZVOUS": {SessRendezvous, 0x40}, "OK": {SessOK, 0x41},
+		"FLOATS": {SessFloats, 0x42}, "BLOB": {SessBlob, 0x43}, "ERR": {SessErr, 0x44},
+	} {
+		if want[0] != want[1] || verbName(want[0]) != verb {
+			t.Errorf("%s is 0x%02x named %s, want 0x%02x", verb, want[0], verbName(want[0]), want[1])
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"goparsvd/internal/grid"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi/tcptransport"
 	"goparsvd/internal/testutil"
 )
 
@@ -42,7 +43,7 @@ func TestWorkerFailurePropagates(t *testing.T) {
 	var verbs []byte
 	var last []byte
 	for {
-		verb, body, err := ReadSessionFrame(&stdout)
+		verb, body, err := tcptransport.ReadFrame(&stdout)
 		if err == io.EOF {
 			break
 		}
@@ -118,7 +119,7 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 		return &proc{cmd, in, bufio.NewReader(out)}
 	}
 	p0 := start("-rank", "0", "-np", "2", "-listen", "127.0.0.1:0")
-	verb, addr, err := ReadSessionFrame(p0.out)
+	verb, addr, err := tcptransport.ReadFrame(p0.out)
 	if err != nil || verb != SessRendezvous {
 		t.Fatalf("rank 0's first frame: %s %q, err %v; want RENDEZVOUS", verbName(verb), addr, err)
 	}
@@ -136,7 +137,7 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 		}
 		bodies := make([][]byte, len(procs))
 		for r, p := range procs {
-			rv, body, err := ReadSessionFrame(p.out)
+			rv, body, err := tcptransport.ReadFrame(p.out)
 			if err != nil || rv == SessErr {
 				t.Fatalf("rank %d reply to %s: %s %q, err %v", r, verbName(verb), verbName(rv), body, err)
 			}
@@ -145,21 +146,21 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 		return bodies
 	}
 	empty := func(verb byte) func(int, io.Writer) error {
-		return func(_ int, in io.Writer) error { return WriteSessionFrame(in, verb, nil) }
+		return func(_ int, in io.Writer) error { return tcptransport.WriteFrame(in, verb, nil) }
 	}
 
 	specBody, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(SessInit, func(_ int, in io.Writer) error { return WriteSessionFrame(in, SessInit, specBody) })
+	roundTrip(SessInit, func(_ int, in io.Writer) error { return tcptransport.WriteFrame(in, SessInit, specBody) })
 	parts := grid.Partition(rows, ranks)
 	scratch := make([]byte, blockScratch)
 	for _, b := range batches {
 		roundTrip(SessPush, func(r int, in io.Writer) error {
 			var block mat.Dense
 			b.ViewRows(parts[r].Start, parts[r].End, &block)
-			return writeBlockFrame(in, scratch, SessPush, nil, &block)
+			return writeBlockFrame(in, scratch, &block)
 		})
 	}
 	for r, body := range roundTrip(SessSpectrum, empty(SessSpectrum)) {

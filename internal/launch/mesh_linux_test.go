@@ -85,7 +85,7 @@ func TestPushSizesStdinPipe(t *testing.T) {
 	for _, w := range s.workers {
 		var rows mat.Dense
 		batch.ViewRows(s.parts[w.rank].Start, s.parts[w.rank].End, &rows)
-		if got, frame := pipeSize(w), blockFrameLen(nil, &rows); got < frame {
+		if got, frame := pipeSize(w), pushFrameLen(&rows); got < frame {
 			t.Errorf("rank %d stdin pipe holds %d bytes, less than its %d-byte frame", w.rank, got, frame)
 		}
 	}

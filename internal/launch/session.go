@@ -14,6 +14,7 @@ import (
 
 	"goparsvd/internal/grid"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi/tcptransport"
 )
 
 // SessionConfig describes one persistent worker fleet.
@@ -138,7 +139,7 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("launch: encoding engine spec: %w", err)
 	}
 	frames, err := s.op(SessInit, func(w *sessWorker) error {
-		return WriteSessionFrame(w.stdin, SessInit, spec)
+		return tcptransport.WriteFrame(w.stdin, SessInit, spec)
 	})
 	if err != nil {
 		return nil, err
@@ -195,7 +196,7 @@ func (w *sessWorker) readLoop(stdout io.ReadCloser) {
 	defer close(w.done)
 	br := bufio.NewReaderSize(stdout, 1<<16)
 	for {
-		verb, body, err := ReadSessionFrame(br)
+		verb, body, err := tcptransport.ReadFrame(br)
 		if err != nil {
 			waitErr := w.cmd.Wait()
 			w.stdin.Close()
@@ -262,7 +263,7 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 		go func(r int, w *sessWorker) {
 			defer wg.Done()
 			if write == nil {
-				writeErrs[r] = WriteSessionFrame(w.stdin, verb, nil)
+				writeErrs[r] = tcptransport.WriteFrame(w.stdin, verb, nil)
 			} else {
 				writeErrs[r] = write(w)
 			}
@@ -425,9 +426,9 @@ func (s *Session) Push(b *mat.Dense) error {
 		if s.rows == 0 {
 			// Every later batch has this shape: a pipe that holds the
 			// whole frame takes it in one write.
-			growPipe(w.stdin, blockFrameLen(nil, &rows))
+			growPipe(w.stdin, pushFrameLen(&rows))
 		}
-		return writeBlockFrame(w.stdin, w.scratch, SessPush, nil, &rows)
+		return writeBlockFrame(w.stdin, w.scratch, &rows)
 	}); err != nil {
 		return err
 	}

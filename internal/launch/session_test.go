@@ -328,8 +328,8 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestSessionPushAndDecodeNonFinite drives both launch-side finiteness
-// checks — Session.Push before any frame is written and BlockReader on the
-// worker — with NaN, +Inf and −Inf at every position of batches of every
+// checks — Session.Push before any frame is written and the block reader on
+// the worker — with NaN, +Inf and −Inf at every position of batches of every
 // tail length. Push rejects before touching the fleet, so a session with
 // no workers suffices.
 func TestSessionPushAndDecodeNonFinite(t *testing.T) {
@@ -340,9 +340,9 @@ func TestSessionPushAndDecodeNonFinite(t *testing.T) {
 		if err := s.Push(b); err == nil || err.Error() != want {
 			t.Fatalf("Push len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
-		want = fmt.Sprintf("launch: snapshot block contains a non-finite value (%g)", x[bad])
+		want = fmt.Sprintf("mat: snapshot block contains a non-finite value (%g) at index %d", x[bad], bad)
 		if _, err := readBlock(blockBody(b)); err == nil || err.Error() != want {
-			t.Fatalf("BlockReader len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
+			t.Fatalf("block reader len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
 	})
 }

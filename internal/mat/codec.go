@@ -1,7 +1,10 @@
 package mat
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -9,7 +12,7 @@ import (
 )
 
 // Little-endian float64 streams: the value encoding of every binary matrix
-// payload in the module (session frames, checkpoints). Neither direction
+// payload in the module (blocks, factor pairs, checkpoints). Neither direction
 // builds a byte copy of the whole matrix. On a little-endian machine the
 // stream's bytes are the values' memory, so both directions move them in
 // place: one read straight into the destination, one write straight from
@@ -108,10 +111,206 @@ func WriteFloats(w io.Writer, buf []byte, data []float64) ([]byte, error) {
 			buf = buf[:0]
 		}
 		k := min(len(data), (cap(buf)-len(buf))/8)
-		for _, v := range data[:k] {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = appendFloats(buf, data[:k])
 		data = data[k:]
 	}
 	return buf, nil
+}
+
+// appendFloats appends data to buf as little-endian float64 values.
+func appendFloats(buf []byte, data []float64) []byte {
+	if nativeLE {
+		return append(buf, floatBytes(data)...)
+	}
+	for _, v := range data {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// Blocks: the one layout in which a matrix or vector crosses a process or
+// disk boundary — rank-mesh data frames, session PUSH and FLOATS bodies,
+// HTTP matrix bodies and WAL batch records:
+//
+//	block := tag:i64le  rows:i64le  cols:i64le  n:u64le  n × f64le
+//
+// The n values are row-major IEEE-754 bit patterns, so a matrix round-trips
+// bit for bit, NaN payloads and signed zeros included. A snapshot block is
+// a block with tag 0, rows and cols at least 1, n = rows·cols and finite
+// values; ReadBlock is the one reader that enforces that. The mesh's own
+// messages (any tag, Rows = −1 for vectors, non-finite values) are decoded
+// structurally by tcptransport.DecodeMessageBody.
+//
+// A factor pair (a sketched batch Q·S) is
+//
+//	pair := qlen:u32le  Q:block  S:block
+//
+// with qlen the length of Q's block: the PUSH-SKETCH session body and,
+// after its magic, the WAL sketch record.
+
+// BlockHeaderLen is the length of a block's header.
+const BlockHeaderLen = 32
+
+// BlockHeader is a block's header as sent: nothing in it is checked.
+type BlockHeader struct {
+	Tag, Rows, Cols int64
+	N               uint64
+}
+
+// ParseBlockHeader decodes the header at the start of b, which holds at
+// least BlockHeaderLen bytes.
+func ParseBlockHeader(b []byte) BlockHeader {
+	return BlockHeader{
+		Tag:  int64(binary.LittleEndian.Uint64(b[0:])),
+		Rows: int64(binary.LittleEndian.Uint64(b[8:])),
+		Cols: int64(binary.LittleEndian.Uint64(b[16:])),
+		N:    binary.LittleEndian.Uint64(b[24:]),
+	}
+}
+
+// BlockLen is the encoded length of a block of n values.
+func BlockLen(n int) int { return BlockHeaderLen + 8*n }
+
+// AppendBlock appends a block carrying data under the given tag and dims.
+// buf grows at most once.
+func AppendBlock(buf []byte, tag, rows, cols int, data []float64) []byte {
+	// With room for the whole block, writeBlock never writes to its writer.
+	buf, _ = writeBlock(nil, slices.Grow(buf, BlockLen(len(data))), tag, rows, cols, data)
+	return buf
+}
+
+// WriteBlock appends m's block (tag 0) to buf, writing buf to w each time
+// its capacity fills, and returns the unwritten tail as WriteFloats does.
+// The values are encoded straight from m's storage, which may be a row
+// view of a larger matrix.
+func WriteBlock(w io.Writer, buf []byte, m *Dense) ([]byte, error) {
+	return writeBlock(w, buf, 0, m.rows, m.cols, m.data)
+}
+
+func writeBlock(w io.Writer, buf []byte, tag, rows, cols int, data []float64) ([]byte, error) {
+	if cap(buf)-len(buf) < BlockHeaderLen && len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		buf = buf[:0]
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(tag)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(rows)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(cols)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
+	return WriteFloats(w, buf, data)
+}
+
+// ErrBlockOverLimit reports a block that declares more values than the
+// bytes its stream may still hold.
+var ErrBlockOverLimit = errors.New("declared size exceeds the bytes left")
+
+// ReadBlock decodes one snapshot block from r, which holds at most limit
+// more bytes, into dst, and returns the block's encoded length. The header
+// is checked before any value is read or any storage reserved: tag 0,
+// rows and cols at least 1, n = rows·cols, and 8·n within limit. The
+// values are then read in bounded chunks (ReadFloats) into dst's own
+// storage when it holds them — so a caller that reads every block into
+// one Dense allocates nothing once shapes are steady — and refused if any
+// is non-finite: NaN or Inf snapshot data would otherwise poison a
+// decomposition silently. scratch carries the header and, where the
+// machine is not little-endian, the values; it holds at least
+// BlockHeaderLen bytes. dst's storage is overwritten.
+func ReadBlock(r io.Reader, limit int64, dst *Dense, scratch []byte) (int, error) {
+	if limit < BlockHeaderLen {
+		return 0, fmt.Errorf("mat: snapshot block truncated: %d bytes, the header alone takes %d", max(limit, 0), BlockHeaderLen)
+	}
+	hdr := scratch[:BlockHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, fmt.Errorf("mat: reading snapshot block header: %w", err)
+	}
+	h := ParseBlockHeader(hdr)
+	// Divide rather than multiply: the counts are the sender's, and
+	// rows·cols or 8·n would wrap for hostile values.
+	switch {
+	case h.Tag != 0:
+		return 0, fmt.Errorf("mat: snapshot block has tag %d, want 0", h.Tag)
+	case h.Rows < 1 || h.Cols < 1:
+		return 0, fmt.Errorf("mat: snapshot block dims %dx%d: both must be >= 1", h.Rows, h.Cols)
+	case h.N%uint64(h.Cols) != 0 || h.N/uint64(h.Cols) != uint64(h.Rows):
+		return 0, fmt.Errorf("mat: snapshot block declares %d values for a %dx%d matrix", h.N, h.Rows, h.Cols)
+	case h.N > uint64(limit-BlockHeaderLen)/8:
+		return 0, fmt.Errorf("mat: %dx%d snapshot block: %w (%d bytes left)", h.Rows, h.Cols, ErrBlockOverLimit, limit-BlockHeaderLen)
+	}
+	data, err := ReadFloats(r, dst.data[:0], int(h.N), scratch)
+	dst.rows, dst.cols, dst.data = 0, 0, data[:0]
+	if err != nil {
+		return 0, fmt.Errorf("mat: reading %dx%d snapshot block values: %w", h.Rows, h.Cols, err)
+	}
+	if i := FirstNonFinite(data); i >= 0 {
+		return 0, fmt.Errorf("mat: snapshot block contains a non-finite value (%g) at index %d", data[i], i)
+	}
+	dst.rows, dst.cols, dst.data = int(h.Rows), int(h.Cols), data
+	return BlockLen(len(data)), nil
+}
+
+// ReadBlockExact reads a snapshot block that is exactly the next n bytes
+// of r into dst, as ReadBlock does.
+func ReadBlockExact(r io.Reader, n int, dst *Dense, scratch []byte) error {
+	used, err := ReadBlock(r, int64(n), dst, scratch)
+	if err == nil && used != n {
+		err = fmt.Errorf("mat: %d bytes after a %dx%d snapshot block", n-used, dst.rows, dst.cols)
+	}
+	return err
+}
+
+// DecodeBlock decodes b, which holds exactly one snapshot block, into
+// fresh storage.
+func DecodeBlock(b []byte) (*Dense, error) {
+	var m Dense
+	if err := ReadBlockExact(bytes.NewReader(b), len(b), &m, make([]byte, 1<<10)); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// FactorPairLen is the encoded length of the factor pair (q, s).
+func FactorPairLen(q, s *Dense) int { return 4 + BlockLen(len(q.data)) + BlockLen(len(s.data)) }
+
+// AppendFactorPair appends the factor pair (q, s) to buf, which grows at
+// most once.
+func AppendFactorPair(buf []byte, q, s *Dense) []byte {
+	// With room for the whole pair, WriteFactorPair never writes to w.
+	buf, _ = WriteFactorPair(nil, slices.Grow(buf, FactorPairLen(q, s)), q, s)
+	return buf
+}
+
+// WriteFactorPair appends the factor pair (q, s) to buf as WriteBlock
+// appends a block.
+func WriteFactorPair(w io.Writer, buf []byte, q, s *Dense) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(BlockLen(len(q.data))))
+	buf, err := WriteBlock(w, buf, q)
+	if err != nil {
+		return buf, err
+	}
+	return WriteBlock(w, buf, s)
+}
+
+// DecodeFactorPair decodes b, which holds exactly one factor pair, into
+// fresh storage. Both factors are snapshot blocks (ReadBlock), and Q's
+// column count matches S's row count, so the product Q·S is well-formed.
+func DecodeFactorPair(b []byte) (q, s *Dense, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("mat: factor pair of %d bytes is too short", len(b))
+	}
+	qlen := uint64(binary.LittleEndian.Uint32(b))
+	if qlen > uint64(len(b)-4) {
+		return nil, nil, fmt.Errorf("mat: factor pair declares a %d-byte Q but carries %d bytes", qlen, len(b)-4)
+	}
+	if q, err = DecodeBlock(b[4 : 4+qlen]); err != nil {
+		return nil, nil, fmt.Errorf("mat: factor pair Q: %w", err)
+	}
+	if s, err = DecodeBlock(b[4+qlen:]); err != nil {
+		return nil, nil, fmt.Errorf("mat: factor pair S: %w", err)
+	}
+	if q.cols != s.rows {
+		return nil, nil, fmt.Errorf("mat: factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
+			q.rows, q.cols, s.rows, s.cols)
+	}
+	return q, s, nil
 }

@@ -353,7 +353,7 @@ func (t *Transport) rendezvousWorker(opts Options, deadline time.Time) error {
 		return fmt.Errorf("tcptransport: sending hello: %w", err)
 	}
 	conn0.SetReadDeadline(deadline)
-	kind, body, err := readFrame(conn0, new([4]byte))
+	kind, body, err := ReadFrame(conn0)
 	if err != nil || kind != kindTable {
 		return fmt.Errorf("tcptransport: waiting for address table: kind=%d err=%v", kind, err)
 	}
@@ -387,7 +387,7 @@ func (t *Transport) rendezvousWorker(opts Options, deadline time.Time) error {
 			return fmt.Errorf("tcptransport: rank %d waiting for %d more mesh peers: %w", t.rank, need, err)
 		}
 		c.SetReadDeadline(deadline)
-		kind, body, err := readFrame(c, new([4]byte))
+		kind, body, err := ReadFrame(c)
 		if err != nil || kind != kindIdent {
 			c.Close()
 			return fmt.Errorf("tcptransport: bad mesh introduction: kind=%d err=%v", kind, err)
@@ -416,7 +416,7 @@ func newLink(peer int, conn net.Conn) *link {
 
 func (t *Transport) expectHello(conn net.Conn, deadline time.Time) (rank int, addr string, err error) {
 	conn.SetReadDeadline(deadline)
-	kind, body, err := readFrame(conn, new([4]byte))
+	kind, body, err := ReadFrame(conn)
 	if err != nil {
 		return 0, "", fmt.Errorf("tcptransport: reading hello: %w", err)
 	}
@@ -457,10 +457,9 @@ func (t *Transport) writeControl(l *link, kind byte) error {
 func (t *Transport) reader(l *link) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(l.conn, 1<<16)
-	var hdr [4]byte
 	for {
 		l.conn.SetReadDeadline(time.Now().Add(t.idleTimeout))
-		kind, body, err := readFrame(br, &hdr)
+		kind, body, err := ReadFrame(br)
 		if err != nil {
 			if t.closing.Load() || t.aborted.Load() {
 				t.inboxes[l.peer].close()
@@ -473,7 +472,7 @@ func (t *Transport) reader(l *link) {
 		}
 		switch kind {
 		case kindData:
-			m, err := decodeData(body)
+			m, err := DecodeMessageBody(body)
 			if err != nil {
 				t.Abort()
 				return
@@ -548,14 +547,13 @@ func (t *Transport) Send(src, dst int, m mpi.Message) error {
 	if dst < 0 || dst >= t.size || dst == t.rank {
 		return fmt.Errorf("tcptransport: send to invalid rank %d", dst)
 	}
-	if 8*len(m.Data)+dataHeaderLen+1 > maxFrame {
+	if err := CheckFrameBody(MessageBodyLen(len(m.Data))); err != nil {
 		// Reject over-sized payloads on the sending side: past the u32
 		// length prefix they could not be framed (and a silently wrapped
 		// length would desynchronize the stream), and failing here names
 		// the offending rank instead of surfacing as a remote decode
 		// abort on the receiver.
-		return fmt.Errorf("tcptransport: message of %d floats exceeds the %d-byte frame limit",
-			len(m.Data), maxFrame)
+		return fmt.Errorf("tcptransport: message of %d floats: %w", len(m.Data), err)
 	}
 	if t.down() {
 		return mpi.ErrAborted

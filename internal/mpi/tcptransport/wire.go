@@ -7,25 +7,29 @@ import (
 	"math"
 	"slices"
 
+	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 )
 
-// Wire format. Every frame is length-prefixed:
+// Wire format. Every frame — on the rank mesh and on a worker's session
+// stdin and stdout (internal/launch) — is length-prefixed:
 //
 //	frame := length:u32le  kind:u8  body
 //
-// where length counts the kind byte plus the body. Kinds:
+// where length counts the kind byte plus the body, at most MaxFrame.
+// WriteFrame, ReadFrameHeader and ReadFrameBody are the one codec for it.
+// Mesh kinds:
 //
 //	hello   := magic:[4]byte  rank:i64le  addrLen:u16le  addr:[addrLen]byte
 //	table   := count:u64le  count × (addrLen:u16le  addr:[addrLen]byte)
 //	ident   := magic:[4]byte  rank:i64le
-//	data    := tag:i64le  rows:i64le  cols:i64le  n:u64le  n × f64le
+//	data    := one block (internal/mat/codec.go) carrying an mpi.Message
 //	barrier-enter, barrier-release, ping, abort, bye := (empty body)
 //
 // Data frames carry mpi.Message verbatim: float64 payloads are transmitted
-// as their IEEE-754 bit patterns (little-endian), so a matrix round-trips
-// bit-for-bit — including NaNs, infinities and signed zeros — and a
-// multi-process run reproduces the in-process result exactly.
+// as their IEEE-754 bit patterns, so a matrix round-trips bit-for-bit —
+// including NaNs, infinities and signed zeros — and a multi-process run
+// reproduces the in-process result exactly.
 const (
 	kindHello byte = iota + 1
 	kindTable
@@ -43,83 +47,163 @@ const (
 // misread as a rank.
 var magic = [4]byte{'g', 'P', 'S', 'V'}
 
-// maxFrame bounds a single frame (1 GiB of payload plus headers); anything
-// larger is treated as a corrupted stream.
-const maxFrame = 1<<30 + 64
+// MaxFrame bounds a frame's length field (1 GiB of payload plus
+// headers); anything larger is treated as a corrupted stream.
+const MaxFrame = 1<<30 + 64
 
-// dataHeaderLen is tag + rows + cols + n.
-const dataHeaderLen = 8 + 8 + 8 + 8
+// frameChunk is the read granularity for frame bodies: a frame whose
+// declared length exceeds the bytes actually sent fails after at most one
+// chunk of allocation, so a hostile length prefix cannot force a huge
+// allocation against a truncated stream.
+const frameChunk = 1 << 20
 
-// appendFrameHeader appends the u32 length prefix and kind byte for a body
-// of the given length.
-func appendFrameHeader(buf []byte, kind byte, bodyLen int) []byte {
+// CheckFrameBody reports whether a body of n bytes fits in one frame.
+func CheckFrameBody(n int) error {
+	if n+1 > MaxFrame {
+		return fmt.Errorf("tcptransport: frame body of %d bytes exceeds the %d-byte bound", n, MaxFrame-1)
+	}
+	return nil
+}
+
+// AppendFrameHeader appends the u32 length prefix and kind byte for a body
+// of the given length, which CheckFrameBody accepts.
+func AppendFrameHeader(buf []byte, kind byte, bodyLen int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen+1))
 	return append(buf, kind)
 }
 
+// WriteFrame writes one frame carrying body, which may be empty.
+func WriteFrame(w io.Writer, kind byte, body []byte) error {
+	return WriteSizedFrame(w, kind, len(body), func(w io.Writer) error {
+		if len(body) == 0 {
+			return nil
+		}
+		_, err := w.Write(body)
+		return err
+	})
+}
+
+// WriteSizedFrame writes one frame whose n-byte body is produced by body
+// writing to w directly, so a large body (a SAVE checkpoint) is never
+// assembled in memory. It errors if body writes other than n bytes; the
+// stream is then corrupt and must be abandoned.
+func WriteSizedFrame(w io.Writer, kind byte, n int, body func(io.Writer) error) error {
+	if err := CheckFrameBody(n); err != nil {
+		return err
+	}
+	if _, err := w.Write(AppendFrameHeader(make([]byte, 0, 5), kind, n)); err != nil {
+		return err
+	}
+	cw := &countingWriter{w: w}
+	if err := body(cw); err != nil {
+		return err
+	}
+	if cw.n != n {
+		return fmt.Errorf("tcptransport: frame kind 0x%02x declared %d body bytes, wrote %d", kind, n, cw.n)
+	}
+	return nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += n
+	return n, err
+}
+
+// ReadFrame reads one frame: ReadFrameHeader, then ReadFrameBody.
+func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
+	kind, n, err := ReadFrameHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	body, err = ReadFrameBody(r, n)
+	return kind, body, err
+}
+
+// ReadFrameHeader reads a frame's length prefix and kind and returns the
+// length of the body still to be read. The declared length is checked
+// against MaxFrame before anything is allocated. A stream that ends
+// cleanly before the frame returns io.EOF.
+func ReadFrameHeader(r io.Reader) (kind byte, n int, err error) {
+	var hdr [5]byte
+	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, err
+	}
+	size := binary.LittleEndian.Uint32(hdr[:4])
+	if size < 1 || size > MaxFrame {
+		return 0, 0, fmt.Errorf("tcptransport: invalid frame length %d", size)
+	}
+	if _, err = io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, 0, fmt.Errorf("tcptransport: short frame: %w", err)
+	}
+	return hdr[4], int(size) - 1, nil
+}
+
+// ReadFrameBody reads an n-byte frame body in chunks of at most
+// frameChunk, so a truncated stream errors out after at most frameChunk
+// bytes of allocation beyond what it carried instead of committing the
+// declared length up front.
+func ReadFrameBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, frameChunk))
+	for len(body) < n {
+		off, chunk := len(body), min(n-len(body), frameChunk)
+		// Extend in place: the bytes are read straight into the body, not
+		// into a zero-filled temporary appended to it.
+		body = slices.Grow(body, chunk)[:off+chunk]
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			return nil, fmt.Errorf("tcptransport: short frame: %w", err)
+		}
+	}
+	return body, nil
+}
+
 // appendData appends a complete data frame carrying m.
 func appendData(buf []byte, m mpi.Message) []byte {
-	buf = appendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
+	buf = AppendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
 	return AppendMessageBody(buf, m)
 }
 
-// AppendMessageBody appends the body of a data frame — tag, dims, count,
-// then the float64 payload as IEEE-754 little-endian bit patterns. It is
-// exported so other launcher↔worker protocols (the internal/launch session
-// protocol carrying snapshot blocks over worker stdin) share the exact
-// framing that makes matrices round-trip bit-for-bit, including NaNs,
-// infinities and signed zeros.
-//
-// The body is sized once: buf grows at most one time, and the header and
-// every value are written in place.
+// AppendMessageBody appends the body of a data frame: m as one block
+// (mat.AppendBlock) under its own tag. Other protocols that carry an
+// mpi.Message — the session FLOATS reply — share it.
 func AppendMessageBody(buf []byte, m mpi.Message) []byte {
-	off := len(buf)
-	buf = slices.Grow(buf, MessageBodyLen(len(m.Data)))[:off+MessageBodyLen(len(m.Data))]
-	b := buf[off:]
-	binary.LittleEndian.PutUint64(b[0:], uint64(int64(m.Tag)))
-	binary.LittleEndian.PutUint64(b[8:], uint64(int64(m.Rows)))
-	binary.LittleEndian.PutUint64(b[16:], uint64(int64(m.Cols)))
-	binary.LittleEndian.PutUint64(b[24:], uint64(len(m.Data)))
-	b = b[dataHeaderLen:]
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return buf
+	return mat.AppendBlock(buf, m.Tag, m.Rows, m.Cols, m.Data)
 }
 
 // MessageBodyLen is the length of a data-frame body carrying n values.
-func MessageBodyLen(n int) int { return dataHeaderLen + 8*n }
-
-// decodeData parses the body of a data frame.
-func decodeData(body []byte) (mpi.Message, error) { return DecodeMessageBody(body) }
+func MessageBodyLen(n int) int { return mat.BlockLen(n) }
 
 // DecodeMessageBody parses a data-frame body produced by
-// AppendMessageBody. The declared float count is validated against the
-// bytes actually present before any allocation, so a corrupt or hostile
-// length can neither over-allocate nor panic.
+// AppendMessageBody. It checks structure only — any tag, any dims and
+// non-finite values pass, as the mesh's own messages need; snapshot data
+// is read by mat.ReadBlock instead. The declared float count is checked
+// against the bytes actually present before any allocation, so a corrupt
+// or hostile length can neither over-allocate nor panic.
 func DecodeMessageBody(body []byte) (mpi.Message, error) {
-	if len(body) < dataHeaderLen {
+	if len(body) < mat.BlockHeaderLen {
 		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", len(body))
 	}
-	m := mpi.Message{
-		Tag:  int(int64(binary.LittleEndian.Uint64(body[0:]))),
-		Rows: int(int64(binary.LittleEndian.Uint64(body[8:]))),
-		Cols: int(int64(binary.LittleEndian.Uint64(body[16:]))),
-	}
+	h := mat.ParseBlockHeader(body)
+	m := mpi.Message{Tag: int(h.Tag), Rows: int(h.Rows), Cols: int(h.Cols)}
 	// Overflow-safe count check: divide the payload instead of
 	// multiplying the (attacker-controlled) count — 8·n wraps uint64 for
 	// n ≥ 2^61 and could otherwise alias a small payload length, driving
 	// make() below into a huge allocation or a panic.
-	n := binary.LittleEndian.Uint64(body[24:])
-	payload := len(body) - dataHeaderLen
-	if payload%8 != 0 || n != uint64(payload/8) {
+	payload := len(body) - mat.BlockHeaderLen
+	if payload%8 != 0 || h.N != uint64(payload/8) {
 		return mpi.Message{}, fmt.Errorf("tcptransport: data frame declares %d floats, carries %d bytes",
-			n, payload)
+			h.N, payload)
 	}
-	if n > 0 {
-		m.Data = make([]float64, n)
+	if h.N > 0 {
+		m.Data = make([]float64, h.N)
 		for i := range m.Data {
-			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[dataHeaderLen+8*i:]))
+			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[mat.BlockHeaderLen+8*i:]))
 		}
 	}
 	return m, nil
@@ -129,7 +213,7 @@ func DecodeMessageBody(body []byte) (mpi.Message, error) {
 // peer's mesh listener advertises; empty when the rank accepts no inbound
 // mesh connections).
 func appendHello(buf []byte, rank int, addr string) []byte {
-	buf = appendFrameHeader(buf, kindHello, 4+8+2+len(addr))
+	buf = AppendFrameHeader(buf, kindHello, 4+8+2+len(addr))
 	buf = append(buf, magic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(rank)))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(addr)))
@@ -151,7 +235,7 @@ func decodeHello(body []byte) (rank int, addr string, err error) {
 // appendIdent appends a complete ident frame (a worker introducing itself
 // on a direct mesh connection).
 func appendIdent(buf []byte, rank int) []byte {
-	buf = appendFrameHeader(buf, kindIdent, 4+8)
+	buf = AppendFrameHeader(buf, kindIdent, 4+8)
 	buf = append(buf, magic[:]...)
 	return binary.LittleEndian.AppendUint64(buf, uint64(int64(rank)))
 }
@@ -170,7 +254,7 @@ func appendTable(buf []byte, addrs []string) []byte {
 	for _, a := range addrs {
 		bodyLen += 2 + len(a)
 	}
-	buf = appendFrameHeader(buf, kindTable, bodyLen)
+	buf = AppendFrameHeader(buf, kindTable, bodyLen)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(addrs)))
 	for _, a := range addrs {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(a)))
@@ -209,21 +293,5 @@ func decodeTable(body []byte) ([]string, error) {
 
 // appendControl appends a bodyless frame of the given kind.
 func appendControl(buf []byte, kind byte) []byte {
-	return appendFrameHeader(buf, kind, 0)
-}
-
-// readFrame reads one length-prefixed frame from r.
-func readFrame(r io.Reader, hdr *[4]byte) (kind byte, body []byte, err error) {
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("tcptransport: invalid frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("tcptransport: short frame: %w", err)
-	}
-	return buf[0], buf[1:], nil
+	return AppendFrameHeader(buf, kind, 0)
 }

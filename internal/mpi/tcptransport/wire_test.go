@@ -38,13 +38,13 @@ func TestWireDataRoundTrip(t *testing.T) {
 	}
 	for i, want := range cases {
 		frame := appendData(nil, want)
-		kind, body, err := readFrame(bytes.NewReader(frame), new([4]byte))
+		kind, body, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil || kind != kindData {
-			t.Fatalf("case %d: readFrame kind=%d err=%v", i, kind, err)
+			t.Fatalf("case %d: ReadFrame kind=%d err=%v", i, kind, err)
 		}
-		got, err := decodeData(body)
+		got, err := DecodeMessageBody(body)
 		if err != nil {
-			t.Fatalf("case %d: decodeData: %v", i, err)
+			t.Fatalf("case %d: DecodeMessageBody: %v", i, err)
 		}
 		if got.Tag != want.Tag || got.Rows != want.Rows || got.Cols != want.Cols || len(got.Data) != len(want.Data) {
 			t.Fatalf("case %d: header mismatch: got %+v want %+v", i, got, want)
@@ -60,7 +60,7 @@ func TestWireDataRoundTrip(t *testing.T) {
 
 func TestWireHandshakeFrames(t *testing.T) {
 	frame := appendHello(nil, 3, "10.0.0.7:9000")
-	kind, body, err := readFrame(bytes.NewReader(frame), new([4]byte))
+	kind, body, err := ReadFrame(bytes.NewReader(frame))
 	if err != nil || kind != kindHello {
 		t.Fatalf("hello: kind=%d err=%v", kind, err)
 	}
@@ -70,7 +70,7 @@ func TestWireHandshakeFrames(t *testing.T) {
 	}
 
 	frame = appendIdent(nil, 11)
-	kind, body, err = readFrame(bytes.NewReader(frame), new([4]byte))
+	kind, body, err = ReadFrame(bytes.NewReader(frame))
 	if err != nil || kind != kindIdent {
 		t.Fatalf("ident: kind=%d err=%v", kind, err)
 	}
@@ -80,7 +80,7 @@ func TestWireHandshakeFrames(t *testing.T) {
 
 	addrs := []string{"", "127.0.0.1:41001", "127.0.0.1:41002", ""}
 	frame = appendTable(nil, addrs)
-	kind, body, err = readFrame(bytes.NewReader(frame), new([4]byte))
+	kind, body, err = ReadFrame(bytes.NewReader(frame))
 	if err != nil || kind != kindTable {
 		t.Fatalf("table: kind=%d err=%v", kind, err)
 	}
@@ -97,15 +97,15 @@ func TestWireHandshakeFrames(t *testing.T) {
 
 func TestWireRejectsCorruption(t *testing.T) {
 	// A zero-length frame and an absurd length must both be rejected.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0, 1}), new([4]byte)); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0, 1})); err == nil {
 		t.Error("zero-length frame accepted")
 	}
-	if _, _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 1}), new([4]byte)); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 1})); err == nil {
 		t.Error("oversized frame accepted")
 	}
 	// A data body whose float count disagrees with its length is corrupt.
 	frame := appendData(nil, mpi.Message{Tag: 1, Data: []float64{1, 2, 3}, Rows: -1})
-	if _, err := decodeData(frame[5 : len(frame)-8]); err == nil {
+	if _, err := DecodeMessageBody(frame[5 : len(frame)-8]); err == nil {
 		t.Error("truncated data body accepted")
 	}
 	// Hello/ident without the magic must be rejected.

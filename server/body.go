@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,19 +12,13 @@ import (
 
 	parsvd "goparsvd"
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/mpi/tcptransport"
 )
 
 // Binary matrix bodies. Every endpoint that takes or returns a matrix
-// speaks JSON (MatrixJSON) and one binary form:
-//
-//	matrix := tag:i64le (0)  rows:i64le  cols:i64le  n:u64le  n × f64le
-//
-// the tcptransport data-frame body, byte for byte the WAL batch record:
-// the n = rows·cols values are row-major IEEE-754 bit patterns, so a
-// matrix crosses HTTP bit-for-bit. A request sends it under
-// Content-Type: MatrixContentType (/push-sketch sends Q's body, then
+// speaks JSON (MatrixJSON) and one binary form: a snapshot block in the
+// layout of internal/mat/codec.go, byte for byte the WAL batch record, so
+// a matrix crosses HTTP bit-for-bit. A request sends it under
+// Content-Type: MatrixContentType (/push-sketch sends Q's block, then
 // S's); a response carries it when the request's Accept names
 // MatrixContentType, with the View version in the VersionHeader. Any
 // other content type is JSON.
@@ -37,68 +29,29 @@ const (
 	// (and of a /checkpoint download).
 	VersionHeader = "X-Parsvd-Version"
 
-	// matrixHeaderLen is tag + rows + cols + n.
-	matrixHeaderLen = 32
 	// chunkBytes is the scratch buffer ReadMatrix streams values through.
 	chunkBytes = 32 << 10
 )
 
-// errOverLimit reports a matrix whose declared values do not fit in the
-// bytes its reader may still hold.
-var errOverLimit = errors.New("declared size exceeds the body")
-
 var chunkPool = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
-
-// matrixBodyLen is the encoded size of m.
-func matrixBodyLen(m *parsvd.Matrix) int64 {
-	return matrixHeaderLen + 8*int64(len(m.RawData()))
-}
 
 // AppendMatrix appends m's binary body to buf.
 func AppendMatrix(buf []byte, m *parsvd.Matrix) []byte {
-	return tcptransport.AppendMessageBody(buf, mpi.Message{Rows: m.Rows(), Cols: m.Cols(), Data: m.RawData()})
+	return mat.AppendBlock(buf, 0, m.Rows(), m.Cols(), m.RawData())
 }
 
 // ReadMatrix decodes one binary matrix body from r, which holds at most
-// limit more bytes. The header is validated before anything is
-// allocated — tag 0, both dims at least 1, n = rows·cols, and 8·n within
-// limit — and the values are then decoded in bounded chunks straight into
-// the matrix's backing slice. Non-finite values are refused, as the
-// facade refuses them in a pushed batch.
+// limit more bytes, with every check of mat.ReadBlock: the header is
+// validated before anything is allocated, and non-finite values are
+// refused, as the facade refuses them in a pushed batch.
 func ReadMatrix(r io.Reader, limit int64) (*parsvd.Matrix, error) {
-	if limit < matrixHeaderLen {
-		return nil, fmt.Errorf("server: matrix body truncated: %d bytes, the header alone takes %d", max(limit, 0), matrixHeaderLen)
-	}
-	var hdr [matrixHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("server: reading matrix header: %w", err)
-	}
-	tag := int64(binary.LittleEndian.Uint64(hdr[0:]))
-	rows := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	cols := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	n := binary.LittleEndian.Uint64(hdr[24:])
-	// Divide rather than multiply: the counts are the sender's, and
-	// rows·cols or 8·n would wrap for hostile values.
-	switch {
-	case tag != 0:
-		return nil, fmt.Errorf("server: matrix body has tag %d, want 0", tag)
-	case rows < 1 || cols < 1:
-		return nil, fmt.Errorf("server: matrix dims %dx%d: both must be >= 1", rows, cols)
-	case n%uint64(cols) != 0 || n/uint64(cols) != uint64(rows):
-		return nil, fmt.Errorf("server: matrix body declares %d values for a %dx%d matrix", n, rows, cols)
-	case n > uint64(limit-matrixHeaderLen)/8:
-		return nil, fmt.Errorf("server: %dx%d matrix body: %w (%d bytes left)", rows, cols, errOverLimit, limit-matrixHeaderLen)
-	}
 	buf := chunkPool.Get().(*[chunkBytes]byte)
 	defer chunkPool.Put(buf)
-	data, err := mat.ReadFloats(r, make([]float64, 0, n), int(n), buf[:])
-	if err != nil {
-		return nil, fmt.Errorf("server: reading %dx%d matrix values: %w", rows, cols, err)
+	m := new(parsvd.Matrix)
+	if _, err := mat.ReadBlock(r, limit, m, buf[:]); err != nil {
+		return nil, err
 	}
-	if i := mat.FirstNonFinite(data); i >= 0 {
-		return nil, fmt.Errorf("server: matrix body contains a non-finite value (%g) at index %d", data[i], i)
-	}
-	return parsvd.NewMatrixFromData(int(rows), int(cols), data)
+	return m, nil
 }
 
 // readMatrices decodes the count consecutive binary matrix bodies that
@@ -110,7 +63,7 @@ func readMatrices(r io.Reader, limit int64, count int) ([]*parsvd.Matrix, error)
 		if err != nil {
 			return nil, err
 		}
-		limit -= matrixBodyLen(m)
+		limit -= int64(mat.BlockLen(len(m.RawData())))
 		ms[i] = m
 	}
 	var extra [1]byte
@@ -122,16 +75,6 @@ func readMatrices(r io.Reader, limit int64, count int) ([]*parsvd.Matrix, error)
 	default:
 		return nil, fmt.Errorf("server: reading past the last matrix body: %w", err)
 	}
-}
-
-// decodeMatrixBytes decodes a buffer that holds exactly one binary matrix
-// body.
-func decodeMatrixBytes(b []byte) (*parsvd.Matrix, error) {
-	ms, err := readMatrices(bytes.NewReader(b), int64(len(b)), 1)
-	if err != nil {
-		return nil, err
-	}
-	return ms[0], nil
 }
 
 // binaryBody reports whether a request's Content-Type names a binary
@@ -241,7 +184,7 @@ func (s *Server) readBinary(r *http.Request, count int) ([]*parsvd.Matrix, error
 		return nil, tooLarge(s.cfg.MaxBodyBytes)
 	}
 	ms, err := readMatrices(r.Body, limit, count)
-	if !declared && errors.Is(err, errOverLimit) {
+	if !declared && errors.Is(err, mat.ErrBlockOverLimit) {
 		return nil, tooLarge(s.cfg.MaxBodyBytes)
 	}
 	if err != nil {
@@ -258,7 +201,7 @@ func writeMatrix(w http.ResponseWriter, r *http.Request, m *parsvd.Matrix, versi
 		writeJSON(w, http.StatusOK, asJSON)
 		return
 	}
-	body := AppendMatrix(make([]byte, 0, matrixBodyLen(m)), m)
+	body := AppendMatrix(nil, m)
 	w.Header().Set("Content-Type", MatrixContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))

@@ -97,7 +97,7 @@ func TestReadMatrixNonFinite(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := AppendMatrix(nil, m)
-		want := fmt.Sprintf("server: matrix body contains a non-finite value (%g) at index %d", x[bad], bad)
+		want := fmt.Sprintf("mat: snapshot block contains a non-finite value (%g) at index %d", x[bad], bad)
 		if _, err := ReadMatrix(bytes.NewReader(body), int64(len(body))); err == nil || err.Error() != want {
 			t.Fatalf("len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}

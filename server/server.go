@@ -20,7 +20,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -349,26 +348,7 @@ func (s *Server) restoreModel(name string) error {
 				return fmt.Errorf("wal resumes at seq %d but the checkpoint covers through %d (gap)", seq, expected)
 			}
 			expected = seq
-			// A merge record replays through Merge (re-absorbing the
-			// logged checkpoint), a sketch record through PushSketch (the
-			// compressed pair reconstructs deterministically, so replay is
-			// bit-exact), a batch record through Push — the same
-			// operations, in the same order, as the original ingest.
-			if isMergePayload(payload) {
-				return svd.Merge(bytes.NewReader(mergeCheckpoint(payload)))
-			}
-			if isSketchPayload(payload) {
-				q, sk, err := decodeSketchPayload(payload)
-				if err != nil {
-					return err
-				}
-				return svd.PushSketch(q, sk)
-			}
-			batch, err := decodeBatchPayload(payload)
-			if err != nil {
-				return err
-			}
-			return svd.Push(batch)
+			return replayRecord(svd, payload)
 		})
 		if replayErr != nil {
 			wlog.Close()

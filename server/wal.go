@@ -1,13 +1,14 @@
 package server
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	parsvd "goparsvd"
+	"goparsvd/internal/mat"
 	"goparsvd/internal/wal"
 )
 
@@ -74,18 +75,24 @@ func openModelWAL(cfg Config, name string) (*wal.Log, error) {
 
 // encodeBatchPayload frames one applied micro-batch as a WAL record
 // payload: its binary matrix body (body.go), so the matrix round-trips
-// bit-for-bit (IEEE-754 bit patterns, little-endian) — replaying the log
-// reproduces the exact update stream.
-func encodeBatchPayload(b *parsvd.Matrix) []byte {
-	return AppendMatrix(make([]byte, 0, matrixBodyLen(b)), b)
+// bit-for-bit — replaying the log reproduces the exact update stream.
+func encodeBatchPayload(b *parsvd.Matrix) []byte { return AppendMatrix(nil, b) }
+
+// decodeBatchPayload is the replay-side inverse.
+func decodeBatchPayload(payload []byte) (*parsvd.Matrix, error) {
+	m, err := mat.DecodeBlock(payload)
+	if err != nil {
+		return nil, fmt.Errorf("server: wal record: %w", err)
+	}
+	return m, nil
 }
 
 // mergeMagic prefixes a WAL record that carries a merge instead of a
 // snapshot micro-batch: the payload is the magic followed by the
 // absorbed checkpoint bytes, verbatim. The prefix cannot collide with a
-// batch record: a batch payload is a tcptransport message body, whose
-// first 8 bytes are the little-endian Tag — always zero for ingest
-// batches — while the magic is 8 non-zero ASCII bytes.
+// batch record: a batch payload is a snapshot block, whose first 8 bytes
+// are the little-endian tag — always zero — while the magic is 8 non-zero
+// ASCII bytes.
 var mergeMagic = []byte("GPSVMERG")
 
 // encodeMergePayload frames an applied merge for the WAL: replaying it
@@ -107,18 +114,14 @@ func mergeCheckpoint(payload []byte) []byte { return payload[len(mergeMagic):] }
 // the reconstructed Q·S — so the log stays as small as the wire traffic
 // and replay reproduces the identical deterministic reconstruction. Like
 // mergeMagic, the 8 non-zero ASCII bytes cannot collide with a batch
-// record (whose first 8 bytes are the always-zero little-endian Tag).
+// record.
 var sketchMagic = []byte("GPSVSKCH")
 
-// encodeSketchPayload frames an applied sketched push for the WAL:
-// magic, a u32le length of the Q body, then the Q and S matrices in the
-// same bit-exact binary matrix bodies batch records use.
+// encodeSketchPayload frames an applied sketched push for the WAL: the
+// magic, then the factor pair in the layout of internal/mat/codec.go.
 func encodeSketchPayload(q, s *parsvd.Matrix) []byte {
-	payload := make([]byte, 0, int64(len(sketchMagic)+4)+matrixBodyLen(q)+matrixBodyLen(s))
-	payload = append(payload, sketchMagic...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(matrixBodyLen(q)))
-	payload = AppendMatrix(payload, q)
-	return AppendMatrix(payload, s)
+	payload := append(make([]byte, 0, len(sketchMagic)+mat.FactorPairLen(q, s)), sketchMagic...)
+	return mat.AppendFactorPair(payload, q, s)
 }
 
 // isSketchPayload distinguishes sketched-push records from the others.
@@ -128,38 +131,30 @@ func isSketchPayload(payload []byte) bool {
 
 // decodeSketchPayload is the replay-side inverse of encodeSketchPayload.
 func decodeSketchPayload(payload []byte) (q, s *parsvd.Matrix, err error) {
-	body := payload[len(sketchMagic):]
-	if len(body) < 4 {
-		return nil, nil, fmt.Errorf("server: wal sketch record truncated (%d bytes)", len(payload))
-	}
-	qlen := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	if qlen < 0 || qlen > len(body) {
-		return nil, nil, fmt.Errorf("server: wal sketch record claims %d-byte Q in a %d-byte body", qlen, len(body))
-	}
-	decode := func(part []byte, what string) (*parsvd.Matrix, error) {
-		m, err := decodeMatrixBytes(part)
-		if err != nil {
-			return nil, fmt.Errorf("server: wal sketch record %s: %w", what, err)
-		}
-		return m, nil
-	}
-	if q, err = decode(body[:qlen], "Q"); err != nil {
-		return nil, nil, err
-	}
-	if s, err = decode(body[qlen:], "S"); err != nil {
-		return nil, nil, err
-	}
-	return q, s, nil
+	return mat.DecodeFactorPair(payload[len(sketchMagic):])
 }
 
-// decodeBatchPayload is the replay-side inverse.
-func decodeBatchPayload(payload []byte) (*parsvd.Matrix, error) {
-	m, err := decodeMatrixBytes(payload)
-	if err != nil {
-		return nil, fmt.Errorf("server: wal record: %w", err)
+// replayRecord re-applies one WAL record to svd: a merge record through
+// Merge (re-absorbing the logged checkpoint), a sketch record through
+// PushSketch (the compressed pair reconstructs deterministically, so
+// replay is bit-exact), a batch record through Push — the same
+// operations, in the same order, as the original ingest.
+func replayRecord(svd *parsvd.SVD, payload []byte) error {
+	if isMergePayload(payload) {
+		return svd.Merge(bytes.NewReader(mergeCheckpoint(payload)))
 	}
-	return m, nil
+	if isSketchPayload(payload) {
+		q, sk, err := decodeSketchPayload(payload)
+		if err != nil {
+			return fmt.Errorf("server: wal sketch record: %w", err)
+		}
+		return svd.PushSketch(q, sk)
+	}
+	batch, err := decodeBatchPayload(payload)
+	if err != nil {
+		return err
+	}
+	return svd.Push(batch)
 }
 
 // writeSpecFile persists the creation spec durably (write, fsync, atomic
