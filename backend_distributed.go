@@ -1,11 +1,12 @@
 package parsvd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
+	"goparsvd/internal/core"
 	"goparsvd/internal/launch"
 	"goparsvd/internal/mat"
 )
@@ -173,9 +174,9 @@ func (d *distEngine) result() (*Result, error) {
 	st := d.sess.Stats()
 	// Modes stays nil: the M×K matrix lives row-distributed in the worker
 	// processes; ModesSHA256 fingerprints the gathered matrix bit-exactly
-	// and Save gathers it into a checkpoint when the caller wants it.
+	// and state() gathers it when the caller saves or merges.
 	// The fingerprint costs one gather collective per result() — the same
-	// M×K gather the Parallel backend's result() performs — so serving a
+	// M×K gather the Parallel backend's Result performs — so serving a
 	// distributed model is no more expensive per published view than
 	// serving a parallel one; the server's micro-batching amortizes both.
 	return &Result{
@@ -186,25 +187,25 @@ func (d *distEngine) result() (*Result, error) {
 	}, nil
 }
 
-// save gathers the global state at rank 0 and writes the facade
-// checkpoint format: the bytes are exactly what the serial engine would
-// have written for the gathered state, so Load resumes a distributed run
-// the same way it resumes a parallel one (serially, from global modes).
-func (d *distEngine) save(w io.Writer, _ *Result) error {
+// state gathers the global state at rank 0, which ships it back as a
+// checkpoint (SAVE). Those bytes come from another process, so they are
+// parsed and checked like any checkpoint from outside.
+func (d *distEngine) state() (core.State, error) {
 	if d.failed != nil {
-		return d.failed
+		return core.State{}, d.failed
 	}
 	if d.sess == nil || d.rows == 0 {
-		return errors.New("parsvd: no data ingested yet")
+		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
 	blob, err := d.sess.Save()
 	if err != nil {
-		return d.sessionErr("gathering distributed checkpoint", err)
+		return core.State{}, d.sessionErr("gathering distributed checkpoint", err)
 	}
-	if _, err := w.Write(blob); err != nil {
-		return fmt.Errorf("parsvd: writing checkpoint: %w", err)
+	st, err := core.ReadState(bytes.NewReader(blob))
+	if err != nil {
+		return core.State{}, fmt.Errorf("parsvd: reading distributed checkpoint: %w", err)
 	}
-	return nil
+	return st, nil
 }
 
 func (d *distEngine) stats() Stats {

@@ -3,7 +3,6 @@ package parsvd
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"goparsvd/internal/core"
@@ -30,31 +29,20 @@ type parallelEngine struct {
 
 	rows   int // global row count, 0 until the first batch
 	parts  []grid.Range
-	pushed int // batches ingested
 	failed error
 }
 
-type parOpKind int
-
-const (
-	parPush parOpKind = iota
-	parGather
-)
-
+// parOp is one rank's share of an operation: the push of its row block,
+// or the gather when block is nil.
 type parOp struct {
-	kind  parOpKind
-	block *mat.Dense // parPush: this rank's row block
+	block *mat.Dense
 	reply chan<- parReply
 }
 
 type parReply struct {
 	rank int
 	err  error
-	// Rank 0's gather payload.
-	modes      *mat.Dense
-	singular   []float64
-	iterations int
-	snapshots  int
+	st   core.State // rank 0's gather: the global state, modes mode-major
 }
 
 func newParallelEngine(opts core.Options, ranks int) *parallelEngine {
@@ -92,24 +80,23 @@ func (pe *parallelEngine) rankLoop(rank int) {
 					}
 				}
 			}()
-			switch op.kind {
-			case parPush:
-				if eng == nil {
-					eng = core.NewParallel(c, pe.opts)
-					eng.Initialize(op.block)
-				} else {
-					eng.IncorporateData(op.block)
-				}
-			case parGather:
+			switch {
+			case op.block == nil:
 				rows := eng.GatherModeRows()
 				if rank == 0 {
-					// The one transpose of a read: the gathered K×M rows
-					// become the caller's M×K matrix.
-					reply.modes = rows.T()
-					reply.singular = append([]float64(nil), eng.SingularValues()...)
-					reply.iterations = eng.Iterations()
-					reply.snapshots = eng.SnapshotsSeen()
+					reply.st = core.State{
+						Opts:       eng.Options(),
+						ModeRows:   rows,
+						Singular:   eng.SingularValues(),
+						Iterations: eng.Iterations(),
+						Snapshots:  eng.SnapshotsSeen(),
+					}
 				}
+			case eng == nil:
+				eng = core.NewParallel(c, pe.opts)
+				eng.Initialize(op.block)
+			default:
+				eng.IncorporateData(op.block)
 			}
 		}()
 		op.reply <- reply
@@ -161,67 +148,29 @@ func (pe *parallelEngine) push(b *mat.Dense) error {
 	}
 	_, err := pe.dispatch(func(rank int) parOp {
 		p := pe.parts[rank]
-		return parOp{kind: parPush, block: b.SliceRows(p.Start, p.End)}
+		return parOp{block: b.SliceRows(p.Start, p.End)}
 	})
 	if err != nil {
 		pe.failed = fmt.Errorf("%w: parallel update failed: %w", ErrEngineFailed, err)
 		return pe.failed
 	}
-	pe.pushed++
 	return nil
 }
 
-func (pe *parallelEngine) gather() (parReply, error) {
+// state gathers the global state at rank 0: one collective.
+func (pe *parallelEngine) state() (core.State, error) {
 	if pe.failed != nil {
-		return parReply{}, pe.failed
+		return core.State{}, pe.failed
 	}
 	if pe.rows == 0 {
-		return parReply{}, errors.New("parsvd: no data ingested yet")
+		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
-	root, err := pe.dispatch(func(int) parOp { return parOp{kind: parGather} })
+	root, err := pe.dispatch(func(int) parOp { return parOp{} })
 	if err != nil {
 		pe.failed = fmt.Errorf("%w: gathering modes failed: %w", ErrEngineFailed, err)
-		return parReply{}, pe.failed
+		return core.State{}, pe.failed
 	}
-	return root, nil
-}
-
-func (pe *parallelEngine) result() (*Result, error) {
-	root, err := pe.gather()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Modes:      root.modes,
-		Singular:   root.singular,
-		Iterations: root.iterations,
-		Snapshots:  root.snapshots,
-	}, nil
-}
-
-// save serializes the global state in the serial checkpoint format, so a
-// parallel run's checkpoint can be resumed anywhere (Load returns a
-// serial-backend SVD holding the global modes). A result just gathered by
-// the caller is reused; otherwise one gather collective runs here.
-func (pe *parallelEngine) save(w io.Writer, res *Result) error {
-	if res == nil {
-		root, err := pe.gather()
-		if err != nil {
-			return err
-		}
-		res = &Result{
-			Modes:      root.modes,
-			Singular:   root.singular,
-			Iterations: root.iterations,
-			Snapshots:  root.snapshots,
-		}
-	}
-	eng, err := restoreSerialEngine(pe.opts, res.Modes, res.Singular,
-		res.Iterations, res.Snapshots)
-	if err != nil {
-		return fmt.Errorf("parsvd: assembling checkpoint state: %w", err)
-	}
-	return eng.save(w, nil)
+	return root.st, nil
 }
 
 func (pe *parallelEngine) stats() Stats {

@@ -31,7 +31,7 @@ func TestParallelDispatchReportsOriginatingPanic(t *testing.T) {
 			if rank == 0 {
 				cols = 9
 			}
-			return parOp{kind: parPush, block: a.Slice(p.Start, p.End, 4, cols)}
+			return parOp{block: a.Slice(p.Start, p.End, 4, cols)}
 		})
 		pe.close()
 		if err == nil {

@@ -3,7 +3,6 @@ package parsvd
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
@@ -30,20 +29,28 @@ func newSerialEngine(opts core.Options) *serialEngine {
 	return &serialEngine{opts: opts, svd: core.NewSerial(opts)}
 }
 
-// restoreSerialEngine rebuilds an engine from held state (a checkpoint, a
-// merge or a gathered global result), refusing invalid options or state
-// with an error.
-func restoreSerialEngine(opts core.Options, modes *mat.Dense, singular []float64,
-	iterations, snapshots int) (*serialEngine, error) {
-	opts, err := opts.Validated()
+// restoreSerialEngine rebuilds an engine from held state (a checkpoint or
+// a merge), refusing invalid options or state with an error.
+func restoreSerialEngine(st core.State) (*serialEngine, error) {
+	st, err := st.Validated()
 	if err != nil {
 		return nil, err
 	}
-	svd, err := core.RestoreSerial(opts, modes, singular, iterations, snapshots)
+	modes := modeMatrix(st)
+	svd, err := core.RestoreSerial(st.Opts, modes, st.Singular, st.Iterations, st.Snapshots)
 	if err != nil {
 		return nil, err
 	}
-	return &serialEngine{opts: opts, svd: svd, rows: modes.Rows()}, nil
+	return &serialEngine{opts: st.Opts, svd: svd, rows: modes.Rows()}, nil
+}
+
+// modeMatrix is st's modes as the M×K matrix, transposed out of ModeRows
+// when st holds them mode-major.
+func modeMatrix(st core.State) *mat.Dense {
+	if st.Modes != nil {
+		return st.Modes
+	}
+	return st.ModeRows.T()
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
@@ -59,35 +66,18 @@ func (e *serialEngine) push(b *mat.Dense) error {
 	return nil
 }
 
-func (e *serialEngine) result() (*Result, error) {
+// state reads the engine in place: the modes stay mode-major.
+func (e *serialEngine) state() (core.State, error) {
 	if e.rows == 0 {
-		return nil, errors.New("parsvd: no data ingested yet")
+		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
-	return &Result{
-		Modes:      e.svd.ModeRows().T(), // a fresh M×K copy of the mode-major rows
-		Singular:   append([]float64(nil), e.svd.SingularValues()...),
-		Iterations: e.svd.Iterations(),
-		Snapshots:  e.svd.SnapshotsSeen(),
-	}, nil
-}
-
-func (e *serialEngine) save(w io.Writer, _ *Result) error {
-	if e.rows == 0 {
-		return errors.New("parsvd: no data ingested yet")
-	}
-	return core.WriteState(w, e.state())
-}
-
-// state is the engine's checkpoint content, read in place: the modes stay
-// mode-major and the caller must not hold it across an update.
-func (e *serialEngine) state() core.State {
 	return core.State{
 		Opts:       e.opts,
 		ModeRows:   e.svd.ModeRows(),
 		Singular:   e.svd.SingularValues(),
 		Iterations: e.svd.Iterations(),
 		Snapshots:  e.svd.SnapshotsSeen(),
-	}
+	}, nil
 }
 
 func (e *serialEngine) stats() Stats { return Stats{} }

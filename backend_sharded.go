@@ -3,10 +3,10 @@ package parsvd
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
+	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/merge"
 )
@@ -15,7 +15,7 @@ import (
 // of the configured backend, each fitting a disjoint subset of the
 // batch stream, reduced at result time up a balanced pairwise merge
 // tree (internal/merge). Batches are dealt round-robin, so a long Fit
-// spreads its snapshots evenly; the merge is recomputed per result()
+// spreads its snapshots evenly; the merge is recomputed per state()
 // call from the live shard states, which keeps Push cheap and makes the
 // reduction stateless.
 type shardedEngine struct {
@@ -51,7 +51,9 @@ func (e *shardedEngine) push(b *mat.Dense) error {
 	if e.failed != nil {
 		return e.failed
 	}
-	if err := checkBatch(b, e.rows); err != nil {
+	// The sub-engine scans the values; the shape is checked here, against
+	// every shard's rows.
+	if err := checkShape(b, e.rows); err != nil {
 		return err
 	}
 	if e.rows == 0 {
@@ -69,84 +71,46 @@ func (e *shardedEngine) push(b *mat.Dense) error {
 	return nil
 }
 
-// partials snapshots every fed shard's current factorization as a merge
-// operand. Shards that have not seen a batch yet (a short stream dealt
-// fewer batches than shards) are skipped. A backend whose Result carries
-// no modes (Distributed keeps them row-scattered in the fleet) is read
-// through its checkpoint instead — one gather either way.
-func (e *shardedEngine) partials() ([]*merge.Partial, error) {
+// state reduces the states of the fed shards (a short stream may deal
+// fewer batches than there are shards) into one global factorization.
+func (e *shardedEngine) state() (core.State, error) {
+	if e.failed != nil {
+		return core.State{}, e.failed
+	}
+	var st core.State
 	parts := make([]*merge.Partial, 0, len(e.subs))
 	for i, sub := range e.subs {
 		if !e.fed[i] {
 			continue
 		}
-		res, err := sub.result()
-		if err != nil {
-			return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
-		}
-		if err := withModes(sub, res); err != nil {
-			return nil, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
+		var err error
+		if st, err = sub.state(); err != nil {
+			return core.State{}, fmt.Errorf("parsvd: shard %d of %d: %w", i, len(e.subs), err)
 		}
 		parts = append(parts, &merge.Partial{
-			U:          res.Modes,
-			S:          res.Singular,
-			Iterations: res.Iterations,
-			Snapshots:  res.Snapshots,
+			U:          modeMatrix(st),
+			S:          st.Singular,
+			Iterations: st.Iterations,
+			Snapshots:  st.Snapshots,
 		})
 	}
 	if len(parts) == 0 {
-		return nil, errors.New("parsvd: no data ingested yet")
+		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
-	return parts, nil
-}
-
-// merged reduces the shard states into one global factorization.
-func (e *shardedEngine) merged() (*merge.Partial, error) {
-	parts, err := e.partials()
-	if err != nil {
-		return nil, err
-	}
-	return merge.Tree(parts, merge.TreeOptions{
+	root, err := merge.Tree(parts, merge.TreeOptions{
 		K:       e.cfg.k,
 		Workers: runtime.GOMAXPROCS(0),
 	})
-}
-
-func (e *shardedEngine) result() (*Result, error) {
-	if e.failed != nil {
-		return nil, e.failed
-	}
-	root, err := e.merged()
 	if err != nil {
-		return nil, err
+		return core.State{}, err
 	}
-	return &Result{
+	return core.State{
+		Opts:       st.Opts,
 		Modes:      root.U,
 		Singular:   root.S,
 		Iterations: root.Iterations,
 		Snapshots:  root.Snapshots,
 	}, nil
-}
-
-// save serializes the merged global state in the serial checkpoint
-// format, like the parallel backend: a sharded fit's checkpoint resumes
-// as an ordinary serial model.
-func (e *shardedEngine) save(w io.Writer, res *Result) error {
-	if e.failed != nil {
-		return e.failed
-	}
-	if res == nil {
-		var err error
-		if res, err = e.result(); err != nil {
-			return err
-		}
-	}
-	eng, err := restoreSerialEngine(e.cfg.coreOptions(), res.Modes, res.Singular,
-		res.Iterations, res.Snapshots)
-	if err != nil {
-		return fmt.Errorf("parsvd: assembling checkpoint state: %w", err)
-	}
-	return eng.save(w, nil)
 }
 
 func (e *shardedEngine) stats() Stats {

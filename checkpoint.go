@@ -26,32 +26,35 @@ func Load(r io.Reader) (*SVD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w", err)
 	}
-	eng, err := restoreSerialEngine(st.Opts, st.Modes, st.Singular,
-		st.Iterations, st.Snapshots)
+	s, err := restore(st)
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w: %v", ErrBadCheckpoint, err)
 	}
-	cfg := restoredConfig(eng.opts)
-	// A shard-stamped checkpoint resumes as the same shard: its saves
-	// keep the mark and merges keep refusing its siblings' duplicates.
-	cfg.shard = st.Shard
-	s := &SVD{cfg: cfg, eng: eng}
-	// Rehydrate the ingest counters so Stats keeps reporting across a
-	// checkpoint/restore boundary.
-	s.rows = eng.rows
-	s.snapshots = st.Snapshots
-	s.updates = int64(st.Iterations) + 1 // Initialize counted as an update
 	return s, nil
 }
 
-// restoredConfig is the configuration of a model restored from state
-// held under opts: the serial backend running with opts' knobs.
-func restoredConfig(opts core.Options) config {
+// restore builds a serial-backend SVD holding st, running with st's
+// options. The ingest counters are rehydrated so Stats keeps reporting
+// across a checkpoint/restore boundary, and a shard-stamped state resumes
+// as the same shard: its saves keep the mark and merges keep refusing its
+// siblings' duplicates.
+func restore(st core.State) (*SVD, error) {
+	eng, err := restoreSerialEngine(st)
+	if err != nil {
+		return nil, err
+	}
 	cfg := defaultConfig()
-	cfg.k = opts.K
-	cfg.ff = opts.ForgetFactor
-	cfg.lowRank = opts.LowRank
-	cfg.rlaOpts = opts.RLA
-	cfg.r1 = opts.R1
-	return cfg
+	cfg.k = eng.opts.K
+	cfg.ff = eng.opts.ForgetFactor
+	cfg.lowRank = eng.opts.LowRank
+	cfg.rlaOpts = eng.opts.RLA
+	cfg.r1 = eng.opts.R1
+	cfg.shard = st.Shard
+	return &SVD{
+		cfg:       cfg,
+		eng:       eng,
+		rows:      eng.rows,
+		snapshots: st.Snapshots,
+		updates:   int64(st.Iterations) + 1, // Initialize counted as an update
+	}, nil
 }

@@ -125,8 +125,8 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 
 	// handle executes one command, converting engine panics (dimension
 	// bugs, abort echoes from failed peers) into errors. done reports a
-	// clean SHUTDOWN. A PUSH arrives already decoded into block; every
-	// other verb's payload is body.
+	// clean SHUTDOWN. A PUSH or PUSH-SKETCH arrives already decoded into
+	// this rank's block; every other verb's payload is body.
 	handle := func(verb byte, body []byte, block *mat.Dense) (done bool, err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -169,19 +169,6 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 		case launch.SessPushSketch:
 			if !inited {
 				return false, errors.New("PUSH-SKETCH before INIT")
-			}
-			qblock, sfull, err := mat.DecodeFactorPair(body)
-			if err != nil {
-				return false, err
-			}
-			// Reconstruct this rank's row block of the batch: the launcher
-			// scattered Q's rows, so Q_r·S is exactly the block PUSH would
-			// have carried, and the same collective update runs on it. The
-			// launcher refuses a pair whose product overflows; this check
-			// keeps a block it could not vet from entering the update.
-			block := mat.Mul(qblock, sfull)
-			if i := mat.FirstNonFinite(block.RawData()); i >= 0 {
-				return false, fmt.Errorf("PUSH-SKETCH: reconstructed block contains a non-finite value (%g)", block.RawData()[i])
 			}
 			ingest(block)
 			return false, okStatus("")
@@ -235,14 +222,16 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 	}
 
 	in := bufio.NewReaderSize(os.Stdin, 1<<16)
-	// Every PUSH is decoded into block through scratch, so a steady stream
-	// of same-shaped pushes allocates nothing.
+	// Every PUSH is decoded into block, and every PUSH-SKETCH into sketch,
+	// through scratch, so a steady stream of same-shaped pushes allocates
+	// nothing.
 	var block mat.Dense
+	var sketch sketchDecoder
 	scratch := make([]byte, 32<<10)
 	for {
 		var body []byte
 		verb, n, err := tcptransport.ReadFrameHeader(in)
-		if err == nil && verb != launch.SessPush {
+		if err == nil && verb != launch.SessPush && verb != launch.SessPushSketch {
 			body, err = tcptransport.ReadFrameBody(in, n)
 		}
 		if err != nil {
@@ -255,14 +244,19 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 			}
 			return err
 		}
-		// A PUSH body is exactly one snapshot block; one the block reader
-		// refuses is reported like any failed command.
-		if verb == launch.SessPush {
+		// A PUSH body is exactly one snapshot block and a PUSH-SKETCH body
+		// one factor pair; one the reader refuses is reported like any
+		// failed command.
+		pushed := &block
+		switch verb {
+		case launch.SessPush:
 			err = mat.ReadBlockExact(in, n, &block, scratch)
+		case launch.SessPushSketch:
+			pushed, err = sketch.read(in, n, scratch)
 		}
 		var done bool
 		if err == nil {
-			done, err = handle(verb, body, &block)
+			done, err = handle(verb, body, pushed)
 		}
 		if err != nil {
 			t.Abort()
@@ -273,6 +267,34 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 			return nil
 		}
 	}
+}
+
+// sketchDecoder rebuilds PUSH-SKETCH blocks. The factor pair is read into
+// reused Q and S storage and the product into a reused block, so a steady
+// stream of same-shaped sketched pushes allocates nothing.
+type sketchDecoder struct {
+	q, s  mat.Dense
+	block *mat.Dense
+}
+
+// read decodes the factor pair that is the next n bytes of r and returns
+// this rank's row block of the batch, Q_r·S: the launcher scattered Q's
+// rows, so the product is exactly the block PUSH would have carried, and
+// the same collective update runs on it. The launcher refuses a pair whose
+// product overflows; the non-finite check keeps a block it could not vet
+// from entering the update. The block is valid until the next read.
+func (d *sketchDecoder) read(r io.Reader, n int, scratch []byte) (*mat.Dense, error) {
+	if err := mat.ReadFactorPair(r, n, &d.q, &d.s, scratch); err != nil {
+		return nil, err
+	}
+	if d.block == nil || d.block.Rows() != d.q.Rows() || d.block.Cols() != d.s.Cols() {
+		d.block = mat.New(d.q.Rows(), d.s.Cols())
+	}
+	mat.MulInto(d.block, &d.q, &d.s)
+	if i := mat.FirstNonFinite(d.block.RawData()); i >= 0 {
+		return nil, fmt.Errorf("PUSH-SKETCH: reconstructed block contains a non-finite value (%g)", d.block.RawData()[i])
+	}
+	return d.block, nil
 }
 
 // inheritedPeers adopts the mesh a launcher wired before exec: fd 3+i is

@@ -68,8 +68,9 @@ type State struct {
 	Opts  Options
 	Modes *mat.Dense
 	// ModeRows, when Modes is nil, holds the modes mode-major (K×M, row j
-	// being mode j), as the serial engine keeps them: WriteState emits the
-	// same bytes either way. ReadState always fills Modes.
+	// being mode j), as the serial engine and a parallel gather hold them:
+	// WriteState emits the same bytes either way. ReadState always fills
+	// Modes.
 	ModeRows   *mat.Dense
 	Singular   []float64
 	Iterations int
@@ -84,8 +85,8 @@ type State struct {
 // caller keeps the matrix), singular values and counters.
 // It validates the options and every structural invariant, returning an
 // error instead of panicking, so facades can surface corrupted state to
-// their callers. The parsvd facade also uses it to re-wrap the gathered
-// global state of a parallel run as a serial engine for checkpointing.
+// their callers. The parsvd facade restores loaded and merged models
+// through it; it writes checkpoints straight from its engines' states.
 func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
 	iterations, snapshots int) (*stream.SVD, error) {
 	opts, err := opts.Validated()
@@ -93,6 +94,23 @@ func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
 		return nil, err
 	}
 	return stream.Restore(opts.streamOptions(), modes, singular, iterations, snapshots)
+}
+
+// Validated checks st as RestoreSerial does — the options and every
+// structural invariant of the modes, values and counters — without
+// building an engine, and returns st with the options' defaults filled in:
+// the options a restored engine runs with and its checkpoints record.
+func (st State) Validated() (State, error) {
+	opts, err := st.Opts.Validated()
+	if err != nil {
+		return st, err
+	}
+	st.Opts = opts
+	if st.Modes == nil && st.ModeRows == nil {
+		return st, errors.New("core: state inconsistent: nil modes")
+	}
+	m, k := st.modeDims()
+	return st, opts.streamOptions().CheckState(m, k, st.Singular, st.Iterations, st.Snapshots)
 }
 
 // WriteState emits the binary layout:
@@ -114,39 +132,28 @@ func WriteState(w io.Writer, st State) error {
 	if err := st.Shard.Validate(); err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
-	version := uint8(checkpointVersion)
-	if !st.Shard.IsZero() {
-		version = checkpointVersionV2
-	}
-	if _, err := w.Write(checkpointMagic[:]); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
-	}
-	if _, err := w.Write([]byte{version}); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
-	}
 	rows, cols := st.modeDims()
 	if cols != len(st.Singular) {
 		return fmt.Errorf("core: checkpoint state inconsistent: %d modes, %d values",
 			cols, len(st.Singular))
 	}
+	version := uint8(checkpointVersion)
+	if !st.Shard.IsZero() {
+		version = checkpointVersionV2
+	}
 	lowRank := uint8(0)
 	if st.Opts.LowRank {
 		lowRank = 1
 	}
-	ints := []int64{
-		int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots),
+	// The header is encoded into the scratch buffer the values follow
+	// through.
+	buf := append(make([]byte, 0, scratchLen), checkpointMagic[:]...)
+	buf = append(buf, version)
+	for _, v := range []int64{int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots)} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	for _, v := range ints {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("core: checkpoint write: %w", err)
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, st.Opts.ForgetFactor); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
-	}
-	if _, err := w.Write([]byte{lowRank}); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Opts.ForgetFactor))
+	buf = append(buf, lowRank)
 	meta := []int64{
 		int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed,
 		int64(st.Opts.R1), 0,
@@ -154,13 +161,10 @@ func WriteState(w io.Writer, st State) error {
 	if version == checkpointVersionV2 {
 		meta = append(meta, int64(st.Shard.Index), int64(st.Shard.Count))
 	}
-	meta = append(meta, int64(rows), int64(cols))
-	for _, v := range meta {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("core: checkpoint write: %w", err)
-		}
+	for _, v := range append(meta, int64(rows), int64(cols)) {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	buf, err := mat.WriteFloats(w, make([]byte, 0, scratchLen), st.Singular)
+	buf, err := mat.WriteFloats(w, buf, st.Singular)
 	if err == nil {
 		err = st.writeModes(w, buf)
 	}

@@ -291,26 +291,42 @@ func WriteFactorPair(w io.Writer, buf []byte, q, s *Dense) ([]byte, error) {
 	return WriteBlock(w, buf, s)
 }
 
-// DecodeFactorPair decodes b, which holds exactly one factor pair, into
-// fresh storage. Both factors are snapshot blocks (ReadBlock), and Q's
-// column count matches S's row count, so the product Q·S is well-formed.
-func DecodeFactorPair(b []byte) (q, s *Dense, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("mat: factor pair of %d bytes is too short", len(b))
+// ReadFactorPair reads a factor pair that is exactly the next n bytes of r
+// into q and s, each as ReadBlock reads a block: into its own storage when
+// that holds the values, so a caller that reads every pair into the same
+// two matrices allocates nothing once shapes are steady. Both factors are
+// snapshot blocks, and Q's column count matches S's row count, so the
+// product Q·S is well-formed. scratch is ReadBlock's.
+func ReadFactorPair(r io.Reader, n int, q, s *Dense, scratch []byte) error {
+	if n < 4 {
+		return fmt.Errorf("mat: factor pair of %d bytes is too short", n)
 	}
-	qlen := uint64(binary.LittleEndian.Uint32(b))
-	if qlen > uint64(len(b)-4) {
-		return nil, nil, fmt.Errorf("mat: factor pair declares a %d-byte Q but carries %d bytes", qlen, len(b)-4)
+	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
+		return fmt.Errorf("mat: reading factor pair: %w", err)
 	}
-	if q, err = DecodeBlock(b[4 : 4+qlen]); err != nil {
-		return nil, nil, fmt.Errorf("mat: factor pair Q: %w", err)
+	qlen := uint64(binary.LittleEndian.Uint32(scratch))
+	if qlen > uint64(n-4) {
+		return fmt.Errorf("mat: factor pair declares a %d-byte Q but carries %d bytes", qlen, n-4)
 	}
-	if s, err = DecodeBlock(b[4+qlen:]); err != nil {
-		return nil, nil, fmt.Errorf("mat: factor pair S: %w", err)
+	if err := ReadBlockExact(r, int(qlen), q, scratch); err != nil {
+		return fmt.Errorf("mat: factor pair Q: %w", err)
+	}
+	if err := ReadBlockExact(r, n-4-int(qlen), s, scratch); err != nil {
+		return fmt.Errorf("mat: factor pair S: %w", err)
 	}
 	if q.cols != s.rows {
-		return nil, nil, fmt.Errorf("mat: factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
+		return fmt.Errorf("mat: factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
 			q.rows, q.cols, s.rows, s.cols)
+	}
+	return nil
+}
+
+// DecodeFactorPair decodes b, which holds exactly one factor pair, into
+// fresh storage, as ReadFactorPair reads one.
+func DecodeFactorPair(b []byte) (q, s *Dense, err error) {
+	q, s = new(Dense), new(Dense)
+	if err := ReadFactorPair(bytes.NewReader(b), len(b), q, s, make([]byte, 1<<10)); err != nil {
+		return nil, nil, err
 	}
 	return q, s, nil
 }

@@ -34,8 +34,32 @@ func FuzzReadFrame(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+frameChunk+64<<10 {
 			t.Fatalf("reading a %d-byte frame allocated %d bytes", len(data), grew)
 		}
+		// The mesh reader decodes a data frame straight from the stream:
+		// it must hold the same allocation bound and agree with the
+		// in-memory decoder on every frame.
+		scratch := make([]byte, 4<<10)
+		runtime.ReadMemStats(&before)
+		mkind, mm, merr := readMeshFrame(bytes.NewReader(data), scratch)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+frameChunk+64<<10 {
+			t.Fatalf("streaming a %d-byte frame allocated %d bytes", len(data), grew)
+		}
 		if err != nil {
+			if merr == nil {
+				t.Fatalf("mesh reader accepted a frame ReadFrame refuses: %v", err)
+			}
 			return
+		}
+		if kind == kindData {
+			m, derr := DecodeMessageBody(body)
+			if (derr == nil) != (merr == nil) {
+				t.Fatalf("in-memory decode err %v, streaming decode err %v", derr, merr)
+			}
+			if derr == nil && !bytes.Equal(appendData(nil, m), appendData(nil, mm)) {
+				t.Fatal("streaming decode differs from the in-memory decode")
+			}
+		} else if merr != nil || mkind != kind {
+			t.Fatalf("mesh reader read kind %d (err %v), ReadFrame kind %d", mkind, merr, kind)
 		}
 		var again []byte
 		switch kind {

@@ -457,9 +457,10 @@ func (t *Transport) writeControl(l *link, kind byte) error {
 func (t *Transport) reader(l *link) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(l.conn, 1<<16)
+	scratch := make([]byte, 4<<10)
 	for {
 		l.conn.SetReadDeadline(time.Now().Add(t.idleTimeout))
-		kind, body, err := ReadFrame(br)
+		kind, m, err := readMeshFrame(br, scratch)
 		if err != nil {
 			if t.closing.Load() || t.aborted.Load() {
 				t.inboxes[l.peer].close()
@@ -472,11 +473,6 @@ func (t *Transport) reader(l *link) {
 		}
 		switch kind {
 		case kindData:
-			m, err := DecodeMessageBody(body)
-			if err != nil {
-				t.Abort()
-				return
-			}
 			t.recvOwn.Add(int64(8 * len(m.Data)))
 			t.inboxes[l.peer].push(m)
 		case kindPing:

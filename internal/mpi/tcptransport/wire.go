@@ -1,10 +1,10 @@
 package tcptransport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"goparsvd/internal/mat"
@@ -179,34 +179,61 @@ func AppendMessageBody(buf []byte, m mpi.Message) []byte {
 // MessageBodyLen is the length of a data-frame body carrying n values.
 func MessageBodyLen(n int) int { return mat.BlockLen(n) }
 
-// DecodeMessageBody parses a data-frame body produced by
-// AppendMessageBody. It checks structure only — any tag, any dims and
-// non-finite values pass, as the mesh's own messages need; snapshot data
-// is read by mat.ReadBlock instead. The declared float count is checked
-// against the bytes actually present before any allocation, so a corrupt
-// or hostile length can neither over-allocate nor panic.
-func DecodeMessageBody(body []byte) (mpi.Message, error) {
-	if len(body) < mat.BlockHeaderLen {
-		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", len(body))
+// readMessageBody reads a data-frame body produced by AppendMessageBody,
+// the next n bytes of r, straight into the message's values. It checks
+// structure only — any tag, any dims and non-finite values pass, as the
+// mesh's own messages need; snapshot data is read by mat.ReadBlock
+// instead. The declared float count is checked against n before any value
+// is read, and the values arrive as mat.ReadFloats reads them, so a
+// corrupt or hostile length can neither over-allocate nor panic. scratch
+// holds at least mat.BlockHeaderLen bytes.
+func readMessageBody(r io.Reader, n int, scratch []byte) (mpi.Message, error) {
+	if n < mat.BlockHeaderLen {
+		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", n)
 	}
-	h := mat.ParseBlockHeader(body)
+	hdr := scratch[:mat.BlockHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return mpi.Message{}, fmt.Errorf("tcptransport: short frame: %w", err)
+	}
+	h := mat.ParseBlockHeader(hdr)
 	m := mpi.Message{Tag: int(h.Tag), Rows: int(h.Rows), Cols: int(h.Cols)}
 	// Overflow-safe count check: divide the payload instead of
 	// multiplying the (attacker-controlled) count — 8·n wraps uint64 for
-	// n ≥ 2^61 and could otherwise alias a small payload length, driving
-	// make() below into a huge allocation or a panic.
-	payload := len(body) - mat.BlockHeaderLen
+	// n ≥ 2^61 and could otherwise alias a small payload length.
+	payload := n - mat.BlockHeaderLen
 	if payload%8 != 0 || h.N != uint64(payload/8) {
 		return mpi.Message{}, fmt.Errorf("tcptransport: data frame declares %d floats, carries %d bytes",
 			h.N, payload)
 	}
 	if h.N > 0 {
-		m.Data = make([]float64, h.N)
-		for i := range m.Data {
-			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[mat.BlockHeaderLen+8*i:]))
+		var err error
+		if m.Data, err = mat.ReadFloats(r, nil, int(h.N), scratch); err != nil {
+			return mpi.Message{}, fmt.Errorf("tcptransport: short frame: %w", err)
 		}
 	}
 	return m, nil
+}
+
+// readMeshFrame reads one mesh frame. A data frame's body is decoded
+// straight from r into m's values (readMessageBody); any other kind's body
+// is read and dropped.
+func readMeshFrame(r io.Reader, scratch []byte) (kind byte, m mpi.Message, err error) {
+	kind, n, err := ReadFrameHeader(r)
+	if err != nil {
+		return 0, m, err
+	}
+	if kind == kindData {
+		m, err = readMessageBody(r, n, scratch)
+	} else {
+		_, err = ReadFrameBody(r, n)
+	}
+	return kind, m, err
+}
+
+// DecodeMessageBody parses a data-frame body held in memory (the session
+// FLOATS reply), as readMessageBody reads one.
+func DecodeMessageBody(body []byte) (mpi.Message, error) {
+	return readMessageBody(bytes.NewReader(body), len(body), make([]byte, 1<<10))
 }
 
 // appendHello appends a complete hello frame (rank plus the address the

@@ -58,6 +58,36 @@ func TestWireDataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMeshFrameReadAllocs: the mesh reader decodes a 16×16 data frame
+// straight from the stream into the message's values — the frame header
+// and the values are its only allocations, with no body buffer between.
+func TestMeshFrameReadAllocs(t *testing.T) {
+	want := mpi.Message{Tag: 7, Rows: 16, Cols: 16, Data: make([]float64, 256)}
+	for i := range want.Data {
+		want.Data[i] = float64(i) - 0.5
+	}
+	frame := appendData(nil, want)
+	r := bytes.NewReader(frame)
+	scratch := make([]byte, 4<<10)
+	read := func() mpi.Message {
+		r.Reset(frame)
+		kind, m, err := readMeshFrame(r, scratch)
+		if err != nil || kind != kindData {
+			t.Fatalf("readMeshFrame kind=%d err=%v", kind, err)
+		}
+		return m
+	}
+	if got := read(); !bytes.Equal(appendData(nil, got), frame) {
+		t.Fatal("streamed message differs from the one sent")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if n := testing.AllocsPerRun(50, func() { read() }); n > 2 {
+		t.Fatalf("reading a 16x16 data frame allocates %v times, want at most 2", n)
+	}
+}
+
 func TestWireHandshakeFrames(t *testing.T) {
 	frame := appendHello(nil, 3, "10.0.0.7:9000")
 	kind, body, err := ReadFrame(bytes.NewReader(frame))

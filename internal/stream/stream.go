@@ -182,7 +182,7 @@ func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular
 	}
 	s := &SVD{opts: opts.validated(), step: gatherStep(c)}
 	k, m := modeRows.Dims()
-	if err := s.checkState(m, k, singular, iterations, snapshots); err != nil {
+	if err := s.opts.CheckState(m, k, singular, iterations, snapshots); err != nil {
 		return nil, err
 	}
 	s.buf = modeRows
@@ -206,7 +206,7 @@ func (s *SVD) Seed(modes *mat.Dense, singular []float64, iterations, snapshots i
 		return fmt.Errorf("stream: state inconsistent: nil modes")
 	}
 	m, k := modes.Dims()
-	if err := s.checkState(m, k, singular, iterations, snapshots); err != nil {
+	if err := s.opts.CheckState(m, k, singular, iterations, snapshots); err != nil {
 		return err
 	}
 	if s.buf == nil || s.buf.Cols() != m || s.buf.Rows() < k {
@@ -218,9 +218,9 @@ func (s *SVD) Seed(modes *mat.Dense, singular []float64, iterations, snapshots i
 	return nil
 }
 
-// checkState validates a captured state of k modes over m rows against the
-// engine's options.
-func (s *SVD) checkState(m, k int, singular []float64, iterations, snapshots int) error {
+// CheckState validates a captured state of k modes over m rows against the
+// options, as Seed does before it adopts one.
+func (o Options) CheckState(m, k int, singular []float64, iterations, snapshots int) error {
 	if m < 1 || k < 1 {
 		return fmt.Errorf("stream: state inconsistent: empty %dx%d modes", m, k)
 	}
@@ -230,9 +230,9 @@ func (s *SVD) checkState(m, k int, singular []float64, iterations, snapshots int
 	}
 	// The engine never retains more than K modes, so a state claiming
 	// len(singular) > K cannot have been produced by these options.
-	if s.opts.K < len(singular) {
+	if o.K < len(singular) {
 		return fmt.Errorf("stream: state inconsistent: %d singular values exceed K = %d",
-			len(singular), s.opts.K)
+			len(singular), o.K)
 	}
 	if iterations < 0 || snapshots < k {
 		return fmt.Errorf("stream: counters invalid: iterations=%d snapshots=%d (modes %dx%d)",

@@ -1,7 +1,6 @@
 package parsvd
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -53,20 +52,11 @@ func (s *SVD) Merge(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("parsvd: %w", err)
 	}
-	if st.Opts.K != s.cfg.k {
-		return fmt.Errorf("%w: checkpoint has K = %d, model has K = %d",
-			ErrMergeIncompatible, st.Opts.K, s.cfg.k)
-	}
-	if st.Opts.ForgetFactor != s.cfg.ff {
-		return fmt.Errorf("%w: checkpoint has forget factor %g, model has %g",
-			ErrMergeIncompatible, st.Opts.ForgetFactor, s.cfg.ff)
+	if err := checkMergeable("checkpoint", st, "model", s.cfg.k, s.cfg.ff, s.rows); err != nil {
+		return err
 	}
 	if err := s.checkProvenance(st.Shard); err != nil {
 		return err
-	}
-	if s.rows != 0 && st.Modes.Rows() != s.rows {
-		return fmt.Errorf("%w: checkpoint has %d snapshot rows, model has %d",
-			ErrMergeIncompatible, st.Modes.Rows(), s.rows)
 	}
 
 	// A model that has seen no data adopts the checkpoint. Otherwise the
@@ -76,18 +66,15 @@ func (s *SVD) Merge(r io.Reader) error {
 	// engine's iteration counter continues the facade's update count, so
 	// the updates == iterations+1 invariant that keeps WAL sequence
 	// numbers contiguous across checkpoint/restore survives the merge.
-	modes, singular, snapshots := st.Modes, st.Singular, st.Snapshots
+	base := st
 	if s.rows != 0 {
-		res, err := s.eng.result()
-		if err != nil {
+		if base, err = s.eng.state(); err != nil {
 			return err
 		}
-		if err := withModes(s.eng, res); err != nil {
-			return err
-		}
-		modes, singular, snapshots = res.Modes, res.Singular, res.Snapshots+st.Snapshots
+		base.Snapshots += st.Snapshots
 	}
-	eng, err := restoreSerialEngine(s.cfg.coreOptions(), modes, singular, int(s.updates), snapshots)
+	base.Opts, base.Iterations = s.cfg.coreOptions(), int(s.updates)
+	eng, err := restoreSerialEngine(base)
 	if err != nil {
 		return fmt.Errorf("parsvd: restoring merged state: %w", err)
 	}
@@ -129,41 +116,50 @@ func (s *SVD) recordProvenance(incoming core.ShardID) {
 // what this model already holds. A zero mark (whole-stream checkpoint)
 // always passes — disjointness is then the caller's responsibility.
 func (s *SVD) checkProvenance(id core.ShardID) error {
-	if id.IsZero() {
-		return nil
-	}
-	seen := s.absorbed
+	held := s.absorbed
 	if !s.cfg.shard.IsZero() {
-		seen = append(append([]core.ShardID(nil), seen...), s.cfg.shard)
+		held = append(held[:len(held):len(held)], s.cfg.shard)
 	}
-	for _, a := range seen {
-		if a == id {
-			return fmt.Errorf("%w: shard %d of %d", ErrShardOverlap, id.Index, id.Count)
-		}
-		if a.Count != id.Count {
-			return fmt.Errorf("%w: shard %d of %d cannot be disjoint from already-held shard %d of %d (different partitionings)",
-				ErrMergeIncompatible, id.Index, id.Count, a.Index, a.Count)
-		}
+	switch j := clash(held, id); {
+	case j < 0:
+		return nil
+	case held[j] == id:
+		return fmt.Errorf("%w: shard %d of %d", ErrShardOverlap, id.Index, id.Count)
+	default:
+		return fmt.Errorf("%w: shard %d of %d cannot be disjoint from already-held shard %d of %d (different partitionings)",
+			ErrMergeIncompatible, id.Index, id.Count, held[j].Index, held[j].Count)
 	}
-	return nil
 }
 
-// withModes fills in the global modes of a Result that carries none
-// (Distributed keeps them row-scattered in the fleet) through e's
-// checkpoint form: one gather.
-func withModes(e engine, res *Result) error {
-	if res.Modes != nil {
-		return nil
+// clash is the one provenance rule of every merge: it returns the position
+// in held of the first mark id cannot be disjoint from — the same shard, or
+// a shard of a different partitioning — or -1. A zero id clashes with
+// nothing.
+func clash(held []core.ShardID, id core.ShardID) int {
+	if id.IsZero() {
+		return -1
 	}
-	var buf bytes.Buffer
-	if err := e.save(&buf, res); err != nil {
-		return err
+	for j, h := range held {
+		if h == id || h.Count != id.Count {
+			return j
+		}
 	}
-	st, err := core.ReadState(&buf)
-	if err != nil {
-		return err
+	return -1
+}
+
+// checkMergeable refuses, as ErrMergeIncompatible, a state a that cannot
+// merge with one of K k, forget factor ff and rows snapshot rows (0 for a
+// model that has seen no data, which matches any). The names label the
+// two in the message.
+func checkMergeable(aName string, a core.State, bName string, k int, ff float64, rows int) error {
+	switch {
+	case a.Opts.K != k:
+		return fmt.Errorf("%w: %s has K = %d, %s has K = %d", ErrMergeIncompatible, aName, a.Opts.K, bName, k)
+	case a.Opts.ForgetFactor != ff:
+		return fmt.Errorf("%w: %s has forget factor %g, %s has %g", ErrMergeIncompatible, aName, a.Opts.ForgetFactor, bName, ff)
+	case rows != 0 && a.Modes.Rows() != rows:
+		return fmt.Errorf("%w: %s has %d snapshot rows, %s has %d", ErrMergeIncompatible, aName, a.Modes.Rows(), bName, rows)
 	}
-	res.Modes, res.Singular = st.Modes, st.Singular
 	return nil
 }
 
@@ -189,20 +185,16 @@ func MergeCheckpoints(paths ...string) (*SVD, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("parsvd: MergeCheckpoints with no checkpoints")
 	}
-	states := make([]core.State, len(paths))
+	readers := make([]io.Reader, len(paths))
 	for i, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			return nil, fmt.Errorf("parsvd: %w", err)
 		}
-		st, err := core.ReadState(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("parsvd: %s: %w", p, err)
-		}
-		states[i] = st
+		defer f.Close()
+		readers[i] = f
 	}
-	return mergeStates(states, paths)
+	return mergeStates(readers, paths)
 }
 
 // MergeReaders is MergeCheckpoints for checkpoints that are not files:
@@ -215,62 +207,51 @@ func MergeReaders(readers ...io.Reader) (*SVD, error) {
 	if len(readers) == 0 {
 		return nil, errors.New("parsvd: MergeReaders with no checkpoints")
 	}
-	states := make([]core.State, len(readers))
 	labels := make([]string, len(readers))
 	for i, r := range readers {
 		labels[i] = fmt.Sprintf("checkpoint %d", i)
 		if r == nil {
 			return nil, fmt.Errorf("parsvd: MergeReaders: %s is a nil reader", labels[i])
 		}
+	}
+	return mergeStates(readers, labels)
+}
+
+// mergeStates parses every checkpoint and validates the whole set
+// (compatibility and pairwise-disjoint provenance — before any merge work
+// runs), reduces it up a balanced pairwise merge tree and wraps the root
+// as a serial SVD. labels name the operands in error messages (file paths
+// for MergeCheckpoints, reader indices for MergeReaders).
+func mergeStates(readers []io.Reader, labels []string) (*SVD, error) {
+	states := make([]core.State, len(readers))
+	for i, r := range readers {
 		st, err := core.ReadState(r)
 		if err != nil {
 			return nil, fmt.Errorf("parsvd: %s: %w", labels[i], err)
 		}
 		states[i] = st
 	}
-	return mergeStates(states, labels)
-}
-
-// mergeStates validates the whole checkpoint set (compatibility and
-// pairwise-disjoint provenance — before any merge work runs), reduces it
-// up a balanced pairwise merge tree and wraps the root as a serial SVD.
-// labels name the operands in error messages (file paths for
-// MergeCheckpoints, reader indices for MergeReaders).
-func mergeStates(states []core.State, labels []string) (*SVD, error) {
 	ref := states[0]
 	for i, st := range states[1:] {
-		if st.Opts.K != ref.Opts.K {
-			return nil, fmt.Errorf("%w: %s has K = %d, %s has K = %d",
-				ErrMergeIncompatible, labels[i+1], st.Opts.K, labels[0], ref.Opts.K)
-		}
-		if st.Opts.ForgetFactor != ref.Opts.ForgetFactor {
-			return nil, fmt.Errorf("%w: %s has forget factor %g, %s has %g",
-				ErrMergeIncompatible, labels[i+1], st.Opts.ForgetFactor, labels[0], ref.Opts.ForgetFactor)
-		}
-		if st.Modes.Rows() != ref.Modes.Rows() {
-			return nil, fmt.Errorf("%w: %s has %d snapshot rows, %s has %d",
-				ErrMergeIncompatible, labels[i+1], st.Modes.Rows(), labels[0], ref.Modes.Rows())
+		if err := checkMergeable(labels[i+1], st, labels[0], ref.Opts.K, ref.Opts.ForgetFactor, ref.Modes.Rows()); err != nil {
+			return nil, err
 		}
 	}
 	var absorbed []core.ShardID
 	var absorbedAt []int // state index of each absorbed mark, for error labels
 	for i, st := range states {
-		if st.Shard.IsZero() {
-			continue
+		switch j := clash(absorbed, st.Shard); {
+		case j >= 0 && absorbed[j] == st.Shard:
+			return nil, fmt.Errorf("%w: %s and %s both hold shard %d of %d",
+				ErrShardOverlap, labels[absorbedAt[j]], labels[i], st.Shard.Index, st.Shard.Count)
+		case j >= 0:
+			return nil, fmt.Errorf("%w: %s is shard %d of %d but %s is shard %d of %d (different partitionings)",
+				ErrMergeIncompatible, labels[i], st.Shard.Index, st.Shard.Count,
+				labels[absorbedAt[j]], absorbed[j].Index, absorbed[j].Count)
+		case !st.Shard.IsZero():
+			absorbed = append(absorbed, st.Shard)
+			absorbedAt = append(absorbedAt, i)
 		}
-		for j, prev := range absorbed {
-			if prev == st.Shard {
-				return nil, fmt.Errorf("%w: %s and %s both hold shard %d of %d",
-					ErrShardOverlap, labels[absorbedAt[j]], labels[i], st.Shard.Index, st.Shard.Count)
-			}
-			if prev.Count != st.Shard.Count {
-				return nil, fmt.Errorf("%w: %s is shard %d of %d but %s is shard %d of %d (different partitionings)",
-					ErrMergeIncompatible, labels[i], st.Shard.Index, st.Shard.Count,
-					labels[absorbedAt[j]], prev.Index, prev.Count)
-			}
-		}
-		absorbed = append(absorbed, st.Shard)
-		absorbedAt = append(absorbedAt, i)
 	}
 
 	parts := make([]*merge.Partial, len(states))
@@ -289,15 +270,16 @@ func mergeStates(states []core.State, labels []string) (*SVD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: %w", err)
 	}
-	eng, err := restoreSerialEngine(ref.Opts, root.U, root.S,
-		root.Iterations, root.Snapshots)
+	s, err := restore(core.State{
+		Opts:       ref.Opts,
+		Modes:      root.U,
+		Singular:   root.S,
+		Iterations: root.Iterations,
+		Snapshots:  root.Snapshots,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("parsvd: restoring merged state: %w", err)
 	}
-	s := &SVD{cfg: restoredConfig(eng.opts), eng: eng}
-	s.rows = root.U.Rows()
-	s.snapshots = root.Snapshots
-	s.updates = int64(root.Iterations) + 1 // Initialize counted as an update
 	s.absorbed = absorbed
 	s.mergeBound = root.Bound
 	return s, nil
@@ -328,21 +310,25 @@ func WriteCheckpoint(w io.Writer, cfg Configuration, res *Result) error {
 		return fmt.Errorf("parsvd: WriteCheckpoint: shard %d of %d: index must be in [0, count)",
 			cfg.Shard.Index, cfg.Shard.Count)
 	}
-	opts := core.Options{
-		K:            cfg.Modes,
-		ForgetFactor: cfg.ForgetFactor,
-		LowRank:      cfg.LowRank,
-		RLA:          cfg.RLA,
-		R1:           cfg.InitRank,
-	}
-	// Round-trip through the restore validator so a malformed Result is
-	// an error here, not a corrupt checkpoint downstream.
-	eng, err := restoreSerialEngine(opts, res.Modes, res.Singular,
-		res.Iterations, res.Snapshots)
+	// The Result is outside input: it is checked as a restore would check
+	// it, so a malformed one is an error here, not a corrupt checkpoint
+	// downstream.
+	st, err := core.State{
+		Opts: core.Options{
+			K:            cfg.Modes,
+			ForgetFactor: cfg.ForgetFactor,
+			LowRank:      cfg.LowRank,
+			RLA:          cfg.RLA,
+			R1:           cfg.InitRank,
+		},
+		Modes:      res.Modes,
+		Singular:   res.Singular,
+		Iterations: res.Iterations,
+		Snapshots:  res.Snapshots,
+		Shard:      shard,
+	}.Validated()
 	if err != nil {
 		return fmt.Errorf("parsvd: %w", err)
 	}
-	st := eng.state()
-	st.Shard = shard
 	return core.WriteState(w, st)
 }

@@ -43,7 +43,6 @@
 package parsvd
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -67,10 +66,11 @@ import (
 // each its own Clone.
 type Result struct {
 	// Modes is the full M×K matrix of truncated left singular vectors
-	// (the POD modes), assembled across ranks for the parallel backend.
-	// It is nil for the Distributed backend, whose modes live
-	// row-distributed in worker processes; ModesSHA256 fingerprints them
-	// instead, and Save gathers them into a checkpoint.
+	// (the POD modes) of the global state: gathered across ranks for the
+	// parallel backend, merged across shards for WithShards. It is nil
+	// for the Distributed backend, whose modes stay row-distributed in
+	// the worker processes: ModesSHA256 fingerprints them, and Save,
+	// Merge and WithShards gather them when they need the matrix.
 	Modes *Matrix
 	// Singular holds the truncated singular values in descending order.
 	Singular []float64
@@ -226,23 +226,30 @@ type Stats struct {
 }
 
 // engine is the backend-side contract behind SVD. Serial and Parallel
-// hold their streaming state in this process; Distributed holds it in a
-// persistent worker fleet behind the same five operations.
-//
+// hold their streaming state in this process, WithShards in its
+// sub-engines and Distributed in a persistent worker fleet, all behind
+// the same four operations. state is the one read of the decomposition:
+// Result, Save, Fit's checkpoint, Merge and the WithShards reduction are
+// built on it, and every checkpoint is a State encoded by core.WriteState
+// in saveLocked.
+type engine interface {
+	push(b *mat.Dense) error
+	// state reports the global decomposition: the modes (mode-major
+	// ModeRows or M×K Modes), singular values, counters and the validated
+	// options the engine runs with. Parallel gathers it at rank 0,
+	// WithShards reduces its shards up the merge tree and Distributed
+	// parses the fleet's SAVE checkpoint. The State may share the
+	// engine's storage: read it before the next push, copy what must
+	// outlive that.
+	state() (core.State, error)
+	stats() Stats
+	close() error
+}
+
 // deadlineAware is the optional extension Fit uses to map a context
 // deadline onto an engine whose operations block on external processes.
 type deadlineAware interface {
 	setDeadline(t time.Time)
-}
-type engine interface {
-	push(b *mat.Dense) error
-	result() (*Result, error)
-	// save serializes the engine state; a non-nil res is a result just
-	// produced by result(), letting the parallel backend skip a second
-	// gather collective.
-	save(w io.Writer, res *Result) error
-	stats() Stats
-	close() error
 }
 
 // SVD is a handle on one streaming decomposition. Construct it with New,
@@ -386,21 +393,31 @@ func (s *SVD) Fit(ctx context.Context, src Source) (*Result, error) {
 			return nil, err
 		}
 	}
-	res, err := s.eng.result()
-	if err != nil {
+	res, err := s.fitResultLocked()
+	if err != nil && ctx.Err() != nil {
 		// A gather refused because the deadline expired after the last
 		// batch reports the context error, not a backend detail.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
+		return nil, ctx.Err()
 	}
-	if s.cfg.checkpoint != nil {
-		if err := s.saveLocked(s.cfg.checkpoint, res); err != nil {
-			return nil, fmt.Errorf("parsvd: writing checkpoint: %w", err)
-		}
+	return res, err
+}
+
+// fitResultLocked is the Result a Fit returns. With a checkpoint writer
+// configured it reads the engine's state once, writes it and builds the
+// Result from the same state, so the checkpoint costs no second gather or
+// merge-tree run. Called with s.mu held.
+func (s *SVD) fitResultLocked() (*Result, error) {
+	if s.cfg.checkpoint == nil {
+		return s.resultLocked()
 	}
-	return res, nil
+	st, err := s.saveLocked(s.cfg.checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("parsvd: writing checkpoint: %w", err)
+	}
+	if d, ok := s.eng.(*distEngine); ok {
+		return d.result()
+	}
+	return newResult(st), nil
 }
 
 // Push ingests one snapshot batch (M×B): the first call seeds the
@@ -458,7 +475,35 @@ func (s *SVD) Result() (*Result, error) {
 	if s.closed {
 		return nil, errors.New("parsvd: Result on closed SVD")
 	}
-	return s.eng.result()
+	return s.resultLocked()
+}
+
+// resultLocked snapshots the engine's decomposition. A Distributed
+// fleet's Result fingerprints its modes instead of carrying them, so a
+// read never ships the M×K matrix to this process. Called with s.mu held.
+func (s *SVD) resultLocked() (*Result, error) {
+	if d, ok := s.eng.(*distEngine); ok {
+		return d.result()
+	}
+	st, err := s.eng.state()
+	if err != nil {
+		return nil, err
+	}
+	return newResult(st), nil
+}
+
+// newResult copies st into a Result the caller owns.
+func newResult(st core.State) *Result {
+	modes := modeMatrix(st)
+	if modes == st.Modes {
+		modes = modes.Clone()
+	}
+	return &Result{
+		Modes:      modes,
+		Singular:   append([]float64(nil), st.Singular...),
+		Iterations: st.Iterations,
+		Snapshots:  st.Snapshots,
+	}
 }
 
 // Stats reports the SVD's configuration, ingest counters and inter-rank
@@ -502,28 +547,19 @@ func (s *SVD) Save(w io.Writer) error {
 	if s.closed {
 		return errors.New("parsvd: Save on closed SVD")
 	}
-	return s.saveLocked(w, nil)
+	_, err := s.saveLocked(w)
+	return err
 }
 
-// saveLocked writes the engine checkpoint, stamping the WithShard
-// provenance mark into it when one is configured. Called with s.mu held.
-// The engines themselves always emit unmarked state (the version-1
-// layout), so the stamp is applied by re-encoding through the State
-// form; checkpoints are small relative to a fit, the copy is cheap.
-func (s *SVD) saveLocked(w io.Writer, res *Result) error {
-	if s.cfg.shard.IsZero() {
-		return s.eng.save(w, res)
-	}
-	var buf bytes.Buffer
-	if err := s.eng.save(&buf, res); err != nil {
-		return err
-	}
-	st, err := core.ReadState(&buf)
+// saveLocked writes the engine's state to w, stamped with the WithShard
+// provenance mark, and returns it. Called with s.mu held.
+func (s *SVD) saveLocked(w io.Writer) (core.State, error) {
+	st, err := s.eng.state()
 	if err != nil {
-		return fmt.Errorf("parsvd: stamping shard provenance: %w", err)
+		return st, err
 	}
 	st.Shard = s.cfg.shard
-	return core.WriteState(w, st)
+	return st, core.WriteState(w, st)
 }
 
 // Close releases backend resources (the parallel backend's rank
