@@ -1,7 +1,6 @@
 package parsvd
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -173,12 +172,10 @@ func (d *distEngine) result() (*Result, error) {
 	}
 	st := d.sess.Stats()
 	// Modes stays nil: the M×K matrix lives row-distributed in the worker
-	// processes; ModesSHA256 fingerprints the gathered matrix bit-exactly
-	// and state() gathers it when the caller saves or merges.
-	// The fingerprint costs one gather collective per result() — the same
-	// M×K gather the Parallel backend's Result performs — so serving a
-	// distributed model is no more expensive per published view than
-	// serving a parallel one; the server's micro-batching amortizes both.
+	// processes. ModesSHA256 fingerprints it bit-exactly: MODES-SHA
+	// gathers the rank blocks at rank 0, which hashes them where they lie
+	// and replies with the digest alone, so only the hash crosses stdout.
+	// state() ships the modes themselves when the caller saves or merges.
 	return &Result{
 		Singular:    singular,
 		Iterations:  st.Iterations,
@@ -187,9 +184,22 @@ func (d *distEngine) result() (*Result, error) {
 	}, nil
 }
 
+// resultOf is result() built from a state the fleet already shipped (a
+// Fit's checkpoint): the spectrum, the counters and the modes' fingerprint
+// come from st with no further round trip, and Modes stays nil as in
+// result().
+func (d *distEngine) resultOf(st core.State) *Result {
+	return &Result{
+		Singular:    append([]float64(nil), st.Singular...),
+		Iterations:  st.Iterations,
+		Snapshots:   st.Snapshots,
+		ModesSHA256: launch.HashModes(st.Modes),
+	}
+}
+
 // state gathers the global state at rank 0, which ships it back as a
-// checkpoint (SAVE). Those bytes come from another process, so they are
-// parsed and checked like any checkpoint from outside.
+// checkpoint (SAVE). The session decodes those bytes off the wire and
+// checks them like any checkpoint from outside.
 func (d *distEngine) state() (core.State, error) {
 	if d.failed != nil {
 		return core.State{}, d.failed
@@ -197,13 +207,9 @@ func (d *distEngine) state() (core.State, error) {
 	if d.sess == nil || d.rows == 0 {
 		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
-	blob, err := d.sess.Save()
+	st, err := d.sess.Save()
 	if err != nil {
 		return core.State{}, d.sessionErr("gathering distributed checkpoint", err)
-	}
-	st, err := core.ReadState(bytes.NewReader(blob))
-	if err != nil {
-		return core.State{}, fmt.Errorf("parsvd: reading distributed checkpoint: %w", err)
 	}
 	return st, nil
 }

@@ -86,7 +86,7 @@ func (pe *parallelEngine) rankLoop(rank int) {
 				if rank == 0 {
 					reply.st = core.State{
 						Opts:       eng.Options(),
-						ModeRows:   rows,
+						ModeBlocks: rows,
 						Singular:   eng.SingularValues(),
 						Iterations: eng.Iterations(),
 						Snapshots:  eng.SnapshotsSeen(),

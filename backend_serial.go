@@ -45,12 +45,15 @@ func restoreSerialEngine(st core.State) (*serialEngine, error) {
 }
 
 // modeMatrix is st's modes as the M×K matrix, transposed out of ModeRows
-// when st holds them mode-major.
+// or ModeBlocks when st holds them mode-major.
 func modeMatrix(st core.State) *mat.Dense {
-	if st.Modes != nil {
+	switch {
+	case st.Modes != nil:
 		return st.Modes
+	case st.ModeRows != nil:
+		return core.ModeMatrix(st.ModeRows)
 	}
-	return st.ModeRows.T()
+	return core.ModeMatrix(st.ModeBlocks...)
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {

@@ -82,7 +82,7 @@ func runParallelBurgers(cfg burgers.Config, ranks, k, batch int, ff float64, low
 		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered.T()
+			modes = core.ModeMatrix(gathered...)
 			mu.Unlock()
 		}
 	})
@@ -191,7 +191,7 @@ func BenchmarkFig2ERA5Modes(b *testing.B) {
 			gathered := eng.GatherModeRows()
 			if c.Rank() == 0 {
 				mu.Lock()
-				modes = gathered.T()
+				modes = core.ModeMatrix(gathered...)
 				mu.Unlock()
 			}
 		})

@@ -190,7 +190,7 @@ func runTCPMode(cfg tcpConfig) {
 				log.Fatalf("%d ranks: Parallel reference fit failed: %v", p, err)
 			}
 			// The wire encoding is the spectrum's IEEE-754 bits.
-			if !bytes.Equal(launch.EncodeFloats(res.Singular), launch.EncodeFloats(par.Singular)) {
+			if !bytes.Equal(launch.AppendFloats(nil, res.Singular), launch.AppendFloats(nil, par.Singular)) {
 				log.Fatalf("%d ranks: VERIFICATION FAILED: spectra differ:\n tcp      %v\n parallel %v", p, res.Singular, par.Singular)
 			}
 			if want := launch.HashModes(par.Modes); res.ModesSHA256 != want {

@@ -24,21 +24,15 @@ import (
 // wire — the launcher scatters row blocks — and the rank's core engine
 // incorporates it through the collective streaming pipeline.
 //
-// Every command is answered by exactly one reply frame. Any failure —
-// a malformed frame, an engine panic, an abort echo from a dying peer —
-// is terminal: the transport is aborted (so live peers unwind), an ERR
-// frame is emitted best-effort, and the process exits nonzero. There is
-// no partial recovery; a session world is either fully consistent or
-// dead, which is exactly the contract the launcher enforces fleet-wide.
-//
 // With inheritedMesh the peer links are descriptors the launcher wired
 // before exec (inheritedPeers); otherwise the ranks meet at rank 0's
 // rendezvous address.
 func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 	rank, np := opts.Rank, opts.Size
 	out := bufio.NewWriter(os.Stdout)
+	fw := tcptransport.NewFrameWriter(out)
 	reply := func(verb byte, body []byte) error {
-		if err := tcptransport.WriteFrame(out, verb, body); err != nil {
+		if err := fw.WriteFrame(verb, body); err != nil {
 			return err
 		}
 		return out.Flush()
@@ -77,157 +71,61 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 		return err
 	}
 	log.Printf("session up: %d ranks", np)
-	comm := mpi.NewComm(t, rank)
+	return newSession(t, rank, out).serve(bufio.NewReaderSize(os.Stdin, 1<<16))
+}
 
-	var (
-		copts     core.Options
-		inited    bool
-		eng       *core.Parallel
-		localRows int
-	)
-	status := func(sha string) ([]byte, error) {
-		st := t.Stats()
-		s := launch.SessionStatus{
-			Rank:      rank,
-			Messages:  st.Messages,
-			BytesSent: st.Bytes,
-			Rows:      localRows,
-			ModesSHA:  sha,
-		}
-		if rank < len(st.RecvBytes) {
-			s.BytesRecv = st.RecvBytes[rank]
-		}
-		if eng != nil {
-			s.Snapshots = eng.SnapshotsSeen()
-			s.Iterations = eng.Iterations()
-		}
-		return json.Marshal(s)
-	}
-	okStatus := func(sha string) error {
-		b, err := status(sha)
-		if err != nil {
-			return err
-		}
-		return reply(launch.SessOK, b)
-	}
+// session is one rank's command loop over an established transport.
+//
+// Every command is answered by exactly one reply frame. Any failure —
+// a malformed frame, an engine panic, an abort echo from a dying peer —
+// is terminal: the transport is aborted (so live peers unwind), an ERR
+// frame is emitted best-effort, and serve returns the error. There is no
+// partial recovery; a session world is either fully consistent or dead,
+// which is exactly the contract the launcher enforces fleet-wide.
+//
+// Every command is decoded, executed and answered through storage the
+// session keeps: the pushed block, the reply header and body, the modes
+// hasher and the checkpoint writer, with the engine's own workspace and
+// gather blocks beneath. Once the first of each verb has sized them, a
+// steady stream of PUSH, SPECTRUM, MODES-SHA and SAVE allocates nothing,
+// so the process stays at its live set instead of growing to the
+// collector's headroom.
+type session struct {
+	rank int
+	t    *tcptransport.Transport
+	comm *mpi.Comm
+	out  *bufio.Writer
+	fw   *tcptransport.FrameWriter
 
-	// ingest seeds the engine with this rank's block of the first batch and
-	// streams every later one.
-	ingest := func(block *mat.Dense) {
-		if eng == nil {
-			eng = core.NewParallel(comm, copts)
-			eng.Initialize(block)
-			localRows = block.Rows()
-		} else {
-			eng.IncorporateData(block)
-		}
-	}
+	copts     core.Options
+	inited    bool
+	eng       *core.Parallel
+	localRows int
 
-	// handle executes one command, converting engine panics (dimension
-	// bugs, abort echoes from failed peers) into errors. done reports a
-	// clean SHUTDOWN. A PUSH or PUSH-SKETCH arrives already decoded into
-	// this rank's block; every other verb's payload is body.
-	handle := func(verb byte, body []byte, block *mat.Dense) (done bool, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				done = false
-				if e, ok := v.(error); ok {
-					err = e
-				} else {
-					err = fmt.Errorf("%v", v)
-				}
-			}
-		}()
-		switch verb {
-		case launch.SessInit:
-			var spec launch.EngineSpec
-			if err := json.Unmarshal(body, &spec); err != nil {
-				return false, fmt.Errorf("malformed INIT spec: %w", err)
-			}
-			copts = core.Options{
-				K:            spec.K,
-				ForgetFactor: spec.FF,
-				R1:           spec.R1,
-				LowRank:      spec.LowRank,
-				RLA: rla.Options{
-					Oversample: spec.Oversample,
-					PowerIters: spec.PowerIters,
-					Seed:       spec.Seed,
-				},
-			}
-			if err := copts.Validate(); err != nil {
-				return false, fmt.Errorf("INIT spec: %w", err)
-			}
-			inited = true
-			return false, okStatus("")
-		case launch.SessPush:
-			if !inited {
-				return false, errors.New("PUSH before INIT")
-			}
-			ingest(block)
-			return false, okStatus("")
-		case launch.SessPushSketch:
-			if !inited {
-				return false, errors.New("PUSH-SKETCH before INIT")
-			}
-			ingest(block)
-			return false, okStatus("")
-		case launch.SessSpectrum:
-			if eng == nil {
-				return false, errors.New("SPECTRUM before any PUSH")
-			}
-			return false, reply(launch.SessFloats, launch.EncodeFloats(eng.SingularValues()))
-		case launch.SessModesSHA:
-			if eng == nil {
-				return false, errors.New("MODES-SHA before any PUSH")
-			}
-			rows := eng.GatherModeRows() // collective: every rank participates
-			sha := ""
-			if rank == 0 {
-				sha = launch.HashModeRows(rows)
-			}
-			return false, okStatus(sha)
-		case launch.SessSave:
-			if eng == nil {
-				return false, errors.New("SAVE before any PUSH")
-			}
-			rows := eng.GatherModeRows() // collective
-			if rank != 0 {
-				return false, okStatus("")
-			}
-			// The checkpoint is encoded straight into the reply frame, so
-			// rank 0 never holds a second copy of the modes as bytes.
-			st := core.State{
-				Opts:       eng.Options(),
-				ModeRows:   rows,
-				Singular:   eng.SingularValues(),
-				Iterations: eng.Iterations(),
-				Snapshots:  eng.SnapshotsSeen(),
-			}
-			if err := tcptransport.WriteSizedFrame(out, launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
-				return core.WriteState(w, st)
-			}); err != nil {
-				return false, fmt.Errorf("writing checkpoint: %w", err)
-			}
-			return false, out.Flush()
-		case launch.SessShutdown:
-			// No rank starts tearing its sockets down while a peer is
-			// still mid-collective.
-			comm.Barrier()
-			t.Close()
-			return true, okStatus("")
-		default:
-			return false, fmt.Errorf("unknown session verb 0x%02x", verb)
-		}
-	}
+	// block holds every PUSH, sketch every PUSH-SKETCH, decoded through
+	// scratch.
+	block   mat.Dense
+	sketch  sketchDecoder
+	scratch []byte
+	// body is the reply body every OK and FLOATS is encoded into.
+	body   []byte
+	hasher launch.ModesHasher
+	ckpt   core.StateWriter
+}
 
-	in := bufio.NewReaderSize(os.Stdin, 1<<16)
-	// Every PUSH is decoded into block, and every PUSH-SKETCH into sketch,
-	// through scratch, so a steady stream of same-shaped pushes allocates
-	// nothing.
-	var block mat.Dense
-	var sketch sketchDecoder
-	scratch := make([]byte, 32<<10)
+func newSession(t *tcptransport.Transport, rank int, out *bufio.Writer) *session {
+	return &session{
+		rank:    rank,
+		t:       t,
+		comm:    mpi.NewComm(t, rank),
+		out:     out,
+		fw:      tcptransport.NewFrameWriter(out),
+		scratch: make([]byte, 32<<10),
+	}
+}
+
+// serve answers commands read from in until SHUTDOWN or a failure.
+func (s *session) serve(in *bufio.Reader) error {
 	for {
 		var body []byte
 		verb, n, err := tcptransport.ReadFrameHeader(in)
@@ -238,7 +136,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 			// The launcher is gone (EOF) or sent garbage: unwind the whole
 			// world so peers blocked in collectives do not hang until the
 			// idle timeout.
-			t.Abort()
+			s.t.Abort()
 			if err == io.EOF {
 				return errors.New("launcher closed the session stream")
 			}
@@ -247,25 +145,158 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 		// A PUSH body is exactly one snapshot block and a PUSH-SKETCH body
 		// one factor pair; one the reader refuses is reported like any
 		// failed command.
-		pushed := &block
+		pushed := &s.block
 		switch verb {
 		case launch.SessPush:
-			err = mat.ReadBlockExact(in, n, &block, scratch)
+			err = mat.ReadBlockExact(in, n, &s.block, s.scratch)
 		case launch.SessPushSketch:
-			pushed, err = sketch.read(in, n, scratch)
+			pushed, err = s.sketch.read(in, n, s.scratch)
 		}
 		var done bool
 		if err == nil {
-			done, err = handle(verb, body, pushed)
+			done, err = s.handle(verb, body, pushed)
 		}
 		if err != nil {
-			t.Abort()
-			reply(launch.SessErr, []byte(err.Error()))
+			s.t.Abort()
+			s.reply(launch.SessErr, []byte(err.Error()))
 			return err
 		}
 		if done {
 			return nil
 		}
+	}
+}
+
+// reply writes one reply frame and flushes it.
+func (s *session) reply(verb byte, body []byte) error {
+	if err := s.fw.WriteFrame(verb, body); err != nil {
+		return err
+	}
+	return s.out.Flush()
+}
+
+// okStatus replies OK with this rank's status and, on rank 0's MODES-SHA,
+// the modes hash.
+func (s *session) okStatus(sha []byte) error {
+	st := s.t.Stats()
+	status := launch.SessionStatus{
+		Rank:      s.rank,
+		Messages:  st.Messages,
+		BytesSent: st.Bytes,
+		BytesRecv: st.RecvBytes[s.rank],
+		Rows:      s.localRows,
+	}
+	if s.eng != nil {
+		status.Snapshots = s.eng.SnapshotsSeen()
+		status.Iterations = s.eng.Iterations()
+	}
+	s.body = launch.AppendStatus(s.body[:0], status, sha)
+	return s.reply(launch.SessOK, s.body)
+}
+
+// ingest seeds the engine with this rank's block of the first batch and
+// streams every later one.
+func (s *session) ingest(block *mat.Dense) {
+	if s.eng == nil {
+		s.eng = core.NewParallel(s.comm, s.copts)
+		s.eng.Initialize(block)
+		s.localRows = block.Rows()
+	} else {
+		s.eng.IncorporateData(block)
+	}
+}
+
+// handle executes one command, converting engine panics (dimension bugs,
+// abort echoes from failed peers) into errors. done reports a clean
+// SHUTDOWN. A PUSH or PUSH-SKETCH arrives already decoded into this
+// rank's block; every other verb's payload is body.
+func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			done = false
+			if e, ok := v.(error); ok {
+				err = e
+			} else {
+				err = fmt.Errorf("%v", v)
+			}
+		}
+	}()
+	switch verb {
+	case launch.SessInit:
+		var spec launch.EngineSpec
+		if err := json.Unmarshal(body, &spec); err != nil {
+			return false, fmt.Errorf("malformed INIT spec: %w", err)
+		}
+		s.copts = core.Options{
+			K:            spec.K,
+			ForgetFactor: spec.FF,
+			R1:           spec.R1,
+			LowRank:      spec.LowRank,
+			RLA: rla.Options{
+				Oversample: spec.Oversample,
+				PowerIters: spec.PowerIters,
+				Seed:       spec.Seed,
+			},
+		}
+		if err := s.copts.Validate(); err != nil {
+			return false, fmt.Errorf("INIT spec: %w", err)
+		}
+		s.inited = true
+		return false, s.okStatus(nil)
+	case launch.SessPush, launch.SessPushSketch:
+		if !s.inited {
+			return false, errors.New("push before INIT")
+		}
+		s.ingest(block)
+		return false, s.okStatus(nil)
+	case launch.SessSpectrum:
+		if s.eng == nil {
+			return false, errors.New("SPECTRUM before any PUSH")
+		}
+		s.body = launch.AppendFloats(s.body[:0], s.eng.SingularValues())
+		return false, s.reply(launch.SessFloats, s.body)
+	case launch.SessModesSHA:
+		if s.eng == nil {
+			return false, errors.New("MODES-SHA before any PUSH")
+		}
+		blocks := s.eng.GatherModeRows() // collective: every rank participates
+		var sha []byte
+		if s.rank == 0 {
+			sha = s.hasher.ModeRows(blocks...)
+		}
+		return false, s.okStatus(sha)
+	case launch.SessSave:
+		if s.eng == nil {
+			return false, errors.New("SAVE before any PUSH")
+		}
+		blocks := s.eng.GatherModeRows() // collective
+		if s.rank != 0 {
+			return false, s.okStatus(nil)
+		}
+		// The checkpoint is encoded straight from the gathered blocks into
+		// the reply frame, so rank 0 never holds the modes stacked or as
+		// bytes.
+		st := core.State{
+			Opts:       s.eng.Options(),
+			ModeBlocks: blocks,
+			Singular:   s.eng.SingularValues(),
+			Iterations: s.eng.Iterations(),
+			Snapshots:  s.eng.SnapshotsSeen(),
+		}
+		if err := s.fw.WriteSizedFrame(launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
+			return s.ckpt.WriteState(w, st)
+		}); err != nil {
+			return false, fmt.Errorf("writing checkpoint: %w", err)
+		}
+		return false, s.out.Flush()
+	case launch.SessShutdown:
+		// No rank starts tearing its sockets down while a peer is still
+		// mid-collective.
+		s.comm.Barrier()
+		s.t.Close()
+		return true, s.okStatus(nil)
+	default:
+		return false, fmt.Errorf("unknown session verb 0x%02x", verb)
 	}
 }
 

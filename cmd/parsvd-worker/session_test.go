@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
+	"goparsvd/internal/core"
+	"goparsvd/internal/launch"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi/tcptransport"
 	"goparsvd/internal/testutil"
 )
 
@@ -32,5 +38,182 @@ func TestSketchDecodeSteadyAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { decode() }); n != 0 {
 		t.Fatalf("steady PUSH-SKETCH decode allocates %v times, want 0", n)
+	}
+}
+
+// testFleet is a session world in one process: each rank's session
+// serves over a loopback transport (tcptransport.LocalWorld), with pipes
+// for its stdin and stdout, so a test drives the real command loop and
+// counts every allocation the ranks, their transports and the driver
+// make.
+type testFleet struct {
+	t    *testing.T
+	ts   []*tcptransport.Transport
+	sess []*session
+	in   []*io.PipeWriter
+	out  []*bufio.Reader
+	errs chan error
+	// reply is rank 0's last reply body, other the other ranks'; the
+	// driver's only buffers.
+	reply, other []byte
+}
+
+func startFleet(t *testing.T, ranks int) *testFleet {
+	t.Helper()
+	ts, err := tcptransport.LocalWorld(ranks, tcptransport.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &testFleet{t: t, ts: ts, errs: make(chan error, ranks)}
+	for r, tr := range ts {
+		inR, inW := io.Pipe()
+		outR, outW := io.Pipe()
+		s := newSession(tr, r, bufio.NewWriter(outW))
+		f.sess = append(f.sess, s)
+		f.in = append(f.in, inW)
+		f.out = append(f.out, bufio.NewReaderSize(outR, 1<<16))
+		go func() {
+			err := s.serve(bufio.NewReaderSize(inR, 1<<16))
+			outW.CloseWithError(io.ErrUnexpectedEOF)
+			f.errs <- err
+		}()
+	}
+	t.Cleanup(func() {
+		for _, tr := range f.ts {
+			tr.Abort()
+		}
+		for _, w := range f.in {
+			w.Close()
+		}
+		for range f.ts {
+			<-f.errs
+		}
+	})
+	return f
+}
+
+// do writes frames[r] to rank r, in rank order — every rank reads its
+// whole command before it enters a collective — and reads one reply per
+// rank, requiring verb from rank 0 and others from the other ranks. Rank
+// 0's reply body is left in f.reply.
+func (f *testFleet) do(frames [][]byte, verb, others byte) {
+	for r, w := range f.in {
+		if _, err := w.Write(frames[r]); err != nil {
+			f.t.Fatalf("writing to rank %d: %v", r, err)
+		}
+	}
+	for r, br := range f.out {
+		v, n, err := tcptransport.ReadFrameHeader(br)
+		if err != nil {
+			f.t.Fatalf("rank %d reply: %v", r, err)
+		}
+		buf := &f.other
+		if r == 0 {
+			buf = &f.reply
+		}
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
+		}
+		*buf = (*buf)[:n]
+		body := *buf
+		if _, err := io.ReadFull(br, body); err != nil {
+			f.t.Fatalf("rank %d reply body: %v", r, err)
+		}
+		want := verb
+		if r > 0 {
+			want = others
+		}
+		if v != want {
+			f.t.Fatalf("rank %d replied 0x%02x (%s), want 0x%02x", r, v, body, want)
+		}
+	}
+}
+
+// frame is one command frame carrying body.
+func frame(verb byte, body []byte) []byte {
+	return append(tcptransport.AppendFrameHeader(nil, verb, len(body)), body...)
+}
+
+// TestSessionSteadyStateAllocs: after warm-up, PUSH, SPECTRUM, MODES-SHA
+// and SAVE each allocate nothing on a two-rank fleet at the fit-distributed
+// shape (2048 rows per rank, K = 16, B = 16): the count covers the whole
+// process — both ranks' command loops and engines, their transports'
+// socket readers and the driver — so it is zero on rank 0 and on rank 1.
+// The MODES-SHA digest and the SAVE frame are pinned to what the parent
+// layout produces: HashModeRows and core.WriteState of the stacked modes.
+func TestSessionSteadyStateAllocs(t *testing.T) {
+	const ranks, rows, k, b = 2, 2048, 16, 16
+	f := startFleet(t, ranks)
+	spec, err := json.Marshal(launch.EngineSpec{K: k, FF: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(fr []byte) [][]byte { return [][]byte{fr, fr} }
+	f.do(all(frame(launch.SessInit, spec)), launch.SessOK, launch.SessOK)
+
+	rng := testutil.NewRand(7)
+	var pushes [3][][]byte // three batches, each rank's block framed
+	for i := range pushes {
+		for range ranks {
+			blk := testutil.RandomDense(rows, b, rng)
+			body := mat.AppendBlock(nil, 0, rows, b, blk.RawData())
+			pushes[i] = append(pushes[i], frame(launch.SessPush, body))
+		}
+	}
+	n := 0
+	push := func() {
+		f.do(pushes[n%len(pushes)], launch.SessOK, launch.SessOK)
+		n++
+	}
+	spectrumFrames := all(frame(launch.SessSpectrum, nil))
+	modesSHAFrames := all(frame(launch.SessModesSHA, nil))
+	saveFrames := all(frame(launch.SessSave, nil))
+	spectrum := func() { f.do(spectrumFrames, launch.SessFloats, launch.SessFloats) }
+	modesSHA := func() { f.do(modesSHAFrames, launch.SessOK, launch.SessOK) }
+	save := func() { f.do(saveFrames, launch.SessBlob, launch.SessOK) }
+	for range 3 { // seed, then two updates
+		push()
+	}
+
+	// Pins against the stacked modes, read while every rank idles.
+	stacked := mat.HStack(f.sess[0].eng.ModeRows(), f.sess[1].eng.ModeRows())
+	modesSHA()
+	st, err := launch.DecodeStatus(f.reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := launch.HashModeRows(stacked); st.ModesSHA != want {
+		t.Fatalf("MODES-SHA reported %s, want %s", st.ModesSHA, want)
+	}
+	save()
+	var want bytes.Buffer
+	eng := f.sess[0].eng
+	if err := core.WriteState(&want, core.State{
+		Opts:       eng.Options(),
+		ModeRows:   stacked,
+		Singular:   eng.SingularValues(),
+		Iterations: eng.Iterations(),
+		Snapshots:  eng.SnapshotsSeen(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.reply, want.Bytes()) {
+		t.Fatalf("SAVE frame body (%d bytes) differs from core.WriteState of the stacked modes (%d bytes)", len(f.reply), want.Len())
+	}
+	spectrum()
+	if got, err := launch.DecodeFloats(f.reply); err != nil || !testutil.CloseSlices(got, eng.SingularValues(), 0) {
+		t.Fatalf("SPECTRUM replied %v (%v), want %v", got, err, eng.SingularValues())
+	}
+
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, c := range []struct {
+		verb string
+		op   func()
+	}{{"PUSH", push}, {"SPECTRUM", spectrum}, {"MODES-SHA", modesSHA}, {"SAVE", save}} {
+		if a := testing.AllocsPerRun(20, c.op); a != 0 {
+			t.Errorf("steady %s allocates %v times per command across both ranks, want 0", c.verb, a)
+		}
 	}
 }

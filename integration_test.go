@@ -149,7 +149,7 @@ func TestIntegrationERA5Pipeline(t *testing.T) {
 		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered.T()
+			modes = core.ModeMatrix(gathered...)
 			mu.Unlock()
 		}
 	})

@@ -68,10 +68,14 @@ type State struct {
 	Opts  Options
 	Modes *mat.Dense
 	// ModeRows, when Modes is nil, holds the modes mode-major (K×M, row j
-	// being mode j), as the serial engine and a parallel gather hold them:
-	// WriteState emits the same bytes either way. ReadState always fills
-	// Modes.
-	ModeRows   *mat.Dense
+	// being mode j), as the serial engine holds them: WriteState emits
+	// the same bytes either way. ReadState always fills Modes.
+	ModeRows *mat.Dense
+	// ModeBlocks, when Modes and ModeRows are nil, holds the mode-major
+	// K×M matrix as column blocks side by side (K×M_0 | K×M_1 | …), as a
+	// parallel gather leaves each rank's rows at rank 0. WriteState reads
+	// every block in place, so the blocks are never stacked.
+	ModeBlocks []*mat.Dense
 	Singular   []float64
 	Iterations int
 	Snapshots  int
@@ -106,10 +110,13 @@ func (st State) Validated() (State, error) {
 		return st, err
 	}
 	st.Opts = opts
-	if st.Modes == nil && st.ModeRows == nil {
+	if st.Modes == nil && st.ModeRows == nil && len(st.ModeBlocks) == 0 {
 		return st, errors.New("core: state inconsistent: nil modes")
 	}
-	m, k := st.modeDims()
+	m, k, err := st.modeDims()
+	if err != nil {
+		return st, err
+	}
 	return st, opts.streamOptions().CheckState(m, k, st.Singular, st.Iterations, st.Snapshots)
 }
 
@@ -129,10 +136,27 @@ func (st State) Validated() (State, error) {
 // A zero Shard writes version 1 (byte-identical to the original format,
 // pinned by the golden fixture); a non-zero Shard writes version 2.
 func WriteState(w io.Writer, st State) error {
+	var sw StateWriter
+	return sw.WriteState(w, st)
+}
+
+// StateWriter writes checkpoints as WriteState does, through one scratch
+// buffer it keeps across calls, so a process that checkpoints again and
+// again (a worker answering SAVE) allocates nothing per checkpoint. The
+// zero value is ready to use.
+type StateWriter struct {
+	buf []byte
+}
+
+// WriteState writes st to w in WriteState's layout.
+func (sw *StateWriter) WriteState(w io.Writer, st State) error {
 	if err := st.Shard.Validate(); err != nil {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
-	rows, cols := st.modeDims()
+	rows, cols, err := st.modeDims()
+	if err != nil {
+		return fmt.Errorf("core: checkpoint write: %w", err)
+	}
 	if cols != len(st.Singular) {
 		return fmt.Errorf("core: checkpoint state inconsistent: %d modes, %d values",
 			cols, len(st.Singular))
@@ -145,26 +169,23 @@ func WriteState(w io.Writer, st State) error {
 	if st.Opts.LowRank {
 		lowRank = 1
 	}
+	if sw.buf == nil {
+		sw.buf = make([]byte, 0, scratchLen)
+	}
 	// The header is encoded into the scratch buffer the values follow
 	// through.
-	buf := append(make([]byte, 0, scratchLen), checkpointMagic[:]...)
+	buf := append(sw.buf[:0], checkpointMagic[:]...)
 	buf = append(buf, version)
-	for _, v := range []int64{int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots)} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
+	buf = appendInt64s(buf, int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Opts.ForgetFactor))
 	buf = append(buf, lowRank)
-	meta := []int64{
-		int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed,
-		int64(st.Opts.R1), 0,
-	}
+	buf = appendInt64s(buf, int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed,
+		int64(st.Opts.R1), 0)
 	if version == checkpointVersionV2 {
-		meta = append(meta, int64(st.Shard.Index), int64(st.Shard.Count))
+		buf = appendInt64s(buf, int64(st.Shard.Index), int64(st.Shard.Count))
 	}
-	for _, v := range append(meta, int64(rows), int64(cols)) {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	buf, err := mat.WriteFloats(w, buf, st.Singular)
+	buf = appendInt64s(buf, int64(rows), int64(cols))
+	buf, err = mat.WriteFloats(w, buf, st.Singular)
 	if err == nil {
 		err = st.writeModes(w, buf)
 	}
@@ -172,6 +193,14 @@ func WriteState(w io.Writer, st State) error {
 		return fmt.Errorf("core: checkpoint write: %w", err)
 	}
 	return nil
+}
+
+// appendInt64s appends each value as a little-endian int64.
+func appendInt64s(buf []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return buf
 }
 
 // scratchLen is the fixed buffer a checkpoint's values are encoded and
@@ -182,40 +211,57 @@ const scratchLen = 32 << 10
 // checkpoint can be framed before it is encoded (the worker's SAVE reply
 // streams it straight out).
 func (st State) EncodedLen() int {
+	rows, cols, _ := st.modeDims()
+	return encodedLen(!st.Shard.IsZero(), rows, cols)
+}
+
+// encodedLen is the length of a checkpoint of rows×cols modes, version 2
+// when shard is set.
+func encodedLen(shard bool, rows, cols int) int {
 	meta := 7 // rla (3), r1, method, rows, cols
-	if !st.Shard.IsZero() {
+	if shard {
 		meta += 2
 	}
-	rows, cols := st.modeDims()
 	return len(checkpointMagic) + 1 + 3*8 + 8 + 1 + 8*meta + 8*(cols+rows*cols)
 }
 
-// modeDims is the M×K shape of the modes, whichever layout st holds.
-func (st State) modeDims() (rows, cols int) {
-	if st.Modes == nil {
+// modeDims is the M×K shape of the modes, whichever layout st holds. It
+// errors when ModeBlocks' blocks differ in height.
+func (st State) modeDims() (rows, cols int, err error) {
+	switch {
+	case st.Modes != nil:
+		rows, cols = st.Modes.Dims()
+	case st.ModeRows != nil:
 		cols, rows = st.ModeRows.Dims()
-		return rows, cols
+	default:
+		for i, b := range st.ModeBlocks {
+			if i == 0 {
+				cols = b.Rows()
+			} else if b.Rows() != cols {
+				return 0, 0, fmt.Errorf("core: state inconsistent: mode block %d holds %d modes, block 0 %d",
+					i, b.Rows(), cols)
+			}
+			rows += b.Cols()
+		}
 	}
-	return st.Modes.Dims()
+	return rows, cols, nil
 }
 
 // writeModes emits the modes row-major as M×K little-endian float64s after
 // the pending bytes in buf, through buf's fixed capacity; from mode-major
-// rows it transposes as it encodes, so a save never builds an M×K copy.
+// rows or blocks it transposes as it encodes, so a save never builds an
+// M×K copy.
 func (st State) writeModes(w io.Writer, buf []byte) error {
 	var err error
-	if st.Modes != nil {
+	switch {
+	case st.Modes != nil:
 		buf, err = mat.WriteFloats(w, buf, st.Modes.RawData())
-	} else {
-		k, m := st.ModeRows.Dims()
-		d := st.ModeRows.RawData()
-		for i := 0; i < m && err == nil; i++ {
-			if cap(buf)-len(buf) < 8*k {
-				_, err = w.Write(buf)
-				buf = buf[:0]
-			}
-			for j := 0; j < k; j++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d[j*m+i]))
+	case st.ModeRows != nil:
+		buf, err = writeModeRows(w, buf, st.ModeRows)
+	default:
+		for _, b := range st.ModeBlocks {
+			if buf, err = writeModeRows(w, buf, b); err != nil {
+				break
 			}
 		}
 	}
@@ -226,11 +272,42 @@ func (st State) writeModes(w io.Writer, buf []byte) error {
 	return err
 }
 
+// writeModeRows appends the k×m mode-major block rows to buf transposed,
+// as m rows of k values, writing buf to w each time its capacity fills,
+// and returns the unwritten tail.
+func writeModeRows(w io.Writer, buf []byte, rows *mat.Dense) ([]byte, error) {
+	k, m := rows.Dims()
+	d := rows.RawData()
+	for i := 0; i < m; i++ {
+		if cap(buf)-len(buf) < 8*k {
+			if _, err := w.Write(buf); err != nil {
+				return buf, err
+			}
+			buf = buf[:0]
+		}
+		for j := 0; j < k; j++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d[j*m+i]))
+		}
+	}
+	return buf, nil
+}
+
 // ReadState parses either checkpoint version, validating shape and
 // option sanity — including that it holds 1 to K modes — but not the
 // engine-level restore invariants (those run in RestoreSerial /
 // stream.Restore).
-func ReadState(r io.Reader) (State, error) {
+func ReadState(r io.Reader) (State, error) { return readState(r, -1) }
+
+// ReadStateExact is ReadState of a checkpoint that is exactly the next n
+// bytes of r, such as a frame body. The header's shape must account for
+// all n bytes — a checkpoint that runs past them or stops short of them is
+// refused before any value is read — so what it reserves for the values
+// is bounded by n, whatever the header declares. On an error r may be
+// left anywhere within the n bytes.
+func ReadStateExact(r io.Reader, n int) (State, error) { return readState(r, n) }
+
+// readState is ReadState, and ReadStateExact when n is not negative.
+func readState(r io.Reader, n int) (State, error) {
 	var st State
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -295,6 +372,9 @@ func ReadState(r io.Reader) (State, error) {
 	}
 	if ff <= 0 || ff > 1 || math.IsNaN(ff) {
 		return st, fmt.Errorf("%w: forget factor %g out of range", ErrBadCheckpoint, ff)
+	}
+	if want := encodedLen(version == checkpointVersionV2, int(rows), int(cols)); n >= 0 && want != n {
+		return st, fmt.Errorf("%w: %dx%d modes take %d bytes, the body holds %d", ErrBadCheckpoint, rows, cols, want, n)
 	}
 	// The values are decoded through a fixed scratch buffer and stored as
 	// they arrive: a header declaring more than the stream holds fails

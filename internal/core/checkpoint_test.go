@@ -191,12 +191,14 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 }
 
 // TestStateEncodedLen: EncodedLen predicts WriteState's output exactly,
-// for both versions and both mode layouts.
+// for both versions and every mode layout.
 func TestStateEncodedLen(t *testing.T) {
 	modes := testutil.RandomDense(7, 3, testutil.NewRand(4))
 	for _, st := range []State{
 		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3},
 		{Opts: Options{K: 3, ForgetFactor: 1}, ModeRows: modes.T(), Singular: []float64{3, 2, 1}, Snapshots: 3},
+		{Opts: Options{K: 3, ForgetFactor: 1}, ModeBlocks: []*mat.Dense{modes.SliceRows(0, 4).T(), modes.SliceRows(4, 7).T()},
+			Singular: []float64{3, 2, 1}, Snapshots: 3},
 		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3,
 			Shard: ShardID{Index: 1, Count: 2}},
 	} {
@@ -207,5 +209,44 @@ func TestStateEncodedLen(t *testing.T) {
 		if got := st.EncodedLen(); got != buf.Len() {
 			t.Fatalf("EncodedLen = %d, WriteState wrote %d bytes (shard %v)", got, buf.Len(), st.Shard)
 		}
+	}
+}
+
+// TestStateModeBlocks: the modes held as mode-major column blocks, as a
+// parallel gather leaves them, write the bytes the M×K matrix writes, and
+// ReadStateExact reads them back; a StateWriter writes them again without
+// allocating, and blocks of unequal height are refused.
+func TestStateModeBlocks(t *testing.T) {
+	modes := testutil.RandomDense(9, 3, testutil.NewRand(5))
+	base := State{Opts: Options{K: 4, ForgetFactor: 0.9}.validated(), Singular: []float64{3, 2, 1}, Iterations: 2, Snapshots: 8}
+	whole, blocks := base, base
+	whole.Modes = modes
+	blocks.ModeBlocks = []*mat.Dense{modes.SliceRows(0, 2).T(), modes.SliceRows(2, 8).T(), modes.SliceRows(8, 9).T()}
+	var want, got bytes.Buffer
+	if err := WriteState(&want, whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteState(&got, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("mode blocks write other bytes than the M×K modes")
+	}
+	st, err := ReadStateExact(bytes.NewReader(got.Bytes()), got.Len())
+	if err != nil || !mat.EqualApprox(st.Modes, modes, 0) {
+		t.Fatalf("ReadStateExact: %v", err)
+	}
+	for _, n := range []int{got.Len() - 1, got.Len() + 1} {
+		if _, err := ReadStateExact(bytes.NewReader(got.Bytes()), n); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("ReadStateExact of a %d-byte checkpoint as %d bytes: %v", got.Len(), n, err)
+		}
+	}
+	var sw StateWriter
+	if n := testing.AllocsPerRun(10, func() { sw.WriteState(io.Discard, blocks) }); n != 0 {
+		t.Fatalf("a reused StateWriter allocates %v times, want 0", n)
+	}
+	blocks.ModeBlocks = append(blocks.ModeBlocks, mat.New(2, 1))
+	if err := WriteState(io.Discard, blocks); err == nil {
+		t.Fatal("blocks of unequal height were written")
 	}
 }

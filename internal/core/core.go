@@ -105,6 +105,10 @@ type Parallel struct {
 	*stream.SVD // nil until Initialize
 	opts        Options
 	comm        *mpi.Comm
+	// gathered holds, at rank 0, the mode blocks GatherModeRows returns:
+	// rank 0's own rows and storage every other rank's are received into,
+	// reused across gathers.
+	gathered []*mat.Dense
 }
 
 // NewParallel constructs a parallel engine bound to one rank of a
@@ -148,18 +152,45 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 }
 
 // GatherModeRows assembles the full mode matrix at rank 0 (the paper's
-// `_gather_modes`) mode-major, as the K×M matrix Uᵀ: each rank sends its
-// K×M_i ModeRows as they lie, and rank 0 places them side by side. Other
-// ranks receive nil. Callers that want the M×K matrix transpose once.
-func (p *Parallel) GatherModeRows() *mat.Dense {
+// `_gather_modes`) mode-major, as the K×M matrix Uᵀ held in column blocks,
+// one per rank in rank order: each rank sends its K×M_i ModeRows as they
+// lie, rank 0's block is its own rows in place, and every other rank's is
+// received into storage the engine reuses across gathers, so a steady
+// sequence of gathers allocates nothing. Other ranks receive nil. The
+// blocks are valid until the next gather or update; core.State's
+// ModeBlocks and launch.HashModeRows read them without stacking.
+func (p *Parallel) GatherModeRows() []*mat.Dense {
 	rows := p.ModeRows()
 	if p.comm.Rank() != 0 {
-		p.comm.GatherMatrix(0, rows)
+		p.comm.GatherMatrixInto(0, rows, nil)
 		return nil
 	}
-	// Rank 0 reads its own block in place rather than have the gather
-	// clone it.
-	blocks := p.comm.GatherMatrix(0, &mat.Dense{})
-	blocks[0] = rows
-	return mat.HStack(blocks...)
+	if p.gathered == nil {
+		p.gathered = make([]*mat.Dense, p.comm.Size())
+		for r := 1; r < len(p.gathered); r++ {
+			p.gathered[r] = new(mat.Dense)
+		}
+	}
+	p.gathered[0] = rows
+	p.comm.GatherMatrixInto(0, rows, p.gathered)
+	return p.gathered
+}
+
+// ModeMatrix returns, in fresh storage, the M×K mode matrix whose
+// transpose the mode-major blocks hold side by side (K×M_0 | K×M_1 | …),
+// as GatherModeRows returns them; one block is a plain ModeRows.
+func ModeMatrix(blocks ...*mat.Dense) *mat.Dense {
+	m := 0
+	for _, b := range blocks {
+		m += b.Cols()
+	}
+	out := mat.New(m, blocks[0].Rows())
+	var v mat.Dense
+	off := 0
+	for _, b := range blocks {
+		out.ViewRows(off, off+b.Cols(), &v)
+		b.TInto(&v)
+		off += b.Cols()
+	}
+	return out
 }

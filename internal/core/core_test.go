@@ -56,7 +56,7 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 		gathered := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			modes = gathered.T()
+			modes = ModeMatrix(gathered...)
 			s = append([]float64(nil), eng.SingularValues()...)
 			mu.Unlock()
 		}
@@ -270,12 +270,17 @@ func TestGatherModesAfterStreaming(t *testing.T) {
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
 		eng.Initialize(blocks[c.Rank()].SliceCols(0, 6))
-		g1 := eng.GatherModeRows()
+		// The gather reuses its storage, so the first is copied out
+		// before the second.
+		var g1 *mat.Dense
+		if g := eng.GatherModeRows(); g != nil {
+			g1 = ModeMatrix(g...)
+		}
 		eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12))
 		g2 := eng.GatherModeRows()
 		if c.Rank() == 0 {
 			mu.Lock()
-			first, second = g1.T(), g2.T()
+			first, second = g1, ModeMatrix(g2...)
 			mu.Unlock()
 		}
 	})
@@ -320,7 +325,7 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 			if u == nil || badAt >= 0 {
 				continue
 			}
-			if loss := testutil.OrthonormalityLoss(u.T()); !(loss <= 1e-10) {
+			if loss := testutil.OrthonormalityLoss(ModeMatrix(u...)); !(loss <= 1e-10) {
 				bad, badAt = loss, i
 			}
 		}

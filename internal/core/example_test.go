@@ -47,9 +47,9 @@ func ExampleParallel() {
 		pr := parts[c.Rank()]
 		eng := core.NewParallel(c, core.Options{K: 2, ForgetFactor: 1.0, R1: 6})
 		eng.Initialize(full.SliceRows(pr.Start, pr.End))
-		rows := eng.GatherModeRows() // K×M, mode-major
+		blocks := eng.GatherModeRows() // K×M, mode-major, one block per rank
 		if c.Rank() == 0 {
-			k, r := rows.Dims()
+			r, k := core.ModeMatrix(blocks...).Dims()
 			fmt.Printf("gathered modes: %dx%d\n", r, k)
 			fmt.Printf("significant values: %d\n", countSignificant(eng.SingularValues()))
 		}

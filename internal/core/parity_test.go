@@ -138,12 +138,12 @@ func checkParallelMatchesReference(t *testing.T, m, p, k, b0, b int, opts Option
 				eng.IncorporateData(a)
 				ref.incorporate(a)
 			}
-			got := eng.GatherModeRows()
+			blocks := eng.GatherModeRows()
 			want := mat.VStack(c.GatherMatrix(0, ref.ulocal)...)
 			if c.Rank() != 0 {
 				continue
 			}
-			got = got.T()
+			got := ModeMatrix(blocks...)
 			if msg := compareState(got, eng.SingularValues(), want, ref.singular); msg != "" {
 				mu.Lock()
 				if fail == "" {

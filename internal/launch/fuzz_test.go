@@ -13,11 +13,13 @@ package launch
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"runtime"
 	"testing"
 
+	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi/tcptransport"
 )
@@ -195,11 +197,11 @@ func FuzzDecodeFactorPair(f *testing.F) {
 }
 
 func FuzzDecodeFloats(f *testing.F) {
-	f.Add(EncodeFloats([]float64{1, 2, 3}))
-	f.Add(EncodeFloats(nil))
-	f.Add(EncodeFloats([]float64{math.NaN(), math.Inf(-1), -0.0})) // legal for spectra
-	f.Add(blockBody(mat.NewFromData(1, 1, []float64{1})))          // matrix body: must be rejected
-	f.Add([]byte{1, 2, 3})                                         // truncated header
+	f.Add(AppendFloats(nil, []float64{1, 2, 3}))
+	f.Add(AppendFloats(nil, nil))
+	f.Add(AppendFloats(nil, []float64{math.NaN(), math.Inf(-1), -0.0})) // legal for spectra
+	f.Add(blockBody(mat.NewFromData(1, 1, []float64{1})))               // matrix body: must be rejected
+	f.Add([]byte{1, 2, 3})                                              // truncated header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeFloats(data)
@@ -207,7 +209,7 @@ func FuzzDecodeFloats(f *testing.F) {
 			return
 		}
 		// Bit-exact round trip, NaNs included.
-		if !equalFloatsBits(v, mustDecodeFloats(t, EncodeFloats(v))) {
+		if !equalFloatsBits(v, mustDecodeFloats(t, AppendFloats(nil, v))) {
 			t.Fatal("floats did not round-trip bit-exactly")
 		}
 	})
@@ -348,7 +350,7 @@ func TestReadSessionFrameBoundsAllocation(t *testing.T) {
 func TestWriteSizedFrame(t *testing.T) {
 	body := []byte("a checkpoint's worth of bytes")
 	var got bytes.Buffer
-	if err := tcptransport.WriteSizedFrame(&got, SessBlob, len(body), func(w io.Writer) error {
+	if err := tcptransport.NewFrameWriter(&got).WriteSizedFrame(SessBlob, len(body), func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	}); err != nil {
@@ -358,7 +360,7 @@ func TestWriteSizedFrame(t *testing.T) {
 		t.Fatal("streamed frame differs from WriteFrame")
 	}
 	for _, n := range []int{len(body) - 1, len(body) + 1} {
-		err := tcptransport.WriteSizedFrame(io.Discard, SessBlob, n, func(w io.Writer) error {
+		err := tcptransport.NewFrameWriter(io.Discard).WriteSizedFrame(SessBlob, n, func(w io.Writer) error {
 			_, err := w.Write(body)
 			return err
 		})
@@ -379,6 +381,119 @@ func TestSessionVerbValues(t *testing.T) {
 	} {
 		if want[0] != want[1] || verbName(want[0]) != verb {
 			t.Errorf("%s is 0x%02x named %s, want 0x%02x", verb, want[0], verbName(want[0]), want[1])
+		}
+	}
+}
+
+// blobSeed is a small valid SAVE checkpoint: 5 rows, 2 modes.
+func blobSeed() []byte {
+	var buf bytes.Buffer
+	modes := mat.NewFromData(5, 2, []float64{1, 0, 0, 1, 0, 0, 0, 0, 0, 0})
+	if err := core.WriteState(&buf, core.State{
+		Opts:      core.Options{K: 2, ForgetFactor: 1},
+		Modes:     modes,
+		Singular:  []float64{2, 1},
+		Snapshots: 4,
+	}); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// nextFrame is what a worker writes after a BLOB in the fuzzed streams.
+var nextFrame = []byte(`{"rank":1}`)
+
+// readBlobThenNext reads a stream holding a BLOB frame carrying body and
+// then an OK frame as the launcher's reply reader does. It fails t unless
+// the stream stays readable — a body the reader refuses is drained, so
+// the OK frame still reads whole — and returns the decoded frame and the
+// bytes allocated while the BLOB was read.
+func readBlobThenNext(t *testing.T, body []byte) (sessFrame, uint64) {
+	t.Helper()
+	r := bytes.NewReader(append(frameSeed(SessBlob, body), frameSeed(SessOK, nextFrame)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr, err := readReply(r)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("a whole BLOB frame broke the stream: %v", err)
+	}
+	if fr.verb != SessBlob || fr.body != nil {
+		t.Fatalf("BLOB frame read as verb 0x%02x with %d body bytes", fr.verb, len(fr.body))
+	}
+	next, err := readReply(r)
+	if err != nil || next.verb != SessOK || !bytes.Equal(next.body, nextFrame) {
+		t.Fatalf("frame after the BLOB: verb 0x%02x body %q err %v", next.verb, next.body, err)
+	}
+	return fr, after.TotalAlloc - before.TotalAlloc
+}
+
+// blobAllocBound is what reading a BLOB body of n bytes may allocate: the
+// checkpoint's values, which the frame length bounds, plus the fixed
+// scratch of the decoder and the drain.
+func blobAllocBound(n int) uint64 { return uint64(n) + 96<<10 }
+
+// FuzzReadBlobState drives the launcher's SAVE reader (readReply →
+// readBlobState → core.ReadStateExact), which decodes another process's
+// checkpoint straight off its stdout: whatever the body, it must not
+// panic, must allocate no more than the frame length allows, and must
+// leave the stream framed, so the next frame reads whole. A body it
+// accepts is exactly one checkpoint.
+func FuzzReadBlobState(f *testing.F) {
+	valid := blobSeed()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                     // frame shorter than its checkpoint
+	f.Add(append(append([]byte{}, valid...), 1, 2)) // trailing bytes
+	hostile := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint64(hostile[78:], 1<<33) // rows: a hostile mode count
+	f.Add(hostile)
+	for _, at := range []int{2, 30, 87, len(valid) - 1} { // bit flips: magic, counters, cols, a value
+		flipped := append([]byte{}, valid...)
+		flipped[at] ^= 0x10
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fr, alloc := readBlobThenNext(t, body)
+		if alloc > blobAllocBound(len(body)) {
+			t.Fatalf("a %d-byte BLOB allocated %d bytes", len(body), alloc)
+		}
+		if fr.err != nil {
+			return
+		}
+		st := fr.state
+		if r, c := st.Modes.Dims(); c != len(st.Singular) || st.EncodedLen() != len(body) || r < 0 {
+			t.Fatalf("accepted a %d-byte body as %dx%d modes and %d values", len(body), r, c, len(st.Singular))
+		}
+	})
+}
+
+// TestReadBlobState: a SAVE checkpoint is decoded straight off the stream,
+// and a body that is short, long or declares a hostile mode count is
+// refused without breaking the framing or reserving what it declares.
+func TestReadBlobState(t *testing.T) {
+	valid := blobSeed()
+	fr, _ := readBlobThenNext(t, valid)
+	if fr.err != nil {
+		t.Fatalf("valid checkpoint refused: %v", fr.err)
+	}
+	var again bytes.Buffer
+	if err := core.WriteState(&again, fr.state); err != nil || !bytes.Equal(again.Bytes(), valid) {
+		t.Fatalf("decoded checkpoint re-encodes differently (%v)", err)
+	}
+	hostile := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint64(hostile[78:], 1<<33)
+	for name, body := range map[string][]byte{
+		"short":   valid[:len(valid)-3],
+		"long":    append(append([]byte{}, valid...), 1, 2),
+		"hostile": hostile,
+		"empty":   nil,
+	} {
+		fr, alloc := readBlobThenNext(t, body)
+		if !errors.Is(fr.err, core.ErrBadCheckpoint) {
+			t.Errorf("%s body: err %v, want ErrBadCheckpoint", name, fr.err)
+		}
+		if alloc > blobAllocBound(len(body)) {
+			t.Errorf("%s body of %d bytes allocated %d", name, len(body), alloc)
 		}
 	}
 }

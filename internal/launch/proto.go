@@ -21,10 +21,16 @@ package launch
 //	          L·(M_r+B) floats cross the wire per rank instead of the raw
 //	          M_r×B block
 //	SPECTRUM  empty body; every rank replies FLOATS(singular values)
-//	MODES-SHA empty body; collective mode gather, rank 0's OK reply carries
-//	          the SHA-256 fingerprint of the assembled M×K matrix
-//	SAVE      empty body; collective gather, rank 0 replies BLOB holding a
-//	          facade-compatible (serial) checkpoint of the global state
+//	MODES-SHA empty body; collective mode gather: every rank sends its
+//	          K×M_i mode rows to rank 0, which hashes the blocks where
+//	          they lie (HashModeRows, never stacking them) and puts the
+//	          SHA-256 fingerprint of the M×K matrix they make up in its
+//	          OK reply; every other rank replies OK
+//	SAVE      empty body; the same gather, after which rank 0 replies BLOB
+//	          holding a facade-compatible (serial) checkpoint of the global
+//	          state, encoded from the rank blocks straight into the frame
+//	          (core.State.ModeBlocks); the launcher decodes it off the pipe
+//	          (core.ReadStateExact), so neither side holds it as bytes
 //	SHUTDOWN  empty body; barrier, transport teardown, OK, clean exit
 //
 // Worker→launcher verbs (on worker stdout):
@@ -35,9 +41,10 @@ package launch
 //	           point the other ranks there; a launched rank inherits its
 //	           mesh and never sends it (StartSession wants OK to INIT)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
-//	           counters, optional modes hash)
+//	           counters, optional modes hash), encoded by AppendStatus
 //	FLOATS     body = a block carrying a vector (Rows = −1)
-//	BLOB       body = opaque bytes (checkpoint payload)
+//	BLOB       body = one checkpoint (core.WriteState), exactly the frame
+//	           length: a body that runs short or long is refused
 //	ERR        body = UTF-8 error text; the worker aborts its transport and
 //	           exits nonzero right after writing it, so an ERR always
 //	           poisons the whole session
@@ -52,6 +59,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -183,14 +191,15 @@ func writeFactorPairFrame(w io.Writer, scratch []byte, q, s *mat.Dense) error {
 	return err
 }
 
-// EncodeFloats renders a vector as a data body (the FLOATS payload).
-func EncodeFloats(v []float64) []byte {
-	return tcptransport.AppendMessageBody(nil, mpi.Message{Rows: -1, Data: v})
+// AppendFloats appends v as a data body (the FLOATS payload).
+func AppendFloats(buf []byte, v []float64) []byte {
+	return tcptransport.AppendMessageBody(buf, mpi.Message{Rows: -1, Data: v})
 }
 
-// DecodeFloats parses a FLOATS payload. Unlike a snapshot block it may
-// carry non-finite values: a spectrum readback must report whatever the engine
-// holds, faithfully.
+// DecodeFloats parses a FLOATS payload straight from body; the vector is
+// its one allocation. Unlike a snapshot block it may carry non-finite
+// values: a spectrum readback must report whatever the engine holds,
+// faithfully.
 func DecodeFloats(body []byte) ([]float64, error) {
 	m, err := tcptransport.DecodeMessageBody(body)
 	if err != nil {
@@ -200,6 +209,34 @@ func DecodeFloats(body []byte) ([]float64, error) {
 		return nil, fmt.Errorf("launch: FLOATS payload carries a %dx%d matrix, want a vector", m.Rows, m.Cols)
 	}
 	return m.Data, nil
+}
+
+// AppendStatus appends the body of an OK reply: the JSON json.Marshal
+// writes for st, byte for byte, with sha — hex digits, possibly none — as
+// its modes hash in place of st.ModesSHA. It uses no reflection and
+// allocates nothing once buf holds a reply, so a worker acknowledges
+// every command from one reused buffer.
+func AppendStatus(buf []byte, st SessionStatus, sha []byte) []byte {
+	buf = append(buf, `{"rank":`...)
+	buf = strconv.AppendInt(buf, int64(st.Rank), 10)
+	buf = append(buf, `,"messages":`...)
+	buf = strconv.AppendInt(buf, st.Messages, 10)
+	buf = append(buf, `,"bytes_sent":`...)
+	buf = strconv.AppendInt(buf, st.BytesSent, 10)
+	buf = append(buf, `,"bytes_recv":`...)
+	buf = strconv.AppendInt(buf, st.BytesRecv, 10)
+	buf = append(buf, `,"rows":`...)
+	buf = strconv.AppendInt(buf, int64(st.Rows), 10)
+	buf = append(buf, `,"snapshots":`...)
+	buf = strconv.AppendInt(buf, int64(st.Snapshots), 10)
+	buf = append(buf, `,"iterations":`...)
+	buf = strconv.AppendInt(buf, int64(st.Iterations), 10)
+	if len(sha) > 0 {
+		buf = append(buf, `,"modes_sha":"`...)
+		buf = append(buf, sha...)
+		buf = append(buf, '"')
+	}
+	return append(buf, '}')
 }
 
 // DecodeStatus parses the OK-reply JSON.

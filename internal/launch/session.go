@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"goparsvd/internal/core"
 	"goparsvd/internal/grid"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi/tcptransport"
@@ -80,16 +81,21 @@ type Session struct {
 	// alone governs.
 	hardDeadline time.Time
 
-	stats  SessionStats
-	failed error
-	closed bool
+	// statuses is the latest status each rank acknowledged with; stats
+	// sums them.
+	statuses []SessionStatus
+	stats    SessionStats
+	failed   error
+	closed   bool
 }
 
-// sessFrame is one parsed reply (or terminal read error) from a worker.
+// sessFrame is one parsed reply (or read error) from a worker. A BLOB
+// reply arrives decoded: state holds the checkpoint and body is nil.
 type sessFrame struct {
-	verb byte
-	body []byte
-	err  error
+	verb  byte
+	body  []byte
+	state core.State
+	err   error
 }
 
 // sessWorker supervises one persistent rank process.
@@ -125,7 +131,12 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{cfg: cfg, workers: make([]*sessWorker, cfg.Ranks), hardDeadline: cfg.Deadline}
+	s := &Session{
+		cfg:          cfg,
+		workers:      make([]*sessWorker, cfg.Ranks),
+		statuses:     make([]SessionStatus, cfg.Ranks),
+		hardDeadline: cfg.Deadline,
+	}
 	if !cfg.Deadline.IsZero() && !cfg.Deadline.After(time.Now()) {
 		return nil, fmt.Errorf("launch: session deadline exceeded before startup")
 	}
@@ -196,7 +207,7 @@ func (w *sessWorker) readLoop(stdout io.ReadCloser) {
 	defer close(w.done)
 	br := bufio.NewReaderSize(stdout, 1<<16)
 	for {
-		verb, body, err := tcptransport.ReadFrame(br)
+		fr, err := readReply(br)
 		if err != nil {
 			waitErr := w.cmd.Wait()
 			w.stdin.Close()
@@ -209,8 +220,43 @@ func (w *sessWorker) readLoop(stdout io.ReadCloser) {
 			w.frames <- sessFrame{err: err}
 			return
 		}
-		w.frames <- sessFrame{verb: verb, body: body}
+		w.frames <- fr
 	}
+}
+
+// readReply reads one reply frame. A BLOB body — a SAVE checkpoint — is
+// decoded straight off the stream (readBlobState), so the launcher never
+// holds the checkpoint as bytes; a body it refuses comes back as the
+// frame's err, with the stream still framed. The error result is a
+// stream that can no longer be read.
+func readReply(r io.Reader) (sessFrame, error) {
+	verb, n, err := tcptransport.ReadFrameHeader(r)
+	if err != nil {
+		return sessFrame{}, err
+	}
+	if verb == SessBlob {
+		st, refused, err := readBlobState(r, n)
+		return sessFrame{verb: verb, state: st, err: refused}, err
+	}
+	body, err := tcptransport.ReadFrameBody(r, n)
+	return sessFrame{verb: verb, body: body}, err
+}
+
+// readBlobState decodes the checkpoint that is exactly the next n bytes
+// of r (core.ReadStateExact, so what it reserves is bounded by n). A body
+// that is not exactly one checkpoint is refused, and its unread rest is
+// drained so the next frame reads from its own start; err reports a
+// stream that failed while the body was read or drained.
+func readBlobState(r io.Reader, n int) (st core.State, refused, err error) {
+	lr := &io.LimitedReader{R: r, N: int64(n)}
+	st, refused = core.ReadStateExact(lr, n)
+	if refused == nil {
+		return st, nil, nil
+	}
+	if _, err = io.Copy(io.Discard, lr); err == nil && lr.N > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return core.State{}, fmt.Errorf("launch: SAVE checkpoint: %w", refused), err
 }
 
 // await returns the worker's next frame, or a timeout error at deadline.
@@ -295,49 +341,33 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 	if firstErr != nil {
 		return nil, s.fail(firstErr)
 	}
-	s.absorbStatuses(verb, frames)
+	s.absorbStatuses(frames)
 	return frames, nil
 }
 
-// absorbStatuses folds the statuses piggybacked on OK replies into the
-// cached SessionStats, so Stats() stays wire-free.
-func (s *Session) absorbStatuses(verb byte, frames []sessFrame) {
-	st := SessionStats{Ranks: len(s.workers)}
-	okSeen := false
-	for _, fr := range frames {
+// absorbStatuses records the statuses piggybacked on OK replies, rank by
+// rank, and refreshes the cached SessionStats from the latest status of
+// every rank, so Stats() stays wire-free. A rank that answered with
+// something else (SAVE leaves rank 0 replying BLOB) keeps its last status.
+func (s *Session) absorbStatuses(frames []sessFrame) {
+	for r, fr := range frames {
 		if fr.verb != SessOK {
 			continue
 		}
-		status, err := DecodeStatus(fr.body)
-		if err != nil {
-			continue // stale counters beat failing a healthy data path
+		if status, err := DecodeStatus(fr.body); err == nil {
+			s.statuses[r] = status // stale counters beat failing a healthy data path
 		}
-		okSeen = true
+	}
+	st := SessionStats{Ranks: len(s.workers)}
+	for _, status := range s.statuses {
 		st.Messages += status.Messages
 		st.Bytes += status.BytesSent
 		st.Rows += status.Rows
-		if status.Rank == 0 || st.Snapshots == 0 {
-			st.Snapshots = status.Snapshots
-			st.Iterations = status.Iterations
-		}
 	}
-	if okSeen {
-		// SAVE leaves rank 0 replying BLOB: keep the freshest global
-		// counters we have rather than dropping to a partial sum.
-		if st.Snapshots == 0 {
-			st.Snapshots, st.Iterations = s.stats.Snapshots, s.stats.Iterations
-		}
-		if st.Rows < s.stats.Rows {
-			st.Rows = s.stats.Rows
-		}
-		if st.Messages < s.stats.Messages {
-			st.Messages = s.stats.Messages
-		}
-		if st.Bytes < s.stats.Bytes {
-			st.Bytes = s.stats.Bytes
-		}
-		s.stats = st
-	}
+	// Every rank's ingest counters advance in lockstep; rank 0's are the
+	// reference.
+	st.Snapshots, st.Iterations = s.statuses[0].Snapshots, s.statuses[0].Iterations
+	s.stats = st
 }
 
 // fail marks the session permanently failed and kills the fleet. The
@@ -571,19 +601,22 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// Save gathers the global state at rank 0 (a collective) and returns a
-// facade-compatible checkpoint: the exact serial-format bytes parsvd.Load
-// (and core.ReadState) read, holding the gathered M×K modes, the
-// spectrum and the counters. The decomposition keeps streaming afterwards.
-func (s *Session) Save() ([]byte, error) {
+// Save gathers the global state at rank 0 (a collective) and returns it
+// as the facade-compatible checkpoint rank 0 sends: the serial-format
+// bytes parsvd.Load reads, decoded off the wire as they arrive
+// (core.ReadStateExact), so the checkpoint is checked like any from
+// outside and never held as bytes. The State holds the gathered M×K
+// modes, the spectrum and the counters. The decomposition keeps streaming
+// afterwards.
+func (s *Session) Save() (core.State, error) {
 	frames, err := s.op(SessSave, nil)
 	if err != nil {
-		return nil, err
+		return core.State{}, err
 	}
 	if frames[0].verb != SessBlob {
-		return nil, s.fail(fmt.Errorf("launch: rank 0 replied %s to SAVE", verbName(frames[0].verb)))
+		return core.State{}, s.fail(fmt.Errorf("launch: rank 0 replied %s to SAVE", verbName(frames[0].verb)))
 	}
-	return frames[0].body, nil
+	return frames[0].state, nil
 }
 
 // Close shuts the fleet down: a SHUTDOWN round trip (barrier, transport

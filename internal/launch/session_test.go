@@ -114,9 +114,9 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 
 	// The gathered checkpoint is a facade-compatible serial checkpoint of
 	// exactly this state: rank 0 writes it straight from the gathered
-	// state, byte for byte what a serial engine restored from that state
-	// would save.
-	blob, err := s.Save()
+	// state, and it encodes byte for byte to what a serial engine restored
+	// from that state would save.
+	saved, err := s.Save()
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -138,12 +138,12 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(blob, want.Bytes()) {
-		t.Errorf("SAVE blob (%d bytes) differs from the restored state's checkpoint (%d bytes)", len(blob), want.Len())
+	var got bytes.Buffer
+	if err := core.WriteState(&got, saved); err != nil {
+		t.Fatal(err)
 	}
-	saved, err := core.ReadState(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("loading gathered checkpoint: %v", err)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("SAVE checkpoint (%d bytes) differs from the restored state's (%d bytes)", got.Len(), want.Len())
 	}
 	eng, err := core.RestoreSerial(saved.Opts, saved.Modes, saved.Singular, saved.Iterations, saved.Snapshots)
 	if err != nil {

@@ -182,6 +182,21 @@ func (m *Dense) CopyFrom(src *Dense) {
 	copy(m.data, src.data)
 }
 
+// Assign makes m the r×c matrix whose row-major values are data, copied
+// into m's own storage when it holds r·c values and into fresh storage
+// otherwise, so a matrix that receives same-shaped values again and again
+// allocates once. It panics unless len(data) == r·c.
+func (m *Dense) Assign(r, c int, data []float64) {
+	if r < 0 || c < 0 || len(data) != r*c {
+		panic(fmt.Sprintf("mat: Assign of %d values to a %dx%d matrix", len(data), r, c))
+	}
+	if cap(m.data) < r*c {
+		m.data = make([]float64, r*c)
+	}
+	m.rows, m.cols, m.data = r, c, m.data[:r*c]
+	copy(m.data, data)
+}
+
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := New(m.cols, m.rows)

@@ -18,7 +18,10 @@ const mailboxCap = 8
 type ChanTransport struct {
 	size int
 	// mail[dst][src] is the FIFO channel for messages from src to dst.
-	mail    [][]chan Message
+	mail [][]chan Message
+	// pools[dst][src] recycles the payload copies Send makes for the
+	// pair.
+	pools   [][]BufferPool
 	barrier *chanBarrier
 	abort   chan struct{}
 	aborted atomic.Bool
@@ -38,12 +41,14 @@ func NewChanTransport(size int) *ChanTransport {
 	t := &ChanTransport{
 		size:      size,
 		mail:      make([][]chan Message, size),
+		pools:     make([][]BufferPool, size),
 		barrier:   newChanBarrier(size),
 		abort:     make(chan struct{}),
 		recvBytes: make([]atomic.Int64, size),
 	}
 	for dst := 0; dst < size; dst++ {
 		t.mail[dst] = make([]chan Message, size)
+		t.pools[dst] = make([]BufferPool, size)
 		for src := 0; src < size; src++ {
 			t.mail[dst][src] = make(chan Message, mailboxCap)
 		}
@@ -57,9 +62,10 @@ func (t *ChanTransport) Size() int { return t.size }
 // Send enqueues a message for dst, copying the payload so the sender's
 // buffer (and any downstream receiver's view) can never alias in-flight or
 // delivered data. Copy-on-send is centralized here so relayed collective
-// hops (broadcast trees) are safe too.
+// hops (broadcast trees) are safe too. The copy goes into storage the
+// receiver recycled, when it did.
 func (t *ChanTransport) Send(src, dst int, m Message) error {
-	m.Data = append([]float64(nil), m.Data...)
+	m.Data = append(t.pools[dst][src].Get(len(m.Data)), m.Data...)
 	t.msgsSent.Add(1)
 	t.bytesSent.Add(int64(8 * len(m.Data)))
 	select {
@@ -81,6 +87,11 @@ func (t *ChanTransport) Recv(dst, src int) (Message, error) {
 	}
 }
 
+// Recycle returns a delivered payload to the pair's pool.
+func (t *ChanTransport) Recycle(dst, src int, data []float64) {
+	t.pools[dst][src].Put(data)
+}
+
 // Barrier blocks rank until every rank has entered.
 func (t *ChanTransport) Barrier(rank int) error {
 	if !t.barrier.await() {
@@ -99,6 +110,11 @@ func (t *ChanTransport) Abort() {
 	if t.aborted.CompareAndSwap(false, true) {
 		close(t.abort)
 		t.barrier.abort()
+		for dst := range t.pools {
+			for src := range t.pools[dst] {
+				t.pools[dst][src].Close()
+			}
+		}
 		go t.drain()
 	}
 }

@@ -17,55 +17,72 @@ const (
 // tree (log₂ P rounds, like any production MPI). Root passes the payload;
 // other ranks pass nil. Every rank returns its own copy.
 func (c *Comm) BcastFloats(root int, data []float64) []float64 {
-	m := c.bcastMsg(root, Message{Tag: tagBcast, Data: data, Rows: vectorRows})
-	return m.Data
+	var out []float64
+	if c.rank == root {
+		out = append(out, data...)
+	}
+	return c.BcastFloatsInto(root, out)
+}
+
+// BcastFloatsInto is BcastFloats into caller storage: root sends data as
+// it is and returns it; every other rank appends the values to data[:0]
+// and returns the result, so a rank that passes back what the previous
+// broadcast returned allocates nothing once the length is steady.
+func (c *Comm) BcastFloatsInto(root int, data []float64) []float64 {
+	c.bcastTree(root, func(src int) {
+		m := c.recvMsg(src, tagBcast)
+		data = append(data[:0], m.Data...)
+		c.t.Recycle(c.rank, src, m.Data)
+	}, func(dst int) {
+		c.sendMsg(dst, Message{Tag: tagBcast, Data: data, Rows: vectorRows})
+	})
+	return data
 }
 
 // BcastMatrix broadcasts a matrix from root to every rank. Root passes the
 // matrix; other ranks pass nil. Every rank returns its own copy (including
 // root, which gets a clone so later mutation is safe).
 func (c *Comm) BcastMatrix(root int, m *mat.Dense) *mat.Dense {
-	var msg Message
+	out := new(mat.Dense)
 	if c.rank == root {
 		if m == nil {
 			panic("mpi: BcastMatrix root passed nil matrix")
 		}
-		r, cl := m.Dims()
-		msg = Message{Tag: tagBcast, Data: m.RawData(), Rows: r, Cols: cl}
+		out = m.Clone()
 	}
-	out := c.bcastMsg(root, msg)
-	return mat.NewFromData(out.Rows, out.Cols, out.Data)
+	c.BcastMatrixInto(root, out)
+	return out
 }
 
-// bcastMsg moves one message down a binomial tree rooted at root. The
-// message payload is copied on every hop by sendMsg.
-func (c *Comm) bcastMsg(root int, m Message) Message {
+// BcastMatrixInto is BcastMatrix into caller storage: root sends m as it
+// is, and every other rank receives into m as RecvMatrixInto does.
+func (c *Comm) BcastMatrixInto(root int, m *mat.Dense) {
+	c.bcastTree(root, func(src int) {
+		c.RecvMatrixInto(src, tagBcast, m)
+	}, func(dst int) {
+		c.SendMatrix(dst, tagBcast, m)
+	})
+}
+
+// bcastTree walks the binomial tree rooted at root: every rank but root
+// calls recv once, with its parent's rank, and then every rank that holds
+// the payload calls send once per child.
+func (c *Comm) bcastTree(root int, recv, send func(peer int)) {
 	size := c.t.Size()
 	if root < 0 || root >= size {
 		panic(fmt.Sprintf("mpi: broadcast root %d out of range", root))
 	}
-	if size == 1 {
-		m.Data = append([]float64(nil), m.Data...)
-		return m
-	}
-	m.Tag = tagBcast
 	rel := (c.rank - root + size) % size
 	received := rel == 0
 	for offset := 1; offset < size; offset *= 2 {
 		switch {
 		case received && rel < offset && rel+offset < size:
-			dst := (root + rel + offset) % size
-			c.sendMsg(dst, m)
+			send((root + rel + offset) % size)
 		case !received && rel >= offset && rel < 2*offset:
-			src := (root + rel - offset) % size
-			m = c.recvMsg(src, tagBcast)
+			recv((root + rel - offset) % size)
 			received = true
 		}
 	}
-	if rel == 0 {
-		m.Data = append([]float64(nil), m.Data...)
-	}
-	return m
 }
 
 // GatherMatrix collects one matrix per rank at root; the paper's
@@ -78,12 +95,29 @@ func (c *Comm) GatherMatrix(root int, m *mat.Dense) []*mat.Dense {
 	}
 	out := make([]*mat.Dense, c.t.Size())
 	out[root] = m.Clone()
-	for src := 0; src < c.t.Size(); src++ {
-		if src == root {
-			continue
+	for src := range out {
+		if src != root {
+			out[src] = c.RecvMatrix(src, tagGather)
 		}
-		msg := c.recvMsg(src, tagGather)
-		out[src] = mat.NewFromData(msg.Rows, msg.Cols, msg.Data)
 	}
 	return out
+}
+
+// GatherMatrixInto is GatherMatrix into caller storage. At root, out holds
+// one matrix per rank and each other rank's matrix is received into
+// out[src] as RecvMatrixInto does; out[root] is left as it is, for the
+// caller to point at its own matrix. Other ranks send m and ignore out.
+func (c *Comm) GatherMatrixInto(root int, m *mat.Dense, out []*mat.Dense) {
+	if c.rank != root {
+		c.SendMatrix(root, tagGather, m)
+		return
+	}
+	if len(out) != c.t.Size() {
+		panic(fmt.Sprintf("mpi: gather into %d matrices on %d ranks", len(out), c.t.Size()))
+	}
+	for src, dst := range out {
+		if src != root {
+			c.RecvMatrixInto(src, tagGather, dst)
+		}
+	}
 }

@@ -224,6 +224,20 @@ func (c *Comm) RecvMatrix(src, tag int) *mat.Dense {
 	return mat.NewFromData(m.Rows, m.Cols, m.Data)
 }
 
+// RecvMatrixInto receives a matrix from rank src into dst
+// (mat.Dense.Assign: dst's own storage when it holds the values) and hands
+// the message's payload back to the fabric, so a rank that receives
+// same-shaped matrices into the same storage allocates nothing.
+func (c *Comm) RecvMatrixInto(src, tag int, dst *mat.Dense) {
+	m := c.recvMsg(src, tag)
+	if m.Rows < 0 {
+		panic(fmt.Sprintf("mpi: rank %d expected matrix from %d tag %d, got vector",
+			c.rank, src, tag))
+	}
+	dst.Assign(m.Rows, m.Cols, m.Data)
+	c.t.Recycle(c.rank, src, m.Data)
+}
+
 // sendMsg validates the destination and hands the message to the transport,
 // converting a torn-down fabric into the abort panic.
 func (c *Comm) sendMsg(dst int, m Message) {

@@ -39,7 +39,7 @@ func FuzzReadFrame(f *testing.F) {
 		// in-memory decoder on every frame.
 		scratch := make([]byte, 4<<10)
 		runtime.ReadMemStats(&before)
-		mkind, mm, merr := readMeshFrame(bytes.NewReader(data), scratch)
+		mkind, mm, merr := readMeshFrame(bytes.NewReader(data), scratch, nil)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+frameChunk+64<<10 {
 			t.Fatalf("streaming a %d-byte frame allocated %d bytes", len(data), grew)

@@ -144,12 +144,17 @@ type link struct {
 // inbox is the unbounded per-source FIFO of delivered data messages.
 // Unboundedness is deliberate: the reader goroutine must never stall behind
 // application backpressure, or control frames (barrier, abort) queued after
-// a burst of data on the same connection would deadlock the fabric.
+// a burst of data on the same connection would deadlock the fabric. The
+// queue is q[head:]; it rewinds to the start of its storage whenever it
+// drains, so a steady exchange never grows it. pool holds the payloads the
+// consumer recycled, for the reader to decode the next data frames into.
 type inbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    []mpi.Message
+	head int
 	done bool
+	pool mpi.BufferPool
 }
 
 func newInbox() *inbox {
@@ -179,15 +184,17 @@ func (b *inbox) close() {
 func (b *inbox) pop() (mpi.Message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.q) == 0 && !b.done {
+	for b.head == len(b.q) && !b.done {
 		b.cond.Wait()
 	}
-	if len(b.q) == 0 {
+	if b.head == len(b.q) {
 		return mpi.Message{}, false
 	}
-	m := b.q[0]
-	b.q[0] = mpi.Message{}
-	b.q = b.q[1:]
+	m := b.q[b.head]
+	b.q[b.head] = mpi.Message{}
+	if b.head++; b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
 	return m, true
 }
 
@@ -218,6 +225,10 @@ type Transport struct {
 	msgsSent  atomic.Int64
 	bytesSent atomic.Int64
 	recvOwn   atomic.Int64
+	// recvBytes is the RecvBytes slice every Stats call returns,
+	// allocated once; statsMu serializes the refresh of its own entry.
+	statsMu   sync.Mutex
+	recvBytes []int64
 }
 
 var _ mpi.Transport = (*Transport)(nil)
@@ -240,6 +251,7 @@ func New(opts Options) (*Transport, error) {
 		inboxes:     make([]*inbox, opts.Size),
 		barEnter:    make(chan struct{}, opts.Size),
 		barRelease:  make(chan struct{}, 1),
+		recvBytes:   make([]int64, opts.Size),
 		abortCh:     make(chan struct{}),
 		stopPing:    make(chan struct{}),
 	}
@@ -458,12 +470,13 @@ func (t *Transport) reader(l *link) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(l.conn, 1<<16)
 	scratch := make([]byte, 4<<10)
+	in := t.inboxes[l.peer]
 	for {
 		l.conn.SetReadDeadline(time.Now().Add(t.idleTimeout))
-		kind, m, err := readMeshFrame(br, scratch)
+		kind, m, err := readMeshFrame(br, scratch, &in.pool)
 		if err != nil {
 			if t.closing.Load() || t.aborted.Load() {
-				t.inboxes[l.peer].close()
+				in.close()
 				return
 			}
 			// EOF without a bye, a reset, or an idle timeout: the peer is
@@ -474,7 +487,7 @@ func (t *Transport) reader(l *link) {
 		switch kind {
 		case kindData:
 			t.recvOwn.Add(int64(8 * len(m.Data)))
-			t.inboxes[l.peer].push(m)
+			in.push(m)
 		case kindPing:
 			// Liveness only; resetting the read deadline was the point.
 		case kindBarrierEnter:
@@ -496,7 +509,7 @@ func (t *Transport) reader(l *link) {
 			return
 		case kindBye:
 			// Peer finished cleanly; whatever it sent stays receivable.
-			t.inboxes[l.peer].close()
+			in.close()
 			return
 		default:
 			t.Abort()
@@ -588,6 +601,14 @@ func (t *Transport) Recv(dst, src int) (mpi.Message, error) {
 	return m, nil
 }
 
+// Recycle returns a payload Recv delivered from src to the pool the
+// reader of src's link decodes into. dst must be this endpoint's own rank.
+func (t *Transport) Recycle(dst, src int, data []float64) {
+	if dst == t.rank && src >= 0 && src < t.size && src != t.rank {
+		t.inboxes[src].pool.Put(data)
+	}
+}
+
 // Barrier blocks until every rank has entered. Workers report to rank 0
 // and wait for its release; rank 0 counts the reports.
 func (t *Transport) Barrier(rank int) error {
@@ -653,24 +674,34 @@ func (t *Transport) Abort() {
 		}
 		l.conn.Close()
 	}
+	t.closeInboxes()
+}
+
+// closeInboxes ends every inbox and drops its recycled payloads, so none
+// outlives the fabric.
+func (t *Transport) closeInboxes() {
 	for _, b := range t.inboxes {
 		if b != nil {
 			b.close()
+			b.pool.Close()
 		}
 	}
 }
 
 // Stats returns this endpoint's traffic counters. Only the owning rank's
 // RecvBytes entry is populated; a launcher sums the per-process reports
-// (launch.Session.Stats).
+// (launch.Session.Stats). RecvBytes is the endpoint's own slice, refreshed
+// by every call rather than allocated: read it before the next Stats call,
+// and copy it to keep it.
 func (t *Transport) Stats() mpi.Stats {
-	rb := make([]int64, t.size)
-	rb[t.rank] = t.recvOwn.Load()
+	t.statsMu.Lock()
+	t.recvBytes[t.rank] = t.recvOwn.Load()
+	t.statsMu.Unlock()
 	return mpi.Stats{
 		Ranks:     t.size,
 		Messages:  t.msgsSent.Load(),
 		Bytes:     t.bytesSent.Load(),
-		RecvBytes: rb,
+		RecvBytes: t.recvBytes,
 	}
 }
 
@@ -699,11 +730,7 @@ func (t *Transport) Close() error {
 				l.conn.Close()
 			}
 		}
-		for _, b := range t.inboxes {
-			if b != nil {
-				b.close()
-			}
-		}
+		t.closeInboxes()
 		t.wg.Wait()
 	})
 	return nil

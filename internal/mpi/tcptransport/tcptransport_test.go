@@ -51,6 +51,12 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	transporttest.RoundTrip(t, runTCP)
 }
 
+// TestTCPTransportInto runs the receive-into conformance suite over real
+// loopback sockets, where payloads are decoded into recycled storage.
+func TestTCPTransportInto(t *testing.T) {
+	transporttest.Into(t, runTCP)
+}
+
 // TestTCPCollectives exercises the full collective surface — broadcast,
 // gather, scatter, reductions, allgather — over the TCP fabric. These are
 // the exact calls core.Parallel makes, so passing here means the SVD

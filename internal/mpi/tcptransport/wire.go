@@ -1,10 +1,10 @@
 package tcptransport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"goparsvd/internal/mat"
@@ -74,7 +74,26 @@ func AppendFrameHeader(buf []byte, kind byte, bodyLen int) []byte {
 
 // WriteFrame writes one frame carrying body, which may be empty.
 func WriteFrame(w io.Writer, kind byte, body []byte) error {
-	return WriteSizedFrame(w, kind, len(body), func(w io.Writer) error {
+	return NewFrameWriter(w).WriteFrame(kind, body)
+}
+
+// FrameWriter writes frames to one stream through a header buffer and a
+// byte counter it keeps, so a process that writes frame after frame (a
+// worker answering its launcher) allocates nothing per frame.
+type FrameWriter struct {
+	w   io.Writer
+	hdr []byte
+	n   int // body bytes written through Write since the last header
+}
+
+// NewFrameWriter returns a FrameWriter writing to w.
+func NewFrameWriter(w io.Writer) *FrameWriter {
+	return &FrameWriter{w: w, hdr: make([]byte, 0, 5)}
+}
+
+// WriteFrame writes one frame carrying body, which may be empty.
+func (f *FrameWriter) WriteFrame(kind byte, body []byte) error {
+	return f.WriteSizedFrame(kind, len(body), func(w io.Writer) error {
 		if len(body) == 0 {
 			return nil
 		}
@@ -84,35 +103,33 @@ func WriteFrame(w io.Writer, kind byte, body []byte) error {
 }
 
 // WriteSizedFrame writes one frame whose n-byte body is produced by body
-// writing to w directly, so a large body (a SAVE checkpoint) is never
-// assembled in memory. It errors if body writes other than n bytes; the
-// stream is then corrupt and must be abandoned.
-func WriteSizedFrame(w io.Writer, kind byte, n int, body func(io.Writer) error) error {
+// writing to f, which passes it to the stream and counts it, so a large
+// body (a SAVE checkpoint) is never assembled in memory. It errors if body
+// writes other than n bytes; the stream is then corrupt and must be
+// abandoned.
+func (f *FrameWriter) WriteSizedFrame(kind byte, n int, body func(io.Writer) error) error {
 	if err := CheckFrameBody(n); err != nil {
 		return err
 	}
-	if _, err := w.Write(AppendFrameHeader(make([]byte, 0, 5), kind, n)); err != nil {
+	f.hdr = AppendFrameHeader(f.hdr[:0], kind, n)
+	if _, err := f.w.Write(f.hdr); err != nil {
 		return err
 	}
-	cw := &countingWriter{w: w}
-	if err := body(cw); err != nil {
+	f.n = 0
+	if err := body(f); err != nil {
 		return err
 	}
-	if cw.n != n {
-		return fmt.Errorf("tcptransport: frame kind 0x%02x declared %d body bytes, wrote %d", kind, n, cw.n)
+	if f.n != n {
+		return fmt.Errorf("tcptransport: frame kind 0x%02x declared %d body bytes, wrote %d", kind, n, f.n)
 	}
 	return nil
 }
 
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
+// Write passes p to the stream, counting it towards the current frame's
+// body.
+func (f *FrameWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	f.n += n
 	return n, err
 }
 
@@ -129,20 +146,42 @@ func ReadFrame(r io.Reader) (kind byte, body []byte, err error) {
 // ReadFrameHeader reads a frame's length prefix and kind and returns the
 // length of the body still to be read. The declared length is checked
 // against MaxFrame before anything is allocated. A stream that ends
-// cleanly before the frame returns io.EOF.
+// cleanly before the frame returns io.EOF. A reader that reads bytes one
+// at a time (a bufio.Reader) is read that way, which allocates nothing.
 func ReadFrameHeader(r io.Reader) (kind byte, n int, err error) {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = &byteReader{r: r}
+	}
 	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, 0, err
+	for i := range hdr {
+		if hdr[i], err = br.ReadByte(); err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			if i == 4 {
+				err = fmt.Errorf("tcptransport: short frame: %w", err)
+			}
+			return 0, 0, err
+		}
+		if i == 3 {
+			if size := binary.LittleEndian.Uint32(hdr[:4]); size < 1 || size > MaxFrame {
+				return 0, 0, fmt.Errorf("tcptransport: invalid frame length %d", size)
+			}
+		}
 	}
-	size := binary.LittleEndian.Uint32(hdr[:4])
-	if size < 1 || size > MaxFrame {
-		return 0, 0, fmt.Errorf("tcptransport: invalid frame length %d", size)
-	}
-	if _, err = io.ReadFull(r, hdr[4:]); err != nil {
-		return 0, 0, fmt.Errorf("tcptransport: short frame: %w", err)
-	}
-	return hdr[4], int(size) - 1, nil
+	return hdr[4], int(binary.LittleEndian.Uint32(hdr[:4])) - 1, nil
+}
+
+// byteReader reads one byte at a time from a reader that cannot.
+type byteReader struct {
+	r   io.Reader
+	buf [1]byte
+}
+
+func (b *byteReader) ReadByte() (byte, error) {
+	_, err := io.ReadFull(b.r, b.buf[:])
+	return b.buf[0], err
 }
 
 // ReadFrameBody reads an n-byte frame body in chunks of at most
@@ -180,14 +219,15 @@ func AppendMessageBody(buf []byte, m mpi.Message) []byte {
 func MessageBodyLen(n int) int { return mat.BlockLen(n) }
 
 // readMessageBody reads a data-frame body produced by AppendMessageBody,
-// the next n bytes of r, straight into the message's values. It checks
+// the next n bytes of r, straight into the message's values, which take
+// recycled storage from pool when it holds one that fits. It checks
 // structure only — any tag, any dims and non-finite values pass, as the
 // mesh's own messages need; snapshot data is read by mat.ReadBlock
 // instead. The declared float count is checked against n before any value
 // is read, and the values arrive as mat.ReadFloats reads them, so a
 // corrupt or hostile length can neither over-allocate nor panic. scratch
 // holds at least mat.BlockHeaderLen bytes.
-func readMessageBody(r io.Reader, n int, scratch []byte) (mpi.Message, error) {
+func readMessageBody(r io.Reader, n int, scratch []byte, pool *mpi.BufferPool) (mpi.Message, error) {
 	if n < mat.BlockHeaderLen {
 		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", n)
 	}
@@ -195,35 +235,45 @@ func readMessageBody(r io.Reader, n int, scratch []byte) (mpi.Message, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return mpi.Message{}, fmt.Errorf("tcptransport: short frame: %w", err)
 	}
+	m, count, err := parseMessageHeader(hdr, n)
+	if err != nil || count == 0 {
+		return m, err
+	}
+	// A pooled buffer is only ever one that already holds count values,
+	// so the bound on what a truncated stream can make the reader reserve
+	// stays mat.ReadFloats's.
+	if m.Data, err = mat.ReadFloats(r, pool.Get(count), count, scratch); err != nil {
+		return mpi.Message{}, fmt.Errorf("tcptransport: short frame: %w", err)
+	}
+	return m, nil
+}
+
+// parseMessageHeader checks a data-frame body of n bytes whose block
+// header is hdr and returns the message it describes, without values,
+// and its value count.
+func parseMessageHeader(hdr []byte, n int) (mpi.Message, int, error) {
 	h := mat.ParseBlockHeader(hdr)
-	m := mpi.Message{Tag: int(h.Tag), Rows: int(h.Rows), Cols: int(h.Cols)}
 	// Overflow-safe count check: divide the payload instead of
 	// multiplying the (attacker-controlled) count — 8·n wraps uint64 for
 	// n ≥ 2^61 and could otherwise alias a small payload length.
 	payload := n - mat.BlockHeaderLen
 	if payload%8 != 0 || h.N != uint64(payload/8) {
-		return mpi.Message{}, fmt.Errorf("tcptransport: data frame declares %d floats, carries %d bytes",
+		return mpi.Message{}, 0, fmt.Errorf("tcptransport: data frame declares %d floats, carries %d bytes",
 			h.N, payload)
 	}
-	if h.N > 0 {
-		var err error
-		if m.Data, err = mat.ReadFloats(r, nil, int(h.N), scratch); err != nil {
-			return mpi.Message{}, fmt.Errorf("tcptransport: short frame: %w", err)
-		}
-	}
-	return m, nil
+	return mpi.Message{Tag: int(h.Tag), Rows: int(h.Rows), Cols: int(h.Cols)}, int(h.N), nil
 }
 
 // readMeshFrame reads one mesh frame. A data frame's body is decoded
-// straight from r into m's values (readMessageBody); any other kind's body
-// is read and dropped.
-func readMeshFrame(r io.Reader, scratch []byte) (kind byte, m mpi.Message, err error) {
+// straight from r into m's values (readMessageBody, drawing on pool); any
+// other kind's body is read and dropped.
+func readMeshFrame(r io.Reader, scratch []byte, pool *mpi.BufferPool) (kind byte, m mpi.Message, err error) {
 	kind, n, err := ReadFrameHeader(r)
 	if err != nil {
 		return 0, m, err
 	}
 	if kind == kindData {
-		m, err = readMessageBody(r, n, scratch)
+		m, err = readMessageBody(r, n, scratch, pool)
 	} else {
 		_, err = ReadFrameBody(r, n)
 	}
@@ -231,9 +281,22 @@ func readMeshFrame(r io.Reader, scratch []byte) (kind byte, m mpi.Message, err e
 }
 
 // DecodeMessageBody parses a data-frame body held in memory (the session
-// FLOATS reply), as readMessageBody reads one.
+// FLOATS reply) as readMessageBody reads one, decoding the values straight
+// from body into the message's one allocation.
 func DecodeMessageBody(body []byte) (mpi.Message, error) {
-	return readMessageBody(bytes.NewReader(body), len(body), make([]byte, 1<<10))
+	if len(body) < mat.BlockHeaderLen {
+		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", len(body))
+	}
+	m, count, err := parseMessageHeader(body, len(body))
+	if err != nil || count == 0 {
+		return m, err
+	}
+	m.Data = make([]float64, count)
+	vals := body[mat.BlockHeaderLen:]
+	for i := range m.Data {
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+	}
+	return m, nil
 }
 
 // appendHello appends a complete hello frame (rank plus the address the

@@ -52,6 +52,13 @@ type Transport interface {
 	// send order. Returns ErrAborted if the fabric is torn down (or, for
 	// socket transports, if the peer closed with no message pending).
 	Recv(dst, src int) (Message, error)
+	// Recycle hands back the payload of a message Recv delivered to dst
+	// from src, once the caller has copied what it needs, so the fabric
+	// may deliver a later message on that pair in the same storage. The
+	// caller must not touch data afterwards. Recycling is optional — a
+	// payload never handed back is garbage collected — and after Abort or
+	// Close the fabric drops what it is handed.
+	Recycle(dst, src int, data []float64)
 	// Barrier blocks rank until every rank has entered the barrier.
 	// Returns ErrAborted if the fabric is torn down while waiting.
 	Barrier(rank int) error

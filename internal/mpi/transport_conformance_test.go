@@ -17,3 +17,12 @@ func TestChanTransportRoundTrip(t *testing.T) {
 		return err
 	})
 }
+
+// TestChanTransportInto runs the receive-into conformance suite against
+// the in-process fabric; tcptransport runs the same suite.
+func TestChanTransportInto(t *testing.T) {
+	transporttest.Into(t, func(size int, fn func(c *mpi.Comm)) error {
+		_, err := mpi.Run(size, fn)
+		return err
+	})
+}

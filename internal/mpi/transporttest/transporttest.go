@@ -5,6 +5,7 @@
 package transporttest
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,6 +113,86 @@ func RoundTrip(t *testing.T, run Runner) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
+		}
+	})
+}
+
+// Into runs the receive-into-storage conformance suite against the given
+// runner: RecvMatrixInto, BcastMatrixInto, BcastFloatsInto and
+// GatherMatrixInto deliver the sent bits into the caller's storage, reuse
+// it once it holds the values, and never let a recycled payload alias a
+// matrix already received; a rank that panics after recycling payloads
+// still aborts the world.
+func Into(t *testing.T, run Runner) {
+	t.Helper()
+
+	t.Run("recycled-receives", func(t *testing.T) {
+		const rounds = 6
+		err := run(3, func(c *mpi.Comm) {
+			var got, prev mat.Dense
+			var vec []float64
+			gathered := []*mat.Dense{nil, new(mat.Dense), new(mat.Dense)}
+			for i := 0; i < rounds; i++ {
+				// Shapes alternate, so a payload recycled from one round
+				// is offered to a message of another shape.
+				rows, cols := 3+i%2, 4
+				want := randomMatrix(rows, cols, int64(10*i))
+				if c.Rank() == 0 {
+					got.Assign(rows, cols, want.RawData())
+				}
+				c.BcastMatrixInto(0, &got)
+				if !equalBits(got.RawData(), want.RawData()) || got.Rows() != rows {
+					t.Errorf("round %d rank %d: BcastMatrixInto delivered other bits", i, c.Rank())
+				}
+				if i > 0 && !equalBits(prev.RawData(), randomMatrix(3+(i-1)%2, 4, int64(10*(i-1))).RawData()) {
+					t.Errorf("round %d rank %d: an earlier receive changed under a later one", i, c.Rank())
+				}
+				prev.Assign(got.Rows(), got.Cols(), got.RawData())
+
+				wantVec := randomVector(5+i%3, int64(i))
+				if c.Rank() == 0 {
+					vec = append(vec[:0], wantVec...)
+				}
+				vec = c.BcastFloatsInto(0, vec)
+				if !equalBits(vec, wantVec) {
+					t.Errorf("round %d rank %d: BcastFloatsInto delivered other bits", i, c.Rank())
+				}
+
+				mine := randomMatrix(2, 3+c.Rank(), int64(100*i+c.Rank()))
+				gathered[0] = mine
+				c.GatherMatrixInto(0, mine, gathered)
+				if c.Rank() == 0 {
+					for src := 1; src < c.Size(); src++ {
+						if w := randomMatrix(2, 3+src, int64(100*i+src)); !equalBits(gathered[src].RawData(), w.RawData()) || gathered[src].Cols() != 3+src {
+							t.Errorf("round %d: GatherMatrixInto from rank %d delivered other bits", i, src)
+						}
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("receive-into round trips: %v", err)
+		}
+	})
+
+	t.Run("abort-after-recycling", func(t *testing.T) {
+		err := run(2, func(c *mpi.Comm) {
+			var m mat.Dense
+			for i := 0; i < 3; i++ {
+				if c.Rank() == 0 {
+					c.SendMatrix(1, 9, randomMatrix(4, 4, int64(i)))
+				} else {
+					c.RecvMatrixInto(0, 9, &m)
+				}
+			}
+			if c.Rank() == 1 {
+				panic("rank 1 fails holding recycled payloads")
+			}
+			c.RecvMatrixInto(1, 9, &m) // unblocked by the abort
+		})
+		var re *mpi.RankError
+		if !errors.As(err, &re) || re.Rank != 1 {
+			t.Fatalf("abort with recycled payloads: err %v, want rank 1's panic", err)
 		}
 	})
 }

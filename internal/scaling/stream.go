@@ -130,7 +130,7 @@ func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
 	rows := eng.GatherModeRows()
 	var modes *mat.Dense
 	if rows != nil {
-		modes = rows.T()
+		modes = core.ModeMatrix(rows...)
 	}
 	return StreamResult{
 		Singular:   append([]float64(nil), eng.SingularValues()...),

@@ -119,7 +119,8 @@ func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense
 // gatherStep factors a stack whose rows are split across c's ranks: the
 // distributed QR of Listing 4, then the small SVD of the global R at rank
 // 0, broadcast to every rank. This rank's block of Q stays implicit as
-// f·[qc; 0], so its basis change is qc·Ũ_k.
+// f·[qc; 0], so its basis change is qc·Ũ_k. The broadcast factors land in
+// workspace storage on every rank, as the root's own already do.
 func gatherStep(c *mpi.Comm) step {
 	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64) {
 		f, qc, r := tsqr.GatherQRFactor(&s.ws, c, at)
@@ -128,17 +129,20 @@ func gatherStep(c *mpi.Comm) step {
 		if r != nil { // rank 0
 			u, d = s.smallSVD(r, lowRank)
 			s.ws.Put(r)
+		} else {
+			// Sized for the usual n×min(K, n) factor; the broadcast
+			// reshapes it to whatever the root sends.
+			n := qc.Cols()
+			k := min(s.opts.K, n)
+			u, d = s.ws.GetUninit(n, k), s.ws.GetFloats(k)
 		}
-		// Broadcast returns a fresh copy on every rank, the root included;
-		// the root's own factors go back to the workspace.
-		uk, dk := c.BcastMatrix(0, u), c.BcastFloats(0, d)
-		s.ws.Put(u)
-		s.ws.PutFloats(d)
-		x := s.ws.GetUninit(qc.Rows(), uk.Cols())
-		mat.MulInto(x, qc, uk)
+		c.BcastMatrixInto(0, u)
+		d = c.BcastFloatsInto(0, d)
+		x := s.ws.GetUninit(qc.Rows(), u.Cols())
+		mat.MulInto(x, qc, u)
 		s.ws.Put(qc)
-		s.ws.Put(uk)
-		return f, x, dk
+		s.ws.Put(u)
+		return f, x, d
 	}
 }
 

@@ -35,12 +35,11 @@ const tagQBlock = 1 << 16
 // matrix A = [A_0; A_1; …; A_{P−1}], where a is this rank's block (m_i×n).
 // It returns this rank's block of Q (m_i×n) and the global R factor (n×n),
 // which is valid on rank 0 only (pass it through c.BcastMatrix if every
-// rank needs it). The local factorization, the stacked-R factorization and
-// the Q-correction product draw from ws (nil allocates), so each rank of a
-// streaming update reuses its buffers across batches. Matrices that
-// cross rank boundaries are still freshly allocated by the communicator.
-// The local Q is never formed: qlocal is GatherQRFactor's implicit factor
-// applied to this rank's correction block.
+// rank needs it). Every temporary, the factors that cross rank boundaries
+// included, draws from ws (nil allocates), so each rank of a streaming
+// update reuses its buffers across batches. The local Q is never formed:
+// qlocal is GatherQRFactor's implicit factor applied to this rank's
+// correction block.
 func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
 	m, n := a.Dims()
 	at := ws.GetUninit(n, m)
@@ -60,7 +59,9 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 // place into f; qc is this rank's t_i×n block of the Q-correction
 // (t_i = min(m_i, n)), so the rank's block of Q is f·[qc; 0] — f.MulQInto
 // applies it to any product qc·X without forming either. r is the global R,
-// valid on rank 0 only. The caller releases f and returns at, qc and r to
+// valid on rank 0 only. Received factors land in ws storage and the
+// messages' payloads go back to the communicator, so a steady update
+// allocates nothing. The caller releases f and returns at, qc and r to
 // ws.
 func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRFactor, qc, r *mat.Dense) {
 	n := at.Rows()
@@ -68,31 +69,48 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 
 	if c.Rank() != 0 {
 		c.SendMatrix(0, tagQBlock, rl)
+		qc = ws.GetUninit(rl.Rows(), n)
+		c.RecvMatrixInto(0, tagQBlock+c.Rank(), qc)
 		ws.Put(rl)
-		return f, c.RecvMatrix(0, tagQBlock+c.Rank()), nil
+		return f, qc, nil
 	}
 
 	// Rank 0: gather the R factors (its own plus one per peer, in rank
-	// order) and stack them vertically.
-	blocks := make([]*mat.Dense, c.Size())
-	blocks[0] = rl
-	for src := 1; src < c.Size(); src++ {
-		blocks[src] = c.RecvMatrix(src, tagQBlock)
+	// order) straight into one vertical stack. Each has at most n rows,
+	// so P·n rows hold them all and each peer's lands in place.
+	size := c.Size()
+	stack := ws.GetUninit(size*n, n)
+	copy(stack.RawData(), rl.RawData())
+	var rowsArr [8]int // each rank's R rows, without a heap slice for small worlds
+	rows := append(rowsArr[:0], rl.Rows())
+	off := rl.Rows()
+	for src := 1; src < size; src++ {
+		v := ws.ViewRows(stack, off, size*n)
+		c.RecvMatrixInto(src, tagQBlock, v)
+		if v.Cols() != n || v.Rows() > n {
+			panic(fmt.Sprintf("tsqr: rank %d sent a %dx%d R factor, want at most %dx%d",
+				src, v.Rows(), v.Cols(), n, n))
+		}
+		rows = append(rows, v.Rows())
+		off += v.Rows()
+		ws.PutView(v)
 	}
-	rGlobal := mat.VStack(blocks...)
-
+	rGlobal := ws.ViewRows(stack, 0, off)
 	qGlobal, rFinal := linalg.QRWith(ws, rGlobal)
 	linalg.NormalizeQRSigns(qGlobal, rFinal)
+	ws.PutView(rGlobal)
+	ws.Put(stack)
 
 	// Slice qGlobal back into per-rank correction blocks, matching each
 	// rank's local R row count, and send them out.
-	off := blocks[0].Rows()
-	for dst := 1; dst < c.Size(); dst++ {
-		rows := blocks[dst].Rows()
-		c.SendMatrix(dst, tagQBlock+dst, qGlobal.SliceRows(off, off+rows))
-		off += rows
+	off = rows[0]
+	for dst := 1; dst < size; dst++ {
+		v := ws.ViewRows(qGlobal, off, off+rows[dst])
+		c.SendMatrix(dst, tagQBlock+dst, v)
+		ws.PutView(v)
+		off += rows[dst]
 	}
-	qc = ws.GetUninit(blocks[0].Rows(), n)
+	qc = ws.GetUninit(rows[0], n)
 	copy(qc.RawData(), qGlobal.RawData()) // rank 0's rows lead qGlobal
 	ws.Put(rl)
 	ws.Put(qGlobal)

@@ -405,7 +405,8 @@ func (s *SVD) Fit(ctx context.Context, src Source) (*Result, error) {
 // fitResultLocked is the Result a Fit returns. With a checkpoint writer
 // configured it reads the engine's state once, writes it and builds the
 // Result from the same state, so the checkpoint costs no second gather or
-// merge-tree run. Called with s.mu held.
+// merge-tree run (on the Distributed backend, no SPECTRUM or MODES-SHA
+// round trip after the SAVE). Called with s.mu held.
 func (s *SVD) fitResultLocked() (*Result, error) {
 	if s.cfg.checkpoint == nil {
 		return s.resultLocked()
@@ -415,7 +416,7 @@ func (s *SVD) fitResultLocked() (*Result, error) {
 		return nil, fmt.Errorf("parsvd: writing checkpoint: %w", err)
 	}
 	if d, ok := s.eng.(*distEngine); ok {
-		return d.result()
+		return d.resultOf(st), nil
 	}
 	return newResult(st), nil
 }

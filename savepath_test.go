@@ -96,23 +96,30 @@ func TestSavePathsAgree(t *testing.T) {
 
 // TestFitCheckpointCostsNoGather: a Fit that writes a checkpoint builds
 // its Result from the same gathered state, so it sends exactly the
-// messages of the same Fit without one — on a parallel model and on a
-// sharded fit of parallel engines (whose merge tree therefore runs once) —
-// and the checkpoint is what Save writes afterwards.
+// messages of the same Fit without one — on a parallel model, on a
+// sharded fit of parallel engines (whose merge tree therefore runs once)
+// and on a distributed fleet, whose SAVE is then the one collective after
+// the last push — and the checkpoint is what Save writes afterwards.
 func TestFitCheckpointCostsNoGather(t *testing.T) {
 	a := testutil.RandomDense(40, 16, testutil.NewRand(3))
 	for name, opts := range map[string][]parsvd.Option{
-		"parallel": {parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(2)},
-		"shards":   {parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(2), parsvd.WithShards(2)},
+		"parallel":    {parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(2)},
+		"shards":      {parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(2), parsvd.WithShards(2)},
+		"distributed": {parsvd.WithBackend(parsvd.Distributed), parsvd.WithRanks(2)},
 	} {
 		t.Run(name, func(t *testing.T) {
-			fit := func(extra ...parsvd.Option) (*parsvd.SVD, *parsvd.Result) {
+			newSVD := func(extra ...parsvd.Option) *parsvd.SVD {
 				t.Helper()
 				svd, err := parsvd.New(append(append([]parsvd.Option{parsvd.WithModes(4)}, opts...), extra...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { svd.Close() })
+				return svd
+			}
+			fit := func(extra ...parsvd.Option) (*parsvd.SVD, *parsvd.Result) {
+				t.Helper()
+				svd := newSVD(extra...)
 				res, err := svd.Fit(context.Background(), parsvd.FromMatrix(a, 4))
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +132,24 @@ func TestFitCheckpointCostsNoGather(t *testing.T) {
 			if p, c := plain.Stats().Messages, withCkpt.Stats().Messages; p != c {
 				t.Fatalf("Fit sent %d messages with a checkpoint writer, %d without", c, p)
 			}
-			if !testutil.CloseSlices(want.Singular, got.Singular, 0) || !testutil.CloseSlices(want.Modes.RawData(), got.Modes.RawData(), 0) {
+			if name == "distributed" {
+				// The modes stay in the fleet: the Result carries their
+				// fingerprint. After the last push the fleet runs one
+				// collective, SAVE's gather: one message from rank 1.
+				if want.ModesSHA256 == "" || want.ModesSHA256 != got.ModesSHA256 || !testutil.CloseSlices(want.Singular, got.Singular, 0) ||
+					want.Iterations != got.Iterations || want.Snapshots != got.Snapshots {
+					t.Fatal("a checkpoint writer changed Fit's Result")
+				}
+				pushed := newSVD()
+				for off := 0; off < a.Cols(); off += 4 {
+					if err := pushed.Push(a.SliceCols(off, off+4)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := withCkpt.Stats().Messages - pushed.Stats().Messages; n != 1 {
+					t.Fatalf("Fit with a checkpoint writer sent %d messages after its last push, want 1 (the SAVE gather)", n)
+				}
+			} else if !testutil.CloseSlices(want.Singular, got.Singular, 0) || !testutil.CloseSlices(want.Modes.RawData(), got.Modes.RawData(), 0) {
 				t.Fatal("a checkpoint writer changed Fit's Result")
 			}
 			var saved bytes.Buffer
