@@ -58,31 +58,35 @@ worker:
 # last step, without the race detector (whose instrumentation allocates),
 # pins the allocation-free distributed steady state: a two-rank update
 # over loopback sockets, and a worker's PUSH, SPECTRUM, MODES-SHA and SAVE,
-# each 0 allocs/op.
+# each 0 allocs/op; and a worker's lifetime bytes over a 200-push session,
+# bounded by its engine buffer plus fixed I/O.
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
-		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedWorkerDeath|TestDistributedCloseReaps' .
+		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
-	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestSessionSteadyStateAllocs' \
+	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
 		./internal/core ./cmd/parsvd-worker
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
 # every decoder that parses another process's bytes or a crashed
 # process's files: the mesh frame reader with its hello, table, ident and
-# data-body decoders (including the rendezvous handshake), the worker's
-# PUSH block reader, the PUSH-SKETCH factor-pair decoder, the launcher's
-# SAVE checkpoint reader (FuzzReadBlobState), the HTTP binary
+# data-body decoders (including the rendezvous handshake), the PUSH block
+# reader and the worker's in-place PUSH decoders checked against it
+# (FuzzDecodeBlockInPlace), the PUSH-SKETCH factor-pair decoder, the
+# launcher's SAVE checkpoint reader (FuzzReadBlobState), the HTTP binary
 # matrix body decoder, checkpoint loading and the WAL reader behind
 # Open/Replay (truncated frames, hostile lengths and shapes, non-finite
-# payloads must error, never panic or over-allocate).
+# payloads must error, never panic or over-allocate); the model-name
+# check's seeds ride along with the server's.
 fuzz-smoke:
 	$(GO) test -run 'FuzzReadFrame|TestRendezvousRefusesHostileFrameLength' ./internal/mpi/tcptransport
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame|TestReadBlobState' ./internal/launch
-	$(GO) test -run 'FuzzReadMatrix' ./server
+	$(GO) test -run 'FuzzReadMatrix|FuzzValidName|TestValidName' ./server
 	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
 	$(GO) test -run 'FuzzWALOpen|TestTornTail' ./internal/wal
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/mpi/tcptransport
-	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run '^$$' ./internal/launch
+	$(GO) test -fuzz 'FuzzDecodeBlock$$' -fuzztime 10s -run '^$$' ./internal/launch
+	$(GO) test -fuzz FuzzDecodeBlockInPlace -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzDecodeFactorPair -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadBlobState -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server

@@ -162,11 +162,7 @@ func (d *distEngine) result() (*Result, error) {
 	if d.sess == nil || d.rows == 0 {
 		return nil, errors.New("parsvd: no data ingested yet")
 	}
-	singular, err := d.sess.Spectrum()
-	if err != nil {
-		return nil, d.sessionErr("reading distributed spectrum", err)
-	}
-	sha, err := d.sess.ModesSHA()
+	sha, singular, err := d.sess.ModesSHA()
 	if err != nil {
 		return nil, d.sessionErr("fingerprinting distributed modes", err)
 	}
@@ -174,8 +170,9 @@ func (d *distEngine) result() (*Result, error) {
 	// Modes stays nil: the M×K matrix lives row-distributed in the worker
 	// processes. ModesSHA256 fingerprints it bit-exactly: MODES-SHA
 	// gathers the rank blocks at rank 0, which hashes them where they lie
-	// and replies with the digest alone, so only the hash crosses stdout.
-	// state() ships the modes themselves when the caller saves or merges.
+	// and replies with the digest and the spectrum, so one round trip
+	// reads the whole Result and only the hash crosses stdout. state()
+	// ships the modes themselves when the caller saves or merges.
 	return &Result{
 		Singular:    singular,
 		Iterations:  st.Iterations,

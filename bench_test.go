@@ -141,7 +141,7 @@ func BenchmarkFig1cWeakScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mpi.MustRun(ranks, func(c *mpi.Comm) {
-					apmos.Decompose(c, blocks[c.Rank()], opts)
+					apmos.Decompose(c, blocks[c.Rank()], opts, nil)
 				})
 			}
 			b.StopTimer()
@@ -242,7 +242,7 @@ func BenchmarkAblationTruncation(b *testing.B) {
 				var s []float64
 				mpi.MustRun(benchRanks, func(c *mpi.Comm) {
 					_, sv := apmos.Decompose(c, blocks[c.Rank()],
-						apmos.Options{K: 5, R1: r1, R2: 5})
+						apmos.Options{K: 5, R1: r1, R2: 5}, nil)
 					if c.Rank() == 0 {
 						mu.Lock()
 						s = sv

@@ -84,12 +84,15 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 // which is exactly the contract the launcher enforces fleet-wide.
 //
 // Every command is decoded, executed and answered through storage the
-// session keeps: the pushed block, the reply header and body, the modes
-// hasher and the checkpoint writer, with the engine's own workspace and
-// gather blocks beneath. Once the first of each verb has sized them, a
-// steady stream of PUSH, SPECTRUM, MODES-SHA and SAVE allocates nothing,
-// so the process stays at its live set instead of growing to the
-// collector's headroom.
+// session keeps: the engine's own buffer, which a PUSH is decoded
+// straight into, the reply header and body, the modes hasher and the
+// checkpoint writer, with the engine's workspace beneath. Once the first
+// of each verb has sized them, a steady stream of PUSH, SPECTRUM,
+// MODES-SHA and SAVE allocates nothing. A worker's heap stays under the
+// collector's minimum goal, so it never collects, and every byte it ever
+// allocates stays resident: the engine's (K+B)×M_i buffer is its one
+// large allocation, with no staging copy of a batch or of the gathered
+// modes beside it.
 type session struct {
 	rank int
 	t    *tcptransport.Transport
@@ -101,10 +104,13 @@ type session struct {
 	inited    bool
 	eng       *core.Parallel
 	localRows int
+	// first is the engine's FirstBatch view the first PUSH was decoded
+	// into, and pushed the width of the batch the last PUSH decoded.
+	first  *mat.Dense
+	pushed int
 
-	// block holds every PUSH, sketch every PUSH-SKETCH, decoded through
-	// scratch.
-	block   mat.Dense
+	// sketch holds every PUSH-SKETCH; scratch carries every block's
+	// header and a PUSH's values on their way into the engine.
 	sketch  sketchDecoder
 	scratch []byte
 	// body is the reply body every OK and FLOATS is encoded into.
@@ -145,16 +151,16 @@ func (s *session) serve(in *bufio.Reader) error {
 		// A PUSH body is exactly one snapshot block and a PUSH-SKETCH body
 		// one factor pair; one the reader refuses is reported like any
 		// failed command.
-		pushed := &s.block
+		var sketched *mat.Dense
 		switch verb {
 		case launch.SessPush:
-			err = mat.ReadBlockExact(in, n, &s.block, s.scratch)
+			err = s.readPush(in, n)
 		case launch.SessPushSketch:
-			pushed, err = s.sketch.read(in, n, s.scratch)
+			sketched, err = s.sketch.read(in, n, s.scratch)
 		}
 		var done bool
 		if err == nil {
-			done, err = s.handle(verb, body, pushed)
+			done, err = s.handle(verb, body, sketched)
 		}
 		if err != nil {
 			s.t.Abort()
@@ -176,8 +182,8 @@ func (s *session) reply(verb byte, body []byte) error {
 }
 
 // okStatus replies OK with this rank's status and, on rank 0's MODES-SHA,
-// the modes hash.
-func (s *session) okStatus(sha []byte) error {
+// the modes hash and the spectrum.
+func (s *session) okStatus(sha []byte, spectrum []float64) error {
 	st := s.t.Stats()
 	status := launch.SessionStatus{
 		Rank:      s.rank,
@@ -190,27 +196,59 @@ func (s *session) okStatus(sha []byte) error {
 		status.Snapshots = s.eng.SnapshotsSeen()
 		status.Iterations = s.eng.Iterations()
 	}
-	s.body = launch.AppendStatus(s.body[:0], status, sha)
+	s.body = launch.AppendStatus(s.body[:0], status, sha, spectrum)
 	return s.reply(launch.SessOK, s.body)
 }
 
-// ingest seeds the engine with this rank's block of the first batch and
-// streams every later one.
-func (s *session) ingest(block *mat.Dense) {
+// readPush decodes a PUSH body, the next n bytes of in, straight into the
+// engine's buffer, with every check mat.ReadBlockExact makes: the first
+// batch into the rows the seeding reads it from (core.Parallel.FirstBatch)
+// and every later one transposed into the rows the update stacks it in
+// (BatchRows).
+func (s *session) readPush(in io.Reader, n int) error {
+	if !s.inited {
+		return errors.New("push before INIT")
+	}
+	rows, cols, err := mat.ReadBlockHeader(in, n, s.scratch)
+	if err != nil {
+		return err
+	}
+	s.pushed = cols
 	if s.eng == nil {
 		s.eng = core.NewParallel(s.comm, s.copts)
-		s.eng.Initialize(block)
-		s.localRows = block.Rows()
-	} else {
-		s.eng.IncorporateData(block)
+		s.first = s.eng.FirstBatch(rows, cols)
+		return mat.ReadValues(in, s.first, s.scratch)
 	}
+	if rows != s.localRows {
+		return fmt.Errorf("PUSH block has %d rows, this rank holds %d", rows, s.localRows)
+	}
+	return mat.ReadValuesT(in, s.eng.BatchRows(cols), s.scratch)
+}
+
+// ingest seeds the engine with this rank's block of the first batch and
+// streams every later one. A PUSH (sketched nil) is already in the
+// engine's buffer.
+func (s *session) ingest(sketched *mat.Dense) {
+	switch {
+	case sketched == nil && s.first != nil:
+		s.eng.Initialize(s.first)
+		s.first = nil
+	case sketched == nil:
+		s.eng.IncorporateFilled(s.pushed)
+	case s.eng == nil:
+		s.eng = core.NewParallel(s.comm, s.copts)
+		s.eng.Initialize(sketched)
+	default:
+		s.eng.IncorporateData(sketched)
+	}
+	s.localRows = s.eng.ModeRows().Cols()
 }
 
 // handle executes one command, converting engine panics (dimension bugs,
 // abort echoes from failed peers) into errors. done reports a clean
-// SHUTDOWN. A PUSH or PUSH-SKETCH arrives already decoded into this
-// rank's block; every other verb's payload is body.
-func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, err error) {
+// SHUTDOWN. A PUSH arrives already decoded into the engine's buffer and a
+// PUSH-SKETCH into sketched; every other verb's payload is body.
+func (s *session) handle(verb byte, body []byte, sketched *mat.Dense) (done bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			done = false
@@ -242,13 +280,13 @@ func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, e
 			return false, fmt.Errorf("INIT spec: %w", err)
 		}
 		s.inited = true
-		return false, s.okStatus(nil)
+		return false, s.okStatus(nil, nil)
 	case launch.SessPush, launch.SessPushSketch:
 		if !s.inited {
 			return false, errors.New("push before INIT")
 		}
-		s.ingest(block)
-		return false, s.okStatus(nil)
+		s.ingest(sketched)
+		return false, s.okStatus(nil, nil)
 	case launch.SessSpectrum:
 		if s.eng == nil {
 			return false, errors.New("SPECTRUM before any PUSH")
@@ -260,22 +298,23 @@ func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, e
 			return false, errors.New("MODES-SHA before any PUSH")
 		}
 		blocks := s.eng.GatherModeRows() // collective: every rank participates
-		var sha []byte
-		if s.rank == 0 {
-			sha = s.hasher.ModeRows(blocks...)
+		if s.rank != 0 {
+			return false, s.okStatus(nil, nil)
 		}
-		return false, s.okStatus(sha)
+		sha := s.hasher.ModeRows(blocks...)
+		s.eng.ReleaseModeRows()
+		return false, s.okStatus(sha, s.eng.SingularValues())
 	case launch.SessSave:
 		if s.eng == nil {
 			return false, errors.New("SAVE before any PUSH")
 		}
 		blocks := s.eng.GatherModeRows() // collective
 		if s.rank != 0 {
-			return false, s.okStatus(nil)
+			return false, s.okStatus(nil, nil)
 		}
-		// The checkpoint is encoded straight from the gathered blocks into
-		// the reply frame, so rank 0 never holds the modes stacked or as
-		// bytes.
+		// The checkpoint is encoded straight from the gathered blocks — its
+		// own rows and the received payloads — into the reply frame, so
+		// rank 0 never holds the modes copied, stacked or as bytes.
 		st := core.State{
 			Opts:       s.eng.Options(),
 			ModeBlocks: blocks,
@@ -283,9 +322,11 @@ func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, e
 			Iterations: s.eng.Iterations(),
 			Snapshots:  s.eng.SnapshotsSeen(),
 		}
-		if err := s.fw.WriteSizedFrame(launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
+		err := s.fw.WriteSizedFrame(launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
 			return s.ckpt.WriteState(w, st)
-		}); err != nil {
+		})
+		s.eng.ReleaseModeRows()
+		if err != nil {
 			return false, fmt.Errorf("writing checkpoint: %w", err)
 		}
 		return false, s.out.Flush()
@@ -294,7 +335,7 @@ func (s *session) handle(verb byte, body []byte, block *mat.Dense) (done bool, e
 		// mid-collective.
 		s.comm.Barrier()
 		s.t.Close()
-		return true, s.okStatus(nil)
+		return true, s.okStatus(nil, nil)
 	default:
 		return false, fmt.Errorf("unknown session verb 0x%02x", verb)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 
 	"goparsvd/internal/core"
@@ -215,5 +216,65 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(20, c.op); a != 0 {
 			t.Errorf("steady %s allocates %v times per command across both ranks, want 0", c.verb, a)
 		}
+	}
+}
+
+// TestSessionLifetimeBytes: a worker never collects — its heap stays under
+// the collector's minimum goal — so every byte it allocates over a session
+// stays resident. On a two-rank fleet at the fit-distributed shape (2048
+// rows per rank, K = B = 16), INIT and 200 PUSHes with a MODES-SHA and a
+// SAVE after every fourth allocate, across the whole process, no more than
+// each rank's (K+B)×M_r engine buffer, the one mesh payload rank 0
+// receives the other rank's mode rows in, and a fixed budget for I/O
+// buffers and the seeding's small temporaries: no staging copy of a batch,
+// of the seeded modes or of the gathered modes, and no frame copy of a
+// send.
+func TestSessionLifetimeBytes(t *testing.T) {
+	const ranks, rows, k, b = 2, 2048, 16, 16
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := testutil.NewRand(11)
+	var pushes [3][][]byte
+	for i := range pushes {
+		for range ranks {
+			blk := testutil.RandomDense(rows, b, rng)
+			pushes[i] = append(pushes[i], frame(launch.SessPush, mat.AppendBlock(nil, 0, rows, b, blk.RawData())))
+		}
+	}
+	spec, err := json.Marshal(launch.EngineSpec{K: k, FF: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(fr []byte) [][]byte { return [][]byte{fr, fr} }
+	initFrames := all(frame(launch.SessInit, spec))
+	modesSHAFrames := all(frame(launch.SessModesSHA, nil))
+	saveFrames := all(frame(launch.SessSave, nil))
+
+	f := startFleet(t, ranks)
+	// The driver's reply buffers hold a SAVE body from the start, so the
+	// count below is the ranks' alone.
+	f.reply, f.other = make([]byte, 0, 1<<20), make([]byte, 0, 4<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f.do(initFrames, launch.SessOK, launch.SessOK)
+	for i := range 200 {
+		f.do(pushes[i%len(pushes)], launch.SessOK, launch.SessOK)
+		if i%4 == 3 {
+			f.do(modesSHAFrames, launch.SessOK, launch.SessOK)
+			f.do(saveFrames, launch.SessBlob, launch.SessOK)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	const (
+		buffer  = (k + b) * rows * 8 // each rank's engine buffer
+		payload = k * rows * 8       // rank 1's mode rows, received by rank 0
+		fixed   = 768 << 10          // both ranks' I/O buffers and seeding temporaries
+	)
+	t.Logf("%d bytes allocated over the session (%d per rank)", got, got/ranks)
+	if limit := uint64(ranks*buffer + payload + fixed); got > limit {
+		t.Errorf("a session allocated %d bytes across both ranks, want at most %d: 2×%d buffer + %d payload + %d fixed", got, limit, buffer, payload, fixed)
 	}
 }

@@ -176,6 +176,42 @@ func TestConformanceFit(t *testing.T) {
 	}
 }
 
+// TestDistributedResultIsOneRoundTrip: a Distributed Result costs one
+// lockstep exchange with the fleet — MODES-SHA, whose rank 0 reply carries
+// the spectrum beside the modes fingerprint — and matches the Parallel
+// backend's Result of the same pushes bit for bit.
+func TestDistributedResultIsOneRoundTrip(t *testing.T) {
+	skipWithoutFleet(t)
+	a := confMatrix()
+	par := newConfSVD(t, parsvd.Parallel, 2)
+	dist := newConfSVD(t, parsvd.Distributed, 2)
+	for off := 0; off+8 <= a.Cols(); off += 8 {
+		for _, svd := range []*parsvd.SVD{par, dist} {
+			if err := svd.Push(a.SliceCols(off, off+8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := par.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		before := parsvd.DistSessionOps(dist)
+		got, err := dist.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := parsvd.DistSessionOps(dist) - before; n != 1 {
+			t.Fatalf("Result %d ran %d session exchanges, want 1", i, n)
+		}
+		if !testutil.CloseSlices(got.Singular, want.Singular, 0) || got.ModesSHA256 != launch.HashModes(want.Modes) ||
+			got.Iterations != want.Iterations || got.Snapshots != want.Snapshots {
+			t.Fatalf("Result %d differs from the parallel backend's", i)
+		}
+	}
+}
+
 // TestConformancePushAfterFit: Fit over a prefix then Push the remainder
 // must land in exactly the state of one Fit over the whole stream, on
 // every backend.

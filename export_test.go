@@ -28,3 +28,15 @@ func DistSetDeadline(s *SVD, t time.Time) {
 		d.setDeadline(t)
 	}
 }
+
+// DistSessionOps reports how many lockstep exchanges the Distributed
+// backend's launcher has run with its fleet: 0 before the first batch has
+// spawned it, or for other backends.
+func DistSessionOps(s *SVD) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d, ok := s.eng.(*distEngine); ok && d.sess != nil {
+		return d.sess.Stats().Ops
+	}
+	return 0
+}

@@ -105,10 +105,13 @@ func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 
 // Decompose runs Algorithm 2 over the communicator: a is this rank's row
 // block A_i of the global snapshot matrix. It returns this rank's slice of
-// the K global modes mode-major — the K×M_i matrix whose row j is mode j's
-// M_i entries, the layout the streaming engine keeps its modes in — and
-// the K global singular values; both are valid on every rank.
-func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (rows *mat.Dense, s []float64) {
+// the k ≤ K global modes mode-major — the k×M_i matrix whose row j is mode
+// j's M_i entries, the layout the streaming engine keeps its modes in — and
+// the k global singular values; both are valid on every rank. The modes
+// are written into the first k rows of dst, which is M_i wide with at
+// least K rows, and rows views them there; a nil dst means fresh k×M_i
+// storage. dst must not overlap a.
+func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64) {
 	_, n := a.Dims()
 	opts = opts.withDefaults(n)
 
@@ -155,21 +158,27 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options) (rows *mat.Dense, s []fl
 			inv[j] = 1 / lam[j]
 		}
 	}
-	return modeRows(a, x.SliceCols(0, k), inv), lam[:k]
+	if dst == nil {
+		rows = mat.New(k, a.Rows())
+	} else {
+		rows = new(mat.Dense)
+		dst.ViewRows(0, k, rows)
+	}
+	modeRows(rows, a, x.SliceCols(0, k), inv)
+	return rows, lam[:k]
 }
 
 // modePanel is the row-panel height of step 7's product: a panel of
 // A_i·X_k stays in L1 while it is scaled and written out transposed.
 const modePanel = 128
 
-// modeRows forms diag(inv)·X_kᵀ·A_iᵀ, the K×M_i mode-major slice of the
-// modes. A_i·X_k runs one row panel at a time through the broadcast-axpy
-// kernel, and each cache-resident panel is scaled and written transposed
-// into its columns of the result, so neither the M_i×K product nor a
-// transpose of it is ever built.
-func modeRows(a, xk *mat.Dense, inv []float64) *mat.Dense {
+// modeRows writes diag(inv)·X_kᵀ·A_iᵀ, the K×M_i mode-major slice of the
+// modes, into out. A_i·X_k runs one row panel at a time through the
+// broadcast-axpy kernel, and each cache-resident panel is scaled and
+// written transposed into its columns of out, so neither the M_i×K
+// product nor a transpose of it is ever built.
+func modeRows(out, a, xk *mat.Dense, inv []float64) {
 	mi, k := a.Rows(), xk.Cols()
-	out := mat.New(k, mi)
 	panel := mat.New(min(modePanel, mi), k)
 	var rows, p mat.Dense
 	d := out.RawData()
@@ -186,7 +195,6 @@ func modeRows(a, xk *mat.Dense, inv []float64) *mat.Dense {
 			}
 		}
 	}
-	return out
 }
 
 // DecomposeSerial is the single-process reference: the exact truncated SVD

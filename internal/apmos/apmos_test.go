@@ -39,7 +39,7 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 	var sOut []float64
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		m, sv := Decompose(c, blocks[c.Rank()], opts)
+		m, sv := Decompose(c, blocks[c.Rank()], opts, nil)
 		mu.Lock()
 		modeBlocks[c.Rank()] = m
 		if c.Rank() == 0 {
@@ -250,7 +250,7 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 		var s []float64
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
-			_, sv := Decompose(c, blocks[c.Rank()], Options{K: k, R1: n, R2: k})
+			_, sv := Decompose(c, blocks[c.Rank()], Options{K: k, R1: n, R2: k}, nil)
 			if c.Rank() == 0 {
 				mu.Lock()
 				s = sv
@@ -264,4 +264,33 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDecomposeIntoDestination: modes written into a caller's buffer are
+// bit for bit those written into fresh storage, in the buffer's first k
+// rows, and the rows below are untouched — even when fewer than K modes
+// exist.
+func TestDecomposeIntoDestination(t *testing.T) {
+	rng := testutil.NewRand(41)
+	a := testutil.RandomDense(30, 4, rng) // 4 snapshots: k = 4 < K = 6
+	blocks := splitRows(a, 2)
+	opts := Options{K: 6, R1: 4, R2: 6}
+	mpi.MustRun(2, func(c *mpi.Comm) {
+		local := blocks[c.Rank()]
+		want, ws := Decompose(c, local, opts, nil)
+		dst := mat.New(8, local.Rows())
+		dst.Fill(-7)
+		got, gs := Decompose(c, local, opts, dst)
+		if &got.RawData()[0] != &dst.RawData()[0] || got.Rows() != len(gs) || got.Cols() != local.Rows() {
+			t.Errorf("rank %d: modes are not the first rows of the destination", c.Rank())
+		}
+		if !mat.EqualApprox(got, want, 0) || !testutil.CloseSlices(gs, ws, 0) {
+			t.Errorf("rank %d: modes in the destination differ from fresh ones", c.Rank())
+		}
+		for _, v := range dst.RawData()[len(gs)*local.Rows():] {
+			if v != -7 {
+				t.Fatalf("rank %d: Decompose wrote below its %d mode rows", c.Rank(), len(gs))
+			}
+		}
+	})
 }

@@ -105,9 +105,13 @@ type Parallel struct {
 	*stream.SVD // nil until Initialize
 	opts        Options
 	comm        *mpi.Comm
+	// seed is the (K+B)×M_i buffer FirstBatch allocated, and first its
+	// bottom B rows viewed as the M_i×B batch, until Initialize adopts it.
+	seed  *mat.Dense
+	first mat.Dense
 	// gathered holds, at rank 0, the mode blocks GatherModeRows returns:
-	// rank 0's own rows and storage every other rank's are received into,
-	// reused across gathers.
+	// rank 0's own rows, and every other rank's as a view of the payload
+	// it arrived in, until ReleaseModeRows hands the payloads back.
 	gathered []*mat.Dense
 }
 
@@ -123,25 +127,52 @@ func NewParallel(c *mpi.Comm, opts Options) *Parallel {
 // Options returns the validated options the engine was built with.
 func (p *Parallel) Options() Options { return p.opts }
 
+// FirstBatch returns the m×b matrix to write this rank's block of the
+// first batch into, row-major, before Initialize(FirstBatch(m, b)) seeds
+// from it: the bottom b rows of the (K+b)×m buffer the engine keeps for
+// good, viewed as m×b. The seeding reads the batch there and writes the
+// modes into the rows above it, so a caller that decodes the batch
+// straight into it holds no copy of it, and the buffer the updates factor
+// is allocated once.
+func (p *Parallel) FirstBatch(m, b int) *mat.Dense {
+	if p.SVD != nil {
+		panic("core: FirstBatch after Initialize")
+	}
+	p.seed = mat.New(p.opts.K+b, m)
+	p.first.Wrap(m, b, p.seed.RawData()[p.opts.K*m:])
+	return &p.first
+}
+
 // Initialize seeds the decomposition with this rank's block of the first
 // batch using the distributed (optionally randomized) APMOS SVD — the
 // paper's Listing 2/3 `initialize` → `parallel_svd`. Every later batch goes
 // through IncorporateData: the paper's Listing 2 `incorporate_data` →
 // Listing 4 `parallel_qr`.
+//
+// The modes are written into the top rows of the (K+B)×M_i buffer the
+// engine keeps, so the first B-wide update stacks its batch under them
+// without regrowing it. a is read, never adopted, unless it is the
+// FirstBatch view into that buffer.
 func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 	if p.SVD != nil {
 		panic("core: Initialize called twice")
 	}
-	modeRows, s := apmos.Decompose(p.comm, a, apmos.Options{
+	m, b := a.Dims()
+	buf := p.seed
+	if a != &p.first {
+		buf = mat.New(p.opts.K+b, m)
+	}
+	p.seed = nil
+	var top mat.Dense
+	buf.ViewRows(0, p.opts.K, &top)
+	_, s := apmos.Decompose(p.comm, a, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
-	})
-	// The APMOS modes are already mode-major: the engine adopts them as
-	// its buffer.
-	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), modeRows, s, 0, a.Cols())
+	}, &top)
+	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), buf, s, 0, b)
 	if err != nil {
 		// APMOS returns at most K modes of the batch's rows, one per
 		// singular value, so a rejection is a broken internal invariant.
@@ -155,14 +186,17 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 // `_gather_modes`) mode-major, as the K×M matrix Uᵀ held in column blocks,
 // one per rank in rank order: each rank sends its K×M_i ModeRows as they
 // lie, rank 0's block is its own rows in place, and every other rank's is
-// received into storage the engine reuses across gathers, so a steady
-// sequence of gathers allocates nothing. Other ranks receive nil. The
-// blocks are valid until the next gather or update; core.State's
-// ModeBlocks and launch.HashModeRows read them without stacking.
+// the payload its message arrived in (mpi.Comm.GatherMatrixViews), so no
+// copy of the modes is made. Other ranks receive nil. core.State's
+// ModeBlocks and launch.HashModeRows read the blocks without stacking
+// them. They are valid until ReleaseModeRows or the next gather, which
+// hand the payloads back to the fabric for later messages — so a steady
+// sequence of gathers allocates nothing — and rank 0's own block only
+// until the next update.
 func (p *Parallel) GatherModeRows() []*mat.Dense {
 	rows := p.ModeRows()
 	if p.comm.Rank() != 0 {
-		p.comm.GatherMatrixInto(0, rows, nil)
+		p.comm.GatherMatrixViews(0, rows, nil)
 		return nil
 	}
 	if p.gathered == nil {
@@ -171,9 +205,19 @@ func (p *Parallel) GatherModeRows() []*mat.Dense {
 			p.gathered[r] = new(mat.Dense)
 		}
 	}
+	p.ReleaseModeRows()
 	p.gathered[0] = rows
-	p.comm.GatherMatrixInto(0, rows, p.gathered)
+	p.comm.GatherMatrixViews(0, rows, p.gathered)
 	return p.gathered
+}
+
+// ReleaseModeRows hands the payloads the last GatherModeRows returned back
+// to the fabric once the caller is done with the blocks. It is a no-op
+// off rank 0 and when nothing is held.
+func (p *Parallel) ReleaseModeRows() {
+	if p.gathered != nil {
+		p.comm.ReleaseViews(0, p.gathered)
+	}
 }
 
 // ModeMatrix returns, in fresh storage, the M×K mode matrix whose

@@ -334,3 +334,66 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 		t.Fatalf("update %d: ‖UᵀU−I‖_max = %g", badAt, bad)
 	}
 }
+
+// TestFirstBatchSeedsInPlace: a batch written into FirstBatch seeds the
+// engine bit for bit as Initialize of the same batch does, in the buffer
+// FirstBatch allocated, with the modes above the batch; later batches
+// written into BatchRows update it bit for bit as IncorporateData does,
+// without regrowing that buffer. At rank 0 the gathered rows of the other
+// rank are its message's payload until ReleaseModeRows.
+func TestFirstBatchSeedsInPlace(t *testing.T) {
+	const k, b = 3, 4
+	rng := testutil.NewRand(31)
+	a, _ := testutil.RandomLowRank(30, 3*b, 5, 1e-3, rng)
+	blocks := splitRows(a, 2)
+	opts := Options{K: k, ForgetFactor: 0.9, R1: 8}
+	mpi.MustRun(2, func(c *mpi.Comm) {
+		local := blocks[c.Rank()]
+		m := local.Rows()
+		ref := NewParallel(c, opts).Initialize(local.SliceCols(0, b))
+
+		eng := NewParallel(c, opts)
+		first := eng.FirstBatch(m, b)
+		first.CopyFrom(local.SliceCols(0, b))
+		eng.Initialize(first)
+		buf := &eng.ModeRows().RawData()[0]
+		for off := 0; off < 3*b; off += b {
+			if off > 0 {
+				ref.IncorporateData(local.SliceCols(off, off+b))
+				local.SliceCols(off, off+b).TInto(eng.BatchRows(b))
+				eng.IncorporateFilled(b)
+			}
+			if !testutil.CloseSlices(eng.SingularValues(), ref.SingularValues(), 0) ||
+				!bitsEqual(eng.ModeRows().RawData(), ref.ModeRows().RawData()) {
+				t.Errorf("rank %d after %d snapshots: in-place engine differs from the reference", c.Rank(), off+b)
+			}
+			if &eng.ModeRows().RawData()[0] != buf {
+				t.Errorf("rank %d after %d snapshots: the engine left its seeded buffer", c.Rank(), off+b)
+			}
+		}
+
+		blocks := eng.GatherModeRows()
+		if c.Rank() == 0 {
+			if blocks[1].Cols() != splitRows(a, 2)[1].Rows() || blocks[1].Rows() != k {
+				t.Errorf("gathered rank 1 block is %dx%d", blocks[1].Rows(), blocks[1].Cols())
+			}
+			eng.ReleaseModeRows()
+			if !blocks[1].IsEmpty() {
+				t.Error("ReleaseModeRows left a view of the released payload")
+			}
+		}
+	})
+}
+
+// bitsEqual reports whether two slices hold the same bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

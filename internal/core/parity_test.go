@@ -36,7 +36,7 @@ func (p *refParallel) initialize(a *mat.Dense) {
 		R2:      p.opts.K,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
-	})
+	}, nil)
 	p.ulocal = rows.T()
 }
 

@@ -49,7 +49,7 @@ func readBlock(body []byte) (*mat.Dense, error) {
 	return readBlockInto(body, new(mat.Dense))
 }
 
-// readBlockInto decodes a PUSH body as the worker does, into dst.
+// readBlockInto decodes a PUSH body as mat.ReadBlockExact does, into dst.
 func readBlockInto(body []byte, dst *mat.Dense) (*mat.Dense, error) {
 	if err := mat.ReadBlockExact(bytes.NewReader(body), len(body), dst, make([]byte, blockScratch)); err != nil {
 		return nil, err
@@ -94,27 +94,38 @@ func FuzzReadSessionFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeBlock(f *testing.F) {
-	f.Add(blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})))
-	f.Add(blockBody(mat.NewFromData(1, 1, []float64{-0.0})))
-	f.Add(blockBody(mat.NewFromData(1, 2, []float64{math.NaN(), 1})))         // must be rejected
-	f.Add(blockBody(mat.NewFromData(1, 2, []float64{math.Inf(1), 1})))        // must be rejected
-	f.Add(blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))[:20]) // truncated
+// blockSeeds are the PUSH-body fuzz seeds: well-formed blocks and the
+// ways a block can be refused.
+func blockSeeds() [][]byte {
+	seeds := [][]byte{
+		blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})),
+		blockBody(mat.NewFromData(1, 1, []float64{-0.0})),
+		blockBody(mat.NewFromData(5, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})),
+		blockBody(mat.NewFromData(1, 2, []float64{math.NaN(), 1})),               // must be rejected
+		blockBody(mat.NewFromData(1, 2, []float64{math.Inf(1), 1})),              // must be rejected
+		blockBody(mat.NewFromData(3, 2, []float64{1, 2, 3, 4, math.Inf(-1), 6})), // must be rejected
+		blockBody(mat.NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6}))[:20],       // truncated
+		append(blockBody(mat.NewFromData(2, 1, []float64{1, 2})), 0),             // trailing byte
+	}
 	// A header that declares a huge float count with no payload behind it.
 	huge := make([]byte, 32)
 	binary.LittleEndian.PutUint64(huge[8:], 4)      // rows
 	binary.LittleEndian.PutUint64(huge[16:], 4)     // cols
 	binary.LittleEndian.PutUint64(huge[24:], 1<<40) // count lie
-	f.Add(huge)
 	// Dims that disagree with the count.
 	bad := blockBody(mat.NewFromData(2, 2, []float64{1, 2, 3, 4}))
 	binary.LittleEndian.PutUint64(bad[8:], 3) // rows 2 -> 3
-	f.Add(bad)
 	// Dims whose int64 product wraps back to the payload length:
 	// (2^61+1)·8 ≡ 8 mod 2^64, so a multiplying check would accept it.
 	wrap := blockBody(mat.NewFromData(1, 8, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
 	binary.LittleEndian.PutUint64(wrap[8:], 1<<61|1) // rows 1 -> 2^61+1
-	f.Add(wrap)
+	return append(seeds, huge, bad, wrap)
+}
+
+func FuzzDecodeBlock(f *testing.F) {
+	for _, seed := range blockSeeds() {
+		f.Add(seed)
+	}
 
 	var reused mat.Dense
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -154,6 +165,52 @@ func FuzzDecodeBlock(f *testing.F) {
 		// The encoder writes the accepted block back bit for bit.
 		if !bytes.Equal(blockBody(m), data) {
 			t.Fatal("accepted block did not round-trip")
+		}
+	})
+}
+
+// FuzzDecodeBlockInPlace: the worker's PUSH decoders — the header
+// (mat.ReadBlockHeader), then the values into storage sized from it, as
+// they lie (mat.ReadValues, the first batch) or transposed
+// (mat.ReadValuesT, every later one) — accept exactly the bodies
+// mat.ReadBlockExact accepts and deliver its values bit for bit, the
+// transposing one as TInto would lay them out, whatever the scratch size
+// splits the rows at.
+func FuzzDecodeBlockInPlace(f *testing.F) {
+	for _, seed := range blockSeeds() {
+		f.Add(seed, uint8(0))
+		f.Add(seed, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		want, werr := readBlock(data)
+		scratch := make([]byte, mat.BlockHeaderLen+8*int(split%16))
+		for _, transpose := range []bool{false, true} {
+			r := bytes.NewReader(data)
+			rows, cols, err := mat.ReadBlockHeader(r, len(data), scratch)
+			var got *mat.Dense
+			if err == nil {
+				if transpose {
+					got = mat.New(cols, rows)
+					err = mat.ReadValuesT(r, got, scratch)
+				} else {
+					got = mat.New(rows, cols)
+					err = mat.ReadValues(r, got, scratch)
+				}
+			}
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("transpose=%v: in-place decode err = %v, ReadBlockExact err = %v", transpose, err, werr)
+			}
+			if err != nil {
+				continue
+			}
+			ref := want
+			if transpose {
+				ref = mat.New(cols, rows)
+				want.TInto(ref)
+			}
+			if got.Rows() != ref.Rows() || got.Cols() != ref.Cols() || !equalFloatsBits(got.RawData(), ref.RawData()) {
+				t.Fatalf("transpose=%v: in-place decode delivered other values than ReadBlockExact", transpose)
+			}
 		}
 	})
 }

@@ -89,9 +89,12 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSHA, err := s.ModesSHA()
+	wantSHA, shaSpectrum, err := s.ModesSHA()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !equalFloatsBits(shaSpectrum, wantSpectrum) {
+		t.Fatalf("MODES-SHA reported spectrum %v, SPECTRUM %v", shaSpectrum, wantSpectrum)
 	}
 
 	type proc struct {

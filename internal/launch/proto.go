@@ -12,8 +12,12 @@ package launch
 //	PUSH      body = this rank's row block of one snapshot batch, one
 //	          snapshot block. The launcher writes it straight from a row
 //	          view of the caller's batch (mat.WriteBlock) and the worker
-//	          reads it straight into its reusable block
-//	          (mat.ReadBlockExact), each through a fixed scratch buffer
+//	          reads it straight into its engine's buffer, each through a
+//	          fixed scratch buffer: the first batch as it lies into the
+//	          rows the seeding reads (core.Parallel.FirstBatch,
+//	          mat.ReadValues), every later one transposed into the rows
+//	          the update stacks it in (BatchRows, mat.ReadValuesT), with
+//	          every check mat.ReadBlockExact makes
 //	PUSH-SKETCH body = factor pair: this rank's row block of the
 //	          orthonormal sketch basis Q plus the full L×B projection
 //	          S = QᵀA; the worker reconstructs its row block of the batch
@@ -22,15 +26,19 @@ package launch
 //	          M_r×B block
 //	SPECTRUM  empty body; every rank replies FLOATS(singular values)
 //	MODES-SHA empty body; collective mode gather: every rank sends its
-//	          K×M_i mode rows to rank 0, which hashes the blocks where
-//	          they lie (HashModeRows, never stacking them) and puts the
-//	          SHA-256 fingerprint of the M×K matrix they make up in its
-//	          OK reply; every other rank replies OK
+//	          K×M_i mode rows to rank 0, which hashes them where they
+//	          lie — its own rows in its engine, every other rank's in the
+//	          mesh payload they arrived in (HashModeRows, never stacking
+//	          or copying them) — and puts the SHA-256 fingerprint of the
+//	          M×K matrix they make up in its OK reply, beside the
+//	          spectrum's bit patterns, so a launcher's result read is one
+//	          round trip; every other rank replies OK
 //	SAVE      empty body; the same gather, after which rank 0 replies BLOB
 //	          holding a facade-compatible (serial) checkpoint of the global
-//	          state, encoded from the rank blocks straight into the frame
-//	          (core.State.ModeBlocks); the launcher decodes it off the pipe
-//	          (core.ReadStateExact), so neither side holds it as bytes
+//	          state, encoded from its rows and the received payloads
+//	          straight into the frame (core.State.ModeBlocks); the
+//	          launcher decodes it off the pipe (core.ReadStateExact), so
+//	          neither side holds it as bytes
 //	SHUTDOWN  empty body; barrier, transport teardown, OK, clean exit
 //
 // Worker→launcher verbs (on worker stdout):
@@ -41,7 +49,8 @@ package launch
 //	           point the other ranks there; a launched rank inherits its
 //	           mesh and never sends it (StartSession wants OK to INIT)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
-//	           counters, optional modes hash), encoded by AppendStatus
+//	           counters, optional modes hash and spectrum), encoded by
+//	           AppendStatus
 //	FLOATS     body = a block carrying a vector (Rows = −1)
 //	BLOB       body = one checkpoint (core.WriteState), exactly the frame
 //	           length: a body that runs short or long is refused
@@ -59,6 +68,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"goparsvd/internal/mat"
@@ -151,6 +161,19 @@ type SessionStatus struct {
 	Snapshots  int    `json:"snapshots"`  // global ingested snapshot columns
 	Iterations int    `json:"iterations"` // streaming updates (Initialize excluded)
 	ModesSHA   string `json:"modes_sha,omitempty"`
+	// SpectrumBits is, in rank 0's MODES-SHA reply, the singular values
+	// as their IEEE-754 bit patterns, so they cross JSON bit for bit,
+	// non-finite values included, as a FLOATS body carries them.
+	SpectrumBits []uint64 `json:"spectrum_bits,omitempty"`
+}
+
+// Spectrum returns the singular values SpectrumBits carries.
+func (st SessionStatus) Spectrum() []float64 {
+	v := make([]float64, len(st.SpectrumBits))
+	for i, b := range st.SpectrumBits {
+		v[i] = math.Float64frombits(b)
+	}
+	return v
 }
 
 // blockScratch is the fixed buffer a block crosses a process boundary
@@ -213,10 +236,11 @@ func DecodeFloats(body []byte) ([]float64, error) {
 
 // AppendStatus appends the body of an OK reply: the JSON json.Marshal
 // writes for st, byte for byte, with sha — hex digits, possibly none — as
-// its modes hash in place of st.ModesSHA. It uses no reflection and
-// allocates nothing once buf holds a reply, so a worker acknowledges
-// every command from one reused buffer.
-func AppendStatus(buf []byte, st SessionStatus, sha []byte) []byte {
+// its modes hash in place of st.ModesSHA and the bit patterns of spectrum
+// in place of st.SpectrumBits. It uses no reflection and allocates nothing
+// once buf holds a reply, so a worker acknowledges every command from one
+// reused buffer.
+func AppendStatus(buf []byte, st SessionStatus, sha []byte, spectrum []float64) []byte {
 	buf = append(buf, `{"rank":`...)
 	buf = strconv.AppendInt(buf, int64(st.Rank), 10)
 	buf = append(buf, `,"messages":`...)
@@ -235,6 +259,16 @@ func AppendStatus(buf []byte, st SessionStatus, sha []byte) []byte {
 		buf = append(buf, `,"modes_sha":"`...)
 		buf = append(buf, sha...)
 		buf = append(buf, '"')
+	}
+	if len(spectrum) > 0 {
+		buf = append(buf, `,"spectrum_bits":[`...)
+		for i, v := range spectrum {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendUint(buf, math.Float64bits(v), 10)
+		}
+		buf = append(buf, ']')
 	}
 	return append(buf, '}')
 }

@@ -3,6 +3,8 @@ package launch
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"goparsvd/internal/mat"
@@ -11,30 +13,37 @@ import (
 
 // TestAppendStatusMatchesJSON: the OK body a worker encodes by hand is
 // byte for byte what json.Marshal writes for the same status, with and
-// without a modes hash, and DecodeStatus reads it back; encoding into a
+// without a modes hash and a spectrum, and DecodeStatus reads it back —
+// the spectrum bit for bit, non-finite values included; encoding into a
 // reused buffer allocates nothing.
 func TestAppendStatusMatchesJSON(t *testing.T) {
+	spectrum := []float64{3.5, 1e-300, math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0x7ff8_0000_dead_beef)}
+	var bits []uint64
+	for _, v := range spectrum {
+		bits = append(bits, math.Float64bits(v))
+	}
 	for _, st := range []SessionStatus{
 		{},
 		{Rank: 1, Messages: 4, BytesSent: 20608, BytesRecv: -3, Rows: 2048, Snapshots: 160, Iterations: 9},
 		{Rank: 0, Messages: 1 << 40, Rows: 7, Snapshots: 16, ModesSHA: HashModes(mat.Eye(3))},
+		{Rank: 0, Rows: 7, Snapshots: 16, ModesSHA: HashModes(mat.Eye(3)), SpectrumBits: bits},
 	} {
 		want, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := AppendStatus(nil, st, []byte(st.ModesSHA))
+		got := AppendStatus(nil, st, []byte(st.ModesSHA), st.Spectrum())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AppendStatus = %s, json.Marshal = %s", got, want)
 		}
-		if back, err := DecodeStatus(got); err != nil || back != st {
+		if back, err := DecodeStatus(got); err != nil || !reflect.DeepEqual(back, st) {
 			t.Fatalf("DecodeStatus(AppendStatus(%+v)) = %+v, %v", st, back, err)
 		}
 	}
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 0, 512)
 	st := SessionStatus{Rank: 1, Messages: 4, Rows: 2048}
 	sha := []byte(HashModes(mat.Eye(3)))
-	if n := testing.AllocsPerRun(20, func() { buf = AppendStatus(buf[:0], st, sha) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { buf = AppendStatus(buf[:0], st, sha, spectrum) }); n != 0 {
 		t.Fatalf("AppendStatus into a reused buffer allocates %v times, want 0", n)
 	}
 }

@@ -53,6 +53,9 @@ type SessionStats struct {
 	Rows       int // global snapshot rows (summed per-rank blocks)
 	Snapshots  int
 	Iterations int
+	// Ops counts the lockstep exchanges (one command frame to every rank,
+	// one reply from each) the launcher has started.
+	Ops int64
 }
 
 // Session is a persistent, sessionful worker world: cfg.Ranks parsvd-worker
@@ -85,6 +88,7 @@ type Session struct {
 	// sums them.
 	statuses []SessionStatus
 	stats    SessionStats
+	ops      int64
 	failed   error
 	closed   bool
 }
@@ -302,6 +306,7 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 		deadline = s.hardDeadline
 	}
 
+	s.ops++
 	writeErrs := make([]error, len(s.workers))
 	var wg sync.WaitGroup
 	for r, w := range s.workers {
@@ -577,20 +582,22 @@ func (s *Session) Spectrum() ([]float64, error) {
 
 // ModesSHA gathers the global mode matrix at rank 0 (a collective) and
 // returns its SHA-256 fingerprint — dims plus row-major IEEE-754 bits,
-// the HashModes digest of the assembled M×K matrix.
-func (s *Session) ModesSHA() (string, error) {
+// the HashModes digest of the assembled M×K matrix — and the singular
+// values rank 0 reports beside it, bit for bit what Spectrum returns, in
+// one round trip.
+func (s *Session) ModesSHA() (sha string, singular []float64, err error) {
 	frames, err := s.op(SessModesSHA, nil)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	status, err := DecodeStatus(frames[0].body)
 	if err != nil {
-		return "", s.fail(fmt.Errorf("launch: rank 0 MODES-SHA reply: %w", err))
+		return "", nil, s.fail(fmt.Errorf("launch: rank 0 MODES-SHA reply: %w", err))
 	}
-	if status.ModesSHA == "" {
-		return "", s.fail(fmt.Errorf("launch: rank 0 reported no modes hash"))
+	if status.ModesSHA == "" || len(status.SpectrumBits) == 0 {
+		return "", nil, s.fail(fmt.Errorf("launch: rank 0 reported no modes hash or spectrum"))
 	}
-	return status.ModesSHA, nil
+	return status.ModesSHA, status.Spectrum(), nil
 }
 
 // Stats returns the cached world counters (refreshed by every acknowledged
@@ -598,6 +605,7 @@ func (s *Session) ModesSHA() (string, error) {
 func (s *Session) Stats() SessionStats {
 	st := s.stats
 	st.Ranks = s.cfg.Ranks
+	st.Ops = s.ops
 	return st
 }
 

@@ -85,9 +85,12 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spectrum: %v", err)
 	}
-	sha, err := s.ModesSHA()
+	sha, shaSingular, err := s.ModesSHA()
 	if err != nil {
 		t.Fatalf("modes sha: %v", err)
+	}
+	if !equalFloatsBits(shaSingular, singular) {
+		t.Fatalf("MODES-SHA reported spectrum %v, SPECTRUM %v", shaSingular, singular)
 	}
 
 	// In-process reference on the identical workload.

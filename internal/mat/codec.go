@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -194,11 +195,43 @@ func writeBlock(w io.Writer, buf []byte, tag, rows, cols int, data []float64) ([
 		}
 		buf = buf[:0]
 	}
+	return WriteFloats(w, AppendBlockHeader(buf, tag, rows, cols, len(data)), data)
+}
+
+// AppendBlockHeader appends the header of a block of n values under the
+// given tag and dims.
+func AppendBlockHeader(buf []byte, tag, rows, cols, n int) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(tag)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(rows)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(cols)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
-	return WriteFloats(w, buf, data)
+	return binary.LittleEndian.AppendUint64(buf, uint64(n))
+}
+
+// WriteFloatsBuffered writes data to bw as little-endian float64 values
+// through bw's own buffer and nothing else: on a little-endian machine
+// straight from data's memory, elsewhere encoded into bw's free space
+// (bufio.Writer.AvailableBuffer) a chunk at a time. A caller that writes a
+// header into bw first and then its values this way sends a block without
+// building a copy of it.
+func WriteFloatsBuffered(bw *bufio.Writer, data []float64) error {
+	if nativeLE {
+		_, err := bw.Write(floatBytes(data))
+		return err
+	}
+	for len(data) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		buf := bw.AvailableBuffer()
+		k := min(len(data), cap(buf)/8)
+		if _, err := bw.Write(appendFloats(buf, data[:k])); err != nil {
+			return err
+		}
+		data = data[k:]
+	}
+	return nil
 }
 
 // ErrBlockOverLimit reports a block that declares more values than the
@@ -217,46 +250,163 @@ var ErrBlockOverLimit = errors.New("declared size exceeds the bytes left")
 // machine is not little-endian, the values; it holds at least
 // BlockHeaderLen bytes. dst's storage is overwritten.
 func ReadBlock(r io.Reader, limit int64, dst *Dense, scratch []byte) (int, error) {
+	h, err := readSnapshotHeader(r, limit, scratch)
+	if err != nil {
+		return 0, err
+	}
+	if err := readBlockValues(r, int(h.Rows), int(h.Cols), dst, scratch); err != nil {
+		return 0, err
+	}
+	return BlockLen(len(dst.data)), nil
+}
+
+// readSnapshotHeader reads a snapshot block's header from r, which holds
+// at most limit more bytes, and checks it as ReadBlock does.
+func readSnapshotHeader(r io.Reader, limit int64, scratch []byte) (BlockHeader, error) {
 	if limit < BlockHeaderLen {
-		return 0, fmt.Errorf("mat: snapshot block truncated: %d bytes, the header alone takes %d", max(limit, 0), BlockHeaderLen)
+		return BlockHeader{}, fmt.Errorf("mat: snapshot block truncated: %d bytes, the header alone takes %d", max(limit, 0), BlockHeaderLen)
 	}
 	hdr := scratch[:BlockHeaderLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, fmt.Errorf("mat: reading snapshot block header: %w", err)
+		return BlockHeader{}, fmt.Errorf("mat: reading snapshot block header: %w", err)
 	}
 	h := ParseBlockHeader(hdr)
 	// Divide rather than multiply: the counts are the sender's, and
 	// rows·cols or 8·n would wrap for hostile values.
 	switch {
 	case h.Tag != 0:
-		return 0, fmt.Errorf("mat: snapshot block has tag %d, want 0", h.Tag)
+		return h, fmt.Errorf("mat: snapshot block has tag %d, want 0", h.Tag)
 	case h.Rows < 1 || h.Cols < 1:
-		return 0, fmt.Errorf("mat: snapshot block dims %dx%d: both must be >= 1", h.Rows, h.Cols)
+		return h, fmt.Errorf("mat: snapshot block dims %dx%d: both must be >= 1", h.Rows, h.Cols)
 	case h.N%uint64(h.Cols) != 0 || h.N/uint64(h.Cols) != uint64(h.Rows):
-		return 0, fmt.Errorf("mat: snapshot block declares %d values for a %dx%d matrix", h.N, h.Rows, h.Cols)
+		return h, fmt.Errorf("mat: snapshot block declares %d values for a %dx%d matrix", h.N, h.Rows, h.Cols)
 	case h.N > uint64(limit-BlockHeaderLen)/8:
-		return 0, fmt.Errorf("mat: %dx%d snapshot block: %w (%d bytes left)", h.Rows, h.Cols, ErrBlockOverLimit, limit-BlockHeaderLen)
+		return h, fmt.Errorf("mat: %dx%d snapshot block: %w (%d bytes left)", h.Rows, h.Cols, ErrBlockOverLimit, limit-BlockHeaderLen)
 	}
-	data, err := ReadFloats(r, dst.data[:0], int(h.N), scratch)
+	return h, nil
+}
+
+// readBlockValues reads a checked block's rows·cols values into dst as
+// ReadBlock does.
+func readBlockValues(r io.Reader, rows, cols int, dst *Dense, scratch []byte) error {
+	data, err := ReadFloats(r, dst.data[:0], rows*cols, scratch)
 	dst.rows, dst.cols, dst.data = 0, 0, data[:0]
 	if err != nil {
-		return 0, fmt.Errorf("mat: reading %dx%d snapshot block values: %w", h.Rows, h.Cols, err)
+		return fmt.Errorf("mat: reading %dx%d snapshot block values: %w", rows, cols, err)
 	}
 	if i := FirstNonFinite(data); i >= 0 {
-		return 0, fmt.Errorf("mat: snapshot block contains a non-finite value (%g) at index %d", data[i], i)
+		return nonFiniteValue(data[i], i)
 	}
-	dst.rows, dst.cols, dst.data = int(h.Rows), int(h.Cols), data
-	return BlockLen(len(data)), nil
+	dst.rows, dst.cols, dst.data = rows, cols, data
+	return nil
+}
+
+func nonFiniteValue(v float64, i int) error {
+	return fmt.Errorf("mat: snapshot block contains a non-finite value (%g) at index %d", v, i)
 }
 
 // ReadBlockExact reads a snapshot block that is exactly the next n bytes
-// of r into dst, as ReadBlock does.
+// of r into dst, as ReadBlock does. The length is checked with the
+// header, before any value is read.
 func ReadBlockExact(r io.Reader, n int, dst *Dense, scratch []byte) error {
-	used, err := ReadBlock(r, int64(n), dst, scratch)
-	if err == nil && used != n {
-		err = fmt.Errorf("mat: %d bytes after a %dx%d snapshot block", n-used, dst.rows, dst.cols)
+	rows, cols, err := ReadBlockHeader(r, n, scratch)
+	if err != nil {
+		return err
 	}
-	return err
+	return readBlockValues(r, rows, cols, dst, scratch)
+}
+
+// ReadBlockHeader reads the header of a snapshot block that is exactly the
+// next n bytes of r and returns its dims, once it has passed every check
+// ReadBlockExact makes before it reads a value: tag 0, rows and cols at
+// least 1, rows·cols values declared, and exactly n bytes in all. The
+// caller then names where the values go and reads them with ReadValues or
+// ReadValuesT, so a block can be decoded into storage sized from its
+// header. scratch holds at least BlockHeaderLen bytes.
+func ReadBlockHeader(r io.Reader, n int, scratch []byte) (rows, cols int, err error) {
+	h, err := readSnapshotHeader(r, int64(n), scratch)
+	if err != nil {
+		return 0, 0, err
+	}
+	if used := BlockLen(int(h.N)); used != n {
+		return 0, 0, fmt.Errorf("mat: %d bytes after a %dx%d snapshot block", n-used, h.Rows, h.Cols)
+	}
+	return int(h.Rows), int(h.Cols), nil
+}
+
+// ReadValues reads the values of a block whose header ReadBlockHeader
+// returned as dst's dims straight into dst's storage, row-major as they
+// lie, and refuses a non-finite one as ReadBlock does. dst may be a view
+// into a larger matrix; it is never reallocated. scratch is ReadFloats'.
+func ReadValues(r io.Reader, dst *Dense, scratch []byte) error {
+	n := dst.rows * dst.cols
+	if _, err := ReadFloats(r, dst.data[:0:n], n, scratch); err != nil {
+		return fmt.Errorf("mat: reading %dx%d snapshot block values: %w", dst.rows, dst.cols, err)
+	}
+	if i := FirstNonFinite(dst.data[:n]); i >= 0 {
+		return nonFiniteValue(dst.data[i], i)
+	}
+	return nil
+}
+
+// ReadValuesT is ReadValues for a destination that holds the block's
+// transpose: the rows×cols block's values are read into scratch a chunk
+// at a time and written transposed into the cols×rows matrix dst, with
+// the same refusal of a non-finite value (reported at its index in the
+// block), so a batch goes straight into the rows an update stacks it in.
+// Each chunk is scattered column by column, so every destination row
+// receives one contiguous run per chunk, as TInto writes them. scratch
+// holds at least 16 bytes.
+func ReadValuesT(r io.Reader, dst *Dense, scratch []byte) error {
+	rows, cols := dst.cols, dst.rows
+	buf := alignedFloats(scratch)
+	if len(buf) == 0 {
+		panic("mat: ReadValuesT scratch holds no aligned value")
+	}
+	d := dst.data
+	for done := 0; done < rows*cols; {
+		// A chunk of at most tBlock block rows stays cache-resident while
+		// it is scattered, as TInto's source blocks do.
+		vals := buf[:min(rows*cols-done, len(buf), tBlock*cols)]
+		k := len(vals)
+		raw := floatBytes(vals)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return fmt.Errorf("mat: reading %dx%d snapshot block values: %w", rows, cols, err)
+		}
+		if !nativeLE {
+			for p := range vals {
+				vals[p] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*p:]))
+			}
+		}
+		if p := FirstNonFinite(vals); p >= 0 {
+			return nonFiniteValue(vals[p], done+p)
+		}
+		// Value p of the chunk is block entry (i, j) with
+		// i·cols + j = done + p; a column's values lie cols apart.
+		i0, j0 := done/cols, done%cols
+		for c := range min(cols, k) {
+			i, j := i0, j0+c
+			if j >= cols {
+				i, j = i+1, j-cols
+			}
+			out := d[j*rows : (j+1)*rows]
+			for p := c; p < k; p, i = p+cols, i+1 {
+				out[i] = vals[p]
+			}
+		}
+		done += k
+	}
+	return nil
+}
+
+// alignedFloats views the 8-byte-aligned whole float64 slots of b as
+// float64s, so values can be read straight into a byte scratch buffer.
+func alignedFloats(b []byte) []float64 {
+	off := int(-uintptr(unsafe.Pointer(unsafe.SliceData(b))) & 7)
+	if len(b) < off+8 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&b[off])), (len(b)-off)/8)
 }
 
 // DecodeBlock decodes b, which holds exactly one snapshot block, into

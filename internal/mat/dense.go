@@ -197,6 +197,16 @@ func (m *Dense) Assign(r, c int, data []float64) {
 	copy(m.data, data)
 }
 
+// Wrap makes m the r×c matrix whose row-major values are data, without
+// copying: m aliases data afterwards, as NewFromData's result does, but
+// through a header the caller keeps. It panics unless len(data) == r·c.
+func (m *Dense) Wrap(r, c int, data []float64) {
+	if r < 0 || c < 0 || len(data) != r*c {
+		panic(fmt.Sprintf("mat: Wrap of %d values as a %dx%d matrix", len(data), r, c))
+	}
+	m.rows, m.cols, m.data = r, c, data
+}
+
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := New(m.cols, m.rows)

@@ -103,11 +103,14 @@ func (c *Comm) GatherMatrix(root int, m *mat.Dense) []*mat.Dense {
 	return out
 }
 
-// GatherMatrixInto is GatherMatrix into caller storage. At root, out holds
-// one matrix per rank and each other rank's matrix is received into
-// out[src] as RecvMatrixInto does; out[root] is left as it is, for the
-// caller to point at its own matrix. Other ranks send m and ignore out.
-func (c *Comm) GatherMatrixInto(root int, m *mat.Dense, out []*mat.Dense) {
+// GatherMatrixViews is GatherMatrix without a copy at root: out holds one
+// matrix per rank, and each other rank's matrix is pointed at the payload
+// its message arrived in (mat.Dense.Wrap); out[root] is left as it is, for
+// the caller to point at its own matrix. The payloads stay the caller's
+// until ReleaseViews hands them back to the fabric, which decodes later
+// messages into them, so a steady sequence of gathers allocates nothing.
+// Other ranks send m and ignore out.
+func (c *Comm) GatherMatrixViews(root int, m *mat.Dense, out []*mat.Dense) {
 	if c.rank != root {
 		c.SendMatrix(root, tagGather, m)
 		return
@@ -117,7 +120,28 @@ func (c *Comm) GatherMatrixInto(root int, m *mat.Dense, out []*mat.Dense) {
 	}
 	for src, dst := range out {
 		if src != root {
-			c.RecvMatrixInto(src, tagGather, dst)
+			msg := c.recvMsg(src, tagGather)
+			if msg.Rows < 0 {
+				panic(fmt.Sprintf("mpi: rank %d expected matrix from %d tag %d, got vector",
+					c.rank, src, tagGather))
+			}
+			dst.Wrap(msg.Rows, msg.Cols, msg.Data)
+		}
+	}
+}
+
+// ReleaseViews hands back to the fabric the payloads GatherMatrixViews
+// pointed out's matrices at, and empties those matrices, so releasing
+// twice hands nothing back twice. Only root holds payloads; on other
+// ranks it does nothing.
+func (c *Comm) ReleaseViews(root int, out []*mat.Dense) {
+	if c.rank != root {
+		return
+	}
+	for src, m := range out {
+		if src != root && m != nil && cap(m.RawData()) > 0 {
+			c.t.Recycle(c.rank, src, m.RawData())
+			m.Wrap(0, 0, nil)
 		}
 	}
 }

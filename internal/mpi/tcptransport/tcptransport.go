@@ -137,8 +137,7 @@ type link struct {
 	peer int
 	conn net.Conn
 	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte // frame-encoding scratch, reused under wmu
+	bw   *bufio.Writer // every frame is encoded through its buffer, under wmu
 }
 
 // inbox is the unbounded per-source FIFO of delivered data messages.
@@ -456,8 +455,7 @@ func (t *Transport) writeControl(l *link, kind byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.conn.SetWriteDeadline(time.Now().Add(t.idleTimeout))
-	l.wbuf = appendControl(l.wbuf[:0], kind)
-	if _, err := l.bw.Write(l.wbuf); err != nil {
+	if _, err := l.bw.Write(appendControl(l.bw.AvailableBuffer(), kind)); err != nil {
 		return err
 	}
 	return l.bw.Flush()
@@ -570,8 +568,7 @@ func (t *Transport) Send(src, dst int, m mpi.Message) error {
 	l := t.links[dst]
 	l.wmu.Lock()
 	l.conn.SetWriteDeadline(time.Now().Add(t.idleTimeout))
-	l.wbuf = appendData(l.wbuf[:0], m)
-	_, err := l.bw.Write(l.wbuf)
+	err := writeData(l.bw, m)
 	if err == nil {
 		err = l.bw.Flush()
 	}
@@ -667,8 +664,7 @@ func (t *Transport) Abort() {
 		// frame is best-effort anyway.
 		if l.wmu.TryLock() {
 			l.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			l.wbuf = appendControl(l.wbuf[:0], kindAbort)
-			l.bw.Write(l.wbuf)
+			l.bw.Write(appendControl(l.bw.AvailableBuffer(), kindAbort))
 			l.bw.Flush()
 			l.wmu.Unlock()
 		}
@@ -719,8 +715,7 @@ func (t *Transport) Close() error {
 				}
 				l.wmu.Lock()
 				l.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				l.wbuf = appendControl(l.wbuf[:0], kindBye)
-				l.bw.Write(l.wbuf)
+				l.bw.Write(appendControl(l.bw.AvailableBuffer(), kindBye))
 				l.bw.Flush()
 				l.wmu.Unlock()
 			}

@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -202,10 +203,16 @@ func ReadFrameBody(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// appendData appends a complete data frame carrying m.
-func appendData(buf []byte, m mpi.Message) []byte {
-	buf = AppendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
-	return AppendMessageBody(buf, m)
+// writeData writes a complete data frame carrying m through bw's own
+// buffer: the frame and block headers are encoded into its free space and
+// the values straight from m.Data (mat.WriteFloatsBuffered), so a send
+// builds no copy of the frame.
+func writeData(bw *bufio.Writer, m mpi.Message) error {
+	hdr := AppendFrameHeader(bw.AvailableBuffer(), kindData, MessageBodyLen(len(m.Data)))
+	if _, err := bw.Write(mat.AppendBlockHeader(hdr, m.Tag, m.Rows, m.Cols, len(m.Data))); err != nil {
+		return err
+	}
+	return mat.WriteFloatsBuffered(bw, m.Data)
 }
 
 // AppendMessageBody appends the body of a data frame: m as one block

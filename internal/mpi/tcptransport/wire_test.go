@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math"
@@ -10,6 +11,43 @@ import (
 
 	"goparsvd/internal/mpi"
 )
+
+// appendData appends the data frame carrying m as the layout defines it:
+// the frame header, then the message as one block. writeData must send
+// exactly these bytes.
+func appendData(buf []byte, m mpi.Message) []byte {
+	buf = AppendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
+	return AppendMessageBody(buf, m)
+}
+
+// TestWriteDataMatchesLayout: a send writes the data frame's layout byte
+// for byte through the link's writer, for payloads smaller and larger than
+// its buffer and after other bytes already sit in it.
+func TestWriteDataMatchesLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 5, 300, 5000} {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = rng.NormFloat64()
+		}
+		m := mpi.Message{Tag: -2, Data: data, Rows: 1, Cols: n}
+		for _, size := range []int{64, 1 << 10, 1 << 16} {
+			for _, pending := range []int{0, 3, size - 2} {
+				var w bytes.Buffer
+				bw := bufio.NewWriterSize(&w, size)
+				bw.Write(make([]byte, pending))
+				err := writeData(bw, m)
+				if err == nil {
+					err = bw.Flush()
+				}
+				want := appendData(make([]byte, pending), m)
+				if err != nil || !bytes.Equal(w.Bytes(), want) {
+					t.Fatalf("%d values, buffer %d, %d pending: wrote %d bytes (%v), want the %d-byte frame", n, size, pending, w.Len(), err, len(want))
+				}
+			}
+		}
+	}
+}
 
 // TestWireDataRoundTrip property-checks the data-frame codec directly:
 // random shapes (including empty and single-element) and adversarial float

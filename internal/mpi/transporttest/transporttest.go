@@ -118,11 +118,12 @@ func RoundTrip(t *testing.T, run Runner) {
 }
 
 // Into runs the receive-into-storage conformance suite against the given
-// runner: RecvMatrixInto, BcastMatrixInto, BcastFloatsInto and
-// GatherMatrixInto deliver the sent bits into the caller's storage, reuse
-// it once it holds the values, and never let a recycled payload alias a
-// matrix already received; a rank that panics after recycling payloads
-// still aborts the world.
+// runner: RecvMatrixInto, BcastMatrixInto and BcastFloatsInto deliver the
+// sent bits into the caller's storage, reuse it once it holds the values,
+// and never let a recycled payload alias a matrix already received;
+// GatherMatrixViews delivers the sent bits in the payloads themselves,
+// which ReleaseViews hands back exactly once; a rank that panics after
+// recycling payloads still aborts the world.
 func Into(t *testing.T, run Runner) {
 	t.Helper()
 
@@ -160,13 +161,18 @@ func Into(t *testing.T, run Runner) {
 
 				mine := randomMatrix(2, 3+c.Rank(), int64(100*i+c.Rank()))
 				gathered[0] = mine
-				c.GatherMatrixInto(0, mine, gathered)
+				c.GatherMatrixViews(0, mine, gathered)
 				if c.Rank() == 0 {
 					for src := 1; src < c.Size(); src++ {
 						if w := randomMatrix(2, 3+src, int64(100*i+src)); !equalBits(gathered[src].RawData(), w.RawData()) || gathered[src].Cols() != 3+src {
-							t.Errorf("round %d: GatherMatrixInto from rank %d delivered other bits", i, src)
+							t.Errorf("round %d: GatherMatrixViews from rank %d delivered other bits", i, src)
 						}
 					}
+				}
+				c.ReleaseViews(0, gathered)
+				c.ReleaseViews(0, gathered) // a second release hands nothing back
+				if c.Rank() == 0 && !gathered[1].IsEmpty() {
+					t.Errorf("round %d: ReleaseViews left a view of a released payload", i)
 				}
 			}
 		})

@@ -107,7 +107,7 @@ func RunMeasured(cfg MeasuredConfig) []Point {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			start := time.Now()
 			stats := mpi.MustRun(p, func(c *mpi.Comm) {
-				apmos.Decompose(c, blocks[c.Rank()], opts)
+				apmos.Decompose(c, blocks[c.Rank()], opts, nil)
 			})
 			if dt := time.Since(start).Seconds(); dt < best {
 				best = dt

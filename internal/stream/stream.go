@@ -81,6 +81,8 @@ type SVD struct {
 	step        step
 	buf         *mat.Dense // the update's factored buffer, one row of M values per stacked column
 	top         mat.Dense  // view of buf's first k rows: the modes, mode-major
+	batch       mat.Dense  // view of the rows under top that BatchRows handed out
+	filled      int        // the width BatchRows handed out, for IncorporateFilled
 	singular    []float64
 	rows        int
 	iterations  int
@@ -166,13 +168,15 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 }
 
 // RestoreDistributed is Restore for one rank of an engine whose snapshot
-// rows are split across c's ranks: modeRows is this rank's block of the
-// global modes held mode-major (k×M_i, row j being mode j's M_i entries,
-// as apmos.Decompose forms them), and every later update runs Listing 4's
-// distributed QR over c. The engine adopts modeRows as its buffer — no
-// copy — so the caller must not touch it afterwards. Every rank restores
-// with the same singular values and counters, and every rank must then
-// make the same sequence of calls.
+// rows are split across c's ranks: the first k = len(singular) rows of
+// modeRows are this rank's block of the global modes held mode-major (row
+// j being mode j's M_i entries, as apmos.Decompose forms them), and every
+// later update runs Listing 4's distributed QR over c. The engine adopts
+// modeRows as its buffer — no copy — so the caller must not touch it
+// afterwards; rows beyond the first k are where the next batch is stacked,
+// so a buffer of K+B rows is never regrown by B-wide updates. Every rank
+// restores with the same singular values and counters, and every rank must
+// then make the same sequence of calls.
 func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular []float64,
 	iterations, snapshots int) (*SVD, error) {
 	if c == nil {
@@ -185,7 +189,11 @@ func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular
 		return nil, fmt.Errorf("stream: state inconsistent: nil modes")
 	}
 	s := &SVD{opts: opts.validated(), step: gatherStep(c)}
-	k, m := modeRows.Dims()
+	k, m := len(singular), modeRows.Cols()
+	if modeRows.Rows() < k {
+		return nil, fmt.Errorf("stream: state inconsistent: %d mode rows, %d singular values",
+			modeRows.Rows(), k)
+	}
 	if err := s.opts.CheckState(m, k, singular, iterations, snapshots); err != nil {
 		return nil, err
 	}
@@ -340,10 +348,44 @@ func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
 	if m != s.rows {
 		panic(fmt.Sprintf("stream: batch has %d rows, want %d", m, s.rows))
 	}
+	a.TInto(s.BatchRows(b))
+	return s.IncorporateFilled(b)
+}
+
+// BatchRows returns the b×M rows a batch of b snapshots is written into,
+// transposed (row j holds snapshot j's M values), for IncorporateFilled(b)
+// to ingest: the buffer rows under the modes, where the update stacks the
+// batch anyway. A caller that decodes a batch straight into them holds no
+// copy of it. The buffer grows to K+b rows once if they do not fit. The
+// rows are valid until the next call on the engine.
+func (s *SVD) BatchRows(b int) *mat.Dense {
+	s.mustBeInitialized()
+	k0, m := len(s.singular), s.rows
+	if s.buf.Rows() < k0+b {
+		// Not pooled: the old buffer goes to the GC, so the engine holds
+		// one buffer of M-long rows, not two.
+		grown := s.ws.GetUninit(s.opts.K+b, m)
+		copy(grown.RawData(), s.top.RawData())
+		s.buf = grown
+		s.buf.ViewRows(0, k0, &s.top)
+	}
+	s.buf.ViewRows(k0, k0+b, &s.batch)
+	s.filled = b
+	return &s.batch
+}
+
+// IncorporateFilled is IncorporateData for a batch of b snapshots already
+// written into BatchRows(b), the call that must come right before it.
+func (s *SVD) IncorporateFilled(b int) *SVD {
+	s.mustBeInitialized()
+	if b != s.filled {
+		panic(fmt.Sprintf("stream: IncorporateFilled(%d) after BatchRows(%d)", b, s.filled))
+	}
+	s.filled = 0
 	if b == 0 {
 		return s
 	}
-	s.update(s.opts.FF, b, s.opts.LowRank, a.TInto)
+	s.update(s.opts.FF, b, s.opts.LowRank)
 	s.iterations++
 	s.snapshots += b
 	return s
@@ -371,28 +413,21 @@ func (s *SVD) Absorb(modes *mat.Dense, singular []float64) float64 {
 		panic(fmt.Sprintf("stream: absorbing %d modes with %d singular values, K = %d",
 			k, len(singular), s.opts.K))
 	}
-	s.update(1, k, false, func(bot *mat.Dense) {
-		mat.MulDiagScaledTInto(bot, 1, modes, singular)
-	})
+	mat.MulDiagScaledTInto(s.BatchRows(k), 1, modes, singular)
+	s.filled = 0
+	s.update(1, k, false)
 	return s.discarded
 }
 
 // update is the one body of IncorporateData and Absorb. The stack
 // [w·U·diag(D) | X] is held column by column, the layout the QR factors in
 // place: its first k0 rows are the modes already in the buffer, scaled
-// where they lie (Listing 1: m_ap = ff·U·diag(D)), and fill writes the b
-// columns of X transposed into the rows under them. The buffer grows to
-// (K+b)×M once; every temporary comes from the iteration workspace, so
-// the steady-state update performs no heap allocations.
-func (s *SVD) update(w float64, b int, lowRank bool, fill func(bot *mat.Dense)) {
+// where they lie (Listing 1: m_ap = ff·U·diag(D)), and the b columns of X
+// sit transposed in the rows under them, written through BatchRows. Every
+// temporary comes from the iteration workspace, so the steady-state update
+// performs no heap allocations.
+func (s *SVD) update(w float64, b int, lowRank bool) {
 	k0, m := len(s.singular), s.rows
-	if s.buf.Rows() < k0+b {
-		// Not pooled: the old buffer goes to the GC, so the engine holds
-		// one buffer of M-long rows, not two.
-		grown := s.ws.GetUninit(s.opts.K+b, m)
-		copy(grown.RawData(), s.top.RawData())
-		s.buf = grown
-	}
 	at := s.ws.ViewRows(s.buf, 0, k0+b)
 	d := at.RawData()
 	for j, dj := range s.singular {
@@ -401,9 +436,6 @@ func (s *SVD) update(w float64, b int, lowRank bool, fill func(bot *mat.Dense)) 
 			row[i] = w * v * dj
 		}
 	}
-	bot := s.ws.ViewRows(at, k0, k0+b)
-	fill(bot)
-	s.ws.PutView(bot)
 	s.rotate(at, lowRank)
 	s.ws.PutView(at)
 }

@@ -230,6 +230,14 @@ func TestUsageErrors(t *testing.T) {
 			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
 			s.Absorb(mat.Eye(3), []float64{1, 1, 1})
 		}},
+		{"filled without batch rows", func() {
+			New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3)).IncorporateFilled(2)
+		}},
+		{"filled other width", func() {
+			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s.BatchRows(2)
+			s.IncorporateFilled(1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -360,15 +368,55 @@ func TestRestoreDistributedAdoptsModeRows(t *testing.T) {
 			"nil comm": func() (*SVD, error) {
 				return RestoreDistributed(nil, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 2)
 			},
-			"nil rows":      func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, nil, nil, 0, 0) },
-			"empty rows":    func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, mat.New(0, 5), nil, 0, 0) },
-			"size mismatch": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, rows, []float64{1}, 0, 2) },
+			"nil rows":   func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, nil, nil, 0, 0) },
+			"empty rows": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, mat.New(0, 5), nil, 0, 0) },
+			"too few rows": func() (*SVD, error) {
+				return RestoreDistributed(c, Options{K: 3, FF: 1}, rows, []float64{3, 2, 1}, 0, 3)
+			},
 			"K below count": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 1, FF: 1}, rows, []float64{2, 1}, 0, 2) },
 			"bad snapshots": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 1) },
 		} {
 			if _, err := fn(); err == nil {
 				t.Errorf("%s did not error", name)
 			}
+		}
+	})
+}
+
+// TestBatchRowsFillInPlace: a batch written transposed into BatchRows and
+// ingested by IncorporateFilled updates the engine bit for bit as
+// IncorporateData of the batch does; on a distributed engine adopted with
+// spare rows, BatchRows hands out those rows, so the buffer is not
+// regrown.
+func TestBatchRowsFillInPlace(t *testing.T) {
+	rng := testutil.NewRand(21)
+	a := testutil.RandomDense(50, 24, rng)
+	opts := Options{K: 5, FF: 0.95}
+	ref := New(opts).Initialize(a.SliceCols(0, 8))
+	eng := New(opts).Initialize(a.SliceCols(0, 8))
+	for off := 8; off < 24; off += 8 {
+		batch := a.SliceCols(off, off+8)
+		ref.IncorporateData(batch)
+		batch.TInto(eng.BatchRows(8))
+		eng.IncorporateFilled(8)
+		if !mat.EqualApprox(eng.ModeRows(), ref.ModeRows(), 0) || !testutil.CloseSlices(eng.SingularValues(), ref.SingularValues(), 0) {
+			t.Fatalf("after %d snapshots the filled engine differs from IncorporateData's", off+8)
+		}
+	}
+	if eng.Iterations() != ref.Iterations() || eng.SnapshotsSeen() != ref.SnapshotsSeen() {
+		t.Fatalf("counters %d/%d, want %d/%d", eng.Iterations(), eng.SnapshotsSeen(), ref.Iterations(), ref.SnapshotsSeen())
+	}
+
+	mpi.MustRun(1, func(c *mpi.Comm) {
+		buf := mat.New(4, 5) // two modes over five rows, two spare rows
+		buf.Set(0, 0, 1)
+		buf.Set(1, 1, 1)
+		s, err := RestoreDistributed(c, Options{K: 2, FF: 1}, buf, []float64{2, 1}, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := s.BatchRows(2); &rows.RawData()[0] != &buf.RawData()[2*5] || rows.Rows() != 2 || rows.Cols() != 5 {
+			t.Fatal("BatchRows did not hand out the adopted buffer's spare rows")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"regexp"
 
 	parsvd "goparsvd"
 )
@@ -57,11 +56,25 @@ type LowRankSpec struct {
 	Seed       int64 `json:"seed,omitempty"`
 }
 
-var modelNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
-
 // validName reports whether a model name is acceptable as a URL path
-// segment and a checkpoint file stem.
-func validName(name string) bool { return modelNameRe.MatchString(name) }
+// segment and a checkpoint file stem: 1 to 64 ASCII letters, digits, '.',
+// '_' or '-', the first a letter or digit.
+func validName(name string) bool {
+	if len(name) < 1 || len(name) > 64 || !isAlnum(name[0]) {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if c := name[i]; !isAlnum(c) && c != '.' && c != '_' && c != '-' {
+			return false
+		}
+	}
+	return true
+}
+
+// isAlnum reports whether c is an ASCII letter or digit.
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+}
 
 // options maps the spec onto parsvd functional options. Misconfiguration
 // is reported here or by parsvd.New — either way as an error the handler
