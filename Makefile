@@ -54,16 +54,19 @@ worker:
 # whole deterministic workload, fed real snapshot batches over the wire
 # (stdin frames -> row scatter -> mesh collectives), must match the serial
 # reference within 1e-12. The launcher side runs under the race detector;
-# the cross-backend conformance + fault-injection suites ride along. The
-# last step, without the race detector (whose instrumentation allocates),
-# pins the allocation-free distributed steady state: a two-rank update
-# over loopback sockets, and a worker's PUSH, SPECTRUM, MODES-SHA and SAVE,
-# each 0 allocs/op; and a worker's lifetime bytes over a 200-push session,
-# bounded by its engine buffer plus fixed I/O.
+# the cross-backend conformance + fault-injection suites ride along, with
+# the start-up contract: the engine spec is on each worker's command line,
+# a bad one is refused in one ERR frame, the seeding PUSH is a fleet's
+# first exchange, and a fleet that never came up fails that push without
+# poisoning the engine. The last step, without the race detector (whose
+# instrumentation allocates), pins the allocation-free distributed steady
+# state: a two-rank update over loopback sockets, and a worker's PUSH,
+# MODES-SHA and SAVE, each 0 allocs/op; and a worker's lifetime bytes over
+# a 200-push session, bounded by its engine buffer plus fixed I/O.
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
-		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps' .
-	CI=1 $(GO) test -race -count 1 -run 'TestSession' ./internal/launch
+		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison' .
+	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
 	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
 		./internal/core ./cmd/parsvd-worker
 

@@ -20,11 +20,14 @@ import (
 // gather) come back over their stdout.
 //
 // The fleet is spawned lazily on the first push — constructing a
-// Distributed SVD costs nothing until data arrives — and any session
-// failure (a worker death, an engine panic on a rank, a protocol
-// violation, an operation timeout) permanently fails the engine: the
-// remaining workers are killed immediately and every later operation
-// reports an error wrapping ErrEngineFailed.
+// Distributed SVD costs nothing until data arrives — and that push is the
+// fleet's first exchange, so a fleet that never came up fails it as a
+// failed start: nothing was ingested, the fleet is reaped and the next
+// push spawns a fresh one. After that, any session failure (a worker
+// death, an engine panic on a rank, a protocol violation, an operation
+// timeout) permanently fails the engine: the remaining workers are killed
+// immediately and every later operation reports an error wrapping
+// ErrEngineFailed.
 type distEngine struct {
 	cfg    config
 	sess   *launch.Session
@@ -39,9 +42,10 @@ type distEngine struct {
 
 func newDistEngine(cfg config) *distEngine { return &distEngine{cfg: cfg} }
 
-// start spawns and initializes the worker fleet. A spawn failure (no
-// worker binary, no free ports) does not poison the engine — nothing has
-// been ingested, so the next push may retry.
+// start spawns the worker fleet, each rank with the engine spec on its
+// command line. A spawn failure (no worker binary, no descriptors) does
+// not poison the engine — nothing has been ingested, so the next push may
+// retry.
 func (d *distEngine) start() error {
 	sess, err := launch.StartSession(launch.SessionConfig{
 		Ranks:     d.cfg.ranks,
@@ -73,15 +77,24 @@ func (d *distEngine) poison(op string, err error) error {
 	return d.failed
 }
 
-// sessionErr classifies a session operation error: a fault that killed
-// the fleet poisons the engine permanently, while a clean pre-wire
+// sessionErr classifies a session operation error: a clean pre-wire
 // refusal (an expired Fit deadline before any frame was written) leaves
-// the still-healthy session — and this engine — fully usable.
+// the still-healthy session — and this engine — fully usable; a fault on
+// the first push, which is the fleet's first exchange, is a failed start
+// (nothing was ingested: the session is dropped and the next push spawns
+// afresh); any later fault killed a live stream and poisons the engine
+// permanently.
 func (d *distEngine) sessionErr(op string, err error) error {
-	if d.sess.Failed() == nil {
+	switch {
+	case d.sess.Failed() == nil:
 		return fmt.Errorf("parsvd: %s: %w", op, err)
+	case d.rows == 0:
+		d.sess.Close() // reaped already; this only marks it closed
+		d.sess = nil
+		return fmt.Errorf("parsvd: starting distributed worker fleet: %w", err)
+	default:
+		return d.poison(op, err)
 	}
-	return d.poison(op, err)
 }
 
 // setDeadline maps a Fit context deadline onto the session's hard

@@ -29,13 +29,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -189,8 +190,7 @@ func runTCPMode(cfg tcpConfig) {
 			if err != nil {
 				log.Fatalf("%d ranks: Parallel reference fit failed: %v", p, err)
 			}
-			// The wire encoding is the spectrum's IEEE-754 bits.
-			if !bytes.Equal(launch.AppendFloats(nil, res.Singular), launch.AppendFloats(nil, par.Singular)) {
+			if !slices.EqualFunc(res.Singular, par.Singular, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 				log.Fatalf("%d ranks: VERIFICATION FAILED: spectra differ:\n tcp      %v\n parallel %v", p, res.Singular, par.Singular)
 			}
 			if want := launch.HashModes(par.Modes); res.ModesSHA256 != want {

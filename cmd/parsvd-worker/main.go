@@ -2,9 +2,13 @@
 // distributed streaming SVD: each worker process owns one MPI rank,
 // exchanges collectives with its peers over a full mesh of stream links
 // (internal/mpi/tcptransport), and holds a live core.Parallel engine for
-// the whole session. Stdin carries framed commands (INIT with the engine
-// configuration, PUSH with this rank's row block of real snapshot data,
-// PUSH-SKETCH, SPECTRUM, MODES-SHA, SAVE, SHUTDOWN) and stdout
+// the whole session. Its configuration is on the command line: rank, world
+// size and the engine spec (-k, -ff, -r1, -lowrank, -oversample,
+// -power-iters, -seed; a missing flag is the field's zero value). A spec
+// core.Options.Validate refuses gets one ERR frame naming the field and a
+// nonzero exit, before the mesh is adopted or dialed. Stdin carries only
+// data and queries as framed commands (PUSH with this rank's row block of
+// real snapshot data, PUSH-SKETCH, MODES-SHA, SAVE, SHUTDOWN) and stdout
 // carries one framed reply per command. This is the protocol behind the
 // parsvd facade's Distributed backend and internal/launch.Session (see
 // internal/launch/proto.go). Logs go to stderr.
@@ -29,6 +33,7 @@ import (
 	"os"
 	"time"
 
+	"goparsvd/internal/launch"
 	"goparsvd/internal/mpi/tcptransport"
 )
 
@@ -45,6 +50,7 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "failure-detection window: abort if a peer is silent this long")
 		dialTimeout = flag.Duration("dial-timeout", 30*time.Second, "rendezvous/handshake deadline")
 		inherited   = flag.Bool("inherited-mesh", false, "peer links are inherited from the launcher: fd 3+i is a connected socket to the i-th other rank in rank order (no rendezvous)")
+		spec        = launch.SpecFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("parsvd-worker[%d]: ", *rank))
@@ -57,7 +63,7 @@ func main() {
 		Advertise:   *advertise,
 		DialTimeout: *dialTimeout,
 		IdleTimeout: *idleTimeout,
-	}, *inherited); err != nil {
+	}, *inherited, spec.Options()); err != nil {
 		log.Fatalf("session failed: %v", err)
 	}
 	log.Printf("session done")

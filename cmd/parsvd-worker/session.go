@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
-	"goparsvd/internal/rla"
 )
 
 // runSession runs the worker: the process stays alive as one rank of a
@@ -24,10 +22,12 @@ import (
 // wire — the launcher scatters row blocks — and the rank's core engine
 // incorporates it through the collective streaming pipeline.
 //
-// With inheritedMesh the peer links are descriptors the launcher wired
-// before exec (inheritedPeers); otherwise the ranks meet at rank 0's
-// rendezvous address.
-func runSession(opts tcptransport.Options, inheritedMesh bool) error {
+// The engine options are checked first: a refused spec is reported in one
+// ERR frame before any mesh is adopted or dialed. With inheritedMesh the
+// peer links are descriptors the launcher wired before exec
+// (inheritedPeers); otherwise the ranks meet at rank 0's rendezvous
+// address.
+func runSession(opts tcptransport.Options, inheritedMesh bool, copts core.Options) error {
 	rank, np := opts.Rank, opts.Size
 	out := bufio.NewWriter(os.Stdout)
 	fw := tcptransport.NewFrameWriter(out)
@@ -38,6 +38,11 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 		return out.Flush()
 	}
 
+	if err := copts.Validate(); err != nil {
+		err = fmt.Errorf("engine spec: %w", err)
+		reply(launch.SessErr, []byte(err.Error()))
+		return err
+	}
 	switch {
 	case inheritedMesh:
 		if opts.Rendezvous != "" {
@@ -71,7 +76,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 		return err
 	}
 	log.Printf("session up: %d ranks", np)
-	return newSession(t, rank, out).serve(bufio.NewReaderSize(os.Stdin, 1<<16))
+	return newSession(t, rank, copts, out).serve(bufio.NewReaderSize(os.Stdin, 1<<16))
 }
 
 // session is one rank's command loop over an established transport.
@@ -87,12 +92,11 @@ func runSession(opts tcptransport.Options, inheritedMesh bool) error {
 // session keeps: the engine's own buffer, which a PUSH is decoded
 // straight into, the reply header and body, the modes hasher and the
 // checkpoint writer, with the engine's workspace beneath. Once the first
-// of each verb has sized them, a steady stream of PUSH, SPECTRUM,
-// MODES-SHA and SAVE allocates nothing. A worker's heap stays under the
-// collector's minimum goal, so it never collects, and every byte it ever
-// allocates stays resident: the engine's (K+B)×M_i buffer is its one
-// large allocation, with no staging copy of a batch or of the gathered
-// modes beside it.
+// of each verb has sized them, a steady stream of PUSH, MODES-SHA and SAVE
+// allocates nothing. A worker's heap stays under the collector's minimum
+// goal, so it never collects, and every byte it ever allocates stays
+// resident: the engine's (K+B)×M_i buffer is its one large allocation,
+// with no staging copy of a batch or of the gathered modes beside it.
 type session struct {
 	rank int
 	t    *tcptransport.Transport
@@ -101,7 +105,6 @@ type session struct {
 	fw   *tcptransport.FrameWriter
 
 	copts     core.Options
-	inited    bool
 	eng       *core.Parallel
 	localRows int
 	// first is the engine's FirstBatch view the first PUSH was decoded
@@ -113,16 +116,19 @@ type session struct {
 	// header and a PUSH's values on their way into the engine.
 	sketch  sketchDecoder
 	scratch []byte
-	// body is the reply body every OK and FLOATS is encoded into.
+	// body is the reply body every OK is encoded into.
 	body   []byte
 	hasher launch.ModesHasher
 	ckpt   core.StateWriter
 }
 
-func newSession(t *tcptransport.Transport, rank int, out *bufio.Writer) *session {
+// newSession serves rank's commands over t with the engine options copts,
+// which the caller has validated.
+func newSession(t *tcptransport.Transport, rank int, copts core.Options, out *bufio.Writer) *session {
 	return &session{
 		rank:    rank,
 		t:       t,
+		copts:   copts,
 		comm:    mpi.NewComm(t, rank),
 		out:     out,
 		fw:      tcptransport.NewFrameWriter(out),
@@ -133,10 +139,9 @@ func newSession(t *tcptransport.Transport, rank int, out *bufio.Writer) *session
 // serve answers commands read from in until SHUTDOWN or a failure.
 func (s *session) serve(in *bufio.Reader) error {
 	for {
-		var body []byte
 		verb, n, err := tcptransport.ReadFrameHeader(in)
 		if err == nil && verb != launch.SessPush && verb != launch.SessPushSketch {
-			body, err = tcptransport.ReadFrameBody(in, n)
+			_, err = tcptransport.ReadFrameBody(in, n) // a query's body is empty: dropped
 		}
 		if err != nil {
 			// The launcher is gone (EOF) or sent garbage: unwind the whole
@@ -160,7 +165,7 @@ func (s *session) serve(in *bufio.Reader) error {
 		}
 		var done bool
 		if err == nil {
-			done, err = s.handle(verb, body, sketched)
+			done, err = s.handle(verb, sketched)
 		}
 		if err != nil {
 			s.t.Abort()
@@ -206,9 +211,6 @@ func (s *session) okStatus(sha []byte, spectrum []float64) error {
 // and every later one transposed into the rows the update stacks it in
 // (BatchRows).
 func (s *session) readPush(in io.Reader, n int) error {
-	if !s.inited {
-		return errors.New("push before INIT")
-	}
 	rows, cols, err := mat.ReadBlockHeader(in, n, s.scratch)
 	if err != nil {
 		return err
@@ -247,8 +249,8 @@ func (s *session) ingest(sketched *mat.Dense) {
 // handle executes one command, converting engine panics (dimension bugs,
 // abort echoes from failed peers) into errors. done reports a clean
 // SHUTDOWN. A PUSH arrives already decoded into the engine's buffer and a
-// PUSH-SKETCH into sketched; every other verb's payload is body.
-func (s *session) handle(verb byte, body []byte, sketched *mat.Dense) (done bool, err error) {
+// PUSH-SKETCH into sketched; every other verb carries no payload.
+func (s *session) handle(verb byte, sketched *mat.Dense) (done bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			done = false
@@ -260,39 +262,9 @@ func (s *session) handle(verb byte, body []byte, sketched *mat.Dense) (done bool
 		}
 	}()
 	switch verb {
-	case launch.SessInit:
-		var spec launch.EngineSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return false, fmt.Errorf("malformed INIT spec: %w", err)
-		}
-		s.copts = core.Options{
-			K:            spec.K,
-			ForgetFactor: spec.FF,
-			R1:           spec.R1,
-			LowRank:      spec.LowRank,
-			RLA: rla.Options{
-				Oversample: spec.Oversample,
-				PowerIters: spec.PowerIters,
-				Seed:       spec.Seed,
-			},
-		}
-		if err := s.copts.Validate(); err != nil {
-			return false, fmt.Errorf("INIT spec: %w", err)
-		}
-		s.inited = true
-		return false, s.okStatus(nil, nil)
 	case launch.SessPush, launch.SessPushSketch:
-		if !s.inited {
-			return false, errors.New("push before INIT")
-		}
 		s.ingest(sketched)
 		return false, s.okStatus(nil, nil)
-	case launch.SessSpectrum:
-		if s.eng == nil {
-			return false, errors.New("SPECTRUM before any PUSH")
-		}
-		s.body = launch.AppendFloats(s.body[:0], s.eng.SingularValues())
-		return false, s.reply(launch.SessFloats, s.body)
 	case launch.SessModesSHA:
 		if s.eng == nil {
 			return false, errors.New("MODES-SHA before any PUSH")

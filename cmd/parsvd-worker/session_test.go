@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"runtime"
 	"testing"
@@ -44,9 +43,9 @@ func TestSketchDecodeSteadyAllocs(t *testing.T) {
 
 // testFleet is a session world in one process: each rank's session
 // serves over a loopback transport (tcptransport.LocalWorld), with pipes
-// for its stdin and stdout, so a test drives the real command loop and
-// counts every allocation the ranks, their transports and the driver
-// make.
+// for its stdin and stdout and the engine options a worker takes on its
+// command line, so a test drives the real command loop and counts every
+// allocation the ranks, their transports and the driver make.
 type testFleet struct {
 	t    *testing.T
 	ts   []*tcptransport.Transport
@@ -59,7 +58,7 @@ type testFleet struct {
 	reply, other []byte
 }
 
-func startFleet(t *testing.T, ranks int) *testFleet {
+func startFleet(t *testing.T, ranks int, copts core.Options) *testFleet {
 	t.Helper()
 	ts, err := tcptransport.LocalWorld(ranks, tcptransport.Options{})
 	if err != nil {
@@ -69,7 +68,7 @@ func startFleet(t *testing.T, ranks int) *testFleet {
 	for r, tr := range ts {
 		inR, inW := io.Pipe()
 		outR, outW := io.Pipe()
-		s := newSession(tr, r, bufio.NewWriter(outW))
+		s := newSession(tr, r, copts, bufio.NewWriter(outW))
 		f.sess = append(f.sess, s)
 		f.in = append(f.in, inW)
 		f.out = append(f.out, bufio.NewReaderSize(outR, 1<<16))
@@ -135,8 +134,8 @@ func frame(verb byte, body []byte) []byte {
 	return append(tcptransport.AppendFrameHeader(nil, verb, len(body)), body...)
 }
 
-// TestSessionSteadyStateAllocs: after warm-up, PUSH, SPECTRUM, MODES-SHA
-// and SAVE each allocate nothing on a two-rank fleet at the fit-distributed
+// TestSessionSteadyStateAllocs: after warm-up, PUSH, MODES-SHA and SAVE
+// each allocate nothing on a two-rank fleet at the fit-distributed
 // shape (2048 rows per rank, K = 16, B = 16): the count covers the whole
 // process — both ranks' command loops and engines, their transports'
 // socket readers and the driver — so it is zero on rank 0 and on rank 1.
@@ -144,13 +143,8 @@ func frame(verb byte, body []byte) []byte {
 // layout produces: HashModeRows and core.WriteState of the stacked modes.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	const ranks, rows, k, b = 2, 2048, 16, 16
-	f := startFleet(t, ranks)
-	spec, err := json.Marshal(launch.EngineSpec{K: k, FF: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := startFleet(t, ranks, core.Options{K: k, ForgetFactor: 1})
 	all := func(fr []byte) [][]byte { return [][]byte{fr, fr} }
-	f.do(all(frame(launch.SessInit, spec)), launch.SessOK, launch.SessOK)
 
 	rng := testutil.NewRand(7)
 	var pushes [3][][]byte // three batches, each rank's block framed
@@ -166,10 +160,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		f.do(pushes[n%len(pushes)], launch.SessOK, launch.SessOK)
 		n++
 	}
-	spectrumFrames := all(frame(launch.SessSpectrum, nil))
 	modesSHAFrames := all(frame(launch.SessModesSHA, nil))
 	saveFrames := all(frame(launch.SessSave, nil))
-	spectrum := func() { f.do(spectrumFrames, launch.SessFloats, launch.SessFloats) }
 	modesSHA := func() { f.do(modesSHAFrames, launch.SessOK, launch.SessOK) }
 	save := func() { f.do(saveFrames, launch.SessBlob, launch.SessOK) }
 	for range 3 { // seed, then two updates
@@ -186,6 +178,9 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	if want := launch.HashModeRows(stacked); st.ModesSHA != want {
 		t.Fatalf("MODES-SHA reported %s, want %s", st.ModesSHA, want)
 	}
+	if got, want := st.Spectrum(), f.sess[0].eng.SingularValues(); !testutil.CloseSlices(got, want, 0) {
+		t.Fatalf("MODES-SHA reported spectrum %v, want %v", got, want)
+	}
 	save()
 	var want bytes.Buffer
 	eng := f.sess[0].eng
@@ -201,10 +196,6 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	if !bytes.Equal(f.reply, want.Bytes()) {
 		t.Fatalf("SAVE frame body (%d bytes) differs from core.WriteState of the stacked modes (%d bytes)", len(f.reply), want.Len())
 	}
-	spectrum()
-	if got, err := launch.DecodeFloats(f.reply); err != nil || !testutil.CloseSlices(got, eng.SingularValues(), 0) {
-		t.Fatalf("SPECTRUM replied %v (%v), want %v", got, err, eng.SingularValues())
-	}
 
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -212,7 +203,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		verb string
 		op   func()
-	}{{"PUSH", push}, {"SPECTRUM", spectrum}, {"MODES-SHA", modesSHA}, {"SAVE", save}} {
+	}{{"PUSH", push}, {"MODES-SHA", modesSHA}, {"SAVE", save}} {
 		if a := testing.AllocsPerRun(20, c.op); a != 0 {
 			t.Errorf("steady %s allocates %v times per command across both ranks, want 0", c.verb, a)
 		}
@@ -222,7 +213,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 // TestSessionLifetimeBytes: a worker never collects — its heap stays under
 // the collector's minimum goal — so every byte it allocates over a session
 // stays resident. On a two-rank fleet at the fit-distributed shape (2048
-// rows per rank, K = B = 16), INIT and 200 PUSHes with a MODES-SHA and a
+// rows per rank, K = B = 16), 200 PUSHes with a MODES-SHA and a
 // SAVE after every fourth allocate, across the whole process, no more than
 // each rank's (K+B)×M_r engine buffer, the one mesh payload rank 0
 // receives the other rank's mode rows in, and a fixed budget for I/O
@@ -242,23 +233,17 @@ func TestSessionLifetimeBytes(t *testing.T) {
 			pushes[i] = append(pushes[i], frame(launch.SessPush, mat.AppendBlock(nil, 0, rows, b, blk.RawData())))
 		}
 	}
-	spec, err := json.Marshal(launch.EngineSpec{K: k, FF: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	all := func(fr []byte) [][]byte { return [][]byte{fr, fr} }
-	initFrames := all(frame(launch.SessInit, spec))
 	modesSHAFrames := all(frame(launch.SessModesSHA, nil))
 	saveFrames := all(frame(launch.SessSave, nil))
 
-	f := startFleet(t, ranks)
+	f := startFleet(t, ranks, core.Options{K: k, ForgetFactor: 1})
 	// The driver's reply buffers hold a SAVE body from the start, so the
 	// count below is the ranks' alone.
 	f.reply, f.other = make([]byte, 0, 1<<20), make([]byte, 0, 4<<10)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	f.do(initFrames, launch.SessOK, launch.SessOK)
 	for i := range 200 {
 		f.do(pushes[i%len(pushes)], launch.SessOK, launch.SessOK)
 		if i%4 == 3 {

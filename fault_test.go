@@ -8,7 +8,10 @@ package parsvd_test
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -103,6 +106,80 @@ func TestDistributedWorkerDeathPoisonsSVD(t *testing.T) {
 
 	if err := svd.Close(); err != nil {
 		t.Fatalf("close after failure: %v", err)
+	}
+	waitForGoroutineBaseline(t, before)
+}
+
+// TestDistributedFailedStartDoesNotPoison: the first Push is a fleet's
+// first exchange, so it is where a fleet that never came up shows. With a
+// worker binary that exits before reading a frame, that Push must fail
+// without ErrEngineFailed — nothing was ingested — and leave no child
+// process, not even a zombie; the next Push must spawn a fresh fleet
+// rather than report a poisoned engine.
+func TestDistributedFailedStartDoesNotPoison(t *testing.T) {
+	if testing.Short() && os.Getenv("CI") == "" {
+		t.Skip("short mode: skipping multi-process fault injection")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "exit-at-once")
+	pidFile := filepath.Join(dir, "pids")
+	script := "#!/bin/sh\necho $$ >> '" + pidFile + "'\nexit 1\n"
+	if err := os.WriteFile(bin, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spawned := func() []int {
+		data, err := os.ReadFile(pidFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pids []int
+		for _, f := range strings.Fields(string(data)) {
+			pid, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pids = append(pids, pid)
+		}
+		return pids
+	}
+	svd, err := parsvd.New(
+		parsvd.WithModes(2),
+		parsvd.WithBackend(parsvd.Distributed),
+		parsvd.WithRanks(2),
+		parsvd.WithTransport(parsvd.TransportConfig{WorkerBin: bin, Timeout: 30 * time.Second}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svd.Close()
+	rng := testutil.NewRand(13)
+	before := runtime.NumGoroutine()
+
+	// A rank that exits first fails the Push, and the fleet is killed
+	// then: its peer may die before it records its pid, never after.
+	seen := 0
+	for attempt := range 2 {
+		err := svd.Push(testutil.RandomDense(16, 4, rng))
+		if err == nil {
+			t.Fatalf("push %d into a fleet that never came up succeeded", attempt+1)
+		}
+		if errors.Is(err, parsvd.ErrEngineFailed) {
+			t.Fatalf("push %d: a failed start poisoned the engine: %v", attempt+1, err)
+		}
+		pids := spawned()
+		if len(pids) <= seen {
+			t.Fatalf("push %d spawned no worker", attempt+1)
+		}
+		seen = len(pids)
+		for _, pid := range pids {
+			// A zombie answers signal 0 too: only a reaped child fails it.
+			if err := syscall.Kill(pid, 0); err == nil {
+				t.Errorf("after push %d, worker pid %d is not reaped", attempt+1, pid)
+			}
+		}
+	}
+	if pids := parsvd.DistWorkerPIDs(svd); len(pids) != 0 {
+		t.Fatalf("a failed start kept a session with workers %v", pids)
 	}
 	waitForGoroutineBaseline(t, before)
 }

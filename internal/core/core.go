@@ -52,7 +52,7 @@ func (o Options) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("core: K = %d < 1", o.K)
 	}
-	if o.ForgetFactor <= 0 || o.ForgetFactor > 1 {
+	if !(o.ForgetFactor > 0 && o.ForgetFactor <= 1) { // the negated form also rejects NaN
 		return fmt.Errorf("core: forget factor %g outside (0, 1]", o.ForgetFactor)
 	}
 	if o.R1 < 0 {

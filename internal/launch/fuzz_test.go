@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -253,34 +254,6 @@ func FuzzDecodeFactorPair(f *testing.F) {
 	})
 }
 
-func FuzzDecodeFloats(f *testing.F) {
-	f.Add(AppendFloats(nil, []float64{1, 2, 3}))
-	f.Add(AppendFloats(nil, nil))
-	f.Add(AppendFloats(nil, []float64{math.NaN(), math.Inf(-1), -0.0})) // legal for spectra
-	f.Add(blockBody(mat.NewFromData(1, 1, []float64{1})))               // matrix body: must be rejected
-	f.Add([]byte{1, 2, 3})                                              // truncated header
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeFloats(data)
-		if err != nil {
-			return
-		}
-		// Bit-exact round trip, NaNs included.
-		if !equalFloatsBits(v, mustDecodeFloats(t, AppendFloats(nil, v))) {
-			t.Fatal("floats did not round-trip bit-exactly")
-		}
-	})
-}
-
-func mustDecodeFloats(t *testing.T, body []byte) []float64 {
-	t.Helper()
-	v, err := DecodeFloats(body)
-	if err != nil {
-		t.Fatalf("re-decoding round-tripped floats: %v", err)
-	}
-	return v
-}
-
 // TestDecodeBlockRejectsHostileInputs pins the block reader's hard rejections
 // outside the fuzzer (so `go test` alone proves them): truncation,
 // oversize declared counts, dimension lies and non-finite payloads all
@@ -431,13 +404,20 @@ func TestWriteSizedFrame(t *testing.T) {
 // verb leaves its value unassigned rather than shifting the ones after it.
 func TestSessionVerbValues(t *testing.T) {
 	for verb, want := range map[string][2]byte{
-		"INIT": {SessInit, 0x10}, "PUSH": {SessPush, 0x11}, "SPECTRUM": {SessSpectrum, 0x12},
-		"MODES-SHA": {SessModesSHA, 0x13}, "SAVE": {SessSave, 0x15}, "SHUTDOWN": {SessShutdown, 0x16},
-		"PUSH-SKETCH": {SessPushSketch, 0x17}, "RENDEZVOUS": {SessRendezvous, 0x40}, "OK": {SessOK, 0x41},
-		"FLOATS": {SessFloats, 0x42}, "BLOB": {SessBlob, 0x43}, "ERR": {SessErr, 0x44},
+		"PUSH": {SessPush, 0x11}, "MODES-SHA": {SessModesSHA, 0x13}, "SAVE": {SessSave, 0x15},
+		"SHUTDOWN": {SessShutdown, 0x16}, "PUSH-SKETCH": {SessPushSketch, 0x17},
+		"RENDEZVOUS": {SessRendezvous, 0x40}, "OK": {SessOK, 0x41}, "BLOB": {SessBlob, 0x43},
+		"ERR": {SessErr, 0x44},
 	} {
 		if want[0] != want[1] || verbName(want[0]) != verb {
 			t.Errorf("%s is 0x%02x named %s, want 0x%02x", verb, want[0], verbName(want[0]), want[1])
+		}
+	}
+	// INIT, SPECTRUM, STATS and FLOATS are retired: nothing answers to
+	// their values.
+	for _, v := range []byte{0x10, 0x12, 0x14, 0x42} {
+		if got, want := verbName(v), fmt.Sprintf("verb(0x%02x)", v); got != want {
+			t.Errorf("retired verb 0x%02x is named %s", v, got)
 		}
 	}
 }

@@ -5,11 +5,12 @@
 // socketpair per rank pair, inherited by the workers — and starts every
 // rank at once, so it needs a unix host.
 //
-// StartSession spawns the fleet and sends every rank its engine
-// configuration; the returned Session scatters snapshot row blocks to the
-// workers over their stdin and reads spectra, mode fingerprints and
-// checkpoints back over their stdout. Everything else a worker writes
-// (logs) goes to stderr and is passed through.
+// StartSession spawns the fleet, every rank with its engine configuration
+// on its command line, so only data crosses the pipes: the returned
+// Session scatters snapshot row blocks to the workers over their stdin
+// and reads mode fingerprints (with the spectrum) and checkpoints back
+// over their stdout. Everything else a worker writes (logs) goes to
+// stderr and is passed through.
 package launch
 
 import (

@@ -3,9 +3,10 @@ package launch
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
+	"math"
 	"os/exec"
+	"strings"
 	"testing"
 
 	"goparsvd/internal/grid"
@@ -28,6 +29,20 @@ func testWorker(t *testing.T) string {
 	return bin
 }
 
+// equalFloatsBits compares two float64 slices for exact bit equality
+// (NaNs included).
+func equalFloatsBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestWorkerFailurePropagates starts a lone rank 0 of a two-rank world:
 // no peer ever dials in, so the worker must give up after its dial
 // timeout, exit nonzero and leave an ERR frame as the last thing on its
@@ -35,7 +50,7 @@ func testWorker(t *testing.T) string {
 func TestWorkerFailurePropagates(t *testing.T) {
 	bin := testWorker(t)
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-rank", "0", "-np", "2", "-dial-timeout", "2s")
+	cmd := exec.Command(bin, "-rank", "0", "-np", "2", "-dial-timeout", "2s", "-k", "2", "-ff", "1")
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err == nil {
 		t.Fatalf("lone rank 0 of a 2-rank world exited cleanly:\n%s", stderr.Bytes())
@@ -59,12 +74,65 @@ func TestWorkerFailurePropagates(t *testing.T) {
 	t.Logf("ERR frame: %s", last)
 }
 
+// TestWorkerRefusesBadSpec: a worker validates the engine spec on its
+// command line before it joins any mesh, so a spec core.Options.Validate
+// refuses gets exactly one frame on stdout, an ERR naming the field, and a
+// nonzero exit — rank 0 of a hand-started pair would otherwise print
+// RENDEZVOUS first. A launched fleet with that spec starts (StartSession
+// only spawns), and its first Push fails with the same text.
+func TestWorkerRefusesBadSpec(t *testing.T) {
+	bin := testWorker(t)
+	batch := testutil.RandomDense(8, 2, testutil.NewRand(6))
+	for _, c := range []struct {
+		name string
+		spec EngineSpec
+		want string
+	}{
+		{"K < 1", EngineSpec{FF: 1}, "core: K = 0 < 1"},
+		{"ff 0", EngineSpec{K: 2}, "core: forget factor 0 outside (0, 1]"},
+		{"ff > 1", EngineSpec{K: 2, FF: 1.5}, "core: forget factor 1.5 outside (0, 1]"},
+		{"ff NaN", EngineSpec{K: 2, FF: math.NaN()}, "core: forget factor NaN outside (0, 1]"},
+		{"R1 < 0", EngineSpec{K: 2, FF: 1, R1: -1}, "core: R1 = -1 < 0"},
+		{"oversample < 0", EngineSpec{K: 2, FF: 1, LowRank: true, Oversample: -3}, "rla: Oversample = -3 < 0"},
+		{"power iters < 0", EngineSpec{K: 2, FF: 1, PowerIters: -1}, "rla: PowerIters = -1 < 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout bytes.Buffer
+			cmd := exec.Command(bin, append([]string{"-rank", "0", "-np", "2", "-dial-timeout", "2s"}, c.spec.Args()...)...)
+			cmd.Stdout = &stdout
+			if err := cmd.Run(); err == nil {
+				t.Fatal("worker with a bad spec exited cleanly")
+			}
+			verb, body, err := tcptransport.ReadFrame(&stdout)
+			if err != nil || verb != SessErr || !strings.Contains(string(body), c.want) {
+				t.Fatalf("first frame %s %q (err %v), want ERR naming %q", verbName(verb), body, err, c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("%d bytes follow the ERR frame", stdout.Len())
+			}
+
+			s, err := StartSession(SessionConfig{Ranks: 2, WorkerBin: bin, Spec: c.spec, Stderr: io.Discard})
+			if err != nil {
+				t.Fatalf("StartSession: %v", err)
+			}
+			defer s.Close()
+			if err := s.Push(batch); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("first Push: %v, want the worker's %q", err, c.want)
+			}
+			if s.Failed() == nil {
+				t.Fatal("a fleet that refused its spec left the session healthy")
+			}
+		})
+	}
+}
+
 // TestHandStartedWorldMatchesSession keeps the hand-started path tested,
 // the README's cross-machine recipe that launched fleets no longer take on
-// unix: rank 0 started with -listen prints a RENDEZVOUS frame, rank 1
-// dials that address with -rendezvous, and the pair driven frame by frame
-// must reach the spectrum bits and modes hash a StartSession fleet reaches
-// on the same batches.
+// unix: both ranks get the engine spec as flags (EngineSpec.Args), rank 0
+// started with -listen prints a RENDEZVOUS frame, rank 1 dials that
+// address with -rendezvous, and the pair driven frame by frame — PUSH
+// first, there is no configuration frame — must reach the spectrum bits
+// and modes hash a StartSession fleet reaches on the same batches.
 func TestHandStartedWorldMatchesSession(t *testing.T) {
 	const ranks, rows, cols = 2, 40, 6
 	bin := testWorker(t)
@@ -85,16 +153,9 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantSpectrum, err := s.Spectrum()
+	wantSHA, wantSpectrum, err := s.ModesSHA()
 	if err != nil {
 		t.Fatal(err)
-	}
-	wantSHA, shaSpectrum, err := s.ModesSHA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalFloatsBits(shaSpectrum, wantSpectrum) {
-		t.Fatalf("MODES-SHA reported spectrum %v, SPECTRUM %v", shaSpectrum, wantSpectrum)
 	}
 
 	type proc struct {
@@ -103,7 +164,7 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 		out *bufio.Reader
 	}
 	start := func(args ...string) *proc {
-		cmd := exec.Command(bin, args...)
+		cmd := exec.Command(bin, append(args, spec.Args()...)...)
 		in, err := cmd.StdinPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -152,11 +213,6 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 		return func(_ int, in io.Writer) error { return tcptransport.WriteFrame(in, verb, nil) }
 	}
 
-	specBody, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(SessInit, func(_ int, in io.Writer) error { return tcptransport.WriteFrame(in, SessInit, specBody) })
 	parts := grid.Partition(rows, ranks)
 	scratch := make([]byte, blockScratch)
 	for _, b := range batches {
@@ -166,21 +222,15 @@ func TestHandStartedWorldMatchesSession(t *testing.T) {
 			return writeBlockFrame(in, scratch, &block)
 		})
 	}
-	for r, body := range roundTrip(SessSpectrum, empty(SessSpectrum)) {
-		got, err := DecodeFloats(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalFloatsBits(got, wantSpectrum) {
-			t.Errorf("rank %d spectrum %v, launched fleet %v", r, got, wantSpectrum)
-		}
-	}
 	st, err := DecodeStatus(roundTrip(SessModesSHA, empty(SessModesSHA))[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ModesSHA != wantSHA {
 		t.Errorf("modes hash %s, launched fleet %s", st.ModesSHA, wantSHA)
+	}
+	if got := st.Spectrum(); !equalFloatsBits(got, wantSpectrum) {
+		t.Errorf("spectrum %v, launched fleet %v", got, wantSpectrum)
 	}
 	roundTrip(SessShutdown, empty(SessShutdown))
 	for r, p := range procs {

@@ -17,8 +17,8 @@ import (
 // TestLaunchedRanksUseNoTCP: every socket a launched worker holds is one
 // of its inherited AF_UNIX mesh links — one per peer, listed in
 // /proc/net/unix and none in /proc/net/tcp or tcp6 — so no rank listens,
-// dials or rendezvouses over TCP. That StartSession returned at all
-// means no rank sent a RENDEZVOUS frame: INIT accepts only OK replies.
+// dials or rendezvouses over TCP. That the first Push succeeded means no
+// rank sent a RENDEZVOUS frame: a PUSH accepts only OK replies.
 func TestLaunchedRanksUseNoTCP(t *testing.T) {
 	const ranks = 3
 	s, err := StartSession(SessionConfig{Ranks: ranks, WorkerBin: testWorker(t), Spec: EngineSpec{K: 2, FF: 1}})
@@ -26,6 +26,9 @@ func TestLaunchedRanksUseNoTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if err := s.Push(testutil.RandomDense(9, 3, testutil.NewRand(8))); err != nil {
+		t.Fatal(err)
+	}
 	unix := procNetInodes(t, "/proc/net/unix", 6)
 	tcp := procNetInodes(t, "/proc/net/tcp", 9)
 	for ino := range procNetInodes(t, "/proc/net/tcp6", 9) {
@@ -92,8 +95,8 @@ func TestPushSizesStdinPipe(t *testing.T) {
 }
 
 // TestSessionDescriptorHygiene: 20 healthy sessions and 20 whose workers
-// exit at once leave this process with no more descriptors and no more
-// child processes than before. A socketpair end the launcher kept open
+// exit at once (which the first Push finds) leave this process with no
+// more descriptors and no more child processes than before. A socketpair end the launcher kept open
 // would hide a dead worker from its peers until the idle timeout.
 func TestSessionDescriptorHygiene(t *testing.T) {
 	bin := testWorker(t)
@@ -124,9 +127,16 @@ func TestSessionDescriptorHygiene(t *testing.T) {
 	bad := cfg
 	bad.WorkerBin = failing
 	for i := 0; i < 20; i++ {
-		if s, err := StartSession(bad); err == nil {
+		s, err := StartSession(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Push(batch); err == nil {
 			s.Close()
-			t.Fatal("a fleet of workers that exit 1 started")
+			t.Fatal("a fleet of workers that exit 1 took a push")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if n := countFDs(t); n > fds {

@@ -3,12 +3,14 @@ package launch
 // The session protocol: the framed stdin/stdout command stream between a
 // launcher and a persistent parsvd-worker fleet, the only protocol a
 // worker speaks. Every worker process stays alive across operations and is
-// fed real data over the wire. Frames are tcptransport frames (its
-// WriteFrame and ReadFrame), with a session verb as the kind byte, and
-// every binary body is a block or a factor pair in the layouts of
-// internal/mat/codec.go. Launcher→worker verbs (on worker stdin):
+// fed real data over the wire. Configuration travels on the command line
+// and only data over the pipe: a worker takes its rank, world size and
+// engine spec as flags (EngineSpec.Args), so a fleet's first exchange is
+// the seeding PUSH. Frames are tcptransport frames (its WriteFrame and
+// ReadFrame), with a session verb as the kind byte, and every binary body
+// is a block or a factor pair in the layouts of internal/mat/codec.go.
+// Launcher→worker verbs (on worker stdin):
 //
-//	INIT      body = JSON EngineSpec (engine options for every rank)
 //	PUSH      body = this rank's row block of one snapshot batch, one
 //	          snapshot block. The launcher writes it straight from a row
 //	          view of the caller's batch (mat.WriteBlock) and the worker
@@ -24,7 +26,6 @@ package launch
 //	          as Q_r·S and feeds the same update path as PUSH, so only
 //	          L·(M_r+B) floats cross the wire per rank instead of the raw
 //	          M_r×B block
-//	SPECTRUM  empty body; every rank replies FLOATS(singular values)
 //	MODES-SHA empty body; collective mode gather: every rank sends its
 //	          K×M_i mode rows to rank 0, which hashes them where they
 //	          lie — its own rows in its engine, every other rank's in the
@@ -47,16 +48,18 @@ package launch
 //	           started by hand (without -inherited-mesh) sends it, before
 //	           the TCP fabric is established, so whoever drives it can
 //	           point the other ranks there; a launched rank inherits its
-//	           mesh and never sends it (StartSession wants OK to INIT)
+//	           mesh and never sends it (every reply to a launcher's
+//	           command must be OK, or BLOB from rank 0 to SAVE)
 //	OK         body = JSON SessionStatus (rank, traffic counters, ingest
 //	           counters, optional modes hash and spectrum), encoded by
 //	           AppendStatus
-//	FLOATS     body = a block carrying a vector (Rows = −1)
 //	BLOB       body = one checkpoint (core.WriteState), exactly the frame
 //	           length: a body that runs short or long is refused
 //	ERR        body = UTF-8 error text; the worker aborts its transport and
 //	           exits nonzero right after writing it, so an ERR always
-//	           poisons the whole session
+//	           poisons the whole session. A worker that refuses its engine
+//	           spec writes one ERR naming the field and exits before it
+//	           adopts or dials its mesh.
 //
 // The exchange is strict lockstep: the launcher writes one command frame
 // to every rank (concurrently — collective commands must reach all ranks
@@ -66,23 +69,25 @@ package launch
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 
+	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
+	"goparsvd/internal/rla"
 )
 
 // Session protocol verbs. Command verbs flow launcher→worker, reply verbs
 // worker→launcher; the numeric spaces are disjoint so a desynchronized
 // stream is detected instead of misread.
 const (
-	SessInit byte = 0x10 + iota
+	_ byte = 0x10 + iota // 0x10, the retired INIT verb: the engine spec is on argv
 	SessPush
-	SessSpectrum
+	_ // 0x12, the retired SPECTRUM verb: MODES-SHA's OK carries the spectrum
 	SessModesSHA
 	_ // 0x14, the retired STATS verb: later verbs keep their values
 	SessSave
@@ -95,7 +100,7 @@ const (
 const (
 	SessRendezvous byte = 0x40 + iota
 	SessOK
-	SessFloats
+	_ // 0x42, the retired FLOATS reply (SPECTRUM's)
 	SessBlob
 	SessErr
 )
@@ -103,12 +108,8 @@ const (
 // verbName names a session verb for error messages.
 func verbName(v byte) string {
 	switch v {
-	case SessInit:
-		return "INIT"
 	case SessPush:
 		return "PUSH"
-	case SessSpectrum:
-		return "SPECTRUM"
 	case SessModesSHA:
 		return "MODES-SHA"
 	case SessSave:
@@ -121,8 +122,6 @@ func verbName(v byte) string {
 		return "RENDEZVOUS"
 	case SessOK:
 		return "OK"
-	case SessFloats:
-		return "FLOATS"
 	case SessBlob:
 		return "BLOB"
 	case SessErr:
@@ -132,19 +131,63 @@ func verbName(v byte) string {
 	}
 }
 
-// EngineSpec is the INIT payload: everything a worker needs to build its
-// core engine. It mirrors the facade's configuration (K, forget factor,
-// APMOS init truncation, randomization) — the launcher derives it from
-// the parsvd options, so wire-fed distributed runs honor the same knobs
-// as the in-process backends.
+// EngineSpec is every rank's engine configuration, which a worker takes
+// on its command line (Args, SpecFlags). It mirrors the facade's
+// configuration (K, forget factor, APMOS init truncation, randomization) —
+// the launcher derives it from the parsvd options, so wire-fed distributed
+// runs honor the same knobs as the in-process backends.
 type EngineSpec struct {
-	K          int     `json:"k"`
-	FF         float64 `json:"ff"`
-	R1         int     `json:"r1"`
-	LowRank    bool    `json:"low_rank,omitempty"`
-	Oversample int     `json:"oversample,omitempty"`
-	PowerIters int     `json:"power_iters,omitempty"`
-	Seed       int64   `json:"seed,omitempty"`
+	K          int
+	FF         float64
+	R1         int
+	LowRank    bool
+	Oversample int
+	PowerIters int
+	Seed       int64
+}
+
+// Args returns the seven worker flags that carry spec. -ff is formatted so
+// that it parses back bit for bit.
+func (spec EngineSpec) Args() []string {
+	return []string{
+		"-k", strconv.Itoa(spec.K),
+		"-ff", strconv.FormatFloat(spec.FF, 'g', -1, 64),
+		"-r1", strconv.Itoa(spec.R1),
+		"-lowrank=" + strconv.FormatBool(spec.LowRank),
+		"-oversample", strconv.Itoa(spec.Oversample),
+		"-power-iters", strconv.Itoa(spec.PowerIters),
+		"-seed", strconv.FormatInt(spec.Seed, 10),
+	}
+}
+
+// SpecFlags defines the seven flags Args writes on fs and returns the spec
+// they fill in as fs parses; a missing flag leaves its field zero.
+func SpecFlags(fs *flag.FlagSet) *EngineSpec {
+	spec := new(EngineSpec)
+	fs.IntVar(&spec.K, "k", 0, "engine: number of modes K (>= 1)")
+	fs.Float64Var(&spec.FF, "ff", 0, "engine: forget factor in (0, 1]")
+	fs.IntVar(&spec.R1, "r1", 0, "engine: APMOS gather truncation R1 (0 means the APMOS default)")
+	fs.BoolVar(&spec.LowRank, "lowrank", false, "engine: randomized (low-rank) streaming update")
+	fs.IntVar(&spec.Oversample, "oversample", 0, "engine: randomized SVD oversampling (0 means the default)")
+	fs.IntVar(&spec.PowerIters, "power-iters", 0, "engine: randomized SVD power iterations")
+	fs.Int64Var(&spec.Seed, "seed", 0, "engine: randomized SVD seed")
+	return spec
+}
+
+// Options returns the engine options spec describes, as given: a worker
+// validates them (core.Options.Validate) before it joins its mesh.
+func (spec EngineSpec) Options() core.Options {
+	return core.Options{
+		K:            spec.K,
+		ForgetFactor: spec.FF,
+		R1:           spec.R1,
+		LowRank:      spec.LowRank,
+		RLA: rla.Options{
+			Oversample: spec.Oversample,
+			PowerIters: spec.PowerIters,
+			Seed:       spec.Seed,
+		},
+	}
 }
 
 // SessionStatus is the JSON body of every OK reply: the rank's identity,
@@ -163,7 +206,7 @@ type SessionStatus struct {
 	ModesSHA   string `json:"modes_sha,omitempty"`
 	// SpectrumBits is, in rank 0's MODES-SHA reply, the singular values
 	// as their IEEE-754 bit patterns, so they cross JSON bit for bit,
-	// non-finite values included, as a FLOATS body carries them.
+	// non-finite values included.
 	SpectrumBits []uint64 `json:"spectrum_bits,omitempty"`
 }
 
@@ -212,26 +255,6 @@ func writeFactorPairFrame(w io.Writer, scratch []byte, q, s *mat.Dense) error {
 		_, err = w.Write(buf)
 	}
 	return err
-}
-
-// AppendFloats appends v as a data body (the FLOATS payload).
-func AppendFloats(buf []byte, v []float64) []byte {
-	return tcptransport.AppendMessageBody(buf, mpi.Message{Rows: -1, Data: v})
-}
-
-// DecodeFloats parses a FLOATS payload straight from body; the vector is
-// its one allocation. Unlike a snapshot block it may carry non-finite
-// values: a spectrum readback must report whatever the engine holds,
-// faithfully.
-func DecodeFloats(body []byte) ([]float64, error) {
-	m, err := tcptransport.DecodeMessageBody(body)
-	if err != nil {
-		return nil, err
-	}
-	if m.Rows != -1 {
-		return nil, fmt.Errorf("launch: FLOATS payload carries a %dx%d matrix, want a vector", m.Rows, m.Cols)
-	}
-	return m.Data, nil
 }
 
 // AppendStatus appends the body of an OK reply: the JSON json.Marshal

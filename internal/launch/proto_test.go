@@ -3,6 +3,7 @@ package launch
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"reflect"
 	"testing"
@@ -48,16 +49,34 @@ func TestAppendStatusMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeFloatsAllocatesResult: a FLOATS reply is decoded straight from
-// its body; the vector it returns is the one allocation.
-func TestDecodeFloatsAllocatesResult(t *testing.T) {
-	v := []float64{5, 4, 3, 2, 1, 0.5, 0.25, 0.125, 1e-300, -0.0, 3, 2, 1, 1, 1, 1}
-	body := AppendFloats(nil, v)
-	if got, err := DecodeFloats(body); err != nil || !equalFloatsBits(got, v) {
-		t.Fatalf("DecodeFloats = %v, %v", got, err)
+// TestEngineSpecArgsRoundTrip: the flags Args writes parse back through
+// SpecFlags to the same spec, the forget factor bit for bit, and an empty
+// command line parses to the zero spec.
+func TestEngineSpecArgsRoundTrip(t *testing.T) {
+	for _, spec := range []EngineSpec{
+		{},
+		{K: 16, FF: 1},
+		{K: 6, FF: 0.95, R1: 16},
+		{K: 3, FF: 0.1 + 0.2, R1: 1, LowRank: true, Oversample: 7, PowerIters: 2, Seed: -1 << 62},
+		{K: 1, FF: math.Nextafter(1, 0)},
+		{K: 1, FF: 5e-324, Seed: 42},
+		{K: -4, FF: -0.5, R1: -1, Oversample: -2, PowerIters: -3}, // refused later, but carried as given
+	} {
+		fs := flag.NewFlagSet("parsvd-worker", flag.ContinueOnError)
+		got := SpecFlags(fs)
+		if err := fs.Parse(spec.Args()); err != nil {
+			t.Fatalf("parsing %q: %v", spec.Args(), err)
+		}
+		if *got != spec || math.Float64bits(got.FF) != math.Float64bits(spec.FF) {
+			t.Errorf("%+v crossed argv (%q) as %+v", spec, spec.Args(), *got)
+		}
+		if fs.NArg() != 0 {
+			t.Errorf("%q left arguments %q", spec.Args(), fs.Args())
+		}
 	}
-	if n := testing.AllocsPerRun(20, func() { DecodeFloats(body) }); n != 1 {
-		t.Fatalf("DecodeFloats allocates %v times, want 1 (the result)", n)
+	fs := flag.NewFlagSet("parsvd-worker", flag.ContinueOnError)
+	if got := SpecFlags(fs); fs.Parse(nil) != nil || *got != (EngineSpec{}) {
+		t.Errorf("an empty command line parsed to %+v, want the zero spec", *got)
 	}
 }
 

@@ -2,10 +2,8 @@ package launch
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -25,11 +23,12 @@ type SessionConfig struct {
 	// WorkerBin is the parsvd-worker binary; empty resolves through
 	// ResolveWorker (PARSVD_WORKER, sibling, PATH, go-build fallback).
 	WorkerBin string
-	// Spec is the engine configuration sent to every rank by INIT.
+	// Spec is the engine configuration every rank is started with, on its
+	// command line (EngineSpec.Args).
 	Spec EngineSpec
-	// OpTimeout bounds each session operation round trip — fleet spawn
-	// and INIT, one PUSH scatter, one gather, the SHUTDOWN drain.
-	// Default 2m.
+	// OpTimeout bounds each session operation round trip — one PUSH
+	// scatter (the first one also finds a fleet that never came up), one
+	// gather, the SHUTDOWN drain. Default 2m.
 	OpTimeout time.Duration
 	// Deadline, when nonzero, additionally caps startup and every
 	// operation at an absolute time (see SetDeadline).
@@ -62,8 +61,8 @@ type SessionStats struct {
 // processes holding one live core engine each, fed real snapshot data over
 // their stdin and queried over their stdout (see proto.go for the frame
 // protocol). It is the process-fabric twin of the facade's in-process
-// parallel engine: Push scatters row blocks, Spectrum/ModesSHA/Stats read
-// the decomposition, Save gathers a facade-compatible checkpoint, Close
+// parallel engine: Push scatters row blocks, ModesSHA/Stats read the
+// decomposition, Save gathers a facade-compatible checkpoint, Close
 // shuts the fleet down cleanly.
 //
 // A Session is not safe for concurrent use; callers serialize (the parsvd
@@ -115,9 +114,12 @@ type sessWorker struct {
 	once    sync.Once
 }
 
-// StartSession spawns the fleet, wires the rank mesh, and sends INIT to
-// every rank. On any failure the partial fleet is killed and reaped before
-// the error returns.
+// StartSession wires the rank mesh and spawns the fleet, every rank with
+// cfg.Spec on its command line, and returns without an exchange: the
+// first Push is the fleet's first command, so a rank that refused its
+// spec or died at boot fails that Push, with the ERR text it left. On a
+// spawn failure the partial fleet is killed and reaped before the error
+// returns.
 func StartSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("launch: session ranks = %d < 1", cfg.Ranks)
@@ -147,30 +149,14 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 	if err := s.spawnFleet(bin); err != nil {
 		return nil, err
 	}
-
-	spec, err := json.Marshal(cfg.Spec)
-	if err != nil {
-		s.reap()
-		return nil, fmt.Errorf("launch: encoding engine spec: %w", err)
-	}
-	frames, err := s.op(SessInit, func(w *sessWorker) error {
-		return tcptransport.WriteFrame(w.stdin, SessInit, spec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for r, fr := range frames {
-		if fr.verb != SessOK {
-			return nil, s.fail(fmt.Errorf("launch: rank %d replied %s to INIT", r, verbName(fr.verb)))
-		}
-	}
 	return s, nil
 }
 
 // command prepares one rank's worker process, told to adopt the mesh the
-// launcher wires (spawnFleet). A discarded stderr stays nil, so the child
-// writes to /dev/null; any other writer that is not a file costs os/exec a
-// pipe and a copying goroutine per worker.
+// launcher wires (spawnFleet) and given the engine spec. A discarded
+// stderr stays nil, so the child writes to /dev/null; any other writer
+// that is not a file costs os/exec a pipe and a copying goroutine per
+// worker.
 func (s *Session) command(bin string, rank int) *exec.Cmd {
 	args := []string{
 		"-rank", strconv.Itoa(rank),
@@ -180,6 +166,7 @@ func (s *Session) command(bin string, rank int) *exec.Cmd {
 	if s.cfg.IdleTimeout > 0 {
 		args = append(args, "-idle-timeout", s.cfg.IdleTimeout.String())
 	}
+	args = append(args, s.cfg.Spec.Args()...)
 	cmd := exec.Command(bin, args...)
 	if s.cfg.Stderr != io.Discard {
 		cmd.Stderr = s.cfg.Stderr
@@ -284,9 +271,9 @@ func (w *sessWorker) kill() {
 // op runs one lockstep exchange: the command frame is written to every
 // rank concurrently (collective commands must reach all ranks before any
 // reply is awaited, or the fleet would deadlock inside its collectives),
-// then exactly one reply per rank is collected. write writes the command
-// frame to one rank; nil writes an empty body. Any failure permanently
-// fails the session and kills the fleet.
+// then exactly one reply per rank is collected: OK, or BLOB from rank 0
+// to SAVE. write writes the command frame to one rank; nil writes an empty
+// body. Any failure permanently fails the session and kills the fleet.
 func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, error) {
 	if s.failed != nil {
 		return nil, s.failed
@@ -322,15 +309,27 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 	}
 	wg.Wait()
 	for r, err := range writeErrs {
-		if err != nil {
-			return nil, s.fail(fmt.Errorf("launch: %s to rank %d: %w", verbName(verb), r, err))
+		if err == nil {
+			continue
 		}
+		err = fmt.Errorf("launch: %s to rank %d: %w", verbName(verb), r, err)
+		// A rank that exited before it read the command (a refused spec,
+		// a mesh it could not adopt) said why in an ERR frame: that is the
+		// cause, the broken pipe only its symptom.
+		if rr, body := s.reap(); body != nil {
+			err = fmt.Errorf("launch: rank %d failed during %s: %s", rr, verbName(verb), body)
+		}
+		return nil, s.fail(err)
 	}
 
 	frames := make([]sessFrame, len(s.workers))
 	var firstErr error
 	for r, w := range s.workers {
 		fr := w.await(deadline)
+		want := SessOK
+		if verb == SessSave && r == 0 {
+			want = SessBlob
+		}
 		switch {
 		case fr.err != nil:
 			if firstErr == nil {
@@ -340,6 +339,10 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 			// A worker-reported failure names the root cause (the rank that
 			// panicked) — prefer it over the EOFs of the peers it took down.
 			firstErr = fmt.Errorf("launch: rank %d failed during %s: %s", r, verbName(verb), fr.body)
+		case fr.verb != want:
+			if firstErr == nil {
+				firstErr = fmt.Errorf("launch: rank %d replied %s to %s", r, verbName(fr.verb), verbName(verb))
+			}
 		}
 		frames[r] = fr
 	}
@@ -388,33 +391,42 @@ func (s *Session) fail(err error) error {
 // reap kills every worker and waits for the processes to be collected,
 // draining any frames still in flight so the reader goroutines can exit.
 // After reap returns, the session holds no processes and no goroutines.
-func (s *Session) reap() {
+// It reports the first ERR body among the drained frames and its rank
+// (nil when none).
+func (s *Session) reap() (rank int, errBody []byte) {
 	for _, w := range s.workers {
 		if w != nil {
 			w.kill()
 		}
 	}
-	for _, w := range s.workers {
-		if w != nil {
-			w.drain()
+	for r, w := range s.workers {
+		if w == nil {
+			continue
+		}
+		if body := w.drain(); body != nil && errBody == nil {
+			rank, errBody = r, body
 		}
 	}
+	return rank, errBody
 }
 
 // drain consumes frames until the worker's reader goroutine has exited
-// and the process is reaped, then empties the leftovers.
-func (w *sessWorker) drain() {
+// and the process is reaped, then empties the leftovers. It returns the
+// body of the first ERR frame among them, nil when none.
+func (w *sessWorker) drain() (errBody []byte) {
 	for {
+		var fr sessFrame
 		select {
-		case <-w.frames:
+		case fr = <-w.frames:
 		case <-w.done:
-			for {
-				select {
-				case <-w.frames:
-				default:
-					return
-				}
+			select {
+			case fr = <-w.frames:
+			default:
+				return errBody
 			}
+		}
+		if fr.verb == SessErr && errBody == nil {
+			errBody = fr.body
 		}
 	}
 }
@@ -551,40 +563,10 @@ func checkProducts(q, sk *mat.Dense, parts []grid.Range) error {
 	return nil
 }
 
-// Spectrum returns the current truncated singular values. Every rank
-// reports its copy (they advance in lockstep through the closing
-// broadcast of each update); a disagreement is a protocol violation and
-// fails the session.
-func (s *Session) Spectrum() ([]float64, error) {
-	frames, err := s.op(SessSpectrum, nil)
-	if err != nil {
-		return nil, err
-	}
-	var root []float64
-	for r, fr := range frames {
-		if fr.verb != SessFloats {
-			return nil, s.fail(fmt.Errorf("launch: rank %d replied %s to SPECTRUM", r, verbName(fr.verb)))
-		}
-		v, err := DecodeFloats(fr.body)
-		if err != nil {
-			return nil, s.fail(fmt.Errorf("launch: rank %d spectrum: %w", r, err))
-		}
-		if r == 0 {
-			root = v
-			continue
-		}
-		if !equalFloatsBits(root, v) {
-			return nil, s.fail(fmt.Errorf("launch: rank %d disagrees with rank 0 on the spectrum", r))
-		}
-	}
-	return root, nil
-}
-
 // ModesSHA gathers the global mode matrix at rank 0 (a collective) and
 // returns its SHA-256 fingerprint — dims plus row-major IEEE-754 bits,
 // the HashModes digest of the assembled M×K matrix — and the singular
-// values rank 0 reports beside it, bit for bit what Spectrum returns, in
-// one round trip.
+// values rank 0 reports beside it, bit for bit, in one round trip.
 func (s *Session) ModesSHA() (sha string, singular []float64, err error) {
 	frames, err := s.op(SessModesSHA, nil)
 	if err != nil {
@@ -620,9 +602,6 @@ func (s *Session) Save() (core.State, error) {
 	frames, err := s.op(SessSave, nil)
 	if err != nil {
 		return core.State{}, err
-	}
-	if frames[0].verb != SessBlob {
-		return core.State{}, s.fail(fmt.Errorf("launch: rank 0 replied %s to SAVE", verbName(frames[0].verb)))
 	}
 	return frames[0].state, nil
 }
@@ -681,17 +660,3 @@ func (s *Session) WorkerPIDs() []int {
 
 // Failed reports the sticky session failure, nil while healthy.
 func (s *Session) Failed() error { return s.failed }
-
-// equalFloatsBits compares two float64 slices for exact bit equality
-// (NaNs included).
-func equalFloatsBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -81,16 +81,9 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	defer s.Close()
 	pushWorkload(t, s, ranks, w)
 
-	singular, err := s.Spectrum()
-	if err != nil {
-		t.Fatalf("spectrum: %v", err)
-	}
-	sha, shaSingular, err := s.ModesSHA()
+	sha, singular, err := s.ModesSHA()
 	if err != nil {
 		t.Fatalf("modes sha: %v", err)
-	}
-	if !equalFloatsBits(shaSingular, singular) {
-		t.Fatalf("MODES-SHA reported spectrum %v, SPECTRUM %v", shaSingular, singular)
 	}
 
 	// In-process reference on the identical workload.
@@ -179,6 +172,33 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestFirstPushIsFirstExchange: StartSession only spawns — each rank's
+// engine spec is on its command line — so the seeding PUSH is the fleet's
+// first lockstep exchange, and it seeds the engine the spec describes.
+func TestFirstPushIsFirstExchange(t *testing.T) {
+	const ranks = 2
+	w := sessionWorkload()
+	s := startTestSession(t, ranks, w)
+	defer s.Close()
+	if ops := s.Stats().Ops; ops != 0 {
+		t.Fatalf("StartSession ran %d exchanges, want 0", ops)
+	}
+	bc := w.BurgersConfig(ranks)
+	if err := s.Push(bc.Block(0, bc.Nx, 0, w.InitBatch)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Ops != 1 || st.Snapshots != w.InitBatch || st.Rows != bc.Nx {
+		t.Fatalf("after StartSession and the first Push: %+v, want 1 exchange, %d snapshots, %d rows", st, w.InitBatch, bc.Nx)
+	}
+	_, singular, err := s.ModesSHA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(singular) != w.K {
+		t.Fatalf("seeded %d singular values, want K = %d", len(singular), w.K)
+	}
+}
+
 // TestSessionRejectsBadBatchesWithoutPoisoning: validation failures are
 // caught before any frame reaches a worker, so the fleet survives them.
 func TestSessionRejectsBadBatchesWithoutPoisoning(t *testing.T) {
@@ -207,8 +227,8 @@ func TestSessionRejectsBadBatchesWithoutPoisoning(t *testing.T) {
 	if err := s.Push(bc.Block(0, bc.Nx-1, w.InitBatch, w.InitBatch+4)); err == nil || s.Failed() != nil {
 		t.Fatalf("row-mismatch batch: err=%v failed=%v, want plain rejection", err, s.Failed())
 	}
-	if _, err := s.Spectrum(); err != nil {
-		t.Fatalf("spectrum after rejections: %v", err)
+	if _, _, err := s.ModesSHA(); err != nil {
+		t.Fatalf("modes sha after rejections: %v", err)
 	}
 
 	// An expired hard deadline (a Fit context deadline mapped down by the
@@ -261,8 +281,8 @@ func TestSessionWorkerDeathFailsFast(t *testing.T) {
 		t.Fatal("worker death did not permanently fail the session")
 	}
 	// The failure is sticky: every later operation reports it immediately.
-	if _, err2 := s.Spectrum(); err2 == nil {
-		t.Fatal("spectrum on a failed session did not error")
+	if _, _, err2 := s.ModesSHA(); err2 == nil {
+		t.Fatal("modes sha on a failed session did not error")
 	}
 	if _, err2 := s.Save(); err2 == nil {
 		t.Fatal("save on a failed session did not error")

@@ -130,8 +130,8 @@ func appendFloats(buf []byte, data []float64) []byte {
 }
 
 // Blocks: the one layout in which a matrix or vector crosses a process or
-// disk boundary — rank-mesh data frames, session PUSH and FLOATS bodies,
-// HTTP matrix bodies and WAL batch records:
+// disk boundary — rank-mesh data frames, session PUSH bodies, HTTP matrix
+// bodies and WAL batch records:
 //
 //	block := tag:i64le  rows:i64le  cols:i64le  n:u64le  n × f64le
 //
@@ -140,7 +140,7 @@ func appendFloats(buf []byte, data []float64) []byte {
 // a block with tag 0, rows and cols at least 1, n = rows·cols and finite
 // values; ReadBlock is the one reader that enforces that. The mesh's own
 // messages (any tag, Rows = −1 for vectors, non-finite values) are decoded
-// structurally by tcptransport.DecodeMessageBody.
+// structurally by the mesh's frame reader (tcptransport).
 //
 // A factor pair (a sketched batch Q·S) is
 //

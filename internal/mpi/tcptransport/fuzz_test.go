@@ -51,7 +51,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		if kind == kindData {
-			m, derr := DecodeMessageBody(body)
+			m, derr := decodeMessageBody(body)
 			if (derr == nil) != (merr == nil) {
 				t.Fatalf("in-memory decode err %v, streaming decode err %v", derr, merr)
 			}
@@ -82,7 +82,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			again = appendIdent(nil, rank)
 		case kindData:
-			m, err := DecodeMessageBody(body)
+			m, err := decodeMessageBody(body)
 			if err != nil {
 				return
 			}

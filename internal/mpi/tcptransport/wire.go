@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"goparsvd/internal/mat"
@@ -216,8 +215,7 @@ func writeData(bw *bufio.Writer, m mpi.Message) error {
 }
 
 // AppendMessageBody appends the body of a data frame: m as one block
-// (mat.AppendBlock) under its own tag. Other protocols that carry an
-// mpi.Message — the session FLOATS reply — share it.
+// (mat.AppendBlock) under its own tag.
 func AppendMessageBody(buf []byte, m mpi.Message) []byte {
 	return mat.AppendBlock(buf, m.Tag, m.Rows, m.Cols, m.Data)
 }
@@ -285,25 +283,6 @@ func readMeshFrame(r io.Reader, scratch []byte, pool *mpi.BufferPool) (kind byte
 		_, err = ReadFrameBody(r, n)
 	}
 	return kind, m, err
-}
-
-// DecodeMessageBody parses a data-frame body held in memory (the session
-// FLOATS reply) as readMessageBody reads one, decoding the values straight
-// from body into the message's one allocation.
-func DecodeMessageBody(body []byte) (mpi.Message, error) {
-	if len(body) < mat.BlockHeaderLen {
-		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", len(body))
-	}
-	m, count, err := parseMessageHeader(body, len(body))
-	if err != nil || count == 0 {
-		return m, err
-	}
-	m.Data = make([]float64, count)
-	vals := body[mat.BlockHeaderLen:]
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
-	}
-	return m, nil
 }
 
 // appendHello appends a complete hello frame (rank plus the address the

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 )
 
@@ -18,6 +20,25 @@ import (
 func appendData(buf []byte, m mpi.Message) []byte {
 	buf = AppendFrameHeader(buf, kindData, MessageBodyLen(len(m.Data)))
 	return AppendMessageBody(buf, m)
+}
+
+// decodeMessageBody parses a data-frame body held in memory, value by
+// value: the reference the streaming reader (readMessageBody) is checked
+// against.
+func decodeMessageBody(body []byte) (mpi.Message, error) {
+	if len(body) < mat.BlockHeaderLen {
+		return mpi.Message{}, fmt.Errorf("tcptransport: data frame truncated (%d bytes)", len(body))
+	}
+	m, count, err := parseMessageHeader(body, len(body))
+	if err != nil || count == 0 {
+		return m, err
+	}
+	m.Data = make([]float64, count)
+	vals := body[mat.BlockHeaderLen:]
+	for i := range m.Data {
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+	}
+	return m, nil
 }
 
 // TestWriteDataMatchesLayout: a send writes the data frame's layout byte
@@ -80,9 +101,9 @@ func TestWireDataRoundTrip(t *testing.T) {
 		if err != nil || kind != kindData {
 			t.Fatalf("case %d: ReadFrame kind=%d err=%v", i, kind, err)
 		}
-		got, err := DecodeMessageBody(body)
+		got, err := decodeMessageBody(body)
 		if err != nil {
-			t.Fatalf("case %d: DecodeMessageBody: %v", i, err)
+			t.Fatalf("case %d: decodeMessageBody: %v", i, err)
 		}
 		if got.Tag != want.Tag || got.Rows != want.Rows || got.Cols != want.Cols || len(got.Data) != len(want.Data) {
 			t.Fatalf("case %d: header mismatch: got %+v want %+v", i, got, want)
@@ -176,7 +197,7 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 	// A data body whose float count disagrees with its length is corrupt.
 	frame := appendData(nil, mpi.Message{Tag: 1, Data: []float64{1, 2, 3}, Rows: -1})
-	if _, err := DecodeMessageBody(frame[5 : len(frame)-8]); err == nil {
+	if _, err := decodeMessageBody(frame[5 : len(frame)-8]); err == nil {
 		t.Error("truncated data body accepted")
 	}
 	// Hello/ident without the magic must be rejected.
