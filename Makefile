@@ -58,14 +58,19 @@ worker:
 # the start-up contract: the engine spec is on each worker's command line,
 # a bad one is refused in one ERR frame, the seeding PUSH is a fleet's
 # first exchange, and a fleet that never came up fails that push without
-# poisoning the engine. The last step, without the race detector (whose
+# poisoning the engine. Failures are errors end to end: a rank's engine
+# error, not the abort echoes of its peers, fails the Parallel backend
+# (TestParallelDispatchReportsOriginatingError), and OpTimeout bounds a
+# command write to a rank that stopped reading its stdin as well as the
+# reply (TestSessionCommandWriteDeadline, one of the TestSession tests).
+# The last step, without the race detector (whose
 # instrumentation allocates), pins the allocation-free distributed steady
 # state: a two-rank update over loopback sockets, and a worker's PUSH,
 # MODES-SHA and SAVE, each 0 allocs/op; and a worker's lifetime bytes over
 # a 200-push session, bounded by its engine buffer plus fixed I/O.
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
-		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison' .
+		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestParallelDispatchReportsOriginatingError' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
 	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
 		./internal/core ./cmd/parsvd-worker

@@ -24,7 +24,7 @@ import (
 // fleet's first exchange, so a fleet that never came up fails it as a
 // failed start: nothing was ingested, the fleet is reaped and the next
 // push spawns a fresh one. After that, any session failure (a worker
-// death, an engine panic on a rank, a protocol violation, an operation
+// death, an engine error on a rank, a protocol violation, an operation
 // timeout) permanently fails the engine: the remaining workers are killed
 // immediately and every later operation reports an error wrapping
 // ErrEngineFailed.

@@ -16,9 +16,9 @@ import (
 // snapshot matrix and one core.Parallel engine. The facade feeds global
 // batches; the engine partitions rows, dispatches one operation to every
 // rank (so the MPI-style collectives inside always line up), and collects
-// per-rank replies. A rank panic aborts the world — exactly as mpi.Run
-// would — and surfaces as an error; the engine is then permanently
-// failed.
+// per-rank replies. A rank whose engine returns an error aborts the world,
+// so every peer blocked in a collective returns too, and the engine is
+// then permanently failed with that error.
 type parallelEngine struct {
 	opts  core.Options
 	ranks int
@@ -61,52 +61,49 @@ func newParallelEngine(opts core.Options, ranks int) *parallelEngine {
 }
 
 // rankLoop is one rank's service goroutine: it applies operations in
-// arrival order, converting any engine panic (including the abort echo
-// raised when a peer rank fails mid-collective) into an error reply.
+// arrival order. An engine error (including the ErrAborted a collective
+// returns when a peer rank failed) aborts the world and becomes the reply.
 func (pe *parallelEngine) rankLoop(rank int) {
 	defer pe.wg.Done()
 	c := pe.world.Comm(rank)
 	var eng *core.Parallel
 	for op := range pe.cmds[rank] {
 		reply := parReply{rank: rank}
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					pe.world.Abort()
-					if err, ok := v.(error); ok {
-						reply.err = err
-					} else {
-						reply.err = fmt.Errorf("parsvd: rank %d: %v", rank, v)
-					}
+		var err error
+		switch {
+		case op.block == nil:
+			var rows []*mat.Dense
+			rows, err = eng.GatherModeRows()
+			if rank == 0 && err == nil {
+				reply.st = core.State{
+					Opts:       eng.Options(),
+					ModeBlocks: rows,
+					Singular:   eng.SingularValues(),
+					Iterations: eng.Iterations(),
+					Snapshots:  eng.SnapshotsSeen(),
 				}
-			}()
-			switch {
-			case op.block == nil:
-				rows := eng.GatherModeRows()
-				if rank == 0 {
-					reply.st = core.State{
-						Opts:       eng.Options(),
-						ModeBlocks: rows,
-						Singular:   eng.SingularValues(),
-						Iterations: eng.Iterations(),
-						Snapshots:  eng.SnapshotsSeen(),
-					}
-				}
-			case eng == nil:
-				eng = core.NewParallel(c, pe.opts)
-				eng.Initialize(op.block)
-			default:
-				eng.IncorporateData(op.block)
 			}
-		}()
+		case eng == nil:
+			eng = core.NewParallel(c, pe.opts)
+			err = eng.Initialize(op.block)
+		default:
+			err = eng.IncorporateData(op.block)
+		}
+		if err != nil {
+			pe.world.Abort()
+			reply.err = fmt.Errorf("parsvd: rank %d: %w", rank, err)
+		}
 		op.reply <- reply
 	}
 }
 
 // dispatch hands one operation to every rank and waits for all replies,
-// returning rank 0's reply and the first error observed. mk builds the
-// per-rank operation.
-func (pe *parallelEngine) dispatch(mk func(rank int) parOp) (parReply, error) {
+// returning rank 0's reply. mk builds the per-rank operation. If any rank
+// failed, the engine is failed for good with the originating error,
+// preferred over the ErrAborted echoes of the ranks that were merely
+// blocked on a collective, wrapped in ErrEngineFailed with what, the
+// operation's name.
+func (pe *parallelEngine) dispatch(what string, mk func(rank int) parOp) (parReply, error) {
 	replyCh := make(chan parReply, pe.ranks)
 	for r := 0; r < pe.ranks; r++ {
 		op := mk(r)
@@ -123,13 +120,15 @@ func (pe *parallelEngine) dispatch(mk func(rank int) parOp) (parReply, error) {
 		if rep.err == nil {
 			continue
 		}
-		// Prefer the originating panic over the abort echoes of the ranks
-		// that were merely blocked on a collective when a peer failed.
 		if firstErr == nil || (errors.Is(firstErr, mpi.ErrAborted) && !errors.Is(rep.err, mpi.ErrAborted)) {
 			firstErr = rep.err
 		}
 	}
-	return root, firstErr
+	if firstErr != nil {
+		pe.failed = fmt.Errorf("%w: %s failed: %w", ErrEngineFailed, what, firstErr)
+		return root, pe.failed
+	}
+	return root, nil
 }
 
 func (pe *parallelEngine) push(b *mat.Dense) error {
@@ -146,15 +145,11 @@ func (pe *parallelEngine) push(b *mat.Dense) error {
 		pe.rows = b.Rows()
 		pe.parts = grid.Partition(pe.rows, pe.ranks)
 	}
-	_, err := pe.dispatch(func(rank int) parOp {
+	_, err := pe.dispatch("parallel update", func(rank int) parOp {
 		p := pe.parts[rank]
 		return parOp{block: b.SliceRows(p.Start, p.End)}
 	})
-	if err != nil {
-		pe.failed = fmt.Errorf("%w: parallel update failed: %w", ErrEngineFailed, err)
-		return pe.failed
-	}
-	return nil
+	return err
 }
 
 // state gathers the global state at rank 0: one collective.
@@ -165,12 +160,8 @@ func (pe *parallelEngine) state() (core.State, error) {
 	if pe.rows == 0 {
 		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
-	root, err := pe.dispatch(func(int) parOp { return parOp{} })
-	if err != nil {
-		pe.failed = fmt.Errorf("%w: gathering modes failed: %w", ErrEngineFailed, err)
-		return core.State{}, pe.failed
-	}
-	return root.st, nil
+	root, err := pe.dispatch("gathering modes", func(int) parOp { return parOp{} })
+	return root.st, err
 }
 
 func (pe *parallelEngine) stats() Stats {

@@ -10,11 +10,11 @@ import (
 	"goparsvd/internal/testutil"
 )
 
-// TestParallelDispatchReportsOriginatingPanic: when one rank fails
-// mid-collective, the Parallel backend reports that rank's panic, never
-// the abort echo of the peers it left blocked, whichever reply arrives
-// first.
-func TestParallelDispatchReportsOriginatingPanic(t *testing.T) {
+// TestParallelDispatchReportsOriginatingError: when one rank's engine
+// returns an error mid-collective, the Parallel backend fails with that
+// rank's error wrapped in ErrEngineFailed, never with the abort echo of
+// the peers it left blocked, whichever reply arrives first.
+func TestParallelDispatchReportsOriginatingError(t *testing.T) {
 	rng := testutil.NewRand(61)
 	a := testutil.RandomDense(40, 9, rng)
 	for trial := 0; trial < 20; trial++ {
@@ -23,9 +23,9 @@ func TestParallelDispatchReportsOriginatingPanic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Rank 0 gets a batch one column wider than its peers': the peers
-		// send their R factors and block on their Q blocks, and rank 0
-		// panics stacking R factors narrower than its own.
-		_, err := pe.dispatch(func(rank int) parOp {
+		// send their R factors and block on their Q blocks, and rank 0's
+		// TSQR refuses R factors narrower than its own.
+		_, err := pe.dispatch("parallel update", func(rank int) parOp {
 			p := pe.parts[rank]
 			cols := 8
 			if rank == 0 {
@@ -34,14 +34,17 @@ func TestParallelDispatchReportsOriginatingPanic(t *testing.T) {
 			return parOp{block: a.Slice(p.Start, p.End, 4, cols)}
 		})
 		pe.close()
-		if err == nil {
-			t.Fatal("a mismatched batch width went unreported")
+		if !errors.Is(err, ErrEngineFailed) {
+			t.Fatalf("trial %d: err = %v, want ErrEngineFailed", trial, err)
 		}
 		if errors.Is(err, mpi.ErrAborted) {
-			t.Fatalf("trial %d: got the abort echo %q, want rank 0's panic", trial, err)
+			t.Fatalf("trial %d: got the abort echo %q, want rank 0's error", trial, err)
 		}
-		if !strings.Contains(err.Error(), "rank 0") {
-			t.Fatalf("trial %d: err = %q, want rank 0's panic", trial, err)
+		if !strings.Contains(err.Error(), "rank 0: tsqr: rank 1 sent a 7x7 R factor, want at most 8x8") {
+			t.Fatalf("trial %d: err = %q, want rank 0's TSQR error", trial, err)
+		}
+		if err := pe.push(a.SliceCols(4, 8)); err != pe.failed {
+			t.Fatalf("trial %d: a push after the failure returned %v, want the failure", trial, err)
 		}
 	}
 }

@@ -11,12 +11,13 @@ import (
 
 // serialEngine is ParSVD_Serial behind the facade: internal/stream's
 // engine and the validated options its checkpoints record. Dimension
-// checks happen here, before the panicking engine layer, so the public
-// path stays error-based.
+// checks happen here, before the engine, which panics on misuse; an error
+// it returns fails this engine for good.
 type serialEngine struct {
-	opts core.Options
-	svd  *stream.SVD
-	rows int // 0 until the first batch seeds the decomposition
+	opts   core.Options
+	svd    *stream.SVD
+	rows   int   // 0 until the first batch seeds the decomposition
+	failed error // set once the engine returned an error: it is dead
 }
 
 // newSerialEngine builds an engine for options the facade has already
@@ -57,20 +58,29 @@ func modeMatrix(st core.State) *mat.Dense {
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
+	if e.failed != nil {
+		return e.failed
+	}
 	if err := checkBatch(b, e.rows); err != nil {
 		return err
 	}
+	update := e.svd.IncorporateData
 	if e.rows == 0 {
-		e.svd.Initialize(b)
-		e.rows = b.Rows()
-		return nil
+		update = e.svd.Initialize
 	}
-	e.svd.IncorporateData(b)
+	if err := update(b); err != nil {
+		e.failed = fmt.Errorf("%w: serial update failed: %w", ErrEngineFailed, err)
+		return e.failed
+	}
+	e.rows = b.Rows()
 	return nil
 }
 
 // state reads the engine in place: the modes stay mode-major.
 func (e *serialEngine) state() (core.State, error) {
+	if e.failed != nil {
+		return core.State{}, e.failed
+	}
 	if e.rows == 0 {
 		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}

@@ -48,9 +48,9 @@ func runSerialBurgers(cfg burgers.Config, k, batch int, ff float64) *stream.SVD 
 		}
 		b := cfg.SnapshotsCols(off, end)
 		if off == 0 {
-			eng.Initialize(b)
+			must(eng.Initialize(b))
 		} else {
-			eng.IncorporateData(b)
+			must(eng.IncorporateData(b))
 		}
 	}
 	return eng
@@ -74,12 +74,13 @@ func runParallelBurgers(cfg burgers.Config, ranks, k, batch int, ff float64, low
 			}
 			b := cfg.Block(r0, r1, off, end)
 			if off == 0 {
-				eng.Initialize(b)
+				must(eng.Initialize(b))
 			} else {
-				eng.IncorporateData(b)
+				must(eng.IncorporateData(b))
 			}
 		}
-		gathered := eng.GatherModeRows()
+		gathered, err := eng.GatherModeRows()
+		must(err)
 		if c.Rank() == 0 {
 			mu.Lock()
 			modes = core.ModeMatrix(gathered...)
@@ -141,7 +142,8 @@ func BenchmarkFig1cWeakScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mpi.MustRun(ranks, func(c *mpi.Comm) {
-					apmos.Decompose(c, blocks[c.Rank()], opts, nil)
+					_, _, err := apmos.Decompose(c, blocks[c.Rank()], opts, nil)
+					must(err)
 				})
 			}
 			b.StopTimer()
@@ -183,12 +185,13 @@ func BenchmarkFig2ERA5Modes(b *testing.B) {
 			eng := core.NewParallel(c, core.Options{K: 6, ForgetFactor: 0.95, LowRank: true})
 			for bi, blk := range blocks[c.Rank()] {
 				if bi == 0 {
-					eng.Initialize(blk)
+					must(eng.Initialize(blk))
 				} else {
-					eng.IncorporateData(blk)
+					must(eng.IncorporateData(blk))
 				}
 			}
-			gathered := eng.GatherModeRows()
+			gathered, err := eng.GatherModeRows()
+			must(err)
 			if c.Rank() == 0 {
 				mu.Lock()
 				modes = core.ModeMatrix(gathered...)
@@ -241,8 +244,9 @@ func BenchmarkAblationTruncation(b *testing.B) {
 				var mu sync.Mutex
 				var s []float64
 				mpi.MustRun(benchRanks, func(c *mpi.Comm) {
-					_, sv := apmos.Decompose(c, blocks[c.Rank()],
+					_, sv, err := apmos.Decompose(c, blocks[c.Rank()],
 						apmos.Options{K: 5, R1: r1, R2: 5}, nil)
+					must(err)
 					if c.Rank() == 0 {
 						mu.Lock()
 						s = sv
@@ -319,10 +323,19 @@ func BenchmarkStreamingUpdate(b *testing.B) {
 	cfg := burgers.Config{L: 1, Re: 1000, Nx: 4096, Nt: 80, TFinal: 2}
 	first := cfg.SnapshotsCols(0, 40)
 	next := cfg.SnapshotsCols(40, 80)
-	s := stream.New(stream.Options{K: benchK, FF: 0.95}).Initialize(first)
+	s := stream.New(stream.Options{K: benchK, FF: 0.95})
+	must(s.Initialize(first))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.IncorporateData(next)
+		must(s.IncorporateData(next))
+	}
+}
+
+// must panics with a failed call's error; under mpi.MustRun that aborts
+// the world and fails the run.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }
 

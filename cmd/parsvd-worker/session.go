@@ -82,7 +82,7 @@ func runSession(opts tcptransport.Options, inheritedMesh bool, copts core.Option
 // session is one rank's command loop over an established transport.
 //
 // Every command is answered by exactly one reply frame. Any failure —
-// a malformed frame, an engine panic, an abort echo from a dying peer —
+// a malformed frame, an engine error, an abort echo from a dying peer —
 // is terminal: the transport is aborted (so live peers unwind), an ERR
 // frame is emitted best-effort, and serve returns the error. There is no
 // partial recovery; a session world is either fully consistent or dead,
@@ -229,60 +229,56 @@ func (s *session) readPush(in io.Reader, n int) error {
 
 // ingest seeds the engine with this rank's block of the first batch and
 // streams every later one. A PUSH (sketched nil) is already in the
-// engine's buffer.
-func (s *session) ingest(sketched *mat.Dense) {
+// engine's buffer. An engine error (an abort echo from a failed peer
+// included) is returned as it is.
+func (s *session) ingest(sketched *mat.Dense) error {
+	var err error
 	switch {
 	case sketched == nil && s.first != nil:
-		s.eng.Initialize(s.first)
+		err = s.eng.Initialize(s.first)
 		s.first = nil
 	case sketched == nil:
-		s.eng.IncorporateFilled(s.pushed)
+		err = s.eng.IncorporateFilled(s.pushed)
 	case s.eng == nil:
 		s.eng = core.NewParallel(s.comm, s.copts)
-		s.eng.Initialize(sketched)
+		err = s.eng.Initialize(sketched)
+	case sketched.Rows() != s.localRows:
+		return fmt.Errorf("PUSH-SKETCH block has %d rows, this rank holds %d", sketched.Rows(), s.localRows)
 	default:
-		s.eng.IncorporateData(sketched)
+		err = s.eng.IncorporateData(sketched)
+	}
+	if err != nil {
+		return err
 	}
 	s.localRows = s.eng.ModeRows().Cols()
+	return nil
 }
 
-// handle executes one command, converting engine panics (dimension bugs,
-// abort echoes from failed peers) into errors. done reports a clean
+// handle executes one command and reports whether it was a clean
 // SHUTDOWN. A PUSH arrives already decoded into the engine's buffer and a
 // PUSH-SKETCH into sketched; every other verb carries no payload.
-func (s *session) handle(verb byte, sketched *mat.Dense) (done bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			done = false
-			if e, ok := v.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("%v", v)
-			}
-		}
-	}()
+func (s *session) handle(verb byte, sketched *mat.Dense) (bool, error) {
 	switch verb {
 	case launch.SessPush, launch.SessPushSketch:
-		s.ingest(sketched)
+		if err := s.ingest(sketched); err != nil {
+			return false, err
+		}
 		return false, s.okStatus(nil, nil)
-	case launch.SessModesSHA:
+	case launch.SessModesSHA, launch.SessSave:
 		if s.eng == nil {
-			return false, errors.New("MODES-SHA before any PUSH")
+			return false, errors.New("MODES-SHA or SAVE before any PUSH")
 		}
-		blocks := s.eng.GatherModeRows() // collective: every rank participates
+		blocks, err := s.eng.GatherModeRows() // collective: every rank participates
+		if err != nil {
+			return false, err
+		}
 		if s.rank != 0 {
 			return false, s.okStatus(nil, nil)
 		}
-		sha := s.hasher.ModeRows(blocks...)
-		s.eng.ReleaseModeRows()
-		return false, s.okStatus(sha, s.eng.SingularValues())
-	case launch.SessSave:
-		if s.eng == nil {
-			return false, errors.New("SAVE before any PUSH")
-		}
-		blocks := s.eng.GatherModeRows() // collective
-		if s.rank != 0 {
-			return false, s.okStatus(nil, nil)
+		if verb == launch.SessModesSHA {
+			sha := s.hasher.ModeRows(blocks...)
+			s.eng.ReleaseModeRows()
+			return false, s.okStatus(sha, s.eng.SingularValues())
 		}
 		// The checkpoint is encoded straight from the gathered blocks — its
 		// own rows and the received payloads — into the reply frame, so
@@ -294,7 +290,7 @@ func (s *session) handle(verb byte, sketched *mat.Dense) (done bool, err error) 
 			Iterations: s.eng.Iterations(),
 			Snapshots:  s.eng.SnapshotsSeen(),
 		}
-		err := s.fw.WriteSizedFrame(launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
+		err = s.fw.WriteSizedFrame(launch.SessBlob, st.EncodedLen(), func(w io.Writer) error {
 			return s.ckpt.WriteState(w, st)
 		})
 		s.eng.ReleaseModeRows()
@@ -305,7 +301,9 @@ func (s *session) handle(verb byte, sketched *mat.Dense) (done bool, err error) 
 	case launch.SessShutdown:
 		// No rank starts tearing its sockets down while a peer is still
 		// mid-collective.
-		s.comm.Barrier()
+		if err := s.comm.Barrier(); err != nil {
+			return false, err
+		}
 		s.t.Close()
 		return true, s.okStatus(nil, nil)
 	default:

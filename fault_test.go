@@ -76,6 +76,10 @@ func TestDistributedWorkerDeathPoisonsSVD(t *testing.T) {
 	if !errors.Is(err, parsvd.ErrEngineFailed) {
 		t.Fatalf("push error %v does not wrap ErrEngineFailed", err)
 	}
+	// The cause is rank 1's death, not rank 0's echo of the abort it saw.
+	if !strings.Contains(err.Error(), "rank 1") || strings.Contains(err.Error(), "world aborted") {
+		t.Fatalf("push error %v does not name the killed rank", err)
+	}
 	if detect > 10*time.Second {
 		t.Fatalf("failure took %v to surface; must beat the idle timeout, not ride it", detect)
 	}

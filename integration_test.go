@@ -141,12 +141,13 @@ func TestIntegrationERA5Pipeline(t *testing.T) {
 				}
 			}
 			if off == 0 {
-				eng.Initialize(block)
+				must(eng.Initialize(block))
 			} else {
-				eng.IncorporateData(block)
+				must(eng.IncorporateData(block))
 			}
 		}
-		gathered := eng.GatherModeRows()
+		gathered, err := eng.GatherModeRows()
+		must(err)
 		if c.Rank() == 0 {
 			mu.Lock()
 			modes = core.ModeMatrix(gathered...)

@@ -110,8 +110,11 @@ func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 // the k global singular values; both are valid on every rank. The modes
 // are written into the first k rows of dst, which is M_i wide with at
 // least K rows, and rows views them there; a nil dst means fresh k×M_i
-// storage. dst must not overlap a.
-func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64) {
+// storage. dst must not overlap a. A failed collective, a peer block of
+// another snapshot count and a failed randomized root SVD are errors, on
+// which the caller aborts the world, so peers blocked in a collective
+// return too.
+func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64, err error) {
 	_, n := a.Dims()
 	opts = opts.withDefaults(n)
 
@@ -121,20 +124,30 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *m
 	// Step 3: W_i = Ṽᵢ·diag(Σ̃ᵢ), gathered at rank 0 (paper Listing 3:
 	// wlocal = vlocal · diag(slocal)ᵀ; comm.gather(wlocal, root=0)).
 	wlocal := mat.MulDiag(vlocal, slocal)
-	gathered := c.GatherMatrix(0, wlocal)
+	gathered := []*mat.Dense{wlocal}
+	for len(gathered) < c.Size() {
+		gathered = append(gathered, new(mat.Dense))
+	}
+	if err := c.GatherMatrixViews(0, wlocal, gathered); err != nil {
+		return nil, nil, err
+	}
 
 	// Step 4–5: SVD of W at the root, truncated to r2 columns.
-	var x *mat.Dense
+	x := new(mat.Dense)
 	var lam []float64
 	if c.Rank() == 0 {
+		for r, w := range gathered {
+			if w.Rows() != n {
+				return nil, nil, fmt.Errorf("apmos: rank %d sent a %dx%d block, want %d rows",
+					r, w.Rows(), w.Cols(), n)
+			}
+		}
 		wglobal := mat.HStack(gathered...)
+		c.ReleaseViews(0, gathered)
 		if opts.LowRank {
-			var err error
 			x, lam, err = rla.LowRankSVD(wglobal, opts.R2, opts.RLA)
 			if err != nil {
-				// withDefaults pins R2 >= 1 and wglobal is never empty, so
-				// a rejection here is a broken internal invariant.
-				panic(fmt.Sprintf("apmos: low-rank SVD: %v", err))
+				return nil, nil, fmt.Errorf("apmos: low-rank SVD: %w", err)
 			}
 		} else {
 			x, lam, _ = linalg.SVD(wglobal)
@@ -146,8 +159,12 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *m
 	}
 
 	// Step 6: broadcast X̃ and Λ̃ to every rank.
-	x = c.BcastMatrix(0, x)
-	lam = c.BcastFloats(0, lam)
+	if err := c.BcastMatrixInto(0, x); err != nil {
+		return nil, nil, err
+	}
+	if lam, err = c.BcastFloatsInto(0, lam); err != nil {
+		return nil, nil, err
+	}
 
 	// Step 7: local slice of each global mode, Ũʲᵢ = (1/Λ_j)·A_i·X_j,
 	// formed mode-major as Ũᵀ = diag(1/Λ)·X_kᵀ·A_iᵀ.
@@ -165,7 +182,7 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *m
 		dst.ViewRows(0, k, rows)
 	}
 	modeRows(rows, a, x.SliceCols(0, k), inv)
-	return rows, lam[:k]
+	return rows, lam[:k], nil
 }
 
 // modePanel is the row-panel height of step 7's product: a panel of

@@ -1,8 +1,11 @@
 package apmos
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -39,7 +42,10 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 	var sOut []float64
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		m, sv := Decompose(c, blocks[c.Rank()], opts, nil)
+		m, sv, err := Decompose(c, blocks[c.Rank()], opts, nil)
+		if err != nil {
+			panic(err)
+		}
 		mu.Lock()
 		modeBlocks[c.Rank()] = m
 		if c.Rank() == 0 {
@@ -250,7 +256,10 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 		var s []float64
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
-			_, sv := Decompose(c, blocks[c.Rank()], Options{K: k, R1: n, R2: k}, nil)
+			_, sv, err := Decompose(c, blocks[c.Rank()], Options{K: k, R1: n, R2: k}, nil)
+			if err != nil {
+				panic(err)
+			}
 			if c.Rank() == 0 {
 				mu.Lock()
 				s = sv
@@ -277,10 +286,16 @@ func TestDecomposeIntoDestination(t *testing.T) {
 	opts := Options{K: 6, R1: 4, R2: 6}
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		local := blocks[c.Rank()]
-		want, ws := Decompose(c, local, opts, nil)
+		want, ws, err := Decompose(c, local, opts, nil)
+		if err != nil {
+			panic(err)
+		}
 		dst := mat.New(8, local.Rows())
 		dst.Fill(-7)
-		got, gs := Decompose(c, local, opts, dst)
+		got, gs, err := Decompose(c, local, opts, dst)
+		if err != nil {
+			panic(err)
+		}
 		if &got.RawData()[0] != &dst.RawData()[0] || got.Rows() != len(gs) || got.Cols() != local.Rows() {
 			t.Errorf("rank %d: modes are not the first rows of the destination", c.Rank())
 		}
@@ -293,4 +308,26 @@ func TestDecomposeIntoDestination(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDecomposeRefusesMismatchedBlocks: a peer whose block holds another
+// number of snapshots sent bytes rank 0 cannot stack, so rank 0 returns an
+// error naming it, and the peer waiting for the broadcast gets ErrAborted
+// once the failing rank aborts the world.
+func TestDecomposeRefusesMismatchedBlocks(t *testing.T) {
+	rng := testutil.NewRand(43)
+	blocks := []*mat.Dense{testutil.RandomDense(20, 5, rng), testutil.RandomDense(20, 6, rng)}
+	_, err := mpi.Run(2, func(c *mpi.Comm) {
+		_, _, err := Decompose(c, blocks[c.Rank()], Options{K: 2}, nil)
+		if c.Rank() == 0 {
+			panic(err) // the harness aborts the world, as an engine's caller does
+		}
+		if !errors.Is(err, mpi.ErrAborted) {
+			t.Errorf("rank 1: %v, want ErrAborted", err)
+		}
+	})
+	var re *mpi.RankError
+	if !errors.As(err, &re) || re.Rank != 0 || !strings.Contains(fmt.Sprint(re.Value), "apmos: rank 1 sent a 6x6 block, want 5 rows") {
+		t.Fatalf("err = %v, want rank 0's block error", err)
+	}
 }

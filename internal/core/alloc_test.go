@@ -35,10 +35,10 @@ func TestParallelIncorporateSteadyAllocs(t *testing.T) {
 		go func() {
 			_, err := mpi.RunRank(tr, r, func(c *mpi.Comm) {
 				eng := NewParallel(c, Options{K: k, ForgetFactor: 1})
-				eng.Initialize(batches[0][r])
+				must(eng.Initialize(batches[0][r]))
 				done <- nil
 				for i := range cmds[r] {
-					eng.IncorporateData(batches[i%len(batches)][r])
+					must(eng.IncorporateData(batches[i%len(batches)][r]))
 					done <- nil
 				}
 			})

@@ -42,8 +42,8 @@ func TestSerialCheckpointRoundTrip(t *testing.T) {
 	a, _ := testutil.RandomLowRank(50, 20, 4, 1e-7, rng)
 	opts := Options{K: 4, ForgetFactor: 0.95}
 	eng := NewSerial(opts)
-	eng.Initialize(a.SliceCols(0, 10))
-	eng.IncorporateData(a.SliceCols(10, 15))
+	must(eng.Initialize(a.SliceCols(0, 10)))
+	must(eng.IncorporateData(a.SliceCols(10, 15)))
 
 	var buf bytes.Buffer
 	if err := save(&buf, opts, eng); err != nil {
@@ -65,8 +65,8 @@ func TestSerialCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// The restored engine must continue the stream identically.
-	eng.IncorporateData(a.SliceCols(15, 20))
-	restored.IncorporateData(a.SliceCols(15, 20))
+	must(eng.IncorporateData(a.SliceCols(15, 20)))
+	must(restored.IncorporateData(a.SliceCols(15, 20)))
 	if !mat.EqualApprox(eng.Modes(), restored.Modes(), 1e-13) {
 		t.Fatal("continuation diverged after restore")
 	}
@@ -76,7 +76,7 @@ func TestSerialCheckpointPreservesOptions(t *testing.T) {
 	rng := testutil.NewRand(32)
 	opts := Options{K: 3, ForgetFactor: 0.9, LowRank: true}
 	eng := NewSerial(opts)
-	eng.Initialize(testutil.RandomDense(20, 6, rng))
+	must(eng.Initialize(testutil.RandomDense(20, 6, rng)))
 	var buf bytes.Buffer
 	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestLoadSerialRejectsTruncation(t *testing.T) {
 	rng := testutil.NewRand(34)
 	opts := Options{K: 2, ForgetFactor: 1}
 	eng := NewSerial(opts)
-	eng.Initialize(testutil.RandomDense(10, 4, rng))
+	must(eng.Initialize(testutil.RandomDense(10, 4, rng)))
 	var buf bytes.Buffer
 	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestLoadSerialRejectsBadVersion(t *testing.T) {
 	rng := testutil.NewRand(35)
 	opts := Options{K: 2, ForgetFactor: 1}
 	eng := NewSerial(opts)
-	eng.Initialize(testutil.RandomDense(10, 4, rng))
+	must(eng.Initialize(testutil.RandomDense(10, 4, rng)))
 	var buf bytes.Buffer
 	if err := save(&buf, opts, eng); err != nil {
 		t.Fatal(err)
@@ -153,9 +153,9 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 	for _, ff := range []float64{1, 0.95} {
 		opts := Options{K: 6, ForgetFactor: ff}
 		eng := NewSerial(opts)
-		eng.Initialize(testutil.RandomDense(70, 4, rng))
+		must(eng.Initialize(testutil.RandomDense(70, 4, rng)))
 		for _, b := range []int{4, 9, 3} {
-			eng.IncorporateData(testutil.RandomDense(70, b, rng))
+			must(eng.IncorporateData(testutil.RandomDense(70, b, rng)))
 		}
 		var buf bytes.Buffer
 		if err := save(&buf, opts, eng); err != nil {
@@ -180,8 +180,8 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 		}
 		for i, b := range []int{5, 5, 12, 2, 7} {
 			a := testutil.RandomDense(70, b, rng)
-			eng.IncorporateData(a)
-			restored.IncorporateData(a)
+			must(eng.IncorporateData(a))
+			must(restored.IncorporateData(a))
 			if !mat.EqualApprox(eng.ModeRows(), restored.ModeRows(), 0) ||
 				!testutil.CloseSlices(eng.SingularValues(), restored.SingularValues(), 0) {
 				t.Fatalf("ff = %g, update %d after the load: stream diverged", ff, i+1)

@@ -152,8 +152,9 @@ func (p *Parallel) FirstBatch(m, b int) *mat.Dense {
 // The modes are written into the top rows of the (K+B)×M_i buffer the
 // engine keeps, so the first B-wide update stacks its batch under them
 // without regrowing it. a is read, never adopted, unless it is the
-// FirstBatch view into that buffer.
-func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
+// FirstBatch view into that buffer. Calling it twice panics; an error
+// (a failed collective, a peer's bad block) leaves the engine dead.
+func (p *Parallel) Initialize(a *mat.Dense) error {
 	if p.SVD != nil {
 		panic("core: Initialize called twice")
 	}
@@ -165,21 +166,24 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 	p.seed = nil
 	var top mat.Dense
 	buf.ViewRows(0, p.opts.K, &top)
-	_, s := apmos.Decompose(p.comm, a, apmos.Options{
+	_, s, err := apmos.Decompose(p.comm, a, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	}, &top)
+	if err != nil {
+		return err
+	}
 	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), buf, s, 0, b)
 	if err != nil {
 		// APMOS returns at most K modes of the batch's rows, one per
 		// singular value, so a rejection is a broken internal invariant.
-		panic(fmt.Sprintf("core: seeding the streaming engine: %v", err))
+		return fmt.Errorf("core: seeding the streaming engine: %w", err)
 	}
 	p.SVD = svd
-	return p
+	return nil
 }
 
 // GatherModeRows assembles the full mode matrix at rank 0 (the paper's
@@ -192,12 +196,11 @@ func (p *Parallel) Initialize(a *mat.Dense) *Parallel {
 // them. They are valid until ReleaseModeRows or the next gather, which
 // hand the payloads back to the fabric for later messages — so a steady
 // sequence of gathers allocates nothing — and rank 0's own block only
-// until the next update.
-func (p *Parallel) GatherModeRows() []*mat.Dense {
+// until the next update. A failed gather leaves the engine dead.
+func (p *Parallel) GatherModeRows() ([]*mat.Dense, error) {
 	rows := p.ModeRows()
 	if p.comm.Rank() != 0 {
-		p.comm.GatherMatrixViews(0, rows, nil)
-		return nil
+		return nil, p.comm.GatherMatrixViews(0, rows, nil)
 	}
 	if p.gathered == nil {
 		p.gathered = make([]*mat.Dense, p.comm.Size())
@@ -207,8 +210,10 @@ func (p *Parallel) GatherModeRows() []*mat.Dense {
 	}
 	p.ReleaseModeRows()
 	p.gathered[0] = rows
-	p.comm.GatherMatrixViews(0, rows, p.gathered)
-	return p.gathered
+	if err := p.comm.GatherMatrixViews(0, rows, p.gathered); err != nil {
+		return nil, err
+	}
+	return p.gathered, nil
 }
 
 // ReleaseModeRows hands the payloads the last GatherModeRows returned back

@@ -32,6 +32,21 @@ func splitRows(a *mat.Dense, p int) []*mat.Dense {
 	return blocks
 }
 
+// must panics with a failed call's error, which mpi.Run reports as the
+// calling rank's failure.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// gatherModes is GatherModeRows for tests; it panics on an error.
+func gatherModes(p *Parallel) []*mat.Dense {
+	rows, err := p.GatherModeRows()
+	must(err)
+	return rows
+}
+
 // runParallelStream streams the columns of a through Parallel engines on p
 // ranks in batches of the given size and returns the gathered modes and
 // singular values.
@@ -45,15 +60,15 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 	mpi.MustRun(p, func(c *mpi.Comm) {
 		eng := NewParallel(c, opts)
 		local := blocks[c.Rank()]
-		eng.Initialize(local.SliceCols(0, batch))
+		must(eng.Initialize(local.SliceCols(0, batch)))
 		for off := batch; off < n; off += batch {
 			end := off + batch
 			if end > n {
 				end = n
 			}
-			eng.IncorporateData(local.SliceCols(off, end))
+			must(eng.IncorporateData(local.SliceCols(off, end)))
 		}
-		gathered := eng.GatherModeRows()
+		gathered := gatherModes(eng)
 		if c.Rank() == 0 {
 			mu.Lock()
 			modes = ModeMatrix(gathered...)
@@ -68,13 +83,13 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 func runSerialStream(a *mat.Dense, batch int, opts Options) *stream.SVD {
 	eng := NewSerial(opts)
 	n := a.Cols()
-	eng.Initialize(a.SliceCols(0, batch))
+	must(eng.Initialize(a.SliceCols(0, batch)))
 	for off := batch; off < n; off += batch {
 		end := off + batch
 		if end > n {
 			end = n
 		}
-		eng.IncorporateData(a.SliceCols(off, end))
+		must(eng.IncorporateData(a.SliceCols(off, end)))
 	}
 	return eng
 }
@@ -156,8 +171,8 @@ func TestParallelSingularValuesIdenticalAcrossRanks(t *testing.T) {
 	all := make([][]float64, 4)
 	mpi.MustRun(4, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
-		eng.Initialize(blocks[c.Rank()].SliceCols(0, 6))
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12))
+		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 6)))
+		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12)))
 		mu.Lock()
 		all[c.Rank()] = append([]float64(nil), eng.SingularValues()...)
 		mu.Unlock()
@@ -194,8 +209,8 @@ func TestUsageErrorsParallel(t *testing.T) {
 	}
 	if _, err := mpi.Run(2, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 2, ForgetFactor: 1})
-		eng.Initialize(mat.Eye(4))
-		eng.Initialize(mat.Eye(4))
+		must(eng.Initialize(mat.Eye(4)))
+		must(eng.Initialize(mat.Eye(4)))
 	}); err == nil {
 		t.Fatal("double Initialize must fail")
 	}
@@ -213,9 +228,9 @@ func TestParallelCounters(t *testing.T) {
 	blocks := splitRows(a, 2)
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 2, ForgetFactor: 1, R1: 9})
-		eng.Initialize(blocks[c.Rank()].SliceCols(0, 3))
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(3, 6))
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 9))
+		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 3)))
+		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(3, 6)))
+		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 9)))
 		if eng.Iterations() != 2 || eng.SnapshotsSeen() != 9 {
 			t.Errorf("rank %d: iters=%d snaps=%d", c.Rank(), eng.Iterations(), eng.SnapshotsSeen())
 		}
@@ -242,9 +257,9 @@ func TestPropertySerialParallelAgreement(t *testing.T) {
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
 			eng := NewParallel(c, opts)
-			eng.Initialize(blocks[c.Rank()].SliceCols(0, batch))
+			must(eng.Initialize(blocks[c.Rank()].SliceCols(0, batch)))
 			for off := batch; off < n; off += batch {
-				eng.IncorporateData(blocks[c.Rank()].SliceCols(off, off+batch))
+				must(eng.IncorporateData(blocks[c.Rank()].SliceCols(off, off+batch)))
 			}
 			if c.Rank() == 0 {
 				mu.Lock()
@@ -269,15 +284,15 @@ func TestGatherModesAfterStreaming(t *testing.T) {
 	var first, second *mat.Dense
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
-		eng.Initialize(blocks[c.Rank()].SliceCols(0, 6))
+		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 6)))
 		// The gather reuses its storage, so the first is copied out
 		// before the second.
 		var g1 *mat.Dense
-		if g := eng.GatherModeRows(); g != nil {
+		if g := gatherModes(eng); g != nil {
 			g1 = ModeMatrix(g...)
 		}
-		eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12))
-		g2 := eng.GatherModeRows()
+		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12)))
+		g2 := gatherModes(eng)
 		if c.Rank() == 0 {
 			mu.Lock()
 			first, second = g1, ModeMatrix(g2...)
@@ -318,10 +333,10 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 		rng := testutil.NewRand(5)
 		lo, hi := c.Rank()*m/2, (c.Rank()+1)*m/2
 		eng := NewParallel(c, Options{K: k, ForgetFactor: 0.95})
-		eng.Initialize(testutil.RandomDense(m, b, rng).SliceRows(lo, hi))
+		must(eng.Initialize(testutil.RandomDense(m, b, rng).SliceRows(lo, hi)))
 		for i := 0; i < updates; i++ {
-			eng.IncorporateData(testutil.HostileBatch(m, b, i, rng).SliceRows(lo, hi))
-			u := eng.GatherModeRows() // nil off rank 0
+			must(eng.IncorporateData(testutil.HostileBatch(m, b, i, rng).SliceRows(lo, hi)))
+			u := gatherModes(eng) // nil off rank 0
 			if u == nil || badAt >= 0 {
 				continue
 			}
@@ -350,18 +365,19 @@ func TestFirstBatchSeedsInPlace(t *testing.T) {
 	mpi.MustRun(2, func(c *mpi.Comm) {
 		local := blocks[c.Rank()]
 		m := local.Rows()
-		ref := NewParallel(c, opts).Initialize(local.SliceCols(0, b))
+		ref := NewParallel(c, opts)
+		must(ref.Initialize(local.SliceCols(0, b)))
 
 		eng := NewParallel(c, opts)
 		first := eng.FirstBatch(m, b)
 		first.CopyFrom(local.SliceCols(0, b))
-		eng.Initialize(first)
+		must(eng.Initialize(first))
 		buf := &eng.ModeRows().RawData()[0]
 		for off := 0; off < 3*b; off += b {
 			if off > 0 {
-				ref.IncorporateData(local.SliceCols(off, off+b))
+				must(ref.IncorporateData(local.SliceCols(off, off+b)))
 				local.SliceCols(off, off+b).TInto(eng.BatchRows(b))
-				eng.IncorporateFilled(b)
+				must(eng.IncorporateFilled(b))
 			}
 			if !testutil.CloseSlices(eng.SingularValues(), ref.SingularValues(), 0) ||
 				!bitsEqual(eng.ModeRows().RawData(), ref.ModeRows().RawData()) {
@@ -372,7 +388,7 @@ func TestFirstBatchSeedsInPlace(t *testing.T) {
 			}
 		}
 
-		blocks := eng.GatherModeRows()
+		blocks := gatherModes(eng)
 		if c.Rank() == 0 {
 			if blocks[1].Cols() != splitRows(a, 2)[1].Rows() || blocks[1].Rows() != k {
 				t.Errorf("gathered rank 1 block is %dx%d", blocks[1].Rows(), blocks[1].Cols())

@@ -26,8 +26,12 @@ func rankOneBatch(m, b int, scale float64) *mat.Dense {
 // with the first batch, stream the rest, read off the spectrum.
 func ExampleNewSerial() {
 	svd := core.NewSerial(core.Options{K: 2, ForgetFactor: 1.0})
-	svd.Initialize(rankOneBatch(100, 4, 1.0))
-	svd.IncorporateData(rankOneBatch(100, 4, 1.0))
+	if err := svd.Initialize(rankOneBatch(100, 4, 1.0)); err != nil {
+		panic(err)
+	}
+	if err := svd.IncorporateData(rankOneBatch(100, 4, 1.0)); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("snapshots seen: %d\n", svd.SnapshotsSeen())
 	fmt.Printf("rank of data:   %d significant value(s)\n", countSignificant(svd.SingularValues()))
@@ -46,8 +50,13 @@ func ExampleParallel() {
 	mpi.MustRun(ranks, func(c *mpi.Comm) {
 		pr := parts[c.Rank()]
 		eng := core.NewParallel(c, core.Options{K: 2, ForgetFactor: 1.0, R1: 6})
-		eng.Initialize(full.SliceRows(pr.Start, pr.End))
-		blocks := eng.GatherModeRows() // K×M, mode-major, one block per rank
+		if err := eng.Initialize(full.SliceRows(pr.Start, pr.End)); err != nil {
+			panic(err) // mpi.MustRun aborts the world and re-panics
+		}
+		blocks, err := eng.GatherModeRows() // K×M, mode-major, one block per rank
+		if err != nil {
+			panic(err)
+		}
 		if c.Rank() == 0 {
 			r, k := core.ModeMatrix(blocks...).Dims()
 			fmt.Printf("gathered modes: %dx%d\n", r, k)

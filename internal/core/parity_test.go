@@ -29,15 +29,15 @@ type refParallel struct {
 }
 
 func (p *refParallel) initialize(a *mat.Dense) {
-	var rows *mat.Dense
-	rows, p.singular = apmos.Decompose(p.comm, a, apmos.Options{
+	rows, s, err := apmos.Decompose(p.comm, a, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
 	}, nil)
-	p.ulocal = rows.T()
+	must(err)
+	p.ulocal, p.singular = rows.T(), s
 }
 
 func (p *refParallel) incorporate(a *mat.Dense) {
@@ -49,8 +49,9 @@ func (p *refParallel) incorporate(a *mat.Dense) {
 	bot := p.ws.ViewRows(at, k0, at.Rows())
 	a.TInto(bot)
 	p.ws.PutView(bot)
-	f, qc, r := tsqr.GatherQRFactor(&p.ws, p.comm, at)
-	var u *mat.Dense
+	f, qc, r, err := tsqr.GatherQRFactor(&p.ws, p.comm, at)
+	must(err)
+	u := new(mat.Dense)
 	var s []float64
 	if p.comm.Rank() == 0 {
 		if p.opts.LowRank {
@@ -63,8 +64,9 @@ func (p *refParallel) incorporate(a *mat.Dense) {
 			u, s = linalg.SVDLeftWith(&p.ws, r)
 		}
 	}
-	u = p.comm.BcastMatrix(0, u)
-	s = p.comm.BcastFloats(0, s)
+	must(p.comm.BcastMatrixInto(0, u))
+	s, err = p.comm.BcastFloatsInto(0, s)
+	must(err)
 	k := min(p.opts.K, len(s))
 	x := mat.Mul(qc, u.SliceCols(0, k))
 	next := mat.New(a.Rows(), k)
@@ -130,16 +132,26 @@ func checkParallelMatchesReference(t *testing.T, m, p, k, b0, b int, opts Option
 		eng := NewParallel(c, opts)
 		ref := &refParallel{opts: opts.validated(), comm: c}
 		first := batch(b0)
-		eng.Initialize(first)
+		must(eng.Initialize(first))
 		ref.initialize(first)
 		for i := 0; i <= updates; i++ {
 			if i > 0 {
 				a := batch(b)
-				eng.IncorporateData(a)
+				must(eng.IncorporateData(a))
 				ref.incorporate(a)
 			}
-			blocks := eng.GatherModeRows()
-			want := mat.VStack(c.GatherMatrix(0, ref.ulocal)...)
+			blocks := gatherModes(eng)
+			var want *mat.Dense
+			if c.Rank() == 0 {
+				views := []*mat.Dense{ref.ulocal}
+				for len(views) < c.Size() {
+					views = append(views, new(mat.Dense))
+				}
+				must(c.GatherMatrixViews(0, ref.ulocal, views))
+				want = mat.VStack(views...)
+			} else {
+				must(c.GatherMatrixViews(0, ref.ulocal, nil))
+			}
 			if c.Rank() != 0 {
 				continue
 			}

@@ -15,8 +15,8 @@ func TestSerialCoefficientsRoundTrip(t *testing.T) {
 	rng := testutil.NewRand(21)
 	a, _ := testutil.RandomLowRank(60, 20, 4, 0, rng)
 	eng := NewSerial(Options{K: 5, ForgetFactor: 1})
-	eng.Initialize(a.SliceCols(0, 10))
-	eng.IncorporateData(a.SliceCols(10, 20))
+	must(eng.Initialize(a.SliceCols(0, 10)))
+	must(eng.IncorporateData(a.SliceCols(10, 20)))
 
 	coeffs := Coefficients(eng, a)
 	if coeffs.Rows() != 5 || coeffs.Cols() != 20 {
@@ -35,7 +35,7 @@ func TestSerialReconstructionErrorMatchesEckartYoung(t *testing.T) {
 	a := testutil.RandomDense(80, 24, rng)
 	k := 6
 	eng := NewSerial(Options{K: k, ForgetFactor: 1})
-	eng.Initialize(a)
+	must(eng.Initialize(a))
 
 	recon := Reconstruct(eng, Coefficients(eng, a))
 	got := mat.Sub(a, recon).FroNorm()
@@ -56,7 +56,7 @@ func TestSerialReconstructionErrorMatchesEckartYoung(t *testing.T) {
 func TestCoefficientsShapeErrors(t *testing.T) {
 	rng := testutil.NewRand(24)
 	eng := NewSerial(Options{K: 2, ForgetFactor: 1})
-	eng.Initialize(testutil.RandomDense(10, 4, rng))
+	must(eng.Initialize(testutil.RandomDense(10, 4, rng)))
 	for name, fn := range map[string]func(){
 		"coeff rows":  func() { Coefficients(eng, mat.New(9, 4)) },
 		"recon shape": func() { Reconstruct(eng, mat.New(3, 4)) },

@@ -59,7 +59,9 @@ package launch
 //	           exits nonzero right after writing it, so an ERR always
 //	           poisons the whole session. A worker that refuses its engine
 //	           spec writes one ERR naming the field and exits before it
-//	           adopts or dials its mesh.
+//	           adopts or dials its mesh. A rank whose collective returned
+//	           because a peer failed writes mpi.ErrAborted's text, which
+//	           the launcher reports only when no rank told it more
 //
 // The exchange is strict lockstep: the launcher writes one command frame
 // to every rank (concurrently — collective commands must reach all ranks

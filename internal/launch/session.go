@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"goparsvd/internal/core"
 	"goparsvd/internal/grid"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
 )
 
@@ -67,7 +69,7 @@ type SessionStats struct {
 //
 // A Session is not safe for concurrent use; callers serialize (the parsvd
 // facade holds its own mutex across every operation). Any failure — a
-// worker death, a protocol violation, an engine panic, an operation
+// worker death, a protocol violation, an engine error, an operation
 // timeout — permanently fails the session: the remaining workers are
 // killed immediately and every later operation reports the original
 // error.
@@ -273,7 +275,8 @@ func (w *sessWorker) kill() {
 // reply is awaited, or the fleet would deadlock inside its collectives),
 // then exactly one reply per rank is collected: OK, or BLOB from rank 0
 // to SAVE. write writes the command frame to one rank; nil writes an empty
-// body. Any failure permanently fails the session and kills the fleet.
+// body. The deadline bounds both the command writes and the replies. Any
+// failure permanently fails the session and kills the fleet.
 func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, error) {
 	if s.failed != nil {
 		return nil, s.failed
@@ -300,6 +303,14 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 		wg.Add(1)
 		go func(r int, w *sessWorker) {
 			defer wg.Done()
+			// The deadline bounds the write too: a rank that stops reading
+			// its stdin would otherwise block a frame larger than its pipe
+			// forever. Where the pipe cannot be polled the write goes
+			// unbounded.
+			if err := w.stdin.SetWriteDeadline(deadline); err != nil && !errors.Is(err, os.ErrNoDeadline) {
+				writeErrs[r] = err
+				return
+			}
 			if write == nil {
 				writeErrs[r] = tcptransport.WriteFrame(w.stdin, verb, nil)
 			} else {
@@ -322,27 +333,35 @@ func (s *Session) op(verb byte, write func(w *sessWorker) error) ([]sessFrame, e
 		return nil, s.fail(err)
 	}
 
+	// The first failure of the most telling kind wins: a rank's own ERR
+	// (kind 3) names the root cause, so it beats the EOFs, timeouts and
+	// stray replies (kind 2) of the peers it took down, and those beat an
+	// ERR that only echoes the abort (kind 1): a SIGKILLed rank says
+	// nothing, and its EOF is the cause.
 	frames := make([]sessFrame, len(s.workers))
 	var firstErr error
+	firstKind := 0
 	for r, w := range s.workers {
 		fr := w.await(deadline)
 		want := SessOK
 		if verb == SessSave && r == 0 {
 			want = SessBlob
 		}
+		var err error
+		var kind int
 		switch {
 		case fr.err != nil:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("launch: rank %d during %s: %w", r, verbName(verb), fr.err)
-			}
+			err, kind = fmt.Errorf("launch: rank %d during %s: %w", r, verbName(verb), fr.err), 2
 		case fr.verb == SessErr:
-			// A worker-reported failure names the root cause (the rank that
-			// panicked) — prefer it over the EOFs of the peers it took down.
-			firstErr = fmt.Errorf("launch: rank %d failed during %s: %s", r, verbName(verb), fr.body)
-		case fr.verb != want:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("launch: rank %d replied %s to %s", r, verbName(fr.verb), verbName(verb))
+			err, kind = fmt.Errorf("launch: rank %d failed during %s: %s", r, verbName(verb), fr.body), 3
+			if abortEcho(fr.body) {
+				kind = 1
 			}
+		case fr.verb != want:
+			err, kind = fmt.Errorf("launch: rank %d replied %s to %s", r, verbName(fr.verb), verbName(verb)), 2
+		}
+		if kind > firstKind {
+			firstErr, firstKind = err, kind
 		}
 		frames[r] = fr
 	}
@@ -391,8 +410,8 @@ func (s *Session) fail(err error) error {
 // reap kills every worker and waits for the processes to be collected,
 // draining any frames still in flight so the reader goroutines can exit.
 // After reap returns, the session holds no processes and no goroutines.
-// It reports the first ERR body among the drained frames and its rank
-// (nil when none).
+// It reports the first ERR body among the drained frames that is not an
+// abort echo, and its rank (nil when none).
 func (s *Session) reap() (rank int, errBody []byte) {
 	for _, w := range s.workers {
 		if w != nil {
@@ -403,12 +422,16 @@ func (s *Session) reap() (rank int, errBody []byte) {
 		if w == nil {
 			continue
 		}
-		if body := w.drain(); body != nil && errBody == nil {
+		if body := w.drain(); body != nil && errBody == nil && !abortEcho(body) {
 			rank, errBody = r, body
 		}
 	}
 	return rank, errBody
 }
+
+// abortEcho reports whether an ERR body only echoes the abort a peer's
+// failure caused, which says less than that failure.
+func abortEcho(body []byte) bool { return string(body) == mpi.ErrAborted.Error() }
 
 // drain consumes frames until the worker's reader goroutine has exited
 // and the process is reaped, then empties the leftovers. It returns the

@@ -69,6 +69,46 @@ func pushWorkload(t *testing.T, s *Session, ranks int, w scaling.StreamWorkload)
 	}
 }
 
+// inProcess is rank 0's view of a workload streamed through core.Parallel
+// on goroutine ranks: the spectrum, the gathered M×K modes and the update
+// count.
+type inProcess struct {
+	Singular   []float64
+	Modes      *mat.Dense
+	Iterations int
+}
+
+// runInProcess streams w as pushWorkload batches it, through core.Parallel
+// on ranks goroutine ranks over the in-process fabric, each rank holding
+// the rows the session scatters to it.
+func runInProcess(t *testing.T, ranks int, w scaling.StreamWorkload) inProcess {
+	t.Helper()
+	bc := w.BurgersConfig(ranks)
+	parts := bc.Partition(ranks)
+	var ref inProcess
+	if _, err := mpi.Run(ranks, func(c *mpi.Comm) {
+		r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
+		eng := core.NewParallel(c, EngineSpec{K: w.K, FF: w.FF, R1: w.R1}.Options())
+		err := eng.Initialize(bc.Block(r0, r1, 0, w.InitBatch))
+		for col := w.InitBatch; col < w.Snapshots && err == nil; col += w.Batch {
+			err = eng.IncorporateData(bc.Block(r0, r1, col, min(col+w.Batch, w.Snapshots)))
+		}
+		var rows []*mat.Dense
+		if err == nil {
+			rows, err = eng.GatherModeRows()
+		}
+		if err != nil {
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			ref = inProcess{eng.SingularValues(), core.ModeMatrix(rows...), eng.Iterations()}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // TestSessionWireFedMatchesInProcess is the session-protocol acceptance
 // test: a persistent 2-rank fleet fed real snapshot blocks over its stdin
 // must reproduce the in-process channel-transport run of the identical
@@ -86,16 +126,7 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 		t.Fatalf("modes sha: %v", err)
 	}
 
-	// In-process reference on the identical workload.
-	var ref scaling.StreamResult
-	if _, err := mpi.Run(ranks, func(c *mpi.Comm) {
-		r := scaling.RunStream(c, w)
-		if c.Rank() == 0 {
-			ref = r
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	ref := runInProcess(t, ranks, w)
 	if len(singular) != len(ref.Singular) {
 		t.Fatalf("spectrum length %d, want %d", len(singular), len(ref.Singular))
 	}
@@ -274,6 +305,10 @@ func TestSessionWorkerDeathFailsFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("push into a dead fleet did not error")
 	}
+	// The cause is rank 1's death, not rank 0's echo of the abort it saw.
+	if !strings.Contains(err.Error(), "rank 1") || strings.Contains(err.Error(), mpi.ErrAborted.Error()) {
+		t.Fatalf("push error %v does not name the killed rank", err)
+	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("failure took %v to surface; want fast detection, not a timeout crawl", elapsed)
 	}
@@ -307,6 +342,54 @@ func TestSessionWorkerDeathFailsFast(t *testing.T) {
 
 	// No goroutines leaked by the session (reader loops, writers).
 	waitForGoroutines(t, before)
+}
+
+// TestSessionCommandWriteDeadline: OpTimeout bounds the command write as
+// well as the reply. A rank that stops reading its stdin (SIGSTOP) while
+// it is sent a PUSH frame larger than its pipe (1.28 MB, over the 1 MiB a
+// pipe grows to) must fail the push within OpTimeout, reap the fleet and
+// leave no child process.
+func TestSessionCommandWriteDeadline(t *testing.T) {
+	const opTimeout = 2 * time.Second
+	s, err := StartSession(SessionConfig{
+		Ranks:     2,
+		WorkerBin: testWorker(t),
+		Spec:      EngineSpec{K: 4, FF: 1},
+		OpTimeout: opTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pids := s.WorkerPIDs()
+	if err := syscall.Kill(pids[1], syscall.SIGSTOP); err != nil {
+		t.Fatalf("stopping rank 1: %v", err)
+	}
+	batch := testutil.RandomDense(40000, 8, testutil.NewRand(9))
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- s.Push(batch) }()
+	select {
+	case err = <-done:
+	case <-time.After(opTimeout + 10*time.Second):
+		for _, pid := range pids {
+			syscall.Kill(pid, syscall.SIGKILL) // unblock the stuck write
+		}
+		<-done
+		t.Fatal("Push to a rank that stopped reading its stdin blocked past the operation timeout")
+	}
+	if elapsed := time.Since(start); err == nil || elapsed > opTimeout+2*time.Second {
+		t.Fatalf("Push returned %v after %v, want an error within %v", err, elapsed, opTimeout+2*time.Second)
+	}
+	if s.Failed() == nil {
+		t.Fatal("a timed-out command write did not fail the session")
+	}
+	for _, pid := range pids {
+		if syscall.Kill(pid, 0) == nil {
+			t.Errorf("worker pid %d still alive after the session failed", pid)
+		}
+	}
 }
 
 // TestSessionCloseLeavesNoGoroutines: a clean start→push→close cycle

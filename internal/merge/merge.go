@@ -121,7 +121,11 @@ func (m *Merger) Pair(dst, a, b *Partial, k int) error {
 	}
 	// The discarded tail accumulates additively with the operands' own
 	// bounds (Iwen–Ong).
-	tail := m.eng.Absorb(b.U, b.S)
+	tail, err := m.eng.Absorb(b.U, b.S)
+	if err != nil {
+		m.eng = nil // an engine that failed is not reused
+		return fmt.Errorf("merge: %w", err)
+	}
 	s := m.eng.SingularValues()
 	if dst.U != nil {
 		m.ws.Put(dst.U)

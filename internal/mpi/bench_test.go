@@ -7,16 +7,17 @@ import (
 )
 
 func BenchmarkPingPong(b *testing.B) {
-	payload := make([]float64, 1024)
+	payload := mat.New(32, 32)
 	b.ResetTimer()
 	MustRun(2, func(c *Comm) {
+		var got mat.Dense
 		for i := 0; i < b.N; i++ {
 			if c.Rank() == 0 {
-				c.Send(1, 0, payload)
-				c.Recv(1, 1)
+				must(c.SendMatrix(1, 0, payload))
+				must(c.RecvMatrixInto(1, 1, &got))
 			} else {
-				got := c.Recv(0, 0)
-				c.Send(0, 1, got)
+				must(c.RecvMatrixInto(0, 0, &got))
+				must(c.SendMatrix(0, 1, &got))
 			}
 		}
 	})
@@ -31,7 +32,7 @@ func BenchmarkBcast8Ranks(b *testing.B) {
 			if c.Rank() == 0 {
 				in = payload
 			}
-			c.BcastFloats(0, in)
+			bcast(c, 0, in)
 		}
 	})
 }
@@ -41,7 +42,7 @@ func BenchmarkGather8Ranks(b *testing.B) {
 	b.ResetTimer()
 	MustRun(8, func(c *Comm) {
 		for i := 0; i < b.N; i++ {
-			c.GatherMatrix(0, payload)
+			c.ReleaseViews(0, gather(c, 0, payload))
 		}
 	})
 }
@@ -49,7 +50,7 @@ func BenchmarkGather8Ranks(b *testing.B) {
 func BenchmarkBarrier8Ranks(b *testing.B) {
 	MustRun(8, func(c *Comm) {
 		for i := 0; i < b.N; i++ {
-			c.Barrier()
+			must(c.Barrier())
 		}
 	})
 }

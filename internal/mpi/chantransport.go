@@ -63,8 +63,11 @@ func (t *ChanTransport) Size() int { return t.size }
 // buffer (and any downstream receiver's view) can never alias in-flight or
 // delivered data. Copy-on-send is centralized here so relayed collective
 // hops (broadcast trees) are safe too. The copy goes into storage the
-// receiver recycled, when it did.
+// receiver recycled, when it did. After Abort it fails without a copy.
 func (t *ChanTransport) Send(src, dst int, m Message) error {
+	if t.aborted.Load() {
+		return ErrAborted
+	}
 	m.Data = append(t.pools[dst][src].Get(len(m.Data)), m.Data...)
 	t.msgsSent.Add(1)
 	t.bytesSent.Add(int64(8 * len(m.Data)))
@@ -76,8 +79,12 @@ func (t *ChanTransport) Send(src, dst int, m Message) error {
 	}
 }
 
-// Recv dequeues the next message from src addressed to dst.
+// Recv dequeues the next message from src addressed to dst. After Abort
+// it fails even when a message is still buffered.
 func (t *ChanTransport) Recv(dst, src int) (Message, error) {
+	if t.aborted.Load() {
+		return Message{}, ErrAborted
+	}
 	select {
 	case m := <-t.mail[dst][src]:
 		t.recvBytes[dst].Add(int64(8 * len(m.Data)))

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,8 +12,8 @@ import (
 
 // These tests inject failures into ranks mid-collective and assert the
 // world tears down cleanly: no deadlocks, the originating rank's panic is
-// reported, and peers blocked in communication unwind as aborts rather
-// than being misattributed.
+// reported, and peers blocked in communication get ErrAborted rather than
+// being misattributed.
 
 func TestPanicDuringGatherAborts(t *testing.T) {
 	done := make(chan struct{})
@@ -22,7 +23,7 @@ func TestPanicDuringGatherAborts(t *testing.T) {
 			if c.Rank() == 2 {
 				panic("rank 2 failed before contributing")
 			}
-			c.GatherMatrix(0, mat.Eye(1)) // root blocks on rank 2 forever
+			gather(c, 0, mat.Eye(1)) // root blocks on rank 2 until the abort
 		})
 		re, ok := err.(*RankError)
 		if !ok || re.Rank != 2 {
@@ -48,7 +49,7 @@ func TestPanicDuringBcastAborts(t *testing.T) {
 			if c.Rank() == 0 {
 				payload = make([]float64, 100)
 			}
-			c.BcastFloats(0, payload)
+			bcast(c, 0, payload)
 		})
 		if err == nil {
 			t.Error("expected an error from the failing rank")
@@ -69,7 +70,9 @@ func TestPanicDuringBarrierAborts(t *testing.T) {
 			if c.Rank() == 1 {
 				panic("rank 1 failed before the barrier")
 			}
-			c.Barrier()
+			if err := c.Barrier(); !errors.Is(err, ErrAborted) {
+				t.Errorf("rank %d: barrier returned %v, want ErrAborted", c.Rank(), err)
+			}
 		})
 		re, ok := err.(*RankError)
 		if !ok || re.Rank != 1 {
@@ -85,12 +88,13 @@ func TestPanicDuringBarrierAborts(t *testing.T) {
 
 func TestFirstPanicWins(t *testing.T) {
 	// Multiple ranks fail; exactly one RankError is reported and it names
-	// a rank that actually panicked on its own (not an abort casualty).
+	// a rank that actually panicked on its own, not one that passed an
+	// abort echo on.
 	_, err := Run(4, func(c *Comm) {
 		if c.Rank() == 1 || c.Rank() == 3 {
 			panic("deliberate")
 		}
-		c.Barrier()
+		must(c.Barrier())
 	})
 	re, ok := err.(*RankError)
 	if !ok {
@@ -107,7 +111,7 @@ func TestFirstPanicWins(t *testing.T) {
 func TestSendToInvalidRankFails(t *testing.T) {
 	_, err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(7, 0, []float64{1})
+			c.SendMatrix(7, 0, mat.Eye(1))
 		}
 	})
 	if err == nil {
@@ -118,7 +122,7 @@ func TestSendToInvalidRankFails(t *testing.T) {
 func TestRecvFromInvalidRankFails(t *testing.T) {
 	_, err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Recv(-1, 0)
+			c.RecvMatrixInto(-1, 0, new(mat.Dense))
 		}
 	})
 	if err == nil {
@@ -128,26 +132,28 @@ func TestRecvFromInvalidRankFails(t *testing.T) {
 
 func TestBcastInvalidRootFails(t *testing.T) {
 	_, err := Run(2, func(c *Comm) {
-		c.BcastFloats(5, []float64{1})
+		c.BcastFloatsInto(5, []float64{1})
 	})
 	if err == nil {
 		t.Fatal("broadcast from out-of-range root accepted")
 	}
 }
 
+// TestVectorMatrixTypeConfusionFails: a vector arriving where a matrix is
+// expected is bytes from a peer running another protocol, so the receive
+// returns an error naming it, without a panic.
 func TestVectorMatrixTypeConfusionFails(t *testing.T) {
-	// Sending a matrix and receiving it as a vector is a protocol bug the
-	// runtime must catch loudly.
-	_, err := Run(2, func(c *Comm) {
+	MustRun(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.SendMatrix(1, 0, mat.Eye(2))
-		} else {
-			c.Recv(0, 0)
+			must(c.t.Send(0, 1, Message{Tag: 0, Data: []float64{1}, Rows: vectorRows}))
+			return
+		}
+		var m mat.Dense
+		err := c.RecvMatrixInto(0, 0, &m)
+		if err == nil || !strings.Contains(err.Error(), "rank 1 expected a matrix from rank 0 tag 0") {
+			t.Errorf("vector received as a matrix returned %v", err)
 		}
 	})
-	if err == nil {
-		t.Fatal("matrix received as vector accepted")
-	}
 }
 
 func TestConcurrentWorldsAreIsolated(t *testing.T) {
@@ -178,13 +184,15 @@ func TestConcurrentWorldsAreIsolated(t *testing.T) {
 
 func TestAbortedWorldStaysAborted(t *testing.T) {
 	// After an abort, further communication attempts in surviving code
-	// paths must not hang; they panic with the abort marker.
+	// paths must not hang; each returns ErrAborted.
 	_, err := Run(3, func(c *Comm) {
 		if c.Rank() == 0 {
 			panic("die")
 		}
 		for i := 0; i < 10; i++ {
-			c.Barrier() // must unwind on the first attempt post-abort
+			if err := c.Barrier(); !errors.Is(err, ErrAborted) {
+				t.Errorf("rank %d barrier %d: %v, want ErrAborted", c.Rank(), i, err)
+			}
 		}
 	})
 	if err == nil {

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"goparsvd/internal/mat"
 )
 
 // TestAbortLeaksNoGoroutines floods a rank that panics before receiving:
@@ -21,7 +23,9 @@ func TestAbortLeaksNoGoroutines(t *testing.T) {
 			// Well past mailboxCap: these sends must block, then unwind
 			// via the abort instead of leaking.
 			for j := 0; j < 4*mailboxCap; j++ {
-				c.Send(3, 0, make([]float64, 64))
+				if c.SendMatrix(3, 0, mat.New(8, 8)) != nil {
+					return
+				}
 			}
 		})
 		if err == nil {

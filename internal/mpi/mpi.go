@@ -2,8 +2,17 @@
 // transports.
 //
 // It is the substitution for mpi4py in this reproduction of PyParSVD. The
-// algorithm-facing surface is *Comm: point-to-point Send/Recv, the two
-// collectives the paper's listings use (Gather and Bcast) and a Barrier.
+// algorithm-facing surface is *Comm: point-to-point SendMatrix and
+// RecvMatrixInto, the two collectives the paper's listings use (Gather and
+// Bcast, here GatherMatrixViews, BcastMatrixInto and BcastFloatsInto) and a
+// Barrier. Every one of them returns an error, as a failed comm.gather or
+// comm.bcast raises on that call in mpi4py: ErrAborted itself once the
+// fabric is torn down (a peer failed, a link broke, or Abort was called),
+// any other transport error as the transport reported it, and an error
+// naming both ranks and the tag when a peer sends a message of another tag
+// or kind. Only a caller's own mistake panics: a rank out of range, a send
+// to self, a bad root or a wrong output length.
+//
 // Beneath *Comm sits the Transport interface, with two implementations:
 //
 //   - ChanTransport (the default behind NewWorld/Run): ranks are goroutines
@@ -25,6 +34,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -75,8 +85,8 @@ func (w *World) Comm(rank int) *Comm {
 // Stats returns the aggregate traffic counters.
 func (w *World) Stats() Stats { return w.t.Stats() }
 
-// Abort tears down the world so that peers blocked in Send/Recv/Barrier
-// unblock (and themselves panic with the abort marker).
+// Abort tears down the world: peers blocked in a Comm call, and every
+// later call, return ErrAborted.
 func (w *World) Abort() { w.t.Abort() }
 
 // NewComm binds a communicator handle for rank to a transport. Single-rank
@@ -88,16 +98,6 @@ func NewComm(t Transport, rank int) *Comm {
 	}
 	return &Comm{t: t, rank: rank}
 }
-
-// abortError is the panic value raised in ranks that were blocked on
-// communication when another rank failed.
-type abortError struct{}
-
-func (abortError) Error() string { return "mpi: aborted because a peer rank panicked" }
-
-// Is makes the abort echo match ErrAborted, so a caller that recovers it
-// tells it from a rank's own panic with errors.Is.
-func (abortError) Is(target error) bool { return target == ErrAborted }
 
 // RankError reports a panic that occurred inside a rank function during Run
 // or RunRank.
@@ -112,36 +112,29 @@ func (e *RankError) Error() string {
 }
 
 // Run executes fn concurrently on size ranks over the in-process channel
-// transport and waits for all of them. It returns the traffic statistics of
-// the run. If any rank panics, the world is aborted (unblocking the other
-// ranks) and the first panic is returned as a *RankError.
+// transport and waits for all of them: the harness for tests, benchmarks
+// and the measured scaling sweep; no facade, worker or server path runs
+// through it. It returns the traffic statistics of the run. If any rank panics, the world is aborted (so the other ranks'
+// Comm calls return ErrAborted) and the first panic is returned as a
+// *RankError.
 func Run(size int, fn func(c *Comm)) (Stats, error) {
 	w := NewWorld(size)
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr *RankError
+		once     sync.Once
+		firstErr error
 	)
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if err := runRank(w.t, rank, fn); err != nil {
-				if re, ok := err.(*RankError); ok {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = re
-					}
-					mu.Unlock()
-				}
+			if err := runRank(w.t, rank, fn); errors.As(err, new(*RankError)) {
+				once.Do(func() { firstErr = err })
 			}
 		}(r)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return w.Stats(), firstErr
-	}
-	return w.Stats(), nil
+	return w.Stats(), firstErr
 }
 
 // MustRun is Run for callers that treat a rank panic as fatal (tests,
@@ -154,26 +147,27 @@ func MustRun(size int, fn func(c *Comm)) Stats {
 	return stats
 }
 
-// RunRank executes fn as the given rank of t on the calling goroutine. It
-// is the entry point for one-process-per-rank deployments: a worker process
-// establishes its transport (e.g. tcptransport.New), calls RunRank, and
-// the panic/abort discipline of Run applies across the whole distributed
-// job — if fn panics, the transport is aborted, live peers unwind with
-// ErrAborted, and the panic comes back as a *RankError; if a peer fails
-// first, RunRank returns ErrAborted. The caller owns the transport and
-// should Close it after a successful return.
+// RunRank executes fn as the given rank of t on the calling goroutine, with
+// Run's panic discipline across a one-process-per-rank world: the harness
+// tcptransport.Run puts under each endpoint. If fn panics, the transport
+// is aborted, so live peers' Comm calls return ErrAborted, and the panic
+// comes back as a *RankError; a panic with an error matching ErrAborted
+// (an abort echo fn passed on) comes back as ErrAborted. The caller owns
+// the transport and should Close it after a successful return.
 func RunRank(t Transport, rank int, fn func(c *Comm)) (Stats, error) {
 	err := runRank(t, rank, fn)
 	return t.Stats(), err
 }
 
 // runRank wraps one rank's execution with the recover-and-abort protocol
-// shared by Run and RunRank.
+// shared by the Run and RunRank harnesses. It is the one recover in the
+// module's production code: the engines, the facade and the worker report
+// failures as errors.
 func runRank(t Transport, rank int, fn func(c *Comm)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			t.Abort()
-			if _, isAbort := v.(abortError); isAbort {
+			if e, ok := v.(error); ok && errors.Is(e, ErrAborted) {
 				err = ErrAborted
 			} else {
 				err = &RankError{Rank: rank, Value: v}
@@ -190,74 +184,45 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.t.Size() }
 
-// Send transmits a float64 slice to rank dst with the given tag. The data is
-// copied, so the caller may reuse the slice immediately.
-func (c *Comm) Send(dst, tag int, data []float64) {
-	c.sendMsg(dst, Message{Tag: tag, Data: data, Rows: vectorRows})
-}
-
-// Recv receives a float64 slice from rank src with the given tag. Receiving
-// a message whose tag does not match panics: per-pair delivery is FIFO, so
-// a mismatch is always a protocol bug.
-func (c *Comm) Recv(src, tag int) []float64 {
-	m := c.recvMsg(src, tag)
-	if m.Rows != vectorRows {
-		panic(fmt.Sprintf("mpi: rank %d expected vector from %d tag %d, got %dx%d matrix",
-			c.rank, src, tag, m.Rows, m.Cols))
-	}
-	return m.Data
-}
-
 // SendMatrix transmits a matrix to rank dst. The contents are copied.
-func (c *Comm) SendMatrix(dst, tag int, m *mat.Dense) {
+func (c *Comm) SendMatrix(dst, tag int, m *mat.Dense) error {
 	r, cols := m.Dims()
-	c.sendMsg(dst, Message{Tag: tag, Data: m.RawData(), Rows: r, Cols: cols})
-}
-
-// RecvMatrix receives a matrix from rank src with the given tag.
-func (c *Comm) RecvMatrix(src, tag int) *mat.Dense {
-	m := c.recvMsg(src, tag)
-	if m.Rows < 0 {
-		panic(fmt.Sprintf("mpi: rank %d expected matrix from %d tag %d, got vector",
-			c.rank, src, tag))
-	}
-	return mat.NewFromData(m.Rows, m.Cols, m.Data)
+	return c.sendMsg(dst, Message{Tag: tag, Data: m.RawData(), Rows: r, Cols: cols})
 }
 
 // RecvMatrixInto receives a matrix from rank src into dst
 // (mat.Dense.Assign: dst's own storage when it holds the values) and hands
 // the message's payload back to the fabric, so a rank that receives
 // same-shaped matrices into the same storage allocates nothing.
-func (c *Comm) RecvMatrixInto(src, tag int, dst *mat.Dense) {
-	m := c.recvMsg(src, tag)
-	if m.Rows < 0 {
-		panic(fmt.Sprintf("mpi: rank %d expected matrix from %d tag %d, got vector",
-			c.rank, src, tag))
+func (c *Comm) RecvMatrixInto(src, tag int, dst *mat.Dense) error {
+	m, err := c.recvMsg(src, tag, false)
+	if err != nil {
+		return err
 	}
 	dst.Assign(m.Rows, m.Cols, m.Data)
 	c.t.Recycle(c.rank, src, m.Data)
+	return nil
 }
 
-// sendMsg validates the destination and hands the message to the transport,
-// converting a torn-down fabric into the abort panic.
-func (c *Comm) sendMsg(dst int, m Message) {
+// sendMsg validates the destination and hands the message to the
+// transport, whose error (ErrAborted once the fabric is torn down) it
+// returns as it is.
+func (c *Comm) sendMsg(dst int, m Message) error {
 	if dst < 0 || dst >= c.t.Size() {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	if dst == c.rank {
 		panic("mpi: send to self is not supported; collectives handle the local contribution directly")
 	}
-	if err := c.t.Send(c.rank, dst, m); err != nil {
-		if err == ErrAborted {
-			panic(abortError{})
-		}
-		// Transport misuse (e.g. an over-sized frame) is a loud local
-		// protocol bug, not an abort echo: name the real cause.
-		panic(err)
-	}
+	return c.t.Send(c.rank, dst, m)
 }
 
-func (c *Comm) recvMsg(src, tag int) Message {
+// recvMsg receives the next message from src, a vector or a matrix as
+// vector says, with the given tag. Per-pair delivery is FIFO, so another
+// tag or kind means the peer is not running the same protocol: that is an
+// error naming both ends and the tag, not a panic, since the bytes came
+// from another rank.
+func (c *Comm) recvMsg(src, tag int, vector bool) (Message, error) {
 	if src < 0 || src >= c.t.Size() {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
 	}
@@ -265,22 +230,21 @@ func (c *Comm) recvMsg(src, tag int) Message {
 		panic("mpi: recv from self is not supported")
 	}
 	m, err := c.t.Recv(c.rank, src)
-	if err != nil {
-		if err == ErrAborted {
-			panic(abortError{})
-		}
-		panic(err)
+	switch {
+	case err != nil:
+		return m, err
+	case m.Tag != tag:
+		return m, fmt.Errorf("mpi: rank %d expected tag %d from rank %d, got %d",
+			c.rank, tag, src, m.Tag)
+	case (m.Rows == vectorRows) != vector:
+		return m, fmt.Errorf("mpi: rank %d expected a %s from rank %d tag %d, got %d rows of %d",
+			c.rank, kinds[vector], src, tag, m.Rows, m.Cols)
 	}
-	if m.Tag != tag {
-		panic(fmt.Sprintf("mpi: rank %d expected tag %d from rank %d, got %d",
-			c.rank, tag, src, m.Tag))
-	}
-	return m
+	return m, nil
 }
 
+// kinds names a message kind by recvMsg's vector argument.
+var kinds = map[bool]string{false: "matrix", true: "vector"}
+
 // Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	if err := c.t.Barrier(c.rank); err != nil {
-		panic(abortError{})
-	}
-}
+func (c *Comm) Barrier() error { return c.t.Barrier(c.rank) }

@@ -1,14 +1,46 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"goparsvd/internal/mat"
 )
+
+// must panics with a failed call's error, which Run reports as the calling
+// rank's failure.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// bcast is BcastFloatsInto for tests that only want the values.
+func bcast(c *Comm, root int, data []float64) []float64 {
+	out, err := c.BcastFloatsInto(root, data)
+	must(err)
+	return out
+}
+
+// gather is GatherMatrixViews into fresh views, with root's own matrix at
+// its index; nil off root.
+func gather(c *Comm, root int, m *mat.Dense) []*mat.Dense {
+	var out []*mat.Dense
+	if c.Rank() == root {
+		out = make([]*mat.Dense, c.Size())
+		for r := range out {
+			out[r] = new(mat.Dense)
+		}
+		out[root] = m
+	}
+	must(c.GatherMatrixViews(root, m, out))
+	return out
+}
 
 func TestRankAndSize(t *testing.T) {
 	seen := make([]atomic.Bool, 5)
@@ -27,15 +59,16 @@ func TestRankAndSize(t *testing.T) {
 	}
 }
 
+// TestSendRecvVector: a vector frame between two ranks is a two-rank
+// broadcast, the one call that carries vectors.
 func TestSendRecvVector(t *testing.T) {
 	MustRun(2, func(c *Comm) {
+		var in []float64
 		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2, 3})
-		} else {
-			got := c.Recv(0, 7)
-			if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-				t.Errorf("Recv = %v", got)
-			}
+			in = []float64{1, 2, 3}
+		}
+		if got := bcast(c, 0, in); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+			t.Errorf("rank %d: vector = %v", c.Rank(), got)
 		}
 	})
 }
@@ -43,14 +76,16 @@ func TestSendRecvVector(t *testing.T) {
 func TestSendCopies(t *testing.T) {
 	MustRun(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			buf := []float64{42}
-			c.Send(1, 0, buf)
-			buf[0] = -1 // must not affect the in-flight message
-			c.Barrier()
+			buf := mat.NewFromData(1, 1, []float64{42})
+			must(c.SendMatrix(1, 0, buf))
+			buf.Set(0, 0, -1) // must not affect the in-flight message
+			must(c.Barrier())
 		} else {
-			c.Barrier()
-			if got := c.Recv(0, 0); got[0] != 42 {
-				t.Errorf("message not copied on send: %v", got)
+			must(c.Barrier())
+			var got mat.Dense
+			must(c.RecvMatrixInto(0, 0, &got))
+			if got.At(0, 0) != 42 {
+				t.Errorf("message not copied on send: %v", got.RawData())
 			}
 		}
 	})
@@ -60,32 +95,37 @@ func TestSendRecvMatrix(t *testing.T) {
 	MustRun(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			m := mat.NewFromRows([][]float64{{1, 2}, {3, 4}})
-			c.SendMatrix(1, 3, m)
+			must(c.SendMatrix(1, 3, m))
 		} else {
-			got := c.RecvMatrix(0, 3)
+			var got mat.Dense
+			must(c.RecvMatrixInto(0, 3, &got))
 			if got.Rows() != 2 || got.Cols() != 2 || got.At(1, 1) != 4 {
-				t.Errorf("RecvMatrix = %v", got)
+				t.Errorf("RecvMatrixInto = %v", got.RawData())
 			}
 		}
 	})
 }
 
-func TestTagMismatchPanics(t *testing.T) {
-	_, err := Run(2, func(c *Comm) {
+// TestTagMismatchFails: a message of another tag is bytes from a peer that
+// is not running the same protocol, so the receive returns an error naming
+// both ranks and both tags.
+func TestTagMismatchFails(t *testing.T) {
+	MustRun(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{1})
-		} else {
-			c.Recv(0, 2) // wrong tag: protocol bug must be loud
+			must(c.SendMatrix(1, 1, mat.Eye(1)))
+			return
+		}
+		var m mat.Dense
+		err := c.RecvMatrixInto(0, 2, &m)
+		if err == nil || !strings.Contains(err.Error(), "rank 1 expected tag 2 from rank 0, got 1") {
+			t.Errorf("tag mismatch returned %v", err)
 		}
 	})
-	if err == nil {
-		t.Fatal("tag mismatch should produce a rank error")
-	}
 }
 
 func TestSendToSelfPanics(t *testing.T) {
 	_, err := Run(1, func(c *Comm) {
-		c.Send(0, 0, []float64{1})
+		c.SendMatrix(0, 0, mat.Eye(1))
 	})
 	if err == nil {
 		t.Fatal("send-to-self should produce a rank error")
@@ -94,10 +134,14 @@ func TestSendToSelfPanics(t *testing.T) {
 
 func TestRankPanicAbortsPeers(t *testing.T) {
 	// Rank 1 panics while rank 0 is blocked receiving from it; Run must not
-	// deadlock and must report rank 1's panic.
+	// deadlock, rank 0's receive returns ErrAborted, and Run reports rank
+	// 1's panic.
 	_, err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Recv(1, 0) // never satisfied
+			var m mat.Dense
+			if err := c.RecvMatrixInto(1, 0, &m); !errors.Is(err, ErrAborted) {
+				t.Errorf("blocked receive returned %v, want ErrAborted", err)
+			}
 		} else {
 			panic("deliberate failure")
 		}
@@ -115,7 +159,7 @@ func TestBarrierOrdering(t *testing.T) {
 	var before, after atomic.Int32
 	MustRun(4, func(c *Comm) {
 		before.Add(1)
-		c.Barrier()
+		must(c.Barrier())
 		// Every rank must have incremented before any rank proceeds.
 		if got := before.Load(); got != 4 {
 			t.Errorf("rank %d passed barrier with before=%d", c.Rank(), got)
@@ -130,7 +174,7 @@ func TestBarrierOrdering(t *testing.T) {
 func TestBarrierReusable(t *testing.T) {
 	MustRun(3, func(c *Comm) {
 		for i := 0; i < 10; i++ {
-			c.Barrier()
+			must(c.Barrier())
 		}
 	})
 }
@@ -142,9 +186,9 @@ func TestBcastFloats(t *testing.T) {
 			if c.Rank() == root {
 				payload = []float64{3.5, -1, float64(root)}
 			}
-			got := c.BcastFloats(root, payload)
+			got := bcast(c, root, payload)
 			if len(got) != 3 || got[0] != 3.5 || got[2] != float64(root) {
-				t.Errorf("rank %d root %d: BcastFloats = %v", c.Rank(), root, got)
+				t.Errorf("rank %d root %d: BcastFloatsInto = %v", c.Rank(), root, got)
 			}
 		})
 	}
@@ -153,15 +197,15 @@ func TestBcastFloats(t *testing.T) {
 func TestBcastMatrix(t *testing.T) {
 	want := mat.NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	MustRun(5, func(c *Comm) {
-		var m *mat.Dense
+		got := new(mat.Dense)
 		if c.Rank() == 2 {
-			m = want
+			got = want.Clone()
 		}
-		got := c.BcastMatrix(2, m)
+		must(c.BcastMatrixInto(2, got))
 		if !mat.EqualApprox(got, want, 0) {
-			t.Errorf("rank %d: BcastMatrix mismatch", c.Rank())
+			t.Errorf("rank %d: BcastMatrixInto mismatch", c.Rank())
 		}
-		// Mutating the received copy must not corrupt anyone else.
+		// Mutating the received matrix must not corrupt anyone else's.
 		got.Set(0, 0, -99)
 	})
 	if want.At(0, 0) != 1 {
@@ -171,7 +215,7 @@ func TestBcastMatrix(t *testing.T) {
 
 func TestBcastSingleRank(t *testing.T) {
 	MustRun(1, func(c *Comm) {
-		got := c.BcastFloats(0, []float64{7})
+		got := bcast(c, 0, []float64{7})
 		if len(got) != 1 || got[0] != 7 {
 			t.Errorf("single-rank bcast = %v", got)
 		}
@@ -181,26 +225,31 @@ func TestBcastSingleRank(t *testing.T) {
 func TestGatherMatrix(t *testing.T) {
 	MustRun(3, func(c *Comm) {
 		local := mat.NewFromRows([][]float64{{float64(c.Rank())}})
-		out := c.GatherMatrix(0, local)
+		out := gather(c, 0, local)
 		if c.Rank() == 0 {
 			for r := 0; r < 3; r++ {
 				if out[r].At(0, 0) != float64(r) {
 					t.Errorf("gathered[%d] = %v", r, out[r])
 				}
 			}
+		} else if out != nil {
+			t.Errorf("rank %d: non-root gather = %v", c.Rank(), out)
 		}
 	})
 }
 
+// TestGatherMatrixRootCopyIndependent: the views root gathers are the
+// fabric's payloads, never the senders' own storage.
 func TestGatherMatrixRootCopyIndependent(t *testing.T) {
 	MustRun(2, func(c *Comm) {
 		local := mat.NewFromRows([][]float64{{float64(c.Rank())}})
-		out := c.GatherMatrix(0, local)
+		out := gather(c, 0, local)
 		if c.Rank() == 0 {
-			out[0].Set(0, 0, 99)
-			if local.At(0, 0) != 0 {
-				t.Error("root's gathered copy aliases its input")
-			}
+			out[1].Set(0, 0, 99)
+		}
+		must(c.Barrier())
+		if c.Rank() == 1 && local.At(0, 0) != 1 {
+			t.Error("root's gathered view aliases the sender's matrix")
 		}
 	})
 }
@@ -208,9 +257,10 @@ func TestGatherMatrixRootCopyIndependent(t *testing.T) {
 func TestTrafficCounters(t *testing.T) {
 	stats := MustRun(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float64, 10))
+			must(c.SendMatrix(1, 0, mat.New(2, 5)))
 		} else {
-			c.Recv(0, 0)
+			var m mat.Dense
+			must(c.RecvMatrixInto(0, 0, &m))
 		}
 	})
 	if stats.Messages != 1 {
@@ -238,18 +288,19 @@ func TestManyRanksPipeline(t *testing.T) {
 	const p = 16
 	MustRun(p, func(c *Comm) {
 		r := c.Rank()
+		var v mat.Dense
 		switch {
 		case r == 0:
-			c.Send(1, 0, []float64{0})
-			got := c.Recv(p-1, 0)
+			must(c.SendMatrix(1, 0, mat.New(1, 1)))
+			must(c.RecvMatrixInto(p-1, 0, &v))
 			want := float64(p * (p - 1) / 2)
-			if got[0] != want {
-				t.Errorf("ring sum = %v, want %v", got[0], want)
+			if v.At(0, 0) != want {
+				t.Errorf("ring sum = %v, want %v", v.At(0, 0), want)
 			}
 		default:
-			v := c.Recv(r-1, 0)
-			v[0] += float64(r)
-			c.Send((r+1)%p, 0, v)
+			must(c.RecvMatrixInto(r-1, 0, &v))
+			v.Set(0, 0, v.At(0, 0)+float64(r))
+			must(c.SendMatrix((r+1)%p, 0, &v))
 		}
 	})
 }
@@ -273,7 +324,7 @@ func TestPropertyBcastAllRoots(t *testing.T) {
 			if c.Rank() == root {
 				in = payload
 			}
-			got := c.BcastFloats(root, in)
+			got := bcast(c, root, in)
 			if len(got) != n {
 				ok.Store(false)
 				return
@@ -294,7 +345,7 @@ func TestPropertyBcastAllRoots(t *testing.T) {
 
 func ExampleRun() {
 	stats := MustRun(4, func(c *Comm) {
-		parts := c.GatherMatrix(0, mat.NewFromData(1, 1, []float64{float64(c.Rank() + 1)}))
+		parts := gather(c, 0, mat.NewFromData(1, 1, []float64{float64(c.Rank() + 1)}))
 		if c.Rank() == 0 {
 			sum := 0.0
 			for _, p := range parts {
@@ -312,7 +363,7 @@ func ExampleRun() {
 // allreduceSum hands every rank the sum of one value per rank, built from
 // the runtime's gather and broadcast.
 func allreduceSum(c *Comm, x float64) float64 {
-	parts := c.GatherMatrix(0, mat.NewFromData(1, 1, []float64{x}))
+	parts := gather(c, 0, mat.NewFromData(1, 1, []float64{x}))
 	var sum []float64
 	if c.Rank() == 0 {
 		sum = []float64{0}
@@ -320,5 +371,5 @@ func allreduceSum(c *Comm, x float64) float64 {
 			sum[0] += p.At(0, 0)
 		}
 	}
-	return c.BcastFloats(0, sum)[0]
+	return bcast(c, 0, sum)[0]
 }

@@ -69,14 +69,18 @@ func testCollectives(t *testing.T, run transporttest.Runner) {
 	const p = 4
 	err := run(p, func(c *mpi.Comm) {
 		// Bcast from a non-zero root.
-		got := c.BcastFloats(2, pick(c.Rank() == 2, []float64{3, 1, 4}, nil))
+		got := must1(c.BcastFloatsInto(2, pick(c.Rank() == 2, []float64{3, 1, 4}, nil)))
 		if len(got) != 3 || got[0] != 3 || got[2] != 4 {
-			t.Errorf("rank %d: BcastFloats = %v", c.Rank(), got)
+			t.Errorf("rank %d: BcastFloatsInto = %v", c.Rank(), got)
 		}
 		// Gather ragged contributions at root: rank r sends r+1 rows of r.
 		mine := mat.New(c.Rank()+1, 1)
 		mine.Fill(float64(c.Rank()))
-		g := c.GatherMatrix(0, mine)
+		var g []*mat.Dense
+		if c.Rank() == 0 {
+			g = []*mat.Dense{mine, new(mat.Dense), new(mat.Dense), new(mat.Dense)}
+		}
+		must(c.GatherMatrixViews(0, mine, g))
 		// Allreduce as gather plus broadcast: every rank gets the sum.
 		var sum []float64
 		if c.Rank() == 0 {
@@ -87,10 +91,8 @@ func testCollectives(t *testing.T, run transporttest.Runner) {
 				}
 				sum[0] += g[r].At(0, 0)
 			}
-		} else if g != nil {
-			t.Errorf("rank %d: non-root gather not nil", c.Rank())
 		}
-		if sum = c.BcastFloats(0, sum); len(sum) != 1 || sum[0] != 0+1+2+3 {
+		if sum = must1(c.BcastFloatsInto(0, sum)); len(sum) != 1 || sum[0] != 0+1+2+3 {
 			t.Errorf("rank %d: gathered sum = %v", c.Rank(), sum)
 		}
 	})
@@ -106,11 +108,11 @@ func TestTCPBarrierOrdering(t *testing.T) {
 	err := runTCP(4, func(c *mpi.Comm) {
 		for i := 0; i < 5; i++ { // reusable across generations
 			before.Add(1)
-			c.Barrier()
+			must(c.Barrier())
 			if got := before.Load(); got < int32(4*(i+1)) {
 				t.Errorf("rank %d passed barrier %d with before=%d", c.Rank(), i, got)
 			}
-			c.Barrier()
+			must(c.Barrier())
 			after.Add(1)
 		}
 	})
@@ -124,8 +126,8 @@ func TestTCPBarrierOrdering(t *testing.T) {
 
 // TestTCPPanicAbortsPeers injects a rank failure mid-collective and
 // requires the whole world to unwind: the panic is attributed to the
-// failing rank and the peers blocked in Recv/Barrier return instead of
-// hanging.
+// failing rank and the peers blocked in a gather or a barrier return
+// ErrAborted instead of hanging.
 func TestTCPPanicAbortsPeers(t *testing.T) {
 	forEachWorld(t, func(t *testing.T, run transporttest.Runner) {
 		done := make(chan error, 1)
@@ -134,8 +136,14 @@ func TestTCPPanicAbortsPeers(t *testing.T) {
 				if c.Rank() == 2 {
 					panic("rank 2 failed before contributing")
 				}
-				c.GatherMatrix(0, mat.Eye(1)) // root blocks on rank 2 forever
-				c.Barrier()
+				// Root blocks on rank 2 until the abort.
+				err := c.GatherMatrixViews(0, mat.Eye(1), []*mat.Dense{nil, new(mat.Dense), new(mat.Dense), new(mat.Dense)})
+				if err == nil {
+					err = c.Barrier()
+				}
+				if !errors.Is(err, mpi.ErrAborted) {
+					t.Errorf("rank %d: %v, want ErrAborted", c.Rank(), err)
+				}
 			})
 		}()
 		select {
@@ -151,13 +159,13 @@ func TestTCPPanicAbortsPeers(t *testing.T) {
 }
 
 // TestTCPTrafficCounters checks the aggregated counters match the payload
-// actually shipped (one 10-float vector = 80 bytes).
+// actually shipped (one 2×5 matrix = 80 bytes).
 func TestTCPTrafficCounters(t *testing.T) {
 	stats, err := tcptransport.Run(2, testOptions(), func(c *mpi.Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float64, 10))
+			must(c.SendMatrix(1, 0, mat.New(2, 5)))
 		} else {
-			c.Recv(0, 0)
+			must(c.RecvMatrixInto(0, 0, new(mat.Dense)))
 		}
 	})
 	if err != nil {
@@ -236,4 +244,18 @@ func pick[T any](cond bool, a, b T) T {
 		return a
 	}
 	return b
+}
+
+// must panics with a failed call's error, which the runner reports as the
+// calling rank's failure.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }

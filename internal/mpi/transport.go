@@ -17,10 +17,9 @@ type Message struct {
 // matrix.
 const vectorRows = -1
 
-// ErrAborted is returned by Transport operations after the fabric has been
-// torn down — because a peer rank failed, a connection broke, or Abort was
-// called. Comm converts it into the internal abort panic so rank functions
-// unwind exactly like they did before the transport split.
+// ErrAborted is returned by Transport operations, and by the Comm calls
+// above them, after the fabric has been torn down — because a peer rank
+// failed, a connection broke, or Abort was called.
 var ErrAborted = errors.New("mpi: world aborted")
 
 // Transport is the communication fabric beneath *Comm and *World: blocking

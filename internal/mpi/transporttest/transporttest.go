@@ -21,10 +21,11 @@ type Runner func(size int, fn func(c *mpi.Comm)) error
 
 // RoundTrip runs the framing conformance suite against the given runner.
 // Every case ships a payload from rank 0 to rank 1, has rank 1 echo it
-// back, and requires the round-tripped bits to match exactly — vectors and
-// matrices, empty and single-element edge shapes, and adversarial float
-// values (NaN, ±Inf, signed zero, denormals) that would expose any lossy
-// re-encoding.
+// back, and requires the round-tripped bits to match exactly — vectors
+// (broadcast from either end) and matrices, empty and single-element edge
+// shapes, and adversarial float values (NaN, ±Inf, signed zero, denormals)
+// that would expose any lossy re-encoding. A failed call panics, which the
+// runner reports as that rank's failure.
 func RoundTrip(t *testing.T, run Runner) {
 	t.Helper()
 
@@ -39,16 +40,14 @@ func RoundTrip(t *testing.T, run Runner) {
 		}
 		err := run(2, func(c *mpi.Comm) {
 			for i, want := range payloads {
-				tag := 100 + i
-				switch c.Rank() {
-				case 0:
-					c.Send(1, tag, want)
-					got := c.Recv(1, tag)
-					if !equalBits(got, want) {
-						t.Errorf("vector case %d: round trip changed bits: got %v want %v", i, got, want)
-					}
-				case 1:
-					c.Send(0, tag, c.Recv(0, tag))
+				var there, back []float64
+				if c.Rank() == 0 {
+					there = want
+				}
+				there = must1(c.BcastFloatsInto(0, there))
+				back = must1(c.BcastFloatsInto(1, append(back, there...)))
+				if c.Rank() == 0 && !equalBits(back, want) {
+					t.Errorf("vector case %d: round trip changed bits: got %v want %v", i, back, want)
 				}
 			}
 		})
@@ -67,10 +66,11 @@ func RoundTrip(t *testing.T, run Runner) {
 			for i, sh := range shapes {
 				tag := 200 + i
 				want := randomMatrix(sh[0], sh[1], int64(1000+i))
+				got := new(mat.Dense)
 				switch c.Rank() {
 				case 0:
-					c.SendMatrix(1, tag, want)
-					got := c.RecvMatrix(1, tag)
+					must(c.SendMatrix(1, tag, want))
+					must(c.RecvMatrixInto(1, tag, got))
 					r, cl := got.Dims()
 					if r != sh[0] || cl != sh[1] {
 						t.Errorf("matrix case %d: round trip changed shape to %dx%d, want %dx%d", i, r, cl, sh[0], sh[1])
@@ -80,7 +80,8 @@ func RoundTrip(t *testing.T, run Runner) {
 						t.Errorf("matrix case %d (%dx%d): round trip changed bits", i, sh[0], sh[1])
 					}
 				case 1:
-					c.SendMatrix(0, tag, c.RecvMatrix(0, tag))
+					must(c.RecvMatrixInto(0, tag, got))
+					must(c.SendMatrix(0, tag, got))
 				}
 			}
 		})
@@ -100,14 +101,16 @@ func RoundTrip(t *testing.T, run Runner) {
 				// Ring: each rank forwards the matrix one hop; after p hops
 				// rank 0 must hold the original bits.
 				want := randomMatrix(rows, cols, seed)
+				got := new(mat.Dense)
 				if c.Rank() == 0 {
-					c.SendMatrix(1, 7, want)
-					got := c.RecvMatrix(c.Size()-1, 7)
+					must(c.SendMatrix(1, 7, want))
+					must(c.RecvMatrixInto(c.Size()-1, 7, got))
 					if !equalBits(got.RawData(), want.RawData()) {
 						t.Errorf("trial %d (%d ranks, %dx%d): ring round trip changed bits", trial, p, rows, cols)
 					}
 				} else {
-					c.SendMatrix((c.Rank()+1)%c.Size(), 7, c.RecvMatrix(c.Rank()-1, 7))
+					must(c.RecvMatrixInto(c.Rank()-1, 7, got))
+					must(c.SendMatrix((c.Rank()+1)%c.Size(), 7, got))
 				}
 			})
 			if err != nil {
@@ -123,7 +126,8 @@ func RoundTrip(t *testing.T, run Runner) {
 // and never let a recycled payload alias a matrix already received;
 // GatherMatrixViews delivers the sent bits in the payloads themselves,
 // which ReleaseViews hands back exactly once; a rank that panics after
-// recycling payloads still aborts the world.
+// recycling payloads still aborts the world; and after an abort every
+// Comm call returns ErrAborted.
 func Into(t *testing.T, run Runner) {
 	t.Helper()
 
@@ -141,7 +145,7 @@ func Into(t *testing.T, run Runner) {
 				if c.Rank() == 0 {
 					got.Assign(rows, cols, want.RawData())
 				}
-				c.BcastMatrixInto(0, &got)
+				must(c.BcastMatrixInto(0, &got))
 				if !equalBits(got.RawData(), want.RawData()) || got.Rows() != rows {
 					t.Errorf("round %d rank %d: BcastMatrixInto delivered other bits", i, c.Rank())
 				}
@@ -154,14 +158,14 @@ func Into(t *testing.T, run Runner) {
 				if c.Rank() == 0 {
 					vec = append(vec[:0], wantVec...)
 				}
-				vec = c.BcastFloatsInto(0, vec)
+				vec = must1(c.BcastFloatsInto(0, vec))
 				if !equalBits(vec, wantVec) {
 					t.Errorf("round %d rank %d: BcastFloatsInto delivered other bits", i, c.Rank())
 				}
 
 				mine := randomMatrix(2, 3+c.Rank(), int64(100*i+c.Rank()))
 				gathered[0] = mine
-				c.GatherMatrixViews(0, mine, gathered)
+				must(c.GatherMatrixViews(0, mine, gathered))
 				if c.Rank() == 0 {
 					for src := 1; src < c.Size(); src++ {
 						if w := randomMatrix(2, 3+src, int64(100*i+src)); !equalBits(gathered[src].RawData(), w.RawData()) || gathered[src].Cols() != 3+src {
@@ -186,9 +190,9 @@ func Into(t *testing.T, run Runner) {
 			var m mat.Dense
 			for i := 0; i < 3; i++ {
 				if c.Rank() == 0 {
-					c.SendMatrix(1, 9, randomMatrix(4, 4, int64(i)))
+					must(c.SendMatrix(1, 9, randomMatrix(4, 4, int64(i))))
 				} else {
-					c.RecvMatrixInto(0, 9, &m)
+					must(c.RecvMatrixInto(0, 9, &m))
 				}
 			}
 			if c.Rank() == 1 {
@@ -201,6 +205,51 @@ func Into(t *testing.T, run Runner) {
 			t.Fatalf("abort with recycled payloads: err %v, want rank 1's panic", err)
 		}
 	})
+
+	t.Run("calls-after-abort", func(t *testing.T) {
+		err := run(3, func(c *mpi.Comm) {
+			if c.Rank() == 0 {
+				panic("rank 0 fails")
+			}
+			var m mat.Dense
+			views := []*mat.Dense{new(mat.Dense), new(mat.Dense), new(mat.Dense)}
+			other := 3 - c.Rank()
+			blocked := c.RecvMatrixInto(0, 1, &m) // returns once rank 0's panic aborts the world
+			_, bcastErr := c.BcastFloatsInto(c.Rank(), []float64{1})
+			for name, err := range map[string]error{
+				"blocked RecvMatrixInto": blocked,
+				"SendMatrix":             c.SendMatrix(other, 1, mat.Eye(2)),
+				"RecvMatrixInto":         c.RecvMatrixInto(other, 1, &m),
+				"BcastMatrixInto":        c.BcastMatrixInto(0, &m),
+				"BcastFloatsInto":        bcastErr,
+				"GatherMatrixViews":      c.GatherMatrixViews(0, mat.Eye(2), nil),
+				"GatherMatrixViews root": c.GatherMatrixViews(c.Rank(), mat.Eye(2), views),
+				"Barrier":                c.Barrier(),
+			} {
+				if !errors.Is(err, mpi.ErrAborted) {
+					t.Errorf("rank %d: %s after an abort returned %v, want ErrAborted", c.Rank(), name, err)
+				}
+			}
+		})
+		var re *mpi.RankError
+		if !errors.As(err, &re) || re.Rank != 0 {
+			t.Fatalf("err %v, want rank 0's panic", err)
+		}
+	})
+}
+
+// must panics with a failed call's error, which the runner reports as the
+// calling rank's failure.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// must1 is must for a call that also returns a value.
+func must1[T any](v T, err error) T {
+	must(err)
+	return v
 }
 
 // randomVector mixes ordinary values with specials so every case carries at

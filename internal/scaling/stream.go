@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"goparsvd/internal/burgers"
-	"goparsvd/internal/core"
-	"goparsvd/internal/mat"
-	"goparsvd/internal/mpi"
-	"goparsvd/internal/rla"
 )
 
 // StreamWorkload is the deterministic distributed streaming-SVD workload
@@ -82,83 +78,4 @@ func (w StreamWorkload) Validate() error {
 // inputs.
 func (w StreamWorkload) BurgersConfig(ranks int) burgers.Config {
 	return burgers.Config{L: 1, Re: 1000, Nx: w.RowsPerRank * ranks, Nt: w.Snapshots, TFinal: 2}
-}
-
-func (w StreamWorkload) coreOptions() core.Options {
-	return core.Options{
-		K:            w.K,
-		ForgetFactor: w.FF,
-		R1:           w.R1,
-		LowRank:      w.LowRank,
-		RLA:          rla.Options{Oversample: 10, PowerIters: 1, Seed: w.Seed},
-	}
-}
-
-// StreamResult is one rank's view of a finished streaming run.
-type StreamResult struct {
-	// Singular holds the final truncated singular values (identical on
-	// every rank after the closing broadcast).
-	Singular []float64
-	// Modes is the gathered M×K mode matrix; populated on rank 0 only.
-	Modes *mat.Dense
-	// Iterations is the number of streaming updates performed.
-	Iterations int
-}
-
-// RunStream executes the full distributed streaming pipeline as one rank
-// of c's world: APMOS initialization on the first InitBatch columns, then
-// streaming IncorporateData updates over the remainder, and a final mode
-// gather at rank 0. It is transport-agnostic: the same function body runs
-// over goroutine ranks and over tcptransport endpoints.
-func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	bc := w.BurgersConfig(c.Size())
-	parts := bc.Partition(c.Size())
-	r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
-
-	eng := core.NewParallel(c, w.coreOptions())
-	eng.Initialize(bc.Block(r0, r1, 0, w.InitBatch))
-	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
-		hi := col + w.Batch
-		if hi > w.Snapshots {
-			hi = w.Snapshots
-		}
-		eng.IncorporateData(bc.Block(r0, r1, col, hi))
-	}
-	rows := eng.GatherModeRows()
-	var modes *mat.Dense
-	if rows != nil {
-		modes = core.ModeMatrix(rows...)
-	}
-	return StreamResult{
-		Singular:   append([]float64(nil), eng.SingularValues()...),
-		Modes:      modes,
-		Iterations: eng.Iterations(),
-	}
-}
-
-// RunStreamSerial runs the serial reference engine over the identical
-// global snapshot sequence (same Burgers matrix, same batching), for
-// accuracy checks against the distributed runs.
-func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	bc := w.BurgersConfig(ranks)
-	eng := core.NewSerial(w.coreOptions())
-	eng.Initialize(bc.Block(0, bc.Nx, 0, w.InitBatch))
-	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
-		hi := col + w.Batch
-		if hi > w.Snapshots {
-			hi = w.Snapshots
-		}
-		eng.IncorporateData(bc.Block(0, bc.Nx, col, hi))
-	}
-	return StreamResult{
-		Singular:   append([]float64(nil), eng.SingularValues()...),
-		Modes:      eng.ModeRows().T(),
-		Iterations: eng.Iterations(),
-	}
 }

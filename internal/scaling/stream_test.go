@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"goparsvd/internal/core"
+	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/mpi/tcptransport"
 	"goparsvd/internal/postproc"
+	"goparsvd/internal/rla"
 )
 
 func smallWorkload() StreamWorkload {
@@ -110,6 +113,93 @@ func TestStreamMatchesSerial(t *testing.T) {
 		if e.MaxAbs > 1e-4 {
 			t.Errorf("mode %d: max|serial-parallel| = %.3e, want < 1e-4", e.Mode+1, e.MaxAbs)
 		}
+	}
+}
+
+// coreOptions is the engine configuration the workload runs with.
+func (w StreamWorkload) coreOptions() core.Options {
+	return core.Options{
+		K:            w.K,
+		ForgetFactor: w.FF,
+		R1:           w.R1,
+		LowRank:      w.LowRank,
+		RLA:          rla.Options{Oversample: 10, PowerIters: 1, Seed: w.Seed},
+	}
+}
+
+// StreamResult is one rank's view of a finished streaming run.
+type StreamResult struct {
+	// Singular holds the final truncated singular values (identical on
+	// every rank after the closing broadcast).
+	Singular []float64
+	// Modes is the gathered M×K mode matrix; populated on rank 0 only.
+	Modes *mat.Dense
+	// Iterations is the number of streaming updates performed.
+	Iterations int
+}
+
+// RunStream executes the full distributed streaming pipeline as one rank
+// of c's world: APMOS initialization on the first InitBatch columns, then
+// streaming IncorporateData updates over the remainder, and a final mode
+// gather at rank 0. It is transport-agnostic: the same function body runs
+// over goroutine ranks and over tcptransport endpoints. It runs under a
+// harness (mpi.Run, tcptransport.Run): an invalid workload or an engine
+// error panics, which the harness reports as that rank's failure.
+func RunStream(c *mpi.Comm, w StreamWorkload) StreamResult {
+	must(w.Validate())
+	bc := w.BurgersConfig(c.Size())
+	parts := bc.Partition(c.Size())
+	r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
+
+	eng := core.NewParallel(c, w.coreOptions())
+	must(eng.Initialize(bc.Block(r0, r1, 0, w.InitBatch)))
+	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
+		hi := col + w.Batch
+		if hi > w.Snapshots {
+			hi = w.Snapshots
+		}
+		must(eng.IncorporateData(bc.Block(r0, r1, col, hi)))
+	}
+	rows, err := eng.GatherModeRows()
+	must(err)
+	var modes *mat.Dense
+	if rows != nil {
+		modes = core.ModeMatrix(rows...)
+	}
+	return StreamResult{
+		Singular:   append([]float64(nil), eng.SingularValues()...),
+		Modes:      modes,
+		Iterations: eng.Iterations(),
+	}
+}
+
+// must panics with err; RunStream runs under a harness that reports a
+// panicking rank.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// RunStreamSerial runs the serial reference engine over the identical
+// global snapshot sequence (same Burgers matrix, same batching), for
+// accuracy checks against the distributed runs.
+func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
+	must(w.Validate())
+	bc := w.BurgersConfig(ranks)
+	eng := core.NewSerial(w.coreOptions())
+	must(eng.Initialize(bc.Block(0, bc.Nx, 0, w.InitBatch)))
+	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
+		hi := col + w.Batch
+		if hi > w.Snapshots {
+			hi = w.Snapshots
+		}
+		must(eng.IncorporateData(bc.Block(0, bc.Nx, col, hi)))
+	}
+	return StreamResult{
+		Singular:   append([]float64(nil), eng.SingularValues()...),
+		Modes:      eng.ModeRows().T(),
+		Iterations: eng.Iterations(),
 	}
 }
 

@@ -16,7 +16,7 @@ func BenchmarkInitialize(b *testing.B) {
 	a := testutil.RandomDense(4096, 64, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(Options{K: 10, FF: 0.95}).Initialize(a)
+		started(Options{K: 10, FF: 0.95}, a)
 	}
 }
 
@@ -25,7 +25,7 @@ func BenchmarkIncorporateDeterministic(b *testing.B) {
 	rng := testutil.NewRand(2)
 	first := testutil.RandomDense(4096, 64, rng)
 	next := testutil.RandomDense(4096, 64, rng)
-	s := New(Options{K: 10, FF: 0.95}).Initialize(first)
+	s := started(Options{K: 10, FF: 0.95}, first)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.IncorporateData(next)
@@ -41,7 +41,7 @@ func BenchmarkIncorporateSteadyStateAllocs(b *testing.B) {
 	rng := testutil.NewRand(4)
 	first := testutil.RandomDense(2048, 32, rng)
 	next := testutil.RandomDense(2048, 32, rng)
-	s := New(Options{K: 10, FF: 0.95}).Initialize(first)
+	s := started(Options{K: 10, FF: 0.95}, first)
 	s.IncorporateData(next) // warm the workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,7 +54,7 @@ func BenchmarkIncorporateLowRank(b *testing.B) {
 	rng := testutil.NewRand(3)
 	first := testutil.RandomDense(4096, 64, rng)
 	next := testutil.RandomDense(4096, 64, rng)
-	s := New(Options{K: 10, FF: 0.95, LowRank: true}).Initialize(first)
+	s := started(Options{K: 10, FF: 0.95, LowRank: true}, first)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.IncorporateData(next)
@@ -70,7 +70,7 @@ func BenchmarkIncorporateWorkloadShape(b *testing.B) {
 	rng := testutil.NewRand(5)
 	first := testutil.RandomDense(4096, 16, rng)
 	next := testutil.RandomDense(4096, 16, rng)
-	s := New(Options{K: 16, FF: 0.95}).Initialize(first)
+	s := started(Options{K: 16, FF: 0.95}, first)
 	s.IncorporateData(next) // warm the workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func TestIncorporateNoAllocsAcrossGC(t *testing.T) {
 	rng := testutil.NewRand(6)
 	first := testutil.RandomDense(4096, 16, rng)
 	next := testutil.RandomDense(4096, 16, rng)
-	s := New(Options{K: 16, FF: 0.95}).Initialize(first)
+	s := started(Options{K: 16, FF: 0.95}, first)
 	s.IncorporateData(next) // warm the workspace
 	runtime.GC()
 	before := moduleAllocs()

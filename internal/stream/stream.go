@@ -68,7 +68,11 @@ func (o Options) validated() Options {
 }
 
 // SVD is the streaming decomposition state. Create one with New, seed it
-// with Initialize, then feed batches with IncorporateData.
+// with Initialize, then feed batches with IncorporateData. Calling them out
+// of order panics. An error from Initialize, IncorporateData,
+// IncorporateFilled or Absorb (the randomized small SVD refusing its
+// input; on a distributed engine a failed collective or a peer's bad
+// factor) leaves the engine dead: it must not be used again.
 //
 // The modes are held mode-major: the first k rows of buf, row j being mode
 // j (column j of U), k = min(K, columns seen). Algorithm 1 only ever reads
@@ -108,14 +112,14 @@ type SVD struct {
 // whose image Q·[x; 0] is the new modes, and their singular values d. x and
 // d come from the workspace; the caller puts them back. lowRank selects the
 // small SVD.
-type step func(s *SVD, at *mat.Dense, lowRank bool) (f linalg.QRFactor, x *mat.Dense, d []float64)
+type step func(s *SVD, at *mat.Dense, lowRank bool) (f linalg.QRFactor, x *mat.Dense, d []float64, err error)
 
 // localStep factors the whole stack in this process (Listing 1).
-func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64) {
+func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64, error) {
 	f, r := linalg.FactorQR(&s.ws, at)
-	x, d := s.smallSVD(r, lowRank)
+	x, d, err := s.smallSVD(r, lowRank)
 	s.ws.Put(r)
-	return f, x, d
+	return f, x, d, err
 }
 
 // gatherStep factors a stack whose rows are split across c's ranks: the
@@ -124,13 +128,19 @@ func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense
 // f·[qc; 0], so its basis change is qc·Ũ_k. The broadcast factors land in
 // workspace storage on every rank, as the root's own already do.
 func gatherStep(c *mpi.Comm) step {
-	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64) {
-		f, qc, r := tsqr.GatherQRFactor(&s.ws, c, at)
+	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64, error) {
+		f, qc, r, err := tsqr.GatherQRFactor(&s.ws, c, at)
+		if err != nil {
+			return f, nil, nil, err
+		}
 		var u *mat.Dense
 		var d []float64
 		if r != nil { // rank 0
-			u, d = s.smallSVD(r, lowRank)
+			u, d, err = s.smallSVD(r, lowRank)
 			s.ws.Put(r)
+			if err != nil {
+				return f, nil, nil, err
+			}
 		} else {
 			// Sized for the usual n×min(K, n) factor; the broadcast
 			// reshapes it to whatever the root sends.
@@ -138,13 +148,17 @@ func gatherStep(c *mpi.Comm) step {
 			k := min(s.opts.K, n)
 			u, d = s.ws.GetUninit(n, k), s.ws.GetFloats(k)
 		}
-		c.BcastMatrixInto(0, u)
-		d = c.BcastFloatsInto(0, d)
+		if err := c.BcastMatrixInto(0, u); err != nil {
+			return f, nil, nil, err
+		}
+		if d, err = c.BcastFloatsInto(0, d); err != nil {
+			return f, nil, nil, err
+		}
 		x := s.ws.GetUninit(qc.Rows(), u.Cols())
 		mat.MulInto(x, qc, u)
 		s.ws.Put(qc)
 		s.ws.Put(u)
-		return f, x, d
+		return f, x, d, nil
 	}
 }
 
@@ -319,7 +333,7 @@ func (s *SVD) mustBeInitialized() {
 // Initialize seeds the decomposition with the first batch A_0 (M×B): a QR
 // factorization followed by an SVD of the small R factor (Algorithm 1,
 // steps I1–I2).
-func (s *SVD) Initialize(a *mat.Dense) *SVD {
+func (s *SVD) Initialize(a *mat.Dense) error {
 	if s.initialized {
 		panic("stream: Initialize called twice; use IncorporateData for new batches")
 	}
@@ -329,11 +343,13 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 	}
 	s.buf = s.ws.GetUninit(b, m)
 	a.TInto(s.buf)
-	s.rotate(s.buf, s.opts.LowRank)
+	if err := s.rotate(s.buf, s.opts.LowRank); err != nil {
+		return err
+	}
 	s.rows = m
 	s.snapshots = b
 	s.initialized = true
-	return s
+	return nil
 }
 
 // IncorporateData ingests a new batch A_i (M×B), updating the truncated
@@ -342,7 +358,7 @@ func (s *SVD) Initialize(a *mat.Dense) *SVD {
 //	[ff·U_{i−1}·D_{i−1} | A_i] = U′·D′   (QR)
 //	D′ = Ũ·D̃·Ṽᵀ                        (small SVD)
 //	U_i = U′·Ũ[:, :K],  D_i = D̃[:K]
-func (s *SVD) IncorporateData(a *mat.Dense) *SVD {
+func (s *SVD) IncorporateData(a *mat.Dense) error {
 	s.mustBeInitialized()
 	m, b := a.Dims()
 	if m != s.rows {
@@ -376,19 +392,21 @@ func (s *SVD) BatchRows(b int) *mat.Dense {
 
 // IncorporateFilled is IncorporateData for a batch of b snapshots already
 // written into BatchRows(b), the call that must come right before it.
-func (s *SVD) IncorporateFilled(b int) *SVD {
+func (s *SVD) IncorporateFilled(b int) error {
 	s.mustBeInitialized()
 	if b != s.filled {
 		panic(fmt.Sprintf("stream: IncorporateFilled(%d) after BatchRows(%d)", b, s.filled))
 	}
 	s.filled = 0
 	if b == 0 {
-		return s
+		return nil
 	}
-	s.update(s.opts.FF, b, s.opts.LowRank)
+	if err := s.update(s.opts.FF, b, s.opts.LowRank); err != nil {
+		return err
+	}
 	s.iterations++
 	s.snapshots += b
-	return s
+	return nil
 }
 
 // Absorb merges into the engine the truncated factorization (modes M×k,
@@ -403,7 +421,7 @@ func (s *SVD) IncorporateFilled(b int) *SVD {
 // absorbed factorization must hold 1 to K modes. The counters are the
 // caller's: Absorb leaves them as they are. The caller keeps modes and
 // singular, which are read, never adopted.
-func (s *SVD) Absorb(modes *mat.Dense, singular []float64) float64 {
+func (s *SVD) Absorb(modes *mat.Dense, singular []float64) (float64, error) {
 	s.mustBeInitialized()
 	m, k := modes.Dims()
 	if m != s.rows {
@@ -415,8 +433,10 @@ func (s *SVD) Absorb(modes *mat.Dense, singular []float64) float64 {
 	}
 	mat.MulDiagScaledTInto(s.BatchRows(k), 1, modes, singular)
 	s.filled = 0
-	s.update(1, k, false)
-	return s.discarded
+	if err := s.update(1, k, false); err != nil {
+		return 0, err
+	}
+	return s.discarded, nil
 }
 
 // update is the one body of IncorporateData and Absorb. The stack
@@ -426,7 +446,7 @@ func (s *SVD) Absorb(modes *mat.Dense, singular []float64) float64 {
 // sit transposed in the rows under them, written through BatchRows. Every
 // temporary comes from the iteration workspace, so the steady-state update
 // performs no heap allocations.
-func (s *SVD) update(w float64, b int, lowRank bool) {
+func (s *SVD) update(w float64, b int, lowRank bool) error {
 	k0, m := len(s.singular), s.rows
 	at := s.ws.ViewRows(s.buf, 0, k0+b)
 	d := at.RawData()
@@ -436,8 +456,9 @@ func (s *SVD) update(w float64, b int, lowRank bool) {
 			row[i] = w * v * dj
 		}
 	}
-	s.rotate(at, lowRank)
+	err := s.rotate(at, lowRank)
 	s.ws.PutView(at)
+	return err
 }
 
 // rotate is the shared body of both steps: the engine's factor step turns
@@ -445,8 +466,11 @@ func (s *SVD) update(w float64, b int, lowRank bool) {
 // into Q's factor and the truncated basis change, and Q applied to it —
 // never formed — writes the new modes mode-major over at's first rows, with
 // the retained singular values alongside.
-func (s *SVD) rotate(at *mat.Dense, lowRank bool) {
-	f, x, d := s.step(s, at, lowRank)
+func (s *SVD) rotate(at *mat.Dense, lowRank bool) error {
+	f, x, d, err := s.step(s, at, lowRank)
+	if err != nil {
+		return err
+	}
 	f.MulQInPlace(&s.ws, x)
 	f.Release(&s.ws)
 	s.ws.Put(x)
@@ -455,6 +479,7 @@ func (s *SVD) rotate(at *mat.Dense, lowRank bool) {
 	s.buf.ViewRows(0, len(d), &s.top)
 	s.ws.Put(s.modes) // the previous Modes copy is stale
 	s.modes = nil
+	return nil
 }
 
 // smallSVD factorizes the small (batch-sized) matrix produced by the QR
@@ -465,17 +490,14 @@ func (s *SVD) rotate(at *mat.Dense, lowRank bool) {
 // their energy in s.discarded (zero from the randomized SVD, which never
 // computes them). The returned factors are workspace-owned; the caller
 // puts them back.
-func (s *SVD) smallSVD(r *mat.Dense, lowRank bool) (*mat.Dense, []float64) {
+func (s *SVD) smallSVD(r *mat.Dense, lowRank bool) (*mat.Dense, []float64, error) {
 	var u *mat.Dense
 	var d []float64
 	if lowRank {
 		var err error
 		u, d, err = rla.LowRankSVDWith(&s.ws, r, min(s.opts.K, r.Rows(), r.Cols()), s.opts.RLA)
 		if err != nil {
-			// Options are validated before ingest and r is never empty
-			// here, so rla cannot reject the rank; a failure is a broken
-			// internal invariant, not a caller mistake.
-			panic(fmt.Sprintf("stream: low-rank small SVD: %v", err))
+			return nil, nil, fmt.Errorf("stream: low-rank small SVD: %w", err)
 		}
 	} else {
 		u, d = linalg.SVDLeftWith(&s.ws, r)
@@ -488,5 +510,5 @@ func (s *SVD) smallSVD(r *mat.Dense, lowRank bool) (*mat.Dense, []float64) {
 	uk := s.ws.GetUninit(u.Rows(), k)
 	u.SliceColsInto(uk, 0, k)
 	s.ws.Put(u)
-	return uk, d[:k]
+	return uk, d[:k], nil
 }

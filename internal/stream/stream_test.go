@@ -13,10 +13,20 @@ import (
 	"goparsvd/internal/testutil"
 )
 
+// started is New(opts) initialized with a, for tests; it panics on an
+// error.
+func started(opts Options, a *mat.Dense) *SVD {
+	s := New(opts)
+	if err := s.Initialize(a); err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestInitializeMatchesBatchSVD(t *testing.T) {
 	rng := testutil.NewRand(1)
 	a := testutil.RandomDense(40, 8, rng)
-	s := New(Options{K: 5, FF: 1}).Initialize(a)
+	s := started(Options{K: 5, FF: 1}, a)
 	u, sv, _ := linalg.SVD(a)
 	if !testutil.CloseSlices(s.SingularValues(), sv[:5], 1e-10) {
 		t.Fatalf("singular values %v vs %v", s.SingularValues(), sv[:5])
@@ -31,7 +41,7 @@ func TestStreamingEqualsOneShotForFullRankRetention(t *testing.T) {
 	// SVD of the concatenated matrix (the paper's ff = 1 claim).
 	rng := testutil.NewRand(2)
 	a, _ := testutil.RandomLowRank(60, 24, 6, 0, rng)
-	s := New(Options{K: 8, FF: 1}).Initialize(a.SliceCols(0, 8))
+	s := started(Options{K: 8, FF: 1}, a.SliceCols(0, 8))
 	for off := 8; off < 24; off += 8 {
 		s.IncorporateData(a.SliceCols(off, off+8))
 	}
@@ -49,7 +59,7 @@ func TestStreamingApproximatesLeadingModesUnderTruncation(t *testing.T) {
 	// leading streamed modes still track the batch SVD.
 	rng := testutil.NewRand(3)
 	a, _ := testutil.RandomLowRank(80, 30, 5, 1e-8, rng)
-	s := New(Options{K: 6, FF: 1}).Initialize(a.SliceCols(0, 10))
+	s := started(Options{K: 6, FF: 1}, a.SliceCols(0, 10))
 	s.IncorporateData(a.SliceCols(10, 20))
 	s.IncorporateData(a.SliceCols(20, 30))
 	u, sv, _ := linalg.SVD(a)
@@ -78,7 +88,7 @@ func TestForgetFactorDownweightsHistory(t *testing.T) {
 	// so with ff = 1 the top mode stays e1, while ff = 0.5 decays the e1
 	// history to 20·0.5⁸ ≈ 0.08 and the top mode flips to e2.
 	run := func(ff float64) float64 {
-		s := New(Options{K: 2, FF: ff}).Initialize(batch(0, 10))
+		s := started(Options{K: 2, FF: ff}, batch(0, 10))
 		for i := 0; i < 8; i++ {
 			s.IncorporateData(batch(1, 3))
 		}
@@ -103,7 +113,7 @@ func TestForgetFactorConvergence(t *testing.T) {
 	_, svBatch, _ := linalg.SVD(a)
 	prevErr := math.Inf(1)
 	for _, ff := range []float64{0.5, 0.8, 0.95, 1.0} {
-		s := New(Options{K: 6, FF: ff}).Initialize(a.SliceCols(0, 5))
+		s := started(Options{K: 6, FF: ff}, a.SliceCols(0, 5))
 		for off := 5; off < 20; off += 5 {
 			s.IncorporateData(a.SliceCols(off, off+5))
 		}
@@ -129,7 +139,7 @@ func TestForgetFactorConvergence(t *testing.T) {
 func TestModesStayOrthonormalAcrossUpdates(t *testing.T) {
 	const m, k, b, updates = 512, 16, 8, 2000
 	rng := testutil.NewRand(5)
-	s := New(Options{K: k, FF: 0.95}).Initialize(testutil.RandomDense(m, b, rng))
+	s := started(Options{K: k, FF: 0.95}, testutil.RandomDense(m, b, rng))
 	for i := 0; i < updates; i++ {
 		s.IncorporateData(testutil.HostileBatch(m, b, i, rng))
 		if loss := testutil.OrthonormalityLoss(s.Modes()); !(loss <= 1e-10) {
@@ -145,7 +155,7 @@ func TestModesStayOrthonormalAcrossUpdates(t *testing.T) {
 
 func TestSingularValuesSortedDescending(t *testing.T) {
 	rng := testutil.NewRand(6)
-	s := New(Options{K: 5, FF: 0.9}).Initialize(testutil.RandomDense(25, 7, rng))
+	s := started(Options{K: 5, FF: 0.9}, testutil.RandomDense(25, 7, rng))
 	for i := 0; i < 5; i++ {
 		s.IncorporateData(testutil.RandomDense(25, 7, rng))
 		sv := s.SingularValues()
@@ -160,8 +170,8 @@ func TestSingularValuesSortedDescending(t *testing.T) {
 func TestLowRankStreamingTracksDeterministic(t *testing.T) {
 	rng := testutil.NewRand(7)
 	a, _ := testutil.RandomLowRank(60, 24, 4, 1e-7, rng)
-	det := New(Options{K: 5, FF: 1}).Initialize(a.SliceCols(0, 8))
-	rnd := New(Options{K: 5, FF: 1, LowRank: true}).Initialize(a.SliceCols(0, 8))
+	det := started(Options{K: 5, FF: 1}, a.SliceCols(0, 8))
+	rnd := started(Options{K: 5, FF: 1, LowRank: true}, a.SliceCols(0, 8))
 	for off := 8; off < 24; off += 8 {
 		det.IncorporateData(a.SliceCols(off, off+8))
 		rnd.IncorporateData(a.SliceCols(off, off+8))
@@ -176,7 +186,7 @@ func TestLowRankStreamingTracksDeterministic(t *testing.T) {
 
 func TestKLargerThanBatchClamps(t *testing.T) {
 	rng := testutil.NewRand(8)
-	s := New(Options{K: 10, FF: 1}).Initialize(testutil.RandomDense(20, 3, rng))
+	s := started(Options{K: 10, FF: 1}, testutil.RandomDense(20, 3, rng))
 	if s.Modes().Cols() != 3 || len(s.SingularValues()) != 3 {
 		t.Fatalf("K must clamp to available columns: %d", s.Modes().Cols())
 	}
@@ -212,29 +222,29 @@ func TestUsageErrors(t *testing.T) {
 			New(Options{K: 2, FF: 1}).IncorporateData(mat.New(3, 2))
 		}},
 		{"double init", func() {
-			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s := started(Options{K: 2, FF: 1}, mat.Eye(3))
 			s.Initialize(mat.Eye(3))
 		}},
 		{"bad K", func() { New(Options{K: 0, FF: 1}) }},
 		{"bad ff", func() { New(Options{K: 2, FF: 0}) }},
 		{"ff > 1", func() { New(Options{K: 2, FF: 1.5}) }},
 		{"row mismatch", func() {
-			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s := started(Options{K: 2, FF: 1}, mat.Eye(3))
 			s.IncorporateData(mat.New(4, 2))
 		}},
 		{"absorb row mismatch", func() {
-			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s := started(Options{K: 2, FF: 1}, mat.Eye(3))
 			s.Absorb(mat.New(4, 1), []float64{1})
 		}},
 		{"absorb more than K", func() {
-			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s := started(Options{K: 2, FF: 1}, mat.Eye(3))
 			s.Absorb(mat.Eye(3), []float64{1, 1, 1})
 		}},
 		{"filled without batch rows", func() {
-			New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3)).IncorporateFilled(2)
+			started(Options{K: 2, FF: 1}, mat.Eye(3)).IncorporateFilled(2)
 		}},
 		{"filled other width", func() {
-			s := New(Options{K: 2, FF: 1}).Initialize(mat.Eye(3))
+			s := started(Options{K: 2, FF: 1}, mat.Eye(3))
 			s.BatchRows(2)
 			s.IncorporateFilled(1)
 		}},
@@ -253,7 +263,7 @@ func TestUsageErrors(t *testing.T) {
 
 func TestEmptyBatchIsNoOp(t *testing.T) {
 	rng := testutil.NewRand(10)
-	s := New(Options{K: 2, FF: 1}).Initialize(testutil.RandomDense(10, 4, rng))
+	s := started(Options{K: 2, FF: 1}, testutil.RandomDense(10, 4, rng))
 	before := s.Modes().Clone()
 	s.IncorporateData(mat.New(10, 0))
 	if !mat.EqualApprox(before, s.Modes(), 0) {
@@ -272,7 +282,7 @@ func TestPropertyStreamingMatchesBatch(t *testing.T) {
 		n := batches * bs
 		m := n + 10 + rng.Intn(30)
 		a, _ := testutil.RandomLowRank(m, n, rank, 0, rng)
-		s := New(Options{K: rank + 2, FF: 1}).Initialize(a.SliceCols(0, bs))
+		s := started(Options{K: rank + 2, FF: 1}, a.SliceCols(0, bs))
 		for off := bs; off < n; off += bs {
 			s.IncorporateData(a.SliceCols(off, off+bs))
 		}
@@ -287,7 +297,7 @@ func TestPropertyStreamingMatchesBatch(t *testing.T) {
 
 func TestRestoreRoundTrip(t *testing.T) {
 	rng := testutil.NewRand(12)
-	orig := New(Options{K: 3, FF: 0.9}).Initialize(testutil.RandomDense(15, 5, rng))
+	orig := started(Options{K: 3, FF: 0.9}, testutil.RandomDense(15, 5, rng))
 	orig.IncorporateData(testutil.RandomDense(15, 4, rng))
 
 	restored, err := Restore(Options{K: 3, FF: 0.9},
@@ -392,8 +402,8 @@ func TestBatchRowsFillInPlace(t *testing.T) {
 	rng := testutil.NewRand(21)
 	a := testutil.RandomDense(50, 24, rng)
 	opts := Options{K: 5, FF: 0.95}
-	ref := New(opts).Initialize(a.SliceCols(0, 8))
-	eng := New(opts).Initialize(a.SliceCols(0, 8))
+	ref := started(opts, a.SliceCols(0, 8))
+	eng := started(opts, a.SliceCols(0, 8))
 	for off := 8; off < 24; off += 8 {
 		batch := a.SliceCols(off, off+8)
 		ref.IncorporateData(batch)
@@ -512,14 +522,17 @@ func TestModeMajorMatchesReference(t *testing.T) {
 				}
 				batch := func(b int) *mat.Dense { return testutil.RandomDense(tc.m, b, rng) }
 				first := batch(tc.b0)
-				s := New(Options{K: tc.k, FF: ff}).Initialize(first)
+				s := started(Options{K: tc.k, FF: ff}, first)
 				ref := &refStream{k: tc.k, ff: ff}
 				ref.initialize(first)
 				for i := 0; i <= updates; i++ {
 					switch {
 					case i > 0 && i%5 == 0:
 						u, sv := truncatedSVD(batch(tc.b), tc.k)
-						tail := s.Absorb(u, sv)
+						tail, err := s.Absorb(u, sv)
+						if err != nil {
+							t.Fatal(err)
+						}
 						ref.absorb(u, sv)
 						if math.Abs(tail-ref.tail) > 1e-13*ref.s[0]*ref.s[0] {
 							t.Fatalf("update %d: Absorb discarded %.17g, reference %.17g", i, tail, ref.tail)

@@ -34,17 +34,21 @@ const tagQBlock = 1 << 16
 // GatherQRWith computes the thin QR factorization of the row-distributed
 // matrix A = [A_0; A_1; …; A_{P−1}], where a is this rank's block (m_i×n).
 // It returns this rank's block of Q (m_i×n) and the global R factor (n×n),
-// which is valid on rank 0 only (pass it through c.BcastMatrix if every
-// rank needs it). Every temporary, the factors that cross rank boundaries
-// included, draws from ws (nil allocates), so each rank of a streaming
-// update reuses its buffers across batches. The local Q is never formed:
-// qlocal is GatherQRFactor's implicit factor applied to this rank's
-// correction block.
+// which is valid on rank 0 only (pass it through c.BcastMatrixInto if
+// every rank needs it). Every temporary, the factors that cross rank
+// boundaries included, draws from ws (nil allocates), so each rank of a
+// streaming update reuses its buffers across batches. The local Q is never
+// formed: qlocal is GatherQRFactor's implicit factor applied to this
+// rank's correction block. It panics where GatherQRFactor returns an
+// error.
 func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
 	m, n := a.Dims()
 	at := ws.GetUninit(n, m)
 	a.TInto(at)
-	f, qc, r := GatherQRFactor(ws, c, at)
+	f, qc, r, err := GatherQRFactor(ws, c, at)
+	if err != nil {
+		panic(err)
+	}
 	qlocal = ws.GetUninit(m, n)
 	f.MulQInto(ws, qlocal, qc)
 	f.Release(ws)
@@ -62,17 +66,23 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 // valid on rank 0 only. Received factors land in ws storage and the
 // messages' payloads go back to the communicator, so a steady update
 // allocates nothing. The caller releases f and returns at, qc and r to
-// ws.
-func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRFactor, qc, r *mat.Dense) {
+// ws. A failed collective, a peer R factor of another width or more than n
+// rows, and a global matrix with fewer rows than columns are errors, after
+// which ws may hold temporaries never put back: the caller's engine is dead.
+func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRFactor, qc, r *mat.Dense, err error) {
 	n := at.Rows()
 	f, rl := linalg.FactorQR(ws, at) // rl is min(m_i,n)×n
 
 	if c.Rank() != 0 {
-		c.SendMatrix(0, tagQBlock, rl)
+		if err := c.SendMatrix(0, tagQBlock, rl); err != nil {
+			return f, nil, nil, err
+		}
 		qc = ws.GetUninit(rl.Rows(), n)
-		c.RecvMatrixInto(0, tagQBlock+c.Rank(), qc)
+		if err := c.RecvMatrixInto(0, tagQBlock+c.Rank(), qc); err != nil {
+			return f, nil, nil, err
+		}
 		ws.Put(rl)
-		return f, qc, nil
+		return f, qc, nil, nil
 	}
 
 	// Rank 0: gather the R factors (its own plus one per peer, in rank
@@ -86,10 +96,12 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 	off := rl.Rows()
 	for src := 1; src < size; src++ {
 		v := ws.ViewRows(stack, off, size*n)
-		c.RecvMatrixInto(src, tagQBlock, v)
+		if err := c.RecvMatrixInto(src, tagQBlock, v); err != nil {
+			return f, nil, nil, err
+		}
 		if v.Cols() != n || v.Rows() > n {
-			panic(fmt.Sprintf("tsqr: rank %d sent a %dx%d R factor, want at most %dx%d",
-				src, v.Rows(), v.Cols(), n, n))
+			return f, nil, nil, fmt.Errorf("tsqr: rank %d sent a %dx%d R factor, want at most %dx%d",
+				src, v.Rows(), v.Cols(), n, n)
 		}
 		rows = append(rows, v.Rows())
 		off += v.Rows()
@@ -100,13 +112,21 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 	linalg.NormalizeQRSigns(qGlobal, rFinal)
 	ws.PutView(rGlobal)
 	ws.Put(stack)
+	if rFinal.Rows() != n || rFinal.Cols() != n {
+		// Happens only when the global row count is below n: the stacked
+		// matrix was not tall-and-skinny.
+		return f, nil, nil, fmt.Errorf("tsqr: global matrix has fewer rows than columns (R is %dx%d)",
+			rFinal.Rows(), rFinal.Cols())
+	}
 
 	// Slice qGlobal back into per-rank correction blocks, matching each
 	// rank's local R row count, and send them out.
 	off = rows[0]
 	for dst := 1; dst < size; dst++ {
 		v := ws.ViewRows(qGlobal, off, off+rows[dst])
-		c.SendMatrix(dst, tagQBlock+dst, v)
+		if err := c.SendMatrix(dst, tagQBlock+dst, v); err != nil {
+			return f, nil, nil, err
+		}
 		ws.PutView(v)
 		off += rows[dst]
 	}
@@ -114,13 +134,7 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 	copy(qc.RawData(), qGlobal.RawData()) // rank 0's rows lead qGlobal
 	ws.Put(rl)
 	ws.Put(qGlobal)
-	if rFinal.Rows() != n || rFinal.Cols() != n {
-		// Happens only when the global row count is below n; the caller's
-		// matrix was not tall-and-skinny.
-		panic(fmt.Sprintf("tsqr: global matrix has fewer rows than columns (R is %dx%d)",
-			rFinal.Rows(), rFinal.Cols()))
-	}
-	return f, qc, rFinal
+	return f, qc, rFinal, nil
 }
 
 // SerialQR is the reference factorization the distributed QR must

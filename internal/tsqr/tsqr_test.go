@@ -1,7 +1,10 @@
 package tsqr
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -38,8 +41,13 @@ func runDistributedQR(t *testing.T, a *mat.Dense, p int) (q, r *mat.Dense) {
 	var rOut *mat.Dense
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		ql, rf := GatherQRWith(nil, c, blocks[c.Rank()])
-		rb := c.BcastMatrix(0, rf)
+		ql, rb := GatherQRWith(nil, c, blocks[c.Rank()])
+		if rb == nil {
+			rb = new(mat.Dense)
+		}
+		if err := c.BcastMatrixInto(0, rb); err != nil {
+			panic(err)
+		}
 		mu.Lock()
 		qBlocks[c.Rank()] = ql
 		if c.Rank() == 0 {
@@ -67,6 +75,27 @@ func checkAgainstSerial(t *testing.T, name string, a, q, r *mat.Dense, tol float
 	if !mat.EqualApprox(q, qs, tol) {
 		t.Fatalf("%s: distributed Q differs from serial Q by %g",
 			name, mat.Sub(q, qs).MaxAbs())
+	}
+}
+
+// TestGatherQRFactorRefusesWideFactor: a peer R factor of another width is
+// bytes from a rank running another shape, so rank 0 returns an error
+// naming it, and the peer waiting for its Q block gets ErrAborted once the
+// failing rank aborts the world.
+func TestGatherQRFactorRefusesWideFactor(t *testing.T) {
+	_, err := mpi.Run(2, func(c *mpi.Comm) {
+		at := testutil.RandomDense(4+c.Rank(), 10, testutil.NewRand(3)) // rank 1 is one column wider
+		_, _, _, err := GatherQRFactor(nil, c, at)
+		if c.Rank() == 0 {
+			panic(err) // the harness aborts the world, as an engine's caller does
+		}
+		if !errors.Is(err, mpi.ErrAborted) {
+			t.Errorf("rank 1: %v, want ErrAborted", err)
+		}
+	})
+	var re *mpi.RankError
+	if !errors.As(err, &re) || re.Rank != 0 || !strings.Contains(fmt.Sprint(re.Value), "rank 1 sent a 5x5 R factor, want at most 4x4") {
+		t.Fatalf("err = %v, want rank 0's width error", err)
 	}
 }
 

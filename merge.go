@@ -80,7 +80,11 @@ func (s *SVD) Merge(r io.Reader) error {
 	}
 	bound := s.mergeBound
 	if s.rows != 0 {
-		bound += math.Sqrt(eng.svd.Absorb(st.Modes, st.Singular))
+		tail, err := eng.svd.Absorb(st.Modes, st.Singular)
+		if err != nil {
+			return fmt.Errorf("parsvd: merging checkpoint: %w", err)
+		}
+		bound += math.Sqrt(tail)
 	}
 
 	// Point of no return: everything validated, swap the engine.

@@ -101,9 +101,9 @@ func (r *Result) Clone() *Result {
 	return &out
 }
 
-// ErrEngineFailed marks an SVD whose backend is permanently failed: a
-// rank panicked or a collective aborted, and the streaming state can no
-// longer be trusted or advanced. Every later Push/Result reports an error
+// ErrEngineFailed marks an SVD whose backend is permanently failed: an
+// engine returned an error on some rank, a collective aborted or a worker
+// died, and the streaming state can no longer be trusted or advanced. Every later Push/Result reports an error
 // wrapping this sentinel; the only recovery is a new SVD (or Load from a
 // checkpoint). Servers use it to distinguish a dead engine (their fault,
 // HTTP 5xx) from a bad request.

@@ -76,7 +76,7 @@ func httpStatus(err error) int {
 		// storage fault, not a caller mistake.
 		return http.StatusInternalServerError
 	case errors.Is(err, parsvd.ErrEngineFailed):
-		// A permanently failed engine (rank panic, aborted collective) is
+		// A permanently failed engine (an engine error, an aborted collective) is
 		// a server-side fault, not a caller mistake.
 		return http.StatusInternalServerError
 	}
