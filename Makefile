@@ -66,21 +66,25 @@ worker:
 # The last step, without the race detector (whose
 # instrumentation allocates), pins the allocation-free distributed steady
 # state: a two-rank update over loopback sockets, and a worker's PUSH,
-# MODES-SHA and SAVE, each 0 allocs/op; and a worker's lifetime bytes over
-# a 200-push session, bounded by its engine buffer plus fixed I/O.
+# MODES-SHA and SAVE, each 0 allocs/op; a worker's lifetime bytes over a
+# 200-push session, bounded by its engine buffer plus fixed I/O; and the
+# seeding placement: the first batch decoded into the engine buffer's
+# first rows, with APMOS writing the modes over them
+# (TestFirstBatchSeedsInPlace).
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
 		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestParallelDispatchReportsOriginatingError' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
-	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
+	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
 		./internal/core ./cmd/parsvd-worker
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
 # every decoder that parses another process's bytes or a crashed
 # process's files: the mesh frame reader with its hello, table, ident and
 # data-body decoders (including the rendezvous handshake), the PUSH block
-# reader and the worker's in-place PUSH decoders checked against it
-# (FuzzDecodeBlockInPlace), the PUSH-SKETCH factor-pair decoder, the
+# reader and the worker's transposing in-place PUSH decoder
+# (mat.ReadValuesT) checked against it (FuzzDecodeBlockInPlace), the
+# PUSH-SKETCH factor-pair decoder, the
 # launcher's SAVE checkpoint reader (FuzzReadBlobState), the HTTP binary
 # matrix body decoder, checkpoint loading and the WAL reader behind
 # Open/Replay (truncated frames, hostile lengths and shapes, non-finite

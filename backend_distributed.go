@@ -43,9 +43,9 @@ type distEngine struct {
 func newDistEngine(cfg config) *distEngine { return &distEngine{cfg: cfg} }
 
 // start spawns the worker fleet, each rank with the engine spec on its
-// command line. A spawn failure (no worker binary, no descriptors) does
-// not poison the engine — nothing has been ingested, so the next push may
-// retry.
+// command line. A spawn failure (no worker binary, no descriptors) is a
+// failed start (ErrStartFailed) that does not poison the engine — nothing
+// has been ingested, so the next push may retry.
 func (d *distEngine) start() error {
 	sess, err := launch.StartSession(launch.SessionConfig{
 		Ranks:     d.cfg.ranks,
@@ -65,7 +65,7 @@ func (d *distEngine) start() error {
 		Stderr:      d.cfg.transport.Stderr,
 	})
 	if err != nil {
-		return fmt.Errorf("parsvd: starting distributed worker fleet: %w", err)
+		return fmt.Errorf("%w: %w", ErrStartFailed, err)
 	}
 	d.sess = sess
 	return nil
@@ -81,8 +81,8 @@ func (d *distEngine) poison(op string, err error) error {
 // refusal (an expired Fit deadline before any frame was written) leaves
 // the still-healthy session — and this engine — fully usable; a fault on
 // the first push, which is the fleet's first exchange, is a failed start
-// (nothing was ingested: the session is dropped and the next push spawns
-// afresh); any later fault killed a live stream and poisons the engine
+// (ErrStartFailed; nothing was ingested: the session is dropped and the
+// next push spawns afresh); any later fault killed a live stream and poisons the engine
 // permanently.
 func (d *distEngine) sessionErr(op string, err error) error {
 	switch {
@@ -91,7 +91,7 @@ func (d *distEngine) sessionErr(op string, err error) error {
 	case d.rows == 0:
 		d.sess.Close() // reaped already; this only marks it closed
 		d.sess = nil
-		return fmt.Errorf("parsvd: starting distributed worker fleet: %w", err)
+		return fmt.Errorf("%w: %w", ErrStartFailed, err)
 	default:
 		return d.poison(op, err)
 	}

@@ -131,9 +131,9 @@ func BenchmarkFig1cWeakScaling(b *testing.B) {
 			b.ReportAllocs()
 			cfg := burgers.Config{L: 1, Re: 1000, Nx: 256 * ranks, Nt: 48, TFinal: 2}
 			parts := cfg.Partition(ranks)
-			blocks := make([]*mat.Dense, ranks)
+			blocks := make([]*mat.Dense, ranks) // each rank's Aᵢᵀ, as APMOS takes it
 			for r := 0; r < ranks; r++ {
-				blocks[r] = cfg.SnapshotsRows(parts[r][0], parts[r][1])
+				blocks[r] = cfg.SnapshotsRows(parts[r][0], parts[r][1]).T()
 			}
 			opts := apmos.Options{
 				K: benchK, R1: 16, R2: benchK, LowRank: true,
@@ -230,9 +230,9 @@ func BenchmarkAblationTruncation(b *testing.B) {
 	b.ReportAllocs()
 	cfg := burgers.Config{L: 1, Re: 1000, Nx: 2048, Nt: 96, TFinal: 2}
 	parts := cfg.Partition(benchRanks)
-	blocks := make([]*mat.Dense, benchRanks)
+	blocks := make([]*mat.Dense, benchRanks) // each rank's Aᵢᵀ, as APMOS takes it
 	for r := 0; r < benchRanks; r++ {
-		blocks[r] = cfg.SnapshotsRows(parts[r][0], parts[r][1])
+		blocks[r] = cfg.SnapshotsRows(parts[r][0], parts[r][1]).T()
 	}
 	_, sExact, _ := linalg.SVD(cfg.Snapshots())
 	for _, r1 := range []int{4, 8, 16, 48, 96} {

@@ -104,12 +104,9 @@ type session struct {
 	out  *bufio.Writer
 	fw   *tcptransport.FrameWriter
 
-	copts     core.Options
 	eng       *core.Parallel
 	localRows int
-	// first is the engine's FirstBatch view the first PUSH was decoded
-	// into, and pushed the width of the batch the last PUSH decoded.
-	first  *mat.Dense
+	// pushed is the width of the batch the last PUSH decoded.
 	pushed int
 
 	// sketch holds every PUSH-SKETCH; scratch carries every block's
@@ -125,11 +122,12 @@ type session struct {
 // newSession serves rank's commands over t with the engine options copts,
 // which the caller has validated.
 func newSession(t *tcptransport.Transport, rank int, copts core.Options, out *bufio.Writer) *session {
+	comm := mpi.NewComm(t, rank)
 	return &session{
 		rank:    rank,
 		t:       t,
-		copts:   copts,
-		comm:    mpi.NewComm(t, rank),
+		comm:    comm,
+		eng:     core.NewParallel(comm, copts),
 		out:     out,
 		fw:      tcptransport.NewFrameWriter(out),
 		scratch: make([]byte, 32<<10),
@@ -197,7 +195,7 @@ func (s *session) okStatus(sha []byte, spectrum []float64) error {
 		BytesRecv: st.RecvBytes[s.rank],
 		Rows:      s.localRows,
 	}
-	if s.eng != nil {
+	if s.eng.Initialized() {
 		status.Snapshots = s.eng.SnapshotsSeen()
 		status.Iterations = s.eng.Iterations()
 	}
@@ -205,26 +203,27 @@ func (s *session) okStatus(sha []byte, spectrum []float64) error {
 	return s.reply(launch.SessOK, s.body)
 }
 
-// readPush decodes a PUSH body, the next n bytes of in, straight into the
-// engine's buffer, with every check mat.ReadBlockExact makes: the first
-// batch into the rows the seeding reads it from (core.Parallel.FirstBatch)
-// and every later one transposed into the rows the update stacks it in
-// (BatchRows).
+// readPush decodes a PUSH body, the next n bytes of in, transposed
+// straight into the engine's buffer, with every check mat.ReadBlockExact
+// makes: the first batch into the rows the seeding reads it from
+// (core.Parallel.FirstBatch), every later one into the rows the update
+// stacks it in (BatchRows).
 func (s *session) readPush(in io.Reader, n int) error {
 	rows, cols, err := mat.ReadBlockHeader(in, n, s.scratch)
 	if err != nil {
 		return err
 	}
-	s.pushed = cols
-	if s.eng == nil {
-		s.eng = core.NewParallel(s.comm, s.copts)
-		s.first = s.eng.FirstBatch(rows, cols)
-		return mat.ReadValues(in, s.first, s.scratch)
-	}
-	if rows != s.localRows {
+	var dst *mat.Dense
+	switch {
+	case !s.eng.Initialized():
+		dst = s.eng.FirstBatch(rows, cols)
+	case rows != s.localRows:
 		return fmt.Errorf("PUSH block has %d rows, this rank holds %d", rows, s.localRows)
+	default:
+		dst = s.eng.BatchRows(cols)
 	}
-	return mat.ReadValuesT(in, s.eng.BatchRows(cols), s.scratch)
+	s.pushed = cols
+	return mat.ReadValuesT(in, dst, s.scratch)
 }
 
 // ingest seeds the engine with this rank's block of the first batch and
@@ -234,13 +233,11 @@ func (s *session) readPush(in io.Reader, n int) error {
 func (s *session) ingest(sketched *mat.Dense) error {
 	var err error
 	switch {
-	case sketched == nil && s.first != nil:
-		err = s.eng.Initialize(s.first)
-		s.first = nil
+	case sketched == nil && !s.eng.Initialized():
+		err = s.eng.InitializeFilled()
 	case sketched == nil:
 		err = s.eng.IncorporateFilled(s.pushed)
-	case s.eng == nil:
-		s.eng = core.NewParallel(s.comm, s.copts)
+	case !s.eng.Initialized():
 		err = s.eng.Initialize(sketched)
 	case sketched.Rows() != s.localRows:
 		return fmt.Errorf("PUSH-SKETCH block has %d rows, this rank holds %d", sketched.Rows(), s.localRows)
@@ -265,7 +262,7 @@ func (s *session) handle(verb byte, sketched *mat.Dense) (bool, error) {
 		}
 		return false, s.okStatus(nil, nil)
 	case launch.SessModesSHA, launch.SessSave:
-		if s.eng == nil {
+		if !s.eng.Initialized() {
 			return false, errors.New("MODES-SHA or SAVE before any PUSH")
 		}
 		blocks, err := s.eng.GatherModeRows() // collective: every rank participates

@@ -3,8 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"goparsvd/internal/core"
@@ -261,5 +264,49 @@ func TestSessionLifetimeBytes(t *testing.T) {
 	t.Logf("%d bytes allocated over the session (%d per rank)", got, got/ranks)
 	if limit := uint64(ranks*buffer + payload + fixed); got > limit {
 		t.Errorf("a session allocated %d bytes across both ranks, want at most %d: 2×%d buffer + %d payload + %d fixed", got, limit, buffer, payload, fixed)
+	}
+}
+
+// TestPushRefusesNonFiniteValue: a PUSH carrying a non-finite value is
+// refused in one ERR frame naming the value and its index in the block,
+// with the same text whether it is the seeding PUSH or a later one: both
+// go through the one decoder.
+func TestPushRefusesNonFiniteValue(t *testing.T) {
+	const rows, b, bad = 40, 4, 77
+	good := testutil.RandomDense(rows, b, testutil.NewRand(3))
+	poisoned := good.Clone()
+	poisoned.RawData()[bad] = math.Inf(-1)
+	push := func(m *mat.Dense) []byte {
+		return frame(launch.SessPush, mat.AppendBlock(nil, 0, rows, b, m.RawData()))
+	}
+	// refusal feeds a one-rank fleet the accepted pushes, then the last
+	// one, and returns the text of the ERR it answers that with.
+	refusal := func(pushes ...[]byte) string {
+		f := startFleet(t, 1, core.Options{K: 2, ForgetFactor: 1})
+		last := len(pushes) - 1
+		for _, p := range pushes[:last] {
+			f.do([][]byte{p}, launch.SessOK, launch.SessOK)
+		}
+		// The refusing rank stops reading mid-body; closing the pipe at
+		// cleanup ends this write.
+		go f.in[0].Write(pushes[last])
+		verb, n, err := tcptransport.ReadFrameHeader(f.out[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(f.out[0], body); err != nil {
+			t.Fatal(err)
+		}
+		if verb != launch.SessErr {
+			t.Fatalf("after %d accepted pushes a poisoned PUSH got 0x%02x (%s), want ERR", last, verb, body)
+		}
+		return string(body)
+	}
+	first := refusal(push(poisoned))
+	later := refusal(push(good), push(poisoned))
+	want := fmt.Sprintf("non-finite value (%g) at index %d", math.Inf(-1), bad)
+	if !strings.Contains(first, want) || first != later {
+		t.Fatalf("seeding PUSH refused with %q, a later one with %q; want both naming %q", first, later, want)
 	}
 }

@@ -170,6 +170,9 @@ func TestDistributedFailedStartDoesNotPoison(t *testing.T) {
 		if errors.Is(err, parsvd.ErrEngineFailed) {
 			t.Fatalf("push %d: a failed start poisoned the engine: %v", attempt+1, err)
 		}
+		if !errors.Is(err, parsvd.ErrStartFailed) {
+			t.Fatalf("push %d: %v, want a failed start (ErrStartFailed)", attempt+1, err)
+		}
 		pids := spawned()
 		if len(pids) <= seen {
 			t.Fatalf("push %d spawned no worker", attempt+1)

@@ -66,14 +66,15 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // GenerateRightVectors computes the leading r1 right singular vectors and
-// singular values of the local block a (the paper's
-// `generate_right_vectors`) by the method of snapshots: the SVD of the N×N
-// Gram matrix AᵢᵀAᵢ = V·Σ²·Vᵀ, the paper's choice ("one may also perform a
-// method of snapshots approach ... provided Mᵢ ≫ N"). The returned V is
-// N×r1 and s has length r1; a block of fewer than r1 rows yields trailing
-// singular values at roundoff level.
-func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
-	_, n := a.Dims()
+// singular values of the local block A_i (the paper's
+// `generate_right_vectors`) from its transpose at = Aᵢᵀ, the N×M_i matrix
+// whose row j is snapshot j's M_i values, by the method of snapshots: the
+// SVD of the N×N Gram matrix AᵢᵀAᵢ = V·Σ²·Vᵀ, the paper's choice ("one may
+// also perform a method of snapshots approach ... provided Mᵢ ≫ N"). The
+// returned V is N×r1 and s has length r1; a block of fewer than r1 rows
+// yields trailing singular values at roundoff level.
+func GenerateRightVectors(at *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
+	n := at.Rows()
 	if r1 > n {
 		r1 = n
 	}
@@ -85,14 +86,14 @@ func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 	// block far outside the unit range is first scaled by an exact power
 	// of two, so its Gram neither overflows nor underflows; V is unchanged
 	// by the scaling.
-	if e := linalg.Equilibration(a); e != 0 {
-		v, s = GenerateRightVectors(mat.Scale(math.Ldexp(1, e), a), r1)
+	if e := linalg.Equilibration(at); e != 0 {
+		v, s = GenerateRightVectors(mat.Scale(math.Ldexp(1, e), at), r1)
 		for i := range s {
 			s[i] = math.Ldexp(s[i], -e)
 		}
 		return v, s
 	}
-	gram := mat.MulTransA(a, a)
+	gram := mat.MulTransB(at, at)
 	vg, s2, _ := linalg.SVD(gram)
 	s = make([]float64, r1)
 	for i := 0; i < r1; i++ {
@@ -103,23 +104,27 @@ func GenerateRightVectors(a *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 	return vg.SliceCols(0, r1), s
 }
 
-// Decompose runs Algorithm 2 over the communicator: a is this rank's row
-// block A_i of the global snapshot matrix. It returns this rank's slice of
-// the k ≤ K global modes mode-major — the k×M_i matrix whose row j is mode
-// j's M_i entries, the layout the streaming engine keeps its modes in — and
-// the k global singular values; both are valid on every rank. The modes
-// are written into the first k rows of dst, which is M_i wide with at
-// least K rows, and rows views them there; a nil dst means fresh k×M_i
-// storage. dst must not overlap a. A failed collective, a peer block of
-// another snapshot count and a failed randomized root SVD are errors, on
-// which the caller aborts the world, so peers blocked in a collective
-// return too.
-func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64, err error) {
-	_, n := a.Dims()
+// Decompose runs Algorithm 2 over the communicator: at is this rank's row
+// block A_i of the global snapshot matrix held transposed, as the N×M_i
+// matrix Aᵢᵀ whose row j is snapshot j's M_i values — the layout every
+// batch is written into the streaming engine in (stream.SVD.BatchRows). It
+// returns this rank's slice of the k ≤ K global modes mode-major — the
+// k×M_i matrix whose row j is mode j's M_i entries, the layout the
+// streaming engine keeps its modes in — and the k global singular values;
+// both are valid on every rank. The modes are written into the first k
+// rows of dst, which is M_i wide with at least K rows, and rows views them
+// there; a nil dst means fresh k×M_i storage. dst may be at itself, or a
+// buffer whose leading rows at views: k ≤ N, so the modes then overwrite
+// the leading snapshots they were formed from. A failed collective, a peer
+// block of another snapshot count and a failed randomized root SVD are
+// errors, on which the caller aborts the world, so peers blocked in a
+// collective return too.
+func Decompose(c *mpi.Comm, at *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64, err error) {
+	n, mi := at.Dims()
 	opts = opts.withDefaults(n)
 
 	// Step 1–2: local right vectors, truncated to r1 columns.
-	vlocal, slocal := GenerateRightVectors(a, opts.R1)
+	vlocal, slocal := GenerateRightVectors(at, opts.R1)
 
 	// Step 3: W_i = Ṽᵢ·diag(Σ̃ᵢ), gathered at rank 0 (paper Listing 3:
 	// wlocal = vlocal · diag(slocal)ᵀ; comm.gather(wlocal, root=0)).
@@ -167,7 +172,11 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *m
 	}
 
 	// Step 7: local slice of each global mode, Ũʲᵢ = (1/Λ_j)·A_i·X_j,
-	// formed mode-major as Ũᵀ = diag(1/Λ)·X_kᵀ·A_iᵀ.
+	// formed mode-major as Ũᵀ = diag(1/Λ)·X_kᵀ·Aᵢᵀ one column slab at a
+	// time. A slab of the product reads only the same columns of Aᵢᵀ, so it
+	// is formed in a cache-resident k×slab stage by the broadcast-axpy
+	// kernel (X_kᵀ read where it lies in X) and written out scaled once
+	// those columns are read: the modes may overwrite at.
 	k := min(opts.K, len(lam))
 	inv := make([]float64, k)
 	for j := range inv {
@@ -176,42 +185,27 @@ func Decompose(c *mpi.Comm, a *mat.Dense, opts Options, dst *mat.Dense) (rows *m
 		}
 	}
 	if dst == nil {
-		rows = mat.New(k, a.Rows())
+		rows = mat.New(k, mi)
 	} else {
 		rows = new(mat.Dense)
 		dst.ViewRows(0, k, rows)
 	}
-	modeRows(rows, a, x.SliceCols(0, k), inv)
-	return rows, lam[:k], nil
-}
-
-// modePanel is the row-panel height of step 7's product: a panel of
-// A_i·X_k stays in L1 while it is scaled and written out transposed.
-const modePanel = 128
-
-// modeRows writes diag(inv)·X_kᵀ·A_iᵀ, the K×M_i mode-major slice of the
-// modes, into out. A_i·X_k runs one row panel at a time through the
-// broadcast-axpy kernel, and each cache-resident panel is scaled and
-// written transposed into its columns of out, so neither the M_i×K
-// product nor a transpose of it is ever built.
-func modeRows(out, a, xk *mat.Dense, inv []float64) {
-	mi, k := a.Rows(), xk.Cols()
-	panel := mat.New(min(modePanel, mi), k)
-	var rows, p mat.Dense
-	d := out.RawData()
-	for i0 := 0; i0 < mi; i0 += modePanel {
-		i1 := min(i0+modePanel, mi)
-		a.ViewRows(i0, i1, &rows)
-		panel.ViewRows(0, i1-i0, &p)
-		mat.MulInto(&p, &rows, xk)
-		pd := p.RawData()
-		for j, s := range inv {
-			col := d[j*mi+i0 : j*mi+i1]
-			for i := range col {
-				col[i] = pd[i*k+j] * s
+	const slab = 128
+	stage := make([]float64, k*min(slab, mi))
+	src, out := at.RawData(), rows.RawData()
+	for c0 := 0; c0 < mi; c0 += slab {
+		w := min(slab, mi-c0)
+		st := stage[:k*w]
+		clear(st)
+		mat.AxpyBlock(st, w, x.RawData(), 1, x.Cols(), src[c0:], mi, k, w, n)
+		for j, sj := range inv {
+			o := out[j*mi+c0 : j*mi+c0+w]
+			for i, v := range st[j*w : (j+1)*w] {
+				o[i] = v * sj
 			}
 		}
 	}
+	return rows, lam[:k], nil
 }
 
 // DecomposeSerial is the single-process reference: the exact truncated SVD

@@ -42,7 +42,7 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 	var sOut []float64
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		m, sv, err := Decompose(c, blocks[c.Rank()], opts, nil)
+		m, sv, err := Decompose(c, blocks[c.Rank()].T(), opts, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -59,7 +59,7 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 func TestGenerateRightVectorsGramMatchesSVD(t *testing.T) {
 	rng := testutil.NewRand(1)
 	a := testutil.RandomDense(50, 12, rng)
-	vg, sg := GenerateRightVectors(a, 6)
+	vg, sg := GenerateRightVectors(a.T(), 6)
 	_, ss, vs := linalg.SVD(a)
 	vs, ss = vs.SliceCols(0, 6), ss[:6]
 	if !testutil.CloseSlices(sg, ss, 1e-9) {
@@ -74,7 +74,7 @@ func TestGenerateRightVectorsMatchesGlobalSVD(t *testing.T) {
 	rng := testutil.NewRand(2)
 	a := testutil.RandomDense(60, 10, rng)
 	_, s, v := linalg.SVD(a)
-	vg, sg := GenerateRightVectors(a, 5)
+	vg, sg := GenerateRightVectors(a.T(), 5)
 	if !testutil.CloseSlices(sg, s[:5], 1e-9) {
 		t.Fatalf("singular values: %v vs %v", sg, s[:5])
 	}
@@ -86,7 +86,7 @@ func TestGenerateRightVectorsMatchesGlobalSVD(t *testing.T) {
 func TestGenerateRightVectorsClampsR1(t *testing.T) {
 	rng := testutil.NewRand(3)
 	a := testutil.RandomDense(20, 4, rng)
-	v, s := GenerateRightVectors(a, 99)
+	v, s := GenerateRightVectors(a.T(), 99)
 	if v.Cols() != 4 || len(s) != 4 {
 		t.Fatalf("r1 not clamped: V cols %d, s %d", v.Cols(), len(s))
 	}
@@ -97,7 +97,7 @@ func TestGenerateRightVectorsSVDPadsShortBlocks(t *testing.T) {
 	// must still return 6 columns, the extra ones at roundoff level.
 	rng := testutil.NewRand(4)
 	a := testutil.RandomDense(3, 8, rng)
-	v, s := GenerateRightVectors(a, 6)
+	v, s := GenerateRightVectors(a.T(), 6)
 	if v.Cols() != 6 || len(s) != 6 {
 		t.Fatalf("padding failed: V cols %d, s %d", v.Cols(), len(s))
 	}
@@ -256,7 +256,7 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 		var s []float64
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
-			_, sv, err := Decompose(c, blocks[c.Rank()], Options{K: k, R1: n, R2: k}, nil)
+			_, sv, err := Decompose(c, blocks[c.Rank()].T(), Options{K: k, R1: n, R2: k}, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -278,36 +278,63 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 // TestDecomposeIntoDestination: modes written into a caller's buffer are
 // bit for bit those written into fresh storage, in the buffer's first k
 // rows, and the rows below are untouched — even when fewer than K modes
-// exist.
+// exist. The destination may be the input itself: the modes then
+// overwrite its leading rows, bit for bit as into fresh storage.
 func TestDecomposeIntoDestination(t *testing.T) {
 	rng := testutil.NewRand(41)
-	a := testutil.RandomDense(30, 4, rng) // 4 snapshots: k = 4 < K = 6
+	a := testutil.RandomDense(300, 4, rng) // 4 snapshots: k = 4 < K = 6
 	blocks := splitRows(a, 2)
 	opts := Options{K: 6, R1: 4, R2: 6}
 	mpi.MustRun(2, func(c *mpi.Comm) {
-		local := blocks[c.Rank()]
+		local := blocks[c.Rank()].T()
+		mi := local.Cols()
 		want, ws, err := Decompose(c, local, opts, nil)
 		if err != nil {
 			panic(err)
 		}
-		dst := mat.New(8, local.Rows())
+		dst := mat.New(8, mi)
 		dst.Fill(-7)
 		got, gs, err := Decompose(c, local, opts, dst)
 		if err != nil {
 			panic(err)
 		}
-		if &got.RawData()[0] != &dst.RawData()[0] || got.Rows() != len(gs) || got.Cols() != local.Rows() {
+		if &got.RawData()[0] != &dst.RawData()[0] || got.Rows() != len(gs) || got.Cols() != mi {
 			t.Errorf("rank %d: modes are not the first rows of the destination", c.Rank())
 		}
 		if !mat.EqualApprox(got, want, 0) || !testutil.CloseSlices(gs, ws, 0) {
 			t.Errorf("rank %d: modes in the destination differ from fresh ones", c.Rank())
 		}
-		for _, v := range dst.RawData()[len(gs)*local.Rows():] {
+		for _, v := range dst.RawData()[len(gs)*mi:] {
 			if v != -7 {
 				t.Fatalf("rank %d: Decompose wrote below its %d mode rows", c.Rank(), len(gs))
 			}
 		}
+
+		in := local.Clone()
+		got, gs, err = Decompose(c, in, opts, in)
+		if err != nil {
+			panic(err)
+		}
+		if &got.RawData()[0] != &in.RawData()[0] || got.Rows() != len(gs) {
+			t.Errorf("rank %d: modes are not the first rows of the input", c.Rank())
+		}
+		if !bitsEqual(got.RawData(), want.RawData()) || !testutil.CloseSlices(gs, ws, 0) {
+			t.Errorf("rank %d: modes written over the input differ from fresh ones", c.Rank())
+		}
 	})
+}
+
+// bitsEqual reports whether two slices hold the same bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDecomposeRefusesMismatchedBlocks: a peer whose block holds another
@@ -318,7 +345,7 @@ func TestDecomposeRefusesMismatchedBlocks(t *testing.T) {
 	rng := testutil.NewRand(43)
 	blocks := []*mat.Dense{testutil.RandomDense(20, 5, rng), testutil.RandomDense(20, 6, rng)}
 	_, err := mpi.Run(2, func(c *mpi.Comm) {
-		_, _, err := Decompose(c, blocks[c.Rank()], Options{K: 2}, nil)
+		_, _, err := Decompose(c, blocks[c.Rank()].T(), Options{K: 2}, nil)
 		if c.Rank() == 0 {
 			panic(err) // the harness aborts the world, as an engine's caller does
 		}

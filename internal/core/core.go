@@ -47,18 +47,17 @@ type Options struct {
 
 // Validate reports whether the options describe a usable configuration.
 // It is the error-returning twin of validated, for callers (the public
-// parsvd facade) that must not panic.
+// parsvd facade, a worker's engine spec) that must not panic. K, the
+// forget factor and RLA are the streaming engine's options, checked by
+// stream.Options.Validate; only R1 is APMOS's.
 func (o Options) Validate() error {
-	if o.K < 1 {
-		return fmt.Errorf("core: K = %d < 1", o.K)
-	}
-	if !(o.ForgetFactor > 0 && o.ForgetFactor <= 1) { // the negated form also rejects NaN
-		return fmt.Errorf("core: forget factor %g outside (0, 1]", o.ForgetFactor)
+	if err := o.streamOptions().Validate(); err != nil {
+		return err
 	}
 	if o.R1 < 0 {
 		return fmt.Errorf("core: R1 = %d < 0", o.R1)
 	}
-	return o.RLA.Validate()
+	return nil
 }
 
 // Validated is Validate returning the options with their defaults filled
@@ -105,10 +104,9 @@ type Parallel struct {
 	*stream.SVD // nil until Initialize
 	opts        Options
 	comm        *mpi.Comm
-	// seed is the (K+B)×M_i buffer FirstBatch allocated, and first its
-	// bottom B rows viewed as the M_i×B batch, until Initialize adopts it.
-	seed  *mat.Dense
-	first mat.Dense
+	// seed is the (K+B)×M_i buffer FirstBatch allocated, until the
+	// seeding adopts it.
+	seed *mat.Dense
 	// gathered holds, at rank 0, the mode blocks GatherModeRows returns:
 	// rank 0's own rows, and every other rank's as a view of the payload
 	// it arrived in, until ReleaseModeRows hands the payloads back.
@@ -127,52 +125,62 @@ func NewParallel(c *mpi.Comm, opts Options) *Parallel {
 // Options returns the validated options the engine was built with.
 func (p *Parallel) Options() Options { return p.opts }
 
-// FirstBatch returns the m×b matrix to write this rank's block of the
-// first batch into, row-major, before Initialize(FirstBatch(m, b)) seeds
-// from it: the bottom b rows of the (K+b)×m buffer the engine keeps for
-// good, viewed as m×b. The seeding reads the batch there and writes the
-// modes into the rows above it, so a caller that decodes the batch
-// straight into it holds no copy of it, and the buffer the updates factor
-// is allocated once.
+// FirstBatch returns the b×m rows to write this rank's block of the first
+// batch into, transposed (row j holds snapshot j's m values) as BatchRows
+// hands out every later batch, for InitializeFilled to seed from: the
+// first b rows of the (K+b)×m buffer the engine keeps for good. The
+// seeding writes the modes over the leading rows of the batch, so a caller
+// that decodes the batch straight into them holds no copy of it, and the
+// buffer the updates factor is allocated once.
 func (p *Parallel) FirstBatch(m, b int) *mat.Dense {
 	if p.SVD != nil {
 		panic("core: FirstBatch after Initialize")
 	}
 	p.seed = mat.New(p.opts.K+b, m)
-	p.first.Wrap(m, b, p.seed.RawData()[p.opts.K*m:])
-	return &p.first
+	rows := new(mat.Dense)
+	p.seed.ViewRows(0, b, rows)
+	return rows
 }
 
-// Initialize seeds the decomposition with this rank's block of the first
-// batch using the distributed (optionally randomized) APMOS SVD — the
-// paper's Listing 2/3 `initialize` → `parallel_svd`. Every later batch goes
-// through IncorporateData: the paper's Listing 2 `incorporate_data` →
-// Listing 4 `parallel_qr`.
-//
-// The modes are written into the top rows of the (K+B)×M_i buffer the
-// engine keeps, so the first B-wide update stacks its batch under them
-// without regrowing it. a is read, never adopted, unless it is the
-// FirstBatch view into that buffer. Calling it twice panics; an error
-// (a failed collective, a peer's bad block) leaves the engine dead.
+// Initialize seeds the decomposition with this rank's M_i×B block of the
+// first batch, which is read, never adopted: it is transposed into
+// FirstBatch's rows and seeded from there by InitializeFilled.
 func (p *Parallel) Initialize(a *mat.Dense) error {
+	m, b := a.Dims()
+	a.TInto(p.FirstBatch(m, b))
+	return p.InitializeFilled()
+}
+
+// InitializeFilled seeds the decomposition with this rank's block of the
+// first batch, already written into FirstBatch (the call that must come
+// before it), using the distributed (optionally randomized) APMOS SVD —
+// the paper's Listing 2/3 `initialize` → `parallel_svd`. Every later batch
+// goes through IncorporateData: the paper's Listing 2 `incorporate_data`
+// → Listing 4 `parallel_qr`.
+//
+// APMOS writes the modes over the first rows of the batch, in the
+// (K+B)×M_i buffer the engine keeps, so the first B-wide update stacks its
+// batch under them without regrowing it. Calling it twice panics; an
+// error (a failed collective, a peer's bad block) leaves the engine dead.
+func (p *Parallel) InitializeFilled() error {
 	if p.SVD != nil {
 		panic("core: Initialize called twice")
 	}
-	m, b := a.Dims()
 	buf := p.seed
-	if a != &p.first {
-		buf = mat.New(p.opts.K+b, m)
+	if buf == nil {
+		panic("core: InitializeFilled without FirstBatch")
 	}
 	p.seed = nil
-	var top mat.Dense
-	buf.ViewRows(0, p.opts.K, &top)
-	_, s, err := apmos.Decompose(p.comm, a, apmos.Options{
+	b := buf.Rows() - p.opts.K
+	var at mat.Dense
+	buf.ViewRows(0, b, &at)
+	_, s, err := apmos.Decompose(p.comm, &at, apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
 		LowRank: p.opts.LowRank,
 		RLA:     p.opts.RLA,
-	}, &top)
+	}, buf)
 	if err != nil {
 		return err
 	}

@@ -350,29 +350,30 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 	}
 }
 
-// TestFirstBatchSeedsInPlace: a batch written into FirstBatch seeds the
-// engine bit for bit as Initialize of the same batch does, in the buffer
-// FirstBatch allocated, with the modes above the batch; later batches
-// written into BatchRows update it bit for bit as IncorporateData does,
-// without regrowing that buffer. At rank 0 the gathered rows of the other
-// rank are its message's payload until ReleaseModeRows.
+// TestFirstBatchSeedsInPlace: a batch written transposed into FirstBatch
+// seeds the engine bit for bit as Initialize of a row-major copy of it
+// does, with the modes over the first rows the batch was written into;
+// later batches written into BatchRows update it bit for bit as
+// IncorporateData does, without leaving that buffer. The last rank holds
+// fewer rows than the batch has snapshots. At rank 0 the gathered rows of
+// the other ranks are their messages' payloads until ReleaseModeRows.
 func TestFirstBatchSeedsInPlace(t *testing.T) {
 	const k, b = 3, 4
 	rng := testutil.NewRand(31)
-	a, _ := testutil.RandomLowRank(30, 3*b, 5, 1e-3, rng)
-	blocks := splitRows(a, 2)
+	a, _ := testutil.RandomLowRank(292, 3*b, 5, 1e-3, rng)
+	bounds := []int{0, 150, 290, 292}
 	opts := Options{K: k, ForgetFactor: 0.9, R1: 8}
-	mpi.MustRun(2, func(c *mpi.Comm) {
-		local := blocks[c.Rank()]
+	mpi.MustRun(3, func(c *mpi.Comm) {
+		local := a.SliceRows(bounds[c.Rank()], bounds[c.Rank()+1])
 		m := local.Rows()
 		ref := NewParallel(c, opts)
 		must(ref.Initialize(local.SliceCols(0, b)))
 
 		eng := NewParallel(c, opts)
 		first := eng.FirstBatch(m, b)
-		first.CopyFrom(local.SliceCols(0, b))
-		must(eng.Initialize(first))
-		buf := &eng.ModeRows().RawData()[0]
+		local.SliceCols(0, b).TInto(first)
+		must(eng.InitializeFilled())
+		buf := &first.RawData()[0]
 		for off := 0; off < 3*b; off += b {
 			if off > 0 {
 				must(ref.IncorporateData(local.SliceCols(off, off+b)))
@@ -384,18 +385,18 @@ func TestFirstBatchSeedsInPlace(t *testing.T) {
 				t.Errorf("rank %d after %d snapshots: in-place engine differs from the reference", c.Rank(), off+b)
 			}
 			if &eng.ModeRows().RawData()[0] != buf {
-				t.Errorf("rank %d after %d snapshots: the engine left its seeded buffer", c.Rank(), off+b)
+				t.Errorf("rank %d after %d snapshots: the modes are not the first rows of the seeded batch's buffer", c.Rank(), off+b)
 			}
 		}
 
 		blocks := gatherModes(eng)
 		if c.Rank() == 0 {
-			if blocks[1].Cols() != splitRows(a, 2)[1].Rows() || blocks[1].Rows() != k {
-				t.Errorf("gathered rank 1 block is %dx%d", blocks[1].Rows(), blocks[1].Cols())
+			if blocks[2].Cols() != bounds[3]-bounds[2] || blocks[2].Rows() != k {
+				t.Errorf("gathered rank 2 block is %dx%d", blocks[2].Rows(), blocks[2].Cols())
 			}
 			eng.ReleaseModeRows()
-			if !blocks[1].IsEmpty() {
-				t.Error("ReleaseModeRows left a view of the released payload")
+			if !blocks[1].IsEmpty() || !blocks[2].IsEmpty() {
+				t.Error("ReleaseModeRows left a view of a released payload")
 			}
 		}
 	})

@@ -29,7 +29,7 @@ type refParallel struct {
 }
 
 func (p *refParallel) initialize(a *mat.Dense) {
-	rows, s, err := apmos.Decompose(p.comm, a, apmos.Options{
+	rows, s, err := apmos.Decompose(p.comm, a.T(), apmos.Options{
 		K:       p.opts.K,
 		R1:      p.opts.R1,
 		R2:      p.opts.K,
@@ -148,7 +148,7 @@ func checkParallelMatchesReference(t *testing.T, m, p, k, b0, b int, opts Option
 					views = append(views, new(mat.Dense))
 				}
 				must(c.GatherMatrixViews(0, ref.ulocal, views))
-				want = mat.VStack(views...)
+				want = stackRows(views)
 			} else {
 				must(c.GatherMatrixViews(0, ref.ulocal, nil))
 			}
@@ -187,4 +187,21 @@ func compareState(got *mat.Dense, gotS []float64, want *mat.Dense, wantS []float
 		return fmt.Sprintf("modes differ by %g", d)
 	}
 	return ""
+}
+
+// stackRows copies the blocks, one under the other, into a fresh matrix.
+func stackRows(blocks []*mat.Dense) *mat.Dense {
+	rows := 0
+	for _, b := range blocks {
+		rows += b.Rows()
+	}
+	out := mat.New(rows, blocks[0].Cols())
+	var v mat.Dense
+	off := 0
+	for _, b := range blocks {
+		out.ViewRows(off, off+b.Rows(), &v)
+		v.CopyFrom(b)
+		off += b.Rows()
+	}
+	return out
 }

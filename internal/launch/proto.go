@@ -14,12 +14,12 @@ package launch
 //	PUSH      body = this rank's row block of one snapshot batch, one
 //	          snapshot block. The launcher writes it straight from a row
 //	          view of the caller's batch (mat.WriteBlock) and the worker
-//	          reads it straight into its engine's buffer, each through a
-//	          fixed scratch buffer: the first batch as it lies into the
-//	          rows the seeding reads (core.Parallel.FirstBatch,
-//	          mat.ReadValues), every later one transposed into the rows
-//	          the update stacks it in (BatchRows, mat.ReadValuesT), with
-//	          every check mat.ReadBlockExact makes
+//	          reads it transposed straight into its engine's buffer, each
+//	          through a fixed scratch buffer (mat.ReadValuesT, with every
+//	          check mat.ReadBlockExact makes): the first batch into the
+//	          rows APMOS seeds from and writes the modes over
+//	          (core.Parallel.FirstBatch), every later one into the rows
+//	          the update stacks it in (BatchRows)
 //	PUSH-SKETCH body = factor pair: this rank's row block of the
 //	          orthonormal sketch basis Q plus the full L×B projection
 //	          S = QᵀA; the worker reconstructs its row block of the batch

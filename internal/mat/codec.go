@@ -320,9 +320,9 @@ func ReadBlockExact(r io.Reader, n int, dst *Dense, scratch []byte) error {
 // next n bytes of r and returns its dims, once it has passed every check
 // ReadBlockExact makes before it reads a value: tag 0, rows and cols at
 // least 1, rows·cols values declared, and exactly n bytes in all. The
-// caller then names where the values go and reads them with ReadValues or
-// ReadValuesT, so a block can be decoded into storage sized from its
-// header. scratch holds at least BlockHeaderLen bytes.
+// caller then names where the values go and reads them with ReadValuesT,
+// so a block can be decoded into storage sized from its header. scratch
+// holds at least BlockHeaderLen bytes.
 func ReadBlockHeader(r io.Reader, n int, scratch []byte) (rows, cols int, err error) {
 	h, err := readSnapshotHeader(r, int64(n), scratch)
 	if err != nil {
@@ -334,29 +334,15 @@ func ReadBlockHeader(r io.Reader, n int, scratch []byte) (rows, cols int, err er
 	return int(h.Rows), int(h.Cols), nil
 }
 
-// ReadValues reads the values of a block whose header ReadBlockHeader
-// returned as dst's dims straight into dst's storage, row-major as they
-// lie, and refuses a non-finite one as ReadBlock does. dst may be a view
-// into a larger matrix; it is never reallocated. scratch is ReadFloats'.
-func ReadValues(r io.Reader, dst *Dense, scratch []byte) error {
-	n := dst.rows * dst.cols
-	if _, err := ReadFloats(r, dst.data[:0:n], n, scratch); err != nil {
-		return fmt.Errorf("mat: reading %dx%d snapshot block values: %w", dst.rows, dst.cols, err)
-	}
-	if i := FirstNonFinite(dst.data[:n]); i >= 0 {
-		return nonFiniteValue(dst.data[i], i)
-	}
-	return nil
-}
-
-// ReadValuesT is ReadValues for a destination that holds the block's
-// transpose: the rows×cols block's values are read into scratch a chunk
-// at a time and written transposed into the cols×rows matrix dst, with
-// the same refusal of a non-finite value (reported at its index in the
-// block), so a batch goes straight into the rows an update stacks it in.
-// Each chunk is scattered column by column, so every destination row
-// receives one contiguous run per chunk, as TInto writes them. scratch
-// holds at least 16 bytes.
+// ReadValuesT reads the values of a block whose header ReadBlockHeader
+// returned straight into dst, which holds the block's transpose: the
+// rows×cols block's values are read into scratch a chunk at a time and
+// written transposed into the cols×rows matrix dst, refusing a non-finite
+// value (reported at its index in the block) as ReadBlock does, so a batch
+// goes straight into the rows an update stacks it in. dst may be a view
+// into a larger matrix; it is never reallocated. Each chunk is scattered
+// column by column, so every destination row receives one contiguous run
+// per chunk, as TInto writes them. scratch holds at least 16 bytes.
 func ReadValuesT(r io.Reader, dst *Dense, scratch []byte) error {
 	rows, cols := dst.cols, dst.rows
 	buf := alignedFloats(scratch)

@@ -239,36 +239,6 @@ func hstackInto(dst *Dense, kept []*Dense) {
 	}
 }
 
-// VStack returns the row-wise concatenation of the operands. All operands
-// must have the same number of columns; nil operands are skipped.
-func VStack(ms ...*Dense) *Dense {
-	var kept []*Dense
-	cols := -1
-	rows := 0
-	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		if cols == -1 {
-			cols = m.cols
-		} else if m.cols != cols {
-			panic(fmt.Sprintf("mat: VStack column mismatch %d vs %d", m.cols, cols))
-		}
-		rows += m.rows
-		kept = append(kept, m)
-	}
-	if cols == -1 {
-		return New(0, 0)
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range kept {
-		copy(out.data[off*cols:], m.data)
-		off += m.rows
-	}
-	return out
-}
-
 // EqualApprox reports whether a and b have the same shape and all elements
 // agree within tol.
 func EqualApprox(a, b *Dense, tol float64) bool {

@@ -154,25 +154,6 @@ func TestHStackMismatchPanics(t *testing.T) {
 	HStack(New(2, 1), New(3, 1))
 }
 
-func TestVStack(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2}})
-	b := NewFromRows([][]float64{{3, 4}, {5, 6}})
-	got := VStack(a, b)
-	want := NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if !EqualApprox(got, want, 0) {
-		t.Fatalf("VStack = %v, want %v", got, want)
-	}
-}
-
-func TestVStackMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("VStack col mismatch did not panic")
-		}
-	}()
-	VStack(New(1, 2), New(1, 3))
-}
-
 func TestDotAxpyNrm2(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

@@ -73,8 +73,8 @@ func (c MeasuredConfig) validate() {
 }
 
 // RunMeasured executes the randomized+parallel SVD for each rank count and
-// returns the measured series. Snapshot generation happens outside the
-// timed region; only Decompose (local SVDs, gather, root randomized SVD,
+// returns the measured series. Snapshot generation, transposed into the
+// Aᵢᵀ rows APMOS takes, happens outside the timed region; only Decompose (local SVDs, gather, root randomized SVD,
 // broadcast, mode assembly) is on the clock.
 func RunMeasured(cfg MeasuredConfig) []Point {
 	cfg.validate()
@@ -92,7 +92,7 @@ func RunMeasured(cfg MeasuredConfig) []Point {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				blocks[r] = bc.SnapshotsRows(parts[r][0], parts[r][1])
+				blocks[r] = bc.SnapshotsRows(parts[r][0], parts[r][1]).T() // Aᵢᵀ, as APMOS takes it
 			}(r)
 		}
 		wg.Wait()

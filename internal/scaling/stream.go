@@ -66,7 +66,7 @@ func (w StreamWorkload) Validate() error {
 		return fmt.Errorf("scaling: Batch = %d < 1", w.Batch)
 	case w.K < 1:
 		return fmt.Errorf("scaling: K = %d < 1", w.K)
-	case w.FF <= 0 || w.FF > 1:
+	case !(w.FF > 0 && w.FF <= 1): // the negated form also rejects NaN
 		return fmt.Errorf("scaling: FF = %g outside (0,1]", w.FF)
 	}
 	return nil

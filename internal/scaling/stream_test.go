@@ -214,3 +214,15 @@ func bitsEqual(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestWorkloadValidateForgetFactor: a workload's forget factor outside
+// (0, 1] is refused, NaN included.
+func TestWorkloadValidateForgetFactor(t *testing.T) {
+	for _, ff := range []float64{0, 1.5, math.NaN()} {
+		w := smallWorkload()
+		w.FF = ff
+		if err := w.Validate(); err == nil {
+			t.Errorf("FF %g accepted", ff)
+		}
+	}
+}

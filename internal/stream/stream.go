@@ -51,7 +51,7 @@ func (o Options) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("stream: K = %d < 1", o.K)
 	}
-	if o.FF <= 0 || o.FF > 1 {
+	if !(o.FF > 0 && o.FF <= 1) { // the negated form also rejects NaN
 		return fmt.Errorf("stream: forget factor %g outside (0, 1]", o.FF)
 	}
 	return o.RLA.Validate()

@@ -572,3 +572,18 @@ func maxAbsDiff(x, y *mat.Dense) float64 {
 	}
 	return d
 }
+
+// TestOptionsValidateForgetFactor: a forget factor outside (0, 1] is
+// refused, NaN included, which no ordered comparison can reach.
+func TestOptionsValidateForgetFactor(t *testing.T) {
+	for _, ff := range []float64{1, 0.5, math.SmallestNonzeroFloat64} {
+		if err := (Options{K: 2, FF: ff}).Validate(); err != nil {
+			t.Errorf("ff %g refused: %v", ff, err)
+		}
+	}
+	for _, ff := range []float64{0, -0.5, 1.5, math.Inf(1), math.NaN()} {
+		if err := (Options{K: 2, FF: ff}).Validate(); err == nil {
+			t.Errorf("ff %g accepted", ff)
+		}
+	}
+}

@@ -109,6 +109,14 @@ func (r *Result) Clone() *Result {
 // HTTP 5xx) from a bad request.
 var ErrEngineFailed = errors.New("parsvd: engine permanently failed")
 
+// ErrStartFailed marks a Distributed worker fleet that never came up: the
+// worker processes could not be spawned, or one of them failed the
+// seeding push, which is a fleet's first exchange. Nothing was ingested,
+// so the engine is not poisoned (the error does not wrap ErrEngineFailed)
+// and the next push spawns a fresh fleet; for a server it is still its own
+// fault, not the caller's.
+var ErrStartFailed = errors.New("parsvd: starting distributed worker fleet")
+
 // ShardInfo is the public face of a shard provenance mark: this model
 // holds shard Index of Count disjoint snapshot subsets of one logical
 // stream (WithShard). The zero value means "whole stream / unmarked".

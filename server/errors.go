@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 
 	parsvd "goparsvd"
 )
@@ -75,13 +74,10 @@ func httpStatus(err error) int {
 		// The push was applied but could not be logged: a server-side
 		// storage fault, not a caller mistake.
 		return http.StatusInternalServerError
-	case errors.Is(err, parsvd.ErrEngineFailed):
-		// A permanently failed engine (an engine error, an aborted collective) is
-		// a server-side fault, not a caller mistake.
-		return http.StatusInternalServerError
-	}
-	// Belt and braces for engine faults that predate the typed sentinel.
-	if msg := err.Error(); strings.Contains(msg, "abort") || strings.Contains(msg, "panic") {
+	case errors.Is(err, parsvd.ErrEngineFailed), errors.Is(err, parsvd.ErrStartFailed):
+		// A permanently failed engine (an engine error, an aborted
+		// collective) and a Distributed fleet that never came up are
+		// server-side faults, not caller mistakes.
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
