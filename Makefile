@@ -63,18 +63,24 @@ worker:
 # (TestParallelDispatchReportsOriginatingError), and OpTimeout bounds a
 # command write to a rank that stopped reading its stdin as well as the
 # reply (TestSessionCommandWriteDeadline, one of the TestSession tests).
+# The seed is the update's own TSQR step: a rank-deficient and a strongly
+# graded first batch must seed orthonormal modes on 1-4 in-process ranks
+# and on two real workers (Test*SeedKeepsModesOrthonormal), and the seed
+# and every update cost three messages on two ranks
+# (TestParallelMessagesPerUpdate).
 # The last step, without the race detector (whose
 # instrumentation allocates), pins the allocation-free distributed steady
 # state: a two-rank update over loopback sockets, and a worker's PUSH,
 # MODES-SHA and SAVE, each 0 allocs/op; a worker's lifetime bytes over a
 # 200-push session, bounded by its engine buffer plus fixed I/O; and the
 # seeding placement: the first batch decoded into the engine buffer's
-# first rows, with APMOS writing the modes over them
+# first rows, with the seeding rotation writing the modes over them
 # (TestFirstBatchSeedsInPlace).
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
-		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestParallelDispatchReportsOriginatingError' .
+		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestParallelDispatchReportsOriginatingError|TestDistributedSeedKeepsModesOrthonormal' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
+	CI=1 $(GO) test -race -count 1 -run 'TestParallelSeedKeepsModesOrthonormal|TestParallelMessagesPerUpdate' ./internal/core
 	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
 		./internal/core ./cmd/parsvd-worker
 
@@ -86,14 +92,15 @@ dist-smoke:
 # (mat.ReadValuesT) checked against it (FuzzDecodeBlockInPlace), the
 # PUSH-SKETCH factor-pair decoder, the
 # launcher's SAVE checkpoint reader (FuzzReadBlobState), the HTTP binary
-# matrix body decoder, checkpoint loading and the WAL reader behind
+# matrix body decoder, the HTTP JSON body decoder (create specs, matrices
+# and sketch pairs, FuzzDecodeJSONBody), checkpoint loading and the WAL reader behind
 # Open/Replay (truncated frames, hostile lengths and shapes, non-finite
 # payloads must error, never panic or over-allocate); the model-name
 # check's seeds ride along with the server's.
 fuzz-smoke:
 	$(GO) test -run 'FuzzReadFrame|TestRendezvousRefusesHostileFrameLength' ./internal/mpi/tcptransport
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame|TestReadBlobState' ./internal/launch
-	$(GO) test -run 'FuzzReadMatrix|FuzzValidName|TestValidName' ./server
+	$(GO) test -run 'FuzzReadMatrix|FuzzDecodeJSONBody|FuzzValidName|TestValidName|TestRetiredInitRankStillLoads' ./server
 	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
 	$(GO) test -run 'FuzzWALOpen|TestTornTail' ./internal/wal
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/mpi/tcptransport
@@ -102,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeFactorPair -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadBlobState -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server
+	$(GO) test -fuzz FuzzDecodeJSONBody -fuzztime 10s -run '^$$' ./server
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s -run '^$$' .
 	$(GO) test -fuzz FuzzWALOpen -fuzztime 10s -run '^$$' ./internal/wal
 
@@ -188,7 +196,7 @@ bench-stream:
 # The benchmark set the trajectory record tracks: the facade's cold
 # bring-up footprint, kernel-level GEMM, the batched path, the QR at the
 # streaming update's shapes, the streaming hot loop, the pairwise merge,
-# the sketched-push wire traffic, the two-rank APMOS seeding footprint and
+# the sketched-push wire traffic, the two-rank TSQR seeding footprint and
 # the worker's steady PUSH decode. Kept in one
 # place so emitting a baseline and emitting a CI run measure the same
 # thing.
@@ -219,8 +227,9 @@ benchtune:
 	gofmt -l internal/mat/seltab_gen.go
 
 # Fallback parity: the kernel suite and every suite riding its GEMMs —
-# the QR, TSQR, merge and streaming update — with the assembly
-# micro-kernels disabled, so the pure-Go reference path stays correct.
+# the QR, TSQR, merge, streaming update and the distributed engine with
+# its seed — with the assembly micro-kernels disabled, so the pure-Go
+# reference path stays correct.
 noasm-test:
-	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream
+	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream ./internal/core
 	PARSVD_NOASM=1 $(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream

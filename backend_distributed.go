@@ -53,7 +53,6 @@ func (d *distEngine) start() error {
 		Spec: launch.EngineSpec{
 			K:          d.cfg.k,
 			FF:         d.cfg.ff,
-			R1:         d.cfg.r1,
 			LowRank:    d.cfg.lowRank,
 			Oversample: d.cfg.rlaOpts.Oversample,
 			PowerIters: d.cfg.rlaOpts.PowerIters,

@@ -64,9 +64,7 @@ func runParallelBurgers(cfg burgers.Config, ranks, k, batch int, ff float64, low
 	var modes *mat.Dense
 	mpi.MustRun(ranks, func(c *mpi.Comm) {
 		r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
-		eng := core.NewParallel(c, core.Options{
-			K: k, ForgetFactor: ff, LowRank: lowRank, R1: 50,
-		})
+		eng := core.NewParallel(c, core.Options{K: k, ForgetFactor: ff, LowRank: lowRank})
 		for off := 0; off < cfg.Nt; off += batch {
 			end := off + batch
 			if end > cfg.Nt {
@@ -142,7 +140,7 @@ func BenchmarkFig1cWeakScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mpi.MustRun(ranks, func(c *mpi.Comm) {
-					_, _, err := apmos.Decompose(c, blocks[c.Rank()], opts, nil)
+					_, _, err := apmos.Decompose(c, blocks[c.Rank()], opts)
 					must(err)
 				})
 			}
@@ -245,7 +243,7 @@ func BenchmarkAblationTruncation(b *testing.B) {
 				var s []float64
 				mpi.MustRun(benchRanks, func(c *mpi.Comm) {
 					_, sv, err := apmos.Decompose(c, blocks[c.Rank()],
-						apmos.Options{K: 5, R1: r1, R2: 5}, nil)
+						apmos.Options{K: 5, R1: r1, R2: 5})
 					must(err)
 					if c.Rank() == 0 {
 						mu.Lock()

@@ -48,7 +48,6 @@ func restore(st core.State) (*SVD, error) {
 	cfg.ff = eng.opts.ForgetFactor
 	cfg.lowRank = eng.opts.LowRank
 	cfg.rlaOpts = eng.opts.RLA
-	cfg.r1 = eng.opts.R1
 	cfg.shard = st.Shard
 	return &SVD{
 		cfg:       cfg,

@@ -6,7 +6,9 @@
 //
 // The defaults match the paper's configuration: a 16384-point grid, 800
 // snapshots on t ∈ [0, 2] at Re = 1000, 4 ranks, K = 10 modes, forget
-// factor 0.95, r1 = 50.
+// factor 0.95. The parallel run seeds through the streaming update's
+// distributed QR rather than the paper's APMOS initialization, so the
+// paper's r1 = 50 has no counterpart here.
 //
 // Outputs (in -outdir):
 //
@@ -43,7 +45,6 @@ func main() {
 		k      = flag.Int("k", 10, "retained modes K")
 		batch  = flag.Int("batch", 100, "snapshots per streaming batch")
 		ff     = flag.Float64("ff", 0.95, "forget factor (paper: 0.95)")
-		r1     = flag.Int("r1", 50, "APMOS gather truncation (paper: 50)")
 		lowRnk = flag.Bool("lowrank", true, "use randomized SVDs in the parallel path")
 		outdir = flag.String("outdir", "out/burgers", "output directory")
 	)
@@ -74,7 +75,6 @@ func main() {
 	// Parallel streaming SVD: the facade partitions rows across ranks.
 	parOpts := []parsvd.Option{
 		parsvd.WithModes(*k), parsvd.WithForgetFactor(*ff),
-		parsvd.WithInitRank(*r1),
 		parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(*ranks),
 	}
 	if *lowRnk {

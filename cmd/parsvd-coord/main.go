@@ -37,12 +37,11 @@ func main() {
 	log.SetPrefix("parsvd-coord: ")
 
 	var (
-		nodes    = flag.String("nodes", "", "comma-separated serve-node base URLs (required)")
-		shards   = flag.Int("shards", 0, "partition width N (default: one shard per node)")
-		model    = flag.String("model", "coord", "base model name; shard i fits as <model>.s<i>of<N>")
-		modes    = flag.Int("modes", 0, "truncation rank K (0 keeps the server default; -workload uses the workload's K)")
-		ff       = flag.Float64("ff", 0, "forget factor in (0,1] (0 keeps the server default)")
-		initRank = flag.Int("init-rank", 0, "APMOS gather truncation r1 (0 keeps the server default)")
+		nodes  = flag.String("nodes", "", "comma-separated serve-node base URLs (required)")
+		shards = flag.Int("shards", 0, "partition width N (default: one shard per node)")
+		model  = flag.String("model", "coord", "base model name; shard i fits as <model>.s<i>of<N>")
+		modes  = flag.Int("modes", 0, "truncation rank K (0 keeps the server default; -workload uses the workload's K)")
+		ff     = flag.Float64("ff", 0, "forget factor in (0,1] (0 keeps the server default)")
 
 		workload  = flag.Bool("workload", false, "stream the deterministic benchmark workload")
 		snapshots = flag.Int("snapshots", 0, "override the workload snapshot count")
@@ -79,7 +78,7 @@ func main() {
 
 	// Build the (replayable) stream and the model template.
 	var replay func() (parsvd.Source, error)
-	spec := server.ModelSpec{Modes: *modes, ForgetFactor: *ff, InitRank: *initRank}
+	spec := server.ModelSpec{Modes: *modes, ForgetFactor: *ff}
 	switch {
 	case *workload && *gnc != "":
 		log.Fatal("-workload and -gnc are mutually exclusive")
@@ -97,9 +96,6 @@ func main() {
 		if *ff != 0 {
 			w.FF = *ff
 		}
-		if *initRank != 0 {
-			w.R1 = *initRank
-		}
 		if *batch != 0 {
 			w.Batch = *batch
 		}
@@ -111,9 +107,6 @@ func main() {
 		}
 		if spec.ForgetFactor == 0 {
 			spec.ForgetFactor = w.FF
-		}
-		if spec.InitRank == 0 {
-			spec.InitRank = w.R1
 		}
 		replay = func() (parsvd.Source, error) { return parsvd.FromWorkload(w, 1) }
 	case *gnc != "":

@@ -77,7 +77,7 @@ func main() {
 	// Parallel phase: the facade streams the file variable through the
 	// distributed SVD, partitioning rows across in-process ranks.
 	opts := []parsvd.Option{
-		parsvd.WithModes(*k), parsvd.WithForgetFactor(*ff), parsvd.WithInitRank(50),
+		parsvd.WithModes(*k), parsvd.WithForgetFactor(*ff),
 		parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(*ranks),
 	}
 	if *lowRank {

@@ -113,7 +113,7 @@ func runBurgers(report *strings.Builder, sz sizes, ranks int) {
 	cfg := datasets.Burgers(sz.burgersNx, sz.burgersNt, 1000)
 	a := cfg.Snapshots()
 	base := []parsvd.Option{
-		parsvd.WithModes(10), parsvd.WithForgetFactor(0.95), parsvd.WithInitRank(50),
+		parsvd.WithModes(10), parsvd.WithForgetFactor(0.95),
 	}
 
 	t0 := time.Now()
@@ -182,7 +182,7 @@ func runClimate(report *strings.Builder, sz sizes, ranks int) {
 	})
 	res := mustFit(src,
 		parsvd.WithModes(10), parsvd.WithForgetFactor(0.95), parsvd.WithLowRank(),
-		parsvd.WithInitRank(50), parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(ranks))
+		parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(ranks))
 
 	cos1 := postproc.AbsCosine(res.Modes.Col(0), gen.MeanField())
 	cos2 := postproc.AbsCosine(res.Modes.Col(1), gen.AnnualField())

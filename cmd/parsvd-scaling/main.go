@@ -55,7 +55,7 @@ func main() {
 		rowsPerRank = flag.Int("rows-per-rank", 1024, "grid points per rank (paper: 1024)")
 		snapshots   = flag.Int("snapshots", 128, "snapshot count for the measured series")
 		k           = flag.Int("k", 10, "modes for the SVD")
-		r1          = flag.Int("r1", 32, "APMOS gather truncation for the measured series")
+		r1          = flag.Int("r1", 32, "chan mode: APMOS gather truncation for the measured series")
 		ranksFlag   = flag.String("ranks", "1,2,4,8,16", "comma-separated measured rank counts")
 		trials      = flag.Int("trials", 3, "trials per point (minimum kept; chan mode only)")
 		modelMax    = flag.Int("model-max", 16384, "largest rank count for the modeled series (chan mode only)")
@@ -94,7 +94,6 @@ func main() {
 			InitBatch:   *initBatch,
 			Batch:       *batch,
 			K:           *k,
-			R1:          *r1,
 			FF:          *ff,
 			LowRank:     *lowRank,
 			Seed:        *seed,
@@ -218,7 +217,7 @@ func fit(cfg tcpConfig, b parsvd.Backend, p int) (*parsvd.Result, parsvd.Stats, 
 	w := cfg.workload
 	opts := []parsvd.Option{
 		parsvd.WithBackend(b), parsvd.WithRanks(p),
-		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1),
+		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF),
 	}
 	if w.LowRank {
 		opts = append(opts, parsvd.WithLowRank(parsvd.RLA{Oversample: 10, PowerIters: 1, Seed: w.Seed}))

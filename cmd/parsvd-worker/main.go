@@ -2,9 +2,10 @@
 // distributed streaming SVD: each worker process owns one MPI rank,
 // exchanges collectives with its peers over a full mesh of stream links
 // (internal/mpi/tcptransport), and holds a live core.Parallel engine for
-// the whole session. Its configuration is on the command line: rank, world
-// size and the engine spec (-k, -ff, -r1, -lowrank, -oversample,
-// -power-iters, -seed; a missing flag is the field's zero value). A spec
+// the whole session; the first PUSH seeds it with the same distributed QR
+// update every later PUSH runs. Its configuration is on the command line: rank, world
+// size and the engine spec (-k, -ff, -lowrank, -oversample, -power-iters,
+// -seed; a missing flag is the field's zero value). A spec
 // core.Options.Validate refuses gets one ERR frame naming the field and a
 // nonzero exit, before the mesh is adopted or dialed. Stdin carries only
 // data and queries as framed commands (PUSH with this rank's row block of

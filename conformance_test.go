@@ -60,7 +60,6 @@ func confWorkload() parsvd.Workload {
 	w.InitBatch = 8
 	w.Batch = 8
 	w.K = 6
-	w.R1 = 16
 	return w
 }
 
@@ -104,7 +103,6 @@ func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int) *parsvd.SVD {
 	opts := []parsvd.Option{
 		parsvd.WithModes(6),
 		parsvd.WithForgetFactor(0.95),
-		parsvd.WithInitRank(16),
 		parsvd.WithBackend(backend),
 	}
 	if backend != parsvd.Serial {
@@ -451,7 +449,6 @@ func TestDistributedWireSmoke(t *testing.T) {
 	opts := []parsvd.Option{
 		parsvd.WithModes(w.K),
 		parsvd.WithForgetFactor(w.FF),
-		parsvd.WithInitRank(w.R1),
 	}
 	ser, err := parsvd.New(opts...)
 	if err != nil {

@@ -65,7 +65,7 @@ type Config struct {
 	// Model is the base model name; shard i's model is named
 	// "<Model>.s<i>of<N>" on its node.
 	Model string
-	// Spec is the model template (Modes, ForgetFactor, InitRank, ...);
+	// Spec is the model template (Modes, ForgetFactor, LowRank, ...);
 	// Name and Shard are overwritten per shard. The zero value keeps
 	// the server defaults.
 	Spec server.ModelSpec
@@ -457,7 +457,6 @@ func Install(ctx context.Context, merged *parsvd.SVD, nodeURL, name string, retr
 		Name:         name,
 		Modes:        cfg.Modes,
 		ForgetFactor: cfg.ForgetFactor,
-		InitRank:     cfg.InitRank,
 	})
 	if err != nil && !isConflict(err) {
 		return fmt.Errorf("coord: creating %s on %s: %w", name, nodeURL, err)

@@ -79,7 +79,6 @@ func coordWorkload() parsvd.Workload {
 	w.Batch = 2
 	w.K = 24
 	w.FF = 1.0
-	w.R1 = 24
 	return w
 }
 

@@ -39,7 +39,6 @@ func smokeWorkload() parsvd.Workload {
 	w.Batch = 2
 	w.K = 24
 	w.FF = 1.0
-	w.R1 = 24
 	return w
 }
 
@@ -192,7 +191,6 @@ func TestCoordSmokeBinary(t *testing.T) {
 		"-snapshots", fmt.Sprint(w.Snapshots),
 		"-modes", fmt.Sprint(w.K),
 		"-ff", "1",
-		"-init-rank", fmt.Sprint(w.R1),
 		"-init-batch", fmt.Sprint(w.InitBatch),
 		"-batch", fmt.Sprint(w.Batch),
 		"-q",
@@ -258,7 +256,7 @@ func TestCoordSmokeSIGKILL(t *testing.T) {
 		Nodes:  urls,
 		Shards: 6,
 		Model:  "smokekill",
-		Spec:   server.ModelSpec{Modes: w.K, ForgetFactor: w.FF, InitRank: w.R1},
+		Spec:   server.ModelSpec{Modes: w.K, ForgetFactor: w.FF},
 		Replay: replay,
 		Retry:  client.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond},
 		Logf:   t.Logf,

@@ -35,7 +35,6 @@ func main() {
 		parsvd.WithModes(k),
 		parsvd.WithForgetFactor(1.0), // reproduce the one-shot SVD
 		parsvd.WithLowRank(),         // randomized SVDs inside (paper §3.3)
-		parsvd.WithInitRank(50),
 		parsvd.WithBackend(parsvd.Parallel),
 		parsvd.WithRanks(ranks),
 	)

@@ -19,10 +19,20 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"regenerate testdata golden files from the current internal/core checkpoint writer")
+	"regenerate the writer's golden file from the current internal/core checkpoint writer")
+
+// The committed checkpoint fixtures. loadOnlyGolden was written when the
+// r1 slot still carried APMOS's gather truncation (50) and is kept byte
+// for byte as an old checkpoint every reader must load; writerGolden pins
+// what the writer emits for the same state, which differs from it only in
+// that slot, now reserved and written as 0.
+var (
+	loadOnlyGolden = filepath.Join("testdata", "checkpoint_v1_serial.golden")
+	writerGolden   = filepath.Join("testdata", "checkpoint_v1_serial_writer.golden")
+)
 
 // goldenState is the deterministic engine state behind the committed
-// checkpoint fixture. Both the generator (-update-golden) and the
+// checkpoint fixtures. Both the generator (-update-golden) and the
 // verifier derive it from the same formulas, so the committed bytes pin
 // the on-disk format, not the values.
 func goldenState() (core.Options, *mat.Dense, []float64, int, int) {
@@ -31,7 +41,6 @@ func goldenState() (core.Options, *mat.Dense, []float64, int, int) {
 		ForgetFactor: 0.95,
 		LowRank:      true,
 		RLA:          rla.Options{Oversample: 5, PowerIters: 2, Seed: 42},
-		R1:           50,
 	}
 	modes := mat.New(6, 3)
 	for i := 0; i < 6; i++ {
@@ -68,34 +77,53 @@ func goldenBytes(t *testing.T) []byte {
 // TestGoldenCheckpointBackwardCompat proves parsvd.Load reads checkpoint
 // files written by the internal/core writer, byte-for-byte as committed:
 // a facade release must keep loading engine-written checkpoints from
-// before the facade existed.
+// before the facade existed, including the old fixture whose r1 slot
+// carries 50.
 func TestGoldenCheckpointBackwardCompat(t *testing.T) {
-	path := filepath.Join("testdata", "checkpoint_v1_serial.golden")
-	_, modes, singular, iters, snaps := goldenState()
-
 	if *updateGolden {
 		buf := goldenBytes(t)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
+		if err := os.WriteFile(writerGolden, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", path, len(buf))
+		t.Logf("wrote %s (%d bytes)", writerGolden, len(buf))
 	}
 
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(writerGolden)
 	if err != nil {
 		t.Fatalf("missing golden fixture (regenerate with -update-golden): %v", err)
 	}
+	old, err := os.ReadFile(loadOnlyGolden)
+	if err != nil {
+		t.Fatalf("missing load-only golden fixture: %v", err)
+	}
 
-	// The fixture must be bit-identical to what the current writer emits:
-	// any format change (intended or not) trips this first.
+	// The writer's fixture must be bit-identical to what the current
+	// writer emits: any format change (intended or not) trips this first.
 	if !bytes.Equal(raw, goldenBytes(t)) {
 		t.Fatal("internal/core checkpoint writer output changed; if intentional, bump the format version and regenerate with -update-golden")
 	}
+	// The two fixtures differ only in the reserved r1 slot.
+	if got := binary.LittleEndian.Uint64(old[r1At:]); got != 50 {
+		t.Fatalf("load-only fixture's r1 slot reads %d, want 50", got)
+	}
+	if !bytes.Equal(withSlot(old, r1At, 0), raw) {
+		t.Fatal("the fixtures differ outside the r1 slot")
+	}
 
-	// And the public facade must load it losslessly.
+	// And the public facade must load both losslessly.
+	for _, b := range [][]byte{raw, old} {
+		checkGoldenLoad(t, b)
+	}
+}
+
+// checkGoldenLoad loads a checkpoint of goldenState through the facade
+// and requires exactly that state back.
+func checkGoldenLoad(t *testing.T, raw []byte) *parsvd.SVD {
+	t.Helper()
+	_, modes, singular, iters, snaps := goldenState()
 	svd, err := parsvd.Load(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +141,7 @@ func TestGoldenCheckpointBackwardCompat(t *testing.T) {
 	if res.Iterations != iters || res.Snapshots != snaps {
 		t.Fatalf("counters: %d/%d want %d/%d", res.Iterations, res.Snapshots, iters, snaps)
 	}
+	return svd
 }
 
 // TestLoadRejectsCorruptedCheckpoints: damage that passes the header
@@ -122,8 +151,7 @@ func TestLoadRejectsCorruptedCheckpoints(t *testing.T) {
 	if _, err := parsvd.Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("garbage loaded")
 	}
-	path := filepath.Join("testdata", "checkpoint_v1_serial.golden")
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(loadOnlyGolden)
 	if err != nil {
 		t.Skip("golden fixture missing")
 	}
@@ -158,46 +186,46 @@ func TestLoadRejectsCorruptedCheckpoints(t *testing.T) {
 	}
 }
 
-// methodAt is the offset of the checkpoint's APMOS method slot: the int64
+// r1At and methodAt are the offsets of the checkpoint's two reserved
+// slots, once APMOS's gather truncation r1 and seeding method: the int64s
 // after magic, version, K, iterations, snapshots, ff, lowRank, oversample,
-// power iterations, seed and R1.
-const methodAt = 4 + 1 + 3*8 + 8 + 1 + 4*8
+// power iterations and seed.
+const (
+	r1At     = 4 + 1 + 3*8 + 8 + 1 + 3*8
+	methodAt = r1At + 8
+)
 
-// withMethod returns a copy of the checkpoint raw with method m in its
-// method slot.
-func withMethod(raw []byte, m uint64) []byte {
+// withSlot returns a copy of the checkpoint raw with v in the int64 slot
+// at offset at.
+func withSlot(raw []byte, at int, v uint64) []byte {
 	b := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(b[methodAt:], m)
+	binary.LittleEndian.PutUint64(b[at:], v)
 	return b
 }
 
-// TestCheckpointMethodSlotCompat: writers put 0 in the APMOS method
-// slot, and a checkpoint carrying 1 (a direct-SVD seeding older writers
-// could record) still loads as the same model and saves back as the
-// fixture's bytes.
+// withMethod returns a copy of the checkpoint raw with method m in its
+// method slot.
+func withMethod(raw []byte, m uint64) []byte { return withSlot(raw, methodAt, m) }
+
+// TestCheckpointMethodSlotCompat: writers put 0 in the reserved slots, and
+// a checkpoint carrying method 1 (a direct-SVD seeding older writers could
+// record) and r1 = 50 still loads as the same model and saves back as the
+// writer's fixture.
 func TestCheckpointMethodSlotCompat(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_serial.golden"))
+	old, err := os.ReadFile(loadOnlyGolden)
 	if err != nil {
 		t.Fatalf("missing golden fixture: %v", err)
 	}
-	_, modes, singular, iters, snaps := goldenState()
-	svd, err := parsvd.Load(bytes.NewReader(withMethod(raw, 1)))
+	raw, err := os.ReadFile(writerGolden)
 	if err != nil {
-		t.Fatalf("method 1: %v", err)
+		t.Fatalf("missing golden fixture: %v", err)
 	}
-	res, err := svd.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.CloseSlices(res.Singular, singular, 0) || !mat.EqualApprox(res.Modes, modes, 0) ||
-		res.Iterations != iters || res.Snapshots != snaps {
-		t.Fatal("method 1: loaded state differs from the golden state")
-	}
+	svd := checkGoldenLoad(t, withMethod(old, 1))
 	var again bytes.Buffer
 	if err := svd.Save(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), raw) {
-		t.Fatal("method 1: re-saved checkpoint differs from the fixture")
+		t.Fatal("method 1: re-saved checkpoint differs from the writer's fixture")
 	}
 }

@@ -106,20 +106,14 @@ func GenerateRightVectors(at *mat.Dense, r1 int) (v *mat.Dense, s []float64) {
 
 // Decompose runs Algorithm 2 over the communicator: at is this rank's row
 // block A_i of the global snapshot matrix held transposed, as the N×M_i
-// matrix Aᵢᵀ whose row j is snapshot j's M_i values — the layout every
-// batch is written into the streaming engine in (stream.SVD.BatchRows). It
-// returns this rank's slice of the k ≤ K global modes mode-major — the
-// k×M_i matrix whose row j is mode j's M_i entries, the layout the
-// streaming engine keeps its modes in — and the k global singular values;
-// both are valid on every rank. The modes are written into the first k
-// rows of dst, which is M_i wide with at least K rows, and rows views them
-// there; a nil dst means fresh k×M_i storage. dst may be at itself, or a
-// buffer whose leading rows at views: k ≤ N, so the modes then overwrite
-// the leading snapshots they were formed from. A failed collective, a peer
-// block of another snapshot count and a failed randomized root SVD are
-// errors, on which the caller aborts the world, so peers blocked in a
+// matrix Aᵢᵀ whose row j is snapshot j's M_i values. It returns, in fresh
+// storage, this rank's slice of the k ≤ K global modes mode-major — the
+// k×M_i matrix whose row j is mode j's M_i entries — and the k global
+// singular values; both are valid on every rank. A failed collective, a
+// peer block of another snapshot count and a failed randomized root SVD
+// are errors, on which the caller aborts the world, so peers blocked in a
 // collective return too.
-func Decompose(c *mpi.Comm, at *mat.Dense, opts Options, dst *mat.Dense) (rows *mat.Dense, s []float64, err error) {
+func Decompose(c *mpi.Comm, at *mat.Dense, opts Options) (rows *mat.Dense, s []float64, err error) {
 	n, mi := at.Dims()
 	opts = opts.withDefaults(n)
 
@@ -175,8 +169,7 @@ func Decompose(c *mpi.Comm, at *mat.Dense, opts Options, dst *mat.Dense) (rows *
 	// formed mode-major as Ũᵀ = diag(1/Λ)·X_kᵀ·Aᵢᵀ one column slab at a
 	// time. A slab of the product reads only the same columns of Aᵢᵀ, so it
 	// is formed in a cache-resident k×slab stage by the broadcast-axpy
-	// kernel (X_kᵀ read where it lies in X) and written out scaled once
-	// those columns are read: the modes may overwrite at.
+	// kernel (X_kᵀ read where it lies in X) and written out scaled.
 	k := min(opts.K, len(lam))
 	inv := make([]float64, k)
 	for j := range inv {
@@ -184,12 +177,7 @@ func Decompose(c *mpi.Comm, at *mat.Dense, opts Options, dst *mat.Dense) (rows *
 			inv[j] = 1 / lam[j]
 		}
 	}
-	if dst == nil {
-		rows = mat.New(k, mi)
-	} else {
-		rows = new(mat.Dense)
-		dst.ViewRows(0, k, rows)
-	}
+	rows = mat.New(k, mi)
 	const slab = 128
 	stage := make([]float64, k*min(slab, mi))
 	src, out := at.RawData(), rows.RawData()

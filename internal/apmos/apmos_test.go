@@ -42,7 +42,7 @@ func runDecompose(t *testing.T, a *mat.Dense, p int, opts Options) (modes *mat.D
 	var sOut []float64
 	var mu sync.Mutex
 	mpi.MustRun(p, func(c *mpi.Comm) {
-		m, sv, err := Decompose(c, blocks[c.Rank()].T(), opts, nil)
+		m, sv, err := Decompose(c, blocks[c.Rank()].T(), opts)
 		if err != nil {
 			panic(err)
 		}
@@ -256,7 +256,7 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 		var s []float64
 		var mu sync.Mutex
 		mpi.MustRun(p, func(c *mpi.Comm) {
-			_, sv, err := Decompose(c, blocks[c.Rank()].T(), Options{K: k, R1: n, R2: k}, nil)
+			_, sv, err := Decompose(c, blocks[c.Rank()].T(), Options{K: k, R1: n, R2: k})
 			if err != nil {
 				panic(err)
 			}
@@ -275,68 +275,6 @@ func TestPropertyDecomposeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecomposeIntoDestination: modes written into a caller's buffer are
-// bit for bit those written into fresh storage, in the buffer's first k
-// rows, and the rows below are untouched — even when fewer than K modes
-// exist. The destination may be the input itself: the modes then
-// overwrite its leading rows, bit for bit as into fresh storage.
-func TestDecomposeIntoDestination(t *testing.T) {
-	rng := testutil.NewRand(41)
-	a := testutil.RandomDense(300, 4, rng) // 4 snapshots: k = 4 < K = 6
-	blocks := splitRows(a, 2)
-	opts := Options{K: 6, R1: 4, R2: 6}
-	mpi.MustRun(2, func(c *mpi.Comm) {
-		local := blocks[c.Rank()].T()
-		mi := local.Cols()
-		want, ws, err := Decompose(c, local, opts, nil)
-		if err != nil {
-			panic(err)
-		}
-		dst := mat.New(8, mi)
-		dst.Fill(-7)
-		got, gs, err := Decompose(c, local, opts, dst)
-		if err != nil {
-			panic(err)
-		}
-		if &got.RawData()[0] != &dst.RawData()[0] || got.Rows() != len(gs) || got.Cols() != mi {
-			t.Errorf("rank %d: modes are not the first rows of the destination", c.Rank())
-		}
-		if !mat.EqualApprox(got, want, 0) || !testutil.CloseSlices(gs, ws, 0) {
-			t.Errorf("rank %d: modes in the destination differ from fresh ones", c.Rank())
-		}
-		for _, v := range dst.RawData()[len(gs)*mi:] {
-			if v != -7 {
-				t.Fatalf("rank %d: Decompose wrote below its %d mode rows", c.Rank(), len(gs))
-			}
-		}
-
-		in := local.Clone()
-		got, gs, err = Decompose(c, in, opts, in)
-		if err != nil {
-			panic(err)
-		}
-		if &got.RawData()[0] != &in.RawData()[0] || got.Rows() != len(gs) {
-			t.Errorf("rank %d: modes are not the first rows of the input", c.Rank())
-		}
-		if !bitsEqual(got.RawData(), want.RawData()) || !testutil.CloseSlices(gs, ws, 0) {
-			t.Errorf("rank %d: modes written over the input differ from fresh ones", c.Rank())
-		}
-	})
-}
-
-// bitsEqual reports whether two slices hold the same bit patterns.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestDecomposeRefusesMismatchedBlocks: a peer whose block holds another
 // number of snapshots sent bytes rank 0 cannot stack, so rank 0 returns an
 // error naming it, and the peer waiting for the broadcast gets ErrAborted
@@ -345,7 +283,7 @@ func TestDecomposeRefusesMismatchedBlocks(t *testing.T) {
 	rng := testutil.NewRand(43)
 	blocks := []*mat.Dense{testutil.RandomDense(20, 5, rng), testutil.RandomDense(20, 6, rng)}
 	_, err := mpi.Run(2, func(c *mpi.Comm) {
-		_, _, err := Decompose(c, blocks[c.Rank()].T(), Options{K: 2}, nil)
+		_, _, err := Decompose(c, blocks[c.Rank()].T(), Options{K: 2})
 		if c.Rank() == 0 {
 			panic(err) // the harness aborts the world, as an engine's caller does
 		}

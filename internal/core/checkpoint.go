@@ -127,14 +127,17 @@ func (st State) Validated() (State, error) {
 //	forgetFactor                        float64
 //	lowRank                             uint8
 //	rla: oversample, powerIters, seed   int64
-//	r1, method                          int64  (method: always 0)
+//	r1, method                          int64  (reserved: always 0)
 //	shardIndex, shardCount              int64  (version 2 only)
 //	rows, cols                          int64
 //	singular values                     cols × float64
 //	modes, row-major                    rows·cols × float64
 //
 // A zero Shard writes version 1 (byte-identical to the original format,
-// pinned by the golden fixture); a non-zero Shard writes version 2.
+// pinned by the golden fixture); a non-zero Shard writes version 2. The
+// r1 and method slots once configured the APMOS seeding of a parallel run,
+// which a restored model never runs; they are written as 0 and r1 is
+// ignored on read.
 func WriteState(w io.Writer, st State) error {
 	var sw StateWriter
 	return sw.WriteState(w, st)
@@ -179,8 +182,7 @@ func (sw *StateWriter) WriteState(w io.Writer, st State) error {
 	buf = appendInt64s(buf, int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Opts.ForgetFactor))
 	buf = append(buf, lowRank)
-	buf = appendInt64s(buf, int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed,
-		int64(st.Opts.R1), 0)
+	buf = appendInt64s(buf, int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed, 0, 0)
 	if version == checkpointVersionV2 {
 		buf = appendInt64s(buf, int64(st.Shard.Index), int64(st.Shard.Count))
 	}
@@ -353,7 +355,8 @@ func readState(r io.Reader, n int) (State, error) {
 	// The method slot once selected how APMOS seeded a parallel run: 0 the
 	// method of snapshots, 1 a direct SVD of each rank's block. A restored
 	// model never seeds again, so either loads; nothing else is a
-	// checkpoint.
+	// checkpoint. The r1 slot (meta[3]), APMOS's gather truncation, is
+	// ignored for the same reason.
 	if meta[4] != 0 && meta[4] != 1 {
 		return st, fmt.Errorf("%w: unknown APMOS method %d", ErrBadCheckpoint, meta[4])
 	}
@@ -397,7 +400,6 @@ func readState(r io.Reader, n int) (State, error) {
 			PowerIters: int(meta[1]),
 			Seed:       meta[2],
 		},
-		R1: int(meta[3]),
 	}
 	st.Iterations = int(ints[1])
 	st.Snapshots = int(ints[2])

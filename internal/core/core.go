@@ -1,27 +1,28 @@
 // Package core holds the engines behind goparsvd's public API (package
 // parsvd, the module root), a Go reproduction of the PyParSVD library
-// (Maulik & Mengaldo, SC 2021). It composes the three building blocks of
-// the paper — the streaming SVD of Levy & Lindenbaum (internal/stream),
-// the approximate partitioned method of snapshots (internal/apmos) with a
-// distributed tall-skinny QR (internal/tsqr), and randomized linear
-// algebra (internal/rla) — behind the same two-class factory the Python
-// package exposes:
+// (Maulik & Mengaldo, SC 2021). It composes the building blocks of the
+// paper — the streaming SVD of Levy & Lindenbaum (internal/stream), a
+// distributed tall-skinny QR (internal/tsqr) and randomized linear algebra
+// (internal/rla) — behind the same two-class factory the Python package
+// exposes:
 //
 //   - NewSerial builds ParSVD_Serial: single-process streaming truncated
 //     SVD.
 //   - Parallel is ParSVD_Parallel: every rank holds a row block of the
-//     snapshot matrix; initialization runs APMOS and each streaming update
-//     runs a distributed QR plus a small root SVD.
+//     snapshot matrix, and the seeding batch and every streaming update
+//     run a distributed QR plus a small root SVD.
 //
 // Both run the same streaming update, internal/stream's: Parallel only
 // swaps its factor step for the distributed QR, as PyParSVD's parallel
-// incorporate_data swaps np.linalg.qr for parallel_qr.
+// incorporate_data swaps np.linalg.qr for parallel_qr. Parallel also seeds
+// through that update, as the serial engine does, rather than by the
+// paper's APMOS initialization (Listing 3): APMOS forms each rank's Gram
+// matrix and divides by its singular values, which loses orthogonality at
+// the Gram's roundoff floor. internal/apmos keeps APMOS for the paper's
+// Fig. 1 scaling experiment (internal/scaling).
 package core
 
 import (
-	"fmt"
-
-	"goparsvd/internal/apmos"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
@@ -40,25 +41,13 @@ type Options struct {
 	LowRank bool
 	// RLA tunes the randomized SVD; zero value means rla.DefaultOptions.
 	RLA rla.Options
-	// R1 is the APMOS gather truncation used by Parallel's initialization
-	// (paper default 50). Zero means the apmos default.
-	R1 int
 }
 
 // Validate reports whether the options describe a usable configuration.
 // It is the error-returning twin of validated, for callers (the public
-// parsvd facade, a worker's engine spec) that must not panic. K, the
-// forget factor and RLA are the streaming engine's options, checked by
-// stream.Options.Validate; only R1 is APMOS's.
-func (o Options) Validate() error {
-	if err := o.streamOptions().Validate(); err != nil {
-		return err
-	}
-	if o.R1 < 0 {
-		return fmt.Errorf("core: R1 = %d < 0", o.R1)
-	}
-	return nil
-}
+// parsvd facade, a worker's engine spec) that must not panic. Every option
+// is the streaming engine's, checked by stream.Options.Validate.
+func (o Options) Validate() error { return o.streamOptions().Validate() }
 
 // Validated is Validate returning the options with their defaults filled
 // in (a zero RLA becomes rla.DefaultOptions()): the options an engine
@@ -153,15 +142,18 @@ func (p *Parallel) Initialize(a *mat.Dense) error {
 
 // InitializeFilled seeds the decomposition with this rank's block of the
 // first batch, already written into FirstBatch (the call that must come
-// before it), using the distributed (optionally randomized) APMOS SVD —
-// the paper's Listing 2/3 `initialize` → `parallel_svd`. Every later batch
-// goes through IncorporateData: the paper's Listing 2 `incorporate_data`
-// → Listing 4 `parallel_qr`.
+// before it), by the streaming update's own rotation
+// (stream.InitializeDistributed): Listing 4's distributed QR of the batch,
+// the (optionally randomized) SVD of the global R at rank 0, broadcast to
+// every rank, and Q applied in place, exactly as the serial engine seeds
+// with a local QR. Every later batch goes through IncorporateData, the
+// same step: the paper's Listing 2 `incorporate_data` → Listing 4
+// `parallel_qr`.
 //
-// APMOS writes the modes over the first rows of the batch, in the
-// (K+B)×M_i buffer the engine keeps, so the first B-wide update stacks its
-// batch under them without regrowing it. Calling it twice panics; an
-// error (a failed collective, a peer's bad block) leaves the engine dead.
+// The modes are written over the first rows of the batch, in the (K+B)×M_i
+// buffer the engine keeps, so the first B-wide update stacks its batch
+// under them without regrowing it. Calling it twice panics; an error (a
+// failed collective, a peer's bad factor) leaves the engine dead.
 func (p *Parallel) InitializeFilled() error {
 	if p.SVD != nil {
 		panic("core: Initialize called twice")
@@ -171,24 +163,9 @@ func (p *Parallel) InitializeFilled() error {
 		panic("core: InitializeFilled without FirstBatch")
 	}
 	p.seed = nil
-	b := buf.Rows() - p.opts.K
-	var at mat.Dense
-	buf.ViewRows(0, b, &at)
-	_, s, err := apmos.Decompose(p.comm, &at, apmos.Options{
-		K:       p.opts.K,
-		R1:      p.opts.R1,
-		R2:      p.opts.K,
-		LowRank: p.opts.LowRank,
-		RLA:     p.opts.RLA,
-	}, buf)
+	svd, err := stream.InitializeDistributed(p.comm, p.opts.streamOptions(), buf, buf.Rows()-p.opts.K)
 	if err != nil {
 		return err
-	}
-	svd, err := stream.RestoreDistributed(p.comm, p.opts.streamOptions(), buf, s, 0, b)
-	if err != nil {
-		// APMOS returns at most K modes of the batch's rows, one per
-		// singular value, so a rejection is a broken internal invariant.
-		return fmt.Errorf("core: seeding the streaming engine: %w", err)
 	}
 	p.SVD = svd
 	return nil

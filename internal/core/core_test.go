@@ -112,7 +112,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// streaming SVD agrees with the serial streaming SVD.
 	rng := testutil.NewRand(2)
 	a, _ := testutil.RandomLowRank(96, 24, 6, 1e-7, rng)
-	opts := Options{K: 5, ForgetFactor: 1, R1: 24}
+	opts := Options{K: 5, ForgetFactor: 1}
 	serial := runSerialStream(a, 8, opts)
 	for _, p := range []int{1, 2, 4} {
 		modes, s := runParallelStream(t, a, p, 8, opts)
@@ -130,7 +130,7 @@ func TestParallelMatchesSerialWithForgetFactor(t *testing.T) {
 	// still agree (this exercises the ff path through the distributed QR).
 	rng := testutil.NewRand(3)
 	a, _ := testutil.RandomLowRank(60, 18, 4, 1e-7, rng)
-	opts := Options{K: 4, ForgetFactor: 0.95, R1: 18}
+	opts := Options{K: 4, ForgetFactor: 0.95}
 	serial := runSerialStream(a, 6, opts)
 	modes, s := runParallelStream(t, a, 3, 6, opts)
 	if !testutil.CloseSlices(s, serial.SingularValues(), 1e-6) {
@@ -144,15 +144,15 @@ func TestParallelMatchesSerialWithForgetFactor(t *testing.T) {
 func TestParallelModesOrthonormal(t *testing.T) {
 	rng := testutil.NewRand(4)
 	a, _ := testutil.RandomLowRank(80, 20, 8, 1e-6, rng)
-	modes, _ := runParallelStream(t, a, 4, 5, Options{K: 4, ForgetFactor: 0.95, R1: 20})
+	modes, _ := runParallelStream(t, a, 4, 5, Options{K: 4, ForgetFactor: 0.95})
 	testutil.CheckOrthonormalColumns(t, "gathered modes", modes, 1e-8)
 }
 
 func TestParallelLowRankTracksDeterministic(t *testing.T) {
 	rng := testutil.NewRand(5)
 	a, _ := testutil.RandomLowRank(64, 16, 4, 1e-8, rng)
-	det, sDet := runParallelStream(t, a, 2, 8, Options{K: 4, ForgetFactor: 1, R1: 16})
-	lr, sLR := runParallelStream(t, a, 2, 8, Options{K: 4, ForgetFactor: 1, R1: 16, LowRank: true})
+	det, sDet := runParallelStream(t, a, 2, 8, Options{K: 4, ForgetFactor: 1})
+	lr, sLR := runParallelStream(t, a, 2, 8, Options{K: 4, ForgetFactor: 1, LowRank: true})
 	for i := range sDet {
 		if math.Abs(sDet[i]-sLR[i]) > 1e-5*(1+sDet[0]) {
 			t.Fatalf("value %d: %g vs %g", i, sDet[i], sLR[i])
@@ -170,7 +170,7 @@ func TestParallelSingularValuesIdenticalAcrossRanks(t *testing.T) {
 	var mu sync.Mutex
 	all := make([][]float64, 4)
 	mpi.MustRun(4, func(c *mpi.Comm) {
-		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
+		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1})
 		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 6)))
 		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 12)))
 		mu.Lock()
@@ -227,7 +227,7 @@ func TestParallelCounters(t *testing.T) {
 	a := testutil.RandomDense(24, 9, rng)
 	blocks := splitRows(a, 2)
 	mpi.MustRun(2, func(c *mpi.Comm) {
-		eng := NewParallel(c, Options{K: 2, ForgetFactor: 1, R1: 9})
+		eng := NewParallel(c, Options{K: 2, ForgetFactor: 1})
 		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 3)))
 		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(3, 6)))
 		must(eng.IncorporateData(blocks[c.Rank()].SliceCols(6, 9)))
@@ -249,7 +249,7 @@ func TestPropertySerialParallelAgreement(t *testing.T) {
 		n := batch * nBatches
 		m := p * (n + 5 + rng.Intn(20))
 		a, _ := testutil.RandomLowRank(m, n, rank, 0, rng)
-		opts := Options{K: rank, ForgetFactor: 1, R1: n}
+		opts := Options{K: rank, ForgetFactor: 1}
 		serial := runSerialStream(a, batch, opts)
 
 		blocks := splitRows(a, p)
@@ -283,7 +283,7 @@ func TestGatherModesAfterStreaming(t *testing.T) {
 	var mu sync.Mutex
 	var first, second *mat.Dense
 	mpi.MustRun(2, func(c *mpi.Comm) {
-		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1, R1: 12})
+		eng := NewParallel(c, Options{K: 3, ForgetFactor: 1})
 		must(eng.Initialize(blocks[c.Rank()].SliceCols(0, 6)))
 		// The gather reuses its storage, so the first is copied out
 		// before the second.
@@ -310,7 +310,7 @@ func TestParallelUnevenRowBlocks(t *testing.T) {
 	// bookkeeping end to end.
 	rng := testutil.NewRand(13)
 	a, _ := testutil.RandomLowRank(41, 10, 3, 1e-8, rng)
-	opts := Options{K: 3, ForgetFactor: 1, R1: 10}
+	opts := Options{K: 3, ForgetFactor: 1}
 	modes, s := runParallelStream(t, a, 4, 5, opts)
 	serialModes, serialS := apmos.DecomposeSerial(a, 3)
 	if !testutil.CloseSlices(s, serialS, 1e-6*(1+serialS[0])) {
@@ -352,17 +352,19 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 
 // TestFirstBatchSeedsInPlace: a batch written transposed into FirstBatch
 // seeds the engine bit for bit as Initialize of a row-major copy of it
-// does, with the modes over the first rows the batch was written into;
-// later batches written into BatchRows update it bit for bit as
-// IncorporateData does, without leaving that buffer. The last rank holds
-// fewer rows than the batch has snapshots. At rank 0 the gathered rows of
-// the other ranks are their messages' payloads until ReleaseModeRows.
+// does, and the seeding rotation writes the modes over the first k rows of
+// the buffer the batch was decoded into; later batches written into
+// BatchRows update it bit for bit as IncorporateData does, without leaving
+// that buffer. The last rank holds fewer rows (2) than the batch has
+// snapshots (4), so its block of Q has fewer rows than the factor has
+// columns. At rank 0 the gathered rows of the other ranks are their
+// messages' payloads until ReleaseModeRows.
 func TestFirstBatchSeedsInPlace(t *testing.T) {
 	const k, b = 3, 4
 	rng := testutil.NewRand(31)
 	a, _ := testutil.RandomLowRank(292, 3*b, 5, 1e-3, rng)
 	bounds := []int{0, 150, 290, 292}
-	opts := Options{K: k, ForgetFactor: 0.9, R1: 8}
+	opts := Options{K: k, ForgetFactor: 0.9}
 	mpi.MustRun(3, func(c *mpi.Comm) {
 		local := a.SliceRows(bounds[c.Rank()], bounds[c.Rank()+1])
 		m := local.Rows()
@@ -413,4 +415,33 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestParallelMessagesPerUpdate: on two in-process ranks the seed and every
+// later update each cost three messages: rank 1's R factor to rank 0, its
+// Q-correction block back, and one broadcast of Ũ with the singular values
+// as its last row. The payload is those three matrices' values.
+func TestParallelMessagesPerUpdate(t *testing.T) {
+	const m, k, b, updates = 40, 3, 4, 5
+	a := testutil.RandomDense(m, b*(updates+1), testutil.NewRand(14))
+	blocks := splitRows(a, 2)
+	run := func(n int) mpi.Stats {
+		return mpi.MustRun(2, func(c *mpi.Comm) {
+			local := blocks[c.Rank()]
+			eng := NewParallel(c, Options{K: k, ForgetFactor: 1})
+			must(eng.Initialize(local.SliceCols(0, b)))
+			for i := 1; i <= n; i++ {
+				must(eng.IncorporateData(local.SliceCols(i*b, (i+1)*b)))
+			}
+		})
+	}
+	seed, all := run(0), run(updates)
+	if seed.Messages != 3 || seed.Bytes != 8*(2*b*b+(b+1)*k) {
+		t.Errorf("the seed sent %d messages of %d bytes, want 3 of %d", seed.Messages, seed.Bytes, 8*(2*b*b+(b+1)*k))
+	}
+	n := k + b // the stacked width of a steady update
+	msgs, bytes := (all.Messages-seed.Messages)/updates, (all.Bytes-seed.Bytes)/updates
+	if msgs != 3 || bytes != int64(8*(2*n*n+(n+1)*k)) {
+		t.Errorf("an update sent %d messages of %d bytes, want 3 of %d", msgs, bytes, 8*(2*n*n+(n+1)*k))
+	}
 }

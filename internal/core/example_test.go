@@ -49,7 +49,7 @@ func ExampleParallel() {
 
 	mpi.MustRun(ranks, func(c *mpi.Comm) {
 		pr := parts[c.Rank()]
-		eng := core.NewParallel(c, core.Options{K: 2, ForgetFactor: 1.0, R1: 6})
+		eng := core.NewParallel(c, core.Options{K: 2, ForgetFactor: 1.0})
 		if err := eng.Initialize(full.SliceRows(pr.Start, pr.End)); err != nil {
 			panic(err) // mpi.MustRun aborts the world and re-panics
 		}

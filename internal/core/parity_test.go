@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"goparsvd/internal/apmos"
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -18,8 +17,9 @@ import (
 // refParallel is one rank of the distributed update as it ran before
 // Parallel shared the streaming engine's body: M_i×K modes, the scaled
 // stack built by a transposing pass, the gather QR, the small SVD at rank
-// 0 broadcast to every rank, qc·Ũ_k, and Q applied into a separate
-// destination.
+// 0 broadcast to every rank (Ũ and d as two messages), qc·Ũ_k, and Q
+// applied into a separate destination. It seeds as the engine does, by the
+// update with no modes stacked over the first batch.
 type refParallel struct {
 	opts     Options
 	comm     *mpi.Comm
@@ -28,24 +28,19 @@ type refParallel struct {
 	ws       mat.Workspace
 }
 
-func (p *refParallel) initialize(a *mat.Dense) {
-	rows, s, err := apmos.Decompose(p.comm, a.T(), apmos.Options{
-		K:       p.opts.K,
-		R1:      p.opts.R1,
-		R2:      p.opts.K,
-		LowRank: p.opts.LowRank,
-		RLA:     p.opts.RLA,
-	}, nil)
-	must(err)
-	p.ulocal, p.singular = rows.T(), s
-}
+func (p *refParallel) initialize(a *mat.Dense) { p.incorporate(a) }
 
 func (p *refParallel) incorporate(a *mat.Dense) {
-	k0 := p.ulocal.Cols()
+	k0 := 0 // no modes stacked over the first batch
+	if p.ulocal != nil {
+		k0 = p.ulocal.Cols()
+	}
 	at := p.ws.GetUninit(k0+a.Cols(), a.Rows())
-	top := p.ws.ViewRows(at, 0, k0)
-	mat.MulDiagScaledTInto(top, p.opts.ForgetFactor, p.ulocal, p.singular)
-	p.ws.PutView(top)
+	if k0 > 0 {
+		top := p.ws.ViewRows(at, 0, k0)
+		mat.MulDiagScaledTInto(top, p.opts.ForgetFactor, p.ulocal, p.singular)
+		p.ws.PutView(top)
+	}
 	bot := p.ws.ViewRows(at, k0, at.Rows())
 	a.TInto(bot)
 	p.ws.PutView(bot)

@@ -92,7 +92,6 @@ func TestWorkerRefusesBadSpec(t *testing.T) {
 		{"ff 0", EngineSpec{K: 2}, "stream: forget factor 0 outside (0, 1]"},
 		{"ff > 1", EngineSpec{K: 2, FF: 1.5}, "stream: forget factor 1.5 outside (0, 1]"},
 		{"ff NaN", EngineSpec{K: 2, FF: math.NaN()}, "stream: forget factor NaN outside (0, 1]"},
-		{"R1 < 0", EngineSpec{K: 2, FF: 1, R1: -1}, "core: R1 = -1 < 0"},
 		{"oversample < 0", EngineSpec{K: 2, FF: 1, LowRank: true, Oversample: -3}, "rla: Oversample = -3 < 0"},
 		{"power iters < 0", EngineSpec{K: 2, FF: 1, PowerIters: -1}, "rla: PowerIters = -1 < 0"},
 	} {

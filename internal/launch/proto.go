@@ -17,7 +17,7 @@ package launch
 //	          reads it transposed straight into its engine's buffer, each
 //	          through a fixed scratch buffer (mat.ReadValuesT, with every
 //	          check mat.ReadBlockExact makes): the first batch into the
-//	          rows APMOS seeds from and writes the modes over
+//	          rows the seeding update factors and writes the modes over
 //	          (core.Parallel.FirstBatch), every later one into the rows
 //	          the update stacks it in (BatchRows)
 //	PUSH-SKETCH body = factor pair: this rank's row block of the
@@ -135,26 +135,24 @@ func verbName(v byte) string {
 
 // EngineSpec is every rank's engine configuration, which a worker takes
 // on its command line (Args, SpecFlags). It mirrors the facade's
-// configuration (K, forget factor, APMOS init truncation, randomization) —
+// configuration (K, forget factor, randomization) —
 // the launcher derives it from the parsvd options, so wire-fed distributed
 // runs honor the same knobs as the in-process backends.
 type EngineSpec struct {
 	K          int
 	FF         float64
-	R1         int
 	LowRank    bool
 	Oversample int
 	PowerIters int
 	Seed       int64
 }
 
-// Args returns the seven worker flags that carry spec. -ff is formatted so
+// Args returns the six worker flags that carry spec. -ff is formatted so
 // that it parses back bit for bit.
 func (spec EngineSpec) Args() []string {
 	return []string{
 		"-k", strconv.Itoa(spec.K),
 		"-ff", strconv.FormatFloat(spec.FF, 'g', -1, 64),
-		"-r1", strconv.Itoa(spec.R1),
 		"-lowrank=" + strconv.FormatBool(spec.LowRank),
 		"-oversample", strconv.Itoa(spec.Oversample),
 		"-power-iters", strconv.Itoa(spec.PowerIters),
@@ -162,13 +160,12 @@ func (spec EngineSpec) Args() []string {
 	}
 }
 
-// SpecFlags defines the seven flags Args writes on fs and returns the spec
+// SpecFlags defines the six flags Args writes on fs and returns the spec
 // they fill in as fs parses; a missing flag leaves its field zero.
 func SpecFlags(fs *flag.FlagSet) *EngineSpec {
 	spec := new(EngineSpec)
 	fs.IntVar(&spec.K, "k", 0, "engine: number of modes K (>= 1)")
 	fs.Float64Var(&spec.FF, "ff", 0, "engine: forget factor in (0, 1]")
-	fs.IntVar(&spec.R1, "r1", 0, "engine: APMOS gather truncation R1 (0 means the APMOS default)")
 	fs.BoolVar(&spec.LowRank, "lowrank", false, "engine: randomized (low-rank) streaming update")
 	fs.IntVar(&spec.Oversample, "oversample", 0, "engine: randomized SVD oversampling (0 means the default)")
 	fs.IntVar(&spec.PowerIters, "power-iters", 0, "engine: randomized SVD power iterations")
@@ -182,7 +179,6 @@ func (spec EngineSpec) Options() core.Options {
 	return core.Options{
 		K:            spec.K,
 		ForgetFactor: spec.FF,
-		R1:           spec.R1,
 		LowRank:      spec.LowRank,
 		RLA: rla.Options{
 			Oversample: spec.Oversample,

@@ -56,11 +56,11 @@ func TestEngineSpecArgsRoundTrip(t *testing.T) {
 	for _, spec := range []EngineSpec{
 		{},
 		{K: 16, FF: 1},
-		{K: 6, FF: 0.95, R1: 16},
-		{K: 3, FF: 0.1 + 0.2, R1: 1, LowRank: true, Oversample: 7, PowerIters: 2, Seed: -1 << 62},
+		{K: 6, FF: 0.95},
+		{K: 3, FF: 0.1 + 0.2, LowRank: true, Oversample: 7, PowerIters: 2, Seed: -1 << 62},
 		{K: 1, FF: math.Nextafter(1, 0)},
 		{K: 1, FF: 5e-324, Seed: 42},
-		{K: -4, FF: -0.5, R1: -1, Oversample: -2, PowerIters: -3}, // refused later, but carried as given
+		{K: -4, FF: -0.5, Oversample: -2, PowerIters: -3}, // refused later, but carried as given
 	} {
 		fs := flag.NewFlagSet("parsvd-worker", flag.ContinueOnError)
 		got := SpecFlags(fs)

@@ -28,7 +28,6 @@ func sessionWorkload() scaling.StreamWorkload {
 		InitBatch:   12,
 		Batch:       12,
 		K:           6,
-		R1:          16,
 		FF:          0.95,
 		Seed:        7,
 	}
@@ -41,7 +40,7 @@ func startTestSession(t *testing.T, ranks int, w scaling.StreamWorkload) *Sessio
 	}
 	s, err := StartSession(SessionConfig{
 		Ranks: ranks,
-		Spec:  EngineSpec{K: w.K, FF: w.FF, R1: w.R1},
+		Spec:  EngineSpec{K: w.K, FF: w.FF},
 	})
 	if err != nil {
 		t.Fatalf("starting session: %v", err)
@@ -88,7 +87,7 @@ func runInProcess(t *testing.T, ranks int, w scaling.StreamWorkload) inProcess {
 	var ref inProcess
 	if _, err := mpi.Run(ranks, func(c *mpi.Comm) {
 		r0, r1 := parts[c.Rank()][0], parts[c.Rank()][1]
-		eng := core.NewParallel(c, EngineSpec{K: w.K, FF: w.FF, R1: w.R1}.Options())
+		eng := core.NewParallel(c, EngineSpec{K: w.K, FF: w.FF}.Options())
 		err := eng.Initialize(bc.Block(r0, r1, 0, w.InitBatch))
 		for col := w.InitBatch; col < w.Snapshots && err == nil; col += w.Batch {
 			err = eng.IncorporateData(bc.Block(r0, r1, col, min(col+w.Batch, w.Snapshots)))
@@ -147,7 +146,7 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	opts, err := core.Options{K: w.K, ForgetFactor: w.FF, R1: w.R1}.Validated()
+	opts, err := core.Options{K: w.K, ForgetFactor: w.FF}.Validated()
 	if err != nil {
 		t.Fatal(err)
 	}

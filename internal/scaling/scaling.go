@@ -107,7 +107,7 @@ func RunMeasured(cfg MeasuredConfig) []Point {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			start := time.Now()
 			stats := mpi.MustRun(p, func(c *mpi.Comm) {
-				if _, _, err := apmos.Decompose(c, blocks[c.Rank()], opts, nil); err != nil {
+				if _, _, err := apmos.Decompose(c, blocks[c.Rank()], opts); err != nil {
 					panic(err) // MustRun aborts the world and re-panics
 				}
 			})

@@ -26,8 +26,6 @@ type StreamWorkload struct {
 	Batch int
 	// K is the retained mode count.
 	K int
-	// R1 is the APMOS gather truncation used during initialization.
-	R1 int
 	// FF is the streaming forget factor.
 	FF float64
 	// LowRank switches the pipeline to the randomized SVD; Seed fixes its
@@ -47,7 +45,6 @@ func DefaultStreamWorkload() StreamWorkload {
 		InitBatch:   24,
 		Batch:       12,
 		K:           8,
-		R1:          24,
 		FF:          0.95,
 		Seed:        7,
 	}

@@ -20,7 +20,6 @@ func smallWorkload() StreamWorkload {
 		InitBatch:   12,
 		Batch:       12,
 		K:           6,
-		R1:          16,
 		FF:          0.95,
 		Seed:        7,
 	}
@@ -121,7 +120,6 @@ func (w StreamWorkload) coreOptions() core.Options {
 	return core.Options{
 		K:            w.K,
 		ForgetFactor: w.FF,
-		R1:           w.R1,
 		LowRank:      w.LowRank,
 		RLA:          rla.Options{Oversample: 10, PowerIters: 1, Seed: w.Seed},
 	}

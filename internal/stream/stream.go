@@ -124,40 +124,53 @@ func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense
 
 // gatherStep factors a stack whose rows are split across c's ranks: the
 // distributed QR of Listing 4, then the small SVD of the global R at rank
-// 0, broadcast to every rank. This rank's block of Q stays implicit as
-// f·[qc; 0], so its basis change is qc·Ũ_k. The broadcast factors land in
-// workspace storage on every rank, as the root's own already do.
+// 0, broadcast to every rank as one (n+1)×k message: Ũ_k with d as its
+// last row. This rank's block of Q stays implicit as f·[qc; 0], so its
+// basis change is qc·Ũ_k. The broadcast factors land in workspace storage
+// on every rank, as the root's own already do.
 func gatherStep(c *mpi.Comm) step {
 	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64, error) {
 		f, qc, r, err := tsqr.GatherQRFactor(&s.ws, c, at)
 		if err != nil {
 			return f, nil, nil, err
 		}
-		var u *mat.Dense
+		n := qc.Cols()
+		var ud *mat.Dense
 		var d []float64
 		if r != nil { // rank 0
+			var u *mat.Dense
 			u, d, err = s.smallSVD(r, lowRank)
 			s.ws.Put(r)
 			if err != nil {
 				return f, nil, nil, err
 			}
+			ud = s.ws.GetUninit(n+1, len(d))
+			copy(ud.RawData(), u.RawData())
+			copy(ud.RawData()[n*len(d):], d)
+			s.ws.Put(u)
 		} else {
-			// Sized for the usual n×min(K, n) factor; the broadcast
-			// reshapes it to whatever the root sends.
-			n := qc.Cols()
-			k := min(s.opts.K, n)
-			u, d = s.ws.GetUninit(n, k), s.ws.GetFloats(k)
+			// Sized for the usual min(K, n) modes; the broadcast reshapes
+			// it to whatever the root sends.
+			ud = s.ws.GetUninit(n+1, min(s.opts.K, n))
 		}
-		if err := c.BcastMatrixInto(0, u); err != nil {
+		if err := c.BcastMatrixInto(0, ud); err != nil {
 			return f, nil, nil, err
 		}
-		if d, err = c.BcastFloatsInto(0, d); err != nil {
-			return f, nil, nil, err
+		k := ud.Cols()
+		if r == nil {
+			if ud.Rows() != n+1 || k > n {
+				return f, nil, nil, fmt.Errorf("stream: rank 0 broadcast a %dx%d factor, want %d rows and at most %d columns",
+					ud.Rows(), k, n+1, n)
+			}
+			d = s.ws.GetFloats(k)
+			copy(d, ud.RawData()[n*k:])
 		}
-		x := s.ws.GetUninit(qc.Rows(), u.Cols())
+		u := s.ws.ViewRows(ud, 0, n)
+		x := s.ws.GetUninit(qc.Rows(), k)
 		mat.MulInto(x, qc, u)
+		s.ws.PutView(u)
 		s.ws.Put(qc)
-		s.ws.Put(u)
+		s.ws.Put(ud)
 		return f, x, d, nil
 	}
 }
@@ -178,41 +191,6 @@ func Restore(opts Options, modes *mat.Dense, singular []float64, iterations, sna
 	if err := s.Seed(modes, singular, iterations, snapshots); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// RestoreDistributed is Restore for one rank of an engine whose snapshot
-// rows are split across c's ranks: the first k = len(singular) rows of
-// modeRows are this rank's block of the global modes held mode-major (row
-// j being mode j's M_i entries, as apmos.Decompose forms them), and every
-// later update runs Listing 4's distributed QR over c. The engine adopts
-// modeRows as its buffer — no copy — so the caller must not touch it
-// afterwards; rows beyond the first k are where the next batch is stacked,
-// so a buffer of K+B rows is never regrown by B-wide updates. Every rank
-// restores with the same singular values and counters, and every rank must
-// then make the same sequence of calls.
-func RestoreDistributed(c *mpi.Comm, opts Options, modeRows *mat.Dense, singular []float64,
-	iterations, snapshots int) (*SVD, error) {
-	if c == nil {
-		return nil, fmt.Errorf("stream: RestoreDistributed needs a communicator")
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: Restore: %w", err)
-	}
-	if modeRows == nil {
-		return nil, fmt.Errorf("stream: state inconsistent: nil modes")
-	}
-	s := &SVD{opts: opts.validated(), step: gatherStep(c)}
-	k, m := len(singular), modeRows.Cols()
-	if modeRows.Rows() < k {
-		return nil, fmt.Errorf("stream: state inconsistent: %d mode rows, %d singular values",
-			modeRows.Rows(), k)
-	}
-	if err := s.opts.CheckState(m, k, singular, iterations, snapshots); err != nil {
-		return nil, err
-	}
-	s.buf = modeRows
-	s.install(m, singular, iterations, snapshots)
 	return s, nil
 }
 
@@ -240,7 +218,13 @@ func (s *SVD) Seed(modes *mat.Dense, singular []float64, iterations, snapshots i
 	}
 	s.buf.ViewRows(0, k, &s.top)
 	modes.TInto(&s.top)
-	s.install(m, singular, iterations, snapshots)
+	s.singular = append(s.singular[:0], singular...)
+	s.rows = m
+	s.iterations = iterations
+	s.snapshots = snapshots
+	s.initialized = true
+	s.ws.Put(s.modes)
+	s.modes = nil
 	return nil
 }
 
@@ -265,19 +249,6 @@ func (o Options) CheckState(m, k int, singular []float64, iterations, snapshots 
 			iterations, snapshots, m, k)
 	}
 	return nil
-}
-
-// install adopts a checked state whose modes already sit in buf's first
-// len(singular) rows.
-func (s *SVD) install(m int, singular []float64, iterations, snapshots int) {
-	s.singular = append(s.singular[:0], singular...)
-	s.buf.ViewRows(0, len(singular), &s.top)
-	s.rows = m
-	s.iterations = iterations
-	s.snapshots = snapshots
-	s.initialized = true
-	s.ws.Put(s.modes)
-	s.modes = nil
 }
 
 // Initialized reports whether Initialize has been called. A nil engine is
@@ -343,10 +314,46 @@ func (s *SVD) Initialize(a *mat.Dense) error {
 	}
 	s.buf = s.ws.GetUninit(b, m)
 	a.TInto(s.buf)
-	if err := s.rotate(s.buf, s.opts.LowRank); err != nil {
+	return s.seed(b)
+}
+
+// InitializeDistributed returns one rank of an engine whose snapshot rows
+// are split across c's ranks, seeded exactly as Initialize seeds the
+// serial engine, by the update's own rotation with Listing 4's distributed
+// QR as its factor step: buf's first b rows hold this rank's block of the
+// first batch transposed (row j is snapshot j's M_i values), and the
+// rotation writes the modes over them. The engine adopts buf, no copy, so
+// the caller must not touch it afterwards; rows beyond the first b are
+// where later batches are stacked, so a buffer of K+B rows is never
+// regrown by B-wide updates. Every rank must make the same sequence of
+// calls. An error (a failed collective, a peer's bad factor) leaves the
+// engine dead.
+func InitializeDistributed(c *mpi.Comm, opts Options, buf *mat.Dense, b int) (*SVD, error) {
+	if c == nil {
+		panic("stream: InitializeDistributed needs a communicator")
+	}
+	if buf.Cols() == 0 || b < 1 || b > buf.Rows() {
+		panic(fmt.Sprintf("stream: seeding %d snapshots from a %dx%d buffer", b, buf.Rows(), buf.Cols()))
+	}
+	s := &SVD{opts: opts.validated(), step: gatherStep(c), buf: buf}
+	return s, s.seed(b)
+}
+
+// seed rotates the first batch, written transposed into buf's first b
+// rows, into the modes (Algorithm 1, steps I1–I2).
+func (s *SVD) seed(b int) error {
+	at := s.buf
+	if b < at.Rows() {
+		at = s.ws.ViewRows(s.buf, 0, b)
+	}
+	err := s.rotate(at, s.opts.LowRank)
+	if at != s.buf {
+		s.ws.PutView(at)
+	}
+	if err != nil {
 		return err
 	}
-	s.rows = m
+	s.rows = s.buf.Cols()
 	s.snapshots = b
 	s.initialized = true
 	return nil

@@ -356,48 +356,11 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
-// TestRestoreDistributedAdoptsModeRows: the distributed restore takes the
-// rank's K×M_i mode-major block as the engine's own storage — no copy —
-// and refuses the same inconsistent states Restore refuses.
-func TestRestoreDistributedAdoptsModeRows(t *testing.T) {
-	mpi.MustRun(1, func(c *mpi.Comm) {
-		rows := mat.New(2, 5) // two modes over five local rows
-		rows.Set(0, 0, 1)
-		rows.Set(1, 1, 1)
-		s, err := RestoreDistributed(c, Options{K: 3, FF: 1}, rows, []float64{2, 1}, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.ModeRows(); &got.RawData()[0] != &rows.RawData()[0] || got.Rows() != 2 || got.Cols() != 5 {
-			t.Fatal("RestoreDistributed copied the mode rows instead of adopting them")
-		}
-		if m := s.Modes(); m.Rows() != 5 || m.Cols() != 2 || m.At(1, 1) != 1 {
-			t.Fatalf("Modes() of the adopted rows is %dx%d", m.Rows(), m.Cols())
-		}
-		for name, fn := range map[string]func() (*SVD, error){
-			"nil comm": func() (*SVD, error) {
-				return RestoreDistributed(nil, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 2)
-			},
-			"nil rows":   func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, nil, nil, 0, 0) },
-			"empty rows": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, mat.New(0, 5), nil, 0, 0) },
-			"too few rows": func() (*SVD, error) {
-				return RestoreDistributed(c, Options{K: 3, FF: 1}, rows, []float64{3, 2, 1}, 0, 3)
-			},
-			"K below count": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 1, FF: 1}, rows, []float64{2, 1}, 0, 2) },
-			"bad snapshots": func() (*SVD, error) { return RestoreDistributed(c, Options{K: 2, FF: 1}, rows, []float64{2, 1}, 0, 1) },
-		} {
-			if _, err := fn(); err == nil {
-				t.Errorf("%s did not error", name)
-			}
-		}
-	})
-}
-
 // TestBatchRowsFillInPlace: a batch written transposed into BatchRows and
 // ingested by IncorporateFilled updates the engine bit for bit as
-// IncorporateData of the batch does; on a distributed engine adopted with
-// spare rows, BatchRows hands out those rows, so the buffer is not
-// regrown.
+// IncorporateData of the batch does; on a distributed engine seeded in a
+// buffer with spare rows, BatchRows hands out those rows, so the buffer is
+// not regrown.
 func TestBatchRowsFillInPlace(t *testing.T) {
 	rng := testutil.NewRand(21)
 	a := testutil.RandomDense(50, 24, rng)
@@ -418,12 +381,15 @@ func TestBatchRowsFillInPlace(t *testing.T) {
 	}
 
 	mpi.MustRun(1, func(c *mpi.Comm) {
-		buf := mat.New(4, 5) // two modes over five rows, two spare rows
+		buf := mat.New(4, 5) // a two-snapshot batch over five rows, two spare rows
 		buf.Set(0, 0, 1)
 		buf.Set(1, 1, 1)
-		s, err := RestoreDistributed(c, Options{K: 2, FF: 1}, buf, []float64{2, 1}, 0, 2)
+		s, err := InitializeDistributed(c, Options{K: 2, FF: 1}, buf, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if &s.ModeRows().RawData()[0] != &buf.RawData()[0] {
+			t.Fatal("the seeded modes are not the first rows of the adopted buffer")
 		}
 		if rows := s.BatchRows(2); &rows.RawData()[0] != &buf.RawData()[2*5] || rows.Rows() != 2 || rows.Cols() != 5 {
 			t.Fatal("BatchRows did not hand out the adopted buffer's spare rows")

@@ -82,6 +82,19 @@ func RandomLowRank(m, n, rank int, noise float64, rng *rand.Rand) (*mat.Dense, [
 	return a, s
 }
 
+// GradedBatch returns an m×n matrix U·diag(σ)·Vᵀ with random orthonormal
+// U and V and singular values graded over twelve decades,
+// σ_j = 10^(−12j/(n−1)), and those singular values.
+func GradedBatch(m, n int, rng *rand.Rand) (*mat.Dense, []float64) {
+	u := RandomOrthonormal(m, n, rng)
+	v := RandomOrthonormal(n, n, rng)
+	s := make([]float64, n)
+	for j := range s {
+		s[j] = math.Pow(10, -12*float64(j)/float64(max(n-1, 1)))
+	}
+	return mat.MulTransB(mat.MulDiag(u, s), v), s
+}
+
 // RandomSPD returns a random symmetric positive semi-definite n×n matrix
 // with the given eigenvalues.
 func RandomSPD(n int, eigs []float64, rng *rand.Rand) *mat.Dense {

@@ -323,7 +323,6 @@ func WriteCheckpoint(w io.Writer, cfg Configuration, res *Result) error {
 			ForgetFactor: cfg.ForgetFactor,
 			LowRank:      cfg.LowRank,
 			RLA:          cfg.RLA,
-			R1:           cfg.InitRank,
 		},
 		Modes:      res.Modes,
 		Singular:   res.Singular,

@@ -50,7 +50,6 @@ func mergeConfWorkload() parsvd.Workload {
 	w.Batch = 2
 	w.K = 24
 	w.FF = 1.0
-	w.R1 = 24
 	return w
 }
 

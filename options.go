@@ -117,7 +117,6 @@ type config struct {
 	backend  Backend
 	ranks    int
 	ranksSet bool
-	r1       int
 
 	transport    TransportConfig
 	transportSet bool
@@ -234,19 +233,6 @@ func WithRanks(n int) Option {
 	}
 }
 
-// WithInitRank sets r1, the APMOS gather truncation used by the parallel
-// initialization (paper default 50): each rank contributes its leading r1
-// right singular vectors to the gathered matrix. Zero means the default.
-func WithInitRank(r1 int) Option {
-	return func(c *config) error {
-		if r1 < 0 {
-			return fmt.Errorf("parsvd: WithInitRank(%d): r1 must be >= 0", r1)
-		}
-		c.r1 = r1
-		return nil
-	}
-}
-
 // WithTransport tunes the Distributed backend's worker fleet. Setting it
 // on any other backend is an error.
 func WithTransport(t TransportConfig) Option {
@@ -357,6 +343,5 @@ func (c *config) coreOptions() core.Options {
 		ForgetFactor: c.ff,
 		LowRank:      c.lowRank,
 		RLA:          c.rlaOpts,
-		R1:           c.r1,
 	}
 }

@@ -24,14 +24,17 @@
 //     dense SVD in the pipeline is replaced by the Halko–Martinsson–Tropp
 //     randomized SVD. The optional RLA argument sets the oversampling p,
 //     the power-iteration count q and the sketch seed.
-//   - WithInitRank(r1) is the APMOS gather truncation r1 used by the
-//     distributed initialization (paper default 50).
 //   - WithBackend selects the execution mode: Serial is ParSVD_Serial,
 //     Parallel is ParSVD_Parallel over in-process goroutine ranks, and
 //     Distributed runs ParSVD_Parallel with one OS process per rank over
 //     local sockets — a persistent worker fleet fed real snapshot data
 //     over the wire, interchangeable with the other two backends.
 //   - WithRanks(n) is the MPI world size for the non-serial backends.
+//
+// The non-serial backends seed from the first batch as the serial one
+// does, with the streaming update itself (there through the distributed
+// QR of the paper's Listing 4) rather than the paper's APMOS
+// initialization, whose gather truncation r1 therefore has no option.
 //
 // Data enters through the Source abstraction — an in-memory matrix
 // (FromMatrix), a batch-generator function (FromBatches), a self-
@@ -149,7 +152,6 @@ type Configuration struct {
 	ForgetFactor float64
 	Backend      Backend
 	Ranks        int
-	InitRank     int
 	LowRank      bool
 	// RLA is the sketch tuning; zero when LowRank is false or the
 	// defaults are in effect.
@@ -180,7 +182,6 @@ func (s *SVD) Configuration() Configuration {
 		ForgetFactor: s.cfg.ff,
 		Backend:      s.cfg.backend,
 		Ranks:        s.cfg.ranks,
-		InitRank:     s.cfg.r1,
 		LowRank:      s.cfg.lowRank,
 		RLA:          s.cfg.rlaOpts,
 		Shards:       s.cfg.shards,

@@ -32,7 +32,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		"unknown backend":       {parsvd.WithBackend(parsvd.Backend(42))},
 		"zero ranks":            {parsvd.WithRanks(0)},
 		"serial multi-rank":     {parsvd.WithRanks(3)},
-		"negative init rank":    {parsvd.WithInitRank(-1)},
 		"nil option":            {nil},
 		"nil checkpoint":        {parsvd.WithCheckpoint(nil)},
 		"bad rla":               {parsvd.WithLowRank(parsvd.RLA{Oversample: -1})},
@@ -420,10 +419,9 @@ func TestDistributedMatchesParallel(t *testing.T) {
 	w.InitBatch = 8
 	w.Batch = 8
 	w.K = 4
-	w.R1 = 8
 
 	dist, err := parsvd.New(parsvd.WithBackend(parsvd.Distributed), parsvd.WithRanks(ranks),
-		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1))
+		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +445,7 @@ func TestDistributedMatchesParallel(t *testing.T) {
 	}
 
 	par, err := parsvd.New(parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(ranks),
-		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1))
+		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
 	if err != nil {
 		t.Fatal(err)
 	}

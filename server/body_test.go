@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -102,4 +106,64 @@ func TestReadMatrixNonFinite(t *testing.T) {
 			t.Fatalf("len %d, %g at %d: err = %v, want %q", len(x), x[bad], bad, err, want)
 		}
 	})
+}
+
+// FuzzDecodeJSONBody feeds arbitrary bytes to the JSON request-body
+// decoder as each body it reads: a create spec, a matrix (push, project)
+// and a sketch factor pair. It must refuse malformed input with an error,
+// never panic; a body it accepts decodes to a value that re-encodes and
+// decodes back to itself, and a matrix it accepts is well formed or
+// refused by MatrixJSON.Matrix. Unknown fields are ignored, so a spec
+// carrying the retired "init_rank" still loads.
+func FuzzDecodeJSONBody(f *testing.F) {
+	f.Add([]byte(`{"name":"m","modes":12,"forget_factor":0.95,"init_rank":12}`))
+	f.Add([]byte(`{"name":"d","backend":"distributed","ranks":2,"low_rank":{"oversample":5,"seed":-3},"shard":{"index":1,"count":3}}`))
+	f.Add([]byte(`{"rows":2,"cols":2,"data":[1,-2.5,3e-300,0]}`))
+	f.Add([]byte(`{"q":{"rows":3,"cols":1,"data":[1,0,0]},"s":{"rows":1,"cols":2,"data":[4,5]}}`))
+	f.Add([]byte(`{"rows":2,"cols":2,"data":[1,2,3]} {}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkJSONRoundTrip(t, body, func() any { return new(ModelSpec) })
+		if mj, ok := checkJSONRoundTrip(t, body, func() any { return new(MatrixJSON) }).(*MatrixJSON); ok {
+			checkMatrixJSON(t, *mj)
+		}
+		if sj, ok := checkJSONRoundTrip(t, body, func() any { return new(SketchPushJSON) }).(*SketchPushJSON); ok {
+			checkMatrixJSON(t, sj.Q)
+			checkMatrixJSON(t, sj.S)
+		}
+	})
+}
+
+// checkJSONRoundTrip decodes body into a fresh value from fresh as a
+// request body and, when the decoder accepts it, requires the value to
+// re-encode and decode to itself. It returns the value, or nil when the
+// body was refused.
+func checkJSONRoundTrip(t *testing.T, body []byte, fresh func() any) any {
+	v := fresh()
+	if decodeJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v) != nil {
+		return nil
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("accepted %q as %T, which does not re-encode: %v", body, v, err)
+	}
+	again := fresh()
+	if err := decodeJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(enc)), again); err != nil {
+		t.Fatalf("%T re-encoded as %s is refused: %v", v, enc, err)
+	}
+	if !reflect.DeepEqual(v, again) {
+		t.Fatalf("%T does not survive a round trip: %+v, then %+v", v, v, again)
+	}
+	return v
+}
+
+// checkMatrixJSON requires an accepted matrix payload to be refused by
+// Matrix or to adopt exactly its rows·cols values.
+func checkMatrixJSON(t *testing.T, mj MatrixJSON) {
+	m, err := mj.Matrix()
+	if err != nil {
+		return
+	}
+	if m.Rows() != mj.Rows || m.Cols() != mj.Cols || len(m.RawData()) != mj.Rows*mj.Cols {
+		t.Fatalf("a %dx%d payload of %d values became a %dx%d matrix", mj.Rows, mj.Cols, len(mj.Data), m.Rows(), m.Cols())
+	}
 }

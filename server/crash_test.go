@@ -199,7 +199,6 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			w.InitBatch = 24
 			w.Batch = 12
 			w.K = 6
-			w.R1 = 12
 
 			batches := drainBatches(t, w, tc.ranks)
 			killAfter := (len(batches) * 3) / 5 // acked prefix at the kill
@@ -221,7 +220,6 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				Name:         "crash",
 				Modes:        w.K,
 				ForgetFactor: w.FF,
-				InitRank:     w.R1,
 				Backend:      tc.backend,
 				Ranks:        tc.ranks,
 			}); err != nil {
@@ -237,7 +235,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			p1.sigkill(t)
 
 			// Uninterrupted in-process reference over the acked prefix.
-			ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1))
+			ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +319,6 @@ func TestCrashRecoveryMergeSIGKILL(t *testing.T) {
 	w.InitBatch = 24
 	w.Batch = 12
 	w.K = 6
-	w.R1 = 12
 	w.FF = 1.0 // the merge operand is fit without recency weighting
 	batches := drainBatches(t, w, 1)
 	killAfter := (len(batches) * 3) / 5
@@ -340,7 +337,7 @@ func TestCrashRecoveryMergeSIGKILL(t *testing.T) {
 	// preWant / postWant: uninterrupted in-process references for the two
 	// legal recovery states.
 	refSpectrum := func(withMerge bool) []float64 {
-		ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1))
+		ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +391,7 @@ func TestCrashRecoveryMergeSIGKILL(t *testing.T) {
 			p1 := startServe(t, bin, args, nil)
 			c1 := p1.client()
 			if _, err := c1.CreateModel(ctx, server.ModelSpec{
-				Name: "crash", Modes: w.K, ForgetFactor: w.FF, InitRank: w.R1,
+				Name: "crash", Modes: w.K, ForgetFactor: w.FF,
 			}); err != nil {
 				t.Fatal(err)
 			}

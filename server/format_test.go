@@ -66,7 +66,7 @@ func TestBinaryFormatConformance(t *testing.T) {
 	}()
 	ctx := context.Background()
 	w := parsvd.DefaultWorkload()
-	spec := server.ModelSpec{Modes: w.K, ForgetFactor: w.FF, InitRank: w.R1}
+	spec := server.ModelSpec{Modes: w.K, ForgetFactor: w.FF}
 	for _, name := range []string{"json", "bin"} {
 		spec.Name = name
 		if _, err := s.c.CreateModel(ctx, spec); err != nil {

@@ -385,14 +385,13 @@ func loadCheckpoint(path string) (*parsvd.SVD, error) {
 
 // specFromConfiguration rebuilds the API spec of a restored model from
 // the facade's configuration echo, so GET /v1/models keeps reporting the
-// forget factor, init rank and randomization settings across restarts.
+// forget factor and randomization settings across restarts.
 func specFromConfiguration(name string, c parsvd.Configuration) ModelSpec {
 	spec := ModelSpec{
 		Name:         name,
 		Modes:        c.Modes,
 		ForgetFactor: c.ForgetFactor,
 		Backend:      c.Backend.String(),
-		InitRank:     c.InitRank,
 	}
 	if c.LowRank {
 		spec.LowRank = &LowRankSpec{

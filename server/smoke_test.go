@@ -28,7 +28,6 @@ func TestServeSmoke(t *testing.T) {
 	refOpts := []parsvd.Option{
 		parsvd.WithModes(w.K),
 		parsvd.WithForgetFactor(w.FF),
-		parsvd.WithInitRank(w.R1),
 	}
 	ref, err := parsvd.New(refOpts...)
 	if err != nil {
@@ -69,7 +68,6 @@ func TestServeSmoke(t *testing.T) {
 		Name:         "smoke",
 		Modes:        w.K,
 		ForgetFactor: w.FF,
-		InitRank:     w.R1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +128,9 @@ func TestServeSmokeDistributed(t *testing.T) {
 	w.InitBatch = 12
 	w.Batch = 12
 	w.K = 6
-	w.R1 = 16
 
 	// In-process serial reference over the identical batches.
-	ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF), parsvd.WithInitRank(w.R1))
+	ref, err := parsvd.New(parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,6 @@ func TestServeSmokeDistributed(t *testing.T) {
 		Name:         "dist-smoke",
 		Modes:        w.K,
 		ForgetFactor: w.FF,
-		InitRank:     w.R1,
 		Backend:      "distributed",
 		Ranks:        ranks,
 	}); err != nil {

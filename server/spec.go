@@ -29,8 +29,6 @@ type ModelSpec struct {
 	// Ranks is the world size of the parallel and distributed backends
 	// (parsvd.WithRanks).
 	Ranks int `json:"ranks,omitempty"`
-	// InitRank is r1, the APMOS gather truncation (parsvd.WithInitRank).
-	InitRank int `json:"init_rank,omitempty"`
 	// LowRank, when present, turns on the randomized pipeline
 	// (parsvd.WithLowRank).
 	LowRank *LowRankSpec `json:"low_rank,omitempty"`
@@ -103,9 +101,6 @@ func (sp *ModelSpec) options() ([]parsvd.Option, error) {
 	}
 	if sp.Ranks != 0 {
 		opts = append(opts, parsvd.WithRanks(sp.Ranks))
-	}
-	if sp.InitRank != 0 {
-		opts = append(opts, parsvd.WithInitRank(sp.InitRank))
 	}
 	if sp.LowRank != nil {
 		opts = append(opts, parsvd.WithLowRank(parsvd.RLA{

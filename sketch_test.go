@@ -72,7 +72,6 @@ func newSketchSVD(t *testing.T, backend parsvd.Backend, ranks int, sketch *parsv
 	opts := []parsvd.Option{
 		parsvd.WithModes(6),
 		parsvd.WithForgetFactor(0.95),
-		parsvd.WithInitRank(16),
 		parsvd.WithBackend(backend),
 	}
 	if backend != parsvd.Serial {
@@ -153,7 +152,6 @@ func TestSketchedPushExactWhenRankCovered(t *testing.T) {
 			newOpts := func(sketch bool) []parsvd.Option {
 				opts := []parsvd.Option{
 					parsvd.WithModes(4),
-					parsvd.WithInitRank(8),
 					parsvd.WithBackend(b.backend),
 				}
 				if b.backend != parsvd.Serial {
@@ -340,7 +338,6 @@ func TestSketchSmoke(t *testing.T) {
 	opts := []parsvd.Option{
 		parsvd.WithModes(6),
 		parsvd.WithForgetFactor(0.95),
-		parsvd.WithInitRank(16),
 	}
 	ser, err := parsvd.New(opts...)
 	if err != nil {
