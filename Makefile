@@ -58,11 +58,16 @@ worker:
 # the start-up contract: the engine spec is on each worker's command line,
 # a bad one is refused in one ERR frame, the seeding PUSH is a fleet's
 # first exchange, and a fleet that never came up fails that push without
-# poisoning the engine. Failures are errors end to end: a rank's engine
-# error, not the abort echoes of its peers, fails the Parallel backend
-# (TestParallelDispatchReportsOriginatingError), and OpTimeout bounds a
-# command write to a rank that stopped reading its stdin as well as the
-# reply (TestSessionCommandWriteDeadline, one of the TestSession tests).
+# poisoning the engine. OpTimeout bounds a command write to a rank that
+# stopped reading its stdin as well as the reply
+# (TestSessionCommandWriteDeadline, one of the TestSession tests). The
+# Parallel backend is the blocked TSQR in one process: its spectrum and
+# modes hash must equal a fleet's at 2, 3 and 4 ranks, with rank blocks
+# shorter than the batch and with the randomized small SVD
+# (TestDistributedMatchesParallel; TestBlockedMatchesDistributed pins the
+# same against in-process ranks after every batch), and a stack wider than
+# the snapshot matrix is tall (M < K+B) must fit on both as on Serial
+# (TestWideStackMatchesSerial).
 # The seed is the update's own TSQR step: a rank-deficient and a strongly
 # graded first batch must seed orthonormal modes on 1-4 in-process ranks
 # and on two real workers (Test*SeedKeepsModesOrthonormal), and the seed
@@ -71,18 +76,20 @@ worker:
 # The last step, without the race detector (whose
 # instrumentation allocates), pins the allocation-free distributed steady
 # state: a two-rank update over loopback sockets, and a worker's PUSH,
-# MODES-SHA and SAVE, each 0 allocs/op; a worker's lifetime bytes over a
+# MODES-SHA and SAVE, each 0 allocs/op, as is a Parallel backend update
+# with a GC before each (TestIncorporateNoAllocsAcrossGC); a worker's lifetime bytes over a
 # 200-push session, bounded by its engine buffer plus fixed I/O; and the
 # seeding placement: the first batch decoded into the engine buffer's
 # first rows, with the seeding rotation writing the modes over them
 # (TestFirstBatchSeedsInPlace).
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
-		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestParallelDispatchReportsOriginatingError|TestDistributedSeedKeepsModesOrthonormal' .
+		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestDistributedSeedKeepsModesOrthonormal|TestDistributedMatchesParallel|TestWideStackMatchesSerial' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
 	CI=1 $(GO) test -race -count 1 -run 'TestParallelSeedKeepsModesOrthonormal|TestParallelMessagesPerUpdate' ./internal/core
-	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes' \
-		./internal/core ./cmd/parsvd-worker
+	CI=1 $(GO) test -race -count 1 -run 'TestBlockedMatchesDistributed' ./internal/stream
+	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes|TestIncorporateNoAllocsAcrossGC' \
+		./internal/core ./cmd/parsvd-worker ./internal/stream
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of
 # every decoder that parses another process's bytes or a crashed

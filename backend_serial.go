@@ -9,18 +9,20 @@ import (
 	"goparsvd/internal/stream"
 )
 
-// serialEngine is ParSVD_Serial behind the facade: internal/stream's
-// engine and the validated options its checkpoints record. Dimension
-// checks happen here, before the engine, which panics on misuse; an error
-// it returns fails this engine for good.
+// serialEngine is the facade's in-process engine: internal/stream's
+// engine and the validated options its checkpoints record. It is
+// ParSVD_Serial, and ParSVD_Parallel when built over ranks row blocks.
+// Dimension checks happen here, before the engine, which panics on misuse;
+// an error it returns fails this engine for good.
 type serialEngine struct {
 	opts   core.Options
 	svd    *stream.SVD
+	ranks  int   // the row blocks of a Parallel engine's TSQR, 0 for Serial
 	rows   int   // 0 until the first batch seeds the decomposition
 	failed error // set once the engine returned an error: it is dead
 }
 
-// newSerialEngine builds an engine for options the facade has already
+// newSerialEngine builds ParSVD_Serial for options the facade has already
 // validated.
 func newSerialEngine(opts core.Options) *serialEngine {
 	opts, err := opts.Validated()
@@ -28,6 +30,18 @@ func newSerialEngine(opts core.Options) *serialEngine {
 		panic(err)
 	}
 	return &serialEngine{opts: opts, svd: core.NewSerial(opts)}
+}
+
+// newParallelEngine builds ParSVD_Parallel over ranks row blocks
+// (core.NewBlocked): the Serial engine with the TSQR of Listing 4 as its
+// factor step, whose modes match a Distributed fleet of ranks workers bit
+// for bit.
+func newParallelEngine(opts core.Options, ranks int) *serialEngine {
+	opts, err := opts.Validated()
+	if err != nil {
+		panic(err)
+	}
+	return &serialEngine{opts: opts, svd: core.NewBlocked(opts, ranks), ranks: ranks}
 }
 
 // restoreSerialEngine rebuilds an engine from held state (a checkpoint or
@@ -46,15 +60,12 @@ func restoreSerialEngine(st core.State) (*serialEngine, error) {
 }
 
 // modeMatrix is st's modes as the M×K matrix, transposed out of ModeRows
-// or ModeBlocks when st holds them mode-major.
+// when st holds them mode-major.
 func modeMatrix(st core.State) *mat.Dense {
-	switch {
-	case st.Modes != nil:
+	if st.Modes != nil {
 		return st.Modes
-	case st.ModeRows != nil:
-		return core.ModeMatrix(st.ModeRows)
 	}
-	return core.ModeMatrix(st.ModeBlocks...)
+	return core.ModeMatrix(st.ModeRows)
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
@@ -66,10 +77,13 @@ func (e *serialEngine) push(b *mat.Dense) error {
 	}
 	update := e.svd.IncorporateData
 	if e.rows == 0 {
+		if b.Rows() < e.ranks {
+			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", b.Rows(), e.ranks)
+		}
 		update = e.svd.Initialize
 	}
 	if err := update(b); err != nil {
-		e.failed = fmt.Errorf("%w: serial update failed: %w", ErrEngineFailed, err)
+		e.failed = fmt.Errorf("%w: update failed: %w", ErrEngineFailed, err)
 		return e.failed
 	}
 	e.rows = b.Rows()

@@ -75,7 +75,7 @@ func main() {
 	}
 
 	// Parallel phase: the facade streams the file variable through the
-	// distributed SVD, partitioning rows across in-process ranks.
+	// distributed SVD, its TSQR over the ranks' row blocks.
 	opts := []parsvd.Option{
 		parsvd.WithModes(*k), parsvd.WithForgetFactor(*ff),
 		parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(*ranks),

@@ -60,8 +60,8 @@ func ExampleSVD_Fit() {
 	// 5.0 3.0 2.0 1.0
 }
 
-// The parallel backend (ParSVD_Parallel) runs the same Source across
-// in-process ranks; the result carries the gathered global modes.
+// The parallel backend (ParSVD_Parallel) runs the same Source through the
+// TSQR over the ranks' row blocks; the result carries the global modes.
 func ExampleSVD_Fit_parallelBackend() {
 	svd, err := parsvd.New(
 		parsvd.WithModes(4),

@@ -2,8 +2,8 @@
 //
 // This is the paper's headline use case (§4.3) as a library consumer
 // would write it: snapshots of the viscous Burgers equation are streamed
-// through the parallel randomized SVD (four in-process ranks behind one
-// facade handle), and the resulting global modes are compared with the
+// through the parallel randomized SVD (the TSQR over four ranks' row
+// blocks behind one facade handle), and the resulting global modes are compared with the
 // exact truncated SVD of the full matrix. Run with:
 //
 //	go run ./examples/burgers

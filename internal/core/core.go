@@ -11,15 +11,17 @@
 //   - Parallel is ParSVD_Parallel: every rank holds a row block of the
 //     snapshot matrix, and the seeding batch and every streaming update
 //     run a distributed QR plus a small root SVD.
+//   - NewBlocked builds ParSVD_Parallel in one process: the same
+//     distributed QR over row blocks, with no ranks to talk to.
 //
-// Both run the same streaming update, internal/stream's: Parallel only
-// swaps its factor step for the distributed QR, as PyParSVD's parallel
-// incorporate_data swaps np.linalg.qr for parallel_qr. Parallel also seeds
-// through that update, as the serial engine does, rather than by the
-// paper's APMOS initialization (Listing 3): APMOS forms each rank's Gram
-// matrix and divides by its singular values, which loses orthogonality at
-// the Gram's roundoff floor. internal/apmos keeps APMOS for the paper's
-// Fig. 1 scaling experiment (internal/scaling).
+// All run the same streaming update, internal/stream's: Parallel and
+// NewBlocked only swap its factor step for the distributed QR, as
+// PyParSVD's parallel incorporate_data swaps np.linalg.qr for
+// parallel_qr. Both also seed through that update, as the serial engine
+// does, rather than by the paper's APMOS initialization (Listing 3): APMOS
+// forms each rank's Gram matrix and divides by its singular values, which
+// loses orthogonality at the Gram's roundoff floor. internal/apmos keeps
+// APMOS for the paper's Fig. 1 scaling experiment (internal/scaling).
 package core
 
 import (
@@ -80,6 +82,14 @@ func (o Options) streamOptions() stream.Options {
 // Initialize and IncorporateData (Listing 1).
 func NewSerial(opts Options) *stream.SVD {
 	return stream.New(opts.validated().streamOptions())
+}
+
+// NewBlocked constructs ParSVD_Parallel in one process: internal/stream's
+// engine whose factor step is Listing 4's TSQR over the snapshot matrix
+// split into ranks row blocks (stream.NewBlocked), so its modes are those
+// of a ranks-rank Parallel world fed the same batches, bit for bit.
+func NewBlocked(opts Options, ranks int) *stream.SVD {
+	return stream.NewBlocked(opts.validated().streamOptions(), ranks)
 }
 
 // Parallel is the distributed streaming SVD engine (ParSVD_Parallel). Each

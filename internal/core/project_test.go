@@ -6,25 +6,31 @@ import (
 
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 )
 
 func TestSerialCoefficientsRoundTrip(t *testing.T) {
 	// For data that lies exactly in a rank-r subspace with K ≥ r, the
-	// compress/reconstruct round trip is lossless.
+	// compress/reconstruct round trip is lossless, on the serial engine
+	// and on the blocked one the Parallel backend runs.
 	rng := testutil.NewRand(21)
 	a, _ := testutil.RandomLowRank(60, 20, 4, 0, rng)
-	eng := NewSerial(Options{K: 5, ForgetFactor: 1})
-	must(eng.Initialize(a.SliceCols(0, 10)))
-	must(eng.IncorporateData(a.SliceCols(10, 20)))
+	opts := Options{K: 5, ForgetFactor: 1}
+	for name, eng := range map[string]*stream.SVD{"serial": NewSerial(opts), "blocked": NewBlocked(opts, 3)} {
+		t.Run(name, func(t *testing.T) {
+			must(eng.Initialize(a.SliceCols(0, 10)))
+			must(eng.IncorporateData(a.SliceCols(10, 20)))
 
-	coeffs := Coefficients(eng, a)
-	if coeffs.Rows() != 5 || coeffs.Cols() != 20 {
-		t.Fatalf("coefficients shape %dx%d", coeffs.Rows(), coeffs.Cols())
-	}
-	recon := Reconstruct(eng, coeffs)
-	if rel := mat.Sub(a, recon).FroNorm() / a.FroNorm(); rel > 1e-8 {
-		t.Fatalf("lossless round trip failed: rel error %g", rel)
+			coeffs := Coefficients(eng, a)
+			if coeffs.Rows() != 5 || coeffs.Cols() != 20 {
+				t.Fatalf("coefficients shape %dx%d", coeffs.Rows(), coeffs.Cols())
+			}
+			recon := Reconstruct(eng, coeffs)
+			if rel := mat.Sub(a, recon).FroNorm() / a.FroNorm(); rel > 1e-8 {
+				t.Fatalf("lossless round trip failed: rel error %g", rel)
+			}
+		})
 	}
 }
 

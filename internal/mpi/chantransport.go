@@ -13,7 +13,7 @@ const mailboxCap = 8
 // ChanTransport is the in-process fabric: ranks are goroutines and messages
 // travel over per-pair FIFO channels. One ChanTransport value carries every
 // rank of the world, so Send/Recv accept any (src, dst) pair. It is the
-// default transport behind NewWorld/Run and preserves the exact semantics
+// transport behind Run and preserves the exact semantics
 // the runtime had before the Transport split.
 type ChanTransport struct {
 	size int

@@ -15,7 +15,7 @@
 //
 // Beneath *Comm sits the Transport interface, with two implementations:
 //
-//   - ChanTransport (the default behind NewWorld/Run): ranks are goroutines
+//   - ChanTransport (the transport behind Run): ranks are goroutines
 //     in one process and messages travel over per-pair FIFO channels;
 //   - tcptransport.Transport (internal/mpi/tcptransport): each OS process
 //     owns one rank and messages travel over a full mesh of stream
@@ -41,13 +41,6 @@ import (
 	"goparsvd/internal/mat"
 )
 
-// World owns the communication fabric for one parallel run. With the
-// default channel transport it carries every rank of the process; Comm
-// hands out per-rank handles.
-type World struct {
-	t Transport
-}
-
 // Stats summarizes the traffic of a completed parallel run.
 type Stats struct {
 	Ranks    int
@@ -66,32 +59,9 @@ type Comm struct {
 	rank int
 }
 
-// NewWorld creates an in-process communication fabric for size ranks. Most
-// callers should use Run instead.
-func NewWorld(size int) *World {
-	return NewWorldWith(NewChanTransport(size))
-}
-
-// NewWorldWith wraps an existing transport in a World.
-func NewWorldWith(t Transport) *World {
-	return &World{t: t}
-}
-
-// Comm returns the communicator handle for the given rank.
-func (w *World) Comm(rank int) *Comm {
-	return NewComm(w.t, rank)
-}
-
-// Stats returns the aggregate traffic counters.
-func (w *World) Stats() Stats { return w.t.Stats() }
-
-// Abort tears down the world: peers blocked in a Comm call, and every
-// later call, return ErrAborted.
-func (w *World) Abort() { w.t.Abort() }
-
 // NewComm binds a communicator handle for rank to a transport. Single-rank
 // transports (one process per rank, e.g. the TCP backend) hand their own
-// rank here; in-process worlds usually go through World.Comm or Run.
+// rank here; in-process worlds go through Run.
 func NewComm(t Transport, rank int) *Comm {
 	if rank < 0 || rank >= t.Size() {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, t.Size()))
@@ -118,7 +88,7 @@ func (e *RankError) Error() string {
 // Comm calls return ErrAborted) and the first panic is returned as a
 // *RankError.
 func Run(size int, fn func(c *Comm)) (Stats, error) {
-	w := NewWorld(size)
+	t := NewChanTransport(size)
 	var (
 		wg       sync.WaitGroup
 		once     sync.Once
@@ -128,13 +98,13 @@ func Run(size int, fn func(c *Comm)) (Stats, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if err := runRank(w.t, rank, fn); errors.As(err, new(*RankError)) {
+			if err := runRank(t, rank, fn); errors.As(err, new(*RankError)) {
 				once.Do(func() { firstErr = err })
 			}
 		}(r)
 	}
 	wg.Wait()
-	return w.Stats(), firstErr
+	return t.Stats(), firstErr
 }
 
 // MustRun is Run for callers that treat a rank panic as fatal (tests,

@@ -277,10 +277,10 @@ func TestTrafficCounters(t *testing.T) {
 func TestWorldSizeValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewWorld(0) did not panic")
+			t.Fatal("NewChanTransport(0) did not panic")
 		}
 	}()
-	NewWorld(0)
+	NewChanTransport(0)
 }
 
 func TestManyRanksPipeline(t *testing.T) {

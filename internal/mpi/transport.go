@@ -22,7 +22,7 @@ const vectorRows = -1
 // failed, a connection broke, or Abort was called.
 var ErrAborted = errors.New("mpi: world aborted")
 
-// Transport is the communication fabric beneath *Comm and *World: blocking
+// Transport is the communication fabric beneath *Comm: blocking
 // point-to-point delivery with per-(src,dst) FIFO ordering, a full barrier,
 // an abort path that unblocks every pending operation, and traffic counters.
 //

@@ -86,33 +86,42 @@ func BenchmarkIncorporateWorkloadShape(b *testing.B) {
 // The count comes from the memory profile, sampling every allocation, and
 // takes only stacks through this module's non-test code: the
 // collections also allocate, on the runtime's own behalf (threads, timers,
-// mark workers), and those are not the update's.
+// mark workers), and those are not the update's. The blocked engine
+// (NewBlocked over four row blocks, the Parallel backend's) is held to the
+// same zero.
 func TestIncorporateNoAllocsAcrossGC(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	rng := testutil.NewRand(6)
 	first := testutil.RandomDense(4096, 16, rng)
 	next := testutil.RandomDense(4096, 16, rng)
-	s := started(Options{K: 16, FF: 0.95}, first)
-	s.IncorporateData(next) // warm the workspace
-	runtime.GC()
-	before := moduleAllocs()
-	for i := 0; i < 16; i++ {
-		runtime.GC()
-		s.IncorporateData(next)
-	}
-	runtime.GC() // the profile publishes a cycle's allocations at the next collection
-	after := moduleAllocs()
-	var sites []string
-	for site, n := range after {
-		if d := n - before[site]; d != 0 {
-			sites = append(sites, fmt.Sprintf("%s: %d", site, d))
-		}
-	}
-	if len(sites) != 0 {
-		sort.Strings(sites)
-		t.Fatalf("16 updates with a GC before each allocated, want 0 allocations:\n%s",
-			strings.Join(sites, "\n"))
+	opts := Options{K: 16, FF: 0.95}
+	for name, s := range map[string]*SVD{"serial": New(opts), "blocked": NewBlocked(opts, 4)} {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Initialize(first); err != nil {
+				t.Fatal(err)
+			}
+			s.IncorporateData(next) // warm the workspace
+			runtime.GC()
+			before := moduleAllocs()
+			for i := 0; i < 16; i++ {
+				runtime.GC()
+				s.IncorporateData(next)
+			}
+			runtime.GC() // the profile publishes a cycle's allocations at the next collection
+			after := moduleAllocs()
+			var sites []string
+			for site, n := range after {
+				if d := n - before[site]; d != 0 {
+					sites = append(sites, fmt.Sprintf("%s: %d", site, d))
+				}
+			}
+			if len(sites) != 0 {
+				sort.Strings(sites)
+				t.Fatalf("16 updates with a GC before each allocated, want 0 allocations:\n%s",
+					strings.Join(sites, "\n"))
+			}
+		})
 	}
 }
 

@@ -10,7 +10,8 @@
 // The same engine runs one rank of the distributed update (paper Listing 2
 // `incorporate_data`): there the rows of the snapshot matrix are split
 // across ranks, and only the factor step differs — the distributed QR of
-// Listing 4 in place of the local one.
+// Listing 4 in place of the local one. NewBlocked runs that distributed QR
+// over row blocks in one process, with the distributed update's arithmetic.
 //
 // The update is also the pairwise merge of Iwen & Ong (arXiv 1601.07010):
 // Absorb stacks another factorization's scaled modes under the engine's own,
@@ -23,6 +24,7 @@ package stream
 import (
 	"fmt"
 
+	"goparsvd/internal/grid"
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -106,20 +108,24 @@ type SVD struct {
 	ws mat.Workspace
 }
 
-// step is the one part of the update the serial and distributed engines do
-// differently. It factors the stack held column by column in at and returns
-// the factor f of (this rank's block of) its Q, the truncated basis change x
-// whose image Q·[x; 0] is the new modes, and their singular values d. x and
-// d come from the workspace; the caller puts them back. lowRank selects the
-// small SVD.
-type step func(s *SVD, at *mat.Dense, lowRank bool) (f linalg.QRFactor, x *mat.Dense, d []float64, err error)
+// step is the one part of the update the serial, blocked and distributed
+// engines do differently. It factors the stack held column by column in
+// at, runs the small SVD of its R (lowRank selects which), and applies Q,
+// never formed, to the truncated basis change x: Q·[x; 0] is the new
+// modes, written mode-major over at's first rows. It returns their
+// singular values d, from the workspace; the caller puts them back.
+type step func(s *SVD, at *mat.Dense, lowRank bool) (d []float64, err error)
 
 // localStep factors the whole stack in this process (Listing 1).
-func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64, error) {
+func localStep(s *SVD, at *mat.Dense, lowRank bool) ([]float64, error) {
 	f, r := linalg.FactorQR(&s.ws, at)
 	x, d, err := s.smallSVD(r, lowRank)
 	s.ws.Put(r)
-	return f, x, d, err
+	if err != nil {
+		return nil, err
+	}
+	s.applyQ(f, x)
+	return d, nil
 }
 
 // gatherStep factors a stack whose rows are split across c's ranks: the
@@ -129,10 +135,10 @@ func localStep(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense
 // basis change is qc·Ũ_k. The broadcast factors land in workspace storage
 // on every rank, as the root's own already do.
 func gatherStep(c *mpi.Comm) step {
-	return func(s *SVD, at *mat.Dense, lowRank bool) (linalg.QRFactor, *mat.Dense, []float64, error) {
+	return func(s *SVD, at *mat.Dense, lowRank bool) ([]float64, error) {
 		f, qc, r, err := tsqr.GatherQRFactor(&s.ws, c, at)
 		if err != nil {
-			return f, nil, nil, err
+			return nil, err
 		}
 		n := qc.Cols()
 		var ud *mat.Dense
@@ -142,7 +148,7 @@ func gatherStep(c *mpi.Comm) step {
 			u, d, err = s.smallSVD(r, lowRank)
 			s.ws.Put(r)
 			if err != nil {
-				return f, nil, nil, err
+				return nil, err
 			}
 			ud = s.ws.GetUninit(n+1, len(d))
 			copy(ud.RawData(), u.RawData())
@@ -154,12 +160,12 @@ func gatherStep(c *mpi.Comm) step {
 			ud = s.ws.GetUninit(n+1, min(s.opts.K, n))
 		}
 		if err := c.BcastMatrixInto(0, ud); err != nil {
-			return f, nil, nil, err
+			return nil, err
 		}
 		k := ud.Cols()
 		if r == nil {
 			if ud.Rows() != n+1 || k > n {
-				return f, nil, nil, fmt.Errorf("stream: rank 0 broadcast a %dx%d factor, want %d rows and at most %d columns",
+				return nil, fmt.Errorf("stream: rank 0 broadcast a %dx%d factor, want %d rows and at most %d columns",
 					ud.Rows(), k, n+1, n)
 			}
 			d = s.ws.GetFloats(k)
@@ -171,13 +177,94 @@ func gatherStep(c *mpi.Comm) step {
 		s.ws.PutView(u)
 		s.ws.Put(qc)
 		s.ws.Put(ud)
-		return f, x, d, nil
+		s.applyQ(f, x)
+		return d, nil
 	}
+}
+
+// blockStep is gatherStep's arithmetic in one process: the stack's M
+// columns are split into the p row blocks of grid.Partition, computed once
+// from the first stack, as the launcher splits a distributed engine's rows.
+// Each block is copied out of the buffer into a workspace matrix, so it is
+// factored in the layout a rank holds its own block in; the blocks' R
+// factors are stacked in block order and combined as the TSQR root
+// combines them (tsqr.CombineR); the small SVD runs once; and each block's
+// Q, applied in place to its basis change qc_i·Ũ_k, writes the block's
+// slice of the modes, which is copied back. Every block runs in turn on
+// the engine's one workspace, so the modes match a p-rank gatherStep
+// engine's bit for bit.
+func blockStep(p int) step {
+	var parts []grid.Range
+	var blocks []*mat.Dense
+	var factors []linalg.QRFactor
+	return func(s *SVD, at *mat.Dense, lowRank bool) ([]float64, error) {
+		n, m := at.Dims()
+		if parts == nil {
+			parts = grid.Partition(m, p)
+			blocks = make([]*mat.Dense, p)
+			factors = make([]linalg.QRFactor, p)
+		}
+		stack := s.ws.GetUninit(p*n, n)
+		off := 0
+		for i, pr := range parts {
+			b := s.ws.GetUninit(n, pr.Len())
+			at.SliceColsInto(b, pr.Start, pr.End)
+			f, r := linalg.FactorQR(&s.ws, b)
+			copy(stack.RawData()[off*n:], r.RawData())
+			off += r.Rows()
+			s.ws.Put(r)
+			blocks[i], factors[i] = b, f
+		}
+		rs := s.ws.ViewRows(stack, 0, off)
+		q, r := tsqr.CombineR(&s.ws, rs)
+		s.ws.PutView(rs)
+		s.ws.Put(stack)
+		u, d, err := s.smallSVD(r, lowRank)
+		s.ws.Put(r)
+		if err != nil {
+			return nil, err
+		}
+		k := len(d)
+		off = 0
+		for i, pr := range parts {
+			mi, t := pr.Len(), min(pr.Len(), n)
+			qc := s.ws.ViewRows(q, off, off+t)
+			x := s.ws.GetUninit(t, k)
+			mat.MulInto(x, qc, u)
+			s.ws.PutView(qc)
+			s.applyQ(factors[i], x)
+			ad, bd := at.RawData(), blocks[i].RawData()
+			for j := 0; j < k; j++ {
+				copy(ad[j*m+pr.Start:j*m+pr.End], bd[j*mi:(j+1)*mi])
+			}
+			s.ws.Put(blocks[i])
+			off += t
+		}
+		s.ws.Put(q)
+		s.ws.Put(u)
+		return d, nil
+	}
+}
+
+// applyQ writes Q·[x; 0] mode-major over the first x.Cols() rows of f's
+// factored buffer, then releases f and puts x back.
+func (s *SVD) applyQ(f linalg.QRFactor, x *mat.Dense) {
+	f.MulQInPlace(&s.ws, x)
+	f.Release(&s.ws)
+	s.ws.Put(x)
 }
 
 // New returns an empty streaming SVD with the given options.
 func New(opts Options) *SVD {
 	return &SVD{opts: opts.validated(), step: localStep}
+}
+
+// NewBlocked returns an empty streaming SVD whose factor step is the TSQR
+// of Listing 4 over p row blocks, run in this process (blockStep): the
+// modes of a p-rank distributed engine fed the same batches, bit for bit.
+// The first batch fixes the blocks, and must have at least p ≥ 1 rows.
+func NewBlocked(opts Options, p int) *SVD {
+	return &SVD{opts: opts.validated(), step: blockStep(p)}
 }
 
 // Restore rebuilds a streaming SVD from previously captured state (the
@@ -468,19 +555,15 @@ func (s *SVD) update(w float64, b int, lowRank bool) error {
 	return err
 }
 
-// rotate is the shared body of both steps: the engine's factor step turns
-// the stacked matrix held column by column in at (the leading rows of buf)
-// into Q's factor and the truncated basis change, and Q applied to it —
-// never formed — writes the new modes mode-major over at's first rows, with
-// the retained singular values alongside.
+// rotate is the shared body of the seed and every update: the engine's
+// step factors the stacked matrix held column by column in at (the leading
+// rows of buf) and writes the new modes mode-major over at's first rows,
+// and the retained singular values it returns are kept alongside.
 func (s *SVD) rotate(at *mat.Dense, lowRank bool) error {
-	f, x, d, err := s.step(s, at, lowRank)
+	d, err := s.step(s, at, lowRank)
 	if err != nil {
 		return err
 	}
-	f.MulQInPlace(&s.ws, x)
-	f.Release(&s.ws)
-	s.ws.Put(x)
 	s.singular = append(s.singular[:0], d...)
 	s.ws.PutFloats(d)
 	s.buf.ViewRows(0, len(d), &s.top)

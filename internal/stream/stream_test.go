@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"goparsvd/internal/grid"
 	"goparsvd/internal/linalg"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
@@ -395,6 +396,94 @@ func TestBatchRowsFillInPlace(t *testing.T) {
 			t.Fatal("BatchRows did not hand out the adopted buffer's spare rows")
 		}
 	})
+}
+
+// TestBlockedMatchesDistributed: the blocked step is the distributed
+// update in one process. After every batch, NewBlocked(opts, p) holds the
+// spectrum and modes a p-rank InitializeDistributed world fed the same
+// batches holds, bit for bit: each block of its ModeRows is that rank's
+// ModeRows. The shapes include rank blocks shorter than the batch and a
+// snapshot matrix with fewer rows than the stack is wide (M < K+B).
+func TestBlockedMatchesDistributed(t *testing.T) {
+	cases := []struct {
+		name       string
+		m, k, b    int
+		ranks      []int
+		batchCount int
+	}{
+		{"tall", 40, 5, 8, []int{1, 2, 3, 4}, 4},
+		{"short blocks", 10, 5, 8, []int{3, 4}, 4},
+		{"wide stack", 16, 6, 12, []int{2, 3}, 3},
+	}
+	for _, tc := range cases {
+		a := testutil.RandomDense(tc.m, tc.b*tc.batchCount, testutil.NewRand(int64(tc.m)))
+		for _, p := range tc.ranks {
+			for _, lowRank := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/p=%d/lowrank=%v", tc.name, p, lowRank), func(t *testing.T) {
+					opts := Options{K: tc.k, FF: 0.95, LowRank: lowRank}
+					modes, spectra := distributedRun(opts, a, tc.b, p)
+					eng := NewBlocked(opts, p)
+					parts := grid.Partition(tc.m, p)
+					for i := range spectra {
+						batch := a.SliceCols(i*tc.b, (i+1)*tc.b)
+						var err error
+						if i == 0 {
+							err = eng.Initialize(batch)
+						} else {
+							err = eng.IncorporateData(batch)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !testutil.CloseSlices(eng.SingularValues(), spectra[i], 0) {
+							t.Fatalf("batch %d: spectrum %v, distributed %v", i, eng.SingularValues(), spectra[i])
+						}
+						rows := eng.ModeRows()
+						for r, pr := range parts {
+							if !mat.EqualApprox(rows.Slice(0, rows.Rows(), pr.Start, pr.End), modes[i][r], 0) {
+								t.Fatalf("batch %d: block %d of the modes differs from rank %d's", i, r, r)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// distributedRun feeds the b-wide batches of a to a p-rank world of
+// InitializeDistributed engines, each holding its grid.Partition block of
+// the rows, and returns after every batch each rank's ModeRows and rank
+// 0's spectrum.
+func distributedRun(opts Options, a *mat.Dense, b, p int) (modes [][]*mat.Dense, spectra [][]float64) {
+	n := a.Cols() / b
+	modes = make([][]*mat.Dense, n)
+	for i := range modes {
+		modes[i] = make([]*mat.Dense, p)
+	}
+	spectra = make([][]float64, n)
+	parts := grid.Partition(a.Rows(), p)
+	mpi.MustRun(p, func(c *mpi.Comm) {
+		r := c.Rank()
+		blk := a.SliceRows(parts[r].Start, parts[r].End)
+		buf := mat.New(b, blk.Rows())
+		blk.SliceCols(0, b).TInto(buf)
+		s, err := InitializeDistributed(c, opts, buf, b)
+		for i := 0; ; i++ {
+			if err != nil {
+				panic(err)
+			}
+			modes[i][r] = s.ModeRows().Clone()
+			if r == 0 {
+				spectra[i] = append([]float64(nil), s.SingularValues()...)
+			}
+			if i+1 == n {
+				return
+			}
+			err = s.IncorporateData(blk.SliceCols((i+1)*b, (i+2)*b))
+		}
+	})
+	return modes, spectra
 }
 
 // refStream is the update as it stood before the modes went mode-major, kept

@@ -33,14 +33,14 @@ const tagQBlock = 1 << 16
 
 // GatherQRWith computes the thin QR factorization of the row-distributed
 // matrix A = [A_0; A_1; …; A_{P−1}], where a is this rank's block (m_i×n).
-// It returns this rank's block of Q (m_i×n) and the global R factor (n×n),
-// which is valid on rank 0 only (pass it through c.BcastMatrixInto if
-// every rank needs it). Every temporary, the factors that cross rank
-// boundaries included, draws from ws (nil allocates), so each rank of a
-// streaming update reuses its buffers across batches. The local Q is never
-// formed: qlocal is GatherQRFactor's implicit factor applied to this
-// rank's correction block. It panics where GatherQRFactor returns an
-// error.
+// It returns this rank's block of Q (m_i×t) and the global R factor (t×n,
+// t = min(M, n) for M global rows), which is valid on rank 0 only (pass it
+// through c.BcastMatrixInto if every rank needs it). Every temporary, the
+// factors that cross rank boundaries included, draws from ws (nil
+// allocates), so each rank of a streaming update reuses its buffers across
+// batches. The local Q is never formed: qlocal is GatherQRFactor's
+// implicit factor applied to this rank's correction block. It panics where
+// GatherQRFactor returns an error.
 func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.Dense) {
 	m, n := a.Dims()
 	at := ws.GetUninit(n, m)
@@ -49,7 +49,7 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 	if err != nil {
 		panic(err)
 	}
-	qlocal = ws.GetUninit(m, n)
+	qlocal = ws.GetUninit(m, qc.Cols())
 	f.MulQInto(ws, qlocal, qc)
 	f.Release(ws)
 	ws.Put(qc)
@@ -60,15 +60,15 @@ func GatherQRWith(ws *mat.Workspace, c *mpi.Comm, a *mat.Dense) (qlocal, r *mat.
 // GatherQRFactor is GatherQRWith leaving this rank's block of Q implicit, for
 // callers that only ever multiply it by a small matrix. at holds this
 // rank's block column by column (the n×m_i matrix A_iᵀ) and is factored in
-// place into f; qc is this rank's t_i×n block of the Q-correction
-// (t_i = min(m_i, n)), so the rank's block of Q is f·[qc; 0] — f.MulQInto
-// applies it to any product qc·X without forming either. r is the global R,
-// valid on rank 0 only. Received factors land in ws storage and the
-// messages' payloads go back to the communicator, so a steady update
-// allocates nothing. The caller releases f and returns at, qc and r to
-// ws. A failed collective, a peer R factor of another width or more than n
-// rows, and a global matrix with fewer rows than columns are errors, after
-// which ws may hold temporaries never put back: the caller's engine is dead.
+// place into f; qc is this rank's t_i×t block of the Q-correction
+// (t_i = min(m_i, n), t = min(M, n) for M global rows), so the rank's
+// block of Q is f·[qc; 0] — f.MulQInto applies it to any product qc·X
+// without forming either. r is the global t×n R (CombineR), valid on rank
+// 0 only. Received factors land in ws storage and the messages' payloads
+// go back to the communicator, so a steady update allocates nothing. The caller releases f and returns at,
+// qc and r to ws. A failed collective and a peer R factor of another width
+// or more than n rows are errors, after which ws may hold temporaries
+// never put back: the caller's engine is dead.
 func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRFactor, qc, r *mat.Dense, err error) {
 	n := at.Rows()
 	f, rl := linalg.FactorQR(ws, at) // rl is min(m_i,n)×n
@@ -108,16 +108,9 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 		ws.PutView(v)
 	}
 	rGlobal := ws.ViewRows(stack, 0, off)
-	qGlobal, rFinal := linalg.QRWith(ws, rGlobal)
-	linalg.NormalizeQRSigns(qGlobal, rFinal)
+	qGlobal, rFinal := CombineR(ws, rGlobal)
 	ws.PutView(rGlobal)
 	ws.Put(stack)
-	if rFinal.Rows() != n || rFinal.Cols() != n {
-		// Happens only when the global row count is below n: the stacked
-		// matrix was not tall-and-skinny.
-		return f, nil, nil, fmt.Errorf("tsqr: global matrix has fewer rows than columns (R is %dx%d)",
-			rFinal.Rows(), rFinal.Cols())
-	}
 
 	// Slice qGlobal back into per-rank correction blocks, matching each
 	// rank's local R row count, and send them out.
@@ -130,11 +123,23 @@ func GatherQRFactor(ws *mat.Workspace, c *mpi.Comm, at *mat.Dense) (f linalg.QRF
 		ws.PutView(v)
 		off += rows[dst]
 	}
-	qc = ws.GetUninit(rows[0], n)
+	qc = ws.GetUninit(rows[0], qGlobal.Cols())
 	copy(qc.RawData(), qGlobal.RawData()) // rank 0's rows lead qGlobal
 	ws.Put(rl)
 	ws.Put(qGlobal)
 	return f, qc, rFinal, nil
+}
+
+// CombineR is the root's step of the TSQR: the thin QR of the vertical
+// stack of every block's R factor, in block order, with R's diagonal made
+// non-negative. q's rows, sliced as the stack's were, are the blocks' Q
+// corrections; r is the global R. A stack with fewer rows than columns
+// (fewer global rows than the matrix is wide) gives an s×s q and an s×n r,
+// as the thin QR of the whole matrix would. Both factors come from ws.
+func CombineR(ws *mat.Workspace, stack *mat.Dense) (q, r *mat.Dense) {
+	q, r = linalg.QRWith(ws, stack)
+	linalg.NormalizeQRSigns(q, r)
+	return q, r
 }
 
 // SerialQR is the reference factorization the distributed QR must

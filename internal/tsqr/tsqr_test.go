@@ -141,6 +141,17 @@ func TestGatherQRShortBlocks(t *testing.T) {
 	checkAgainstSerial(t, "gather-short", a, q, r, 1e-11)
 }
 
+func TestGatherQRWideGlobal(t *testing.T) {
+	// Fewer global rows than columns (M = 5 < n = 8): Q is M×M and R is
+	// M×n, as the serial thin QR gives them.
+	rng := testutil.NewRand(4)
+	a := testutil.RandomDense(5, 8, rng)
+	for _, p := range []int{1, 2, 3} {
+		q, r := runDistributedQR(t, a, p)
+		checkAgainstSerial(t, fmt.Sprintf("gather-wide/p=%d", p), a, q, r, 1e-12)
+	}
+}
+
 func TestSerialQRSignConvention(t *testing.T) {
 	rng := testutil.NewRand(7)
 	a := testutil.RandomDense(12, 4, rng)

@@ -15,9 +15,11 @@ type Backend int
 const (
 	// Serial is ParSVD_Serial: a single-process streaming truncated SVD.
 	Serial Backend = iota
-	// Parallel is ParSVD_Parallel over in-process ranks: every rank is a
-	// goroutine owning a row block of the snapshot matrix, cooperating
-	// through channel-backed MPI-style collectives.
+	// Parallel is ParSVD_Parallel in one process: the Serial engine whose
+	// QR is the paper's TSQR (Listing 4) over the row blocks of the
+	// snapshot matrix that WithRanks ranks would hold, each factored in
+	// turn. Its modes match a Distributed fleet of as many ranks bit for
+	// bit.
 	Parallel
 	// Distributed runs the same parallel algorithm with one OS process
 	// per rank over local sockets (cmd/parsvd-worker), supervised by this

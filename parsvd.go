@@ -25,10 +25,12 @@
 //     randomized SVD. The optional RLA argument sets the oversampling p,
 //     the power-iteration count q and the sketch seed.
 //   - WithBackend selects the execution mode: Serial is ParSVD_Serial,
-//     Parallel is ParSVD_Parallel over in-process goroutine ranks, and
-//     Distributed runs ParSVD_Parallel with one OS process per rank over
-//     local sockets — a persistent worker fleet fed real snapshot data
-//     over the wire, interchangeable with the other two backends.
+//     Parallel is ParSVD_Parallel in this process — the serial engine
+//     whose QR is the paper's distributed TSQR (Listing 4) over the row
+//     blocks the ranks would hold — and Distributed runs ParSVD_Parallel
+//     with one OS process per rank over local sockets — a persistent
+//     worker fleet fed real snapshot data over the wire, interchangeable
+//     with the other two backends and bit-identical to Parallel.
 //   - WithRanks(n) is the MPI world size for the non-serial backends.
 //
 // The non-serial backends seed from the first batch as the serial one
@@ -69,8 +71,8 @@ import (
 // each its own Clone.
 type Result struct {
 	// Modes is the full M×K matrix of truncated left singular vectors
-	// (the POD modes) of the global state: gathered across ranks for the
-	// parallel backend, merged across shards for WithShards. It is nil
+	// (the POD modes) of the global state, merged across shards for
+	// WithShards. It is nil
 	// for the Distributed backend, whose modes stay row-distributed in
 	// the worker processes: ModesSHA256 fingerprints them, and Save,
 	// Merge and WithShards gather them when they need the matrix.
@@ -208,8 +210,10 @@ type Stats struct {
 	// batch included): a monotone version counter for "has anything
 	// changed since I last looked".
 	Updates int64
-	// Messages and Bytes summarize the inter-rank traffic of a parallel
-	// or distributed run; they stay zero for the serial backend.
+	// Messages and Bytes summarize the inter-rank traffic of a
+	// distributed run. They stay zero on the Serial and Parallel
+	// backends, which run in this process: Parallel's ranks are row
+	// blocks of one engine and send no messages.
 	Messages int64
 	Bytes    int64
 	// PushedBytes counts the logical float64 payload of every ingested
@@ -245,8 +249,8 @@ type engine interface {
 	push(b *mat.Dense) error
 	// state reports the global decomposition: the modes (mode-major
 	// ModeRows or M×K Modes), singular values, counters and the validated
-	// options the engine runs with. Parallel gathers it at rank 0,
-	// WithShards reduces its shards up the merge tree and Distributed
+	// options the engine runs with. Serial and Parallel read it in
+	// place, WithShards reduces its shards up the merge tree and Distributed
 	// parses the fleet's SAVE checkpoint. The State may share the
 	// engine's storage: read it before the next push, copy what must
 	// outlive that.
@@ -356,8 +360,8 @@ func (s *SVD) Ranks() int {
 // source drains.
 //
 // Every backend accepts every Source: the Distributed backend scatters
-// each batch's rows across its worker fleet over the wire, exactly as the
-// Parallel backend scatters them across its rank goroutines.
+// each batch's rows across its worker fleet over the wire, the same row
+// blocks the Parallel backend's TSQR factors one after another.
 func (s *SVD) Fit(ctx context.Context, src Source) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -544,10 +548,10 @@ func (s *SVD) Stats() Stats {
 
 // Save serializes the full streaming state — options, global modes,
 // singular values, counters — in the goparsvd checkpoint format readable
-// by Load. For the parallel and distributed backends the per-rank slices
-// are gathered first (for Distributed, rank 0 of the worker fleet
-// assembles the checkpoint and ships it back over the wire), so the
-// checkpoint always holds the global state and can be resumed serially.
+// by Load. For the Distributed backend the per-rank slices are gathered
+// first (rank 0 of the worker fleet assembles the checkpoint and ships it
+// back over the wire), so the checkpoint always holds the global state
+// and can be resumed serially.
 func (s *SVD) Save(w io.Writer) error {
 	if w == nil {
 		return errors.New("parsvd: Save with nil writer")

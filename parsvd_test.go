@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	parsvd "goparsvd"
@@ -110,8 +112,8 @@ func TestPushMatchesFit(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial: the in-process parallel backend agrees with
-// the serial backend on the same global batches.
+// TestParallelMatchesSerial: the parallel backend agrees with the serial
+// backend on the same global batches.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := testutil.NewRand(5)
 	a, _ := testutil.RandomLowRank(96, 30, 5, 1e-9, rng)
@@ -141,9 +143,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if pr, pc := pres.Modes.Dims(); pr != 96 || pc != 5 {
 		t.Fatalf("gathered modes: %dx%d", pr, pc)
 	}
+	// The Parallel backend runs its ranks' TSQR in this process: no
+	// message crosses between ranks.
 	st := par.Stats()
-	if st.Ranks != 4 || st.Messages == 0 {
-		t.Fatalf("parallel stats not counted: %+v", st)
+	if st.Ranks != 4 || st.Messages != 0 || st.Bytes != 0 {
+		t.Fatalf("parallel stats: %+v, want 4 ranks and no inter-rank traffic", st)
+	}
+	// The modes live in this process, so the projection utilities answer:
+	// the round trip is the projection onto the modes.
+	probe := a.SliceCols(0, 4)
+	coeffs, err := par.Coefficients(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := par.Reconstruct(coeffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mat.Mul(pres.Modes, mat.Mul(pres.Modes.T(), probe)); !mat.EqualApprox(back, want, 1e-12) {
+		t.Fatalf("parallel projection round trip differs from U·Uᵀ·a by %g", mat.Sub(back, want).MaxAbs())
 	}
 }
 
@@ -160,6 +178,11 @@ func TestParallelPushAndIncrementalResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer par.Close()
+	// A first batch with fewer rows than ranks cannot be split; refusing it
+	// leaves the engine waiting for a first batch that can.
+	if err := par.Push(testutil.RandomDense(2, 6, rng)); err == nil || errors.Is(err, parsvd.ErrEngineFailed) {
+		t.Fatalf("Push with fewer rows than ranks: %v, want a plain validation error", err)
+	}
 	if err := par.Push(a.SliceCols(0, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -404,69 +427,178 @@ func TestDistributedRejectsWrongUsage(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesParallel runs the real multi-process TCP backend
-// on the deterministic workload and cross-checks spectrum and modes hash
-// against the in-process parallel backend on the same Source. Skipped in
-// -short mode (it spawns worker processes).
+// TestDistributedMatchesParallel runs the real multi-process backend on
+// the deterministic workload and cross-checks spectrum and modes hash
+// against the Parallel backend on the same Source, at 2, 3 and 4 ranks:
+// with rank blocks shorter than the batch (M_i = 8 < B = 12) and with the
+// randomized small SVD. Skipped in -short mode (it spawns worker
+// processes).
 func TestDistributedMatchesParallel(t *testing.T) {
 	if testing.Short() && os.Getenv("CI") == "" {
 		t.Skip("short mode: skipping multi-process run")
 	}
-	const ranks = 2
-	w := parsvd.DefaultWorkload()
-	w.RowsPerRank = 64
-	w.Snapshots = 24
-	w.InitBatch = 8
-	w.Batch = 8
-	w.K = 4
-
-	dist, err := parsvd.New(parsvd.WithBackend(parsvd.Distributed), parsvd.WithRanks(ranks),
-		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dist.Close()
-	src, err := parsvd.FromWorkload(w, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dres, err := dist.Fit(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.ModesSHA256 == "" {
-		t.Fatal("distributed result carries no modes fingerprint")
-	}
-	if dres.Iterations != 2 || dres.Snapshots != 24 {
-		t.Fatalf("distributed counters: %+v", dres)
-	}
-	if st := dist.Stats(); st.Ranks != ranks || st.Bytes == 0 {
-		t.Fatalf("distributed stats: %+v", st)
-	}
-
-	par, err := parsvd.New(parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(ranks),
-		parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	src2, err := parsvd.FromWorkload(w, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := par.Fit(context.Background(), src2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.CloseSlices(dres.Singular, pres.Singular, 0) {
-		t.Fatalf("TCP and in-process spectra differ:\n%v\n%v", dres.Singular, pres.Singular)
-	}
-	// The wire-fed fleet and the in-process rank world ran the identical
-	// split of the identical batches: the gathered modes agree bit for bit.
-	if want := launch.HashModes(pres.Modes); dres.ModesSHA256 != want {
-		t.Fatalf("distributed modes hash %s differs from the parallel backend's %s", dres.ModesSHA256, want)
+	for _, tc := range []struct {
+		ranks, rowsPerRank, batch, k int
+		lowRank                      bool
+	}{
+		{2, 64, 8, 4, false},
+		{2, 64, 8, 4, true},
+		{3, 8, 12, 6, false},
+		{4, 8, 12, 6, true},
+	} {
+		t.Run(fmt.Sprintf("ranks=%d/rows=%d/lowrank=%v", tc.ranks, tc.rowsPerRank, tc.lowRank), func(t *testing.T) {
+			w := parsvd.DefaultWorkload()
+			w.RowsPerRank = tc.rowsPerRank
+			w.Snapshots = 3 * tc.batch
+			w.InitBatch = tc.batch
+			w.Batch = tc.batch
+			w.K = tc.k
+			fit := func(backend parsvd.Backend) (*parsvd.SVD, *parsvd.Result) {
+				opts := []parsvd.Option{parsvd.WithBackend(backend), parsvd.WithRanks(tc.ranks),
+					parsvd.WithModes(w.K), parsvd.WithForgetFactor(w.FF)}
+				if tc.lowRank {
+					opts = append(opts, parsvd.WithLowRank())
+				}
+				svd, err := parsvd.New(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { svd.Close() })
+				src, err := parsvd.FromWorkload(w, tc.ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := svd.Fit(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return svd, res
+			}
+			dist, dres := fit(parsvd.Distributed)
+			if dres.ModesSHA256 == "" {
+				t.Fatal("distributed result carries no modes fingerprint")
+			}
+			if dres.Iterations != 2 || dres.Snapshots != w.Snapshots {
+				t.Fatalf("distributed counters: %+v", dres)
+			}
+			if st := dist.Stats(); st.Ranks != tc.ranks || st.Bytes == 0 {
+				t.Fatalf("distributed stats: %+v", st)
+			}
+			_, pres := fit(parsvd.Parallel)
+			if !testutil.CloseSlices(dres.Singular, pres.Singular, 0) {
+				t.Fatalf("distributed and parallel spectra differ:\n%v\n%v", dres.Singular, pres.Singular)
+			}
+			// The wire-fed fleet and the blocked TSQR ran the identical
+			// split of the identical batches: the modes agree bit for bit.
+			if want := launch.HashModes(pres.Modes); dres.ModesSHA256 != want {
+				t.Fatalf("distributed modes hash %s differs from the parallel backend's %s", dres.ModesSHA256, want)
+			}
+		})
 	}
 }
+
+// TestWideStackMatchesSerial: an update whose stack is wider than the
+// snapshot matrix is tall (M = 16 < K+B = 18) is an ordinary update on
+// every backend. Two ranks of 8 rows each fit it on Parallel and
+// Distributed with the spectrum and modes of the Serial fit, and with
+// bit-identical modes between the two.
+func TestWideStackMatchesSerial(t *testing.T) {
+	skipWithoutFleet(t)
+	a := testutil.RandomDense(16, 36, testutil.NewRand(77))
+	fit := func(backend parsvd.Backend, ranks int) *parsvd.Result {
+		opts := []parsvd.Option{parsvd.WithModes(6), parsvd.WithForgetFactor(0.95), parsvd.WithBackend(backend)}
+		if backend != parsvd.Serial {
+			opts = append(opts, parsvd.WithRanks(ranks))
+		}
+		svd, err := parsvd.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svd.Close()
+		res, err := svd.Fit(context.Background(), parsvd.FromMatrix(a, 12))
+		if err != nil {
+			t.Fatalf("%v: %v", backend, err)
+		}
+		if res.Iterations != 2 || res.Snapshots != 36 {
+			t.Fatalf("%v counters: %+v", backend, res)
+		}
+		return res
+	}
+	serial, par, dist := fit(parsvd.Serial, 1), fit(parsvd.Parallel, 2), fit(parsvd.Distributed, 2)
+	for _, got := range []*parsvd.Result{par, dist} {
+		for j, v := range got.Singular {
+			if d := math.Abs(v - serial.Singular[j]); d > 1e-13*serial.Singular[0] {
+				t.Fatalf("σ_%d = %v, serial %v", j, v, serial.Singular[j])
+			}
+		}
+	}
+	if want := launch.HashModes(par.Modes); dist.ModesSHA256 != want {
+		t.Fatalf("distributed modes hash %s differs from the parallel backend's %s", dist.ModesSHA256, want)
+	}
+	// The modes span the serial fit's subspace: the projector onto them
+	// matches (each mode's sign is its factorization's own).
+	pp := mat.Mul(par.Modes, par.Modes.T())
+	ps := mat.Mul(serial.Modes, serial.Modes.T())
+	if !mat.EqualApprox(pp, ps, 1e-12) {
+		t.Fatalf("parallel and serial mode subspaces differ by %g", mat.Sub(pp, ps).MaxAbs())
+	}
+}
+
+// TestParallelBitIdenticalAcrossGOMAXPROCS: the Parallel backend factors
+// its row blocks one after another, and the kernels under it split their
+// work deterministically, so a fit reads the same bits at GOMAXPROCS 1, 2
+// and 4, dense and randomized. The kernel pool sizes itself once per
+// process, so each setting fits in a child process of the test binary;
+// the shapes are large enough for the products to fan out across it.
+func TestParallelBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	if os.Getenv(gomaxprocsChildEnv) != "" {
+		a := testutil.RandomDense(12288, 128, testutil.NewRand(78))
+		for _, lowRank := range []bool{false, true} {
+			opts := []parsvd.Option{parsvd.WithModes(16), parsvd.WithForgetFactor(0.95),
+				parsvd.WithBackend(parsvd.Parallel), parsvd.WithRanks(3)}
+			if lowRank {
+				opts = append(opts, parsvd.WithLowRank())
+			}
+			svd, err := parsvd.New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := svd.Fit(context.Background(), parsvd.FromMatrix(a, 32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Printf("fit lowrank=%v modes=%s spectrum=%x\n", lowRank, launch.HashModes(res.Modes), res.Singular)
+		}
+		return
+	}
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestParallelBitIdenticalAcrossGOMAXPROCS$", "-test.count=1")
+		cmd.Env = append(os.Environ(), gomaxprocsChildEnv+"=1", fmt.Sprintf("GOMAXPROCS=%d", procs))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v\n%s", procs, err, out)
+		}
+		var got string
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "fit ") {
+				got += line + "\n"
+			}
+		}
+		if strings.Count(got, "\n") != 2 {
+			t.Fatalf("GOMAXPROCS=%d: no fit digests in\n%s", procs, out)
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d fits\n%swant the GOMAXPROCS=1 fits\n%s", procs, got, want)
+		}
+	}
+}
+
+// gomaxprocsChildEnv marks the child processes of
+// TestParallelBitIdenticalAcrossGOMAXPROCS.
+const gomaxprocsChildEnv = "GOPARSVD_GOMAXPROCS_CHILD"
 
 // TestExtremeScaleBatches: a finite batch far outside the unit range —
 // every entry scaled by c ∈ {1e±160, 1e±200} — is an ordinary batch. The

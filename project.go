@@ -7,8 +7,9 @@ import "errors"
 
 // Coefficients projects snapshots onto the current modes: the returned
 // K×B matrix holds, per column, the modal coefficients Uᵀ·a of the
-// corresponding snapshot column. Serial backend only — the parallel
-// backends hold row-distributed modes.
+// corresponding snapshot column. It needs the modes in this process, so
+// the Distributed backend, whose modes stay in its workers, and WithShards,
+// whose modes are a merge of its shards', refuse it.
 func (s *SVD) Coefficients(a *Matrix) (*Matrix, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -20,7 +21,8 @@ func (s *SVD) Coefficients(a *Matrix) (*Matrix, error) {
 }
 
 // Reconstruct maps K×B coefficients back to snapshot space (U·c), the
-// other half of the rank-K compression round trip. Serial backend only.
+// other half of the rank-K compression round trip. Distributed and
+// WithShards refuse it, as they refuse Coefficients.
 func (s *SVD) Reconstruct(coeffs *Matrix) (*Matrix, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -37,7 +39,7 @@ func (s *SVD) serialEngine() (*serialEngine, error) {
 	}
 	eng, ok := s.eng.(*serialEngine)
 	if !ok {
-		return nil, errors.New("parsvd: projection utilities are available on the Serial backend only")
+		return nil, errors.New("parsvd: projection utilities need the modes in this process: not on the Distributed backend or with WithShards")
 	}
 	return eng, nil
 }

@@ -234,8 +234,9 @@ func TestPushAndQuery(t *testing.T) {
 			if stats.Stats.Snapshots != cols || stats.Stats.Rows != rows || stats.Stats.Updates != int64(cols/batch) {
 				t.Fatalf("served stats %+v, want %d snapshots / %d rows / %d updates", stats.Stats, cols, rows, cols/batch)
 			}
-			if tc.name == "parallel" && stats.Stats.Messages == 0 {
-				t.Fatal("parallel model reports zero inter-rank messages")
+			if stats.Stats.Messages != 0 || stats.Stats.Bytes != 0 {
+				t.Fatalf("%s model reports inter-rank traffic %d messages / %d bytes, want none in one process",
+					tc.name, stats.Stats.Messages, stats.Stats.Bytes)
 			}
 		})
 	}

@@ -19,8 +19,8 @@ type ModelSpec struct {
 	Modes int `json:"modes,omitempty"`
 	// ForgetFactor is ff in (0, 1] (parsvd.WithForgetFactor).
 	ForgetFactor float64 `json:"forget_factor,omitempty"`
-	// Backend is "serial" (default), "parallel" (in-process rank
-	// goroutines) or "distributed" (a persistent fleet of one worker OS
+	// Backend is "serial" (default), "parallel" (the TSQR over row
+	// blocks, in this process) or "distributed" (a persistent fleet of one worker OS
 	// process per rank; pushes are row-scattered to it over the wire).
 	// Distributed models serve spectrum, stats and checkpoints like the
 	// others, but no mode matrix — the modes live row-distributed in the

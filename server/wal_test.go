@@ -42,8 +42,13 @@ func bootCrashable(t *testing.T, cfg server.Config) *crashableServer {
 }
 
 // crash abandons the server without flushing: no Close, no final
-// checkpoint.
-func (s *crashableServer) crash() { s.ts.Close() }
+// checkpoint. The listener closes and every model's ingest loop stops, as
+// the process's would on a kill, so the abandoned server's checkpoint
+// timer cannot write into the directory a successor recovers from.
+func (s *crashableServer) crash() {
+	s.ts.Close()
+	server.Abandon(s.srv)
+}
 
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
