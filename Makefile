@@ -78,17 +78,19 @@ worker:
 # state: a two-rank update over loopback sockets, and a worker's PUSH,
 # MODES-SHA and SAVE, each 0 allocs/op, as is a Parallel backend update
 # with a GC before each (TestIncorporateNoAllocsAcrossGC); a worker's lifetime bytes over a
-# 200-push session, bounded by its engine buffer plus fixed I/O; and the
-# seeding placement: the first batch decoded into the engine buffer's
-# first rows, with the seeding rotation writing the modes over them
-# (TestFirstBatchSeedsInPlace).
+# 200-push session, bounded by its engine buffer plus fixed I/O; the
+# seeding placement on every engine: the first batch decoded into the
+# engine buffer's first rows, with the seeding rotation writing the modes
+# over them (TestFirstBatchSeedsInPlace); and rank 0's gather reading
+# the other ranks' mode rows in the payloads they arrived in
+# (TestGatherModeRowsInPlace).
 dist-smoke:
 	CI=1 $(GO) test -race -count 1 -v \
 		-run 'TestDistributedWireSmoke|TestConformance|TestDistributedResultIsOneRoundTrip|TestDistributedWorkerDeath|TestDistributedCloseReaps|TestDistributedFailedStartDoesNotPoison|TestDistributedSeedKeepsModesOrthonormal|TestDistributedMatchesParallel|TestWideStackMatchesSerial' .
 	CI=1 $(GO) test -race -count 1 -run 'TestSession|TestFirstPushIsFirstExchange|TestWorkerRefusesBadSpec' ./internal/launch
 	CI=1 $(GO) test -race -count 1 -run 'TestParallelSeedKeepsModesOrthonormal|TestParallelMessagesPerUpdate' ./internal/core
 	CI=1 $(GO) test -race -count 1 -run 'TestBlockedMatchesDistributed' ./internal/stream
-	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes|TestIncorporateNoAllocsAcrossGC' \
+	CI=1 $(GO) test -count 1 -v -run 'TestParallelIncorporateSteadyAllocs|TestFirstBatchSeedsInPlace|TestGatherModeRowsInPlace|TestSessionSteadyStateAllocs|TestSessionLifetimeBytes|TestIncorporateNoAllocsAcrossGC' \
 		./internal/core ./cmd/parsvd-worker ./internal/stream
 
 # One pass over the committed fuzz seed corpora plus a short live fuzz of

@@ -51,12 +51,12 @@ func (d *distEngine) start() error {
 		Ranks:     d.cfg.ranks,
 		WorkerBin: d.cfg.transport.WorkerBin,
 		Spec: launch.EngineSpec{
-			K:          d.cfg.k,
-			FF:         d.cfg.ff,
-			LowRank:    d.cfg.lowRank,
-			Oversample: d.cfg.rlaOpts.Oversample,
-			PowerIters: d.cfg.rlaOpts.PowerIters,
-			Seed:       d.cfg.rlaOpts.Seed,
+			K:          d.cfg.opts.K,
+			FF:         d.cfg.opts.FF,
+			LowRank:    d.cfg.opts.LowRank,
+			Oversample: d.cfg.opts.RLA.Oversample,
+			PowerIters: d.cfg.opts.RLA.PowerIters,
+			Seed:       d.cfg.opts.RLA.Seed,
 		},
 		OpTimeout:   d.cfg.transport.Timeout,
 		Deadline:    d.deadline,

@@ -9,63 +9,50 @@ import (
 	"goparsvd/internal/stream"
 )
 
-// serialEngine is the facade's in-process engine: internal/stream's
-// engine and the validated options its checkpoints record. It is
+// serialEngine is the facade's in-process engine, internal/stream's:
 // ParSVD_Serial, and ParSVD_Parallel when built over ranks row blocks.
 // Dimension checks happen here, before the engine, which panics on misuse;
 // an error it returns fails this engine for good.
 type serialEngine struct {
-	opts   core.Options
 	svd    *stream.SVD
-	ranks  int   // the row blocks of a Parallel engine's TSQR, 0 for Serial
-	rows   int   // 0 until the first batch seeds the decomposition
-	failed error // set once the engine returned an error: it is dead
+	ranks  int           // the row blocks of a Parallel engine's TSQR, 0 for Serial
+	rows   int           // 0 until the first batch seeds the decomposition
+	modes  [1]*mat.Dense // state's ModeBlocks, kept so a read allocates none
+	failed error         // set once the engine returned an error: it is dead
 }
 
 // newSerialEngine builds ParSVD_Serial for options the facade has already
-// validated.
-func newSerialEngine(opts core.Options) *serialEngine {
-	opts, err := opts.Validated()
-	if err != nil {
-		panic(err)
-	}
-	return &serialEngine{opts: opts, svd: core.NewSerial(opts)}
+// checked.
+func newSerialEngine(opts stream.Options) *serialEngine {
+	return &serialEngine{svd: stream.New(opts)}
 }
 
 // newParallelEngine builds ParSVD_Parallel over ranks row blocks
-// (core.NewBlocked): the Serial engine with the TSQR of Listing 4 as its
+// (stream.NewBlocked): the Serial engine with the TSQR of Listing 4 as its
 // factor step, whose modes match a Distributed fleet of ranks workers bit
 // for bit.
-func newParallelEngine(opts core.Options, ranks int) *serialEngine {
-	opts, err := opts.Validated()
-	if err != nil {
-		panic(err)
-	}
-	return &serialEngine{opts: opts, svd: core.NewBlocked(opts, ranks), ranks: ranks}
+func newParallelEngine(opts stream.Options, ranks int) *serialEngine {
+	return &serialEngine{svd: stream.NewBlocked(opts, ranks), ranks: ranks}
 }
 
 // restoreSerialEngine rebuilds an engine from held state (a checkpoint or
 // a merge), refusing invalid options or state with an error.
 func restoreSerialEngine(st core.State) (*serialEngine, error) {
-	st, err := st.Validated()
-	if err != nil {
-		return nil, err
-	}
 	modes := modeMatrix(st)
-	svd, err := core.RestoreSerial(st.Opts, modes, st.Singular, st.Iterations, st.Snapshots)
+	svd, err := stream.Restore(st.Opts, modes, st.Singular, st.Iterations, st.Snapshots)
 	if err != nil {
 		return nil, err
 	}
-	return &serialEngine{opts: st.Opts, svd: svd, rows: modes.Rows()}, nil
+	return &serialEngine{svd: svd, rows: modes.Rows()}, nil
 }
 
-// modeMatrix is st's modes as the M×K matrix, transposed out of ModeRows
-// when st holds them mode-major.
+// modeMatrix is st's modes as the M×K matrix, transposed out of
+// ModeBlocks when st holds them mode-major; nil when it holds none.
 func modeMatrix(st core.State) *mat.Dense {
-	if st.Modes != nil {
+	if st.Modes != nil || len(st.ModeBlocks) == 0 {
 		return st.Modes
 	}
-	return core.ModeMatrix(st.ModeRows)
+	return core.ModeMatrix(st.ModeBlocks...)
 }
 
 func (e *serialEngine) push(b *mat.Dense) error {
@@ -98,9 +85,10 @@ func (e *serialEngine) state() (core.State, error) {
 	if e.rows == 0 {
 		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
+	e.modes[0] = e.svd.ModeRows()
 	return core.State{
-		Opts:       e.opts,
-		ModeRows:   e.svd.ModeRows(),
+		Opts:       e.svd.Options(),
+		ModeBlocks: e.modes[:],
 		Singular:   e.svd.SingularValues(),
 		Iterations: e.svd.Iterations(),
 		Snapshots:  e.svd.SnapshotsSeen(),
@@ -119,7 +107,7 @@ func (e *serialEngine) coefficients(a *mat.Dense) (*mat.Dense, error) {
 	if a == nil || a.Rows() != e.rows {
 		return nil, fmt.Errorf("parsvd: Coefficients needs %d-row snapshots", e.rows)
 	}
-	return core.Coefficients(e.svd, a), nil
+	return mat.Mul(e.svd.ModeRows(), a), nil
 }
 
 func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
@@ -129,7 +117,7 @@ func (e *serialEngine) reconstruct(coeffs *mat.Dense) (*mat.Dense, error) {
 	if k := e.svd.ModeRows().Rows(); coeffs == nil || coeffs.Rows() != k {
 		return nil, fmt.Errorf("parsvd: Reconstruct needs %d-row coefficients", k)
 	}
-	return core.Reconstruct(e.svd, coeffs), nil
+	return mat.MulTransA(e.svd.ModeRows(), coeffs), nil
 }
 
 // checkBatch validates a snapshot batch against the rows seen so far

@@ -37,9 +37,9 @@ func newShardedEngine(cfg config) *shardedEngine {
 	for i := range e.subs {
 		switch cfg.backend {
 		case Serial:
-			e.subs[i] = newSerialEngine(cfg.coreOptions())
+			e.subs[i] = newSerialEngine(cfg.opts)
 		case Parallel:
-			e.subs[i] = newParallelEngine(cfg.coreOptions(), cfg.ranks)
+			e.subs[i] = newParallelEngine(cfg.opts, cfg.ranks)
 		case Distributed:
 			e.subs[i] = newDistEngine(cfg)
 		}
@@ -98,7 +98,7 @@ func (e *shardedEngine) state() (core.State, error) {
 		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
 	root, err := merge.Tree(parts, merge.TreeOptions{
-		K:       e.cfg.k,
+		K:       e.cfg.opts.K,
 		Workers: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {

@@ -40,7 +40,7 @@ const (
 // runSerialBurgers streams the benchmark workload through the serial
 // engine.
 func runSerialBurgers(cfg burgers.Config, k, batch int, ff float64) *stream.SVD {
-	eng := core.NewSerial(core.Options{K: k, ForgetFactor: ff})
+	eng := stream.New(stream.Options{K: k, FF: ff})
 	for off := 0; off < cfg.Nt; off += batch {
 		end := off + batch
 		if end > cfg.Nt {

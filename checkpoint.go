@@ -44,10 +44,7 @@ func restore(st core.State) (*SVD, error) {
 		return nil, err
 	}
 	cfg := defaultConfig()
-	cfg.k = eng.opts.K
-	cfg.ff = eng.opts.ForgetFactor
-	cfg.lowRank = eng.opts.LowRank
-	cfg.rlaOpts = eng.opts.RLA
+	cfg.opts = eng.svd.Options()
 	cfg.shard = st.Shard
 	return &SVD{
 		cfg:       cfg,

@@ -206,8 +206,8 @@ func (s *session) okStatus(sha []byte, spectrum []float64) error {
 // readPush decodes a PUSH body, the next n bytes of in, transposed
 // straight into the engine's buffer, with every check mat.ReadBlockExact
 // makes: the first batch into the rows the seeding reads it from
-// (core.Parallel.FirstBatch), every later one into the rows the update
-// stacks it in (BatchRows).
+// (FirstBatch), every later one into the rows the update stacks it in
+// (BatchRows).
 func (s *session) readPush(in io.Reader, n int) error {
 	rows, cols, err := mat.ReadBlockHeader(in, n, s.scratch)
 	if err != nil {

@@ -189,7 +189,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	eng := f.sess[0].eng
 	if err := core.WriteState(&want, core.State{
 		Opts:       eng.Options(),
-		ModeRows:   stacked,
+		ModeBlocks: []*mat.Dense{stacked},
 		Singular:   eng.SingularValues(),
 		Iterations: eng.Iterations(),
 		Snapshots:  eng.SnapshotsSeen(),

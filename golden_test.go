@@ -15,6 +15,7 @@ import (
 	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 )
 
@@ -35,12 +36,12 @@ var (
 // checkpoint fixtures. Both the generator (-update-golden) and the
 // verifier derive it from the same formulas, so the committed bytes pin
 // the on-disk format, not the values.
-func goldenState() (core.Options, *mat.Dense, []float64, int, int) {
-	opts := core.Options{
-		K:            3,
-		ForgetFactor: 0.95,
-		LowRank:      true,
-		RLA:          rla.Options{Oversample: 5, PowerIters: 2, Seed: 42},
+func goldenState() (stream.Options, *mat.Dense, []float64, int, int) {
+	opts := stream.Options{
+		K:       3,
+		FF:      0.95,
+		LowRank: true,
+		RLA:     rla.Options{Oversample: 5, PowerIters: 2, Seed: 42},
 	}
 	modes := mat.New(6, 3)
 	for i := 0; i < 6; i++ {
@@ -57,14 +58,14 @@ func goldenState() (core.Options, *mat.Dense, []float64, int, int) {
 func goldenBytes(t *testing.T) []byte {
 	t.Helper()
 	opts, modes, singular, iters, snaps := goldenState()
-	eng, err := core.RestoreSerial(opts, modes, singular, iters, snaps)
+	eng, err := stream.Restore(opts, modes, singular, iters, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := core.WriteState(&buf, core.State{
 		Opts:       opts,
-		ModeRows:   eng.ModeRows(),
+		ModeBlocks: []*mat.Dense{eng.ModeRows()},
 		Singular:   eng.SingularValues(),
 		Iterations: eng.Iterations(),
 		Snapshots:  eng.SnapshotsSeen(),

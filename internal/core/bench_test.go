@@ -8,10 +8,11 @@ import (
 )
 
 // BenchmarkParallelInitialize seeds a two-rank in-process world at the
-// fit-distributed shape (M = 4096, B = K = 16): APMOS forms each rank's
-// 16×2048 modes mode-major in the top rows of the 32×2048 buffer the
-// streaming engine adopts, so the bytes per op are about that buffer per
-// rank, and the first update allocates none.
+// fit-distributed shape (M = 4096, B = K = 16): each rank's block of the
+// batch is transposed into the first rows of the 32×2048 buffer the
+// engine keeps (FirstBatch), and the seeding update's TSQR writes the
+// 16×2048 modes mode-major over them, so the bytes per op are about that
+// buffer per rank, and the first update allocates none.
 func BenchmarkParallelInitialize(b *testing.B) {
 	const m, k, ranks = 4096, 16, 2
 	blocks := splitRows(testutil.RandomDense(m, k, testutil.NewRand(1)), ranks)

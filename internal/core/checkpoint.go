@@ -62,62 +62,23 @@ func (id ShardID) Validate() error {
 }
 
 // State is the complete serialized form of a streaming decomposition:
-// everything a checkpoint carries. WriteState reads Modes without copying,
-// and RestoreSerial transposes it once into the engine's mode-major buffer.
+// everything a checkpoint carries. The modes are held one of two ways:
+// Modes, the M×K matrix (what ReadState fills), or ModeBlocks, the
+// mode-major K×M matrix Uᵀ as column blocks side by side (K×M_0 | K×M_1 |
+// …), as an engine's ModeRows (one block) or a parallel gather at rank 0
+// (one block per rank) leaves them. WriteState reads either in place, so
+// a save never builds an M×K copy.
 type State struct {
-	Opts  Options
-	Modes *mat.Dense
-	// ModeRows, when Modes is nil, holds the modes mode-major (K×M, row j
-	// being mode j), as the serial engine holds them: WriteState emits
-	// the same bytes either way. ReadState always fills Modes.
-	ModeRows *mat.Dense
-	// ModeBlocks, when Modes and ModeRows are nil, holds the mode-major
-	// K×M matrix as column blocks side by side (K×M_0 | K×M_1 | …), as a
-	// parallel gather leaves each rank's rows at rank 0. WriteState reads
-	// every block in place, so the blocks are never stacked.
-	ModeBlocks []*mat.Dense
+	// Opts are the options the engine runs with (stream.SVD.Options).
+	Opts       stream.Options
+	Modes      *mat.Dense
+	ModeBlocks []*mat.Dense // read when Modes is nil
 	Singular   []float64
 	Iterations int
 	Snapshots  int
 	// Shard is the provenance mark of a shard-local fit (zero for a
 	// whole-stream model).
 	Shard ShardID
-}
-
-// RestoreSerial rebuilds a serial engine from externally-held state: the
-// current modes (transposed once into the engine's mode-major buffer; the
-// caller keeps the matrix), singular values and counters.
-// It validates the options and every structural invariant, returning an
-// error instead of panicking, so facades can surface corrupted state to
-// their callers. The parsvd facade restores loaded and merged models
-// through it; it writes checkpoints straight from its engines' states.
-func RestoreSerial(opts Options, modes *mat.Dense, singular []float64,
-	iterations, snapshots int) (*stream.SVD, error) {
-	opts, err := opts.Validated()
-	if err != nil {
-		return nil, err
-	}
-	return stream.Restore(opts.streamOptions(), modes, singular, iterations, snapshots)
-}
-
-// Validated checks st as RestoreSerial does — the options and every
-// structural invariant of the modes, values and counters — without
-// building an engine, and returns st with the options' defaults filled in:
-// the options a restored engine runs with and its checkpoints record.
-func (st State) Validated() (State, error) {
-	opts, err := st.Opts.Validated()
-	if err != nil {
-		return st, err
-	}
-	st.Opts = opts
-	if st.Modes == nil && st.ModeRows == nil && len(st.ModeBlocks) == 0 {
-		return st, errors.New("core: state inconsistent: nil modes")
-	}
-	m, k, err := st.modeDims()
-	if err != nil {
-		return st, err
-	}
-	return st, opts.streamOptions().CheckState(m, k, st.Singular, st.Iterations, st.Snapshots)
 }
 
 // WriteState emits the binary layout:
@@ -137,7 +98,8 @@ func (st State) Validated() (State, error) {
 // pinned by the golden fixture); a non-zero Shard writes version 2. The
 // r1 and method slots once configured the APMOS seeding of a parallel run,
 // which a restored model never runs; they are written as 0 and r1 is
-// ignored on read.
+// ignored on read. A zero RLA is written as rla.DefaultOptions(), the
+// options an engine built with it runs with.
 func WriteState(w io.Writer, st State) error {
 	var sw StateWriter
 	return sw.WriteState(w, st)
@@ -180,9 +142,13 @@ func (sw *StateWriter) WriteState(w io.Writer, st State) error {
 	buf := append(sw.buf[:0], checkpointMagic[:]...)
 	buf = append(buf, version)
 	buf = appendInt64s(buf, int64(st.Opts.K), int64(st.Iterations), int64(st.Snapshots))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Opts.ForgetFactor))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Opts.FF))
 	buf = append(buf, lowRank)
-	buf = appendInt64s(buf, int64(st.Opts.RLA.Oversample), int64(st.Opts.RLA.PowerIters), st.Opts.RLA.Seed, 0, 0)
+	r := st.Opts.RLA
+	if r.IsZero() {
+		r = rla.DefaultOptions()
+	}
+	buf = appendInt64s(buf, int64(r.Oversample), int64(r.PowerIters), r.Seed, 0, 0)
 	if version == checkpointVersionV2 {
 		buf = appendInt64s(buf, int64(st.Shard.Index), int64(st.Shard.Count))
 	}
@@ -230,12 +196,9 @@ func encodedLen(shard bool, rows, cols int) int {
 // modeDims is the M×K shape of the modes, whichever layout st holds. It
 // errors when ModeBlocks' blocks differ in height.
 func (st State) modeDims() (rows, cols int, err error) {
-	switch {
-	case st.Modes != nil:
+	if st.Modes != nil {
 		rows, cols = st.Modes.Dims()
-	case st.ModeRows != nil:
-		cols, rows = st.ModeRows.Dims()
-	default:
+	} else {
 		for i, b := range st.ModeBlocks {
 			if i == 0 {
 				cols = b.Rows()
@@ -251,16 +214,12 @@ func (st State) modeDims() (rows, cols int, err error) {
 
 // writeModes emits the modes row-major as M×K little-endian float64s after
 // the pending bytes in buf, through buf's fixed capacity; from mode-major
-// rows or blocks it transposes as it encodes, so a save never builds an
-// M×K copy.
+// blocks it transposes as it encodes, so a save never builds an M×K copy.
 func (st State) writeModes(w io.Writer, buf []byte) error {
 	var err error
-	switch {
-	case st.Modes != nil:
+	if st.Modes != nil {
 		buf, err = mat.WriteFloats(w, buf, st.Modes.RawData())
-	case st.ModeRows != nil:
-		buf, err = writeModeRows(w, buf, st.ModeRows)
-	default:
+	} else {
 		for _, b := range st.ModeBlocks {
 			if buf, err = writeModeRows(w, buf, b); err != nil {
 				break
@@ -296,8 +255,7 @@ func writeModeRows(w io.Writer, buf []byte, rows *mat.Dense) ([]byte, error) {
 
 // ReadState parses either checkpoint version, validating shape and
 // option sanity — including that it holds 1 to K modes — but not the
-// engine-level restore invariants (those run in RestoreSerial /
-// stream.Restore).
+// engine-level restore invariants (those run in stream.Restore).
 func ReadState(r io.Reader) (State, error) { return readState(r, -1) }
 
 // ReadStateExact is ReadState of a checkpoint that is exactly the next n
@@ -391,10 +349,10 @@ func readState(r io.Reader, n int) (State, error) {
 	if err != nil {
 		return st, fmt.Errorf("%w: reading modes: %v", ErrBadCheckpoint, err)
 	}
-	st.Opts = Options{
-		K:            int(ints[0]),
-		ForgetFactor: ff,
-		LowRank:      lowRank[0] != 0,
+	st.Opts = stream.Options{
+		K:       int(ints[0]),
+		FF:      ff,
+		LowRank: lowRank[0] != 0,
 		RLA: rla.Options{
 			Oversample: int(meta[0]),
 			PowerIters: int(meta[1]),

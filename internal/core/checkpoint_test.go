@@ -12,12 +12,11 @@ import (
 	"goparsvd/internal/testutil"
 )
 
-// save writes eng's checkpoint under opts, as the facade's serial backend
-// does.
-func save(w io.Writer, opts Options, eng *stream.SVD) error {
+// save writes eng's checkpoint, as the facade's serial backend does.
+func save(w io.Writer, eng *stream.SVD) error {
 	return WriteState(w, State{
-		Opts:       opts.validated(),
-		ModeRows:   eng.ModeRows(), // panics if eng is not initialized
+		Opts:       eng.Options(),
+		ModeBlocks: []*mat.Dense{eng.ModeRows()}, // panics if eng is not initialized
 		Singular:   eng.SingularValues(),
 		Iterations: eng.Iterations(),
 		Snapshots:  eng.SnapshotsSeen(),
@@ -30,7 +29,7 @@ func load(r io.Reader) (*stream.SVD, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := RestoreSerial(st.Opts, st.Modes, st.Singular, st.Iterations, st.Snapshots)
+	eng, err := stream.Restore(st.Opts, st.Modes, st.Singular, st.Iterations, st.Snapshots)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
@@ -40,13 +39,12 @@ func load(r io.Reader) (*stream.SVD, error) {
 func TestSerialCheckpointRoundTrip(t *testing.T) {
 	rng := testutil.NewRand(31)
 	a, _ := testutil.RandomLowRank(50, 20, 4, 1e-7, rng)
-	opts := Options{K: 4, ForgetFactor: 0.95}
-	eng := NewSerial(opts)
+	eng := stream.New(stream.Options{K: 4, FF: 0.95})
 	must(eng.Initialize(a.SliceCols(0, 10)))
 	must(eng.IncorporateData(a.SliceCols(10, 15)))
 
 	var buf bytes.Buffer
-	if err := save(&buf, opts, eng); err != nil {
+	if err := save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := load(&buf)
@@ -74,18 +72,17 @@ func TestSerialCheckpointRoundTrip(t *testing.T) {
 
 func TestSerialCheckpointPreservesOptions(t *testing.T) {
 	rng := testutil.NewRand(32)
-	opts := Options{K: 3, ForgetFactor: 0.9, LowRank: true}
-	eng := NewSerial(opts)
+	eng := stream.New(stream.Options{K: 3, FF: 0.9, LowRank: true})
 	must(eng.Initialize(testutil.RandomDense(20, 6, rng)))
 	var buf bytes.Buffer
-	if err := save(&buf, opts, eng); err != nil {
+	if err := save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ReadState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Opts.K != 3 || st.Opts.ForgetFactor != 0.9 || !st.Opts.LowRank {
+	if st.Opts.K != 3 || st.Opts.FF != 0.9 || !st.Opts.LowRank {
 		t.Fatalf("options not preserved: %+v", st.Opts)
 	}
 }
@@ -99,11 +96,10 @@ func TestLoadSerialRejectsGarbage(t *testing.T) {
 
 func TestLoadSerialRejectsTruncation(t *testing.T) {
 	rng := testutil.NewRand(34)
-	opts := Options{K: 2, ForgetFactor: 1}
-	eng := NewSerial(opts)
+	eng := stream.New(stream.Options{K: 2, FF: 1})
 	must(eng.Initialize(testutil.RandomDense(10, 4, rng)))
 	var buf bytes.Buffer
-	if err := save(&buf, opts, eng); err != nil {
+	if err := save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -116,11 +112,10 @@ func TestLoadSerialRejectsTruncation(t *testing.T) {
 
 func TestLoadSerialRejectsBadVersion(t *testing.T) {
 	rng := testutil.NewRand(35)
-	opts := Options{K: 2, ForgetFactor: 1}
-	eng := NewSerial(opts)
+	eng := stream.New(stream.Options{K: 2, FF: 1})
 	must(eng.Initialize(testutil.RandomDense(10, 4, rng)))
 	var buf bytes.Buffer
-	if err := save(&buf, opts, eng); err != nil {
+	if err := save(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -131,15 +126,14 @@ func TestLoadSerialRejectsBadVersion(t *testing.T) {
 }
 
 func TestSaveBeforeInitializePanics(t *testing.T) {
-	opts := Options{K: 2, ForgetFactor: 1}
-	eng := NewSerial(opts)
+	eng := stream.New(stream.Options{K: 2, FF: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Save before Initialize did not panic")
 		}
 	}()
 	var buf bytes.Buffer
-	_ = save(&buf, opts, eng)
+	_ = save(&buf, eng)
 }
 
 // TestSerialSaveLoadContinuesBitIdentical saves the mode-major engine,
@@ -151,19 +145,18 @@ func TestSaveBeforeInitializePanics(t *testing.T) {
 func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 	rng := testutil.NewRand(35)
 	for _, ff := range []float64{1, 0.95} {
-		opts := Options{K: 6, ForgetFactor: ff}
-		eng := NewSerial(opts)
+		eng := stream.New(stream.Options{K: 6, FF: ff})
 		must(eng.Initialize(testutil.RandomDense(70, 4, rng)))
 		for _, b := range []int{4, 9, 3} {
 			must(eng.IncorporateData(testutil.RandomDense(70, b, rng)))
 		}
 		var buf bytes.Buffer
-		if err := save(&buf, opts, eng); err != nil {
+		if err := save(&buf, eng); err != nil {
 			t.Fatal(err)
 		}
 		var fromModes bytes.Buffer
 		if err := WriteState(&fromModes, State{
-			Opts:       opts.validated(),
+			Opts:       eng.Options(),
 			Modes:      eng.Modes(),
 			Singular:   eng.SingularValues(),
 			Iterations: eng.Iterations(),
@@ -195,11 +188,11 @@ func TestSerialSaveLoadContinuesBitIdentical(t *testing.T) {
 func TestStateEncodedLen(t *testing.T) {
 	modes := testutil.RandomDense(7, 3, testutil.NewRand(4))
 	for _, st := range []State{
-		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3},
-		{Opts: Options{K: 3, ForgetFactor: 1}, ModeRows: modes.T(), Singular: []float64{3, 2, 1}, Snapshots: 3},
-		{Opts: Options{K: 3, ForgetFactor: 1}, ModeBlocks: []*mat.Dense{modes.SliceRows(0, 4).T(), modes.SliceRows(4, 7).T()},
+		{Opts: stream.Options{K: 3, FF: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3},
+		{Opts: stream.Options{K: 3, FF: 1}, ModeBlocks: []*mat.Dense{modes.T()}, Singular: []float64{3, 2, 1}, Snapshots: 3},
+		{Opts: stream.Options{K: 3, FF: 1}, ModeBlocks: []*mat.Dense{modes.SliceRows(0, 4).T(), modes.SliceRows(4, 7).T()},
 			Singular: []float64{3, 2, 1}, Snapshots: 3},
-		{Opts: Options{K: 3, ForgetFactor: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3,
+		{Opts: stream.Options{K: 3, FF: 1}, Modes: modes, Singular: []float64{3, 2, 1}, Snapshots: 3,
 			Shard: ShardID{Index: 1, Count: 2}},
 	} {
 		var buf bytes.Buffer
@@ -218,7 +211,7 @@ func TestStateEncodedLen(t *testing.T) {
 // allocating, and blocks of unequal height are refused.
 func TestStateModeBlocks(t *testing.T) {
 	modes := testutil.RandomDense(9, 3, testutil.NewRand(5))
-	base := State{Opts: Options{K: 4, ForgetFactor: 0.9}.validated(), Singular: []float64{3, 2, 1}, Iterations: 2, Snapshots: 8}
+	base := State{Opts: stream.Options{K: 4, FF: 0.9}, Singular: []float64{3, 2, 1}, Iterations: 2, Snapshots: 8}
 	whole, blocks := base, base
 	whole.Modes = modes
 	blocks.ModeBlocks = []*mat.Dense{modes.SliceRows(0, 2).T(), modes.SliceRows(2, 8).T(), modes.SliceRows(8, 9).T()}

@@ -81,7 +81,7 @@ func runParallelStream(t *testing.T, a *mat.Dense, p, batch int, opts Options) (
 
 // runSerialStream streams the columns of a through a serial engine.
 func runSerialStream(a *mat.Dense, batch int, opts Options) *stream.SVD {
-	eng := NewSerial(opts)
+	eng := stream.New(opts.streamOptions())
 	n := a.Cols()
 	must(eng.Initialize(a.SliceCols(0, batch)))
 	for off := batch; off < n; off += batch {
@@ -184,18 +184,24 @@ func TestParallelSingularValuesIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestUsageErrorsSerial checks that core.Options carry K and ForgetFactor
+// onto the single-process engine: a bad value is refused by Validate and
+// makes the serial engine built from the options panic.
 func TestUsageErrorsSerial(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"bad K":  func() { NewSerial(Options{K: 0, ForgetFactor: 1}) },
-		"bad ff": func() { NewSerial(Options{K: 1, ForgetFactor: 0}) },
+	for name, opts := range map[string]Options{
+		"bad K":  {K: 0, ForgetFactor: 1},
+		"bad ff": {K: 1, ForgetFactor: 0},
 	} {
 		t.Run(name, func(t *testing.T) {
+			if opts.Validate() == nil {
+				t.Fatalf("%s passed Validate", name)
+			}
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s did not panic", name)
 				}
 			}()
-			fn()
+			stream.New(opts.streamOptions())
 		})
 	}
 }
@@ -350,71 +356,35 @@ func TestParallelModesStayOrthonormalAcrossUpdates(t *testing.T) {
 	}
 }
 
-// TestFirstBatchSeedsInPlace: a batch written transposed into FirstBatch
-// seeds the engine bit for bit as Initialize of a row-major copy of it
-// does, and the seeding rotation writes the modes over the first k rows of
-// the buffer the batch was decoded into; later batches written into
-// BatchRows update it bit for bit as IncorporateData does, without leaving
-// that buffer. The last rank holds fewer rows (2) than the batch has
-// snapshots (4), so its block of Q has fewer rows than the factor has
-// columns. At rank 0 the gathered rows of the other ranks are their
-// messages' payloads until ReleaseModeRows.
-func TestFirstBatchSeedsInPlace(t *testing.T) {
+// TestGatherModeRowsInPlace: at rank 0 the gathered blocks are rank 0's
+// own ModeRows, not a copy, and every other rank's rows as its message's
+// payload, including a rank that holds fewer rows (2) than the engine has
+// modes (3); ReleaseModeRows hands those payloads back, leaving no view of
+// them.
+func TestGatherModeRowsInPlace(t *testing.T) {
 	const k, b = 3, 4
-	rng := testutil.NewRand(31)
-	a, _ := testutil.RandomLowRank(292, 3*b, 5, 1e-3, rng)
+	a := testutil.RandomDense(292, b, testutil.NewRand(31))
 	bounds := []int{0, 150, 290, 292}
-	opts := Options{K: k, ForgetFactor: 0.9}
 	mpi.MustRun(3, func(c *mpi.Comm) {
-		local := a.SliceRows(bounds[c.Rank()], bounds[c.Rank()+1])
-		m := local.Rows()
-		ref := NewParallel(c, opts)
-		must(ref.Initialize(local.SliceCols(0, b)))
-
-		eng := NewParallel(c, opts)
-		first := eng.FirstBatch(m, b)
-		local.SliceCols(0, b).TInto(first)
-		must(eng.InitializeFilled())
-		buf := &first.RawData()[0]
-		for off := 0; off < 3*b; off += b {
-			if off > 0 {
-				must(ref.IncorporateData(local.SliceCols(off, off+b)))
-				local.SliceCols(off, off+b).TInto(eng.BatchRows(b))
-				must(eng.IncorporateFilled(b))
-			}
-			if !testutil.CloseSlices(eng.SingularValues(), ref.SingularValues(), 0) ||
-				!bitsEqual(eng.ModeRows().RawData(), ref.ModeRows().RawData()) {
-				t.Errorf("rank %d after %d snapshots: in-place engine differs from the reference", c.Rank(), off+b)
-			}
-			if &eng.ModeRows().RawData()[0] != buf {
-				t.Errorf("rank %d after %d snapshots: the modes are not the first rows of the seeded batch's buffer", c.Rank(), off+b)
+		eng := NewParallel(c, Options{K: k, ForgetFactor: 0.9})
+		must(eng.Initialize(a.SliceRows(bounds[c.Rank()], bounds[c.Rank()+1])))
+		blocks := gatherModes(eng)
+		if c.Rank() != 0 {
+			return
+		}
+		if blocks[0] != eng.ModeRows() {
+			t.Error("rank 0's gathered block is not its own ModeRows")
+		}
+		for r := range blocks {
+			if rows, cols := blocks[r].Dims(); rows != k || cols != bounds[r+1]-bounds[r] {
+				t.Errorf("gathered rank %d block is %dx%d", r, rows, cols)
 			}
 		}
-
-		blocks := gatherModes(eng)
-		if c.Rank() == 0 {
-			if blocks[2].Cols() != bounds[3]-bounds[2] || blocks[2].Rows() != k {
-				t.Errorf("gathered rank 2 block is %dx%d", blocks[2].Rows(), blocks[2].Cols())
-			}
-			eng.ReleaseModeRows()
-			if !blocks[1].IsEmpty() || !blocks[2].IsEmpty() {
-				t.Error("ReleaseModeRows left a view of a released payload")
-			}
+		eng.ReleaseModeRows()
+		if !blocks[1].IsEmpty() || !blocks[2].IsEmpty() {
+			t.Error("ReleaseModeRows left a view of a released payload")
 		}
 	})
-}
-
-// bitsEqual reports whether two slices hold the same bit patterns.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestParallelMessagesPerUpdate: on two in-process ranks the seed and every

@@ -22,24 +22,6 @@ func rankOneBatch(m, b int, scale float64) *mat.Dense {
 	return out
 }
 
-// ExampleNewSerial demonstrates the serial streaming workflow: initialize
-// with the first batch, stream the rest, read off the spectrum.
-func ExampleNewSerial() {
-	svd := core.NewSerial(core.Options{K: 2, ForgetFactor: 1.0})
-	if err := svd.Initialize(rankOneBatch(100, 4, 1.0)); err != nil {
-		panic(err)
-	}
-	if err := svd.IncorporateData(rankOneBatch(100, 4, 1.0)); err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("snapshots seen: %d\n", svd.SnapshotsSeen())
-	fmt.Printf("rank of data:   %d significant value(s)\n", countSignificant(svd.SingularValues()))
-	// Output:
-	// snapshots seen: 8
-	// rank of data:   1 significant value(s)
-}
-
 // ExampleParallel demonstrates the distributed workflow: four ranks each
 // hold a row block, stream batches, and rank 0 gathers the global modes.
 func ExampleParallel() {
@@ -68,9 +50,7 @@ func ExampleParallel() {
 	// significant values: 1
 }
 
-// countSignificant counts values above a 1e-6 relative threshold — loose
-// enough to absorb the sqrt(eps)-level noise the Gram-matrix path leaves
-// on numerically-zero singular values.
+// countSignificant counts values above a 1e-6 relative threshold.
 func countSignificant(s []float64) int {
 	n := 0
 	for _, v := range s {

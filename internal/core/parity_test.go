@@ -10,6 +10,7 @@ import (
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/rla"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 	"goparsvd/internal/tsqr"
 )
@@ -21,7 +22,7 @@ import (
 // applied into a separate destination. It seeds as the engine does, by the
 // update with no modes stacked over the first batch.
 type refParallel struct {
-	opts     Options
+	opts     stream.Options
 	comm     *mpi.Comm
 	ulocal   *mat.Dense
 	singular []float64
@@ -38,7 +39,7 @@ func (p *refParallel) incorporate(a *mat.Dense) {
 	at := p.ws.GetUninit(k0+a.Cols(), a.Rows())
 	if k0 > 0 {
 		top := p.ws.ViewRows(at, 0, k0)
-		mat.MulDiagScaledTInto(top, p.opts.ForgetFactor, p.ulocal, p.singular)
+		mat.MulDiagScaledTInto(top, p.opts.FF, p.ulocal, p.singular)
 		p.ws.PutView(top)
 	}
 	bot := p.ws.ViewRows(at, k0, at.Rows())
@@ -125,7 +126,7 @@ func checkParallelMatchesReference(t *testing.T, m, p, k, b0, b int, opts Option
 			return a.SliceRows(lo, hi)
 		}
 		eng := NewParallel(c, opts)
-		ref := &refParallel{opts: opts.validated(), comm: c}
+		ref := &refParallel{opts: eng.Options(), comm: c}
 		first := batch(b0)
 		must(eng.Initialize(first))
 		ref.initialize(first)

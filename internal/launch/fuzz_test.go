@@ -23,6 +23,7 @@ import (
 	"goparsvd/internal/core"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi/tcptransport"
+	"goparsvd/internal/stream"
 )
 
 // blockBody renders m's data body through the launcher's frame encoder,
@@ -414,7 +415,7 @@ func blobSeed() []byte {
 	var buf bytes.Buffer
 	modes := mat.NewFromData(5, 2, []float64{1, 0, 0, 1, 0, 0, 0, 0, 0, 0})
 	if err := core.WriteState(&buf, core.State{
-		Opts:      core.Options{K: 2, ForgetFactor: 1},
+		Opts:      stream.Options{K: 2, FF: 1},
 		Modes:     modes,
 		Singular:  []float64{2, 1},
 		Snapshots: 4,

@@ -18,7 +18,7 @@ package launch
 //	          through a fixed scratch buffer (mat.ReadValuesT, with every
 //	          check mat.ReadBlockExact makes): the first batch into the
 //	          rows the seeding update factors and writes the modes over
-//	          (core.Parallel.FirstBatch), every later one into the rows
+//	          (stream.SVD.FirstBatch), every later one into the rows
 //	          the update stacks it in (BatchRows)
 //	PUSH-SKETCH body = factor pair: this rank's row block of the
 //	          orthonormal sketch basis Q plus the full L×B projection

@@ -16,6 +16,7 @@ import (
 	"goparsvd/internal/mat"
 	"goparsvd/internal/mpi"
 	"goparsvd/internal/scaling"
+	"goparsvd/internal/stream"
 	"goparsvd/internal/testutil"
 )
 
@@ -146,18 +147,14 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	opts, err := core.Options{K: w.K, ForgetFactor: w.FF}.Validated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.RestoreSerial(opts, ref.Modes, ref.Singular, ref.Iterations, w.Snapshots)
+	restored, err := stream.Restore(stream.Options{K: w.K, FF: w.FF}, ref.Modes, ref.Singular, ref.Iterations, w.Snapshots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
 	if err := core.WriteState(&want, core.State{
-		Opts:       opts,
-		ModeRows:   restored.ModeRows(),
+		Opts:       restored.Options(),
+		ModeBlocks: []*mat.Dense{restored.ModeRows()},
 		Singular:   restored.SingularValues(),
 		Iterations: restored.Iterations(),
 		Snapshots:  restored.SnapshotsSeen(),
@@ -171,7 +168,7 @@ func TestSessionWireFedMatchesInProcess(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("SAVE checkpoint (%d bytes) differs from the restored state's (%d bytes)", got.Len(), want.Len())
 	}
-	eng, err := core.RestoreSerial(saved.Opts, saved.Modes, saved.Singular, saved.Iterations, saved.Snapshots)
+	eng, err := stream.Restore(saved.Opts, saved.Modes, saved.Singular, saved.Iterations, saved.Snapshots)
 	if err != nil {
 		t.Fatalf("restoring gathered checkpoint: %v", err)
 	}

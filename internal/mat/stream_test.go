@@ -1,10 +1,15 @@
 package mat
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"os"
+	"os/exec"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -223,30 +228,61 @@ func TestStreamKernelSplitInvariance(t *testing.T) {
 	})
 }
 
-// TestStreamRoutesGOMAXPROCS runs products large enough to fan out across
-// the worker pool at GOMAXPROCS 1 and 4 and requires identical bits.
+// TestStreamRoutesGOMAXPROCS runs, for every kernel, products large
+// enough to fan out across the worker pool and requires the same bits
+// whether the pool runs them inline (GOMAXPROCS 1, one worker) or fans
+// them out (GOMAXPROCS 4). The pool sizes itself once per process, at its
+// first use, so each setting runs in a child process of the test binary,
+// which reports its pool size beside a digest of the products.
 func TestStreamRoutesGOMAXPROCS(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(17))
-		y, z := randomDense(32, 4096, rng), randomDense(32, 16, rng)
-		a, b, c0 := randomDense(600, 8, rng), randomDense(8, 4096, rng), randomDense(600, 4096, rng)
-		g, p := randomDense(32, 4096, rng), randomDense(8, 4096, rng)
-		run := func(procs int) [3]*Dense {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if os.Getenv(routesChildEnv) != "" {
+			rng := rand.New(rand.NewSource(17))
+			y, z := randomDense(32, 4096, rng), randomDense(32, 16, rng)
+			a, b, c0 := randomDense(600, 8, rng), randomDense(8, 4096, rng), randomDense(600, 4096, rng)
+			g, p := randomDense(32, 4096, rng), randomDense(8, 4096, rng)
 			q := New(4096, 16)
 			MulTransAInto(q, y, z)
 			c := c0.Clone()
 			MulAddInto(c, a, b)
 			gram := New(32, 8)
 			MulTransBInto(gram, g, p)
-			return [3]*Dense{q, c, gram}
+			h := sha256.New()
+			for _, m := range []*Dense{q, c, gram} {
+				binary.Write(h, binary.LittleEndian, m.data)
+			}
+			fmt.Printf("routes pool=%d products=%x\n", kernelPool.workers, h.Sum(nil))
+			return
 		}
-		one, four := run(1), run(4)
-		for i, what := range []string{"MulTransAInto 4096x16", "MulAddInto 600x4096", "MulTransBInto 32x8"} {
-			requireSameBits(t, what, one[i], four[i])
+		run := "^TestStreamRoutesGOMAXPROCS$/^" + regexp.QuoteMeta(strings.TrimPrefix(t.Name(), "TestStreamRoutesGOMAXPROCS/")) + "$"
+		var want string
+		for _, procs := range []int{1, 4} {
+			cmd := exec.Command(os.Args[0], "-test.run="+run, "-test.count=1")
+			cmd.Env = append(os.Environ(), routesChildEnv+"=1", fmt.Sprintf("GOMAXPROCS=%d", procs))
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v\n%s", procs, err, out)
+			}
+			pool, products := -1, ""
+			for _, line := range strings.Split(string(out), "\n") {
+				if strings.HasPrefix(line, "routes ") {
+					fmt.Sscanf(line, "routes pool=%d products=%s", &pool, &products)
+				}
+			}
+			if pool != procs || products == "" {
+				t.Fatalf("GOMAXPROCS=%d: want a pool of %d workers and the products' digest in\n%s", procs, procs, out)
+			}
+			if want == "" {
+				want = products
+			} else if products != want {
+				t.Fatalf("GOMAXPROCS=%d products hash to %s, the inline ones to %s", procs, products, want)
+			}
 		}
 	})
 }
+
+// routesChildEnv marks the child processes of TestStreamRoutesGOMAXPROCS.
+const routesChildEnv = "GOPARSVD_ROUTES_CHILD"
 
 func requireSameBits(t *testing.T, what string, x, y *Dense) {
 	t.Helper()

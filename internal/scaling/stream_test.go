@@ -11,6 +11,7 @@ import (
 	"goparsvd/internal/mpi/tcptransport"
 	"goparsvd/internal/postproc"
 	"goparsvd/internal/rla"
+	"goparsvd/internal/stream"
 )
 
 func smallWorkload() StreamWorkload {
@@ -185,7 +186,8 @@ func must(err error) {
 func RunStreamSerial(ranks int, w StreamWorkload) StreamResult {
 	must(w.Validate())
 	bc := w.BurgersConfig(ranks)
-	eng := core.NewSerial(w.coreOptions())
+	o := w.coreOptions()
+	eng := stream.New(stream.Options{K: o.K, FF: o.ForgetFactor, LowRank: o.LowRank, RLA: o.RLA})
 	must(eng.Initialize(bc.Block(0, bc.Nx, 0, w.InitBatch)))
 	for col := w.InitBatch; col < w.Snapshots; col += w.Batch {
 		hi := col + w.Batch

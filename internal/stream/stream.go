@@ -46,9 +46,9 @@ type Options struct {
 	RLA rla.Options
 }
 
-// Validate reports whether the options describe a usable configuration.
-// It is the error-returning twin of validated, for callers (the public
-// parsvd facade) that must not panic.
+// Validate reports whether the options describe a usable configuration:
+// the check every constructor and Restore make, as an error for callers (a
+// worker's engine spec, a checkpoint from outside) that must not panic.
 func (o Options) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("stream: K = %d < 1", o.K)
@@ -69,12 +69,13 @@ func (o Options) validated() Options {
 	return o
 }
 
-// SVD is the streaming decomposition state. Create one with New, seed it
-// with Initialize, then feed batches with IncorporateData. Calling them out
-// of order panics. An error from Initialize, IncorporateData,
-// IncorporateFilled or Absorb (the randomized small SVD refusing its
-// input; on a distributed engine a failed collective or a peer's bad
-// factor) leaves the engine dead: it must not be used again.
+// SVD is the streaming decomposition state. Create one with New,
+// NewBlocked or NewDistributed, seed it with Initialize (or FirstBatch and
+// InitializeFilled), then feed batches with IncorporateData (or BatchRows
+// and IncorporateFilled). Calling them out of order panics. An error from
+// any of them or from Absorb (the randomized small SVD refusing its input;
+// on a distributed engine a failed collective or a peer's bad factor)
+// leaves the engine dead: it must not be used again.
 //
 // The modes are held mode-major: the first k rows of buf, row j being mode
 // j (column j of U), k = min(K, columns seen). Algorithm 1 only ever reads
@@ -87,8 +88,8 @@ type SVD struct {
 	step        step
 	buf         *mat.Dense // the update's factored buffer, one row of M values per stacked column
 	top         mat.Dense  // view of buf's first k rows: the modes, mode-major
-	batch       mat.Dense  // view of the rows under top that BatchRows handed out
-	filled      int        // the width BatchRows handed out, for IncorporateFilled
+	batch       mat.Dense  // view of the rows FirstBatch or BatchRows handed out
+	filled      int        // the width they handed out, for InitializeFilled or IncorporateFilled
 	singular    []float64
 	rows        int
 	iterations  int
@@ -267,6 +268,21 @@ func NewBlocked(opts Options, p int) *SVD {
 	return &SVD{opts: opts.validated(), step: blockStep(p)}
 }
 
+// NewDistributed returns one rank of an empty streaming SVD whose snapshot
+// rows are split across c's ranks: its factor step is Listing 4's
+// distributed QR (gatherStep), and it is seeded and fed with this rank's
+// block of each batch. Every rank must make the same sequence of calls.
+func NewDistributed(c *mpi.Comm, opts Options) *SVD {
+	if c == nil {
+		panic("stream: NewDistributed needs a communicator")
+	}
+	return &SVD{opts: opts.validated(), step: gatherStep(c)}
+}
+
+// Options returns the options the engine runs with, defaults filled in (a
+// zero RLA is rla.DefaultOptions()): the ones its checkpoints record.
+func (s *SVD) Options() Options { return s.opts }
+
 // Restore rebuilds a streaming SVD from previously captured state (the
 // checkpoint/restart path): a new engine seeded with the current modes
 // (M×k), singular values and counters. See Seed.
@@ -338,10 +354,8 @@ func (o Options) CheckState(m, k int, singular []float64, iterations, snapshots 
 	return nil
 }
 
-// Initialized reports whether Initialize has been called. A nil engine is
-// not initialized, so a caller that embeds one before seeding it gets the
-// usage panic rather than a nil dereference.
-func (s *SVD) Initialized() bool { return s != nil && s.initialized }
+// Initialized reports whether Initialize has been called.
+func (s *SVD) Initialized() bool { return s.initialized }
 
 // Iterations returns the number of IncorporateData calls so far.
 func (s *SVD) Iterations() int { return s.iterations }
@@ -390,53 +404,52 @@ func (s *SVD) mustBeInitialized() {
 
 // Initialize seeds the decomposition with the first batch A_0 (M×B): a QR
 // factorization followed by an SVD of the small R factor (Algorithm 1,
-// steps I1–I2).
+// steps I1–I2). The batch is read, never adopted: it is transposed into
+// FirstBatch's rows and seeded from there by InitializeFilled.
 func (s *SVD) Initialize(a *mat.Dense) error {
-	if s.initialized {
-		panic("stream: Initialize called twice; use IncorporateData for new batches")
-	}
 	m, b := a.Dims()
+	a.TInto(s.FirstBatch(m, b))
+	return s.InitializeFilled()
+}
+
+// FirstBatch returns the b×m rows to write the first batch into,
+// transposed (row j holds snapshot j's m values) as BatchRows hands out
+// every later batch, for InitializeFilled to seed from: the first b rows
+// of the (K+b)×m buffer the engine keeps for good. The seeding writes the
+// modes over the leading rows of the batch, so a caller that decodes the
+// batch straight into them holds no copy of it, and B-wide updates never
+// regrow the buffer. On a distributed engine m is this rank's rows.
+func (s *SVD) FirstBatch(m, b int) *mat.Dense {
+	if s.initialized {
+		panic(initializedTwice)
+	}
 	if m == 0 || b == 0 {
 		panic("stream: empty initial batch")
 	}
-	s.buf = s.ws.GetUninit(b, m)
-	a.TInto(s.buf)
-	return s.seed(b)
+	s.buf = s.ws.GetUninit(s.opts.K+b, m)
+	s.buf.ViewRows(0, b, &s.batch)
+	s.filled = b
+	return &s.batch
 }
 
-// InitializeDistributed returns one rank of an engine whose snapshot rows
-// are split across c's ranks, seeded exactly as Initialize seeds the
-// serial engine, by the update's own rotation with Listing 4's distributed
-// QR as its factor step: buf's first b rows hold this rank's block of the
-// first batch transposed (row j is snapshot j's M_i values), and the
-// rotation writes the modes over them. The engine adopts buf, no copy, so
-// the caller must not touch it afterwards; rows beyond the first b are
-// where later batches are stacked, so a buffer of K+B rows is never
-// regrown by B-wide updates. Every rank must make the same sequence of
-// calls. An error (a failed collective, a peer's bad factor) leaves the
-// engine dead.
-func InitializeDistributed(c *mpi.Comm, opts Options, buf *mat.Dense, b int) (*SVD, error) {
-	if c == nil {
-		panic("stream: InitializeDistributed needs a communicator")
+// InitializeFilled is Initialize for a first batch already written into
+// FirstBatch, the call that must come right before it: Algorithm 1's
+// steps I1–I2 as the update's own rotation, whose factor step on a
+// distributed engine is Listing 4's distributed QR, exactly as the serial
+// engine's is a local QR. The modes are written over the first rows of
+// the batch. An error leaves the engine dead.
+func (s *SVD) InitializeFilled() error {
+	if s.initialized {
+		panic(initializedTwice)
 	}
-	if buf.Cols() == 0 || b < 1 || b > buf.Rows() {
-		panic(fmt.Sprintf("stream: seeding %d snapshots from a %dx%d buffer", b, buf.Rows(), buf.Cols()))
+	b := s.filled
+	if b == 0 {
+		panic("stream: InitializeFilled without FirstBatch")
 	}
-	s := &SVD{opts: opts.validated(), step: gatherStep(c), buf: buf}
-	return s, s.seed(b)
-}
-
-// seed rotates the first batch, written transposed into buf's first b
-// rows, into the modes (Algorithm 1, steps I1–I2).
-func (s *SVD) seed(b int) error {
-	at := s.buf
-	if b < at.Rows() {
-		at = s.ws.ViewRows(s.buf, 0, b)
-	}
+	s.filled = 0
+	at := s.ws.ViewRows(s.buf, 0, b)
 	err := s.rotate(at, s.opts.LowRank)
-	if at != s.buf {
-		s.ws.PutView(at)
-	}
+	s.ws.PutView(at)
 	if err != nil {
 		return err
 	}
@@ -445,6 +458,9 @@ func (s *SVD) seed(b int) error {
 	s.initialized = true
 	return nil
 }
+
+// initializedTwice is the panic of a second FirstBatch or InitializeFilled.
+const initializedTwice = "stream: Initialize called twice; use IncorporateData for new batches"
 
 // IncorporateData ingests a new batch A_i (M×B), updating the truncated
 // modes and singular values (Algorithm 1, steps 1–5):

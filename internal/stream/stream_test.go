@@ -249,6 +249,12 @@ func TestUsageErrors(t *testing.T) {
 			s.BatchRows(2)
 			s.IncorporateFilled(1)
 		}},
+		{"first batch after init", func() {
+			started(Options{K: 2, FF: 1}, mat.Eye(3)).FirstBatch(3, 2)
+		}},
+		{"empty first batch", func() { New(Options{K: 2, FF: 1}).FirstBatch(3, 0) }},
+		{"init filled without first batch", func() { New(Options{K: 2, FF: 1}).InitializeFilled() }},
+		{"distributed without comm", func() { NewDistributed(nil, Options{K: 2, FF: 1}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -359,9 +365,7 @@ func TestRestoreValidation(t *testing.T) {
 
 // TestBatchRowsFillInPlace: a batch written transposed into BatchRows and
 // ingested by IncorporateFilled updates the engine bit for bit as
-// IncorporateData of the batch does; on a distributed engine seeded in a
-// buffer with spare rows, BatchRows hands out those rows, so the buffer is
-// not regrown.
+// IncorporateData of the batch does.
 func TestBatchRowsFillInPlace(t *testing.T) {
 	rng := testutil.NewRand(21)
 	a := testutil.RandomDense(50, 24, rng)
@@ -380,27 +384,91 @@ func TestBatchRowsFillInPlace(t *testing.T) {
 	if eng.Iterations() != ref.Iterations() || eng.SnapshotsSeen() != ref.SnapshotsSeen() {
 		t.Fatalf("counters %d/%d, want %d/%d", eng.Iterations(), eng.SnapshotsSeen(), ref.Iterations(), ref.SnapshotsSeen())
 	}
+}
 
-	mpi.MustRun(1, func(c *mpi.Comm) {
-		buf := mat.New(4, 5) // a two-snapshot batch over five rows, two spare rows
-		buf.Set(0, 0, 1)
-		buf.Set(1, 1, 1)
-		s, err := InitializeDistributed(c, Options{K: 2, FF: 1}, buf, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &s.ModeRows().RawData()[0] != &buf.RawData()[0] {
-			t.Fatal("the seeded modes are not the first rows of the adopted buffer")
-		}
-		if rows := s.BatchRows(2); &rows.RawData()[0] != &buf.RawData()[2*5] || rows.Rows() != 2 || rows.Cols() != 5 {
-			t.Fatal("BatchRows did not hand out the adopted buffer's spare rows")
+// TestFirstBatchSeedsInPlace: on every engine — serial, blocked over 1 to
+// 3 row blocks, and each rank of a 3-rank distributed world — a batch
+// written transposed into FirstBatch seeds the engine bit for bit as
+// Initialize of the batch does, and the seeding writes the modes over the
+// first rows of the buffer the batch was written into; later B-wide
+// batches written into BatchRows update it bit for bit as IncorporateData
+// does, without leaving that buffer. The distributed world's last rank
+// holds fewer rows (2) than the batch has snapshots (4), so its block of Q
+// has fewer rows than the factor has columns.
+func TestFirstBatchSeedsInPlace(t *testing.T) {
+	const k, b = 3, 4
+	a, _ := testutil.RandomLowRank(292, 3*b, 5, 1e-3, testutil.NewRand(31))
+	opts := Options{K: k, FF: 0.9}
+	t.Run("serial", func(t *testing.T) {
+		if msg := seedInPlace(New(opts), New(opts), a, b); msg != "" {
+			t.Error(msg)
 		}
 	})
+	for p := 1; p <= 3; p++ {
+		t.Run(fmt.Sprintf("blocked/p=%d", p), func(t *testing.T) {
+			if msg := seedInPlace(NewBlocked(opts, p), NewBlocked(opts, p), a, b); msg != "" {
+				t.Error(msg)
+			}
+		})
+	}
+	t.Run("distributed/p=3", func(t *testing.T) {
+		bounds := []int{0, 150, 290, 292}
+		mpi.MustRun(3, func(c *mpi.Comm) {
+			local := a.SliceRows(bounds[c.Rank()], bounds[c.Rank()+1])
+			if msg := seedInPlace(NewDistributed(c, opts), NewDistributed(c, opts), local, b); msg != "" {
+				t.Errorf("rank %d: %s", c.Rank(), msg)
+			}
+		})
+	})
+}
+
+// seedInPlace feeds the b-wide batches of a to eng through FirstBatch,
+// InitializeFilled, BatchRows and IncorporateFilled, and to ref through
+// Initialize and IncorporateData. It reports the first batch after which
+// eng's modes or spectrum differ from ref's in any bit, or its modes are
+// not the first rows of the buffer FirstBatch handed out; "" when none.
+func seedInPlace(eng, ref *SVD, a *mat.Dense, b int) string {
+	first := eng.FirstBatch(a.Rows(), b)
+	a.SliceCols(0, b).TInto(first)
+	buf := &first.RawData()[0]
+	for off := 0; off < a.Cols(); off += b {
+		batch := a.SliceCols(off, off+b)
+		var err, refErr error
+		if off == 0 {
+			err, refErr = eng.InitializeFilled(), ref.Initialize(batch)
+		} else {
+			batch.TInto(eng.BatchRows(b))
+			err, refErr = eng.IncorporateFilled(b), ref.IncorporateData(batch)
+		}
+		switch {
+		case err != nil || refErr != nil:
+			return fmt.Sprintf("after %d snapshots: %v, reference %v", off+b, err, refErr)
+		case !bitsEqual(eng.SingularValues(), ref.SingularValues()) ||
+			!bitsEqual(eng.ModeRows().RawData(), ref.ModeRows().RawData()):
+			return fmt.Sprintf("after %d snapshots: the in-place engine differs from the reference", off+b)
+		case &eng.ModeRows().RawData()[0] != buf:
+			return fmt.Sprintf("after %d snapshots: the modes are not the first rows of the seeded batch's buffer", off+b)
+		}
+	}
+	return ""
+}
+
+// bitsEqual reports whether two slices hold the same bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBlockedMatchesDistributed: the blocked step is the distributed
 // update in one process. After every batch, NewBlocked(opts, p) holds the
-// spectrum and modes a p-rank InitializeDistributed world fed the same
+// spectrum and modes a p-rank NewDistributed world fed the same
 // batches holds, bit for bit: each block of its ModeRows is that rank's
 // ModeRows. The shapes include rank blocks shorter than the batch and a
 // snapshot matrix with fewer rows than the stack is wide (M < K+B).
@@ -452,7 +520,7 @@ func TestBlockedMatchesDistributed(t *testing.T) {
 }
 
 // distributedRun feeds the b-wide batches of a to a p-rank world of
-// InitializeDistributed engines, each holding its grid.Partition block of
+// NewDistributed engines, each holding its grid.Partition block of
 // the rows, and returns after every batch each rank's ModeRows and rank
 // 0's spectrum.
 func distributedRun(opts Options, a *mat.Dense, b, p int) (modes [][]*mat.Dense, spectra [][]float64) {
@@ -466,9 +534,8 @@ func distributedRun(opts Options, a *mat.Dense, b, p int) (modes [][]*mat.Dense,
 	mpi.MustRun(p, func(c *mpi.Comm) {
 		r := c.Rank()
 		blk := a.SliceRows(parts[r].Start, parts[r].End)
-		buf := mat.New(b, blk.Rows())
-		blk.SliceCols(0, b).TInto(buf)
-		s, err := InitializeDistributed(c, opts, buf, b)
+		s := NewDistributed(c, opts)
+		err := s.Initialize(blk.SliceCols(0, b))
 		for i := 0; ; i++ {
 			if err != nil {
 				panic(err)

@@ -10,6 +10,7 @@ import (
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/merge"
+	"goparsvd/internal/stream"
 )
 
 // Typed merge-validation errors. Both are returned before any state
@@ -52,7 +53,7 @@ func (s *SVD) Merge(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("parsvd: %w", err)
 	}
-	if err := checkMergeable("checkpoint", st, "model", s.cfg.k, s.cfg.ff, s.rows); err != nil {
+	if err := checkMergeable("checkpoint", st, "model", s.cfg.opts.K, s.cfg.opts.FF, s.rows); err != nil {
 		return err
 	}
 	if err := s.checkProvenance(st.Shard); err != nil {
@@ -73,7 +74,7 @@ func (s *SVD) Merge(r io.Reader) error {
 		}
 		base.Snapshots += st.Snapshots
 	}
-	base.Opts, base.Iterations = s.cfg.coreOptions(), int(s.updates)
+	base.Opts, base.Iterations = s.cfg.opts, int(s.updates)
 	eng, err := restoreSerialEngine(base)
 	if err != nil {
 		return fmt.Errorf("parsvd: restoring merged state: %w", err)
@@ -159,8 +160,8 @@ func checkMergeable(aName string, a core.State, bName string, k int, ff float64,
 	switch {
 	case a.Opts.K != k:
 		return fmt.Errorf("%w: %s has K = %d, %s has K = %d", ErrMergeIncompatible, aName, a.Opts.K, bName, k)
-	case a.Opts.ForgetFactor != ff:
-		return fmt.Errorf("%w: %s has forget factor %g, %s has %g", ErrMergeIncompatible, aName, a.Opts.ForgetFactor, bName, ff)
+	case a.Opts.FF != ff:
+		return fmt.Errorf("%w: %s has forget factor %g, %s has %g", ErrMergeIncompatible, aName, a.Opts.FF, bName, ff)
 	case rows != 0 && a.Modes.Rows() != rows:
 		return fmt.Errorf("%w: %s has %d snapshot rows, %s has %d", ErrMergeIncompatible, aName, a.Modes.Rows(), bName, rows)
 	}
@@ -237,7 +238,7 @@ func mergeStates(readers []io.Reader, labels []string) (*SVD, error) {
 	}
 	ref := states[0]
 	for i, st := range states[1:] {
-		if err := checkMergeable(labels[i+1], st, labels[0], ref.Opts.K, ref.Opts.ForgetFactor, ref.Modes.Rows()); err != nil {
+		if err := checkMergeable(labels[i+1], st, labels[0], ref.Opts.K, ref.Opts.FF, ref.Modes.Rows()); err != nil {
 			return nil, err
 		}
 	}
@@ -317,19 +318,19 @@ func WriteCheckpoint(w io.Writer, cfg Configuration, res *Result) error {
 	// The Result is outside input: it is checked as a restore would check
 	// it, so a malformed one is an error here, not a corrupt checkpoint
 	// downstream.
-	st, err := core.State{
-		Opts: core.Options{
-			K:            cfg.Modes,
-			ForgetFactor: cfg.ForgetFactor,
-			LowRank:      cfg.LowRank,
-			RLA:          cfg.RLA,
-		},
+	st := core.State{
+		Opts:       stream.Options{K: cfg.Modes, FF: cfg.ForgetFactor, LowRank: cfg.LowRank, RLA: cfg.RLA},
 		Modes:      res.Modes,
 		Singular:   res.Singular,
 		Iterations: res.Iterations,
 		Snapshots:  res.Snapshots,
 		Shard:      shard,
-	}.Validated()
+	}
+	m, k := res.Modes.Dims()
+	err := st.Opts.Validate()
+	if err == nil {
+		err = st.Opts.CheckState(m, k, st.Singular, st.Iterations, st.Snapshots)
+	}
 	if err != nil {
 		return fmt.Errorf("parsvd: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"goparsvd/internal/core"
 	"goparsvd/internal/rla"
+	"goparsvd/internal/stream"
 )
 
 // Backend selects the execution mode of a decomposition.
@@ -112,10 +113,9 @@ type TransportConfig struct {
 type Option func(*config) error
 
 type config struct {
-	k        int
-	ff       float64
-	lowRank  bool
-	rlaOpts  rla.Options
+	// opts are the engine options WithModes, WithForgetFactor and
+	// WithLowRank set, each checked as it is set.
+	opts     stream.Options
 	backend  Backend
 	ranks    int
 	ranksSet bool
@@ -137,7 +137,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{k: 10, ff: 1.0, backend: Serial, ranks: 1}
+	return config{opts: stream.Options{K: 10, FF: 1}, backend: Serial, ranks: 1}
 }
 
 // WithModes sets K, the number of retained modes (truncated left singular
@@ -147,7 +147,7 @@ func WithModes(k int) Option {
 		if k < 1 {
 			return fmt.Errorf("parsvd: WithModes(%d): K must be >= 1", k)
 		}
-		c.k = k
+		c.opts.K = k
 		return nil
 	}
 }
@@ -160,7 +160,7 @@ func WithForgetFactor(ff float64) Option {
 		if !(ff > 0 && ff <= 1) { // the negated form also rejects NaN
 			return fmt.Errorf("parsvd: WithForgetFactor(%g): forget factor must be in (0, 1]", ff)
 		}
-		c.ff = ff
+		c.opts.FF = ff
 		return nil
 	}
 }
@@ -174,12 +174,12 @@ func WithLowRank(opts ...RLA) Option {
 		if len(opts) > 1 {
 			return fmt.Errorf("parsvd: WithLowRank takes at most one RLA, got %d", len(opts))
 		}
-		c.lowRank = true
+		c.opts.LowRank = true
 		if len(opts) == 1 {
 			if err := opts[0].Validate(); err != nil {
 				return fmt.Errorf("parsvd: WithLowRank: %w", err)
 			}
-			c.rlaOpts = opts[0]
+			c.opts.RLA = opts[0]
 		}
 		return nil
 	}
@@ -323,27 +323,11 @@ func (c *config) validate() error {
 			// The documented default: a fixed sketch twice as wide as the
 			// truncation rank, so the sketch error stays well below what
 			// the K-truncation discards anyway.
-			c.sketch.MaxRank = 2 * c.k
+			c.sketch.MaxRank = 2 * c.opts.K
 		}
 		if err := c.sketch.validate(); err != nil {
 			return err
 		}
 	}
-	// The engine layers re-validate, but through the error-returning
-	// path: nothing a misconfigured New can reach panics.
-	if err := c.coreOptions().Validate(); err != nil {
-		return fmt.Errorf("parsvd: %w", err)
-	}
 	return nil
-}
-
-// coreOptions maps the public configuration onto the engine option
-// struct.
-func (c *config) coreOptions() core.Options {
-	return core.Options{
-		K:            c.k,
-		ForgetFactor: c.ff,
-		LowRank:      c.lowRank,
-		RLA:          c.rlaOpts,
-	}
 }

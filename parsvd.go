@@ -180,12 +180,12 @@ func (s *SVD) Configuration() Configuration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Configuration{
-		Modes:        s.cfg.k,
-		ForgetFactor: s.cfg.ff,
+		Modes:        s.cfg.opts.K,
+		ForgetFactor: s.cfg.opts.FF,
 		Backend:      s.cfg.backend,
 		Ranks:        s.cfg.ranks,
-		LowRank:      s.cfg.lowRank,
-		RLA:          s.cfg.rlaOpts,
+		LowRank:      s.cfg.opts.LowRank,
+		RLA:          s.cfg.opts.RLA,
 		Shards:       s.cfg.shards,
 		Shard:        shardInfo(s.cfg.shard),
 		Sketched:     s.cfg.sketchOn,
@@ -248,8 +248,8 @@ type Stats struct {
 type engine interface {
 	push(b *mat.Dense) error
 	// state reports the global decomposition: the modes (mode-major
-	// ModeRows or M×K Modes), singular values, counters and the validated
-	// options the engine runs with. Serial and Parallel read it in
+	// ModeBlocks or M×K Modes), singular values, counters and the options
+	// the engine runs with. Serial and Parallel read it in
 	// place, WithShards reduces its shards up the merge tree and Distributed
 	// parses the fleet's SAVE checkpoint. The State may share the
 	// engine's storage: read it before the next push, copy what must
@@ -326,9 +326,9 @@ func New(opts ...Option) (*SVD, error) {
 	}
 	switch cfg.backend {
 	case Serial:
-		s.eng = newSerialEngine(cfg.coreOptions())
+		s.eng = newSerialEngine(cfg.opts)
 	case Parallel:
-		s.eng = newParallelEngine(cfg.coreOptions(), cfg.ranks)
+		s.eng = newParallelEngine(cfg.opts, cfg.ranks)
 	case Distributed:
 		// The worker fleet spawns lazily on the first batch.
 		s.eng = newDistEngine(cfg)
@@ -458,7 +458,7 @@ func (s *SVD) pushLocked(b *Matrix) error {
 		if err := checkBatch(b, s.rows); err != nil {
 			return err
 		}
-		q, sk, err := sketchBatch(b, s.cfg.sketch, s.cfg.rlaOpts)
+		q, sk, err := sketchBatch(b, s.cfg.sketch, s.cfg.opts.RLA)
 		if err != nil {
 			return err
 		}
@@ -528,7 +528,7 @@ func (s *SVD) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Backend:   s.cfg.backend,
-		K:         s.cfg.k,
+		K:         s.cfg.opts.K,
 		Ranks:     s.cfg.ranks,
 		Rows:      s.rows,
 		Snapshots: s.snapshots,
