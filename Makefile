@@ -101,15 +101,19 @@ dist-smoke:
 # (mat.ReadValuesT) checked against it (FuzzDecodeBlockInPlace), the
 # PUSH-SKETCH factor-pair decoder, the
 # launcher's SAVE checkpoint reader (FuzzReadBlobState), the HTTP binary
-# matrix body decoder, the HTTP JSON body decoder (create specs, matrices
-# and sketch pairs, FuzzDecodeJSONBody), checkpoint loading and the WAL reader behind
-# Open/Replay (truncated frames, hostile lengths and shapes, non-finite
-# payloads must error, never panic or over-allocate); the model-name
-# check's seeds ride along with the server's.
+# matrix body decoder, the HTTP JSON body decoder (create specs, matrices,
+# sketch pairs and merge requests, FuzzDecodeJSONBody), checkpoint loading,
+# the WAL reader behind Open/Replay and the server's WAL record decoder
+# (FuzzDecodeRecord) (truncated frames, hostile lengths and shapes,
+# non-finite payloads must error, never panic or over-allocate); the
+# model-name check's seeds ride along with the server's. The record
+# decoder's seeds are whole WAL records of 1–2 KB, which the fuzzer's
+# default 60 s minimization of each new input would spend the whole
+# 10 s on, so its live run minimizes for at most 1 s.
 fuzz-smoke:
 	$(GO) test -run 'FuzzReadFrame|TestRendezvousRefusesHostileFrameLength' ./internal/mpi/tcptransport
 	$(GO) test -run 'Fuzz|TestDecodeBlock|TestReadSessionFrame|TestReadBlobState' ./internal/launch
-	$(GO) test -run 'FuzzReadMatrix|FuzzDecodeJSONBody|FuzzValidName|TestValidName|TestRetiredInitRankStillLoads' ./server
+	$(GO) test -run 'FuzzReadMatrix|FuzzDecodeJSONBody|FuzzDecodeRecord|FuzzValidName|TestValidName|TestRetiredInitRankStillLoads' ./server
 	$(GO) test -run 'FuzzLoad|TestLoadRejectsHostileShapes' .
 	$(GO) test -run 'FuzzWALOpen|TestTornTail' ./internal/wal
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/mpi/tcptransport
@@ -119,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBlobState -fuzztime 10s -run '^$$' ./internal/launch
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime 10s -run '^$$' ./server
 	$(GO) test -fuzz FuzzDecodeJSONBody -fuzztime 10s -run '^$$' ./server
+	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./server
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s -run '^$$' .
 	$(GO) test -fuzz FuzzWALOpen -fuzztime 10s -run '^$$' ./internal/wal
 

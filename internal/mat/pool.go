@@ -59,15 +59,24 @@ var kernelPool struct {
 func startKernelPool() {
 	kernelPool.workers = runtime.GOMAXPROCS(0)
 	kernelPool.tasks = make(chan gemmTask, 8*kernelPool.workers)
+	// Each worker's private buffer, warm across tasks, is allocated here,
+	// and the pool starts only once every worker runs: a worker first
+	// scheduled later would make its first allocations (the buffer, and
+	// the runtime's wait record for its first blocking receive) inside
+	// whatever runs then.
+	var running sync.WaitGroup
+	running.Add(kernelPool.workers)
 	for w := 0; w < kernelPool.workers; w++ {
+		buf := new(packBuf)
 		go func() {
-			buf := new(packBuf) // private, stays warm across tasks
+			running.Done()
 			for t := range kernelPool.tasks {
 				t.run(buf)
 				t.wg.Done()
 			}
 		}()
 	}
+	running.Wait()
 }
 
 // dispatchRows runs the mc-blocked ic loop of one (jc, pc) panel pair,

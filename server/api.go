@@ -91,7 +91,9 @@ type ModelInfo struct {
 	Version uint64    `json:"version"`
 	// QueueDepth is the number of pushes waiting in the ingest queue.
 	QueueDepth int `json:"queue_depth"`
-	// IngestErr is the last view-publish fault, "" when healthy.
+	// IngestErr is the last server-side ingest fault (an engine failure,
+	// a failed WAL append, a fleet that did not start, a failed publish),
+	// "" when healthy. A refused push, sketch or merge is not a fault.
 	IngestErr string `json:"ingest_error,omitempty"`
 }
 
@@ -328,7 +330,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	req := newPushReq(batch)
+	req := newPushReq(record{batch: batch})
 	if !enqueueOrReject(w, m, req) {
 		return
 	}
@@ -361,10 +363,11 @@ func writePushAck(w http.ResponseWriter, r *http.Request, req *pushReq) {
 }
 
 // handlePushSketch ingests one compressed sketch factor pair (see
-// SketchPushJSON). The pair rides the model's single-writer queue like a
-// push, but never coalesces with raw batches: it is one engine update
-// with its own compressed WAL record. Factor-pair shape errors (mismatched
-// inner dimension, wrong row count) surface from SVD.PushSketch as 400s.
+// SketchPushJSON) as a sketch record. It rides the model's single-writer
+// queue like a push, but never coalesces with raw batches: it is one
+// engine update, logged in its compressed form. Factor-pair shape errors
+// (mismatched inner dimension, wrong row count) surface from
+// SVD.PushSketch as 400s and leave the model healthy.
 func (s *Server) handlePushSketch(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.lookup(w, r)
 	if !ok {
@@ -375,7 +378,7 @@ func (s *Server) handlePushSketch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	req := &pushReq{sketchQ: q, sketchS: sk, done: make(chan ingestResult, 1)}
+	req := newPushReq(record{q: q, s: sk})
 	if !enqueueOrReject(w, m, req) {
 		return
 	}
@@ -444,7 +447,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mreq := &pushReq{mergeCkpt: ckpt, done: make(chan ingestResult, 1)}
+	mreq := newPushReq(record{merge: ckpt})
 	if !enqueueOrReject(w, m, mreq) {
 		return
 	}

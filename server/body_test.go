@@ -109,18 +109,20 @@ func TestReadMatrixNonFinite(t *testing.T) {
 }
 
 // FuzzDecodeJSONBody feeds arbitrary bytes to the JSON request-body
-// decoder as each body it reads: a create spec, a matrix (push, project)
-// and a sketch factor pair. It must refuse malformed input with an error,
-// never panic; a body it accepts decodes to a value that re-encodes and
-// decodes back to itself, and a matrix it accepts is well formed or
-// refused by MatrixJSON.Matrix. Unknown fields are ignored, so a spec
-// carrying the retired "init_rank" still loads.
+// decoder as each body it reads: a create spec, a matrix (push, project),
+// a sketch factor pair and a merge request. It must refuse malformed
+// input with an error, never panic; a body it accepts decodes to a value
+// that re-encodes and decodes back to itself, and a matrix it accepts is
+// well formed or refused by MatrixJSON.Matrix. Unknown fields are
+// ignored, so a spec carrying the retired "init_rank" still loads.
 func FuzzDecodeJSONBody(f *testing.F) {
 	f.Add([]byte(`{"name":"m","modes":12,"forget_factor":0.95,"init_rank":12}`))
 	f.Add([]byte(`{"name":"d","backend":"distributed","ranks":2,"low_rank":{"oversample":5,"seed":-3},"shard":{"index":1,"count":3}}`))
 	f.Add([]byte(`{"rows":2,"cols":2,"data":[1,-2.5,3e-300,0]}`))
 	f.Add([]byte(`{"q":{"rows":3,"cols":1,"data":[1,0,0]},"s":{"rows":1,"cols":2,"data":[4,5]}}`))
 	f.Add([]byte(`{"rows":2,"cols":2,"data":[1,2,3]} {}`))
+	f.Add([]byte(`{"model":"shard-1","checkpoint":"R1BTVg=="}`))
+	f.Add([]byte(`{"checkpoint":""}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkJSONRoundTrip(t, body, func() any { return new(ModelSpec) })
 		if mj, ok := checkJSONRoundTrip(t, body, func() any { return new(MatrixJSON) }).(*MatrixJSON); ok {
@@ -130,6 +132,7 @@ func FuzzDecodeJSONBody(f *testing.F) {
 			checkMatrixJSON(t, sj.Q)
 			checkMatrixJSON(t, sj.S)
 		}
+		checkJSONRoundTrip(t, body, func() any { return new(MergeRequest) })
 	})
 }
 
@@ -149,6 +152,13 @@ func checkJSONRoundTrip(t *testing.T, body []byte, fresh func() any) any {
 	again := fresh()
 	if err := decodeJSON(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(enc)), again); err != nil {
 		t.Fatalf("%T re-encoded as %s is refused: %v", v, enc, err)
+	}
+	// An empty merge checkpoint ("checkpoint":"") decodes to an empty
+	// non-nil slice, which omitempty re-encodes as absent and which then
+	// decodes as nil. handleMerge tests its length, so both mean "no
+	// checkpoint" and count as equal here.
+	if mr, ok := v.(*MergeRequest); ok && len(mr.Checkpoint) == 0 {
+		mr.Checkpoint = nil
 	}
 	if !reflect.DeepEqual(v, again) {
 		t.Fatalf("%T does not survive a round trip: %+v, then %+v", v, v, again)

@@ -54,8 +54,9 @@ func wantSameMatrix(t *testing.T, got, want *parsvd.Matrix, what string) {
 // TestBinaryFormatConformance: the deterministic workload pushed at one
 // model as raw JSON and at another through the client's binary bodies
 // yields bit-identical spectra, modes, projections and WAL batch records.
-// Hostile binary bodies are refused with 400 and leave the model serving
-// unchanged; an oversize one gets 413; JSON stays the answer to any
+// Hostile binary bodies, and a batch and a sketch with the wrong row
+// count, are refused with 400 and leave the model serving unchanged with
+// no ingest fault; an oversize body gets 413; JSON stays the answer to any
 // request that does not ask for binary.
 func TestBinaryFormatConformance(t *testing.T) {
 	dir := t.TempDir()
@@ -149,7 +150,7 @@ func TestBinaryFormatConformance(t *testing.T) {
 	wantSameMatrix(t, coeffs, jsonCoeffs, "binary projection")
 
 	// Hostile binary bodies: 400 each, and the model keeps serving the
-	// same spectrum with no ingest fault recorded.
+	// same spectrum with no ingest fault recorded (checked below).
 	hostile := server.HostileBodies(t)
 	for name, body := range hostile {
 		for _, op := range []string{"push", "push-sketch", "project", "reconstruct"} {
@@ -159,6 +160,14 @@ func TestBinaryFormatConformance(t *testing.T) {
 			}
 		}
 	}
+	// Well-formed bodies the engine refuses — a batch and a sketch factor
+	// pair with the wrong row count — are 400s too, and no more an ingest
+	// fault than a malformed body: only server-side failures are.
+	short := batches[0].Rows() - 4
+	_, err = s.c.Push(ctx, "bin", testMatrix(short, 2))
+	wantStatus(t, err, http.StatusBadRequest)
+	_, err = s.c.PushSketched(ctx, "bin", testMatrix(short, 1), testMatrix(1, 2))
+	wantStatus(t, err, http.StatusBadRequest)
 	// A body of unknown length that declares more than MaxBodyBytes is
 	// refused before anything is allocated.
 	var huge []byte
@@ -182,7 +191,7 @@ func TestBinaryFormatConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.IngestErr != "" {
-		t.Fatalf("hostile bodies recorded an ingest fault: %s", info.IngestErr)
+		t.Fatalf("refused bodies recorded an ingest fault: %s", info.IngestErr)
 	}
 
 	// Both models logged the same bytes: each record is the batch's binary

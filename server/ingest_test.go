@@ -51,7 +51,7 @@ func TestMicroBatchCoalescingBitIdentical(t *testing.T) {
 	m := newModel(ModelSpec{Name: "coalesce"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = newPushReq(full.SliceCols(j, j+1))
+		reqs[j] = newPushReq(record{batch: full.SliceCols(j, j+1)})
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -120,7 +120,7 @@ func TestCoalesceRespectsMaxCoalesce(t *testing.T) {
 	m := newModel(ModelSpec{Name: "split"}, svd, cfg)
 	reqs := make([]*pushReq, n)
 	for j := 0; j < n; j++ {
-		reqs[j] = newPushReq(detMatrix(rows, 1, float64(j)))
+		reqs[j] = newPushReq(record{batch: detMatrix(rows, 1, float64(j))})
 		if err := m.enqueue(reqs[j]); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestRetryAfterDerivedFromQueueOccupancy(t *testing.T) {
 	// MaxCoalesce=2 drain in ~3 coalesced updates.
 	var reqs []*pushReq
 	for j := 0; j < 6; j++ {
-		req := newPushReq(detMatrix(8, 1, float64(j)))
+		req := newPushReq(record{batch: detMatrix(8, 1, float64(j))})
 		if err := m.enqueue(req); err != nil {
 			t.Fatalf("enqueue %d: %v", j, err)
 		}
@@ -312,7 +312,7 @@ func TestShutdownFlushesQueue(t *testing.T) {
 	}
 	var reqs []*pushReq
 	for j := 0; j < 5; j++ {
-		req := newPushReq(detMatrix(8, 1, float64(j)))
+		req := newPushReq(record{batch: detMatrix(8, 1, float64(j))})
 		if err := m.enqueue(req); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"os"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -62,33 +60,30 @@ type model struct {
 	replayedOnBoot  uint64
 }
 
-// pushReq is one queued ingest operation: a snapshot batch, a compressed
-// (Q, S) sketch factor pair — when sketchQ is set — or, when mergeCkpt is
-// set, a checkpoint to absorb through SVD.Merge. Sketched pushes and
-// merges ride the same single-writer queue as pushes, so the WAL ordering
-// and durability barrier apply to them unchanged. done is buffered so the
-// ingest loop can always deliver the outcome, even when the submitting
-// handler has already given up (context canceled → 499) and gone away.
+// pushReq is one queued ingest record: a snapshot batch, a sketched
+// push or a merge. All three ride the same single-writer queue, so the
+// WAL ordering and durability barrier apply to each alike. done is
+// buffered so the ingest loop can always deliver the outcome, even when
+// the submitting handler has already given up (context canceled → 499)
+// and gone away.
 type pushReq struct {
-	batch            *parsvd.Matrix
-	sketchQ, sketchS *parsvd.Matrix
-	mergeCkpt        []byte
-	done             chan ingestResult
+	rec  record
+	done chan ingestResult
 }
 
 // ingestResult is the ingest loop's answer to one request: the View that
 // the request's own publish stored, so its ack reports that state even
 // when a later micro-batch has published since; the accumulated merge
-// bound after a merge; or the error.
+// bound at that publish; or the error.
 type ingestResult struct {
 	view       *View
 	mergeBound float64
 	err        error
 }
 
-// newPushReq wraps a snapshot batch for the ingest queue.
-func newPushReq(batch *parsvd.Matrix) *pushReq {
-	return &pushReq{batch: batch, done: make(chan ingestResult, 1)}
+// newPushReq wraps a record for the ingest queue.
+func newPushReq(rec record) *pushReq {
+	return &pushReq{rec: rec, done: make(chan ingestResult, 1)}
 }
 
 // newModel wires a model around an SVD but does not start its ingest
@@ -203,7 +198,7 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 	// queue position. (Stacking reconstructed sketches with raw batches
 	// would force the reconstruction onto the ingest loop and log the
 	// expanded rows, forfeiting the compression the sender paid for.)
-	if first.mergeCkpt != nil || first.sketchQ != nil {
+	if first.rec.batch == nil {
 		return reqs
 	}
 	for len(reqs) < m.cfg.MaxCoalesce {
@@ -211,9 +206,9 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 		case r := <-m.queue:
 			m.pending.Add(-1)
 			reqs = append(reqs, r)
-			if r.mergeCkpt != nil || r.sketchQ != nil {
+			if r.rec.batch == nil {
 				// The merge or sketch ends the micro-batch; apply handles
-				// it as its own run after the batches queued ahead of it.
+				// it as its own record after the batches queued ahead of it.
 				return reqs
 			}
 		default:
@@ -223,128 +218,67 @@ func (m *model) coalesce(first *pushReq) []*pushReq {
 	return reqs
 }
 
-// apply stacks queued batches into engine updates and fans the outcome
-// back to each submitter. Consecutive requests with equal row counts form
-// one run and are HStacked into a single Push — arrival order is
+// apply turns queued requests into records and fans each record's outcome
+// back to its submitters. Consecutive batches with equal row counts form
+// one run and are HStacked into a single batch record — arrival order is
 // preserved, which is what makes N coalesced single-snapshot pushes
 // bit-identical to one stacked push. A run with a mismatched row count
 // (only possible before the first batch pins M, or from a caller bug)
 // simply starts its own run and lets Push report the dimension error.
 func (m *model) apply(reqs []*pushReq) {
 	for start := 0; start < len(reqs); {
-		if reqs[start].mergeCkpt != nil {
-			m.applyMerge(reqs[start])
-			start++
-			continue
-		}
-		if reqs[start].sketchQ != nil {
-			m.applySketch(reqs[start])
-			start++
-			continue
-		}
-		end := start + 1
-		rows := reqs[start].batch.Rows()
-		for end < len(reqs) && reqs[end].mergeCkpt == nil && reqs[end].sketchQ == nil && reqs[end].batch.Rows() == rows {
-			end++
-		}
-		run := reqs[start:end]
-		stacked := run[0].batch
-		if len(run) > 1 {
-			batches := make([]*parsvd.Matrix, len(run))
-			for i, r := range run {
-				batches[i] = r.batch
+		rec, end := reqs[start].rec, start+1
+		if rec.batch != nil {
+			rows := rec.batch.Rows()
+			for end < len(reqs) && reqs[end].rec.batch != nil && reqs[end].rec.batch.Rows() == rows {
+				end++
 			}
-			stacked = parsvd.HStack(batches...)
+			if end-start > 1 {
+				batches := make([]*parsvd.Matrix, 0, end-start)
+				for _, r := range reqs[start:end] {
+					batches = append(batches, r.rec.batch)
+				}
+				rec = record{batch: parsvd.HStack(batches...)}
+			}
 		}
-		var res ingestResult
-		res.err = m.svd.Push(stacked)
-		if res.err == nil {
-			// Durability barrier: the applied micro-batch is logged (and,
-			// under FsyncAlways, fsynced) before any pusher sees its 200.
-			// The stacked batch is recorded exactly as the engine consumed
-			// it, so replay reproduces the same micro-batch boundaries —
-			// and with them the same forget-factor weighting — bit for bit.
-			res.err = m.logDurable(encodeBatchPayload(stacked))
-		}
-		if res.err == nil {
-			// A publish failure (poisoned parallel world during the
-			// gather) counts against the pushers too: their data is in an
-			// engine that can no longer serve it.
-			res.view, res.err = m.publish()
-		} else {
-			// Record the fault so /stats and listings show a dead or
-			// misfed model, not just a stream of failed pushes.
-			msg := res.err.Error()
-			m.ingestErr.Store(&msg)
-		}
-		for _, r := range run {
+		res := m.applyRecord(rec)
+		for _, r := range reqs[start:end] {
 			r.done <- res
 		}
 		start = end
 	}
 }
 
-// applyMerge absorbs a checkpoint into the model through SVD.Merge,
-// with the same durability barrier as a push: the merge record (the
-// absorbed checkpoint, verbatim) is in the WAL before the caller sees
-// its ack, so a crash at any point recovers to exactly the pre-merge
-// state (record not yet durable: replay stops before it) or the
-// post-merge state (record durable: replay re-applies it) — never a
-// partial merge. Merge itself validates the checkpoint fully before
-// touching the engine, so a corrupt upload is a clean refusal that
-// leaves the model serving.
-func (m *model) applyMerge(req *pushReq) {
-	var res ingestResult
-	res.err = m.svd.Merge(bytes.NewReader(req.mergeCkpt))
+// applyRecord applies one record to the engine under the durability
+// barrier: the record is logged (and, under FsyncAlways, fsynced) before
+// any submitter sees its ack, so a crash at any point recovers to the
+// state before the record (not yet durable: replay stops before it) or
+// after it (durable: replay re-applies it) — never a partial one. A
+// failed publish fails the submitters too: their data is in an engine
+// that can no longer serve it. Only a server-side fault (an engine
+// failure, a failed WAL append, a fleet that did not start, a failed
+// publish) is recorded in the model's health; a refused record (a
+// wrong-row batch, an incompatible checkpoint) leaves the model healthy.
+func (m *model) applyRecord(rec record) (res ingestResult) {
+	res.err = rec.apply(m.svd)
 	if res.err == nil {
-		res.err = m.logDurable(encodeMergePayload(req.mergeCkpt))
+		res.err = m.logDurable(rec.encode())
 	}
 	if res.err == nil {
 		res.view, res.err = m.publish()
 		res.mergeBound = m.svd.MergeBound()
-	} else if !isValidationError(res.err) {
-		// Only record engine/durability faults in the model health: a
-		// refused (incompatible or corrupt) checkpoint leaves the model
-		// fully healthy.
+	}
+	if res.err != nil && httpStatus(res.err) >= http.StatusInternalServerError {
 		msg := res.err.Error()
 		m.ingestErr.Store(&msg)
 	}
-	req.done <- res
+	return res
 }
 
-// applySketch ingests one compressed (Q, S) factor pair through
-// SVD.PushSketch, under the same durability barrier as a push: the WAL
-// record carries the pair in its compressed form (the reconstruction is
-// deterministic, so replay is bit-exact) and is durable before the
-// sender sees its ack.
-func (m *model) applySketch(req *pushReq) {
-	var res ingestResult
-	res.err = m.svd.PushSketch(req.sketchQ, req.sketchS)
-	if res.err == nil {
-		res.err = m.logDurable(encodeSketchPayload(req.sketchQ, req.sketchS))
-	}
-	if res.err == nil {
-		res.view, res.err = m.publish()
-	} else {
-		msg := res.err.Error()
-		m.ingestErr.Store(&msg)
-	}
-	req.done <- res
-}
-
-// isValidationError recognizes merge refusals that leave the model
-// untouched, as opposed to faults of the model itself.
-func isValidationError(err error) bool {
-	return errors.Is(err, parsvd.ErrBadCheckpoint) ||
-		errors.Is(err, parsvd.ErrMergeIncompatible) ||
-		errors.Is(err, parsvd.ErrShardOverlap)
-}
-
-// logDurable appends an applied ingest record (a framed micro-batch or
-// merge payload) to the write-ahead log, keyed by the engine's
-// post-apply Updates counter — the same counter a checkpoint carries,
-// which is what lets replay-on-boot skip records a checkpoint already
-// covers. Under FsyncAlways the record is on stable storage when this
+// logDurable appends an applied record's payload to the write-ahead
+// log, keyed by the engine's post-apply Updates counter — the same
+// counter a checkpoint carries, which is what lets replay-on-boot skip
+// records a checkpoint already covers. Under FsyncAlways the record is on stable storage when this
 // returns; under lazier policies the append is buffered and the ack's
 // meaning weakens accordingly (Config docs).
 //
@@ -367,14 +301,11 @@ func (m *model) logDurable(payload []byte) error {
 
 // publish deep-copies the decomposition into a fresh View, swaps it in
 // (copy-on-publish) and returns it. Readers holding the previous View
-// keep it; new readers see this one. A failed gather (poisoned parallel
-// world) keeps the last good View, records the fault for /stats and
-// reports it.
+// keep it; new readers see this one. A failed gather (a dead worker
+// fleet) keeps the last good View and reports the fault.
 func (m *model) publish() (*View, error) {
 	res, err := m.svd.Result()
 	if err != nil {
-		msg := err.Error()
-		m.ingestErr.Store(&msg)
 		m.cfg.Logf("parsvd-serve: model %s: publishing view: %v", m.name, err)
 		return nil, err
 	}
@@ -426,36 +357,10 @@ func (m *model) checkpointIfDirty() {
 	}
 }
 
-func (m *model) checkpoint() error {
-	path := m.checkpointPath()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.svd.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// fsync before the rename: a checkpoint that becomes the WAL's
-	// truncation barrier must itself be on stable storage before the
-	// covered records rotate out.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(m.cfg.CheckpointDir)
-	return nil
-}
+// checkpoint saves the engine durably. The fsync before the rename
+// matters: a checkpoint that becomes the WAL's truncation barrier must
+// itself be on stable storage before the covered records rotate out.
+func (m *model) checkpoint() error { return writeFileDurably(m.checkpointPath(), m.svd.Save) }
 
 // finish is the quit path of the ingest loop: by the time it runs,
 // shutdown has set closed under the exclusive lock, so the queue can no
@@ -519,7 +424,8 @@ func (m *model) flushOnQuit() bool {
 	return m.flush
 }
 
-// lastIngestError returns the most recent view-publish fault, "" if none.
+// lastIngestError returns the most recent server-side ingest fault, ""
+// if none.
 func (m *model) lastIngestError() string {
 	if p := m.ingestErr.Load(); p != nil {
 		return *p

@@ -43,7 +43,7 @@ func TestRacePushersAndReaders(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				req := newPushReq(detMatrix(rows, 1, float64(p*1000+i)))
+				req := newPushReq(record{batch: detMatrix(rows, 1, float64(p*1000+i))})
 				for m.enqueue(req) != nil {
 					runtime.Gosched()
 				}

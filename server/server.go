@@ -348,7 +348,13 @@ func (s *Server) restoreModel(name string) error {
 				return fmt.Errorf("wal resumes at seq %d but the checkpoint covers through %d (gap)", seq, expected)
 			}
 			expected = seq
-			return replayRecord(svd, payload)
+			// The record is applied through the same record.apply the
+			// ingest loop used when it was first acked.
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			return rec.apply(svd)
 		})
 		if replayErr != nil {
 			wlog.Close()

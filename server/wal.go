@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -73,121 +74,128 @@ func openModelWAL(cfg Config, name string) (*wal.Log, error) {
 	})
 }
 
-// encodeBatchPayload frames one applied micro-batch as a WAL record
-// payload: its binary matrix body (body.go), so the matrix round-trips
-// bit-for-bit — replaying the log reproduces the exact update stream.
-func encodeBatchPayload(b *parsvd.Matrix) []byte { return AppendMatrix(nil, b) }
+// record is one ingest operation, from the queue through the WAL to
+// boot replay. Exactly one kind is set: a snapshot batch, applied through
+// SVD.Push; a sketched push's compressed (q, s) factor pair, applied
+// through SVD.PushSketch; or, when neither is, a checkpoint to absorb
+// through SVD.Merge. The live ingest loop and replay both apply a record
+// through apply, so they cannot drift apart.
+type record struct {
+	batch *parsvd.Matrix
+	q, s  *parsvd.Matrix
+	merge []byte
+}
 
-// decodeBatchPayload is the replay-side inverse.
-func decodeBatchPayload(payload []byte) (*parsvd.Matrix, error) {
-	m, err := mat.DecodeBlock(payload)
-	if err != nil {
-		return nil, fmt.Errorf("server: wal record: %w", err)
+// A WAL record payload's first 8 bytes are its kind. A batch payload is a
+// snapshot block (body.go), whose leading little-endian tag is always
+// zero; merge and sketch payloads start with 8 non-zero ASCII bytes, so
+// the prefixes cannot collide. A merge payload is the magic followed by
+// the absorbed checkpoint, verbatim; a sketch payload is the magic
+// followed by the factor pair in the layout of internal/mat/codec.go —
+// the pair exactly as it arrived, never the reconstructed q·s, so the
+// log stays as small as the wire traffic and replay reproduces the same
+// deterministic reconstruction.
+const (
+	mergeMagic  = "GPSVMERG"
+	sketchMagic = "GPSVSKCH"
+)
+
+// encode frames the record as a WAL payload. A batch is logged exactly
+// as the engine consumed it, so replay reproduces the same micro-batch
+// boundaries — and with them the same forget-factor weighting — bit for
+// bit.
+func (r record) encode() []byte {
+	switch {
+	case r.batch != nil:
+		return AppendMatrix(nil, r.batch)
+	case r.q != nil:
+		buf := append(make([]byte, 0, len(sketchMagic)+mat.FactorPairLen(r.q, r.s)), sketchMagic...)
+		return mat.AppendFactorPair(buf, r.q, r.s)
 	}
-	return m, nil
+	return append(append(make([]byte, 0, len(mergeMagic)+len(r.merge)), mergeMagic...), r.merge...)
 }
 
-// mergeMagic prefixes a WAL record that carries a merge instead of a
-// snapshot micro-batch: the payload is the magic followed by the
-// absorbed checkpoint bytes, verbatim. The prefix cannot collide with a
-// batch record: a batch payload is a snapshot block, whose first 8 bytes
-// are the little-endian tag — always zero — while the magic is 8 non-zero
-// ASCII bytes.
-var mergeMagic = []byte("GPSVMERG")
-
-// encodeMergePayload frames an applied merge for the WAL: replaying it
-// re-applies the exact same checkpoint through parsvd.SVD.Merge.
-func encodeMergePayload(ckpt []byte) []byte {
-	return append(append(make([]byte, 0, len(mergeMagic)+len(ckpt)), mergeMagic...), ckpt...)
-}
-
-// isMergePayload distinguishes merge records from batch records.
-func isMergePayload(payload []byte) bool {
-	return len(payload) >= len(mergeMagic) && string(payload[:len(mergeMagic)]) == string(mergeMagic)
-}
-
-// mergeCheckpoint strips the magic, returning the absorbed checkpoint.
-func mergeCheckpoint(payload []byte) []byte { return payload[len(mergeMagic):] }
-
-// sketchMagic prefixes a WAL record that carries a sketched push: the
-// compressed (Q, S) factor pair is logged exactly as it arrived — never
-// the reconstructed Q·S — so the log stays as small as the wire traffic
-// and replay reproduces the identical deterministic reconstruction. Like
-// mergeMagic, the 8 non-zero ASCII bytes cannot collide with a batch
-// record.
-var sketchMagic = []byte("GPSVSKCH")
-
-// encodeSketchPayload frames an applied sketched push for the WAL: the
-// magic, then the factor pair in the layout of internal/mat/codec.go.
-func encodeSketchPayload(q, s *parsvd.Matrix) []byte {
-	payload := append(make([]byte, 0, len(sketchMagic)+mat.FactorPairLen(q, s)), sketchMagic...)
-	return mat.AppendFactorPair(payload, q, s)
-}
-
-// isSketchPayload distinguishes sketched-push records from the others.
-func isSketchPayload(payload []byte) bool {
-	return len(payload) >= len(sketchMagic) && string(payload[:len(sketchMagic)]) == string(sketchMagic)
-}
-
-// decodeSketchPayload is the replay-side inverse of encodeSketchPayload.
-func decodeSketchPayload(payload []byte) (q, s *parsvd.Matrix, err error) {
-	return mat.DecodeFactorPair(payload[len(sketchMagic):])
-}
-
-// replayRecord re-applies one WAL record to svd: a merge record through
-// Merge (re-absorbing the logged checkpoint), a sketch record through
-// PushSketch (the compressed pair reconstructs deterministically, so
-// replay is bit-exact), a batch record through Push — the same
-// operations, in the same order, as the original ingest.
-func replayRecord(svd *parsvd.SVD, payload []byte) error {
-	if isMergePayload(payload) {
-		return svd.Merge(bytes.NewReader(mergeCheckpoint(payload)))
+// decodeRecord is the inverse of encode: it reads the payload's kind
+// from its first 8 bytes once. A merge record's checkpoint aliases
+// payload; Merge validates it when the record is applied.
+func decodeRecord(payload []byte) (record, error) {
+	var kind string
+	if len(payload) >= len(mergeMagic) {
+		kind = string(payload[:len(mergeMagic)])
 	}
-	if isSketchPayload(payload) {
-		q, sk, err := decodeSketchPayload(payload)
+	switch kind {
+	case mergeMagic:
+		return record{merge: payload[len(mergeMagic):]}, nil
+	case sketchMagic:
+		q, s, err := mat.DecodeFactorPair(payload[len(sketchMagic):])
 		if err != nil {
-			return fmt.Errorf("server: wal sketch record: %w", err)
+			return record{}, fmt.Errorf("server: wal sketch record: %w", err)
 		}
-		return svd.PushSketch(q, sk)
+		return record{q: q, s: s}, nil
 	}
-	batch, err := decodeBatchPayload(payload)
+	batch, err := mat.DecodeBlock(payload)
 	if err != nil {
-		return err
+		return record{}, fmt.Errorf("server: wal record: %w", err)
 	}
-	return svd.Push(batch)
+	return record{batch: batch}, nil
 }
 
-// writeSpecFile persists the creation spec durably (write, fsync, atomic
-// rename, directory fsync), so the model exists after a crash even before
-// its first checkpoint.
+// apply runs the record's engine operation on svd. Merge validates the
+// checkpoint fully before it touches the engine, so a corrupt upload is a
+// clean refusal; a sketched pair reconstructs deterministically, so its
+// replay is bit-exact.
+func (r record) apply(svd *parsvd.SVD) error {
+	switch {
+	case r.batch != nil:
+		return svd.Push(r.batch)
+	case r.q != nil:
+		return svd.PushSketch(r.q, r.s)
+	}
+	return svd.Merge(bytes.NewReader(r.merge))
+}
+
+// writeSpecFile persists the creation spec durably, so the model exists
+// after a crash even before its first checkpoint.
 func writeSpecFile(dir string, spec ModelSpec) error {
 	buf, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("server: encoding model spec: %w", err)
 	}
-	path := specFilePath(dir, spec.Name)
+	err = writeFileDurably(specFilePath(dir, spec.Name), func(w io.Writer) error {
+		_, err := w.Write(append(buf, '\n'))
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("server: writing model spec: %w", err)
+	}
+	return nil
+}
+
+// writeFileDurably replaces path with what write produces: it writes a
+// temporary file beside path, fsyncs it, renames it over path and fsyncs
+// the directory, so a crash leaves the old file or the new one, never a
+// torn one. The temporary file is removed on every failure.
+func writeFileDurably(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("server: writing model spec: %w", err)
+		return err
 	}
-	if _, err := f.Write(append(buf, '\n')); err == nil {
+	err = write(f)
+	if err == nil {
 		err = f.Sync()
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("server: writing model spec: %w", err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: writing model spec: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: writing model spec: %w", err)
-	}
-	syncDir(dir)
+	syncDir(filepath.Dir(path))
 	return nil
 }
 
