@@ -26,6 +26,10 @@ type shardedEngine struct {
 	next   int // round-robin cursor
 	fed    []bool
 	failed error
+
+	// bound is the latest reduction's accumulated truncation bound
+	// (the Bound of the merge tree's root), set by each state() call.
+	bound float64
 }
 
 func newShardedEngine(cfg config) *shardedEngine {
@@ -104,6 +108,7 @@ func (e *shardedEngine) state() (core.State, error) {
 	if err != nil {
 		return core.State{}, err
 	}
+	e.bound = root.Bound
 	return core.State{
 		Opts:       st.Opts,
 		Modes:      root.U,

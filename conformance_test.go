@@ -436,7 +436,7 @@ func TestConformanceRejectsOverflowingSketchPair(t *testing.T) {
 	}
 }
 
-// TestDistributedWireSmoke is the CI dist-smoke gate (make dist-smoke):
+// TestDistributedWireSmoke is the wire-fed fleet gate:
 // a persistent 4-rank worker fleet fed the deterministic workload over
 // the wire, batch by batch through Push, must match the in-process serial
 // reference within 1e-12 — and the fleet must survive the whole stream as

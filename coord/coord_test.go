@@ -3,7 +3,7 @@ package coord_test
 // Coordinator conformance and fault paths: a 3-node × 6-shard
 // coordinated fit over real HTTP must match the monolithic serial fit
 // ≤ 1e-10 on every Source kind (the same exactness fixtures as the
-// merge-smoke gate: forget factor 1.0, K ≥ effective rank), invalid
+// merge conformance gate: forget factor 1.0, K ≥ effective rank), invalid
 // partition plans must be refused before any network traffic, and a
 // node that dies mid-fit must be failed over — its shards refit on a
 // survivor from the Replay source — without loosening the gate.
@@ -70,7 +70,7 @@ func coordMatrix() *parsvd.Matrix {
 }
 
 // coordWorkload is the Burgers workload in its no-truncation (K =
-// Snapshots) configuration, mirroring the merge-smoke fixtures.
+// Snapshots) configuration, mirroring the merge conformance fixtures.
 func coordWorkload() parsvd.Workload {
 	w := parsvd.DefaultWorkload()
 	w.RowsPerRank = 64

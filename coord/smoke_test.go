@@ -1,6 +1,6 @@
 package coord_test
 
-// The coord-smoke CI gate (make coord-smoke): three REAL parsvd-serve
+// The cross-node coordinator gate: three REAL parsvd-serve
 // processes on kernel-picked ports, a 6-shard coordinated fit over the
 // deterministic FromWorkload stream — once driven by the parsvd-coord
 // binary end to end (merged checkpoint written to disk and verified),

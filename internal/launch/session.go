@@ -92,6 +92,10 @@ type Session struct {
 	ops      int64
 	failed   error
 	closed   bool
+
+	// prod holds the rank blocks Q_r·S that PushSketch checks; it grows
+	// only when a taller block or a wider batch arrives.
+	prod []float64
 }
 
 // sessFrame is one parsed reply (or read error) from a worker. A BLOB
@@ -548,7 +552,7 @@ func (s *Session) PushSketch(q, sk *mat.Dense) error {
 	if s.rows == 0 {
 		parts = grid.Partition(q.Rows(), s.cfg.Ranks)
 	}
-	if err := checkProducts(q, sk, parts); err != nil {
+	if err := s.checkProducts(q, sk, parts); err != nil {
 		return err
 	}
 	if _, err := s.op(SessPushSketch, func(w *sessWorker) error {
@@ -568,16 +572,16 @@ func (s *Session) PushSketch(q, sk *mat.Dense) error {
 // worker does (mat.MulInto of the same operands, so the same bits) and
 // reports the first non-finite value: a pair of finite factors can still
 // overflow in their product.
-func checkProducts(q, sk *mat.Dense, parts []grid.Range) error {
-	tallest := 0
-	for _, p := range parts {
-		tallest = max(tallest, p.End-p.Start)
-	}
-	buf := mat.New(tallest, sk.Cols())
+func (s *Session) checkProducts(q, sk *mat.Dense, parts []grid.Range) error {
 	var rows, prod mat.Dense
 	for _, p := range parts {
+		h := p.End - p.Start
+		n := h * sk.Cols()
+		if cap(s.prod) < n {
+			s.prod = make([]float64, n)
+		}
 		q.ViewRows(p.Start, p.End, &rows)
-		buf.ViewRows(0, p.End-p.Start, &prod)
+		prod.Wrap(h, sk.Cols(), s.prod[:n])
 		mat.MulInto(&prod, &rows, sk)
 		if i := mat.FirstNonFinite(prod.RawData()); i >= 0 {
 			return fmt.Errorf("launch: sketch factor pair's product contains a non-finite value (%g)", prod.RawData()[i])

@@ -450,11 +450,13 @@ func TestSessionPushAndDecodeNonFinite(t *testing.T) {
 }
 
 // TestSessionPushAllocatesNoBody: Push writes each rank's PUSH frame from a
-// row view of the batch through the rank's fixed scratch buffer, so the
-// launcher allocates far less per push than one rank's 256 KiB block at
-// the fit-distributed shape (M = 4096, B = 16, two ranks).
+// row view of the batch through the rank's fixed scratch buffer, and
+// PushSketch checks each rank's product Q_r·S in a buffer the session
+// keeps, so the launcher allocates far less per push than one rank's
+// 256 KiB block at the fit-distributed shape (M = 4096, B = 16, two
+// ranks; sketch rank L = 4).
 func TestSessionPushAllocatesNoBody(t *testing.T) {
-	const m, b, pushes = 4096, 16, 8
+	const m, b, l, pushes = 4096, 16, 4, 8
 	s := startTestSession(t, 2, scaling.StreamWorkload{K: 16, FF: 1})
 	defer s.Close()
 	rng := testutil.NewRand(3)
@@ -462,23 +464,39 @@ func TestSessionPushAllocatesNoBody(t *testing.T) {
 	for i := range batches {
 		batches[i] = testutil.RandomDense(m, b, rng)
 	}
-	for _, batch := range batches[:2] { // seed, then one warm update
+	qs, sks := make([]*mat.Dense, pushes+1), make([]*mat.Dense, pushes+1)
+	for i := range qs {
+		qs[i], sks[i] = testutil.RandomDense(m, l, rng), testutil.RandomDense(l, b, rng)
+	}
+	// Seed, then one warm update of each kind.
+	for _, batch := range batches[:2] {
 		if err := s.Push(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, batch := range batches[2:] {
-		if err := s.Push(batch); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.PushSketch(qs[pushes], sks[pushes]); err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	perPush := (after.TotalAlloc - before.TotalAlloc) / pushes
-	t.Logf("%d bytes allocated per push", perPush)
-	if perPush > 32<<10 {
-		t.Fatalf("Session.Push allocated %d bytes per push, want no per-rank body (< 32 KiB)", perPush)
+	for _, tc := range []struct {
+		name string
+		push func(i int) error
+	}{
+		{"Push", func(i int) error { return s.Push(batches[2+i]) }},
+		{"PushSketch", func(i int) error { return s.PushSketch(qs[i], sks[i]) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pushes; i++ {
+			if err := tc.push(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perPush := (after.TotalAlloc - before.TotalAlloc) / pushes
+		t.Logf("%s: %d bytes allocated per push", tc.name, perPush)
+		if perPush > 32<<10 {
+			t.Errorf("Session.%s allocated %d bytes per push, want no per-rank body (< 32 KiB)", tc.name, perPush)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func (s *SVD) Merge(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("parsvd: restoring merged state: %w", err)
 	}
-	bound := s.mergeBound
+	bound := s.mergeBoundLocked()
 	if s.rows != 0 {
 		tail, err := eng.svd.Absorb(st.Modes, st.Singular)
 		if err != nil {
@@ -172,10 +172,22 @@ func checkMergeable(aName string, a core.State, bName string, k int, ff float64,
 // every merge applied to this model. By Weyl's inequality each singular
 // value of the merged model is within this bound of the corresponding
 // value of the exact factorization of the union stream. Zero for a
-// model never merged.
+// model never merged. On a WithShards model it is the bound of the shard
+// reduction as of the latest Result, Save or Fit, which each recompute
+// the reduction (zero before the first).
 func (s *SVD) MergeBound() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.mergeBoundLocked()
+}
+
+// mergeBoundLocked is MergeBound with s.mu held. A WithShards engine
+// keeps its own reduction's bound; Merge swaps any engine for a serial
+// one, so a model has either that bound or s.mergeBound, never both.
+func (s *SVD) mergeBoundLocked() float64 {
+	if e, ok := s.eng.(*shardedEngine); ok {
+		return e.bound
+	}
 	return s.mergeBound
 }
 

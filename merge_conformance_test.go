@@ -4,7 +4,7 @@ package parsvd_test
 // reduced through the merge tree must match the monolithic serial fit
 // ≤ 1e-10 on every Source kind, and the shape of the tree (balanced vs
 // left-deep) must change results only within the accumulated error
-// bound. These tests are the `make merge-smoke` CI gate.
+// bound. These tests are the merge conformance gate.
 //
 // The fixtures run with forget factor 1.0 and K at least the effective
 // rank of the stream: sharding deals batches round-robin across

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 
 	parsvd "goparsvd"
@@ -337,5 +338,63 @@ func TestMergeBoundAccumulates(t *testing.T) {
 			t.Fatalf("LowRank merge: spectrum %v bound %g, dense %v bound %g",
 				got.Singular, twin.MergeBound(), want.Singular, b)
 		}
+	}
+
+	// A WithShards fit reports its own reduction's bound: the one
+	// MergeReaders computes over shard checkpoints dealt the same way
+	// (batches of 4 round-robin across two shards).
+	sharded, err := parsvd.New(parsvd.WithModes(3), parsvd.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sharded.Fit(context.Background(), parsvd.FromMatrix(a, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]io.Reader, 2)
+	for i := range shards {
+		next := 4 * i
+		shard, err := parsvd.New(parsvd.WithModes(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shard.Fit(context.Background(), parsvd.FromBatches(func() (*parsvd.Matrix, error) {
+			if next >= a.Cols() {
+				return nil, io.EOF
+			}
+			next += 8
+			return a.SliceCols(next-8, next-4), nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := shard.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = &buf
+	}
+	merged, err := parsvd.MergeReaders(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := merged.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sharded.MergeBound()
+	if b == 0 || b != merged.MergeBound() || !testutil.CloseSlices(want.Singular, res.Singular, 0) {
+		t.Fatalf("WithShards(2): spectrum %v bound %g, MergeReaders over its shards: spectrum %v bound %g",
+			res.Singular, b, want.Singular, merged.MergeBound())
+	}
+	// A merge into the WithShards fit adds to that bound, as it does on
+	// the MergeReaders model holding the same state.
+	extra := fitAndSave(t, a, 0, 8, parsvd.WithModes(3))
+	for _, m := range []*parsvd.SVD{sharded, merged} {
+		if err := m.Merge(bytes.NewReader(extra)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := sharded.MergeBound(), merged.MergeBound(); got <= b || got != want {
+		t.Fatalf("one more merge: WithShards bound %g, MergeReaders model %g, want equal and > %g", got, want, b)
 	}
 }

@@ -255,7 +255,8 @@ func WithTransport(t TransportConfig) Option {
 // reduces the shard results up a balanced pairwise merge tree (Iwen &
 // Ong, arXiv 1601.07010). The result is an ordinary serial-resumable
 // model; MergeBound reports the accumulated truncation error of the
-// reduction. WithShards(1) is the ordinary unsharded fit.
+// reduction as of the latest Result, Save or Fit. WithShards(1) is the
+// ordinary unsharded fit.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

@@ -576,9 +576,10 @@ func (s *SVD) saveLocked(w io.Writer) (core.State, error) {
 	return st, core.WriteState(w, st)
 }
 
-// Close releases backend resources (the parallel backend's rank
-// goroutines). The SVD is unusable afterwards. Close is idempotent and
-// optional for the serial backend.
+// Close releases backend resources (the Distributed backend's worker
+// fleet: every parsvd-worker process is shut down and reaped). The SVD is
+// unusable afterwards. Close is idempotent and optional for the Serial
+// and Parallel backends.
 func (s *SVD) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

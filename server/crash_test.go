@@ -155,7 +155,7 @@ func drainBatches(t *testing.T, w parsvd.Workload, ranks int) []*parsvd.Matrix {
 	}
 }
 
-// TestCrashRecoverySIGKILL is the crash gate (make crash-smoke): a real
+// TestCrashRecoverySIGKILL is the crash gate: a real
 // parsvd-serve process is SIGKILLed mid-stream — after a known prefix of
 // acked pushes — and rebooted on the same directory. The rebooted server
 // must serve the spectrum of exactly that acked prefix, within 1e-12 of an

@@ -10,7 +10,7 @@ import (
 // TestRacePushersAndReaders hammers Push + Result.Clone through the view
 // layer: concurrent pushers feed one model while readers grab whatever
 // View is current, clone its Result and scribble on the clone. Run under
-// -race (make race, make serve-smoke in CI) this proves that no reader
+// -race (make race) this proves that no reader
 // ever observes — let alone shares — the engine's recycled mode storage,
 // and that Clone really severs all aliasing.
 func TestRacePushersAndReaders(t *testing.T) {

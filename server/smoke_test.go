@@ -15,7 +15,7 @@ import (
 	"goparsvd/server/client"
 )
 
-// TestServeSmoke is the CI serving gate (make serve-smoke): boot the
+// TestServeSmoke is the serving gate: boot the
 // server on a random loopback port, create a model matching the
 // deterministic benchmark workload, stream the FromWorkload batches at it
 // through the typed client, and require the served spectrum to match an

@@ -5,8 +5,8 @@ package parsvd_test
 // every Source flavor and every backend, be exact (to roundoff) when the
 // sketch width covers the batch rank, maintain the cross-backend traffic
 // counters (PushedBytes / WireBytes / SketchedPushes) consistently, and
-// never panic on bad RLA or Sketch options. TestSketchSmoke is the CI
-// sketch-smoke gate (make sketch-smoke): a 4-rank TCP fleet fed sketched
+// never panic on bad RLA or Sketch options. TestSketchSmoke is the
+// sketched-push gate: a 4-rank TCP fleet fed sketched
 // pushes must match the unsketched serial reference AND measure a >= 4x
 // wire-bytes reduction.
 
@@ -321,7 +321,7 @@ func TestSketchOptionsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestSketchSmoke is the CI sketch-smoke gate (make sketch-smoke): a
+// TestSketchSmoke is the sketched-push gate: a
 // 4-rank TCP worker fleet fed through WithSketchedPush must match the
 // unsketched serial reference within the adaptive tolerance while
 // measuring at least a 4x wire-bytes reduction against the logical
