@@ -122,8 +122,8 @@ benchtune:
 
 # Fallback parity: the kernel suite and every suite riding its GEMMs —
 # the QR, TSQR, merge, streaming update and the distributed engine with
-# its seed — with the assembly micro-kernels disabled, so the pure-Go
-# reference path stays correct.
+# its seed — built with the purego tag, which compiles the assembly
+# micro-kernels out, so the pure-Go reference path stays correct.
 noasm-test:
-	PARSVD_NOASM=1 $(GO) test -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream ./internal/core
-	PARSVD_NOASM=1 $(GO) test -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream
+	$(GO) test -tags purego -count 1 ./internal/mat ./internal/linalg ./internal/tsqr ./internal/merge ./internal/stream ./internal/core
+	$(GO) test -tags purego -run '^$$' -bench 'BenchmarkIncorporateSteadyStateAllocs$$' -benchmem ./internal/stream

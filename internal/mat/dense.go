@@ -10,8 +10,8 @@
 // panels are copied into micro-tile-ordered buffers sized for L1/L2, the
 // inner loop is a register micro-kernel dispatched per CPU and per shape
 // (kernel.go: AVX-512 and AVX2/FMA assembly on amd64, NEON on arm64, an
-// unrolled pure-Go kernel everywhere, overridable with PARSVD_NOASM and
-// PARSVD_KERNEL), and large products fan their A-panel blocks out to a
+// unrolled pure-Go kernel everywhere and alone under the purego build
+// tag), and large products fan their A-panel blocks out to a
 // persistent worker pool (pool.go) instead of spawning goroutines per
 // call. Products with one dimension of at most 32 and another in the
 // thousands — the QR's tall-skinny products — skip packing and run on two

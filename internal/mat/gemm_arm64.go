@@ -43,7 +43,7 @@ func microNEON(kc int, ap, bp []float64, tile *[maxMR * maxNR]float64) {
 // archKernels returns the NEON kernel. Advanced SIMD (NEON) with
 // double-precision FMLA is architecturally mandatory on AArch64, so no
 // runtime feature probe is needed — the kernel is gated only by the
-// PARSVD_NOASM / PARSVD_KERNEL overrides and the purego build tag.
+// purego build tag.
 func archKernels() []*kernelCfg {
 	return []*kernelCfg{{name: "neon-8x4", mr: 8, nr: 4, micro: microNEON, dot: dotNEON, axpy: axpyNEON}}
 }

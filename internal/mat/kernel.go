@@ -1,7 +1,5 @@
 package mat
 
-import "os"
-
 // Micro-kernel dispatch. The blocked GEMM in gemm.go is generic over the
 // register micro-tile: every ISA-specific kernel is described by a
 // kernelCfg (tile geometry plus the tile-product function), the per-arch
@@ -12,10 +10,10 @@ import "os"
 //
 // Selection happens at three levels:
 //
-//  1. Process level: the best hardware kernel wins (AVX-512 > AVX2 > NEON
-//     > pure Go), overridable with PARSVD_KERNEL=<name> and forcible to
-//     the pure-Go reference with PARSVD_NOASM=1 (the dispatch seam CI's
-//     fallback-parity job exercises).
+//  1. Process level: the best kernel the build and CPU offer wins
+//     (AVX-512 > AVX2 > NEON > pure Go). The purego build tag compiles
+//     the assembly out, leaving only the pure-Go reference (the build
+//     CI's fallback-parity job tests).
 //  2. Shape level: per product, kernFor consults the generated selection
 //     table (seltab_gen.go, regenerated by cmd/parsvd-benchtune) — very
 //     skinny right-hand sides fall back from a wide tile to the narrow
@@ -69,33 +67,10 @@ var (
 	sel selParams
 )
 
-func init() { resetKernelFromEnv() }
-
-// resetKernelFromEnv (re)runs process-level kernel selection from CPUID
-// and the PARSVD_KERNEL / PARSVD_NOASM environment overrides.
-func resetKernelFromEnv() {
+func init() {
 	availKernels = append(archKernels(), kernGoRef)
-	noasm := os.Getenv("PARSVD_NOASM") == "1"
-	activeKern = pickKernel(availKernels, os.Getenv("PARSVD_KERNEL"), noasm)
+	activeKern = availKernels[0]
 	sel = selFor(activeKern.name)
-}
-
-// pickKernel resolves the process-level kernel: PARSVD_NOASM=1 forces the
-// pure-Go reference, PARSVD_KERNEL selects by name when that kernel is
-// available on this CPU, and anything else (including an unavailable
-// request) falls back to the best hardware kernel.
-func pickKernel(avail []*kernelCfg, pref string, noasm bool) *kernelCfg {
-	if noasm {
-		return kernGoRef
-	}
-	if pref != "" {
-		for _, k := range avail {
-			if k.name == pref {
-				return k
-			}
-		}
-	}
-	return avail[0]
 }
 
 // kernFor returns the kernel for a product with n output columns,

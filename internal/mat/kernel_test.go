@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -11,7 +10,7 @@ import (
 // AVX2, NEON or the pure-Go reference — must agree with the naive i-k-j
 // product on every shape class the packing and edge-masking code
 // distinguishes. CI runs this file three ways: natively (assembly kernels),
-// under PARSVD_NOASM=1 (fallback-parity job) and under qemu-aarch64 (the
+// built with -tags purego (fallback-parity job) and under qemu-aarch64 (the
 // arm64 job), so each ISA path is exercised by at least one job.
 
 // parityShapes are the adversarial (m, k, n) triples: sub-tile, odd, prime,
@@ -100,33 +99,11 @@ func TestKernelListInvariants(t *testing.T) {
 	}
 }
 
-// TestNoasmOverride asserts the PARSVD_NOASM seam: when the fallback-parity
-// CI job sets it, the process must be running the pure-Go kernel.
-func TestNoasmOverride(t *testing.T) {
-	if os.Getenv("PARSVD_NOASM") != "1" {
-		t.Skip("PARSVD_NOASM not set; the fallback-parity CI job runs this")
-	}
-	if got := KernelName(); got != "go-8x4" {
-		t.Fatalf("PARSVD_NOASM=1 but active kernel is %q", got)
-	}
-}
-
-// TestPickKernel unit-tests process-level selection without touching the
-// environment.
+// TestPickKernel pins process-level selection: the best available kernel
+// is active at start-up, and ForceKernel refuses a name it does not offer.
 func TestPickKernel(t *testing.T) {
-	hw := &kernelCfg{name: "hw"}
-	avail := []*kernelCfg{hw, kernGoRef}
-	if got := pickKernel(avail, "", false); got != hw {
-		t.Errorf("default pick = %q, want best hardware kernel", got.name)
-	}
-	if got := pickKernel(avail, "", true); got != kernGoRef {
-		t.Errorf("noasm pick = %q, want go-8x4", got.name)
-	}
-	if got := pickKernel(avail, "go-8x4", false); got != kernGoRef {
-		t.Errorf("named pick = %q, want go-8x4", got.name)
-	}
-	if got := pickKernel(avail, "no-such-kernel", false); got != hw {
-		t.Errorf("unavailable pick = %q, want fallback to best", got.name)
+	if got, best := KernelName(), AvailableKernels()[0]; got != best {
+		t.Errorf("active kernel = %q, want the best available %q", got, best)
 	}
 	if _, ok := ForceKernel("no-such-kernel"); ok {
 		t.Error("ForceKernel accepted an unknown kernel name")

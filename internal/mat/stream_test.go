@@ -18,8 +18,8 @@ import (
 // must agree with RefMulInto at every small inner or output width the QR
 // uses and around every strip and vector-width edge of the long
 // dimension, on strided operands whose padding they must neither read
-// into a result nor write. CI also runs it under PARSVD_NOASM=1 and under
-// qemu-aarch64, so the NEON bodies are covered there.
+// into a result nor write. CI also runs it built with -tags purego and
+// under qemu-aarch64, so the NEON bodies are covered there.
 
 var (
 	// streamSmall are the short widths: inner k for broadcast-axpy, output

@@ -25,7 +25,9 @@ package scaling
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sync"
 	"time"
 
@@ -243,4 +245,32 @@ func FormatSeries(title string, points []Point) string {
 		s += fmt.Sprintf("%8d  %12.4e  %10.3f\n", p.Ranks, p.Seconds, p.Efficiency)
 	}
 	return s
+}
+
+// WriteCSV writes a series to path as CSV, header
+// "ranks,seconds,efficiency,comm_bytes" then one row per point. It returns
+// the first write or close error, so a full disk fails the write rather
+// than leaving a truncated file behind a nil error.
+func WriteCSV(path string, points []Point) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = writeCSV(f, points)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func writeCSV(w io.Writer, points []Point) error {
+	if _, err := fmt.Fprintln(w, "ranks,seconds,efficiency,comm_bytes"); err != nil {
+		return err
+	}
+	for _, p := range points {
+		if _, err := fmt.Fprintf(w, "%d,%.6e,%.6f,%d\n", p.Ranks, p.Seconds, p.Efficiency, p.CommBytes); err != nil {
+			return err
+		}
+	}
+	return nil
 }

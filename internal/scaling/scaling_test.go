@@ -1,7 +1,10 @@
 package scaling
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -146,4 +149,56 @@ func TestModelInvalidRanksPanics(t *testing.T) {
 		}
 	}()
 	DefaultThetaModel().Time(0)
+}
+
+func TestWriteCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "series.csv")
+	points := []Point{{Ranks: 1, Seconds: 0.5, Efficiency: 1, CommBytes: 0}, {Ranks: 2, Seconds: 1, Efficiency: 0.5, CommBytes: 96}}
+	if err := WriteCSV(path, points); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "ranks,seconds,efficiency,comm_bytes\n1,5.000000e-01,1.000000,0\n2,1.000000e+00,0.500000,96\n"
+	if string(got) != want {
+		t.Fatalf("CSV =\n%s\nwant\n%s", got, want)
+	}
+	if err := WriteCSV(filepath.Join(t.TempDir(), "missing", "series.csv"), points); err == nil {
+		t.Fatal("WriteCSV into a missing directory returned nil")
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write, as a file on a
+// disk that fills up does.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+func TestWriteCSVReturnsWriteError(t *testing.T) {
+	points := []Point{{Ranks: 1, Seconds: 1, Efficiency: 1}, {Ranks: 2, Seconds: 2, Efficiency: 0.5}}
+	// Fail in the header, in the first row and in the last row.
+	for _, n := range []int{0, 40, 70} {
+		if err := writeCSV(&failingWriter{n: n}, points); !errors.Is(err, errDiskFull) {
+			t.Errorf("failing after %d bytes: err = %v, want %v", n, err, errDiskFull)
+		}
+	}
+	// A full device fails the write through WriteCSV too.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	if err := WriteCSV("/dev/full", points); err == nil {
+		t.Fatal("WriteCSV to /dev/full returned nil")
+	}
 }
