@@ -1,7 +1,6 @@
 package parsvd
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,14 +24,15 @@ import (
 // failed start: nothing was ingested, the fleet is reaped and the next
 // push spawns a fresh one. After that, any session failure (a worker
 // death, an engine error on a rank, a protocol violation, an operation
-// timeout) permanently fails the engine: the remaining workers are killed
-// immediately and every later operation reports an error wrapping
-// ErrEngineFailed.
+// timeout) kills the remaining workers at once and returns an error
+// wrapping ErrEngineFailed, with which SVD refuses every later operation.
+// The engine gets input SVD has already checked.
 type distEngine struct {
-	cfg    config
-	sess   *launch.Session
-	rows   int // global row count, 0 until the first batch
-	failed error
+	cfg  config
+	sess *launch.Session
+	// fed is set once a push reached the fleet: a session fault after
+	// that kills a live stream, one before it is a failed start.
+	fed bool
 	// deadline is the Fit context deadline currently in force (zero
 	// outside a deadline-bearing Fit): it caps fleet startup and every
 	// wire round trip, so a ctx deadline bounds the whole distributed
@@ -44,9 +44,12 @@ func newDistEngine(cfg config) *distEngine { return &distEngine{cfg: cfg} }
 
 // start spawns the worker fleet, each rank with the engine spec on its
 // command line. A spawn failure (no worker binary, no descriptors) is a
-// failed start (ErrStartFailed) that does not poison the engine — nothing
-// has been ingested, so the next push may retry.
+// failed start (ErrStartFailed) that does not retire the engine — nothing
+// has been ingested, so the next push may retry. A live fleet is kept.
 func (d *distEngine) start() error {
+	if d.sess != nil {
+		return nil
+	}
 	sess, err := launch.StartSession(launch.SessionConfig{
 		Ranks:     d.cfg.ranks,
 		WorkerBin: d.cfg.transport.WorkerBin,
@@ -70,29 +73,26 @@ func (d *distEngine) start() error {
 	return nil
 }
 
-// poison marks the engine permanently failed after a session fault.
-func (d *distEngine) poison(op string, err error) error {
-	d.failed = fmt.Errorf("%w: %s: %w", ErrEngineFailed, op, err)
-	return d.failed
-}
-
-// sessionErr classifies a session operation error: a clean pre-wire
-// refusal (an expired Fit deadline before any frame was written) leaves
-// the still-healthy session — and this engine — fully usable; a fault on
-// the first push, which is the fleet's first exchange, is a failed start
-// (ErrStartFailed; nothing was ingested: the session is dropped and the
-// next push spawns afresh); any later fault killed a live stream and poisons the engine
-// permanently.
+// sessionErr classifies a session operation's outcome. Success marks the
+// fleet fed. A clean pre-wire refusal (an expired Fit deadline before any
+// frame was written) leaves the still-healthy session — and this engine —
+// fully usable. A fault on the first push, which is the fleet's first
+// exchange, is a failed start (ErrStartFailed; nothing was ingested: the
+// session is dropped and the next push spawns afresh). Any later fault
+// killed a live stream and wraps ErrEngineFailed.
 func (d *distEngine) sessionErr(op string, err error) error {
 	switch {
+	case err == nil:
+		d.fed = true // SVD reads only after a push, so a push sets this first
+		return nil
 	case d.sess.Failed() == nil:
 		return fmt.Errorf("parsvd: %s: %w", op, err)
-	case d.rows == 0:
+	case !d.fed:
 		d.sess.Close() // reaped already; this only marks it closed
 		d.sess = nil
 		return fmt.Errorf("%w: %w", ErrStartFailed, err)
 	default:
-		return d.poison(op, err)
+		return fmt.Errorf("%w: %s: %w", ErrEngineFailed, op, err)
 	}
 }
 
@@ -108,38 +108,10 @@ func (d *distEngine) setDeadline(t time.Time) {
 }
 
 func (d *distEngine) push(b *mat.Dense) error {
-	if d.failed != nil {
-		return d.failed
-	}
-	// The session scans every batch for non-finite values before it
-	// writes a frame, so a live fleet's batches are scanned there alone.
-	// A first batch is scanned here as well: a bad one must not cost a
-	// fleet spawn.
-	check := checkShape
-	if d.sess == nil {
-		check = checkBatch
-	}
-	if err := check(b, d.rows); err != nil {
+	if err := d.start(); err != nil {
 		return err
 	}
-	if d.sess == nil {
-		if b.Rows() < d.cfg.ranks {
-			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", b.Rows(), d.cfg.ranks)
-		}
-		if err := d.start(); err != nil {
-			return err
-		}
-	}
-	// A rejection before any frame was written (dimension mismatch,
-	// non-finite values, expired deadline) leaves the fleet consistent
-	// and usable; only a wire-level fault poisons (sessionErr).
-	if err := d.sess.Push(b); err != nil {
-		return d.sessionErr("distributed update", err)
-	}
-	if d.rows == 0 {
-		d.rows = b.Rows()
-	}
-	return nil
+	return d.sessionErr("distributed update", d.sess.Push(b))
 }
 
 // pushSketch ships a compressed factor pair to the fleet instead of
@@ -147,33 +119,13 @@ func (d *distEngine) push(b *mat.Dense) error {
 // WithSketchedPush): each rank receives its row block of Q plus the full
 // S and reconstructs worker-side, so only the pair crosses the wire.
 func (d *distEngine) pushSketch(q, s *mat.Dense) error {
-	if d.failed != nil {
-		return d.failed
+	if err := d.start(); err != nil {
+		return err
 	}
-	if d.sess == nil {
-		if q.Rows() < d.cfg.ranks {
-			return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", q.Rows(), d.cfg.ranks)
-		}
-		if err := d.start(); err != nil {
-			return err
-		}
-	}
-	if err := d.sess.PushSketch(q, s); err != nil {
-		return d.sessionErr("distributed sketched update", err)
-	}
-	if d.rows == 0 {
-		d.rows = q.Rows()
-	}
-	return nil
+	return d.sessionErr("distributed sketched update", d.sess.PushSketch(q, s))
 }
 
 func (d *distEngine) result() (*Result, error) {
-	if d.failed != nil {
-		return nil, d.failed
-	}
-	if d.sess == nil || d.rows == 0 {
-		return nil, errors.New("parsvd: no data ingested yet")
-	}
 	sha, singular, err := d.sess.ModesSHA()
 	if err != nil {
 		return nil, d.sessionErr("fingerprinting distributed modes", err)
@@ -210,12 +162,6 @@ func (d *distEngine) resultOf(st core.State) *Result {
 // checkpoint (SAVE). The session decodes those bytes off the wire and
 // checks them like any checkpoint from outside.
 func (d *distEngine) state() (core.State, error) {
-	if d.failed != nil {
-		return core.State{}, d.failed
-	}
-	if d.sess == nil || d.rows == 0 {
-		return core.State{}, errors.New("parsvd: no data ingested yet")
-	}
 	st, err := d.sess.Save()
 	if err != nil {
 		return core.State{}, d.sessionErr("gathering distributed checkpoint", err)

@@ -21,11 +21,8 @@ import (
 type shardedEngine struct {
 	cfg  config
 	subs []engine
-
-	rows   int // global row count, 0 until the first batch
-	next   int // round-robin cursor
-	fed    []bool
-	failed error
+	next int // round-robin cursor
+	fed  []bool
 
 	// bound is the latest reduction's accumulated truncation bound
 	// (the Bound of the merge tree's root), set by each state() call.
@@ -51,36 +48,29 @@ func newShardedEngine(cfg config) *shardedEngine {
 	return e
 }
 
-func (e *shardedEngine) push(b *mat.Dense) error {
-	if e.failed != nil {
-		return e.failed
+// push feeds the batch to the next shard in round-robin order.
+func (e *shardedEngine) push(b *mat.Dense) error { return e.dealt(e.subs[e.next].push(b)) }
+
+// pushSketch deals a factor pair like a batch. SVD sends pairs only to a
+// Distributed fit, whose shards are all sketchReceivers; it rebuilds a
+// pair for in-process shards itself.
+func (e *shardedEngine) pushSketch(q, s *mat.Dense) error {
+	return e.dealt(e.subs[e.next].(sketchReceiver).pushSketch(q, s))
+}
+
+// dealt moves the round-robin cursor past the shard that just took an
+// update, marking it fed unless the update failed.
+func (e *shardedEngine) dealt(err error) error {
+	if err == nil {
+		e.fed[e.next] = true
 	}
-	// The sub-engine scans the values; the shape is checked here, against
-	// every shard's rows.
-	if err := checkShape(b, e.rows); err != nil {
-		return err
-	}
-	if e.rows == 0 {
-		e.rows = b.Rows()
-	}
-	i := e.next
 	e.next = (e.next + 1) % len(e.subs)
-	if err := e.subs[i].push(b); err != nil {
-		if errors.Is(err, ErrEngineFailed) {
-			e.failed = err
-		}
-		return err
-	}
-	e.fed[i] = true
-	return nil
+	return err
 }
 
 // state reduces the states of the fed shards (a short stream may deal
 // fewer batches than there are shards) into one global factorization.
 func (e *shardedEngine) state() (core.State, error) {
-	if e.failed != nil {
-		return core.State{}, e.failed
-	}
 	var st core.State
 	parts := make([]*merge.Partial, 0, len(e.subs))
 	for i, sub := range e.subs {
@@ -97,9 +87,6 @@ func (e *shardedEngine) state() (core.State, error) {
 			Iterations: st.Iterations,
 			Snapshots:  st.Snapshots,
 		})
-	}
-	if len(parts) == 0 {
-		return core.State{}, errors.New("parsvd: no data ingested yet")
 	}
 	root, err := merge.Tree(parts, merge.TreeOptions{
 		K:       e.cfg.opts.K,

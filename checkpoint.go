@@ -49,7 +49,7 @@ func restore(st core.State) (*SVD, error) {
 	return &SVD{
 		cfg:       cfg,
 		eng:       eng,
-		rows:      eng.rows,
+		rows:      eng.svd.ModeRows().Cols(), // the modes are K×M, mode-major
 		snapshots: st.Snapshots,
 		updates:   int64(st.Iterations) + 1, // Initialize counted as an update
 	}, nil

@@ -43,6 +43,23 @@ var confBackends = []struct {
 	{"distributed", parsvd.Distributed, 2},
 }
 
+// confTarget is one configuration a conformance table runs on: a backend
+// with extra options such as WithShards.
+type confTarget struct {
+	name    string
+	backend parsvd.Backend
+	ranks   int
+	extra   []parsvd.Option
+}
+
+// withConfBackends appends every confBackends entry to targets.
+func withConfBackends(targets ...confTarget) []confTarget {
+	for _, b := range confBackends {
+		targets = append(targets, confTarget{name: b.name, backend: b.backend, ranks: b.ranks})
+	}
+	return targets
+}
+
 // confMatrix is the shared deterministic snapshot matrix: 64 rows, 24
 // snapshot columns, numerical rank 6 plus tiny noise so the retained
 // spectrum is well separated from the discarded tail.
@@ -97,8 +114,8 @@ var confStreams = []struct {
 }
 
 // newConfSVD builds one backend's SVD with the shared conformance
-// options.
-func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int) *parsvd.SVD {
+// options and any extra ones.
+func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int, extra ...parsvd.Option) *parsvd.SVD {
 	t.Helper()
 	opts := []parsvd.Option{
 		parsvd.WithModes(6),
@@ -108,6 +125,7 @@ func newConfSVD(t *testing.T, backend parsvd.Backend, ranks int) *parsvd.SVD {
 	if backend != parsvd.Serial {
 		opts = append(opts, parsvd.WithRanks(ranks))
 	}
+	opts = append(opts, extra...)
 	svd, err := parsvd.New(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -358,33 +376,80 @@ func TestConformanceContextCancellation(t *testing.T) {
 	}
 }
 
-// TestConformanceRejectsNonFinite: a batch carrying NaN or Inf is
-// refused identically on every backend — as a plain validation error
-// that leaves the SVD healthy, before any engine (or worker rank) sees
-// the data.
+// TestConformanceRejectsNonFinite: every bad push and sketch pair —
+// non-finite values, a wrong row count, a first batch too short to split
+// across the ranks, an empty or mismatched pair — is refused identically
+// on every backend and on a sharded fit, as a plain validation error that
+// leaves the SVD healthy, before any engine (or worker rank) sees the
+// data. The next good push succeeds after each.
 func TestConformanceRejectsNonFinite(t *testing.T) {
 	skipWithoutFleet(t)
 	a := confMatrix()
-	for _, b := range confBackends {
+	m := a.Rows()
+	withValue := func(b *parsvd.Matrix, v float64) *parsvd.Matrix {
+		b = b.Clone()
+		b.Set(1, 2, v)
+		return b
+	}
+	q, sk, err := parsvd.Sketch(a.SliceCols(8, 16), parsvd.SketchConfig{MaxRank: 4})
+	if err != nil || q == nil {
+		t.Fatalf("sketch: q = %v, err = %v", q, err)
+	}
+	l := q.Cols()
+	// Each case runs on a seeded SVD and must be refused with an error
+	// containing want.
+	cases := []struct {
+		name, want string
+		push       func(svd *parsvd.SVD) error
+	}{
+		{"NaN", "non-finite value (NaN)", func(svd *parsvd.SVD) error {
+			return svd.Push(withValue(a.SliceCols(8, 16), math.NaN()))
+		}},
+		{"+Inf", "non-finite value (+Inf)", func(svd *parsvd.SVD) error {
+			return svd.Push(withValue(a.SliceCols(8, 16), math.Inf(1)))
+		}},
+		{"wrong-rows", "rows", func(svd *parsvd.SVD) error {
+			return svd.Push(parsvd.NewMatrix(m-1, 8))
+		}},
+		{"sketch-empty", "empty sketch factor pair", func(svd *parsvd.SVD) error {
+			return svd.PushSketch(nil, nil)
+		}},
+		{"sketch-inner", "mismatched inner dimension", func(svd *parsvd.SVD) error {
+			return svd.PushSketch(q, parsvd.NewMatrix(l+1, 8))
+		}},
+		{"sketch-wrong-rows", "rows", func(svd *parsvd.SVD) error {
+			return svd.PushSketch(parsvd.NewMatrix(m-1, l), sk)
+		}},
+		{"sketch-NaN", "non-finite value (NaN)", func(svd *parsvd.SVD) error {
+			return svd.PushSketch(q, withValue(sk, math.NaN()))
+		}},
+	}
+	for _, b := range withConfBackends(confTarget{"parallel-2-shards", parsvd.Parallel, 2, []parsvd.Option{parsvd.WithShards(2)}}) {
 		t.Run(b.name, func(t *testing.T) {
-			svd := newConfSVD(t, b.backend, b.ranks)
-			if err := svd.Push(a.SliceCols(0, 8)); err != nil {
-				t.Fatal(err)
-			}
-			for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1)} {
-				bad := a.SliceCols(8, 16)
-				bad.Set(5, 3, v)
-				err := svd.Push(bad)
-				if err == nil {
-					t.Fatalf("%s batch accepted", name)
+			svd := newConfSVD(t, b.backend, b.ranks, b.extra...)
+			good := a.SliceCols(0, 8)
+			// refuse checks one rejection, then that the stream continues.
+			refuse := func(name, want string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err = %v, want a rejection containing %q", name, err, want)
 				}
 				if errors.Is(err, parsvd.ErrEngineFailed) {
-					t.Fatalf("%s batch poisoned the engine: %v", name, err)
+					t.Fatalf("%s poisoned the engine: %v", name, err)
+				}
+				if err := svd.Push(good); err != nil {
+					t.Fatalf("push after the %s rejection: %v", name, err)
 				}
 			}
-			// Still healthy: the stream continues.
-			if err := svd.Push(a.SliceCols(8, 16)); err != nil {
-				t.Fatalf("push after non-finite rejections: %v", err)
+			// A first batch of one row cannot give two ranks a row each;
+			// the good push after it seeds the SVD.
+			if b.ranks > 1 {
+				refuse("split", "cannot be split across 2 ranks", svd.Push(parsvd.NewMatrix(1, 8)))
+			} else if err := svd.Push(good); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				refuse(c.name, c.want, c.push(svd))
 			}
 		})
 	}

@@ -466,30 +466,11 @@ func (w *sessWorker) drain() (errBody []byte) {
 // The first Push pins the global row count and seeds the decomposition;
 // later pushes stream.
 //
-// Validation happens here, before any frame is written: a batch that
-// would be rejected (dimension mismatch, non-finite values) is reported
-// as a plain error and does NOT fail the session — no rank has seen it,
-// so the fleet stays consistent and usable.
+// The caller validates the batch (the parsvd facade does): it is
+// non-empty and finite, has the first batch's row count, and a first
+// batch has at least one row per rank. A worker refuses a non-finite
+// block, which fails the session.
 func (s *Session) Push(b *mat.Dense) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.closed {
-		return fmt.Errorf("launch: session is closed")
-	}
-	if b == nil || b.IsEmpty() {
-		return fmt.Errorf("launch: empty snapshot batch")
-	}
-	if s.rows == 0 {
-		if b.Rows() < s.cfg.Ranks {
-			return fmt.Errorf("launch: %d snapshot rows cannot be split across %d ranks", b.Rows(), s.cfg.Ranks)
-		}
-	} else if b.Rows() != s.rows {
-		return fmt.Errorf("launch: batch has %d rows, want %d", b.Rows(), s.rows)
-	}
-	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
-		return fmt.Errorf("launch: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
-	}
 	parts := s.parts
 	if s.rows == 0 {
 		parts = grid.Partition(b.Rows(), s.cfg.Ranks)
@@ -517,37 +498,12 @@ func (s *Session) Push(b *mat.Dense) error {
 // grid.Partition split Push uses) plus the full L×B projection sk, and
 // reconstructs its row block of the batch as Q_r·S before entering the
 // same collective update PUSH drives. Only L·(M_r+B) floats cross the
-// wire per rank instead of the raw M_r×B block. Validation happens here,
-// before any frame is written, so a bad pair does not fail the session:
-// besides the pair's own shape and values, every rank's block Q_r·S is
-// formed here exactly as that rank will form it, and a pair whose product
-// overflows is refused, as the in-process backends refuse the batch.
+// wire per rank instead of the raw M_r×B block. The caller validates the
+// pair as Push's caller does the batch (shapes, finite factors, the row
+// split). Every rank's block Q_r·S is formed here exactly as that rank
+// will form it, and a pair whose product overflows is refused before any
+// frame is written, so it does not fail the session.
 func (s *Session) PushSketch(q, sk *mat.Dense) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.closed {
-		return fmt.Errorf("launch: session is closed")
-	}
-	if q == nil || q.IsEmpty() || sk == nil || sk.IsEmpty() {
-		return fmt.Errorf("launch: empty sketch factor pair")
-	}
-	if q.Cols() != sk.Rows() {
-		return fmt.Errorf("launch: factor pair has mismatched inner dimension: Q is %dx%d, S is %dx%d",
-			q.Rows(), q.Cols(), sk.Rows(), sk.Cols())
-	}
-	if s.rows == 0 {
-		if q.Rows() < s.cfg.Ranks {
-			return fmt.Errorf("launch: %d snapshot rows cannot be split across %d ranks", q.Rows(), s.cfg.Ranks)
-		}
-	} else if q.Rows() != s.rows {
-		return fmt.Errorf("launch: sketch factor Q has %d rows, want %d", q.Rows(), s.rows)
-	}
-	for _, m := range []*mat.Dense{q, sk} {
-		if i := mat.FirstNonFinite(m.RawData()); i >= 0 {
-			return fmt.Errorf("launch: sketch factor pair contains a non-finite value (%g)", m.RawData()[i])
-		}
-	}
 	parts := s.parts
 	if s.rows == 0 {
 		parts = grid.Partition(q.Rows(), s.cfg.Ranks)

@@ -9,6 +9,7 @@
 package postproc
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -110,7 +111,8 @@ func SingularValueReport(w io.Writer, s []float64) {
 }
 
 // WriteSingularValuesCSV writes one row per mode with the given labelled
-// series (all series must have equal length).
+// series (all series must have equal length). It returns the first write
+// error.
 func WriteSingularValuesCSV(w io.Writer, labels []string, series ...[]float64) error {
 	if len(labels) != len(series) {
 		return fmt.Errorf("postproc: %d labels for %d series", len(labels), len(series))
@@ -123,38 +125,40 @@ func WriteSingularValuesCSV(w io.Writer, labels []string, series ...[]float64) e
 			return fmt.Errorf("postproc: series %d has %d rows, want %d", i, len(s), n)
 		}
 	}
-	fmt.Fprintf(w, "mode,%s\n", strings.Join(labels, ","))
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "mode,%s\n", strings.Join(labels, ","))
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "%d", i+1)
+		fmt.Fprintf(bw, "%d", i+1)
 		for _, s := range series {
-			fmt.Fprintf(w, ",%.12e", s[i])
+			fmt.Fprintf(bw, ",%.12e", s[i])
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(bw)
 	}
-	return nil
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // WriteModesCSV writes the 1-D modes as columns against the coordinate x:
 // header "x,mode1,mode2,..." then one row per grid point. This is the file
-// behind the Figure 1(a,b) overlays.
+// behind the Figure 1(a,b) overlays. It returns the first write error.
 func WriteModesCSV(w io.Writer, x []float64, modes *mat.Dense) error {
 	r, c := modes.Dims()
 	if len(x) != r {
 		return fmt.Errorf("postproc: %d coordinates for %d rows", len(x), r)
 	}
-	fmt.Fprint(w, "x")
+	bw := bufio.NewWriter(w)
+	fmt.Fprint(bw, "x")
 	for j := 0; j < c; j++ {
-		fmt.Fprintf(w, ",mode%d", j+1)
+		fmt.Fprintf(bw, ",mode%d", j+1)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(bw)
 	for i := 0; i < r; i++ {
-		fmt.Fprintf(w, "%.12e", x[i])
+		fmt.Fprintf(bw, "%.12e", x[i])
 		for j := 0; j < c; j++ {
-			fmt.Fprintf(w, ",%.12e", modes.At(i, j))
+			fmt.Fprintf(bw, ",%.12e", modes.At(i, j))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(bw)
 	}
-	return nil
+	return bw.Flush()
 }
 
 // ASCIIPlot renders labelled 1-D series as a terminal line plot of the
@@ -221,7 +225,7 @@ func ASCIIPlot(w io.Writer, title string, width, height int, labels []string, se
 // WritePGMHeatmap renders a lat-lon field (row-major, nlat×nlon) as an
 // 8-bit grayscale PGM image, linearly mapping [min, max] to [0, 255]. PGM
 // is plain-text and dependency-free; the Figure 2 mode maps are emitted in
-// this form.
+// this form. It returns the first write error.
 func WritePGMHeatmap(w io.Writer, field []float64, nlat, nlon int) error {
 	if len(field) != nlat*nlon {
 		return fmt.Errorf("postproc: field has %d values for %dx%d grid", len(field), nlat, nlon)
@@ -238,19 +242,20 @@ func WritePGMHeatmap(w io.Writer, field []float64, nlat, nlon int) error {
 	if minV == maxV {
 		maxV = minV + 1
 	}
-	fmt.Fprintf(w, "P2\n%d %d\n255\n", nlon, nlat)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "P2\n%d %d\n255\n", nlon, nlat)
 	for i := 0; i < nlat; i++ {
 		for j := 0; j < nlon; j++ {
 			v := field[i*nlon+j]
 			g := int((v - minV) / (maxV - minV) * 255)
 			if j > 0 {
-				fmt.Fprint(w, " ")
+				fmt.Fprint(bw, " ")
 			}
-			fmt.Fprintf(w, "%d", g)
+			fmt.Fprintf(bw, "%d", g)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(bw)
 	}
-	return nil
+	return bw.Flush()
 }
 
 func maxInt(a, b int) int {

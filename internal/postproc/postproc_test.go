@@ -1,7 +1,10 @@
 package postproc
 
 import (
+	"errors"
+	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -194,5 +197,64 @@ func TestWritePGMHeatmapConstantField(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "NaN") {
 		t.Fatal("constant field mishandled")
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write, as a file on a
+// disk that fills up does.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWritersReturnWriteError: each file writer returns the first write
+// error, whether the output runs out of room in the header, the first row
+// or the last row, and on a full device.
+func TestWritersReturnWriteError(t *testing.T) {
+	writers := map[string]func(w io.Writer) error{
+		"WriteSingularValuesCSV": func(w io.Writer) error {
+			return WriteSingularValuesCSV(w, []string{"a", "b"}, []float64{1, 2, 3}, []float64{4, 5, 6})
+		},
+		"WriteModesCSV": func(w io.Writer) error {
+			return WriteModesCSV(w, []float64{0, 1, 2}, mat.NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
+		},
+		"WritePGMHeatmap": func(w io.Writer) error {
+			return WritePGMHeatmap(w, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}, 3, 3)
+		},
+	}
+	for name, write := range writers {
+		var full strings.Builder
+		if err := write(&full); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out := full.String()
+		header := strings.Index(out, "\n") + 1
+		if name == "WritePGMHeatmap" {
+			header = len("P2\n3 3\n255\n")
+		}
+		for _, n := range []int{0, header + 1, len(out) - 1} {
+			if err := write(&failingWriter{n: n}); !errors.Is(err, errDiskFull) {
+				t.Errorf("%s failing after %d of %d bytes: err = %v, want %v", name, n, len(out), err, errDiskFull)
+			}
+		}
+	}
+	f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	defer f.Close()
+	for name, write := range writers {
+		if err := write(f); err == nil {
+			t.Errorf("%s to /dev/full returned nil", name)
+		}
 	}
 }

@@ -46,8 +46,8 @@ func (s *SVD) Merge(r io.Reader) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("parsvd: Merge on closed SVD")
+	if err := s.usable("Merge"); err != nil {
+		return err
 	}
 	st, err := core.ReadState(r)
 	if err != nil {
@@ -70,7 +70,7 @@ func (s *SVD) Merge(r io.Reader) error {
 	base := st
 	if s.rows != 0 {
 		if base, err = s.eng.state(); err != nil {
-			return err
+			return s.retire(err)
 		}
 		base.Snapshots += st.Snapshots
 	}
@@ -90,7 +90,7 @@ func (s *SVD) Merge(r io.Reader) error {
 
 	// Point of no return: everything validated, swap the engine.
 	if err := s.eng.close(); err != nil {
-		return fmt.Errorf("%w: closing pre-merge engine: %w", ErrEngineFailed, err)
+		return s.retire(fmt.Errorf("%w: closing pre-merge engine: %w", ErrEngineFailed, err))
 	}
 	s.eng = eng
 	s.cfg.backend = Serial

@@ -108,9 +108,10 @@ func (r *Result) Clone() *Result {
 
 // ErrEngineFailed marks an SVD whose backend is permanently failed: an
 // engine returned an error on some rank, a collective aborted or a worker
-// died, and the streaming state can no longer be trusted or advanced. Every later Push/Result reports an error
-// wrapping this sentinel; the only recovery is a new SVD (or Load from a
-// checkpoint). Servers use it to distinguish a dead engine (their fault,
+// died, and the streaming state can no longer be trusted or advanced. The
+// SVD keeps that error: every later Fit, Push, PushSketch, Result, Save,
+// Merge, Coefficients and Reconstruct returns it, and the only recovery
+// is a new SVD (or Load from a checkpoint). Servers use it to distinguish a dead engine (their fault,
 // HTTP 5xx) from a bad request.
 var ErrEngineFailed = errors.New("parsvd: engine permanently failed")
 
@@ -245,6 +246,11 @@ type Stats struct {
 // Result, Save, Fit's checkpoint, Merge and the WithShards reduction are
 // built on it, and every checkpoint is a State encoded by core.WriteState
 // in saveLocked.
+//
+// SVD owns the push contract. An engine gets only batches it has checked
+// (checkBatch and the row split), reads only after data, and nothing at
+// all once an operation returned an error wrapping ErrEngineFailed: SVD
+// then retires the engine and refuses every later operation itself.
 type engine interface {
 	push(b *mat.Dense) error
 	// state reports the global decomposition: the modes (mode-major
@@ -279,6 +285,9 @@ type SVD struct {
 	mu     sync.Mutex
 	eng    engine
 	closed bool
+	// failed is the first engine error that wraps ErrEngineFailed: the
+	// engine is retired and every later operation refuses with it.
+	failed error
 
 	// Ingest counters surfaced by Stats without touching the engine.
 	rows      int
@@ -374,8 +383,8 @@ func (s *SVD) Fit(ctx context.Context, src Source) (*Result, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("parsvd: Fit on closed SVD")
+	if err := s.usable("Fit"); err != nil {
+		return nil, err
 	}
 	// A context deadline must bound the Distributed backend's wire
 	// operations, not just the between-batch checks below: map it onto
@@ -442,22 +451,44 @@ func (s *SVD) fitResultLocked() (*Result, error) {
 func (s *SVD) Push(batch *Matrix) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("parsvd: Push on closed SVD")
+	if err := s.usable("Push"); err != nil {
+		return err
 	}
 	return s.pushLocked(batch)
 }
 
-// pushLocked forwards a batch to the engine and maintains the ingest
-// counters behind Stats. With WithSketchedPush the batch is compressed
-// into its factor pair first and only the pair crosses into the engine;
-// batches the sketch cannot compress fall through to the raw path.
-// Called with s.mu held.
+// usable refuses op on a closed SVD or one whose engine failed. Called
+// with s.mu held.
+func (s *SVD) usable(op string) error {
+	if s.closed {
+		return fmt.Errorf("parsvd: %s on closed SVD", op)
+	}
+	return s.failed
+}
+
+// retire records err as the SVD's failure when it wraps ErrEngineFailed:
+// the engine is dead, and no operation reaches it again. Called with s.mu
+// held.
+func (s *SVD) retire(err error) error {
+	if errors.Is(err, ErrEngineFailed) {
+		s.failed = err
+	}
+	return err
+}
+
+// pushLocked checks a batch, forwards it to the engine and maintains the
+// ingest counters behind Stats. With WithSketchedPush the batch is
+// compressed into its factor pair first and only the pair crosses into
+// the engine; batches the sketch cannot compress fall through to the raw
+// path. Called with s.mu held.
 func (s *SVD) pushLocked(b *Matrix) error {
+	if err := checkBatch(b, s.rows); err != nil {
+		return err
+	}
+	if err := s.checkSplit(b.Rows()); err != nil {
+		return err
+	}
 	if s.cfg.sketchOn {
-		if err := checkBatch(b, s.rows); err != nil {
-			return err
-		}
 		q, sk, err := sketchBatch(b, s.cfg.sketch, s.cfg.opts.RLA)
 		if err != nil {
 			return err
@@ -467,16 +498,49 @@ func (s *SVD) pushLocked(b *Matrix) error {
 		}
 	}
 	if err := s.eng.push(b); err != nil {
-		return err
+		return s.retire(err)
 	}
-	raw := 8 * int64(b.Rows()*b.Cols())
-	s.pushedBytes += raw
-	s.wireBytes += raw
+	s.count(b.Rows(), b.Cols(), 8*int64(b.Rows()*b.Cols()))
+	return nil
+}
+
+// count records one applied push of an M×B batch that sent wire bytes
+// into the engine. Called with s.mu held.
+func (s *SVD) count(m, b int, wire int64) {
+	s.pushedBytes += 8 * int64(m*b)
+	s.wireBytes += wire
 	if s.rows == 0 {
-		s.rows = b.Rows()
+		s.rows = m
 	}
-	s.snapshots += b.Cols()
+	s.snapshots += b
 	s.updates++
+}
+
+// checkBatch validates a snapshot batch against the rows seen so far
+// (rows == 0 means no batch yet). Non-finite values are rejected on
+// every backend — a NaN or Inf snapshot would silently corrupt the
+// running factorization — so code written against one backend behaves
+// identically on the others.
+func checkBatch(b *mat.Dense, rows int) error {
+	if b == nil || b.IsEmpty() {
+		return errors.New("parsvd: empty snapshot batch")
+	}
+	if rows != 0 && b.Rows() != rows {
+		return fmt.Errorf("parsvd: batch has %d rows, want %d", b.Rows(), rows)
+	}
+	if i := mat.FirstNonFinite(b.RawData()); i >= 0 {
+		return fmt.Errorf("parsvd: snapshot batch contains a non-finite value (%g)", b.RawData()[i])
+	}
+	return nil
+}
+
+// checkSplit refuses a first batch of rows rows that the row split cannot
+// give every rank at least one row of. Later batches have the first's
+// rows. Called with s.mu held.
+func (s *SVD) checkSplit(rows int) error {
+	if s.rows == 0 && rows < s.cfg.ranks {
+		return fmt.Errorf("parsvd: %d snapshot rows cannot be split across %d ranks", rows, s.cfg.ranks)
+	}
 	return nil
 }
 
@@ -486,8 +550,8 @@ func (s *SVD) pushLocked(b *Matrix) error {
 func (s *SVD) Result() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("parsvd: Result on closed SVD")
+	if err := s.usable("Result"); err != nil {
+		return nil, err
 	}
 	return s.resultLocked()
 }
@@ -496,15 +560,22 @@ func (s *SVD) Result() (*Result, error) {
 // fleet's Result fingerprints its modes instead of carrying them, so a
 // read never ships the M×K matrix to this process. Called with s.mu held.
 func (s *SVD) resultLocked() (*Result, error) {
+	if s.rows == 0 {
+		return nil, errNoData
+	}
 	if d, ok := s.eng.(*distEngine); ok {
-		return d.result()
+		res, err := d.result()
+		return res, s.retire(err)
 	}
 	st, err := s.eng.state()
 	if err != nil {
-		return nil, err
+		return nil, s.retire(err)
 	}
 	return newResult(st), nil
 }
+
+// errNoData refuses every read of an SVD that has seen no batch.
+var errNoData = errors.New("parsvd: no data ingested yet")
 
 // newResult copies st into a Result the caller owns.
 func newResult(st core.State) *Result {
@@ -558,8 +629,8 @@ func (s *SVD) Save(w io.Writer) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("parsvd: Save on closed SVD")
+	if err := s.usable("Save"); err != nil {
+		return err
 	}
 	_, err := s.saveLocked(w)
 	return err
@@ -568,9 +639,12 @@ func (s *SVD) Save(w io.Writer) error {
 // saveLocked writes the engine's state to w, stamped with the WithShard
 // provenance mark, and returns it. Called with s.mu held.
 func (s *SVD) saveLocked(w io.Writer) (core.State, error) {
+	if s.rows == 0 {
+		return core.State{}, errNoData
+	}
 	st, err := s.eng.state()
 	if err != nil {
-		return st, err
+		return st, s.retire(err)
 	}
 	st.Shard = s.cfg.shard
 	return st, core.WriteState(w, st)

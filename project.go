@@ -1,6 +1,11 @@
 package parsvd
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"goparsvd/internal/mat"
+)
 
 // Projection utilities (paper §2): once modes are available, snapshots
 // compress to K coefficients each and reconstruct from them.
@@ -13,11 +18,14 @@ import "errors"
 func (s *SVD) Coefficients(a *Matrix) (*Matrix, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	eng, err := s.serialEngine()
+	u, err := s.modeRows("Coefficients")
 	if err != nil {
 		return nil, err
 	}
-	return eng.coefficients(a)
+	if a == nil || a.Rows() != s.rows {
+		return nil, fmt.Errorf("parsvd: Coefficients needs %d-row snapshots", s.rows)
+	}
+	return mat.Mul(u, a), nil
 }
 
 // Reconstruct maps K×B coefficients back to snapshot space (U·c), the
@@ -26,20 +34,28 @@ func (s *SVD) Coefficients(a *Matrix) (*Matrix, error) {
 func (s *SVD) Reconstruct(coeffs *Matrix) (*Matrix, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	eng, err := s.serialEngine()
+	u, err := s.modeRows("Reconstruct")
 	if err != nil {
 		return nil, err
 	}
-	return eng.reconstruct(coeffs)
+	if k := u.Rows(); coeffs == nil || coeffs.Rows() != k {
+		return nil, fmt.Errorf("parsvd: Reconstruct needs %d-row coefficients", k)
+	}
+	return mat.MulTransA(u, coeffs), nil
 }
 
-func (s *SVD) serialEngine() (*serialEngine, error) {
-	if s.closed {
-		return nil, errors.New("parsvd: SVD is closed")
+// modeRows is the in-process engine's K×M mode-major modes, for op.
+// Called with s.mu held.
+func (s *SVD) modeRows(op string) (*mat.Dense, error) {
+	if err := s.usable(op); err != nil {
+		return nil, err
 	}
 	eng, ok := s.eng.(*serialEngine)
 	if !ok {
 		return nil, errors.New("parsvd: projection utilities need the modes in this process: not on the Distributed backend or with WithShards")
 	}
-	return eng, nil
+	if s.rows == 0 {
+		return nil, errNoData
+	}
+	return eng.svd.ModeRows(), nil
 }

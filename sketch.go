@@ -18,9 +18,10 @@ import (
 	"goparsvd/internal/rla"
 )
 
-// sketchReceiver is the optional engine extension for backends that can
-// ship the compressed factor pair instead of reconstructed rows. Engines
-// without it get the facade-side reconstruction through plain push.
+// sketchReceiver is the engine extension of the Distributed backend,
+// whole or sharded, which ships the compressed factor pair instead of
+// reconstructed rows. The in-process backends get the facade-side
+// reconstruction through plain push.
 type sketchReceiver interface {
 	pushSketch(q, s *mat.Dense) error
 }
@@ -120,40 +121,44 @@ func checkFactorPair(q, s *Matrix, rows int) error {
 func (s *SVD) PushSketch(q, sk *Matrix) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("parsvd: PushSketch on closed SVD")
+	if err := s.usable("PushSketch"); err != nil {
+		return err
 	}
 	return s.pushSketchLocked(q, sk)
 }
 
-// pushSketchLocked forwards a validated factor pair to the engine —
-// compressed when it understands the form, reconstructed otherwise — and
-// maintains the ingest and wire counters. Called with s.mu held.
+// pushSketchLocked checks a factor pair and forwards it to the engine —
+// compressed to the Distributed backend, which understands the form,
+// reconstructed for the others — and maintains the ingest and wire
+// counters. Called with s.mu held.
 func (s *SVD) pushSketchLocked(q, sk *Matrix) error {
 	if err := checkFactorPair(q, sk, s.rows); err != nil {
 		return err
 	}
+	if err := s.checkSplit(q.Rows()); err != nil {
+		return err
+	}
 	m, l, bcols := q.Rows(), q.Cols(), sk.Cols()
-	if sr, ok := s.eng.(sketchReceiver); ok {
-		if err := sr.pushSketch(q, sk); err != nil {
-			return err
-		}
+	// One in-process copy of the pair stands in for the raw batch.
+	wire := 8 * int64(l*(m+bcols))
+	if s.cfg.backend == Distributed {
 		// The scatter ships each rank its row block of Q (M·L floats in
 		// total) and replicates S to every rank.
-		s.wireBytes += 8 * int64(m*l+l*bcols*s.cfg.ranks)
+		wire = 8 * int64(m*l+l*bcols*s.cfg.ranks)
+		if err := s.eng.(sketchReceiver).pushSketch(q, sk); err != nil {
+			return s.retire(err)
+		}
 	} else {
-		if err := s.eng.push(Mul(q, sk)); err != nil {
+		// Finite factors can still overflow in their product.
+		a := Mul(q, sk)
+		if err := checkBatch(a, m); err != nil {
 			return err
 		}
-		// One in-process copy of the pair stands in for the raw batch.
-		s.wireBytes += 8 * int64(l*(m+bcols))
+		if err := s.eng.push(a); err != nil {
+			return s.retire(err)
+		}
 	}
-	s.pushedBytes += 8 * int64(m*bcols)
 	s.sketchedPushes++
-	if s.rows == 0 {
-		s.rows = m
-	}
-	s.snapshots += bcols
-	s.updates++
+	s.count(m, bcols, wire)
 	return nil
 }

@@ -66,8 +66,8 @@ var sketchStreams = []struct {
 }
 
 // newSketchSVD builds one backend's SVD with the conformance options,
-// optionally sketched.
-func newSketchSVD(t *testing.T, backend parsvd.Backend, ranks int, sketch *parsvd.SketchConfig) *parsvd.SVD {
+// optionally sketched, and any extra ones.
+func newSketchSVD(t *testing.T, backend parsvd.Backend, ranks int, sketch *parsvd.SketchConfig, extra ...parsvd.Option) *parsvd.SVD {
 	t.Helper()
 	opts := []parsvd.Option{
 		parsvd.WithModes(6),
@@ -80,6 +80,7 @@ func newSketchSVD(t *testing.T, backend parsvd.Backend, ranks int, sketch *parsv
 	if sketch != nil {
 		opts = append(opts, parsvd.WithSketchedPush(*sketch))
 	}
+	opts = append(opts, extra...)
 	svd, err := parsvd.New(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,8 @@ func TestSketchedPushExactWhenRankCovered(t *testing.T) {
 // TestSketchTrafficCountersAcrossBackends (cross-backend Stats
 // consistency): PushedBytes always counts 8·M·B per push, WireBytes
 // equals it for raw pushes and the documented compressed size for
-// sketched ones, on Serial, Parallel and Distributed alike.
+// sketched ones, on Serial, Parallel and Distributed alike, and on a
+// sharded Distributed fit, whose shards receive the pair as one fleet does.
 func TestSketchTrafficCountersAcrossBackends(t *testing.T) {
 	skipWithoutFleet(t)
 	const m, bcols = 64, 16
@@ -206,9 +208,9 @@ func TestSketchTrafficCountersAcrossBackends(t *testing.T) {
 		t.Fatal("sketch of a compressible batch fell back to raw")
 	}
 	l := q.Cols()
-	for _, b := range confBackends {
+	for _, b := range withConfBackends(confTarget{"distributed-2-shards", parsvd.Distributed, 2, []parsvd.Option{parsvd.WithShards(2)}}) {
 		t.Run(b.name, func(t *testing.T) {
-			svd := newSketchSVD(t, b.backend, b.ranks, nil)
+			svd := newSketchSVD(t, b.backend, b.ranks, nil, b.extra...)
 			st := svd.Stats()
 			if st.PushedBytes != 0 || st.WireBytes != 0 || st.SketchedPushes != 0 {
 				t.Fatalf("fresh SVD has nonzero traffic counters: %+v", st)
