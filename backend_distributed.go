@@ -114,11 +114,11 @@ func (d *distEngine) push(b *mat.Dense) error {
 	return d.sessionErr("distributed update", d.sess.Push(b))
 }
 
-// pushSketch ships a compressed factor pair to the fleet instead of
-// reconstructed rows (the sketchReceiver seam behind PushSketch and
-// WithSketchedPush): each rank receives its row block of Q plus the full
-// S and reconstructs worker-side, so only the pair crosses the wire.
-func (d *distEngine) pushSketch(q, s *mat.Dense) error {
+// pushSketch ships the factor pair to the fleet instead of the rebuilt
+// batch: each rank receives its row block of Q plus the full S and
+// rebuilds its block of the batch worker-side, to the bits SVD checked,
+// so only the pair crosses the wire.
+func (d *distEngine) pushSketch(q, s, _ *mat.Dense) error {
 	if err := d.start(); err != nil {
 		return err
 	}

@@ -61,6 +61,9 @@ func (e *serialEngine) push(b *mat.Dense) error {
 	return nil
 }
 
+// pushSketch pushes the batch SVD rebuilt from the pair.
+func (e *serialEngine) pushSketch(_, _, a *mat.Dense) error { return e.push(a) }
+
 // state reads the engine in place: the modes stay mode-major.
 func (e *serialEngine) state() (core.State, error) {
 	e.modes[0] = e.svd.ModeRows()

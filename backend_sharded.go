@@ -51,11 +51,9 @@ func newShardedEngine(cfg config) *shardedEngine {
 // push feeds the batch to the next shard in round-robin order.
 func (e *shardedEngine) push(b *mat.Dense) error { return e.dealt(e.subs[e.next].push(b)) }
 
-// pushSketch deals a factor pair like a batch. SVD sends pairs only to a
-// Distributed fit, whose shards are all sketchReceivers; it rebuilds a
-// pair for in-process shards itself.
-func (e *shardedEngine) pushSketch(q, s *mat.Dense) error {
-	return e.dealt(e.subs[e.next].(sketchReceiver).pushSketch(q, s))
+// pushSketch deals a factor pair and its rebuild like a batch.
+func (e *shardedEngine) pushSketch(q, s, a *mat.Dense) error {
+	return e.dealt(e.subs[e.next].pushSketch(q, s, a))
 }
 
 // dealt moves the round-robin cursor past the shard that just took an

@@ -211,7 +211,7 @@ func runScaling(report *strings.Builder, outdir string, sz sizes, _ int) error {
 	log.Printf("E3: weak scaling, ranks %v", sz.scalingRanks)
 	measured := scaling.RunMeasured(scaling.MeasuredConfig{
 		RowsPerRank: sz.scalingRowsPerRank, Snapshots: sz.scalingSnapshots,
-		K: 10, R1: 32, Ranks: sz.scalingRanks, Trials: 2,
+		K: 10, R1: 32, Ranks: sz.scalingRanks,
 	})
 	model := scaling.DefaultThetaModel()
 	modeled := model.Series(scaling.PowersOfTwo(16384))

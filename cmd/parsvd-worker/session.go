@@ -154,16 +154,12 @@ func (s *session) serve(in *bufio.Reader) error {
 		// A PUSH body is exactly one snapshot block and a PUSH-SKETCH body
 		// one factor pair; one the reader refuses is reported like any
 		// failed command.
-		var sketched *mat.Dense
-		switch verb {
-		case launch.SessPush:
-			err = s.readPush(in, n)
-		case launch.SessPushSketch:
-			sketched, err = s.sketch.read(in, n, s.scratch)
+		if verb == launch.SessPush || verb == launch.SessPushSketch {
+			err = s.readBatch(verb, in, n)
 		}
 		var done bool
 		if err == nil {
-			done, err = s.handle(verb, sketched)
+			done, err = s.handle(verb)
 		}
 		if err != nil {
 			s.t.Abort()
@@ -203,13 +199,21 @@ func (s *session) okStatus(sha []byte, spectrum []float64) error {
 	return s.reply(launch.SessOK, s.body)
 }
 
-// readPush decodes a PUSH body, the next n bytes of in, transposed
-// straight into the engine's buffer, with every check mat.ReadBlockExact
-// makes: the first batch into the rows the seeding reads it from
-// (FirstBatch), every later one into the rows the update stacks it in
-// (BatchRows).
-func (s *session) readPush(in io.Reader, n int) error {
-	rows, cols, err := mat.ReadBlockHeader(in, n, s.scratch)
+// readBatch decodes a PUSH or PUSH-SKETCH body, the next n bytes of in,
+// into the engine's buffer, transposed: the first batch into the rows the
+// seeding reads it from (FirstBatch), every later one into the rows the
+// update stacks it in (BatchRows). A PUSH block goes there straight off
+// the wire, with every check mat.ReadBlockExact makes; a factor pair is
+// rebuilt into this rank's block Q_r·S first.
+func (s *session) readBatch(verb byte, in io.Reader, n int) error {
+	var block *mat.Dense
+	var rows, cols int
+	var err error
+	if verb == launch.SessPush {
+		rows, cols, err = mat.ReadBlockHeader(in, n, s.scratch)
+	} else if block, err = s.sketch.read(in, n, s.scratch); err == nil {
+		rows, cols = block.Dims()
+	}
 	if err != nil {
 		return err
 	}
@@ -218,31 +222,28 @@ func (s *session) readPush(in io.Reader, n int) error {
 	case !s.eng.Initialized():
 		dst = s.eng.FirstBatch(rows, cols)
 	case rows != s.localRows:
-		return fmt.Errorf("PUSH block has %d rows, this rank holds %d", rows, s.localRows)
+		return fmt.Errorf("block has %d rows, this rank holds %d", rows, s.localRows)
 	default:
 		dst = s.eng.BatchRows(cols)
 	}
 	s.pushed = cols
+	if block != nil {
+		block.TInto(dst)
+		return nil
+	}
 	return mat.ReadValuesT(in, dst, s.scratch)
 }
 
 // ingest seeds the engine with this rank's block of the first batch and
-// streams every later one. A PUSH (sketched nil) is already in the
-// engine's buffer. An engine error (an abort echo from a failed peer
-// included) is returned as it is.
-func (s *session) ingest(sketched *mat.Dense) error {
+// streams every later one, from the engine rows the block was decoded
+// into. An engine error (an abort echo from a failed peer included) is
+// returned as it is.
+func (s *session) ingest() error {
 	var err error
-	switch {
-	case sketched == nil && !s.eng.Initialized():
-		err = s.eng.InitializeFilled()
-	case sketched == nil:
+	if s.eng.Initialized() {
 		err = s.eng.IncorporateFilled(s.pushed)
-	case !s.eng.Initialized():
-		err = s.eng.Initialize(sketched)
-	case sketched.Rows() != s.localRows:
-		return fmt.Errorf("PUSH-SKETCH block has %d rows, this rank holds %d", sketched.Rows(), s.localRows)
-	default:
-		err = s.eng.IncorporateData(sketched)
+	} else {
+		err = s.eng.InitializeFilled()
 	}
 	if err != nil {
 		return err
@@ -252,12 +253,12 @@ func (s *session) ingest(sketched *mat.Dense) error {
 }
 
 // handle executes one command and reports whether it was a clean
-// SHUTDOWN. A PUSH arrives already decoded into the engine's buffer and a
-// PUSH-SKETCH into sketched; every other verb carries no payload.
-func (s *session) handle(verb byte, sketched *mat.Dense) (bool, error) {
+// SHUTDOWN. A PUSH or PUSH-SKETCH arrives already decoded into the
+// engine's buffer; every other verb carries no payload.
+func (s *session) handle(verb byte) (bool, error) {
 	switch verb {
 	case launch.SessPush, launch.SessPushSketch:
-		if err := s.ingest(sketched); err != nil {
+		if err := s.ingest(); err != nil {
 			return false, err
 		}
 		return false, s.okStatus(nil, nil)
@@ -319,9 +320,10 @@ type sketchDecoder struct {
 // read decodes the factor pair that is the next n bytes of r and returns
 // this rank's row block of the batch, Q_r·S: the launcher scattered Q's
 // rows, so the product is exactly the block PUSH would have carried, and
-// the same collective update runs on it. The launcher refuses a pair whose
-// product overflows; the non-finite check keeps a block it could not vet
-// from entering the update. The block is valid until the next read.
+// the same collective update runs on it. The facade refuses a pair whose
+// product overflows; the non-finite check keeps bytes from another
+// process that it did not vet from entering the update. The block is
+// valid until the next read.
 func (d *sketchDecoder) read(r io.Reader, n int, scratch []byte) (*mat.Dense, error) {
 	if err := mat.ReadFactorPair(r, n, &d.q, &d.s, scratch); err != nil {
 		return nil, err

@@ -22,10 +22,12 @@ package launch
 //	          the update stacks it in (BatchRows)
 //	PUSH-SKETCH body = factor pair: this rank's row block of the
 //	          orthonormal sketch basis Q plus the full L×B projection
-//	          S = QᵀA; the worker reconstructs its row block of the batch
-//	          as Q_r·S and feeds the same update path as PUSH, so only
-//	          L·(M_r+B) floats cross the wire per rank instead of the raw
-//	          M_r×B block
+//	          S = QᵀA, so only L·(M_r+B) floats cross the wire per rank
+//	          instead of the raw M_r×B block. The launcher checks
+//	          nothing (the parsvd facade rebuilt every Q_r·S to the
+//	          worker's bits and checked it); the worker rebuilds its
+//	          block, refuses it unless finite and transposes it into the
+//	          engine rows a PUSH is decoded into
 //	MODES-SHA empty body; collective mode gather: every rank sends its
 //	          K×M_i mode rows to rank 0, which hashes them where they
 //	          lie — its own rows in its engine, every other rank's in the

@@ -77,8 +77,7 @@ type Session struct {
 	cfg     SessionConfig
 	workers []*sessWorker
 
-	rows  int // global snapshot rows, 0 until the first Push
-	parts []grid.Range
+	parts []grid.Range // the first push's row split, nil until it is acknowledged
 
 	// hardDeadline, when nonzero, caps every operation's deadline (a Fit
 	// context deadline mapped down by the facade). Zero means OpTimeout
@@ -92,10 +91,6 @@ type Session struct {
 	ops      int64
 	failed   error
 	closed   bool
-
-	// prod holds the rank blocks Q_r·S that PushSketch checks; it grows
-	// only when a taller block or a wider batch arrives.
-	prod []float64
 }
 
 // sessFrame is one parsed reply (or read error) from a worker. A BLOB
@@ -471,79 +466,48 @@ func (w *sessWorker) drain() (errBody []byte) {
 // batch has at least one row per rank. A worker refuses a non-finite
 // block, which fails the session.
 func (s *Session) Push(b *mat.Dense) error {
-	parts := s.parts
-	if s.rows == 0 {
-		parts = grid.Partition(b.Rows(), s.cfg.Ranks)
-	}
-	if _, err := s.op(SessPush, func(w *sessWorker) error {
-		var rows mat.Dense // a no-copy view of this rank's rows
-		b.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
-		if s.rows == 0 {
+	return s.scatter(SessPush, b, func(w *sessWorker, rows *mat.Dense) error {
+		if s.parts == nil {
 			// Every later batch has this shape: a pipe that holds the
 			// whole frame takes it in one write.
-			growPipe(w.stdin, pushFrameLen(&rows))
+			growPipe(w.stdin, pushFrameLen(rows))
 		}
-		return writeBlockFrame(w.stdin, w.scratch, &rows)
-	}); err != nil {
-		return err
-	}
-	if s.rows == 0 {
-		s.rows, s.parts = b.Rows(), parts
-	}
-	return nil
+		return writeBlockFrame(w.stdin, w.scratch, rows)
+	})
 }
 
 // PushSketch scatters one compressed snapshot batch: each rank receives
-// its contiguous row block of the orthonormal sketch basis q (the same
-// grid.Partition split Push uses) plus the full L×B projection sk, and
-// reconstructs its row block of the batch as Q_r·S before entering the
-// same collective update PUSH drives. Only L·(M_r+B) floats cross the
-// wire per rank instead of the raw M_r×B block. The caller validates the
-// pair as Push's caller does the batch (shapes, finite factors, the row
-// split). Every rank's block Q_r·S is formed here exactly as that rank
-// will form it, and a pair whose product overflows is refused before any
-// frame is written, so it does not fail the session.
+// its row block of the orthonormal sketch basis q (Push's split) plus the
+// full L×B projection sk, and rebuilds its row block of the batch as
+// Q_r·S before entering the same collective update PUSH drives. Only
+// L·(M_r+B) floats cross the wire per rank instead of the raw M_r×B
+// block. The caller validates the pair as Push's caller does the batch,
+// its product included (the parsvd facade rebuilds every rank's block to
+// the worker's bits and checks it). A worker refuses a block that is not
+// finite, which fails the session.
 func (s *Session) PushSketch(q, sk *mat.Dense) error {
-	parts := s.parts
-	if s.rows == 0 {
-		parts = grid.Partition(q.Rows(), s.cfg.Ranks)
-	}
-	if err := s.checkProducts(q, sk, parts); err != nil {
-		return err
-	}
-	if _, err := s.op(SessPushSketch, func(w *sessWorker) error {
-		var rows mat.Dense // a no-copy view of this rank's rows of q
-		q.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
-		return writeFactorPairFrame(w.stdin, w.scratch, &rows, sk)
-	}); err != nil {
-		return err
-	}
-	if s.rows == 0 {
-		s.rows, s.parts = q.Rows(), parts
-	}
-	return nil
+	return s.scatter(SessPushSketch, q, func(w *sessWorker, rows *mat.Dense) error {
+		return writeFactorPairFrame(w.stdin, w.scratch, rows, sk)
+	})
 }
 
-// checkProducts forms each rank's reconstructed block Q_r·S the way the
-// worker does (mat.MulInto of the same operands, so the same bits) and
-// reports the first non-finite value: a pair of finite factors can still
-// overflow in their product.
-func (s *Session) checkProducts(q, sk *mat.Dense, parts []grid.Range) error {
-	var rows, prod mat.Dense
-	for _, p := range parts {
-		h := p.End - p.Start
-		n := h * sk.Cols()
-		if cap(s.prod) < n {
-			s.prod = make([]float64, n)
-		}
-		q.ViewRows(p.Start, p.End, &rows)
-		prod.Wrap(h, sk.Cols(), s.prod[:n])
-		mat.MulInto(&prod, &rows, sk)
-		if i := mat.FirstNonFinite(prod.RawData()); i >= 0 {
-			return fmt.Errorf("launch: sketch factor pair's product contains a non-finite value (%g)", prod.RawData()[i])
-		}
+// scatter runs one push exchange: write writes each rank's frame from a
+// no-copy view of its grid.Partition rows of m, a first push's split
+// pinned for every later one.
+func (s *Session) scatter(verb byte, m *mat.Dense, write func(w *sessWorker, rows *mat.Dense) error) error {
+	parts := s.parts
+	if parts == nil {
+		parts = grid.Partition(m.Rows(), s.cfg.Ranks)
 	}
-	return nil
+	_, err := s.op(verb, func(w *sessWorker) error {
+		var rows mat.Dense
+		m.ViewRows(parts[w.rank].Start, parts[w.rank].End, &rows)
+		return write(w, &rows)
+	})
+	if err == nil {
+		s.parts = parts
+	}
+	return err
 }
 
 // ModesSHA gathers the global mode matrix at rank 0 (a collective) and

@@ -425,11 +425,12 @@ func TestSessionPushAndDecodeNonFinite(t *testing.T) {
 }
 
 // TestSessionPushAllocatesNoBody: Push writes each rank's PUSH frame from a
-// row view of the batch through the rank's fixed scratch buffer, and
-// PushSketch checks each rank's product Q_r·S in a buffer the session
-// keeps, so the launcher allocates far less per push than one rank's
-// 256 KiB block at the fit-distributed shape (M = 4096, B = 16, two
-// ranks; sketch rank L = 4).
+// row view of the batch, and PushSketch each rank's PUSH-SKETCH frame from
+// a row view of Q and the whole S, through the rank's fixed scratch
+// buffer; the launcher neither builds nor checks a rank's block Q_r·S
+// (the facade rebuilt and checked it), so it allocates far less per push
+// than one rank's 256 KiB block at the fit-distributed shape (M = 4096,
+// B = 16, two ranks; sketch rank L = 4).
 func TestSessionPushAllocatesNoBody(t *testing.T) {
 	const m, b, l, pushes = 4096, 16, 4, 8
 	s := startTestSession(t, 2, scaling.StreamWorkload{K: 16, FF: 1})

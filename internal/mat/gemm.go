@@ -42,6 +42,10 @@ func gemmAcc(out, a, b *Dense, transA, transB bool) { gemmRoute(out, a, b, trans
 // kernel (stream.go); the rest go through the packed path. The naive and
 // packed paths only ever add into out, so an overwrite zeroes it first;
 // the streaming kernels start from zero themselves.
+// The route is picked from the product's own shape, so a product into a
+// row view has the bits of the same product into its own storage, but a
+// product split by rows need not equal the unsplit one: a 7-row product
+// above SmallFlops may split into blocks at or below it.
 func gemmRoute(out, a, b *Dense, transA, transB, acc bool) {
 	m, n := out.rows, out.cols
 	k := a.cols

@@ -186,6 +186,44 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 }
 
+// TestMulIntoRowViewMatchesOwnStorage: for every kernel, a product whose
+// A operand and destination are row views of taller matrices (rows
+// [r0, r0+m) of an M-row Q and of an M-row batch, as a blockwise rebuild
+// of Q·S writes each rank's block) has the bits of the same product into
+// its own storage from its own copy of those rows (as a rank forms its
+// block), and leaves the destination's other rows alone. The shapes fall
+// on both sides of every kernel's SmallFlops cutoff, the 4×4×8 block of a
+// 7-row product among them, and above ParallelFlops.
+func TestMulIntoRowViewMatchesOwnStorage(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, sh := range [][5]int{
+			// m, k, n of the block product; rows of the taller matrices
+			// and the block's first row in them.
+			{4, 4, 8, 7, 0}, {3, 4, 8, 7, 4}, {2, 3, 5, 9, 6},
+			{16, 8, 1, 64, 48}, {20, 8, 16, 41, 11},
+			{2048, 32, 16, 4096, 2048}, {4096, 32, 16, 4099, 3},
+		} {
+			m, k, n, tall, r0 := sh[0], sh[1], sh[2], sh[3], sh[4]
+			q, s := randomDense(tall, k, rng), randomDense(k, n, rng)
+			dst := randomDense(tall, n, rng) // stale rows the product overwrites
+			outside := dst.Clone()
+			var qv, dv Dense
+			q.ViewRows(r0, r0+m, &qv)
+			dst.ViewRows(r0, r0+m, &dv)
+			MulInto(&dv, &qv, s)
+			own := New(m, n)
+			MulInto(own, q.SliceRows(r0, r0+m), s)
+			requireSameBits(t, fmt.Sprintf("MulInto row view %v", sh), own, &dv)
+			for i, v := range dst.data {
+				if (i < r0*n || i >= (r0+m)*n) && math.Float64bits(v) != math.Float64bits(outside.data[i]) {
+					t.Fatalf("MulInto row view %v wrote element %d outside its rows", sh, i)
+				}
+			}
+		}
+	})
+}
+
 // TestWorkspaceReuse checks the buffer pool recycles matching storage and
 // that a nil workspace degrades to plain allocation.
 func TestWorkspaceReuse(t *testing.T) {

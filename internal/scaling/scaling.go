@@ -63,13 +63,10 @@ type MeasuredConfig struct {
 	R1 int
 	// Ranks lists the rank counts to measure.
 	Ranks []int
-	// Trials repeats each measurement and keeps the minimum (the standard
-	// way to strip scheduler noise from in-process timings).
-	Trials int
 }
 
 func (c MeasuredConfig) validate() {
-	if c.RowsPerRank < 1 || c.Snapshots < 1 || c.K < 1 || len(c.Ranks) == 0 || c.Trials < 1 {
+	if c.RowsPerRank < 1 || c.Snapshots < 1 || c.K < 1 || len(c.Ranks) == 0 {
 		panic(fmt.Sprintf("scaling: invalid config %+v", c))
 	}
 }
@@ -106,16 +103,20 @@ func RunMeasured(cfg MeasuredConfig) []Point {
 		}
 		best := math.Inf(1)
 		var bytes int64
-		for trial := 0; trial < cfg.Trials; trial++ {
+		// A point is the minimum of at least 3 trials that together take at
+		// least 0.2 s: two timings of a few milliseconds are noise, and the
+		// first point's is every efficiency's denominator.
+		var total time.Duration
+		for trial := 0; trial < 3 || total < 200*time.Millisecond; trial++ {
 			start := time.Now()
 			stats := mpi.MustRun(p, func(c *mpi.Comm) {
 				if _, _, err := apmos.Decompose(c, blocks[c.Rank()], opts); err != nil {
 					panic(err) // MustRun aborts the world and re-panics
 				}
 			})
-			if dt := time.Since(start).Seconds(); dt < best {
-				best = dt
-			}
+			dt := time.Since(start)
+			total += dt
+			best = min(best, dt.Seconds())
 			bytes = stats.Bytes
 		}
 		points = append(points, Point{Ranks: p, Seconds: best, CommBytes: bytes})

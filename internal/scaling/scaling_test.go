@@ -16,7 +16,6 @@ func TestRunMeasuredSmall(t *testing.T) {
 		K:           4,
 		R1:          8,
 		Ranks:       []int{1, 2, 4},
-		Trials:      1,
 	}
 	pts := RunMeasured(cfg)
 	if len(pts) != 3 {

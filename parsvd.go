@@ -247,12 +247,16 @@ type Stats struct {
 // built on it, and every checkpoint is a State encoded by core.WriteState
 // in saveLocked.
 //
-// SVD owns the push contract. An engine gets only batches it has checked
-// (checkBatch and the row split), reads only after data, and nothing at
-// all once an operation returned an error wrapping ErrEngineFailed: SVD
-// then retires the engine and refuses every later operation itself.
+// SVD owns the push contract. An engine gets only batches and pairs it
+// has checked (checkBatch and the row split, a pair's rebuild included),
+// reads only after data, and nothing at all once an operation returned
+// an error wrapping ErrEngineFailed: SVD then retires the engine and
+// refuses every later operation itself.
 type engine interface {
 	push(b *mat.Dense) error
+	// pushSketch ingests a, the checked rebuild of the pair (q, s): the
+	// in-process engines push a, the Distributed one ships the pair.
+	pushSketch(q, s, a *mat.Dense) error
 	// state reports the global decomposition: the modes (mode-major
 	// ModeBlocks or M×K Modes), singular values, counters and the options
 	// the engine runs with. Serial and Parallel read it in
@@ -301,6 +305,9 @@ type SVD struct {
 	pushedBytes    int64
 	wireBytes      int64
 	sketchedPushes int64
+
+	// rebuilder holds the batch PushSketch rebuilds from each pair.
+	rebuilder rebuilder
 
 	// Merge provenance: the shard marks absorbed so far (Merge refuses
 	// the same shard twice) and the accumulated Iwen–Ong truncation

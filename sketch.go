@@ -4,27 +4,21 @@ package parsvd
 // 1502.05366): the sketch, not the data, crosses the wire. An M×B batch A
 // is compressed into the factor pair (Q, S) with A ≈ Q·S — Q an M×L
 // orthonormal range basis from internal/rla, S = QᵀA the L×B projection —
-// and only L·(M+B) floats travel instead of M·B. Engines that understand
-// the pair (the Distributed backend's worker fleet) reconstruct on their
-// side of the wire; the in-process backends reconstruct here and push the
-// product, which still pays off when the sketch itself was produced
-// remotely (the serving layer's sketched ingest).
+// and only L·(M+B) floats travel instead of M·B. SVD rebuilds the batch
+// Q·S once, block by block over the ranks' row split, and checks it; the
+// in-process engines push the rebuild, and the Distributed backend ships
+// the pair, whose workers rebuild their own blocks to the same bits. That
+// still pays off in-process when the sketch itself was produced remotely
+// (the serving layer's sketched ingest).
 
 import (
 	"errors"
 	"fmt"
 
+	"goparsvd/internal/grid"
 	"goparsvd/internal/mat"
 	"goparsvd/internal/rla"
 )
-
-// sketchReceiver is the engine extension of the Distributed backend,
-// whole or sharded, which ships the compressed factor pair instead of
-// reconstructed rows. The in-process backends get the facade-side
-// reconstruction through plain push.
-type sketchReceiver interface {
-	pushSketch(q, s *mat.Dense) error
-}
 
 // Sketch compresses an M×B snapshot batch into the factor pair (q, s)
 // with batch ≈ q·s — the same compression WithSketchedPush applies before
@@ -113,11 +107,12 @@ func checkFactorPair(q, s *Matrix, rows int) error {
 // (M×L) times s (L×B) stands in for the M×B batch it was sketched from.
 // Pairs come from Sketch on a producer machine, from the serving layer's
 // sketched ingest, or from a WAL replay of a sketched push. PushSketch
-// works on any SVD regardless of WithSketchedPush: the Distributed
-// backend ships the pair over the wire and reconstructs rank-local row
-// blocks on the workers; the in-process backends reconstruct q·s here
-// and push the product. Replaying the same pair reproduces the same
-// update bit-exactly — reconstruction is deterministic.
+// works on any SVD regardless of WithSketchedPush. The batch q·s is
+// rebuilt and checked here on every backend, one rank's row block at a
+// time; the in-process backends push it, and the Distributed backend
+// ships the pair over the wire for each worker to rebuild its own block,
+// to the same bits. Replaying the same pair reproduces the same update
+// bit-exactly — reconstruction is deterministic.
 func (s *SVD) PushSketch(q, sk *Matrix) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,10 +122,9 @@ func (s *SVD) PushSketch(q, sk *Matrix) error {
 	return s.pushSketchLocked(q, sk)
 }
 
-// pushSketchLocked checks a factor pair and forwards it to the engine —
-// compressed to the Distributed backend, which understands the form,
-// reconstructed for the others — and maintains the ingest and wire
-// counters. Called with s.mu held.
+// pushSketchLocked checks a factor pair and the batch it rebuilds, hands
+// both to the engine and maintains the ingest and wire counters. Called
+// with s.mu held.
 func (s *SVD) pushSketchLocked(q, sk *Matrix) error {
 	if err := checkFactorPair(q, sk, s.rows); err != nil {
 		return err
@@ -138,27 +132,51 @@ func (s *SVD) pushSketchLocked(q, sk *Matrix) error {
 	if err := s.checkSplit(q.Rows()); err != nil {
 		return err
 	}
+	// Finite factors can still overflow in their product.
+	a := s.rebuilder.rebuild(q, sk, s.cfg.ranks)
+	if err := checkBatch(a, s.rows); err != nil {
+		return err
+	}
+	if err := s.eng.pushSketch(q, sk, a); err != nil {
+		return s.retire(err)
+	}
 	m, l, bcols := q.Rows(), q.Cols(), sk.Cols()
-	// One in-process copy of the pair stands in for the raw batch.
-	wire := 8 * int64(l*(m+bcols))
+	// One copy of the pair stands in for the raw batch; the Distributed
+	// scatter ships each rank its row block of Q (M·L floats in total)
+	// and replicates S to every rank.
+	copies := 1
 	if s.cfg.backend == Distributed {
-		// The scatter ships each rank its row block of Q (M·L floats in
-		// total) and replicates S to every rank.
-		wire = 8 * int64(m*l+l*bcols*s.cfg.ranks)
-		if err := s.eng.(sketchReceiver).pushSketch(q, sk); err != nil {
-			return s.retire(err)
-		}
-	} else {
-		// Finite factors can still overflow in their product.
-		a := Mul(q, sk)
-		if err := checkBatch(a, m); err != nil {
-			return err
-		}
-		if err := s.eng.push(a); err != nil {
-			return s.retire(err)
-		}
+		copies = s.cfg.ranks
 	}
 	s.sketchedPushes++
-	s.count(m, bcols, wire)
+	s.count(m, bcols, 8*int64(m*l+l*bcols*copies))
 	return nil
+}
+
+// rebuilder forms the batch a factor pair stands for in storage it
+// keeps, so a steady PushSketch allocates nothing.
+type rebuilder struct {
+	parts  []grid.Range
+	batch  *mat.Dense
+	qr, ar mat.Dense // views of one block's rows of Q and of the batch
+}
+
+// rebuild forms q·sk one row block of grid.Partition(M, ranks) at a
+// time: the split a Distributed fleet scatters and the Parallel engine
+// factors. Each block is the product a worker forms from its rows of Q;
+// the whole product need not round like its blocks (mat picks a
+// product's kernel from its shape), so only the blockwise rebuild gives
+// Parallel a fleet's bits. Serial has one block. The batch is valid until
+// the next rebuild.
+func (r *rebuilder) rebuild(q, sk *Matrix, ranks int) *Matrix {
+	m, b := q.Rows(), sk.Cols()
+	if r.batch == nil || r.batch.Rows() != m || r.batch.Cols() != b || len(r.parts) != ranks {
+		r.batch, r.parts = mat.New(m, b), grid.Partition(m, ranks)
+	}
+	for _, p := range r.parts {
+		q.ViewRows(p.Start, p.End, &r.qr)
+		r.batch.ViewRows(p.Start, p.End, &r.ar)
+		mat.MulInto(&r.ar, &r.qr, sk)
+	}
+	return r.batch
 }

@@ -12,12 +12,14 @@ package parsvd_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"testing"
 
 	parsvd "goparsvd"
 
+	"goparsvd/internal/launch"
 	"goparsvd/internal/testutil"
 )
 
@@ -186,6 +188,99 @@ func TestSketchedPushExactWhenRankCovered(t *testing.T) {
 			}
 			if d := maxSpectrumDiff(t, want.Singular, got.Singular); d > 1e-9 {
 				t.Errorf("rank-covered sketch deviates by %g, want <= 1e-9 (roundoff)", d)
+			}
+		})
+	}
+}
+
+// TestSketchPairsMatchAcrossRankBackends: a raw seeding batch and then
+// four PushSketch pairs leave Parallel and Distributed with the same
+// spectrum and modes, bit for bit. The facade rebuilds each pair one rank
+// block at a time, the blocks the workers form; the two small shapes
+// split a product above mat's naive-loop cutoff into blocks at or below
+// it, so a rebuild of the whole product rounds otherwise.
+func TestSketchPairsMatchAcrossRankBackends(t *testing.T) {
+	skipWithoutFleet(t)
+	for _, sh := range []struct{ m, l, b, ranks int }{
+		{7, 4, 8, 2}, {64, 8, 1, 4}, {4096, 32, 16, 2},
+	} {
+		t.Run(fmt.Sprintf("M%d-L%d-B%d-%dranks", sh.m, sh.l, sh.b, sh.ranks), func(t *testing.T) {
+			rng := testutil.NewRand(5)
+			seed := testutil.RandomDense(sh.m, 8, rng)
+			var qs, ss [4]*parsvd.Matrix
+			for i := range qs {
+				qs[i], ss[i] = testutil.RandomDense(sh.m, sh.l, rng), testutil.RandomDense(sh.l, sh.b, rng)
+			}
+			var res [2]*parsvd.Result
+			for i, backend := range []parsvd.Backend{parsvd.Parallel, parsvd.Distributed} {
+				svd := newConfSVD(t, backend, sh.ranks)
+				if err := svd.Push(seed); err != nil {
+					t.Fatal(err)
+				}
+				for j := range qs {
+					if err := svd.PushSketch(qs[j], ss[j]); err != nil {
+						t.Fatalf("%v pair %d: %v", backend, j, err)
+					}
+				}
+				var err error
+				if res[i], err = svd.Result(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			par, dist := res[0], res[1]
+			if !testutil.CloseSlices(par.Singular, dist.Singular, 0) {
+				t.Errorf("spectra differ:\nparallel    %v\ndistributed %v", par.Singular, dist.Singular)
+			}
+			if want := launch.HashModes(par.Modes); dist.ModesSHA256 != want {
+				t.Errorf("distributed modes hash %s != parallel modes hash %s", dist.ModesSHA256, want)
+			}
+		})
+	}
+}
+
+// TestSteadyPushAllocatesNothing: once the engine has taken an update of
+// each kind, a Push and a PushSketch on an in-process backend allocate
+// nothing: the pair is rebuilt into storage the SVD keeps (M = 4096,
+// L = 8, B = 16).
+func TestSteadyPushAllocatesNothing(t *testing.T) {
+	const m, l, b = 4096, 8, 16
+	rng := testutil.NewRand(9)
+	batch := testutil.RandomDense(m, b, rng)
+	q, sk := testutil.RandomDense(m, l, rng), testutil.RandomDense(l, b, rng)
+	for _, c := range []struct {
+		name    string
+		backend parsvd.Backend
+		ranks   int
+	}{{"serial", parsvd.Serial, 1}, {"parallel", parsvd.Parallel, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			svd := newConfSVD(t, c.backend, c.ranks)
+			for _, warm := range []func() error{
+				func() error { return svd.Push(batch) },
+				func() error { return svd.Push(batch) },
+				func() error { return svd.PushSketch(q, sk) },
+			} {
+				if err := warm(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, op := range []struct {
+				name string
+				push func() error
+			}{
+				{"Push", func() error { return svd.Push(batch) }},
+				{"PushSketch", func() error { return svd.PushSketch(q, sk) }},
+			} {
+				var err error
+				if n := testing.AllocsPerRun(10, func() {
+					if e := op.push(); e != nil {
+						err = e
+					}
+				}); n != 0 {
+					t.Errorf("steady %s allocates %v times, want 0", op.name, n)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
