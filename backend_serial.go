@@ -78,4 +78,10 @@ func (e *serialEngine) state() (core.State, error) {
 
 func (e *serialEngine) stats() Stats { return Stats{} }
 
-func (e *serialEngine) close() error { return nil }
+// close hands the engine's buffer to the next bring-up in the process
+// (stream.SVD.Release). state's ModeBlocks are dead afterwards; a Result
+// built from them is a copy and stays the caller's.
+func (e *serialEngine) close() error {
+	e.svd.Release()
+	return nil
+}

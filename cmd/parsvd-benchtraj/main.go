@@ -18,6 +18,9 @@
 //     with -strict); timings from different machines are reported but not
 //     gated, since a laptop baseline says nothing about a CI runner.
 //
+// The table also shows each benchmark's median B/op next to its allocs/op,
+// for reading only: no gate holds bytes.
+//
 // The exit status is 1 when any gate fails, so the CI job fails with it.
 package main
 
@@ -239,9 +242,9 @@ func parseBenchLine(line string) (name string, ns, bytesOp, allocs, wire float64
 	return name, ns, bytesOp, allocs, wire, true
 }
 
-// wireCell renders the wire-B/push column: most benchmarks don't report
-// the metric, so the -1 sentinel shows as "-".
-func wireCell(v float64) string {
+// cell renders a column a benchmark may not report (B/op and allocs/op
+// without -benchmem, wire-B/push on most): the -1 sentinel shows as "-".
+func cell(v float64) string {
 	if v < 0 {
 		return "-"
 	}
@@ -277,7 +280,7 @@ func compareRuns(base, cur *Run, maxRegress float64, strict bool) (string, []str
 	if !gateNs {
 		fmt.Fprintf(&b, "environments differ: ns/op reported but not gated (use -strict to gate anyway)\n")
 	}
-	fmt.Fprintf(&b, "\n%-52s %14s %14s %8s %10s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op", "wire-B/push")
+	fmt.Fprintf(&b, "\n%-52s %14s %14s %8s %10s %10s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "B/op", "allocs/op", "wire-B/push")
 
 	baseBy := map[string]*Bench{}
 	for i := range base.Benches {
@@ -287,8 +290,8 @@ func compareRuns(base, cur *Run, maxRegress float64, strict bool) (string, []str
 		cb := &cur.Benches[i]
 		bb := baseBy[cb.Name]
 		if bb == nil {
-			fmt.Fprintf(&b, "%-52s %14s %14.0f %8s %10.0f %12s  (new)\n",
-				cb.Name, "-", median(cb.NsOp), "-", median(cb.AllocsOp), wireCell(median(cb.WireBPush)))
+			fmt.Fprintf(&b, "%-52s %14s %14.0f %8s %10s %10s %12s  (new)\n",
+				cb.Name, "-", median(cb.NsOp), "-", cell(median(cb.BytesOp)), cell(median(cb.AllocsOp)), cell(median(cb.WireBPush)))
 			continue
 		}
 		oldNs, newNs := median(bb.NsOp), median(cb.NsOp)
@@ -315,8 +318,8 @@ func compareRuns(base, cur *Run, maxRegress float64, strict bool) (string, []str
 			failures = append(failures,
 				fmt.Sprintf("%s: wire-B/push %.0f -> %.0f", cb.Name, oldWire, newWire))
 		}
-		fmt.Fprintf(&b, "%-52s %14.0f %14.0f %+7.1f%% %10.0f %12s%s\n",
-			cb.Name, oldNs, newNs, delta, newAllocs, wireCell(newWire), mark)
+		fmt.Fprintf(&b, "%-52s %14.0f %14.0f %+7.1f%% %10s %10s %12s%s\n",
+			cb.Name, oldNs, newNs, delta, cell(median(cb.BytesOp)), cell(newAllocs), cell(newWire), mark)
 	}
 	for _, bb := range base.Benches {
 		found := false

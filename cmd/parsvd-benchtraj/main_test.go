@@ -188,6 +188,28 @@ func TestVanishedBenchmarkFails(t *testing.T) {
 	}
 }
 
+// TestBytesOpReportedNotGated: the table shows the current median B/op
+// ("-" without -benchmem), and a B/op increase alone fails nothing.
+func TestBytesOpReportedNotGated(t *testing.T) {
+	base := parseSample(t)
+	cur := parseSample(t)
+	cur.Benches[3].BytesOp = []float64{4096}
+	report, failures := compareRuns(base, cur, 10, false)
+	if len(failures) != 0 {
+		t.Fatalf("a B/op increase was gated: %v", failures)
+	}
+	for _, want := range []string{"B/op", "4096", "BenchmarkNoMemStats"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "BenchmarkNoMemStats") && len(strings.Fields(line)) != 7 {
+			t.Errorf("a benchmark without -benchmem renders as %q, want ns/op, delta and three \"-\" cells", line)
+		}
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if m := median([]float64{3, 1, 2}); m != 2 {
 		t.Errorf("odd median = %g", m)

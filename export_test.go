@@ -40,3 +40,16 @@ func DistSessionOps(s *SVD) int64 {
 	}
 	return 0
 }
+
+// ModeStorage returns the address of the first mode value of an
+// in-process engine (Serial or Parallel): the first value of the buffer
+// the engine factors in, so tests can see which buffer a bring-up took.
+// It returns nil for other engines or before the first batch.
+func ModeStorage(s *SVD) *float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.eng.(*serialEngine); ok && e.svd.Initialized() {
+		return &e.svd.ModeRows().RawData()[0]
+	}
+	return nil
+}

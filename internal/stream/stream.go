@@ -23,6 +23,9 @@ package stream
 
 import (
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"goparsvd/internal/grid"
 	"goparsvd/internal/linalg"
@@ -75,7 +78,9 @@ func (o Options) validated() Options {
 // and IncorporateFilled). Calling them out of order panics. An error from
 // any of them or from Absorb (the randomized small SVD refusing its input;
 // on a distributed engine a failed collective or a peer's bad factor)
-// leaves the engine dead: it must not be used again.
+// leaves the engine dead: it must not be used again. Release hands the
+// engine's buffer on to the next engine of the process; every call that
+// reads or changes the decomposition panics after it.
 //
 // The modes are held mode-major: the first k rows of buf, row j being mode
 // j (column j of U), k = min(K, columns seen). Algorithm 1 only ever reads
@@ -95,6 +100,7 @@ type SVD struct {
 	iterations  int
 	snapshots   int
 	initialized bool
+	released    bool
 
 	// modes is the M×k copy Modes builds on demand; nil until asked for
 	// after the latest update.
@@ -312,6 +318,7 @@ func (s *SVD) Seed(modes *mat.Dense, singular []float64, iterations, snapshots i
 	if modes == nil {
 		return fmt.Errorf("stream: state inconsistent: nil modes")
 	}
+	s.mustBeLive()
 	m, k := modes.Dims()
 	if err := s.opts.CheckState(m, k, singular, iterations, snapshots); err != nil {
 		return err
@@ -397,6 +404,7 @@ func (s *SVD) SingularValues() []float64 {
 }
 
 func (s *SVD) mustBeInitialized() {
+	s.mustBeLive()
 	if !s.Initialized() {
 		panic("stream: SVD not initialized; call Initialize with the first batch")
 	}
@@ -420,13 +428,14 @@ func (s *SVD) Initialize(a *mat.Dense) error {
 // batch straight into them holds no copy of it, and B-wide updates never
 // regrow the buffer. On a distributed engine m is this rank's rows.
 func (s *SVD) FirstBatch(m, b int) *mat.Dense {
+	s.mustBeLive()
 	if s.initialized {
 		panic(initializedTwice)
 	}
 	if m == 0 || b == 0 {
 		panic("stream: empty initial batch")
 	}
-	s.buf = s.ws.GetUninit(s.opts.K+b, m)
+	s.buf = s.pooledBuf(s.opts.K+b, m)
 	s.buf.ViewRows(0, b, &s.batch)
 	s.filled = b
 	return &s.batch
@@ -439,6 +448,7 @@ func (s *SVD) FirstBatch(m, b int) *mat.Dense {
 // engine's is a local QR. The modes are written over the first rows of
 // the batch. An error leaves the engine dead.
 func (s *SVD) InitializeFilled() error {
+	s.mustBeLive()
 	if s.initialized {
 		panic(initializedTwice)
 	}
@@ -461,6 +471,73 @@ func (s *SVD) InitializeFilled() error {
 
 // initializedTwice is the panic of a second FirstBatch or InitializeFilled.
 const initializedTwice = "stream: Initialize called twice; use IncorporateData for new batches"
+
+// bufPool holds the buffers of released engines, for the next FirstBatch
+// or BatchRows growth in the process to take instead of a fresh
+// allocation. A fresh buffer of M-long rows takes its page faults at its
+// first touch (1 MiB at M = 4096, K = B = 16); a pooled one is resident.
+var bufPool sync.Pool
+
+// poisonReleased makes Release fill each buffer it pools with NaN, so a
+// later engine that read a released buffer's stale contents would show it
+// in its modes and spectrum.
+var poisonReleased atomic.Bool
+
+// PoisonReleased switches the NaN fill of released buffers on or off and
+// returns the previous setting. It is for tests.
+func PoisonReleased(on bool) bool { return poisonReleased.Swap(on) }
+
+// pooledBuf returns an r×c matrix with unspecified contents: a pooled
+// buffer when the pool offers one that holds r·c values and at most twice
+// that, so a small engine never pins a big one (a pooled buffer outside
+// that range is dropped), and fresh storage otherwise.
+func (s *SVD) pooledBuf(r, c int) *mat.Dense {
+	need := r * c
+	if d, ok := bufPool.Get().(*mat.Dense); ok {
+		if data := d.RawData(); cap(data) >= need && cap(data) <= 2*need {
+			d.Wrap(r, c, data[:need])
+			return d
+		}
+	}
+	return s.ws.GetUninit(r, c)
+}
+
+// Release hands the engine's buffer to the pool the next FirstBatch or
+// BatchRows growth in the process takes from, and retires the engine:
+// every later call that reads or changes the decomposition panics, and
+// no matrix it handed out (ModeRows, FirstBatch, BatchRows) may be used
+// again. Matrices copied out of it (Modes, a clone) stay the caller's. An
+// engine that is never released gives nothing back. Releasing twice is a
+// no-op.
+//
+// Only a buffer sized for a batch, K+b rows, is pooled. A Seed's exact k
+// ≤ K rows fit no FirstBatch of the same M, and each allocation takes one
+// buffer from the pool: a misfit taken first is dropped, and the engine
+// allocates although a fitting buffer is pooled behind it.
+func (s *SVD) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	if s.buf != nil && s.buf.Rows() > s.opts.K {
+		if poisonReleased.Load() {
+			data := s.buf.RawData()
+			data = data[:cap(data)]
+			for i := range data {
+				data[i] = math.NaN()
+			}
+		}
+		bufPool.Put(s.buf)
+	}
+	s.buf, s.top, s.batch = nil, mat.Dense{}, mat.Dense{}
+}
+
+// mustBeLive panics on a released engine.
+func (s *SVD) mustBeLive() {
+	if s.released {
+		panic("stream: SVD used after Release")
+	}
+}
 
 // IncorporateData ingests a new batch A_i (M×B), updating the truncated
 // modes and singular values (Algorithm 1, steps 1–5):
@@ -488,9 +565,9 @@ func (s *SVD) BatchRows(b int) *mat.Dense {
 	s.mustBeInitialized()
 	k0, m := len(s.singular), s.rows
 	if s.buf.Rows() < k0+b {
-		// Not pooled: the old buffer goes to the GC, so the engine holds
-		// one buffer of M-long rows, not two.
-		grown := s.ws.GetUninit(s.opts.K+b, m)
+		// The old buffer goes to the GC, not to either pool, so the
+		// engine holds one buffer of M-long rows, not two.
+		grown := s.pooledBuf(s.opts.K+b, m)
 		copy(grown.RawData(), s.top.RawData())
 		s.buf = grown
 		s.buf.ViewRows(0, k0, &s.top)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +257,15 @@ func TestUsageErrors(t *testing.T) {
 		{"empty first batch", func() { New(Options{K: 2, FF: 1}).FirstBatch(3, 0) }},
 		{"init filled without first batch", func() { New(Options{K: 2, FF: 1}).InitializeFilled() }},
 		{"distributed without comm", func() { NewDistributed(nil, Options{K: 2, FF: 1}) }},
+		{"modes after release", func() { released().ModeRows() }},
+		{"incorporate after release", func() { released().IncorporateData(mat.New(3, 2)) }},
+		{"first batch after release", func() { released().FirstBatch(3, 2) }},
+		{"seed after release", func() { released().Seed(mat.Eye(3), []float64{1, 1, 1}, 0, 3) }},
+		{"first batch of an unseeded released engine", func() {
+			s := New(Options{K: 2, FF: 1})
+			s.Release()
+			s.FirstBatch(3, 2)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,6 +276,109 @@ func TestUsageErrors(t *testing.T) {
 			}()
 			tc.fn()
 		})
+	}
+}
+
+// released is an engine seeded and then released, for the usage tests.
+func released() *SVD {
+	s := started(Options{K: 3, FF: 1}, mat.Eye(3))
+	s.Release()
+	s.Release() // a second Release is a no-op
+	return s
+}
+
+// TestReleaseHandsOnTheBuffer: a released engine's buffer is what the
+// next FirstBatch, or BatchRows growth, in the process starts from when it
+// holds the rows needed and at most twice that; a buffer outside that
+// range is dropped, and a restored engine's exact k rows are not pooled at
+// all. The buffer comes back filled with NaN
+// (PoisonReleased), so an engine that read its stale contents would not
+// match the one seeded in fresh storage. GC is off and one P runs, so the
+// pool keeps what it was given.
+func TestReleaseHandsOnTheBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a random quarter of what it is given")
+	}
+	const k, b = 4, 6
+	opts := Options{K: k, FF: 0.9}
+	a := testutil.RandomDense(100, 2*b, testutil.NewRand(51))
+	// The references are seeded before the pool is emptied, and never
+	// released.
+	refs := map[int]*SVD{}
+	for _, m := range []int{100, 60, 40} {
+		refs[m] = started(opts, a.SliceRows(0, m).SliceCols(0, b))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer PoisonReleased(PoisonReleased(true))
+	runtime.GC() // twice: the pool keeps a collection's survivors until the next
+	runtime.GC()
+
+	seed := func(m int) (*SVD, *float64) {
+		t.Helper()
+		s := New(opts)
+		first := s.FirstBatch(m, b)
+		a.SliceRows(0, m).SliceCols(0, b).TInto(first)
+		buf := &first.RawData()[0]
+		if err := s.InitializeFilled(); err != nil {
+			t.Fatal(err)
+		}
+		ref := refs[m]
+		if !bitsEqual(s.SingularValues(), ref.SingularValues()) || !bitsEqual(s.ModeRows().RawData(), ref.ModeRows().RawData()) {
+			t.Fatalf("an engine seeded over %d rows after a Release differs from one seeded in fresh storage", m)
+		}
+		return s, buf
+	}
+	e, big := seed(100) // (K+B)·100 values
+	e.Release()
+	e, buf := seed(60) // 1000 values are at most twice the 600 needed
+	if buf != big {
+		t.Fatal("a seeding whose need the released buffer covers within 2x did not reuse it")
+	}
+	e.Release()
+	e, small := seed(40) // but more than twice 400: dropped
+	if small == big {
+		t.Fatal("a seeding reused a buffer more than twice its need")
+	}
+	e.Release()
+	if _, buf = seed(100); buf == big || buf == small {
+		t.Fatal("a dropped or too small buffer was reused")
+	}
+
+	// A restored engine's exact k rows are not pooled, so they cannot
+	// shadow a fitting buffer released after them.
+	restored, err := Restore(opts, refs[100].Modes(), refs[100].SingularValues(), 0, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, big = seed(100)
+	restored.Release()
+	e.Release()
+	if _, buf = seed(100); buf != big {
+		t.Fatal("a released restored engine's buffer kept a fitting one from being reused")
+	}
+
+	// Growth: seeded b/2 wide, the engine grows to K+b rows at its first
+	// b-wide batch, into the buffer released last.
+	grower := New(opts)
+	if err := grower.Initialize(a.SliceCols(0, b/2)); err != nil {
+		t.Fatal(err)
+	}
+	e, big = seed(100)
+	e.Release()
+	a.SliceCols(b, 2*b).TInto(grower.BatchRows(b))
+	if &grower.ModeRows().RawData()[0] != big {
+		t.Fatal("BatchRows grew into fresh storage with a released buffer of the size in the pool")
+	}
+	if err := grower.IncorporateFilled(b); err != nil {
+		t.Fatal(err)
+	}
+	ref := started(opts, a.SliceCols(0, b/2))
+	if err := ref.IncorporateData(a.SliceCols(b, 2*b)); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(grower.SingularValues(), ref.SingularValues()) || !bitsEqual(grower.ModeRows().RawData(), ref.ModeRows().RawData()) {
+		t.Fatal("an engine that grew into a released buffer differs from one that grew into fresh storage")
 	}
 }
 

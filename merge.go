@@ -88,7 +88,9 @@ func (s *SVD) Merge(r io.Reader) error {
 		bound += math.Sqrt(tail)
 	}
 
-	// Point of no return: everything validated, swap the engine.
+	// Point of no return: everything validated, swap the engine. Closing
+	// hands the old engine's buffer on, so base, read from it in place,
+	// must be used up by now: the restore above copied it.
 	if err := s.eng.close(); err != nil {
 		return s.retire(fmt.Errorf("%w: closing pre-merge engine: %w", ErrEngineFailed, err))
 	}

@@ -660,7 +660,10 @@ func (s *SVD) saveLocked(w io.Writer) (core.State, error) {
 // Close releases backend resources (the Distributed backend's worker
 // fleet: every parsvd-worker process is shut down and reaped). The SVD is
 // unusable afterwards. Close is idempotent and optional for the Serial
-// and Parallel backends.
+// and Parallel backends: there it hands the engine's buffer to the next
+// SVD brought up in the process, which then skips allocating its own
+// (Results already taken are copies and stay valid); an SVD never closed
+// is left to the garbage collector.
 func (s *SVD) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
